@@ -36,6 +36,7 @@ from .config import ConfigError, ScenarioConfig, load_config, serialize_config
 from .dephasing import closed_form_dynamical_phase, closed_form_overlap_phase
 from .jump import (
     BranchTrackingError,
+    TotalDecayError,
     average_jump_ensemble,
     no_jump_geometric_phase,
 )
@@ -45,11 +46,14 @@ from .lindblad import (
     ShiftSet,
     apply_shift,
     evolve_density,
+    lower_model,
     shift_is_hidden,
-    shifted_hamiltonian,
 )
 from .operators import wrap_phase
 from .qsd import QSDConfig, averaged_geometric_phase
+
+# Unused here; bench/tracing.py wraps this name on this module.
+from .lindblad import shifted_hamiltonian  # noqa: F401
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -137,14 +141,16 @@ def _cmd_nojump_phase(cfg: ScenarioConfig) -> str:
                 len(res.branch_crossings),
                 "ok",
             ]
-        except BranchTrackingError:
+        except (BranchTrackingError, TotalDecayError) as exc:
             # Flag the point and keep sweeping; the report collects the warning.
+            if isinstance(exc, TotalDecayError):
+                status, what = "total-decay", "no-jump norm underflowed"
+            else:
+                status, what = "branch-failure", "branch tracking failed"
             warnings.warn(
-                f"branch tracking failed at {point or 'base point'}",
-                RuntimeWarning,
-                stacklevel=2,
+                f"{what} at {point or 'base point'}", RuntimeWarning, stacklevel=2
             )
-            row += [nan, nan, nan, nan, -1, "branch-failure"]
+            row += [nan, nan, nan, nan, -1, status]
         lines.append(_row(row))
     return "\n".join(lines) + "\n"
 
@@ -269,9 +275,9 @@ def _cmd_symmetry_check(cfg: ScenarioConfig) -> str:
     )
     phase_difference = wrap_phase(shifted.phase - plain.phase)
 
-    k0 = shifted_hamiltonian(model, cfg.shifts).value_at(0.0).entries
-    h0 = model.hamiltonian.value_at(0.0).entries
-    generator_shift = float(np.max(np.abs(k0 - h0)))
+    generator_shift = max(
+        float(np.max(np.abs(c.k - c.h))) for c in lower_model(model, cfg.shifts).values
+    )
 
     if hidden:
         verdict = (

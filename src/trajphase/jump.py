@@ -31,18 +31,20 @@ from .lindblad import (
     DensityMatrix,
     LindbladModel,
     ShiftSet,
-    apply_shift,
+    lower_model,
     shift_is_hidden,
-    shifted_hamiltonian,
 )
 from .operators import (
     DEFAULT_SUBSTEPS,
     Operator,
     OperatorSchedule,
     PureState,
-    combine_schedules,
-    matrix_exponential,
+    step_propagators,
 )
+
+# Unused here; bench/tracing.py wraps these names on this module.
+from .lindblad import apply_shift, shifted_hamiltonian  # noqa: F401
+from .operators import combine_schedules, matrix_exponential  # noqa: F401
 
 # Overlap magnitudes below this fraction of the norm product are treated as
 # equator crossings where the accumulated argument has no stable branch.
@@ -66,20 +68,6 @@ class StepSizeError(RuntimeError):
 class JumpEvent(NamedTuple):
     time: float
     channel: int
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class NoJumpGenerator:
-    """Schedule of non-Hermitian no-jump generators."""
-
-    schedule: OperatorSchedule
-
-    @property
-    def dim(self) -> int:
-        return self.schedule.dim
-
-    def value_at(self, t: float) -> Operator:
-        return self.schedule.value_at(t)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -180,26 +168,15 @@ class JumpEnsembleResult:
         return DensityMatrix(self.estimates[-1])
 
 
-def no_jump_hamiltonian(model: LindbladModel) -> NoJumpGenerator:
+def no_jump_hamiltonian(model: LindbladModel) -> OperatorSchedule:
     """K_tilde(t) = H(t) - (i * strength / 2) * sum_m L_m(t)^dag L_m(t)."""
-    lam = model.strength
-
-    def build(ham: Operator, *chans) -> Operator:
-        total = ham.entries
-        for chan in chans:
-            l = chan.entries
-            total = total - 0.5j * lam * (l.conj().T @ l)
-        return Operator(total)
-
-    return NoJumpGenerator(
-        combine_schedules(build, model.hamiltonian, *model.lindblads)
-    )
+    return lower_model(model).operators(lambda c: c.k_tilde)
 
 
-def shifted_no_jump_hamiltonian(model: LindbladModel, shifts: ShiftSet) -> NoJumpGenerator:
-    """No-jump generator of the shifted model: equals
-    H - (i * strength / 2) * sum (L - f)^dag (L - f) by direct substitution."""
-    return no_jump_hamiltonian(apply_shift(model, shifts))
+def shifted_no_jump_hamiltonian(model: LindbladModel, shifts: ShiftSet) -> OperatorSchedule:
+    """No-jump generator of the shifted model,
+    H - (i * strength / 2) * sum (L - f)^dag (L - f)."""
+    return lower_model(model, shifts).operators(lambda c: c.k_tilde)
 
 
 def _state_vector(psi) -> np.ndarray:
@@ -209,8 +186,15 @@ def _state_vector(psi) -> np.ndarray:
     return vec
 
 
+def _unit_vector(psi) -> np.ndarray:
+    vec = _state_vector(psi)
+    if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
+        raise ValueError("psi0 must be normalized within 1e-12")
+    return vec
+
+
 def propagate_no_jump(
-    generator: NoJumpGenerator,
+    generator: OperatorSchedule,
     psi0,
     total_time: float,
     steps: int = DEFAULT_SUBSTEPS,
@@ -224,31 +208,16 @@ def propagate_no_jump(
         raise ValueError("steps must be >= 1")
     if total_time < 0:
         raise ValueError("total_time must be >= 0")
-    sched = generator.schedule
-    if not sched.covers(0.0, total_time):
-        raise ValueError("generator schedule does not cover [0, total_time]")
     vec = _state_vector(psi0)
     dim = vec.shape[0]
-    if dim != sched.dim:
+    if dim != generator.dim:
         raise ValueError("state dimension differs from the generator's")
 
     dt = total_time / steps
     states = np.empty((steps + 1, dim), dtype=complex)
     states[0] = vec
-    if sched.is_constant:
-        u = matrix_exponential(-1j * dt * sched.values[0].entries)
-        for k in range(steps):
-            states[k + 1] = u @ states[k]
-    else:
-        cache: dict[int, np.ndarray] = {}
-        for k in range(steps):
-            mid = (k + 0.5) * dt
-            idx = sched._index(mid)
-            u = cache.get(idx)
-            if u is None:
-                u = matrix_exponential(-1j * dt * sched.values[idx].entries)
-                cache[idx] = u
-            states[k + 1] = u @ states[k]
+    for k, u in enumerate(step_propagators(generator, 0.0, total_time, steps)):
+        states[k + 1] = u @ states[k]
 
     norms = np.linalg.norm(states, axis=1)
     if np.min(norms) < NORM_FLOOR:
@@ -270,19 +239,25 @@ def no_jump_probability(record: TrajectoryRecord) -> float:
 
 
 def _dynamical_integrand(herm: OperatorSchedule, times, states, sq_norms) -> np.ndarray:
+    # The two forms agree up to roundoff; each is kept so that results stay
+    # bit-identical to those of earlier versions.
     if herm.is_constant:
         k = herm.values[0].entries
-        vals = np.einsum("ni,ij,nj->n", states.conj(), k, states).real
+        vals = np.einsum("ni,ij,nj->n", states.conj(), k, states)
     else:
-        vals = np.empty(len(times))
-        for n, t in enumerate(times):
-            k = herm.value_at(t).entries
-            vals[n] = np.vdot(states[n], k @ states[n]).real
-    return vals / sq_norms
+        ks = np.stack([v.entries for v in herm.values])[herm.cells_at(times)]
+        vals = (states.conj()[:, np.newaxis, :] @ (ks @ states[:, :, np.newaxis]))[:, 0, 0]
+    return vals.real / sq_norms
+
+
+def _phase_generators(model, shifts) -> tuple[OperatorSchedule, OperatorSchedule]:
+    """The no-jump generator K_tilde and the Hermitian K of the dynamical term."""
+    lowered = lower_model(model, shifts)
+    return lowered.operators(lambda c: c.k_tilde), lowered.operators(lambda c: c.k)
 
 
 def _tracked_phase(
-    gen: NoJumpGenerator,
+    gen: OperatorSchedule,
     herm: OperatorSchedule,
     vec: np.ndarray,
     total_time: float,
@@ -345,15 +320,8 @@ def no_jump_geometric_phase(
     at most pi/2, except across flagged zero crossings of the overlap, where
     the result is meaningful modulo 2 pi only.
     """
-    vec = _state_vector(psi0)
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
-        raise ValueError("psi0 must be normalized within 1e-12")
-    if shifts is not None:
-        gen = shifted_no_jump_hamiltonian(model, shifts)
-        herm = shifted_hamiltonian(model, shifts)
-    else:
-        gen = no_jump_hamiltonian(model)
-        herm = model.hamiltonian
+    vec = _unit_vector(psi0)
+    gen, herm = _phase_generators(model, shifts)
     return _tracked_phase(gen, herm, vec, total_time, steps)
 
 
@@ -376,52 +344,31 @@ def gauge_transform_check(
     """
     if scale == 0:
         raise ValueError("scale must be nonzero; c(t) may not vanish")
-    base = no_jump_geometric_phase(model, psi0, total_time, steps, shifts)
-    if shifts is not None:
-        gen = shifted_no_jump_hamiltonian(model, shifts)
-        herm = shifted_hamiltonian(model, shifts)
-    else:
-        gen = no_jump_hamiltonian(model)
-        herm = model.hamiltonian
+    vec = _unit_vector(psi0)
+    gen, herm = _phase_generators(model, shifts)
+    base = _tracked_phase(gen, herm, vec, total_time, steps)
     eye = np.eye(model.dim)
-    gen2 = NoJumpGenerator(
-        gen.schedule.map(lambda op: Operator(op.entries + 1j * complex(log_rate) * eye))
-    )
+    gen2 = gen.map(lambda op: Operator(op.entries + 1j * complex(log_rate) * eye))
     herm2 = herm.map(lambda op: Operator(op.entries - complex(log_rate).imag * eye))
-    vec2 = complex(scale) * _state_vector(psi0)
+    vec2 = complex(scale) * vec
     transformed = _tracked_phase(gen2, herm2, vec2, total_time, steps)
     return base.phase, transformed.phase
 
 
-class _StepTerms:
-    """Per-step no-jump propagators and jump operators on the sampling grid."""
-
-    def __init__(self, model: LindbladModel, dt: float, steps: int) -> None:
-        gen = no_jump_hamiltonian(model).schedule
-        u_cache: dict[int, np.ndarray] = {}
-        l_cache: dict[int, list[np.ndarray]] = {}
-        self.u_steps: list[np.ndarray] = []
-        self.l_steps: list[list[np.ndarray]] = []
-        chans = model.lindblads
-        for k in range(steps):
-            mid = (k + 0.5) * dt
-            idx = 0 if gen.is_constant else gen._index(mid)
-            if idx not in u_cache:
-                u_cache[idx] = matrix_exponential(-1j * dt * gen.values[idx].entries)
-            self.u_steps.append(u_cache[idx])
-            start = k * dt
-            key = 0 if all(c.is_constant for c in chans) else k
-            if key not in l_cache:
-                l_cache[key] = [c.value_at(start).entries for c in chans]
-            self.l_steps.append(l_cache[key])
+def _step_terms(model, shifts, total_time, steps) -> list[tuple]:
+    """(no-jump propagator, shifted channels) of each sampling step."""
+    lowered = lower_model(model, shifts)
+    props = step_propagators(lowered.operators(lambda c: c.k_tilde), 0.0, total_time, steps)
+    cells = lowered.step_cells(0.0, total_time, steps)
+    return [(u, lowered.values[c].channels) for u, c in zip(props, cells.tolist())]
 
 
-def _advance_batch(states, terms, k, dt, lam, u_jump, u_chan):
+def _advance_batch(states, step, k, dt, lam, u_jump, u_chan):
     """One sampling step for a batch of normalized states.
 
     Returns (jumped, channel); channel is meaningful on jumped rows only.
     """
-    ls = terms.l_steps[k]
+    u, ls = step
     amps = [states @ l.T for l in ls]
     probs = np.stack(
         [lam * dt * np.sum(np.abs(a) ** 2, axis=1) for a in amps], axis=1
@@ -443,7 +390,7 @@ def _advance_batch(states, terms, k, dt, lam, u_jump, u_chan):
                 states[mask] = amp[mask]
     quiet = ~jumped
     if quiet.any():
-        states[quiet] = states[quiet] @ terms.u_steps[k].T
+        states[quiet] = states[quiet] @ u.T
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     return jumped, channel
 
@@ -464,7 +411,6 @@ def sample_jump_trajectory(
     length steps from rng (jump decisions, then channel choices), so equal
     rng states reproduce the trajectory exactly.
     """
-    work = apply_shift(model, shifts) if shifts is not None else model
     steps, dt = sampling_grid(total_time, delta_t)
     if model.strength * dt > 0.1:
         warnings.warn(
@@ -472,7 +418,7 @@ def sample_jump_trajectory(
             RuntimeWarning,
             stacklevel=2,
         )
-    terms = _StepTerms(work, dt, steps)
+    terms = _step_terms(model, shifts, total_time, steps)
     vec = _state_vector(psi0)
     vec = vec / np.linalg.norm(vec)
 
@@ -484,7 +430,7 @@ def sample_jump_trajectory(
     for k in range(steps):
         states[k] = batch[0]
         jumped, channel = _advance_batch(
-            batch, terms, k, dt, model.strength, u_jump[k : k + 1], u_chan[k : k + 1]
+            batch, terms[k], k, dt, model.strength, u_jump[k : k + 1], u_chan[k : k + 1]
         )
         if jumped[0]:
             events.append(JumpEvent(time=k * dt, channel=int(channel[0])))
@@ -496,9 +442,8 @@ def sample_jump_trajectory(
 
 def _ensemble_chunk(args) -> tuple:
     model, shifts, vec, total_time, delta_t, streams = args
-    work = apply_shift(model, shifts) if shifts is not None else model
     steps, dt = sampling_grid(total_time, delta_t)
-    terms = _StepTerms(work, dt, steps)
+    terms = _step_terms(model, shifts, total_time, steps)
     lam = model.strength
     count = len(streams)
     dim = vec.shape[0]
@@ -521,7 +466,7 @@ def _ensemble_chunk(args) -> tuple:
 
     accumulate(0)
     for k in range(steps):
-        jumped, _ = _advance_batch(states, terms, k, dt, lam, u_jump[:, k], u_chan[:, k])
+        jumped, _ = _advance_batch(states, terms[k], k, dt, lam, u_jump[:, k], u_chan[:, k])
         jumps += jumped
         accumulate(k + 1)
     return sum_proj, sum_re2, sum_im2, jumps
@@ -608,16 +553,12 @@ def kraus_set(
     """
     if delta_t <= 0:
         raise ValueError("delta_t must be positive")
-    work = apply_shift(model, shifts) if shifts is not None else model
-    gen = no_jump_hamiltonian(work).value_at(at_time)
-    dim = model.dim
-    first = Operator(np.eye(dim) - 1j * delta_t * gen.entries)
+    terms = lower_model(model, shifts).value_at(at_time)
+    first = Operator(np.eye(model.dim) - 1j * delta_t * terms.k_tilde)
     if model.strength == 0.0:
         return KrausSet(delta_t, (first,))
     root = math.sqrt(model.strength * delta_t)
-    ops = [first]
-    for chan in work.lindblads:
-        ops.append(Operator(root * chan.value_at(at_time).entries))
+    ops = [first] + [Operator(root * l) for l in terms.channels]
     return KrausSet(delta_t, tuple(ops))
 
 

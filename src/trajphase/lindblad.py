@@ -14,16 +14,18 @@ the dissipator shows the whole effect regroups into the Hamiltonian part,
     H -> K = H - (i * strength / 2) * sum_m (conj(f_m) L_m - f_m L_m^dag),
 
 so the physical evolution is unchanged exactly when every conj(f_m) L_m is
-Hermitian ("hidden" shifts). `apply_shift` returns the model with shifted
-channels (the Hamiltonian field stays as supplied; the regrouped K is
-available via `shifted_hamiltonian`).
+Hermitian ("hidden" shifts). `lower_model` turns a model and optional
+shifts into per-cell matrices (shifted channels, their squares, the no-jump
+generator K_tilde and the Hermitian K) once; every propagator reads those.
+`apply_shift` and `shifted_hamiltonian` are schedule views of the same
+lowering.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import warnings
-from typing import Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,6 +33,8 @@ from .operators import (
     Operator,
     OperatorSchedule,
     ScalarSchedule,
+    Schedule,
+    combine,
     combine_schedules,
     identity,
     is_hermitian,
@@ -157,35 +161,71 @@ def _check_channel_count(model: LindbladModel, shifts: ShiftSet) -> None:
         )
 
 
-class _Terms:
-    """Per-cell cache of Hamiltonian and channel matrices for a model."""
+class CellTerms(NamedTuple):
+    """Matrices of one grid cell; channels are already shifted, L_m - f_m."""
 
-    def __init__(self, model: LindbladModel) -> None:
-        self.model = model
-        self.h_values = [v.entries for v in model.hamiltonian.values]
-        self.channel_values = []
-        for chan in model.lindblads:
-            triples = []
-            for v in chan.values:
-                l = v.entries
-                ld = l.conj().T
-                triples.append((l, ld, ld @ l))
-            self.channel_values.append(triples)
-
-    def at(self, t: float):
-        ham = self.h_values[
-            0 if self.model.hamiltonian.is_constant else self.model.hamiltonian._index(t)
-        ]
-        chans = [
-            vals[0 if sched.is_constant else sched._index(t)]
-            for sched, vals in zip(self.model.lindblads, self.channel_values)
-        ]
-        return ham, chans
+    h: np.ndarray
+    channels: tuple[np.ndarray, ...]
+    adjoints: tuple[np.ndarray, ...]
+    # (L_m - f_m)^dag (L_m - f_m)
+    squares: tuple[np.ndarray, ...]
+    # K_tilde = H - (i * strength / 2) * sum_m squares[m]
+    k_tilde: np.ndarray
+    # Hermitian K of the shifted model; H itself when there is no shift.
+    k: np.ndarray
 
 
-def _rhs_matrix(ham, chans, strength, rho):
+@dataclasses.dataclass(frozen=True, eq=False)
+class LoweredModel(Schedule):
+    """A model and its shifts as one CellTerms per cell of their common grid."""
+
+    values: tuple[CellTerms, ...]
+    strength: float
+
+    def operators(self, pick: Callable[[CellTerms], np.ndarray]) -> OperatorSchedule:
+        """One matrix of every cell, as an operator schedule on the same grid."""
+        return OperatorSchedule(tuple(Operator(pick(c)) for c in self.values), self.cell)
+
+
+def lower_model(model: LindbladModel, shifts: Optional[ShiftSet] = None) -> LoweredModel:
+    """Per-cell matrices of the model with its channels shifted by shifts.
+
+    This is the one place that chooses between the shifted and the plain
+    model: with shifts, channels are L_m - f_m and K is the regrouped
+    Hamiltonian; without, channels are L_m and K = H. The Hamiltonian,
+    channels and shifts must share one grid (constants broadcast).
+    """
+    count = len(model.lindblads)
+    lam = model.strength
+    one = identity(model.dim).entries
+    if shifts is not None:
+        _check_channel_count(model, shifts)
+
+    def build(ham: Operator, *rest) -> CellTerms:
+        h = ham.entries
+        chans = [c.entries for c in rest[:count]]
+        k = h
+        if shifts is not None:
+            values = [complex(f) for f in rest[count:]]
+            for l, f in zip(chans, values):
+                k = k - 0.5j * lam * (np.conj(f) * l - f * l.conj().T)
+            chans = [l - f * one for l, f in zip(chans, values)]
+        adjoints = tuple(l.conj().T for l in chans)
+        squares = tuple(ld @ l for l, ld in zip(chans, adjoints))
+        k_tilde = h
+        for sq in squares:
+            k_tilde = k_tilde - 0.5j * lam * sq
+        return CellTerms(h, tuple(chans), adjoints, squares, k_tilde, k)
+
+    shift_schedules = () if shifts is None else shifts.shifts
+    values, cell = combine(build, model.hamiltonian, *model.lindblads, *shift_schedules)
+    return LoweredModel(values, cell, lam)
+
+
+def _rhs_matrix(terms: CellTerms, strength, rho):
+    ham = terms.h
     out = -1j * (ham @ rho - rho @ ham)
-    for l, ld, ldl in chans:
+    for l, ld, ldl in zip(terms.channels, terms.adjoints, terms.squares):
         out = out + strength * (l @ rho @ ld - 0.5 * (ldl @ rho + rho @ ldl))
     return out
 
@@ -193,8 +233,7 @@ def _rhs_matrix(ham, chans, strength, rho):
 def lindblad_rhs(model: LindbladModel, rho: Union[DensityMatrix, np.ndarray], t: float = 0.0) -> Operator:
     """Right-hand side of the master equation at time t (traceless Hermitian)."""
     arr = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    ham, chans = _Terms(model).at(t)
-    return Operator(_rhs_matrix(ham, chans, model.strength, arr))
+    return Operator(_rhs_matrix(lower_model(model).value_at(t), model.strength, arr))
 
 
 def evolve_density(
@@ -210,27 +249,39 @@ def evolve_density(
     invariants; positivity violations worse than roundoff abort with the
     offending step.
     """
+    return evolve_lowered(lower_model(model), rho0, total_time, steps)
+
+
+def evolve_lowered(
+    lowered: LoweredModel,
+    rho0: DensityMatrix,
+    total_time: float,
+    steps: int = DEFAULT_DENSITY_STEPS,
+) -> list[tuple[float, DensityMatrix]]:
+    """`evolve_density` of an already lowered model.
+
+    The middle RK4 stages use the step's cell; the end stages read the cell
+    of their own time, so a stage that straddles a switch sees the new cell.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if total_time < 0:
         raise ValueError("total_time must be >= 0")
-    for sched in (model.hamiltonian, *model.lindblads):
-        if not sched.covers(0.0, total_time):
-            raise ValueError("a model schedule does not cover [0, total_time]")
-    terms = _Terms(model)
+    cells = lowered.values
+    middle = lowered.step_cells(0.0, total_time, steps).tolist()
     dt = total_time / steps
+    starts = np.arange(steps) * dt
+    first = lowered.cells_at(starts).tolist()
+    last = lowered.cells_at(starts + dt).tolist()
     rho = rho0.entries.copy()
     out = [(0.0, rho0)]
-    lam = model.strength
+    lam = lowered.strength
     for k in range(steps):
-        t = k * dt
-        h1, c1 = terms.at(t)
-        k1 = _rhs_matrix(h1, c1, lam, rho)
-        h2, c2 = terms.at(t + 0.5 * dt)
-        k2 = _rhs_matrix(h2, c2, lam, rho + 0.5 * dt * k1)
-        k3 = _rhs_matrix(h2, c2, lam, rho + 0.5 * dt * k2)
-        h4, c4 = terms.at(t + dt)
-        k4 = _rhs_matrix(h4, c4, lam, rho + dt * k3)
+        c1, c2, c4 = cells[first[k]], cells[middle[k]], cells[last[k]]
+        k1 = _rhs_matrix(c1, lam, rho)
+        k2 = _rhs_matrix(c2, lam, rho + 0.5 * dt * k1)
+        k3 = _rhs_matrix(c2, lam, rho + 0.5 * dt * k2)
+        k4 = _rhs_matrix(c4, lam, rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         # Re-symmetrize to keep roundoff from accumulating a skew part.
         rho = 0.5 * (rho + rho.conj().T)
@@ -261,14 +312,11 @@ def apply_shift(model: LindbladModel, shifts: ShiftSet) -> LindbladModel:
     shifted model regroups exactly into Hamiltonian `shifted_hamiltonian`
     with the original dissipator, so storing K as well would double-count.
     """
-    _check_channel_count(model, shifts)
-    one = identity(model.dim)
-    new_channels = []
-    for chan, f in zip(model.lindblads, shifts.shifts):
-        new_channels.append(
-            combine_schedules(lambda lv, fv: lv - complex(fv) * one, chan, f)
-        )
-    return LindbladModel(model.hamiltonian, tuple(new_channels), model.strength)
+    lowered = lower_model(model, shifts)
+    channels = tuple(
+        lowered.operators(lambda c, m=m: c.channels[m]) for m in range(len(shifts))
+    )
+    return LindbladModel(model.hamiltonian, channels, model.strength)
 
 
 def shifted_hamiltonian(model: LindbladModel, shifts: ShiftSet) -> OperatorSchedule:
@@ -276,19 +324,7 @@ def shifted_hamiltonian(model: LindbladModel, shifts: ShiftSet) -> OperatorSched
 
         K(t) = H(t) - (i * strength / 2) * sum_m (conj(f_m) L_m - f_m L_m^dag)
     """
-    _check_channel_count(model, shifts)
-    lam = model.strength
-    count = len(model.lindblads)
-
-    def build(ham: Operator, *rest) -> Operator:
-        total = ham.entries
-        for lv, fv in zip(rest[:count], rest[count:]):
-            f = complex(fv)
-            l = lv.entries
-            total = total - 0.5j * lam * (np.conj(f) * l - f * l.conj().T)
-        return Operator(total)
-
-    return combine_schedules(build, model.hamiltonian, *model.lindblads, *shifts.shifts)
+    return lower_model(model, shifts).operators(lambda c: c.k)
 
 
 def _probe_times(*schedules) -> list[float]:

@@ -5,6 +5,11 @@ spaces (qubits, truncated oscillators), so operators are plain numpy arrays
 wrapped in thin immutable containers. Time dependence is restricted to
 piecewise-constant schedules on a uniform grid, which keeps the time-ordered
 propagator exactly composable.
+
+A time t lies in cell floor(t / cell), the right end of the grid in the last
+cell. Step k of a uniform time grid of width dt starting at t0 uses the cell
+that holds its midpoint t0 + (k + 1/2) dt. `Schedule.step_cells` implements
+this step-to-cell rule, and every per-step lookup goes through it.
 """
 
 from __future__ import annotations
@@ -154,96 +159,34 @@ def bloch_path(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return theta, phi
 
 
-ScheduleValue = Union[Operator, complex]
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
-class OperatorSchedule:
-    """Operator-valued function of t: constant, or piecewise constant on a
-    uniform grid covering [0, len(values) * cell]."""
+class Schedule:
+    """Function of t: constant (cell None, one value), or piecewise constant
+    on a uniform grid covering [0, len(values) * cell]. Subclasses check
+    their values in `_validated`."""
 
-    values: tuple[Operator, ...]
+    values: tuple
     cell: float | None
 
     def __post_init__(self) -> None:
         values = tuple(self.values)
         if not values:
             raise ValueError("schedule needs at least one value")
-        dims = {v.dim for v in values}
-        if len(dims) != 1:
-            raise ValueError("schedule values must share one dimension")
         if self.cell is None and len(values) != 1:
             raise ValueError("constant schedule takes exactly one value")
         if self.cell is not None and self.cell <= 0:
             raise ValueError("grid cell must be positive")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", self._validated(values))
+
+    def _validated(self, values: tuple) -> tuple:
+        return values
 
     @classmethod
-    def constant(cls, op: Operator) -> "OperatorSchedule":
-        return cls((op,), None)
+    def constant(cls, value):
+        return cls((value,), None)
 
     @classmethod
-    def piecewise(cls, ops: Sequence[Operator], cell: float) -> "OperatorSchedule":
-        return cls(tuple(ops), float(cell))
-
-    @property
-    def dim(self) -> int:
-        return self.values[0].dim
-
-    @property
-    def is_constant(self) -> bool:
-        return self.cell is None
-
-    @property
-    def extent(self) -> float:
-        return math.inf if self.cell is None else self.cell * len(self.values)
-
-    def covers(self, t0: float, t1: float) -> bool:
-        if self.cell is None:
-            return True
-        slack = _GRID_SLACK * max(1.0, self.extent)
-        return t0 >= -slack and t1 <= self.extent + slack
-
-    def _index(self, t: float) -> int:
-        if not self.covers(t, t):
-            raise ScheduleRangeError(
-                f"t={t} outside the covered interval [0, {self.extent}]"
-            )
-        return min(max(int(t / self.cell), 0), len(self.values) - 1)
-
-    def value_at(self, t: float) -> Operator:
-        if self.cell is None:
-            return self.values[0]
-        return self.values[self._index(t)]
-
-    def map(self, fn: Callable[[Operator], Operator]) -> "OperatorSchedule":
-        return OperatorSchedule(tuple(fn(v) for v in self.values), self.cell)
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class ScalarSchedule:
-    """Complex-valued function of t with the same grid semantics as
-    OperatorSchedule."""
-
-    values: tuple[complex, ...]
-    cell: float | None
-
-    def __post_init__(self) -> None:
-        values = tuple(complex(v) for v in self.values)
-        if not values:
-            raise ValueError("schedule needs at least one value")
-        if self.cell is None and len(values) != 1:
-            raise ValueError("constant schedule takes exactly one value")
-        if self.cell is not None and self.cell <= 0:
-            raise ValueError("grid cell must be positive")
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def constant(cls, value: complex) -> "ScalarSchedule":
-        return cls((complex(value),), None)
-
-    @classmethod
-    def piecewise(cls, values: Sequence[complex], cell: float) -> "ScalarSchedule":
+    def piecewise(cls, values: Sequence, cell: float):
         return cls(tuple(values), float(cell))
 
     @property
@@ -260,38 +203,85 @@ class ScalarSchedule:
         slack = _GRID_SLACK * max(1.0, self.extent)
         return t0 >= -slack and t1 <= self.extent + slack
 
-    def value_at(self, t: float) -> complex:
+    def cells_at(self, times) -> np.ndarray:
+        """Index of the cell holding each time (scalar or array)."""
+        times = np.asarray(times, dtype=float)
         if self.cell is None:
-            return self.values[0]
-        if not self.covers(t, t):
+            return np.zeros(times.shape, dtype=np.intp)
+        if times.size and not self.covers(float(times.min()), float(times.max())):
+            outside = times[(times < 0) | (times > self.extent)].flat[0]
             raise ScheduleRangeError(
-                f"t={t} outside the covered interval [0, {self.extent}]"
+                f"t={outside} outside the covered interval [0, {self.extent}]"
             )
-        return self.values[min(max(int(t / self.cell), 0), len(self.values) - 1)]
+        return np.clip((times / self.cell).astype(np.intp), 0, len(self.values) - 1)
+
+    def step_cells(self, t0: float, t1: float, steps: int) -> np.ndarray:
+        """Cell of each step of the uniform grid of `steps` steps on [t0, t1],
+        by the step-to-cell rule of this module."""
+        if not self.covers(t0, t1):
+            raise ScheduleRangeError(
+                f"schedule covers [0, {self.extent}], requested [{t0}, {t1}]"
+            )
+        dt = (t1 - t0) / steps
+        return self.cells_at(t0 + (np.arange(steps) + 0.5) * dt)
+
+    def value_at(self, t: float):
+        return self.values[int(self.cells_at(t))]
 
 
-Schedule = Union[OperatorSchedule, ScalarSchedule]
+@dataclasses.dataclass(frozen=True, eq=False)
+class OperatorSchedule(Schedule):
+    """Operator-valued schedule; all values share one dimension."""
+
+    values: tuple[Operator, ...]
+
+    def _validated(self, values: tuple) -> tuple:
+        if len({v.dim for v in values}) != 1:
+            raise ValueError("schedule values must share one dimension")
+        return values
+
+    @property
+    def dim(self) -> int:
+        return self.values[0].dim
+
+    def map(self, fn: Callable[[Operator], Operator]) -> "OperatorSchedule":
+        return OperatorSchedule(tuple(fn(v) for v in self.values), self.cell)
 
 
-def combine_schedules(fn: Callable[..., Operator], *schedules: Schedule) -> OperatorSchedule:
-    """Pointwise-combine schedules into an operator schedule.
+@dataclasses.dataclass(frozen=True, eq=False)
+class ScalarSchedule(Schedule):
+    """Complex-valued schedule."""
+
+    values: tuple[complex, ...]
+
+    def _validated(self, values: tuple) -> tuple:
+        return tuple(complex(v) for v in values)
+
+
+def combine(fn: Callable, *schedules: Schedule) -> tuple[tuple, float | None]:
+    """Pointwise-combine schedules cell by cell: (values, cell) of the result.
 
     Piecewise inputs must share one grid; constants are broadcast. The
     combiner runs once per grid cell, so fn must be pure.
     """
     pieces = [s for s in schedules if not s.is_constant]
     if not pieces:
-        return OperatorSchedule.constant(fn(*(s.values[0] for s in schedules)))
+        return (fn(*(s.values[0] for s in schedules)),), None
     cell = pieces[0].cell
     count = len(pieces[0].values)
     for s in pieces[1:]:
         if len(s.values) != count or abs(s.cell - cell) > 1e-12 * cell:
             raise ValueError("piecewise schedules must share a common grid")
-    values = [
+    values = tuple(
         fn(*(s.values[0] if s.is_constant else s.values[k] for s in schedules))
         for k in range(count)
-    ]
-    return OperatorSchedule.piecewise(values, cell)
+    )
+    return values, cell
+
+
+def combine_schedules(fn: Callable[..., Operator], *schedules: Schedule) -> OperatorSchedule:
+    """Pointwise-combine schedules into an operator schedule (see `combine`)."""
+    return OperatorSchedule(*combine(fn, *schedules))
 
 
 def identity(dim: int) -> Operator:
@@ -344,6 +334,20 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(a)
 
 
+def step_propagators(
+    generator: OperatorSchedule, t0: float, t1: float, steps: int
+) -> list[np.ndarray]:
+    """exp(-i dt G) for each step of the uniform grid on [t0, t1], with G the
+    generator's value in the step's cell; one exponential per cell used."""
+    cells = generator.step_cells(t0, t1, steps).tolist()
+    dt = (t1 - t0) / steps
+    per_cell = {
+        c: matrix_exponential(-1j * dt * generator.values[c].entries)
+        for c in dict.fromkeys(cells)
+    }
+    return [per_cell[c] for c in cells]
+
+
 def time_ordered_propagator(
     schedule: OperatorSchedule,
     t0: float,
@@ -360,29 +364,10 @@ def time_ordered_propagator(
         raise ValueError("steps must be >= 1")
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    dim = schedule.dim
+    total = np.eye(schedule.dim, dtype=complex)
     if t1 == t0:
-        return identity(dim)
-    if not schedule.covers(t0, t1):
-        raise ScheduleRangeError(
-            f"schedule covers [0, {schedule.extent}], requested [{t0}, {t1}]"
-        )
-    dt = (t1 - t0) / steps
-    if schedule.is_constant:
-        step = matrix_exponential(-1j * dt * schedule.values[0].entries)
-        total = np.eye(dim, dtype=complex)
-        for _ in range(steps):
-            total = step @ total
         return Operator(total)
-    total = np.eye(dim, dtype=complex)
-    cache: dict[int, np.ndarray] = {}
-    for k in range(steps):
-        mid = t0 + (k + 0.5) * dt
-        idx = schedule._index(mid)
-        step = cache.get(idx)
-        if step is None:
-            step = matrix_exponential(-1j * dt * schedule.values[idx].entries)
-            cache[idx] = step
+    for step in step_propagators(schedule, t0, t1, steps):
         total = step @ total
     return Operator(total)
 

@@ -13,7 +13,8 @@ mean of |phi><phi| reproduces the master equation, and the averaged phase
 
 uses the exact master-equation rho(t), not the ensemble estimate. With
 shifts, channels become L_m - f_m while the Hamiltonian field is untouched
-(the regrouped Hermitian K enters only the dynamical term).
+(the regrouped Hermitian K enters only the dynamical term); both come from
+`lindblad.lower_model`.
 """
 
 from __future__ import annotations
@@ -26,15 +27,11 @@ import numpy as np
 from scipy.integrate import simpson
 
 from ._ensemble import map_ordered, sampling_grid, trajectory_seeds
-from .lindblad import (
-    DensityMatrix,
-    LindbladModel,
-    ShiftSet,
-    apply_shift,
-    evolve_density,
-    shifted_hamiltonian,
-)
+from .lindblad import DensityMatrix, LindbladModel, ShiftSet, evolve_lowered, lower_model
 from .operators import PureState
+
+# Unused here; bench/tracing.py wraps these names on this module.
+from .lindblad import apply_shift, evolve_density, shifted_hamiltonian  # noqa: F401
 
 NORM_OVERFLOW = 1e100
 CHECKPOINT_INTERVALS = 64
@@ -90,16 +87,6 @@ def wiener_increments(channels: int, delta_t: float, rng: np.random.Generator) -
     return np.sqrt(delta_t / 2.0) * (raw[:, 0] + 1j * raw[:, 1])
 
 
-def _drift_and_channels(model: LindbladModel, shifts: Optional[ShiftSet], t: float):
-    work = apply_shift(model, shifts) if shifts is not None else model
-    ham = work.hamiltonian.value_at(t).entries
-    chans = [c.value_at(t).entries for c in work.lindblads]
-    drift = -1j * ham.astype(complex)
-    for l in chans:
-        drift = drift - 0.5 * model.strength * (l.conj().T @ l)
-    return drift, chans
-
-
 def qsd_step(
     model: LindbladModel,
     phi,
@@ -113,10 +100,10 @@ def qsd_step(
     dw = np.asarray(dw, dtype=complex).reshape(-1)
     if len(dw) != len(model.lindblads):
         raise ValueError("one Wiener increment per channel required")
-    drift, chans = _drift_and_channels(model, shifts, t)
-    out = vec + delta_t * (drift @ vec)
+    terms = lower_model(model, shifts).value_at(t)
+    out = vec + delta_t * (-1j * terms.k_tilde @ vec)
     root = np.sqrt(model.strength)
-    for l, inc in zip(chans, dw):
+    for l, inc in zip(terms.channels, dw):
         out = out + root * inc * (l @ vec)
     return PureState(out)
 
@@ -143,20 +130,13 @@ def _qsd_chunk(args) -> tuple:
     scale = np.sqrt(dt / 2.0)
     dws = scale * (noise[:, :, :channels] + 1j * noise[:, :, channels:])
 
-    # Time-dependent pieces are piecewise constant; cache per schedule cell.
-    work = apply_shift(model, shifts) if shifts is not None else model
-    constant = work.hamiltonian.is_constant and all(c.is_constant for c in work.lindblads)
-    cache: dict[int, tuple] = {}
-
-    def step_mats(k: int):
-        key = 0 if constant else k
-        if key not in cache:
-            drift, chans = _drift_and_channels(model, shifts, (k + 0.5) * dt)
-            cache[key] = (
-                np.eye(dim) + dt * drift,
-                [np.sqrt(lam) * l for l in chans],
-            )
-        return cache[key]
+    # Euler matrix I - i K_tilde dt and scaled noise operators, per cell.
+    lowered = lower_model(model, shifts)
+    cells = lowered.step_cells(0.0, total_time, steps).tolist()
+    mats = [
+        (np.eye(dim) + dt * (-1j * c.k_tilde), [np.sqrt(lam) * l for l in c.channels])
+        for c in lowered.values
+    ]
 
     states = np.tile(vec, (count, 1))
     alive = np.ones(count, dtype=bool)
@@ -164,7 +144,7 @@ def _qsd_chunk(args) -> tuple:
     z_buffer[:, 0] = states @ vec.conj()
     next_cp = 1
     for k in range(steps):
-        euler, noise_ops = step_mats(k)
+        euler, noise_ops = mats[cells[k]]
         new_states = states @ euler.T
         for m, op in enumerate(noise_ops):
             new_states += dws[:, k, m, np.newaxis] * (states @ op.T)
@@ -272,12 +252,12 @@ def averaged_geometric_phase(
     mean_overlap, std_error, overlap_arg, used, excluded, _ = _run_ensemble(
         model, phi0, config, shifts, chunk_size
     )
-    work = apply_shift(model, shifts) if shifts is not None else model
-    herm = shifted_hamiltonian(model, shifts) if shifts is not None else model.hamiltonian
+    lowered = lower_model(model, shifts)
     vec = np.asarray(getattr(phi0, "amplitudes", phi0), dtype=complex).reshape(-1)
-    grid = evolve_density(work, DensityMatrix.from_pure(vec), config.total_time, density_steps)
+    grid = evolve_lowered(lowered, DensityMatrix.from_pure(vec), config.total_time, density_steps)
+    cells = lowered.cells_at([t for t, _ in grid]).tolist()
     values = np.array(
-        [np.trace(rho.entries @ herm.value_at(t).entries).real for t, rho in grid]
+        [np.trace(rho.entries @ lowered.values[c].k).real for c, (_, rho) in zip(cells, grid)]
     )
     dynamical = float(simpson(values, dx=config.total_time / density_steps))
     return QSDEnsembleResult(

@@ -130,6 +130,22 @@ def test_nojump_phase_reports_branch_failure(config_file, capsys) -> None:
     assert "branch tracking failed" in captured.err
 
 
+def test_nojump_phase_reports_total_decay(config_file, capsys) -> None:
+    # At lambda = 200 the no-jump norm underflows long before T = 2 pi; that
+    # point gets its own row and the other point still runs.
+    text = BASE_YAML.replace("run: {T: 1.0, steps: 256, seed: 0}",
+                             "run: {T: 6.283185307179586, steps: 256, seed: 0}")
+    text += "sweep:\n  lambda: [0.5, 200.0]\n"
+    code = main(["nojump-phase", "--config", config_file(text)])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    rows = _rows(captured.out)
+    assert [row[-1] for row in rows[1:]] == ["ok", "total-decay"]
+    assert rows[2][-2] == "-1"
+    assert math.isnan(float(rows[2][1]))
+    assert "no-jump norm underflowed at {'lambda': 200.0}" in captured.err
+
+
 def test_jump_sample_output(config_file, capsys) -> None:
     text = BASE_YAML.replace("run: {T: 1.0, steps: 256, seed: 0}",
                              "run: {T: 1.0, delta_t: 0.01, n_trajectories: 50, seed: 4}")
@@ -219,6 +235,16 @@ def test_symmetry_check_visible(config_file, capsys) -> None:
     assert doc["rho_residual_max"] > 1e-4
     assert doc["generator_shift_max"] > 1e-3
     assert doc["verdict"].startswith("shift is not hidden")
+
+
+def test_symmetry_check_generator_shift_covers_every_cell(config_file, capsys) -> None:
+    # The shift is zero in the first cell; the second moves K by
+    # lambda * |Im f| * sigma_z.
+    text = BASE_YAML.replace("shifts: [0.2]", "shifts: [{cell: 0.5, values: [0.0, [0.0, 0.5]]}]")
+    assert main(["symmetry-check", "--config", config_file(text)]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["hidden"] is False
+    assert doc["generator_shift_max"] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_symmetry_check_needs_shifts(config_file, capsys) -> None:

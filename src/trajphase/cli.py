@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 numeric failure, 2 bad configuration or arguments.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import hashlib
 import json
@@ -400,7 +401,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"trajphase: numeric failure: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
 
-    messages = sorted({str(w.message) for w in caught})
+    counts = collections.Counter(str(w.message) for w in caught)
+    messages = sorted(counts)
     if not args.quiet:
         for message in messages:
             print(f"trajphase: warning: {message}", file=sys.stderr)
@@ -425,6 +427,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             },
             "wall_time_s": round(time.perf_counter() - started, 6),
             "warnings": messages,
+            "warning_counts": dict(sorted(counts.items())),
             "outputs": [str(args.out)],
         }
         _write_text(

@@ -39,6 +39,8 @@ from .operators import (
     Operator,
     OperatorSchedule,
     PureState,
+    key_runs,
+    run_states,
     step_propagators,
 )
 
@@ -201,23 +203,21 @@ def propagate_no_jump(
 ) -> TrajectoryRecord:
     """Deterministic propagation under the no-jump generator.
 
-    Uses the exponential midpoint rule per substep. survival is the final
-    squared norm relative to the initial one, clamped to [0, 1].
+    Uses the exponential midpoint rule per substep; a run of substeps in one
+    cell is propagated by powers of that cell's exponential
+    (`operators.run_states`). survival is the final squared norm relative to
+    the initial one, clamped to [0, 1].
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if total_time < 0:
         raise ValueError("total_time must be >= 0")
     vec = _state_vector(psi0)
-    dim = vec.shape[0]
-    if dim != generator.dim:
+    if vec.shape[0] != generator.dim:
         raise ValueError("state dimension differs from the generator's")
 
     dt = total_time / steps
-    states = np.empty((steps + 1, dim), dtype=complex)
-    states[0] = vec
-    for k, u in enumerate(step_propagators(generator, 0.0, total_time, steps)):
-        states[k + 1] = u @ states[k]
+    states = run_states(*step_propagators(generator, 0.0, total_time, steps), vec)
 
     norms = np.linalg.norm(states, axis=1)
     if np.min(norms) < NORM_FLOOR:
@@ -239,15 +239,10 @@ def no_jump_probability(record: TrajectoryRecord) -> float:
 
 
 def _dynamical_integrand(herm: OperatorSchedule, times, states, sq_norms) -> np.ndarray:
-    # The two forms agree up to roundoff; each is kept so that results stay
-    # bit-identical to those of earlier versions.
-    if herm.is_constant:
-        k = herm.values[0].entries
-        vals = np.einsum("ni,ij,nj->n", states.conj(), k, states)
-    else:
-        ks = np.stack([v.entries for v in herm.values])[herm.cells_at(times)]
-        vals = (states.conj()[:, np.newaxis, :] @ (ks @ states[:, :, np.newaxis]))[:, 0, 0]
-    return vals.real / sq_norms
+    k_states = np.empty_like(states)
+    for a, b, cell in key_runs(herm.cells_at(times)):
+        k_states[a:b] = states[a:b] @ herm.values[cell].entries.T
+    return np.einsum("ni,ni->n", states.conj(), k_states).real / sq_norms
 
 
 def _phase_generators(model, shifts) -> tuple[OperatorSchedule, OperatorSchedule]:
@@ -358,9 +353,8 @@ def gauge_transform_check(
 def _step_terms(model, shifts, total_time, steps) -> list[tuple]:
     """(no-jump propagator, shifted channels) of each sampling step."""
     lowered = lower_model(model, shifts)
-    props = step_propagators(lowered.operators(lambda c: c.k_tilde), 0.0, total_time, steps)
-    cells = lowered.step_cells(0.0, total_time, steps)
-    return [(u, lowered.values[c].channels) for u, c in zip(props, cells.tolist())]
+    maps, cells = step_propagators(lowered.operators(lambda c: c.k_tilde), 0.0, total_time, steps)
+    return [(maps[c], lowered.values[c].channels) for c in cells.tolist()]
 
 
 def _advance_batch(states, step, k, dt, lam, u_jump, u_chan):

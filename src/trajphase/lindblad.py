@@ -38,6 +38,8 @@ from .operators import (
     combine_schedules,
     identity,
     is_hermitian,
+    key_runs,
+    run_states,
 )
 
 HERMITICITY_TOL = 1e-10
@@ -230,6 +232,37 @@ def _rhs_matrix(terms: CellTerms, strength, rho):
     return out
 
 
+def _liouvillian(terms: CellTerms, strength: float) -> np.ndarray:
+    """`_rhs_matrix` of one cell as a d^2 x d^2 matrix on the row-major
+    vec(rho), by vec(A X B) = kron(A, B.T) vec(X). The right-hand side is
+    G rho + rho G^dag + strength * sum_m L_m rho L_m^dag with G = -i K_tilde."""
+    one = np.eye(terms.h.shape[0])
+    g = -1j * terms.k_tilde
+    out = np.kron(g, one) + np.kron(one, g.conj())
+    for l in terms.channels:
+        out = out + strength * np.kron(l, l.conj())
+    return out
+
+
+def _rk4_map(s1: np.ndarray, s2: np.ndarray, s4: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of d rho/dt = S rho as a matrix, with stage one
+    on S1, the middle stages on S2 and stage four on S4."""
+    one = np.eye(s1.shape[0])
+    k1 = s1
+    k2 = s2 @ (one + 0.5 * h * k1)
+    k3 = s2 @ (one + 0.5 * h * k2)
+    k4 = s4 @ (one + h * k3)
+    return one + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _checked_density(entries: np.ndarray) -> DensityMatrix:
+    """DensityMatrix around read-only entries whose Hermiticity and trace
+    the caller has already checked."""
+    state = object.__new__(DensityMatrix)
+    object.__setattr__(state, "entries", entries)
+    return state
+
+
 def lindblad_rhs(model: LindbladModel, rho: Union[DensityMatrix, np.ndarray], t: float = 0.0) -> Operator:
     """Right-hand side of the master equation at time t (traceless Hermitian)."""
     arr = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
@@ -245,9 +278,10 @@ def evolve_density(
     """Integrate the master equation with fixed-step RK4.
 
     Returns the density matrix on the full uniform grid including both
-    endpoints. Every grid state is checked against the density-matrix
-    invariants; positivity violations worse than roundoff abort with the
-    offending step.
+    endpoints. Each RK4 step is one linear map on vec(rho), so runs of steps
+    with equal maps are propagated by its powers; the grid states are then
+    checked once, in step order, against the density-matrix invariants, and
+    positivity violations worse than roundoff abort with the offending step.
     """
     return evolve_lowered(lower_model(model), rho0, total_time, steps)
 
@@ -262,47 +296,73 @@ def evolve_lowered(
 
     The middle RK4 stages use the step's cell; the end stages read the cell
     of their own time, so a stage that straddles a switch sees the new cell.
+    The step is the exact RK4 arithmetic written as one d^2 x d^2 matrix
+    (`_rk4_map`), built once per distinct (first, middle, last) cell triple
+    and applied through `operators.run_states`. All grid states are then
+    re-symmetrized and checked at once: trace and finiteness, then one
+    stacked eigvalsh; the first step that fails any check raises
+    IntegrationError, and eigenvalues below -POSITIVITY_TOL at earlier steps
+    warn.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if total_time < 0:
         raise ValueError("total_time must be >= 0")
-    cells = lowered.values
-    middle = lowered.step_cells(0.0, total_time, steps).tolist()
     dt = total_time / steps
     starts = np.arange(steps) * dt
-    first = lowered.cells_at(starts).tolist()
-    last = lowered.cells_at(starts + dt).tolist()
-    rho = rho0.entries.copy()
-    out = [(0.0, rho0)]
+    first = lowered.cells_at(starts)
+    middle = lowered.step_cells(0.0, total_time, steps)
+    last = lowered.cells_at(starts + dt)
+    # One key per (first, middle, last) triple; all three only grow with the
+    # step, so each key forms a single run.
+    count = len(lowered.values)
+    keys = (first * count + middle) * count + last
     lam = lowered.strength
-    for k in range(steps):
-        c1, c2, c4 = cells[first[k]], cells[middle[k]], cells[last[k]]
-        k1 = _rhs_matrix(c1, lam, rho)
-        k2 = _rhs_matrix(c2, lam, rho + 0.5 * dt * k1)
-        k3 = _rhs_matrix(c2, lam, rho + 0.5 * dt * k2)
-        k4 = _rhs_matrix(c4, lam, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        # Re-symmetrize to keep roundoff from accumulating a skew part.
-        rho = 0.5 * (rho + rho.conj().T)
-        t_next = (k + 1) * dt
-        try:
-            state = DensityMatrix(rho)
-        except ValueError as exc:
-            raise IntegrationError(f"step {k + 1} (t = {t_next:g}): {exc}") from exc
-        low = float(np.min(np.linalg.eigvalsh(rho)))
-        if low < -POSITIVITY_HARD_TOL:
+    used = np.unique(np.concatenate([first, middle, last])).tolist()
+    supers = {c: _liouvillian(lowered.values[c], lam) for c in used}
+    maps = {
+        key: _rk4_map(supers[first[a]], supers[middle[a]], supers[last[a]], dt)
+        for a, _, key in key_runs(keys)
+    }
+
+    dim = rho0.dim
+    # A grid far too coarse may blow up; the checks below name the step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = run_states(maps, keys, rho0.entries.reshape(-1))
+        rhos = flat[1:].reshape(steps, dim, dim)
+        # Re-symmetrize to drop the skew part roundoff leaves behind.
+        rhos = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
+        traces = np.trace(rhos, axis1=1, axis2=2)
+        broken = (
+            ~np.isfinite(rhos).all(axis=(1, 2))
+            | (np.abs(traces.real - 1.0) > TRACE_TOL)
+            | (np.abs(traces.imag) > TRACE_TOL)
+        )
+    rhos.setflags(write=False)
+    times = (np.arange(steps + 1) * dt).tolist()
+    stop = int(np.argmax(broken)) if broken.any() else steps
+    lows = np.linalg.eigvalsh(rhos[:stop]).min(axis=1, initial=np.inf)
+    hard = np.flatnonzero(lows < -POSITIVITY_HARD_TOL)
+    if hard.size:
+        stop = int(hard[0])
+    for k in np.flatnonzero(lows[:stop] < -POSITIVITY_TOL).tolist():
+        warnings.warn(
+            f"density eigenvalue {float(lows[k])} at step {k + 1} is beyond roundoff",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    if stop < steps:
+        where = f"step {stop + 1} (t = {times[stop + 1]:g})"
+        if hard.size:
             raise IntegrationError(
-                f"step {k + 1} (t = {t_next:g}): eigenvalue {low} below -{POSITIVITY_HARD_TOL}"
+                f"{where}: eigenvalue {float(lows[stop])} below -{POSITIVITY_HARD_TOL}"
             )
-        if low < -POSITIVITY_TOL:
-            warnings.warn(
-                f"density eigenvalue {low} at step {k + 1} is beyond roundoff",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        out.append((t_next, state))
-    return out
+        if not np.isfinite(rhos[stop]).all():
+            raise IntegrationError(f"{where}: density matrix has non-finite entries")
+        raise IntegrationError(f"{where}: density matrix trace differs from 1 beyond 1e-10")
+    return [(0.0, rho0)] + [
+        (t, _checked_density(rho)) for t, rho in zip(times[1:], rhos)
+    ]
 
 
 def apply_shift(model: LindbladModel, shifts: ShiftSet) -> LindbladModel:

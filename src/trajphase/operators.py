@@ -10,6 +10,13 @@ A time t lies in cell floor(t / cell), the right end of the grid in the last
 cell. Step k of a uniform time grid of width dt starting at t0 uses the cell
 that holds its midpoint t0 + (k + 1/2) dt. `Schedule.step_cells` implements
 this step-to-cell rule, and every per-step lookup goes through it.
+
+Consecutive steps in one cell apply the same linear map, so a run of them is
+propagated by powers of that cell's map rather than step by step:
+`run_states` fills a run of length n with about log2(n) stacked products
+(repeated squaring), and `time_ordered_propagator` multiplies one matrix
+power per run. Both are plain matrix products, exact up to roundoff for any
+map, normal or not.
 """
 
 from __future__ import annotations
@@ -336,16 +343,50 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
 
 def step_propagators(
     generator: OperatorSchedule, t0: float, t1: float, steps: int
-) -> list[np.ndarray]:
-    """exp(-i dt G) for each step of the uniform grid on [t0, t1], with G the
-    generator's value in the step's cell; one exponential per cell used."""
-    cells = generator.step_cells(t0, t1, steps).tolist()
+) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """Per-cell maps exp(-i dt G) and the cell of each step of the uniform
+    grid on [t0, t1]: step k applies maps[cells[k]]. One exponential per
+    cell used."""
+    cells = generator.step_cells(t0, t1, steps)
     dt = (t1 - t0) / steps
-    per_cell = {
+    maps = {
         c: matrix_exponential(-1j * dt * generator.values[c].entries)
-        for c in dict.fromkeys(cells)
+        for c in {key for _, _, key in key_runs(cells)}
     }
-    return [per_cell[c] for c in cells]
+    return maps, cells
+
+
+def key_runs(keys) -> list[tuple[int, int, int]]:
+    """(start, stop, key) of each run of equal consecutive keys."""
+    keys = np.asarray(keys)
+    if keys.size == 0:
+        return []
+    edges = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    bounds = [0, *edges.tolist(), len(keys)]
+    return [(a, b, int(keys[a])) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def run_states(maps, keys, x0) -> np.ndarray:
+    """States x_0..x_n of x_{k+1} = maps[keys[k]] @ x_k, as an (n + 1, d) array.
+
+    Within a run of equal keys the known states are advanced by the map's
+    power by repeated squaring, out[a+m : a+2m] = out[a : a+m] @ (M^m).T,
+    so a run of length L costs about log2(L) stacked products.
+    """
+    x0 = np.asarray(x0, dtype=complex).reshape(-1)
+    out = np.empty((len(keys) + 1, x0.shape[0]), dtype=complex)
+    out[0] = x0
+    for a, b, key in key_runs(keys):
+        power = np.asarray(maps[key], dtype=complex)
+        m = 1
+        while True:
+            count = min(m, b - a - m + 1)
+            out[a + m : a + m + count] = out[a : a + count] @ power.T
+            if a + m + count > b:
+                break
+            power = power @ power
+            m *= 2
+    return out
 
 
 def time_ordered_propagator(
@@ -358,7 +399,8 @@ def time_ordered_propagator(
 
     Composes exact substep exponentials of the midpoint generator, which is
     exact for generators constant on each substep and second-order accurate
-    for smoothly varying ones.
+    for smoothly varying ones. Each run of steps in one cell contributes one
+    matrix power.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -367,8 +409,9 @@ def time_ordered_propagator(
     total = np.eye(schedule.dim, dtype=complex)
     if t1 == t0:
         return Operator(total)
-    for step in step_propagators(schedule, t0, t1, steps):
-        total = step @ total
+    maps, cells = step_propagators(schedule, t0, t1, steps)
+    for a, b, cell in key_runs(cells):
+        total = np.linalg.matrix_power(maps[cell], b - a) @ total
     return Operator(total)
 
 

@@ -310,3 +310,23 @@ def test_preset_runs_end_to_end(capsys) -> None:
     assert len(zero_rows) == 101
     for row in zero_rows:
         assert abs(abs(float(row[2])) - math.pi) < 1e-6
+
+
+def test_report_counts_each_warning(config_file, tmp_path) -> None:
+    # The grid-snap warning fires at every sweep point; the report keeps the
+    # distinct messages under "warnings" and their counts under
+    # "warning_counts".
+    text = BASE_YAML.replace("run: {T: 1.0, steps: 256, seed: 0}",
+                             "run: {T: 1.5707963267948966, delta_t: 0.001, n_trajectories: 20, seed: 0}")
+    counts = []
+    for sweep in ("", "sweep:\n  f: [0.0, 0.2]\n"):
+        out = tmp_path / f"qsd{len(counts)}.csv"
+        path = config_file(text + sweep)
+        assert main(["qsd-phase", "--config", path, "--out", str(out), "--quiet"]) == EXIT_OK
+        report = json.loads((tmp_path / f"{out.name}.report.json").read_text())
+        assert list(report["warning_counts"]) == report["warnings"]
+        assert len(report["warnings"]) == 1
+        assert report["warnings"][0].startswith("delta_t adjusted from 0.001")
+        counts.append(report["warning_counts"][report["warnings"][0]])
+    assert counts[0] >= 1
+    assert counts[1] == 2 * counts[0]

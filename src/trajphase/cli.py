@@ -51,7 +51,7 @@ from .lindblad import (
     shift_is_hidden,
 )
 from .operators import wrap_phase
-from .qsd import QSDConfig, averaged_geometric_phase
+from .qsd import AllOverflowError, QSDConfig, averaged_geometric_phase
 
 # Unused here; bench/tracing.py wraps this name on this module.
 from .lindblad import shifted_hamiltonian  # noqa: F401
@@ -211,8 +211,10 @@ def _cmd_qsd_phase(cfg: ScenarioConfig) -> str:
         "n_used",
         "n_excluded",
         "closed_form",
+        "status",
     ]
     lines = [SCHEMA_LINE, ",".join(header)]
+    nan = float("nan")
     for point, pinned in cfg.sweep_points():
         qcfg = QSDConfig(
             total_time=total,
@@ -220,17 +222,28 @@ def _cmd_qsd_phase(cfg: ScenarioConfig) -> str:
             n_trajectories=count,
             seed=pinned.run.seed,
         )
-        res = averaged_geometric_phase(
-            pinned.model, pinned.initial_state, qcfg, shifts=pinned.shifts
-        )
         params = pinned.dephasing_params()
         if params is not None:
             closed = closed_form_overlap_phase(
                 params, total
             ) + closed_form_dynamical_phase(params, total)
         else:
-            closed = float("nan")
+            closed = nan
         f_value = point.get("f", _constant_real_shift(pinned))
+        try:
+            res = averaged_geometric_phase(
+                pinned.model, pinned.initial_state, qcfg, shifts=pinned.shifts
+            )
+        except AllOverflowError as exc:
+            # Flag the point and keep sweeping; the report collects the warning.
+            warnings.warn(
+                f"every trajectory overflowed at {point or 'base point'}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            row = [f_value, nan, nan, nan, nan, 0, exc.excluded, closed, "all-overflow"]
+            lines.append(_row(row))
+            continue
         lines.append(
             _row(
                 [
@@ -242,10 +255,15 @@ def _cmd_qsd_phase(cfg: ScenarioConfig) -> str:
                     res.n_used,
                     res.n_excluded,
                     closed,
+                    "ok",
                 ]
             )
         )
     return "\n".join(lines) + "\n"
+
+
+def _stacked(grid: list[tuple[float, DensityMatrix]]) -> np.ndarray:
+    return np.stack([rho.entries for _, rho in grid])
 
 
 def _cmd_symmetry_check(cfg: ScenarioConfig) -> str:
@@ -265,10 +283,8 @@ def _cmd_symmetry_check(cfg: ScenarioConfig) -> str:
     rho0 = DensityMatrix.from_pure(cfg.initial_state)
     base = evolve_density(model, rho0, total, steps=cfg.run.steps)
     moved = evolve_density(apply_shift(model, cfg.shifts), rho0, total, steps=cfg.run.steps)
-    diffs = [
-        float(np.max(np.abs(a.entries - b.entries)))
-        for (_, a), (_, b) in zip(base, moved)
-    ]
+    diffs = np.abs(_stacked(base) - _stacked(moved)).max(axis=(1, 2))
+    residual = float(diffs.max())
 
     plain = no_jump_geometric_phase(model, cfg.initial_state, total, steps=cfg.run.steps)
     shifted = no_jump_geometric_phase(
@@ -283,20 +299,20 @@ def _cmd_symmetry_check(cfg: ScenarioConfig) -> str:
     if hidden:
         verdict = (
             f"hidden shift: density evolution unchanged "
-            f"(max residual {max(diffs):.3e}); no-jump geometric phase moved "
+            f"(max residual {residual:.3e}); no-jump geometric phase moved "
             f"by {phase_difference:.6f} rad"
         )
     else:
         verdict = (
             f"shift is not hidden: effective Hamiltonian changes by "
-            f"{generator_shift:.3e} (max entry); density residual {max(diffs):.3e}"
+            f"{generator_shift:.3e} (max entry); density residual {residual:.3e}"
         )
     doc = {
         "schema": "trajphase-symmetry-1",
         "hidden": hidden,
         "hidden_per_channel": per_channel,
-        "rho_residual_final": diffs[-1],
-        "rho_residual_max": max(diffs),
+        "rho_residual_final": float(diffs[-1]),
+        "rho_residual_max": residual,
         "phase_without_shift": plain.phase,
         "phase_with_shift": shifted.phase,
         "phase_difference": phase_difference,

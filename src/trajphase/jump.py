@@ -26,7 +26,14 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 from scipy.integrate import simpson
 
-from ._ensemble import map_ordered, sampling_grid, trajectory_seeds
+from ._ensemble import (
+    NoiseSource,
+    grid_steps,
+    map_ordered,
+    sampling_grid,
+    stream_ensemble,
+    trajectory_seeds,
+)
 from .lindblad import (
     DensityMatrix,
     LindbladModel,
@@ -350,43 +357,63 @@ def gauge_transform_check(
     return base.phase, transformed.phase
 
 
-def _step_terms(model, shifts, total_time, steps) -> list[tuple]:
-    """(no-jump propagator, shifted channels) of each sampling step."""
-    lowered = lower_model(model, shifts)
-    maps, cells = step_propagators(lowered.operators(lambda c: c.k_tilde), 0.0, total_time, steps)
-    return [(maps[c], lowered.values[c].channels) for c in cells.tolist()]
+def _squared_norms(columns: np.ndarray) -> np.ndarray:
+    """Squared norms of the columns of (..., d, N) complex arrays, as (..., N)."""
+    parts = np.square(columns.view(float))
+    return np.add.reduce(parts[..., 0::2] + parts[..., 1::2], axis=-2)
 
 
-def _advance_batch(states, step, k, dt, lam, u_jump, u_chan):
-    """One sampling step for a batch of normalized states.
+class _JumpStep:
+    """One step of the first-order jump unraveling for the normalized states
+    in the columns of a (d, N) array.
 
-    Returns (jumped, channel); channel is meaningful on jumped rows only.
+    One product with the cell's stacked matrix [U; L_1 - f_1; ...; L_C - f_C]
+    of shape (d (1 + C), d), U the no-jump propagator, gives every column's
+    no-jump successor and channel amplitudes. Channel m fires with
+    probability strength * dt * ||(L_m - f_m) psi||^2; the new state is the
+    fired channel's amplitude or the no-jump successor, renormalized.
     """
-    u, ls = step
-    amps = [states @ l.T for l in ls]
-    probs = np.stack(
-        [lam * dt * np.sum(np.abs(a) ** 2, axis=1) for a in amps], axis=1
-    )
-    totals = probs.sum(axis=1)
-    if float(totals.max(initial=0.0)) > 1.0:
-        raise StepSizeError(
-            f"total jump probability {totals.max():g} exceeds 1 at step {k}; reduce delta_t"
-        )
-    jumped = u_jump < totals
-    channel = np.zeros(states.shape[0], dtype=np.int64)
-    if jumped.any():
-        cum = np.cumsum(probs, axis=1)
-        targets = u_chan * totals
-        channel = np.sum(cum <= targets[:, None], axis=1)
-        for m, amp in enumerate(amps):
-            mask = jumped & (channel == m)
-            if mask.any():
-                states[mask] = amp[mask]
-    quiet = ~jumped
-    if quiet.any():
-        states[quiet] = states[quiet] @ u.T
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
-    return jumped, channel
+
+    def __init__(self, model, shifts, total_time: float, steps: int, count: int):
+        lowered = lower_model(model, shifts)
+        gen = lowered.operators(lambda c: c.k_tilde)
+        maps, cells = step_propagators(gen, 0.0, total_time, steps)
+        self.cells = cells.tolist()
+        self.stacks = {
+            c: np.concatenate([u, *lowered.values[c].channels]) for c, u in maps.items()
+        }
+        self.lam_dt = model.strength * (total_time / steps)
+        self.product = np.empty(((1 + len(model.lindblads)) * model.dim, count), dtype=complex)
+        self.blocks = self.product.reshape(-1, model.dim, count)
+
+    def __call__(self, k: int, x, out, u_jump, u_chan) -> tuple[np.ndarray, np.ndarray]:
+        """Advance x over step k into out, deciding with the uniforms u_jump
+        and u_chan (one per column). Returns the columns that jumped and
+        their channels."""
+        np.matmul(self.stacks[self.cells[k]], x, out=self.product)
+        # Row 0: squared norm of the no-jump successor; row 1 + m: of channel m.
+        sq_norms = _squared_norms(self.blocks)
+        probs = sq_norms[1:] * self.lam_dt
+        totals = np.add.reduce(probs, axis=0)
+        cols = (u_jump < totals).nonzero()[0]
+        channel = cols
+        next_sq = sq_norms[0]
+        out[...] = self.blocks[0]
+        if cols.size:
+            # u < 1, so a column whose total exceeds 1 always counts as jumped.
+            worst = float(np.maximum.reduce(totals[cols]))
+            if worst > 1.0:
+                raise StepSizeError(
+                    f"total jump probability {worst:g} exceeds 1 at step {k}; reduce delta_t"
+                )
+            cum = np.cumsum(probs[:, cols], axis=0)
+            channel = np.sum(cum <= u_chan[cols] * totals[cols], axis=0)
+            out[:, cols] = self.blocks[1 + channel, :, cols].T
+            next_sq = next_sq.copy()
+            next_sq[cols] = sq_norms[1 + channel, cols]
+        # Scale real and imaginary parts alike by the inverse column norms.
+        out.view(float)[...] *= np.repeat(1.0 / np.sqrt(next_sq), 2)
+        return cols, channel
 
 
 def sample_jump_trajectory(
@@ -412,58 +439,80 @@ def sample_jump_trajectory(
             RuntimeWarning,
             stacklevel=2,
         )
-    terms = _step_terms(model, shifts, total_time, steps)
+    advance = _JumpStep(model, shifts, total_time, steps, 1)
     vec = _state_vector(psi0)
     vec = vec / np.linalg.norm(vec)
 
     u_jump = rng.random(steps)
     u_chan = rng.random(steps)
-    states = np.empty((steps + 1, vec.shape[0]), dtype=complex)
-    batch = vec[np.newaxis, :].copy()
+    states = np.empty((steps + 1, vec.shape[0], 1), dtype=complex)
+    states[0, :, 0] = vec
     events = []
     for k in range(steps):
-        states[k] = batch[0]
-        jumped, channel = _advance_batch(
-            batch, terms[k], k, dt, model.strength, u_jump[k : k + 1], u_chan[k : k + 1]
+        cols, channel = advance(
+            k, states[k], states[k + 1], u_jump[k : k + 1], u_chan[k : k + 1]
         )
-        if jumped[0]:
+        if cols.size:
             events.append(JumpEvent(time=k * dt, channel=int(channel[0])))
-    states[steps] = batch[0]
     times = np.arange(steps + 1) * dt
     survival = 1.0 if not events else 0.0
-    return TrajectoryRecord(times, states, tuple(events), survival)
+    return TrajectoryRecord(times, states[:, :, 0], tuple(events), survival)
+
+
+class _JumpEnsemble:
+    """Jump counts and projector moments of a chunk, for `stream_ensemble`:
+    sum_proj[k] = sum_n |psi_n(k)><psi_n(k)| and the sums of the squared
+    real and imaginary parts of its entries, reduced once per block."""
+
+    def __init__(self, advance: _JumpStep, steps: int, dim: int, count: int):
+        self.advance = advance
+        self.jumps = np.zeros(count, dtype=np.int64)
+        self.sum_proj = np.zeros((steps + 1, dim, dim), dtype=complex)
+        self.sum_re2 = np.zeros((steps + 1, dim, dim))
+        self.sum_im2 = np.zeros((steps + 1, dim, dim))
+
+    def draws(self, noise: list[np.ndarray]) -> np.ndarray:
+        """Jump and channel uniforms of each step, as (n, 2, N)."""
+        u_jump, u_chan = noise
+        return np.stack([u_jump[:, :, 0].T, u_chan[:, :, 0].T], axis=1)
+
+    def step(self, k: int, x, out, uniforms) -> None:
+        cols, _ = self.advance(k, x, out, uniforms[0], uniforms[1])
+        if cols.size:
+            self.jumps[cols] += 1
+
+    def reduce(self, first: int, states: np.ndarray) -> None:
+        proj = states[:, :, np.newaxis, :] * states.conj()[:, np.newaxis, :, :]
+        last = first + len(states)
+        self.sum_proj[first:last] = np.add.reduce(proj, axis=-1)
+        self.sum_re2[first:last] = np.einsum("bijn,bijn->bij", proj.real, proj.real)
+        self.sum_im2[first:last] = np.einsum("bijn,bijn->bij", proj.imag, proj.imag)
 
 
 def _ensemble_chunk(args) -> tuple:
     model, shifts, vec, total_time, delta_t, streams = args
-    steps, dt = sampling_grid(total_time, delta_t)
-    terms = _step_terms(model, shifts, total_time, steps)
-    lam = model.strength
+    steps, _ = grid_steps(total_time, delta_t)
     count = len(streams)
     dim = vec.shape[0]
-
-    rngs = [np.random.default_rng(s) for s in streams]
-    u_jump = np.stack([r.random(steps) for r in rngs])
-    u_chan = np.stack([r.random(steps) for r in rngs])
-
-    states = np.tile(vec, (count, 1))
-    jumps = np.zeros(count, dtype=np.int64)
-    sum_proj = np.zeros((steps + 1, dim, dim), dtype=complex)
-    sum_re2 = np.zeros((steps + 1, dim, dim))
-    sum_im2 = np.zeros((steps + 1, dim, dim))
-
-    def accumulate(k: int) -> None:
-        proj = states[:, :, np.newaxis] * states[:, np.newaxis, :].conj()
-        sum_proj[k] += proj.sum(axis=0)
-        sum_re2[k] += np.sum(proj.real**2, axis=0)
-        sum_im2[k] += np.sum(proj.imag**2, axis=0)
-
-    accumulate(0)
-    for k in range(steps):
-        jumped, _ = _advance_batch(states, terms[k], k, dt, lam, u_jump[:, k], u_chan[:, k])
-        jumps += jumped
-        accumulate(k + 1)
-    return sum_proj, sum_re2, sum_im2, jumps
+    kernel = _JumpEnsemble(_JumpStep(model, shifts, total_time, steps, count), steps, dim, count)
+    # Trajectory i draws `steps` jump uniforms and then `steps` channel
+    # uniforms from its stream; the channel cursor is a copy of the stream
+    # advanced past the jump uniforms, so both are read one block at a time.
+    sources = [
+        NoiseSource([np.random.default_rng(s) for s in streams], 1, "random"),
+        NoiseSource(
+            [np.random.Generator(np.random.PCG64(s).advance(steps)) for s in streams],
+            1,
+            "random",
+        ),
+    ]
+    x0 = np.repeat(vec[:, np.newaxis], count, axis=1)
+    kernel.reduce(0, x0[np.newaxis])
+    # Block scratch per trajectory-step: the stacked uniforms, the
+    # conjugate states and the projectors of the moment reduction.
+    scratch = 16 + 16 * dim + 16 * dim * dim
+    stream_ensemble(x0, steps, sources, kernel, scratch_bytes=scratch)
+    return kernel.sum_proj, kernel.sum_re2, kernel.sum_im2, kernel.jumps
 
 
 def average_jump_ensemble(

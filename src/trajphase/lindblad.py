@@ -57,8 +57,9 @@ class IntegrationError(RuntimeError):
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace matrix. Construction checks Hermiticity and
-    trace; positive semidefiniteness is checked by validate()."""
+    """Hermitian, unit-trace matrix of finite entries. Construction checks
+    finiteness, Hermiticity and trace; positive semidefiniteness is checked
+    by validate()."""
 
     entries: np.ndarray
 
@@ -66,6 +67,9 @@ class DensityMatrix:
         arr = np.array(self.entries, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+        # The tolerance checks below compare with '>', which nan passes.
+        if not np.isfinite(arr).all():
+            raise ValueError("density matrix has non-finite entries")
         if np.max(np.abs(arr - arr.conj().T)) > HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-10")
         if abs(np.trace(arr).real - 1.0) > TRACE_TOL or abs(np.trace(arr).imag) > TRACE_TOL:
@@ -88,6 +92,8 @@ class DensityMatrix:
         vec = np.asarray(
             getattr(amplitudes, "amplitudes", amplitudes), dtype=complex
         ).reshape(-1)
+        if not np.isfinite(vec).all():
+            raise ValueError("density matrix has non-finite entries")
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             raise ValueError("cannot build a density matrix from the zero vector")
@@ -283,16 +289,20 @@ def evolve_density(
     checked once, in step order, against the density-matrix invariants, and
     positivity violations worse than roundoff abort with the offending step.
     """
-    return evolve_lowered(lower_model(model), rho0, total_time, steps)
+    times, rhos = evolve_states(lower_model(model), rho0, total_time, steps)
+    return [(0.0, rho0)] + [
+        (t, _checked_density(rho)) for t, rho in zip(times[1:].tolist(), rhos[1:])
+    ]
 
 
-def evolve_lowered(
+def evolve_states(
     lowered: LoweredModel,
     rho0: DensityMatrix,
     total_time: float,
     steps: int = DEFAULT_DENSITY_STEPS,
-) -> list[tuple[float, DensityMatrix]]:
-    """`evolve_density` of an already lowered model.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grid times and the read-only (steps + 1, d, d) stack of checked
+    density matrices of the RK4 master-equation solution, rho0 first.
 
     The middle RK4 stages use the step's cell; the end stages read the cell
     of their own time, so a stage that straddles a switch sees the new cell.
@@ -329,17 +339,18 @@ def evolve_lowered(
     # A grid far too coarse may blow up; the checks below name the step.
     with np.errstate(over="ignore", invalid="ignore"):
         flat = run_states(maps, keys, rho0.entries.reshape(-1))
-        rhos = flat[1:].reshape(steps, dim, dim)
+        stack = flat.reshape(steps + 1, dim, dim)
+        rhos = stack[1:]
         # Re-symmetrize to drop the skew part roundoff leaves behind.
-        rhos = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
+        rhos[...] = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
         traces = np.trace(rhos, axis1=1, axis2=2)
         broken = (
             ~np.isfinite(rhos).all(axis=(1, 2))
             | (np.abs(traces.real - 1.0) > TRACE_TOL)
             | (np.abs(traces.imag) > TRACE_TOL)
         )
-    rhos.setflags(write=False)
-    times = (np.arange(steps + 1) * dt).tolist()
+    stack.setflags(write=False)
+    times = np.arange(steps + 1) * dt
     stop = int(np.argmax(broken)) if broken.any() else steps
     lows = np.linalg.eigvalsh(rhos[:stop]).min(axis=1, initial=np.inf)
     hard = np.flatnonzero(lows < -POSITIVITY_HARD_TOL)
@@ -349,7 +360,7 @@ def evolve_lowered(
         warnings.warn(
             f"density eigenvalue {float(lows[k])} at step {k + 1} is beyond roundoff",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     if stop < steps:
         where = f"step {stop + 1} (t = {times[stop + 1]:g})"
@@ -360,9 +371,7 @@ def evolve_lowered(
         if not np.isfinite(rhos[stop]).all():
             raise IntegrationError(f"{where}: density matrix has non-finite entries")
         raise IntegrationError(f"{where}: density matrix trace differs from 1 beyond 1e-10")
-    return [(0.0, rho0)] + [
-        (t, _checked_density(rho)) for t, rho in zip(times[1:], rhos)
-    ]
+    return times, stack
 
 
 def apply_shift(model: LindbladModel, shifts: ShiftSet) -> LindbladModel:

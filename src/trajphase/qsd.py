@@ -26,17 +26,32 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import simpson
 
-from ._ensemble import map_ordered, sampling_grid, trajectory_seeds
-from .lindblad import DensityMatrix, LindbladModel, ShiftSet, evolve_lowered, lower_model
-from .operators import PureState
+from ._ensemble import (
+    NoiseSource,
+    grid_steps,
+    map_ordered,
+    sampling_grid,
+    stream_ensemble,
+    trajectory_seeds,
+)
+from .lindblad import DensityMatrix, LindbladModel, ShiftSet, evolve_states, lower_model
+from .operators import PureState, key_runs
 
 # Unused here; bench/tracing.py wraps these names on this module.
 from .lindblad import apply_shift, evolve_density, shifted_hamiltonian  # noqa: F401
 
 NORM_OVERFLOW = 1e100
 CHECKPOINT_INTERVALS = 64
-# Trajectories per worker batch; bounds the resident noise block.
+# Trajectories per worker batch.
 DEFAULT_CHUNK = 2048
+
+
+class AllOverflowError(RuntimeError):
+    """Every trajectory of an ensemble overflowed; there is nothing to average."""
+
+    def __init__(self, excluded: int) -> None:
+        super().__init__("every trajectory overflowed; nothing to average")
+        self.excluded = excluded
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,55 +129,98 @@ def _checkpoint_indices(steps: int) -> np.ndarray:
     return idx
 
 
+class _QSDKernel:
+    """Euler-Maruyama steps of a (d, N) block of trajectories.
+
+    Each cell has one stacked matrix [I - i dt K_tilde; sqrt(lam) L_1; ...;
+    sqrt(lam) L_C] of shape (d (1 + C), d), so a step is one product plus C
+    noise-weighted additions. Overflow (a norm at or above NORM_OVERFLOW, or
+    not finite, at any step) is screened once per block over its stored
+    states; overflowed trajectories are excluded and restart from zero.
+    """
+
+    def __init__(self, lowered, total_time: float, steps: int, vec: np.ndarray, count: int):
+        dt = total_time / steps
+        dim = vec.shape[0]
+        root = np.sqrt(lowered.strength)
+        self.stacks = [
+            np.concatenate(
+                [np.eye(dim) + dt * (-1j * c.k_tilde), *(root * l for l in c.channels)]
+            )
+            for c in lowered.values
+        ]
+        self.cells = lowered.step_cells(0.0, total_time, steps).tolist()
+        self.channels = len(lowered.values[0].channels)
+        self.scale = np.sqrt(dt / 2.0)
+        self.product = np.empty((dim * (1 + self.channels), count), dtype=complex)
+        self.drift = self.product[:dim]
+        self.noise_terms = [
+            self.product[dim * (m + 1) : dim * (m + 2)] for m in range(self.channels)
+        ]
+        self.term = np.empty((dim, count), dtype=complex)
+        self.bra = vec.conj()
+        self.checkpoints = _checkpoint_indices(steps)
+        self.overlaps = np.empty((len(self.checkpoints), count), dtype=complex)
+        self.overlaps[0] = self.bra @ vec
+        self.alive = np.ones(count, dtype=bool)
+        self.screen = NORM_OVERFLOW / (2 * dim)
+
+    def draws(self, noise: list[np.ndarray]) -> np.ndarray:
+        """Complex increments sqrt(dt/2) (xi_1 + i xi_2), as (n, C, N)."""
+        (raw,) = noise
+        count, n, width = raw.shape
+        c = width // 2
+        # Each channel's (xi_1, xi_2) side by side, read as one complex number.
+        pairs = raw.reshape(count, n, 2, c).swapaxes(2, 3)
+        pairs = np.ascontiguousarray(pairs).view(complex)[..., 0]
+        dws = np.empty((n, c, count), dtype=complex)
+        np.multiply(pairs.transpose(1, 2, 0), self.scale, out=dws)
+        return dws
+
+    def step(self, k: int, x: np.ndarray, out: np.ndarray, dws: np.ndarray) -> None:
+        np.matmul(self.stacks[self.cells[k]], x, out=self.product)
+        out[...] = self.drift
+        for term, dw in zip(self.noise_terms, dws):
+            np.multiply(term, dw, out=self.term)
+            out += self.term
+
+    def reduce(self, first: int, states: np.ndarray) -> None:
+        # A norm at or above NORM_OVERFLOW needs a real or imaginary part of
+        # at least NORM_OVERFLOW / sqrt(2d). A column whose parts all stay
+        # below the smaller screen NORM_OVERFLOW / (2d) has not overflowed;
+        # the others (nan included) get the exact per-step norm test.
+        parts = states.view(float)
+        peak = np.maximum(parts.max(axis=(0, 1)), -parts.min(axis=(0, 1)))
+        suspect = np.flatnonzero(~(peak.reshape(-1, 2).max(axis=1) < self.screen))
+        if suspect.size:
+            norms = np.linalg.norm(states[:, :, suspect], axis=1)
+            blown = suspect[self.alive[suspect] & ~(norms < NORM_OVERFLOW).all(axis=0)]
+            self.alive[blown] = False
+            states[-1][:, blown] = 0.0
+        lo, hi = np.searchsorted(self.checkpoints, [first, first + len(states)])
+        self.overlaps[lo:hi] = self.bra @ states[self.checkpoints[lo:hi] - first]
+
+
 def _qsd_chunk(args) -> tuple:
     model, shifts, vec, total_time, delta_t, streams = args
-    steps, dt = sampling_grid(total_time, delta_t)
-    checkpoints = _checkpoint_indices(steps)
-    lam = model.strength
+    steps, _ = grid_steps(total_time, delta_t)
     count = len(streams)
-    dim = vec.shape[0]
-    channels = len(model.lindblads)
-
-    # The whole noise block per trajectory comes from its own stream, so the
-    # outcome is independent of how trajectories are grouped into chunks.
+    kernel = _QSDKernel(lower_model(model, shifts), total_time, steps, vec, count)
+    # Each trajectory's noise comes from its own stream, so the outcome is
+    # independent of how trajectories are grouped into chunks.
     rngs = [np.random.default_rng(s) for s in streams]
-    noise = np.stack([r.standard_normal((steps, 2 * channels)) for r in rngs])
-    scale = np.sqrt(dt / 2.0)
-    dws = scale * (noise[:, :, :channels] + 1j * noise[:, :, channels:])
+    source = NoiseSource(rngs, 2 * kernel.channels, "standard_normal")
+    x0 = np.repeat(vec[:, np.newaxis], count, axis=1)
+    # An overflowing trajectory may reach inf or nan before the block ends;
+    # the screen in reduce() excludes it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        stream_ensemble(x0, steps, [source], kernel, scratch_bytes=16 * kernel.channels)
 
-    # Euler matrix I - i K_tilde dt and scaled noise operators, per cell.
-    lowered = lower_model(model, shifts)
-    cells = lowered.step_cells(0.0, total_time, steps).tolist()
-    mats = [
-        (np.eye(dim) + dt * (-1j * c.k_tilde), [np.sqrt(lam) * l for l in c.channels])
-        for c in lowered.values
-    ]
-
-    states = np.tile(vec, (count, 1))
-    alive = np.ones(count, dtype=bool)
-    z_buffer = np.empty((count, len(checkpoints)), dtype=complex)
-    z_buffer[:, 0] = states @ vec.conj()
-    next_cp = 1
-    for k in range(steps):
-        euler, noise_ops = mats[cells[k]]
-        new_states = states @ euler.T
-        for m, op in enumerate(noise_ops):
-            new_states += dws[:, k, m, np.newaxis] * (states @ op.T)
-        states = new_states
-        norms = np.linalg.norm(states, axis=1)
-        blown = alive & ~(norms < NORM_OVERFLOW)
-        if blown.any():
-            alive &= ~blown
-            states[blown] = 0.0
-        if next_cp < len(checkpoints) and k + 1 == checkpoints[next_cp]:
-            z_buffer[:, next_cp] = states @ vec.conj()
-            next_cp += 1
-
-    z_alive = z_buffer[alive]
-    z_sums = z_alive.sum(axis=0)
-    final = z_alive[:, -1]
+    alive = kernel.alive
+    z_alive = kernel.overlaps[:, alive]
+    final = z_alive[-1]
     return (
-        z_sums,
+        z_alive.sum(axis=1),
         float(np.sum(final.real**2)),
         float(np.sum(final.imag**2)),
         int(alive.sum()),
@@ -187,7 +245,8 @@ def _run_ensemble(
     ]
     results = map_ordered(_qsd_chunk, jobs)
 
-    steps, dt = sampling_grid(config.total_time, config.delta_t)
+    # QSDConfig has already warned if the grid snapped.
+    steps, dt = grid_steps(config.total_time, config.delta_t)
     checkpoints = _checkpoint_indices(steps)
     z_sums = np.zeros(len(checkpoints), dtype=complex)
     re2 = im2 = 0.0
@@ -205,7 +264,7 @@ def _run_ensemble(
             stacklevel=3,
         )
     if used == 0:
-        raise RuntimeError("every trajectory overflowed; nothing to average")
+        raise AllOverflowError(excluded)
 
     means = z_sums / used
     mean_overlap = complex(means[-1])
@@ -218,6 +277,14 @@ def _run_ensemble(
     overlap_arg = float(np.sum(np.angle(means[1:] * np.conj(means[:-1]))))
     times = checkpoints * dt
     return mean_overlap, std_error, overlap_arg, used, excluded, times
+
+
+def _energy_trace(lowered, times: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """Tr[rho(t) K(t)] at each grid time, one einsum per run of cells."""
+    values = np.empty(len(times))
+    for a, b, cell in key_runs(lowered.cells_at(times)):
+        values[a:b] = np.einsum("nij,ji->n", rhos[a:b], lowered.values[cell].k).real
+    return values
 
 
 def averaged_overlap(
@@ -254,11 +321,10 @@ def averaged_geometric_phase(
     )
     lowered = lower_model(model, shifts)
     vec = np.asarray(getattr(phi0, "amplitudes", phi0), dtype=complex).reshape(-1)
-    grid = evolve_lowered(lowered, DensityMatrix.from_pure(vec), config.total_time, density_steps)
-    cells = lowered.cells_at([t for t, _ in grid]).tolist()
-    values = np.array(
-        [np.trace(rho.entries @ lowered.values[c].k).real for c, (_, rho) in zip(cells, grid)]
+    times, rhos = evolve_states(
+        lowered, DensityMatrix.from_pure(vec), config.total_time, density_steps
     )
+    values = _energy_trace(lowered, times, rhos)
     dynamical = float(simpson(values, dx=config.total_time / density_steps))
     return QSDEnsembleResult(
         mean_overlap=mean_overlap,

@@ -193,15 +193,34 @@ def test_qsd_phase_output(config_file, capsys) -> None:
     rows = _rows(capsys.readouterr().out)
     assert rows[0] == [
         "f", "phase", "phase_se", "overlap_arg", "dynamical_term",
-        "n_used", "n_excluded", "closed_form",
+        "n_used", "n_excluded", "closed_form", "status",
     ]
     assert len(rows) == 3
     for row in rows[1:]:
+        assert row[8] == "ok"
         assert int(row[5]) == 400
         assert int(row[6]) == 0
         closed = float(row[7])
         assert not math.isnan(closed)
         assert abs(float(row[1]) - closed) < 5 * float(row[2]) + 1e-3
+
+
+def test_qsd_phase_reports_all_overflow(config_file, capsys) -> None:
+    # lambda * delta_t = 6 makes the Euler steps unstable: at f = 0 some
+    # trajectories survive, at f = 3 none do. The sweep still writes both rows.
+    text = BASE_YAML.replace("lambda: 0.5", "lambda: 60.0")
+    text = text.replace("run: {T: 1.0, steps: 256, seed: 0}",
+                        "run: {T: 24.0, delta_t: 0.1, n_trajectories: 16, seed: 0}")
+    text += "sweep:\n  f: [0.0, 3.0]\n"
+    assert main(["qsd-phase", "--config", config_file(text)]) == EXIT_OK
+    captured = capsys.readouterr()
+    rows = _rows(captured.out)
+    assert [row[-1] for row in rows[1:]] == ["ok", "all-overflow"]
+    assert 0 < int(rows[1][5]) < 16
+    bad = rows[2]
+    assert all(math.isnan(float(v)) for v in bad[1:5])
+    assert (bad[5], bad[6]) == ("0", "16")
+    assert "every trajectory overflowed at {'f': 3.0}" in captured.err
 
 
 def test_qsd_phase_rejects_other_sweeps(config_file, capsys) -> None:
@@ -330,3 +349,26 @@ def test_report_counts_each_warning(config_file, tmp_path) -> None:
         counts.append(report["warning_counts"][report["warnings"][0]])
     assert counts[0] >= 1
     assert counts[1] == 2 * counts[0]
+
+
+@pytest.mark.parametrize("command", ["qsd-phase", "jump-sample"])
+def test_warning_counts_equal_across_threads(command, config_file, tmp_path, monkeypatch) -> None:
+    # 2100 trajectories make two chunks of a point; the grid-snap warning
+    # fires once per point whether the chunks run here or in workers.
+    text = BASE_YAML.replace("run: {T: 1.0, steps: 256, seed: 0}",
+                             "run: {T: 1.5707963267948966, delta_t: 0.01, "
+                             "n_trajectories: 2100, seed: 0}")
+    if command == "qsd-phase":
+        text += "sweep:\n  f: [0.0, 0.2]\n"
+    path = config_file(text)
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("TRAJPHASE_THREADS", threads)
+        out = tmp_path / f"{command}-{threads}.csv"
+        assert main([command, "--config", path, "--out", str(out), "--quiet"]) == EXIT_OK
+        reports.append(json.loads((tmp_path / f"{out.name}.report.json").read_text()))
+    assert reports[0]["warning_counts"] == reports[1]["warning_counts"]
+    snaps = [m for m in reports[0]["warnings"] if m.startswith("delta_t adjusted")]
+    assert len(snaps) == 1
+    points = 2 if command == "qsd-phase" else 1
+    assert reports[0]["warning_counts"][snaps[0]] == points

@@ -61,6 +61,18 @@ def test_density_matrix_validation() -> None:
         rho.entries[0, 0] = 2.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_density_matrix_rejects_non_finite_entries(bad) -> None:
+    entries = np.eye(2, dtype=complex) / 2
+    entries[0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(entries)
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(np.full((2, 2), bad))
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix.from_pure(np.array([1.0, bad]))
+
+
 def test_density_matrix_validate_flags_negative_eigenvalue() -> None:
     bad = DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
     with pytest.raises(ValueError, match="eigenvalue"):

@@ -1,6 +1,6 @@
 """Run-based propagation against step-by-step reference loops.
 
-`operators.run_states`, `jump.propagate_no_jump`, `lindblad.evolve_lowered`
+`operators.run_states`, `jump.propagate_no_jump`, `lindblad.evolve_states`
 and `operators.time_ordered_propagator` advance runs of steps in one cell by
 powers of the cell's map. These tests compare them with the plain per-step
 products they replace, on seeded random non-normal generators and on grids

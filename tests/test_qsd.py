@@ -12,11 +12,20 @@ from trajphase.dephasing import (
     closed_form_dynamical_phase,
     closed_form_overlap_phase,
 )
-from trajphase.lindblad import ShiftSet
-from trajphase.operators import BlochAngles, bloch_state, wrap_phase
+from trajphase.lindblad import DensityMatrix, LindbladModel, ShiftSet, evolve_states, lower_model
+from trajphase.operators import (
+    BlochAngles,
+    Operator,
+    OperatorSchedule,
+    ScalarSchedule,
+    bloch_state,
+    pauli,
+    wrap_phase,
+)
 from trajphase.qsd import (
     QSDConfig,
     QSDEnsembleResult,
+    _energy_trace,
     averaged_geometric_phase,
     averaged_overlap,
     qsd_step,
@@ -196,3 +205,21 @@ def test_shift_changes_trajectories_not_mean() -> None:
     assert abs(got0 - _mean_overlap_exact(p0, t)) < 3 * se0
     assert abs(got1 - _mean_overlap_exact(p1, t)) < 3 * se1
     assert abs(got0 - got1) > 5 * max(se0, se1)
+
+
+def test_energy_trace_matches_per_state_trace() -> None:
+    # A piecewise Hamiltonian and shift, so the runs of cells matter.
+    rng = np.random.default_rng(17)
+    ham = OperatorSchedule.piecewise([pauli("x"), 0.5 * pauli("z"), pauli("y")], 0.5)
+    chan = Operator(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    model = LindbladModel(ham, (chan,), 0.3)
+    shifts = ShiftSet((ScalarSchedule.piecewise([0.2, 0.3 - 0.4j, -0.5j], 0.5),))
+    lowered = lower_model(model, shifts)
+    times, rhos = evolve_states(lowered, DensityMatrix.from_pure(EQUATOR), 1.5, 300)
+    cells = lowered.cells_at(times).tolist()
+    want = np.array(
+        [np.trace(rho @ lowered.values[c].k).real for c, rho in zip(cells, rhos)]
+    )
+    got = _energy_trace(lowered, times, rhos)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert len(set(cells)) == 3

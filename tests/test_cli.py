@@ -223,6 +223,40 @@ def test_qsd_phase_reports_all_overflow(config_file, capsys) -> None:
     assert "every trajectory overflowed at {'f': 3.0}" in captured.err
 
 
+def test_qsd_phase_sweep_in_one_pass_equals_one_point_runs(
+    config_file, tmp_path, monkeypatch
+) -> None:
+    # lambda = 30: f = 0 keeps every trajectory, f = 3 loses all of them and
+    # f = 0.5 about half. 2100 trajectories make two chunks per point, and
+    # delta_t = 0.07 snaps, so every point also warns once for the grid.
+    text = BASE_YAML.replace("lambda: 0.5", "lambda: 30.0")
+    text = text.replace("run: {T: 1.0, steps: 256, seed: 0}",
+                        "run: {T: 24.0, delta_t: 0.07, n_trajectories: 2100, seed: 0}")
+
+    def run(sweep: str, tag: str) -> tuple[list[str], dict]:
+        out = tmp_path / f"{tag}.csv"
+        path = config_file(text + f"sweep:\n  f: [{sweep}]\n", f"{tag}.yaml")
+        assert main(["qsd-phase", "--config", path, "--out", str(out), "--quiet"]) == EXIT_OK
+        report = json.loads((tmp_path / f"{out.name}.report.json").read_text())
+        return out.read_text().splitlines(), report["warning_counts"]
+
+    lines, counts = run("0.0, 3.0, 0.5", "sweep")
+    assert [line.split(",")[-1] for line in lines[2:]] == ["ok", "all-overflow", "ok"]
+    assert 0 < int(lines[4].split(",")[6]) < 2100
+    summed: dict = {}
+    for f, line in zip(("0.0", "3.0", "0.5"), lines[2:]):
+        alone, alone_counts = run(f, f"point-{f}")
+        assert alone[:2] == lines[:2]
+        assert alone[2:] == [line]
+        for message, count in alone_counts.items():
+            summed[message] = summed.get(message, 0) + count
+    assert counts == summed
+    assert "every trajectory overflowed at {'f': 3.0}" in counts
+
+    monkeypatch.setenv("TRAJPHASE_THREADS", "2")
+    assert run("0.0, 3.0, 0.5", "sweep-threads2") == (lines, counts)
+
+
 def test_qsd_phase_rejects_other_sweeps(config_file, capsys) -> None:
     text = BASE_YAML.replace("run: {T: 1.0, steps: 256, seed: 0}",
                              "run: {T: 1.0, delta_t: 0.01, n_trajectories: 10, seed: 2}")

@@ -34,6 +34,7 @@ from trajphase.qsd import (
     NORM_OVERFLOW,
     QSDConfig,
     _checkpoint_indices,
+    _checkpoint_intervals,
     _qsd_chunk,
     _QSDKernel,
     averaged_geometric_phase,
@@ -57,7 +58,8 @@ def _reference_qsd_chunk(args) -> tuple:
     trajectory overflowed (-1 if never)."""
     model, shifts, vec, total_time, delta_t, streams = args
     steps, dt = grid_steps(total_time, delta_t)
-    checkpoints = _checkpoint_indices(steps)
+    lowered = lower_model(model, shifts)
+    checkpoints = _checkpoint_indices(steps, _checkpoint_intervals(lowered, total_time))
     lam = model.strength
     count = len(streams)
     dim = vec.shape[0]
@@ -68,7 +70,6 @@ def _reference_qsd_chunk(args) -> tuple:
     scale = np.sqrt(dt / 2.0)
     dws = scale * (noise[:, :, :channels] + 1j * noise[:, :, channels:])
 
-    lowered = lower_model(model, shifts)
     cells = lowered.step_cells(0.0, total_time, steps).tolist()
     mats = [
         (np.eye(dim) + dt * (-1j * c.k_tilde), [np.sqrt(lam) * l for l in c.channels])
@@ -247,7 +248,7 @@ def budget(request, monkeypatch):
 @pytest.mark.parametrize("dim,count", SIZES)
 def test_qsd_chunk_matches_reference_loop(dim: int, count: int, budget) -> None:
     args = _job(dim, count, 0.4, 24, 300 + 10 * dim + count)
-    z_sums, re2, im2, used, excluded = _qsd_chunk(args)
+    z_sums, re2, im2, used, excluded = _qsd_chunk((args[0], [args[1]], *args[2:]))[0]
     want = _reference_qsd_chunk(args)
     assert (used, excluded) == want[3:5] == (24, 0)
     assert _relative_gap(z_sums, want[0]) <= 1e-12
@@ -264,7 +265,7 @@ def test_qsd_excludes_the_same_trajectories(block_steps, monkeypatch) -> None:
     if block_steps is not None:
         # One-trajectory chunks: noise 16 B, state 32 B, increment 16 B per step.
         monkeypatch.setattr(ensemble, "BLOCK_BYTES", 64 * block_steps)
-    got = [_qsd_chunk((model, None, vec, 24.0, 0.1, [s]))[4] for s in seeds]
+    got = [_qsd_chunk((model, [None], vec, 24.0, 0.1, [s]))[0][4] for s in seeds]
     want = _reference_qsd_chunk((model, None, vec, 24.0, 0.1, seeds))
     blown_at = want[5]
     assert got == (blown_at >= 0).astype(int).tolist()
@@ -273,7 +274,7 @@ def test_qsd_excludes_the_same_trajectories(block_steps, monkeypatch) -> None:
         # Some overflow falls strictly inside a block of steps.
         ends = (blown_at[blown_at >= 0] + 1) % block_steps
         assert np.any(ends != 0)
-    whole = _qsd_chunk((model, None, vec, 24.0, 0.1, seeds))
+    whole = _qsd_chunk((model, [None], vec, 24.0, 0.1, seeds))[0]
     assert whole[3:] == want[3:5]
     assert _relative_gap(whole[0], want[0]) <= 1e-12
 
@@ -283,7 +284,7 @@ def test_qsd_overflow_screen_keeps_the_per_step_rule() -> None:
     # entry below it; a spike that returns below the threshold; inf.
     lowered = lower_model(dephasing_model(1.0, 0.1))
     vec = np.array([1.0, 0.0], dtype=complex)
-    kernel = _QSDKernel(lowered, 1.0, 10, vec, 5)
+    kernel = _QSDKernel([lowered], 1.0, 10, vec, 5)
     states = np.ones((4, 2, 5), dtype=complex)
     states[1, 0, 1] = np.nan
     states[2, :, 2] = NORM_OVERFLOW / math.sqrt(2.0)
@@ -292,10 +293,66 @@ def test_qsd_overflow_screen_keeps_the_per_step_rule() -> None:
     assert np.linalg.norm(states[2, :, 2]) >= NORM_OVERFLOW
     with np.errstate(over="ignore", invalid="ignore"):
         kernel.reduce(1, states)
-    assert kernel.alive.tolist() == [True, False, False, False, False]
+    assert kernel.alive[0].tolist() == [True, False, False, False, False]
     # Excluded trajectories restart from zero in the next block.
     assert np.all(states[-1][:, 1:] == 0.0)
     assert np.all(states[-1][:, 0] == 1.0)
+
+
+def _check_points_against_reference(model, shift_sets, vec, total_time, delta_t, seeds):
+    """One batched chunk over shift_sets against the per-point reference
+    loop and against one-point chunks; returns each point's overflow steps."""
+    job = (model, shift_sets, vec, total_time, delta_t, seeds)
+    points = _qsd_chunk(job)
+    assert len(points) == len(shift_sets)
+    blown_at = []
+    for shifts, got in zip(shift_sets, points):
+        want = _reference_qsd_chunk((model, shifts, vec, total_time, delta_t, seeds))
+        assert got[3:] == want[3:5]
+        assert _relative_gap(got[0], want[0]) <= 1e-12
+        assert got[1] == pytest.approx(want[1], rel=1e-12)
+        assert got[2] == pytest.approx(want[2], rel=1e-12)
+        # The other points change nothing, not even roundoff.
+        (alone,) = _qsd_chunk((model, [shifts], vec, total_time, delta_t, seeds))
+        assert got[0].tobytes() == alone[0].tobytes()
+        assert got[1:] == alone[1:]
+        blown_at.append(want[5])
+    return blown_at
+
+
+@pytest.mark.parametrize("block_bytes", [None, 40_000], ids=["budget", "few-steps"])
+@pytest.mark.parametrize("dim,count", SIZES)
+def test_qsd_points_in_one_pass_match_reference_loop(
+    dim: int, count: int, block_bytes, monkeypatch
+) -> None:
+    if block_bytes is not None:
+        monkeypatch.setattr(ensemble, "BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(600 + 10 * dim + count)
+    model = _random_model(dim, count, 0.4, rng)
+    constant = ShiftSet.constants(list(rng.normal(size=count) + 1j * rng.normal(size=count)))
+    shift_sets = [None, constant, _random_shifts(count, rng)]
+    vec = _random_state(dim, rng)
+    seeds = trajectory_seeds(700 + dim, 24)
+    _check_points_against_reference(model, shift_sets, vec, CELLS * CELL, 1e-2, seeds)
+
+
+def test_qsd_point_overflow_stays_in_its_point(monkeypatch) -> None:
+    # lambda = 60 with L = identity: unshifted, the Euler factor 1 - 3 and
+    # strong noise overflow most trajectories after about 250 steps; at f = 1
+    # the shifted channel vanishes and nothing overflows. Blocks of 5 steps put overflows inside
+    # blocks: per trajectory-step, noise 16 B, three points' states 96 B and
+    # the increment 16 B.
+    model = LindbladModel(0.5 * pauli("z"), (Operator(np.eye(2)),), 60.0)
+    vec = np.asarray(EQUATOR.amplitudes)
+    monkeypatch.setattr(ensemble, "BLOCK_BYTES", 16 * (16 + 96 + 16) * 5)
+    shift_sets = [None, ShiftSet.constants([1.0]), ShiftSet.constants([0.1])]
+    blown_at = _check_points_against_reference(
+        model, shift_sets, vec, 26.0, 0.1, trajectory_seeds(0, 16)
+    )
+    overflowed = blown_at[0][blown_at[0] >= 0]
+    assert 0 < len(overflowed) < 16
+    assert np.any((overflowed + 1) % 5 != 0)
+    assert np.all(blown_at[1] < 0)
 
 
 def test_qsd_ensemble_invariant_to_threads_and_chunks(monkeypatch) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -147,6 +148,22 @@ def test_averaged_phase_tracks_through_multiple_periods() -> None:
     assert want == pytest.approx(-math.pi, abs=1e-12)
     assert abs(res.overlap_arg - want) < 3 * res.phase_std_error
     assert res.overlap_arg < 0.0
+
+
+def test_long_run_checkpoints_follow_the_dynamics() -> None:
+    # 66 periods at lambda = 0: with 64 fixed checkpoints each interval turns
+    # the overlap by more than pi and the unwrapped phase came out 64 * 2 pi
+    # too high; the interval count now grows with T times the drift's norm.
+    p = DephasingParams(1.0, 0.0, 0.0, 0.3)
+    total = 66 * 2 * math.pi
+    with pytest.warns(RuntimeWarning, match="adjusted"):
+        cfg = QSDConfig(total, 1e-2, 1, seed=0)
+    started = time.perf_counter()
+    res = averaged_geometric_phase(p.as_model(), bloch_state(p.initial_state()), cfg)
+    elapsed = time.perf_counter() - started
+    want = closed_form_overlap_phase(p, total) + closed_form_dynamical_phase(p, total)
+    assert abs(res.phase - want) <= 1e-2
+    assert elapsed < 1.0
 
 
 def test_phase_std_error_of_zero_overlap() -> None:

@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import ConfigError, ScenarioConfig, load_config, serialize_config
@@ -443,7 +442,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             "versions": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "trajphase": __version__,
             },
             "wall_time_s": round(time.perf_counter() - started, 6),

@@ -24,7 +24,6 @@ import warnings
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.integrate import simpson
 
 from ._ensemble import (
     NoiseSource,
@@ -48,6 +47,7 @@ from .operators import (
     PureState,
     key_runs,
     run_states,
+    simpson,
     step_propagators,
 )
 
@@ -293,7 +293,7 @@ def _tracked_phase(
     sq_norms = norms**2
     integrand = _dynamical_integrand(herm, record.times, states, sq_norms)
     if total_time > 0:
-        dynamical = float(simpson(integrand, dx=total_time / attempt))
+        dynamical = simpson(integrand, total_time / attempt)
     else:
         dynamical = 0.0
     crossing_times = tuple(float(t) for t in record.times[crossing])

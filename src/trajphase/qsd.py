@@ -27,7 +27,6 @@ import warnings
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
 from ._ensemble import (
     NoiseSource,
@@ -38,7 +37,7 @@ from ._ensemble import (
     trajectory_seeds,
 )
 from .lindblad import DensityMatrix, LindbladModel, ShiftSet, evolve_states, lower_model
-from .operators import PureState, key_runs
+from .operators import PureState, key_runs, simpson
 
 # Unused here; bench/tracing.py wraps these names on this module.
 from .lindblad import apply_shift, evolve_density, shifted_hamiltonian  # noqa: F401
@@ -313,7 +312,7 @@ def _point_result(
     overlap_arg = float(np.sum(np.angle(means[1:] * np.conj(means[:-1]))))
     times, rhos = evolve_states(lowered, rho0, config.total_time, density_steps)
     values = _energy_trace(lowered, times, rhos)
-    dynamical = float(simpson(values, dx=config.total_time / density_steps))
+    dynamical = simpson(values, config.total_time / density_steps)
     return QSDEnsembleResult(
         mean_overlap=mean_overlap,
         std_error=std_error,

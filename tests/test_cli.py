@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 
+import trajphase
 from trajphase.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, SCHEMA_LINE, main
 from trajphase.dephasing import DephasingParams, closed_form_no_jump_phase
 from trajphase.operators import wrap_phase
@@ -73,7 +79,7 @@ def test_out_file_and_report(config_file, tmp_path, capsys) -> None:
     assert len(report["config_digest"]) == 64
     assert report["seed"] == 0
     assert report["outputs"] == [str(out)]
-    assert set(report["versions"]) == {"python", "numpy", "scipy", "trajphase"}
+    assert set(report["versions"]) == {"python", "numpy", "trajphase"}
     assert report["wall_time_s"] >= 0
     assert report["warnings"] == []
 
@@ -112,6 +118,41 @@ def test_nojump_phase_sweep(config_file, capsys) -> None:
         got = float(row[2])
         assert abs(wrap_phase(got - closed_form_no_jump_phase(params))) < 1e-6
         assert 0.0 < float(row[5]) <= 1.0
+
+
+def test_nojump_phase_odd_steps_integrate_as_scipy(config_file, capsys, monkeypatch) -> None:
+    # 1023 steps give 1024 samples, so the dynamical term takes the
+    # even-count branch of the Simpson rule with its last-interval correction.
+    text = BASE_YAML.replace("run: {T: 1.0, steps: 256, seed: 0}",
+                             "run: {T: 6.283185307179586, steps: 1023, seed: 0}")
+    text += "sweep:\n  f: [0.2, 2.0]\n  lambda: [0.3, 0.8]\n"
+    path = config_file(text)
+    assert main(["nojump-phase", "--config", path]) == EXIT_OK
+    ours = capsys.readouterr().out
+    monkeypatch.setattr(
+        "trajphase.jump.simpson", lambda y, dx: float(scipy.integrate.simpson(y, dx=dx))
+    )
+    assert main(["nojump-phase", "--config", path]) == EXIT_OK
+    assert capsys.readouterr().out == ours
+
+
+def test_import_path_has_no_scipy() -> None:
+    # A fresh interpreter: the package, its CLI and a preset load on NumPy
+    # and PyYAML alone.
+    code = (
+        "import sys\n"
+        "import trajphase, trajphase.cli\n"
+        "from trajphase.config import load_config\n"
+        "load_config('fig1')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(trajphase.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_nojump_phase_reports_branch_failure(config_file, capsys) -> None:

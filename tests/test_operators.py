@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
 from trajphase.operators import (
@@ -25,6 +26,7 @@ from trajphase.operators import (
     is_hermitian,
     matrix_exponential,
     pauli,
+    simpson,
     time_ordered_propagator,
     wrap_phase,
 )
@@ -171,6 +173,36 @@ def test_matrix_exponential_matches_scipy() -> None:
     got = matrix_exponential(skew)
     want = scipy.linalg.expm(skew)
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+
+
+def test_matrix_exponential_keeps_a_tiny_non_normal_part() -> None:
+    # The normality defect of this nilpotent A is 1e-12: quadratic in the
+    # non-normal part, so a normality test at that level would drop it.
+    a = np.array([[0.0, 1e-6], [0.0, 0.0]])
+    got = matrix_exponential(a)
+    assert np.max(np.abs(got - (np.eye(2) + a))) <= 1e-15
+
+
+def test_matrix_exponential_matches_scipy_across_norms() -> None:
+    rng = np.random.default_rng(12)
+    for norm in np.geomspace(1e-3, 50.0, 40):
+        dim = int(rng.integers(2, 9))
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a *= norm / np.linalg.norm(a, 1)
+        got = matrix_exponential(a)
+        want = scipy.linalg.expm(a)
+        assert np.linalg.norm(got - want, 1) <= 1e-12 * np.linalg.norm(want, 1)
+    assert np.array_equal(matrix_exponential(np.zeros((3, 3))), np.eye(3))
+    with pytest.raises(ValueError):
+        matrix_exponential(np.array([[0.0, np.inf], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("dx", [1e-3, 0.1, 2 * math.pi / 4097, 1.0, 7.5])
+def test_simpson_equals_scipy_on_both_parities(dx) -> None:
+    rng = np.random.default_rng(13)
+    for count in range(2, 42):
+        samples = rng.normal(size=count) * 10.0 ** rng.uniform(-3, 3)
+        assert simpson(samples, dx) == scipy.integrate.simpson(samples, dx=dx)
 
 
 def test_time_ordered_propagator_constant_is_exact() -> None:

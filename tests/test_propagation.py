@@ -18,6 +18,7 @@ import pytest
 import scipy.linalg
 
 from trajphase import (
+    BranchTrackingError,
     DensityMatrix,
     IntegrationError,
     LindbladModel,
@@ -25,11 +26,12 @@ from trajphase import (
     OperatorSchedule,
     evolve_density,
     lindblad_rhs,
+    no_jump_geometric_phase,
     pauli,
     propagate_no_jump,
     time_ordered_propagator,
 )
-from trajphase.lindblad import POSITIVITY_HARD_TOL, POSITIVITY_TOL
+from trajphase.lindblad import POSITIVITY_HARD_TOL, POSITIVITY_TOL, lower_model
 from trajphase.operators import run_states, step_propagators
 
 STATE_RTOL = 1e-12
@@ -111,6 +113,35 @@ def test_propagate_no_jump_matches_step_loop(seed) -> None:
     maps, keys = step_propagators(sched, 0.0, 3.0, 1000)
     want = _loop_states(maps, keys.tolist(), psi0)
     assert np.max(_relative_errors(record.states, want)) <= STATE_RTOL
+
+
+def _driven_damped_qubit(strength):
+    """H = sigma_x / 2 and L = |1><0|: the channel does not commute with H,
+    so the no-jump generator is non-normal."""
+    lowering = Operator(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    return LindbladModel(0.5 * pauli("x"), (lowering,), strength)
+
+
+def test_propagate_no_jump_keeps_weak_damping() -> None:
+    # At dt = 2 pi / 65536 the normality defect of dt K_tilde is ~1e-14, yet
+    # its non-normal part carries the damping.
+    steps, total = 65536, 2 * math.pi
+    gen = lower_model(_driven_damped_qubit(1e-5)).operators(lambda c: c.k_tilde)
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    record = propagate_no_jump(gen, psi0, total, steps)
+    k_tilde = gen.values[0].entries
+    for k in range(0, steps + 1, 4096):
+        want = scipy.linalg.expm(-1j * (total * k / steps) * k_tilde) @ psi0
+        assert np.max(np.abs(record.states[k] - want)) <= 1e-11
+
+
+def test_no_jump_phase_refuses_an_unresolved_crossing() -> None:
+    # The overlap passes through zero between grid points near t = pi, so
+    # every refined grid has a step that turns it by pi. The tracker must
+    # refuse rather than follow a generator with its non-normal part dropped.
+    psi0 = np.array([math.cos(0.3), 1j * math.sin(0.3)])
+    with pytest.raises(BranchTrackingError):
+        no_jump_geometric_phase(_driven_damped_qubit(1e-3), psi0, 2 * math.pi)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -46,6 +46,7 @@ from .lindblad import (
     ShiftSet,
     apply_shift,
     evolve_density,
+    evolve_states,
     lower_model,
     shift_is_hidden,
 )
@@ -266,10 +267,6 @@ def _cmd_qsd_phase(cfg: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _stacked(grid: list[tuple[float, DensityMatrix]]) -> np.ndarray:
-    return np.stack([rho.entries for _, rho in grid])
-
-
 def _cmd_symmetry_check(cfg: ScenarioConfig) -> str:
     total = cfg.run.require("total_time", "symmetry-check")
     if cfg.shifts is None:
@@ -285,9 +282,10 @@ def _cmd_symmetry_check(cfg: ScenarioConfig) -> str:
     hidden = all(per_channel)
 
     rho0 = DensityMatrix.from_pure(cfg.initial_state)
-    base = evolve_density(model, rho0, total, steps=cfg.run.steps)
-    moved = evolve_density(apply_shift(model, cfg.shifts), rho0, total, steps=cfg.run.steps)
-    diffs = np.abs(_stacked(base) - _stacked(moved)).max(axis=(1, 2))
+    _, base = evolve_states(lower_model(model), rho0, total, cfg.run.steps)
+    lowered = lower_model(model, cfg.shifts)
+    _, moved = evolve_states(lowered, rho0, total, cfg.run.steps)
+    diffs = np.abs(base - moved).max(axis=(1, 2))
     residual = float(diffs.max())
 
     plain = no_jump_geometric_phase(model, cfg.initial_state, total, steps=cfg.run.steps)
@@ -296,9 +294,7 @@ def _cmd_symmetry_check(cfg: ScenarioConfig) -> str:
     )
     phase_difference = wrap_phase(shifted.phase - plain.phase)
 
-    generator_shift = max(
-        float(np.max(np.abs(c.k - c.h))) for c in lower_model(model, cfg.shifts).values
-    )
+    generator_shift = max(float(np.max(np.abs(c.k - c.h))) for c in lowered.values)
 
     if hidden:
         verdict = (

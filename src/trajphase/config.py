@@ -36,6 +36,13 @@ from .operators import (
 
 SWEEPABLE = ("f", "lambda", "theta0")
 
+# libyaml's parser and emitter when PyYAML was built with them: same
+# documents and same dump text as the pure-Python classes, several times faster.
+if yaml.__with_libyaml__:
+    _LOADER, _DUMPER = yaml.CSafeLoader, yaml.CSafeDumper
+else:
+    _LOADER, _DUMPER = yaml.SafeLoader, yaml.SafeDumper
+
 _CHANNEL_PRESETS = {
     "sigma_x": lambda dim: pauli("x"),
     "sigma_y": lambda dim: pauli("y"),
@@ -402,7 +409,7 @@ def _parse_sweep(node) -> tuple[SweepAxis, ...]:
 
 def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(source, f"not valid YAML: {exc}") from None
     doc = _need_mapping(doc, source)
@@ -466,7 +473,7 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
 
 
 def serialize_config(config: ScenarioConfig) -> str:
-    return yaml.safe_dump(config.to_mapping(), sort_keys=True)
+    return yaml.dump(config.to_mapping(), Dumper=_DUMPER, sort_keys=True)
 
 
 def preset_names() -> list[str]:

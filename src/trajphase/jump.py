@@ -266,7 +266,9 @@ def _tracked_phase(
     steps: int,
 ) -> GeometricPhaseResult:
     attempt = max(1, steps)
-    for _ in range(MAX_GRID_DOUBLINGS):
+    for doubling in range(MAX_GRID_DOUBLINGS):
+        if doubling:
+            attempt *= 2
         record = propagate_no_jump(gen, vec, total_time, attempt)
         states = record.states
         overlaps = states @ vec.conj()
@@ -278,7 +280,6 @@ def _tracked_phase(
         worst = np.max(np.abs(increments[~near_crossing]), initial=0.0)
         if worst <= 0.5 * math.pi:
             break
-        attempt *= 2
     else:
         raise BranchTrackingError(
             f"per-step overlap rotation stayed above pi/2 after refining to {attempt} steps"

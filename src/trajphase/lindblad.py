@@ -309,8 +309,12 @@ def evolve_states(
     The step is the exact RK4 arithmetic written as one d^2 x d^2 matrix
     (`_rk4_map`), built once per distinct (first, middle, last) cell triple
     and applied through `operators.run_states`. All grid states are then
-    re-symmetrized and checked at once: trace and finiteness, then one
-    stacked eigvalsh; the first step that fails any check raises
+    re-symmetrized and checked at once by `_check_states`: trace and
+    finiteness, then positivity. Positivity is screened by one batched
+    Cholesky factorization of rho + (POSITIVITY_TOL / 2) I; it succeeds only
+    when no eigenvalue lies below -POSITIVITY_TOL, so nothing can warn or
+    raise and no eigenvalue is computed. When it fails, one stacked eigvalsh
+    finds the eigenvalues: the first step that fails any check raises
     IntegrationError, and eigenvalues below -POSITIVITY_TOL at earlier steps
     warn.
     """
@@ -336,34 +340,55 @@ def evolve_states(
     }
 
     dim = rho0.dim
-    # A grid far too coarse may blow up; the checks below name the step.
+    # A grid far too coarse may blow up; the checks name the step.
     with np.errstate(over="ignore", invalid="ignore"):
         flat = run_states(maps, keys, rho0.entries.reshape(-1))
         stack = flat.reshape(steps + 1, dim, dim)
         rhos = stack[1:]
         # Re-symmetrize to drop the skew part roundoff leaves behind.
         rhos[...] = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
+    stack.setflags(write=False)
+    times = np.arange(steps + 1) * dt
+    _check_states(rhos, times[1:])
+    return times, stack
+
+
+def _check_states(rhos: np.ndarray, times: np.ndarray) -> None:
+    """Check an (n, d, d) stack of Hermitian grid states, rhos[k] being step
+    k + 1 at times[k], against the density-matrix invariants.
+
+    The first step that is not finite, whose trace differs from 1 beyond
+    TRACE_TOL, or that has an eigenvalue below -POSITIVITY_HARD_TOL raises
+    IntegrationError; an eigenvalue below -POSITIVITY_TOL at an earlier step
+    warns.
+    """
+    count = len(rhos)
+    with np.errstate(over="ignore", invalid="ignore"):
         traces = np.trace(rhos, axis1=1, axis2=2)
         broken = (
             ~np.isfinite(rhos).all(axis=(1, 2))
             | (np.abs(traces.real - 1.0) > TRACE_TOL)
             | (np.abs(traces.imag) > TRACE_TOL)
         )
-    stack.setflags(write=False)
-    times = np.arange(steps + 1) * dt
-    stop = int(np.argmax(broken)) if broken.any() else steps
-    lows = np.linalg.eigvalsh(rhos[:stop]).min(axis=1, initial=np.inf)
-    hard = np.flatnonzero(lows < -POSITIVITY_HARD_TOL)
-    if hard.size:
-        stop = int(hard[0])
-    for k in np.flatnonzero(lows[:stop] < -POSITIVITY_TOL).tolist():
-        warnings.warn(
-            f"density eigenvalue {float(lows[k])} at step {k + 1} is beyond roundoff",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    if stop < steps:
-        where = f"step {stop + 1} (t = {times[stop + 1]:g})"
+    stop = int(np.argmax(broken)) if broken.any() else count
+    hard = np.empty(0, dtype=np.intp)
+    try:
+        # Factorizes only if every eigenvalue is above -POSITIVITY_TOL / 2 up
+        # to roundoff far below that margin: then nothing below warns or raises.
+        np.linalg.cholesky(rhos[:stop] + 0.5 * POSITIVITY_TOL * np.eye(rhos.shape[1]))
+    except np.linalg.LinAlgError:
+        lows = np.linalg.eigvalsh(rhos[:stop]).min(axis=1, initial=np.inf)
+        hard = np.flatnonzero(lows < -POSITIVITY_HARD_TOL)
+        if hard.size:
+            stop = int(hard[0])
+        for k in np.flatnonzero(lows[:stop] < -POSITIVITY_TOL).tolist():
+            warnings.warn(
+                f"density eigenvalue {float(lows[k])} at step {k + 1} is beyond roundoff",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+    if stop < count:
+        where = f"step {stop + 1} (t = {times[stop]:g})"
         if hard.size:
             raise IntegrationError(
                 f"{where}: eigenvalue {float(lows[stop])} below -{POSITIVITY_HARD_TOL}"
@@ -371,7 +396,6 @@ def evolve_states(
         if not np.isfinite(rhos[stop]).all():
             raise IntegrationError(f"{where}: density matrix has non-finite entries")
         raise IntegrationError(f"{where}: density matrix trace differs from 1 beyond 1e-10")
-    return times, stack
 
 
 def apply_shift(model: LindbladModel, shifts: ShiftSet) -> LindbladModel:

@@ -128,7 +128,9 @@ class BlochAngles:
         if not -1e-12 <= self.theta <= math.pi + 1e-12:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
         object.__setattr__(self, "theta", min(max(self.theta, 0.0), math.pi))
-        object.__setattr__(self, "phi", self.phi % math.tau)
+        # A tiny negative phi would round up to 2 pi itself.
+        phi = self.phi % math.tau
+        object.__setattr__(self, "phi", phi if phi < math.tau else 0.0)
 
 
 def bloch_state(angles: BlochAngles) -> PureState:

@@ -168,9 +168,11 @@ class _QSDKernel:
             for lowered in lowereds
         ]
         cells = np.stack([low.step_cells(0.0, total_time, steps) for low in lowereds], axis=1)
-        combos, keys = np.unique(cells, axis=0, return_inverse=True)
-        self.stacks = [np.stack([m[c] for m, c in zip(mats, combo)]) for combo in combos]
-        self.keys = keys.reshape(-1).tolist()
+        # Each point's cell only grows with the step, so every combination of
+        # cells is one run of steps, and the runs come in lexicographic order.
+        fresh = np.concatenate([[True], np.any(cells[1:] != cells[:-1], axis=1)])
+        self.stacks = [np.stack([m[c] for m, c in zip(mats, combo)]) for combo in cells[fresh]]
+        self.keys = (np.cumsum(fresh) - 1).tolist()
         self.channels = len(lowereds[0].values[0].channels)
         self.scale = np.sqrt(dt / 2.0)
         self.shape = (points, dim, count)

@@ -12,10 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.integrate
+import yaml
 
 import trajphase
 from trajphase.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, SCHEMA_LINE, main
+from trajphase.config import _pairs, load_config
 from trajphase.dephasing import DephasingParams, closed_form_no_jump_phase
+from trajphase.lindblad import DensityMatrix, apply_shift, evolve_density
 from trajphase.operators import wrap_phase
 
 BASE_YAML = """\
@@ -339,6 +342,75 @@ def test_symmetry_check_generator_shift_covers_every_cell(config_file, capsys) -
     doc = json.loads(capsys.readouterr().out)
     assert doc["hidden"] is False
     assert doc["generator_shift_max"] == pytest.approx(0.25, abs=1e-12)
+
+
+def _random_piecewise_shift_yaml(seed: int) -> str:
+    """A random model of dim 2-3 with 1-2 channels and a 3-cell piecewise
+    shift: hidden (L_m = e^{i a} A_m with A_m Hermitian, f_m real times
+    e^{i a}) for even seeds, complex and visible for odd ones."""
+    rng = np.random.default_rng(900 + seed)
+    dim = int(rng.integers(2, 4))
+
+    def hermitian():
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return 0.25 * (a + a.conj().T)
+
+    lindblads, shifts = [], []
+    for _ in range(int(rng.integers(1, 3))):
+        turn = np.exp(1j * rng.uniform(0, 2 * math.pi))
+        lindblads.append({"matrix": _pairs(turn * hermitian())})
+        values = rng.normal(size=3) * (turn if seed % 2 == 0 else 1.0 + 1j * rng.normal())
+        shifts.append({"cell": 1.0 / 3.0, "values": _pairs([values])[0]})
+    state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    doc = {
+        "model": {
+            "dim": dim,
+            "hamiltonian": {"matrix": _pairs(hermitian())},
+            "lindblads": lindblads,
+            "lambda": 0.4,
+        },
+        "shifts": shifts,
+        "initial_state": {"amplitudes": _pairs([state])[0]},
+        "run": {"T": 1.0, "steps": 70, "seed": 0},
+    }
+    return yaml.safe_dump(doc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_symmetry_check_residual_equals_density_lists(seed, config_file, capsys) -> None:
+    # The command takes its residual from evolve_states stacks of the plain
+    # and the shifted lowering; rebuilt from evolve_density lists of the
+    # plain model and apply_shift's model, the report is byte-identical.
+    path = config_file(_random_piecewise_shift_yaml(seed))
+    assert main(["symmetry-check", "--config", path]) == EXIT_OK
+    text = capsys.readouterr().out
+    doc = json.loads(text)
+    assert doc["hidden"] is (seed % 2 == 0)
+
+    cfg = load_config(path)
+    rho0 = DensityMatrix.from_pure(cfg.initial_state)
+
+    def stacked(model):
+        grid = evolve_density(model, rho0, cfg.run.total_time, steps=cfg.run.steps)
+        return np.stack([rho.entries for _, rho in grid])
+
+    diffs = np.abs(stacked(cfg.model) - stacked(apply_shift(cfg.model, cfg.shifts)))
+    diffs = diffs.max(axis=(1, 2))
+    residual = float(diffs.max())
+    if doc["hidden"]:
+        verdict = (
+            f"hidden shift: density evolution unchanged (max residual {residual:.3e}); "
+            f"no-jump geometric phase moved by {doc['phase_difference']:.6f} rad"
+        )
+    else:
+        verdict = (
+            f"shift is not hidden: effective Hamiltonian changes by "
+            f"{doc['generator_shift_max']:.3e} (max entry); density residual {residual:.3e}"
+        )
+    want = dict(
+        doc, rho_residual_final=float(diffs[-1]), rho_residual_max=residual, verdict=verdict
+    )
+    assert json.dumps(want, indent=2, sort_keys=True) + "\n" == text
 
 
 def test_symmetry_check_needs_shifts(config_file, capsys) -> None:

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import math
 import textwrap
+from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 
+from trajphase import config
+from trajphase.cli import EXIT_CONFIG, main
 from trajphase.config import (
     ConfigError,
     RunSettings,
@@ -302,3 +306,56 @@ def test_parse_rejects_non_yaml() -> None:
         parse_config("model: [unclosed")
     with pytest.raises(ConfigError):
         parse_config("- a\n- b\n")
+
+
+MATRIX_YAML = """
+model:
+  dim: 3
+  hamiltonian:
+    matrix:
+      - [1.0, 0.0, 0.0]
+      - [0.0, 0.0, 0.0]
+      - [0.0, 0.0, -1.0]
+  lindblads: [annihilation, {matrix: [[0, 1, 0], [1, 0, 0], [0, 0, [0.5, -0.5]]]}]
+  lambda: 0.25
+shifts: [{cell: 0.5, values: [0.0, [0.1, 0.2]]}, [0.3, -0.1]]
+initial_state: {amplitudes: [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}
+run: {T: 1.0, delta_t: 0.01, n_trajectories: 10, seed: 1}
+sweep: {lambda: {start: 0.0, stop: 1.0, count: 4}}
+"""
+
+
+def _scenario_texts() -> list[str]:
+    fig1 = resources.files("trajphase") / "presets" / "fig1.yaml"
+    return [
+        fig1.read_text(),
+        textwrap.dedent(DEPHASING_YAML),
+        textwrap.dedent(DEPHASING_YAML) + "sweep: {f: [0.0, 0.2, 2.0]}\n",
+        textwrap.dedent(MATRIX_YAML),
+    ]
+
+
+def test_pure_python_yaml_gives_the_same_configs(monkeypatch) -> None:
+    texts = _scenario_texts()
+    fast = [parse_config(text) for text in texts]
+    fast_dumps = [serialize_config(cfg) for cfg in fast]
+    fast_docs = [yaml.load(text, Loader=config._LOADER) for text in texts]
+    monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
+    monkeypatch.setattr(config, "_DUMPER", yaml.SafeDumper)
+    for text, cfg, dumped, doc in zip(texts, fast, fast_dumps, fast_docs):
+        assert yaml.load(text, Loader=yaml.SafeLoader) == doc
+        slow = parse_config(text)
+        assert slow.to_mapping() == cfg.to_mapping()
+        assert serialize_config(slow) == dumped
+        assert serialize_config(cfg) == dumped
+
+
+@pytest.mark.parametrize("loader", [yaml.SafeLoader, config._LOADER])
+def test_malformed_yaml_names_its_source(loader, monkeypatch, tmp_path, capsys) -> None:
+    monkeypatch.setattr(config, "_LOADER", loader)
+    with pytest.raises(ConfigError, match=r"^bad\.yaml: not valid YAML: "):
+        parse_config("model: [unclosed", source="bad.yaml")
+    path = tmp_path / "bad.yaml"
+    path.write_text("model: {dim: 2\nrun: [")
+    assert main(["evolve", "--config", str(path)]) == EXIT_CONFIG
+    assert f"config error: {path}: not valid YAML" in capsys.readouterr().err

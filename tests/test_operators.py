@@ -97,6 +97,8 @@ def test_bloch_angle_validation() -> None:
     # Tiny excursions are float noise and get clamped.
     assert BlochAngles(math.pi + 1e-13, 0.0).theta == math.pi
     assert BlochAngles(0.0, -math.pi).phi == pytest.approx(math.pi)
+    # -1e-17 % 2 pi rounds to 2 pi; phi stays inside [0, 2 pi).
+    assert BlochAngles(0.0, -1e-17).phi == 0.0
     with pytest.raises(ValueError):
         bloch_angles(PureState([1.0, 0.0, 0.0]))
 

@@ -31,7 +31,12 @@ from trajphase import (
     propagate_no_jump,
     time_ordered_propagator,
 )
-from trajphase.lindblad import POSITIVITY_HARD_TOL, POSITIVITY_TOL, lower_model
+from trajphase.lindblad import (
+    POSITIVITY_HARD_TOL,
+    POSITIVITY_TOL,
+    _check_states,
+    lower_model,
+)
 from trajphase.operators import run_states, step_propagators
 
 STATE_RTOL = 1e-12
@@ -138,9 +143,10 @@ def test_propagate_no_jump_keeps_weak_damping() -> None:
 def test_no_jump_phase_refuses_an_unresolved_crossing() -> None:
     # The overlap passes through zero between grid points near t = pi, so
     # every refined grid has a step that turns it by pi. The tracker must
-    # refuse rather than follow a generator with its non-normal part dropped.
+    # refuse rather than follow a generator with its non-normal part dropped,
+    # and name the finest grid it tracked: 4096 steps doubled six times.
     psi0 = np.array([math.cos(0.3), 1j * math.sin(0.3)])
-    with pytest.raises(BranchTrackingError):
+    with pytest.raises(BranchTrackingError, match=r"after refining to 262144 steps$"):
         no_jump_geometric_phase(_driven_damped_qubit(1e-3), psi0, 2 * math.pi)
 
 
@@ -292,3 +298,54 @@ def test_blow_up_raises_without_numpy_warnings() -> None:
     assert message.startswith("step 1 (t = ")
     assert caught == []
 
+
+
+def _diagonal_stack(lows):
+    """Qubit states diag(1 - low, low), one per step, with unit trace."""
+    return np.array([np.diag([1.0 - low, low]) for low in lows], dtype=complex)
+
+
+def _checked(rhos, monkeypatch):
+    """(warning texts, eigvalsh calls) of `_check_states` on a synthetic stack."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    times = 0.25 * np.arange(1, len(rhos) + 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _check_states(rhos, times)
+    return [str(w.message) for w in caught], calls
+
+
+def test_positivity_screen_skips_eigenvalues_of_valid_states(monkeypatch) -> None:
+    rhos = _diagonal_stack([0.5, 0.0, 1e-3, -0.25 * POSITIVITY_TOL])
+    assert _checked(rhos, monkeypatch) == ([], [])
+
+
+def test_positivity_screen_failing_within_roundoff_stays_silent(monkeypatch) -> None:
+    # Below -tol/2 the factorization fails, but -0.75 tol is still roundoff.
+    rhos = _diagonal_stack([0.5, -0.75 * POSITIVITY_TOL, 0.3])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(rhos + 0.5 * POSITIVITY_TOL * np.eye(2))
+    assert _checked(rhos, monkeypatch) == ([], [3])
+
+
+def test_positivity_check_warns_with_the_step(monkeypatch) -> None:
+    rhos = _diagonal_stack([0.5, 0.5, -2.0 * POSITIVITY_TOL, 0.5])
+    low = float(np.linalg.eigvalsh(rhos[2]).min())
+    messages, calls = _checked(rhos, monkeypatch)
+    assert messages == [f"density eigenvalue {low} at step 3 is beyond roundoff"]
+    assert calls == [4]
+
+
+def test_positivity_check_raises_below_the_hard_limit(monkeypatch) -> None:
+    rhos = _diagonal_stack([-2.0 * POSITIVITY_TOL, 0.5, -2.0 * POSITIVITY_HARD_TOL, -0.1])
+    low = float(np.linalg.eigvalsh(rhos[2]).min())
+    with pytest.raises(IntegrationError) as info:
+        _checked(rhos, monkeypatch)
+    assert str(info.value) == f"step 3 (t = 0.75): eigenvalue {low} below -{POSITIVITY_HARD_TOL}"

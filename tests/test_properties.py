@@ -1,14 +1,17 @@
-"""Unraveling freedoms as properties over random small models: dim 2-4,
-1-3 channels, coupling strength at most 0.5. Hypothesis runs a fixed set of
-examples (derandomize=True), so the suite stays deterministic; an example
-that raises fails the test."""
+"""Properties over random inputs: the unraveling freedoms over random small
+models (dim 2-4, 1-3 channels, coupling strength at most 0.5), and the
+serialize/parse round trip over random scenarios. Hypothesis runs a fixed
+set of examples (derandomize=True), so the suite stays deterministic; an
+example that raises fails the test."""
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+import yaml
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trajphase.config import parse_config, serialize_config
 from trajphase.jump import gauge_transform_check, no_jump_geometric_phase
 from trajphase.lindblad import LindbladModel, apply_unitary_mixing
 from trajphase.operators import Operator, wrap_phase
@@ -68,3 +71,102 @@ def test_unitary_channel_mixing_leaves_the_phase_unchanged(system) -> None:
     base = no_jump_geometric_phase(model, vec, total_time)
     other = no_jump_geometric_phase(mixed, vec, total_time)
     assert abs(wrap_phase(other.phase - base.phase)) <= TOL
+
+
+_NUMBER = st.floats(-10.0, 10.0, allow_subnormal=False)
+_PAIR = st.lists(_NUMBER, min_size=2, max_size=2)
+
+
+def _matrix_literal(dim: int):
+    entry = st.one_of(_NUMBER, _PAIR)
+    return st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+
+
+def _shift_literal():
+    value = st.one_of(_NUMBER, _PAIR)
+    piecewise = st.fixed_dictionaries(
+        {"cell": st.floats(0.01, 5.0), "values": st.lists(value, min_size=1, max_size=4)}
+    )
+    return st.one_of(value, piecewise)
+
+
+def _sweep_axis(low: float, high: float):
+    values = st.floats(low, high, allow_subnormal=False)
+    spaced = st.fixed_dictionaries(
+        {"start": values, "stop": values, "count": st.integers(1, 5)}
+    )
+    return st.one_of(st.lists(values, min_size=1, max_size=4), spaced)
+
+
+@st.composite
+def scenarios(draw):
+    """A random valid scenario document, as YAML text."""
+    precession = draw(st.booleans())
+    dim = 2 if precession else draw(st.integers(2, 3))
+    if precession:
+        hamiltonian = {"preset": "precession", "omega": draw(_NUMBER)}
+    else:
+        hamiltonian = {"matrix": draw(_matrix_literal(dim))}
+    presets = ["annihilation"]
+    if dim == 2:
+        presets += ["sigma_x", "sigma_y", "sigma_z", "sigma_minus"]
+    literal = st.builds(lambda m: {"matrix": m}, _matrix_literal(dim))
+    channel = st.one_of(st.sampled_from(presets), literal)
+    lindblads = draw(st.lists(channel, min_size=1, max_size=3))
+    doc = {
+        "model": {
+            "dim": dim,
+            "hamiltonian": hamiltonian,
+            "lindblads": lindblads,
+            "lambda": draw(st.floats(0.0, 5.0)),
+        }
+    }
+    if draw(st.booleans()):
+        count = len(lindblads)
+        doc["shifts"] = draw(st.lists(_shift_literal(), min_size=count, max_size=count))
+    if dim == 2 and draw(st.booleans()):
+        doc["initial_state"] = {"theta": draw(st.floats(0.0, np.pi)), "phi": draw(_NUMBER)}
+    else:
+        # Norms that underflow are refused as zero vectors; keep clear of them.
+        vectors = st.lists(_PAIR, min_size=dim, max_size=dim)
+        amplitudes = draw(vectors.filter(lambda a: np.max(np.abs(a)) > 1e-100))
+        doc["initial_state"] = {"amplitudes": amplitudes}
+    run = {}
+    for key, value in (
+        ("T", st.floats(0.0, 10.0)),
+        ("steps", st.integers(1, 10_000)),
+        ("delta_t", st.floats(1e-4, 1.0)),
+        ("n_trajectories", st.integers(1, 10_000)),
+        ("seed", st.integers(0, 2**31)),
+    ):
+        if draw(st.booleans()):
+            run[key] = draw(value)
+    doc["run"] = run
+    axes = {"f": _sweep_axis(-5.0, 5.0), "lambda": _sweep_axis(0.0, 5.0)}
+    if "theta" in doc["initial_state"]:
+        axes["theta0"] = _sweep_axis(0.0, np.pi)
+    names = draw(st.lists(st.sampled_from(sorted(axes)), max_size=2, unique=True))
+    if names:
+        doc["sweep"] = {name: draw(axes[name]) for name in names}
+    return yaml.safe_dump(doc)
+
+
+# -1e-17 % 2 pi rounds to 2 pi itself, which the next parse would read as 0.
+TINY_NEGATIVE_PHI = """\
+model: {dim: 2, hamiltonian: {preset: precession, omega: 1.0}, lindblads: [sigma_z], lambda: 0.5}
+initial_state: {theta: 1.0, phi: -1.0e-17}
+"""
+
+
+@PROPERTY
+@given(scenarios())
+@example(TINY_NEGATIVE_PHI)
+def test_serialized_scenarios_parse_back_to_themselves(text) -> None:
+    cfg = parse_config(text)
+    dumped = serialize_config(cfg)
+    again = parse_config(dumped)
+    assert again.to_mapping() == cfg.to_mapping()
+    assert serialize_config(again) == dumped
+    # libyaml and the pure-Python classes read and write the same documents.
+    assert yaml.load(dumped, Loader=yaml.SafeLoader) == cfg.to_mapping()
+    assert yaml.dump(cfg.to_mapping(), Dumper=yaml.SafeDumper, sort_keys=True) == dumped

@@ -32,6 +32,7 @@ from .operators import (
     annihilation,
     bloch_state,
     pauli,
+    unit_vector,
 )
 
 SWEEPABLE = ("f", "lambda", "theta0")
@@ -331,12 +332,11 @@ def _parse_initial(node) -> tuple[PureState, Optional[BlochAngles]]:
         amps = np.array(
             [_complex_scalar(v, f"initial_state.amplitudes[{i}]") for i, v in enumerate(raw)]
         )
-        norm = np.linalg.norm(amps)
-        if norm == 0:
+        if not amps.any():
             raise ConfigError("initial_state.amplitudes", "state vector is zero")
         # Keep already-normalized input bit-exact so serialization round-trips.
-        if abs(norm - 1.0) > 1e-12:
-            amps = amps / norm
+        if abs(np.linalg.norm(amps) - 1.0) > 1e-12:
+            amps = unit_vector(amps)
         return PureState(amps), None
     if "theta" in section:
         theta = _need_number(section["theta"], "initial_state.theta")

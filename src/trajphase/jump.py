@@ -49,6 +49,7 @@ from .operators import (
     run_states,
     simpson,
     step_propagators,
+    unit_vector,
 )
 
 # Unused here; bench/tracing.py wraps these names on this module.
@@ -190,7 +191,8 @@ def shifted_no_jump_hamiltonian(model: LindbladModel, shifts: ShiftSet) -> Opera
 
 def _state_vector(psi) -> np.ndarray:
     vec = np.asarray(getattr(psi, "amplitudes", psi), dtype=complex).reshape(-1)
-    if np.linalg.norm(vec) == 0.0:
+    # A norm would underflow to 0 for tiny nonzero amplitudes.
+    if not vec.any():
         raise ValueError("state vector must be nonzero")
     return vec
 
@@ -441,8 +443,7 @@ def sample_jump_trajectory(
             stacklevel=2,
         )
     advance = _JumpStep(model, shifts, total_time, steps, 1)
-    vec = _state_vector(psi0)
-    vec = vec / np.linalg.norm(vec)
+    vec = unit_vector(_state_vector(psi0))
 
     u_jump = rng.random(steps)
     u_chan = rng.random(steps)
@@ -534,8 +535,7 @@ def average_jump_ensemble(
     """
     if n_trajectories < 1:
         raise ValueError("n_trajectories must be >= 1")
-    vec = _state_vector(psi0)
-    vec = vec / np.linalg.norm(vec)
+    vec = unit_vector(_state_vector(psi0))
     steps, dt = sampling_grid(total_time, delta_t)
     if model.strength * dt > 0.1:
         warnings.warn(

@@ -19,6 +19,12 @@ shifts into per-cell matrices (shifted channels, their squares, the no-jump
 generator K_tilde and the Hermitian K) once; every propagator reads those.
 `apply_shift` and `shifted_hamiltonian` are schedule views of the same
 lowering.
+
+The master equation is linear in rho with a piecewise-constant generator,
+so `evolve_states` solves it exactly: each cell's Liouvillian S_c, a
+d^2 x d^2 matrix on vec(rho), is exponentiated once, exp(dt S_c), and
+runs of steps in one cell are propagated by powers of that map, with the
+same step-to-cell rule and run kernel as the no-jump branch.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .operators import (
+    DEFAULT_SUBSTEPS,
     Operator,
     OperatorSchedule,
     ScalarSchedule,
@@ -38,17 +45,16 @@ from .operators import (
     combine_schedules,
     identity,
     is_hermitian,
-    key_runs,
     run_states,
+    step_propagators,
+    unit_vector,
 )
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
-# Eigenvalues below this are integrator blow-up, not roundoff.
+# Eigenvalues below this are a broken state, not roundoff.
 POSITIVITY_HARD_TOL = 1e-6
-
-DEFAULT_DENSITY_STEPS = 4096
 
 
 class IntegrationError(RuntimeError):
@@ -94,10 +100,9 @@ class DensityMatrix:
         ).reshape(-1)
         if not np.isfinite(vec).all():
             raise ValueError("density matrix has non-finite entries")
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
+        if not vec.any():
             raise ValueError("cannot build a density matrix from the zero vector")
-        vec = vec / norm
+        vec = unit_vector(vec)
         return cls(np.outer(vec, vec.conj()))
 
     @classmethod
@@ -250,17 +255,6 @@ def _liouvillian(terms: CellTerms, strength: float) -> np.ndarray:
     return out
 
 
-def _rk4_map(s1: np.ndarray, s2: np.ndarray, s4: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of d rho/dt = S rho as a matrix, with stage one
-    on S1, the middle stages on S2 and stage four on S4."""
-    one = np.eye(s1.shape[0])
-    k1 = s1
-    k2 = s2 @ (one + 0.5 * h * k1)
-    k3 = s2 @ (one + 0.5 * h * k2)
-    k4 = s4 @ (one + h * k3)
-    return one + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-
 def _checked_density(entries: np.ndarray) -> DensityMatrix:
     """DensityMatrix around read-only entries whose Hermiticity and trace
     the caller has already checked."""
@@ -279,15 +273,13 @@ def evolve_density(
     model: LindbladModel,
     rho0: DensityMatrix,
     total_time: float,
-    steps: int = DEFAULT_DENSITY_STEPS,
+    steps: int = DEFAULT_SUBSTEPS,
 ) -> list[tuple[float, DensityMatrix]]:
-    """Integrate the master equation with fixed-step RK4.
+    """Solve the master equation on a uniform grid of `steps` steps.
 
-    Returns the density matrix on the full uniform grid including both
-    endpoints. Each RK4 step is one linear map on vec(rho), so runs of steps
-    with equal maps are propagated by its powers; the grid states are then
-    checked once, in step order, against the density-matrix invariants, and
-    positivity violations worse than roundoff abort with the offending step.
+    Returns the density matrix on the full grid including both endpoints,
+    as (time, state) pairs: the list form of `evolve_states`, whose exact
+    per-cell maps and once-per-grid checks it shares.
     """
     times, rhos = evolve_states(lower_model(model), rho0, total_time, steps)
     return [(0.0, rho0)] + [
@@ -299,22 +291,22 @@ def evolve_states(
     lowered: LoweredModel,
     rho0: DensityMatrix,
     total_time: float,
-    steps: int = DEFAULT_DENSITY_STEPS,
+    steps: int = DEFAULT_SUBSTEPS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grid times and the read-only (steps + 1, d, d) stack of checked
-    density matrices of the RK4 master-equation solution, rho0 first.
+    density matrices of the master-equation solution, rho0 first.
 
-    The middle RK4 stages use the step's cell; the end stages read the cell
-    of their own time, so a stage that straddles a switch sees the new cell.
-    The step is the exact RK4 arithmetic written as one d^2 x d^2 matrix
-    (`_rk4_map`), built once per distinct (first, middle, last) cell triple
-    and applied through `operators.run_states`. All grid states are then
-    re-symmetrized and checked at once by `_check_states`: trace and
-    finiteness, then positivity. Positivity is screened by one batched
-    Cholesky factorization of rho + (POSITIVITY_TOL / 2) I; it succeeds only
-    when no eigenvalue lies below -POSITIVITY_TOL, so nothing can warn or
-    raise and no eigenvalue is computed. When it fails, one stacked eigvalsh
-    finds the eigenvalues: the first step that fails any check raises
+    A step of cell c is exp(dt S_c) on the row-major vec(rho), S_c being the
+    cell's `_liouvillian`: one matrix exponential per cell used, from
+    `operators.step_propagators` (a step takes the cell of its midpoint),
+    applied through `operators.run_states` as for the no-jump branch. On a
+    grid whose steps line up with the cells this is exact up to roundoff,
+    however coarse. All grid states are then re-symmetrized and checked at
+    once by `_check_states`: trace and finiteness, then positivity, screened
+    by one batched Cholesky factorization of rho + (POSITIVITY_TOL / 2) I
+    that succeeds only when no eigenvalue lies below -POSITIVITY_TOL. The
+    maps preserve trace and positivity, so a failed check is a broken
+    invariant, not a coarse grid: the first step that fails raises
     IntegrationError, and eigenvalues below -POSITIVITY_TOL at earlier steps
     warn.
     """
@@ -322,33 +314,16 @@ def evolve_states(
         raise ValueError("steps must be >= 1")
     if total_time < 0:
         raise ValueError("total_time must be >= 0")
-    dt = total_time / steps
-    starts = np.arange(steps) * dt
-    first = lowered.cells_at(starts)
-    middle = lowered.step_cells(0.0, total_time, steps)
-    last = lowered.cells_at(starts + dt)
-    # One key per (first, middle, last) triple; all three only grow with the
-    # step, so each key forms a single run.
-    count = len(lowered.values)
-    keys = (first * count + middle) * count + last
-    lam = lowered.strength
-    used = np.unique(np.concatenate([first, middle, last])).tolist()
-    supers = {c: _liouvillian(lowered.values[c], lam) for c in used}
-    maps = {
-        key: _rk4_map(supers[first[a]], supers[middle[a]], supers[last[a]], dt)
-        for a, _, key in key_runs(keys)
-    }
-
+    # exp(-i dt (i S_c)) = exp(dt S_c).
+    generator = lowered.operators(lambda c: 1j * _liouvillian(c, lowered.strength))
+    maps, cells = step_propagators(generator, 0.0, total_time, steps)
     dim = rho0.dim
-    # A grid far too coarse may blow up; the checks name the step.
-    with np.errstate(over="ignore", invalid="ignore"):
-        flat = run_states(maps, keys, rho0.entries.reshape(-1))
-        stack = flat.reshape(steps + 1, dim, dim)
-        rhos = stack[1:]
-        # Re-symmetrize to drop the skew part roundoff leaves behind.
-        rhos[...] = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
+    stack = run_states(maps, cells, rho0.entries.reshape(-1)).reshape(steps + 1, dim, dim)
+    rhos = stack[1:]
+    # Re-symmetrize to drop the skew part roundoff leaves behind.
+    rhos[...] = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
     stack.setflags(write=False)
-    times = np.arange(steps + 1) * dt
+    times = np.arange(steps + 1) * (total_time / steps)
     _check_states(rhos, times[1:])
     return times, stack
 

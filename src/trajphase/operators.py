@@ -86,6 +86,21 @@ class Operator:
         return f"Operator(dim={self.dim})"
 
 
+def unit_vector(vec: np.ndarray) -> np.ndarray:
+    """vec / ||vec|| for a finite vector that is not zero.
+
+    The entries are first divided by the power of two just above their
+    largest modulus, so the squares in the norm cannot underflow: [0, 1e-300]
+    gives [0, 1]. Powers of two scale exactly, so wherever the plain norm does
+    not underflow or overflow the result is vec / ||vec|| to the last bit.
+    """
+    _, exponent = np.frexp(np.abs(vec).max())
+    # Two halves, as 2^-exponent alone can overflow for subnormal entries.
+    half = int(exponent) // 2
+    vec = vec * 2.0**-half * 2.0 ** (half - int(exponent))
+    return vec / np.linalg.norm(vec)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class PureState:
     """State vector, not necessarily normalized."""
@@ -108,10 +123,9 @@ class PureState:
         return float(np.linalg.norm(self.amplitudes))
 
     def normalized(self) -> "PureState":
-        n = self.norm
-        if n == 0.0:
+        if not self.amplitudes.any():
             raise ValueError("cannot normalize the zero vector")
-        return PureState(self.amplitudes / n)
+        return PureState(unit_vector(self.amplitudes))
 
     def overlap(self, other: "PureState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
@@ -164,6 +178,8 @@ def bloch_path(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("expected an (n, 2) array of amplitudes")
     theta = 2.0 * np.arctan2(np.abs(states[:, 1]), np.abs(states[:, 0]))
     phi = np.angle(states[:, 1] * np.conj(states[:, 0])) % math.tau
+    # As in BlochAngles: a tiny negative angle rounds up to 2 pi itself.
+    phi[phi == math.tau] = 0.0
     return theta, phi
 
 

@@ -37,13 +37,17 @@ from ._ensemble import (
     trajectory_seeds,
 )
 from .lindblad import DensityMatrix, LindbladModel, ShiftSet, evolve_states, lower_model
-from .operators import PureState, key_runs, simpson
+from .operators import key_runs, simpson
 
 # Unused here; bench/tracing.py wraps these names on this module.
 from .lindblad import apply_shift, evolve_density, shifted_hamiltonian  # noqa: F401
 
 NORM_OVERFLOW = 1e100
 CHECKPOINT_INTERVALS = 64
+# Grid of the Simpson rule of the dynamical term. rho(t) is exact on any
+# grid, so this sets only the quadrature; a fixed count keeps the stack of
+# grid states bounded whatever T is.
+DENSITY_STEPS = 2048
 # Trajectories per worker batch.
 DEFAULT_CHUNK = 2048
 
@@ -95,35 +99,6 @@ class QSDEnsembleResult:
         if scale == 0.0:
             return float("inf")
         return self.std_error / scale
-
-
-def wiener_increments(channels: int, delta_t: float, rng: np.random.Generator) -> np.ndarray:
-    """One complex increment per channel: sqrt(dt/2) * (xi_1 + i xi_2)."""
-    if delta_t <= 0:
-        raise ValueError("delta_t must be positive")
-    raw = rng.standard_normal((channels, 2))
-    return np.sqrt(delta_t / 2.0) * (raw[:, 0] + 1j * raw[:, 1])
-
-
-def qsd_step(
-    model: LindbladModel,
-    phi,
-    t: float,
-    delta_t: float,
-    dw: np.ndarray,
-    shifts: Optional[ShiftSet] = None,
-) -> PureState:
-    """One linear Euler-Maruyama step; phi is not renormalized."""
-    vec = np.asarray(getattr(phi, "amplitudes", phi), dtype=complex).reshape(-1)
-    dw = np.asarray(dw, dtype=complex).reshape(-1)
-    if len(dw) != len(model.lindblads):
-        raise ValueError("one Wiener increment per channel required")
-    terms = lower_model(model, shifts).value_at(t)
-    out = vec + delta_t * (-1j * terms.k_tilde @ vec)
-    root = np.sqrt(model.strength)
-    for l, inc in zip(terms.channels, dw):
-        out = out + root * inc * (l @ vec)
-    return PureState(out)
 
 
 def _checkpoint_indices(steps: int, intervals: int) -> np.ndarray:
@@ -284,7 +259,7 @@ def _energy_trace(lowered, times: np.ndarray, rhos: np.ndarray) -> np.ndarray:
 
 
 def _point_result(
-    lowered, rho0: DensityMatrix, config: QSDConfig, density_steps: int, chunks: list[tuple]
+    lowered, rho0: DensityMatrix, config: QSDConfig, chunks: list[tuple]
 ) -> QSDEnsembleResult:
     """Reduce one point's chunk sums, in chunk order, and add its dynamical
     term; NaN estimates if every trajectory overflowed."""
@@ -312,9 +287,9 @@ def _point_result(
     else:
         std_error = 0.0
     overlap_arg = float(np.sum(np.angle(means[1:] * np.conj(means[:-1]))))
-    times, rhos = evolve_states(lowered, rho0, config.total_time, density_steps)
+    times, rhos = evolve_states(lowered, rho0, config.total_time, DENSITY_STEPS)
     values = _energy_trace(lowered, times, rhos)
-    dynamical = simpson(values, config.total_time / density_steps)
+    dynamical = simpson(values, config.total_time / DENSITY_STEPS)
     return QSDEnsembleResult(
         mean_overlap=mean_overlap,
         std_error=std_error,
@@ -331,7 +306,6 @@ def averaged_geometric_phases(
     phi0,
     config: QSDConfig,
     shift_sets: Sequence[Optional[ShiftSet]],
-    density_steps: int = 2048,
     chunk_size: int = DEFAULT_CHUNK,
 ) -> list[QSDEnsembleResult]:
     """Averaged geometric phase of the diffusive unraveling at each shift
@@ -342,7 +316,8 @@ def averaged_geometric_phases(
     unwrapped through per-point checkpoint means: at least 64 intervals,
     and enough that the drift turns the overlap by at most pi/4 per
     interval. The dynamical term integrates Tr[rho(t) K(t)] along the
-    deterministic master-equation solution of the model actually simulated.
+    exact master-equation solution of the model actually simulated, by
+    Simpson's rule on DENSITY_STEPS steps.
     A point where every trajectory overflowed has n_used 0 and NaN
     estimates, its dynamical term included.
     """
@@ -362,7 +337,7 @@ def averaged_geometric_phases(
     out = []
     for p, shifts in enumerate(shift_sets):
         chunks = [r[p] for r in results]
-        out.append(_point_result(lower_model(model, shifts), rho0, config, density_steps, chunks))
+        out.append(_point_result(lower_model(model, shifts), rho0, config, chunks))
     return out
 
 
@@ -371,14 +346,11 @@ def averaged_geometric_phase(
     phi0,
     config: QSDConfig,
     shifts: Optional[ShiftSet] = None,
-    density_steps: int = 2048,
     chunk_size: int = DEFAULT_CHUNK,
 ) -> QSDEnsembleResult:
     """`averaged_geometric_phases` at one shift set; raises AllOverflowError
     if every trajectory overflowed."""
-    (res,) = averaged_geometric_phases(
-        model, phi0, config, [shifts], density_steps, chunk_size
-    )
+    (res,) = averaged_geometric_phases(model, phi0, config, [shifts], chunk_size)
     if res.n_used == 0:
         raise AllOverflowError(res.n_excluded)
     return res

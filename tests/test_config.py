@@ -164,6 +164,17 @@ def test_initial_state_errors() -> None:
     assert err.value.path == "initial_state.theta"
 
 
+def test_tiny_amplitudes_are_not_a_zero_vector() -> None:
+    # 3.55e-281 squared underflows to 0; the state is still |1>.
+    cfg = _parse(
+        DEPHASING_YAML.replace(
+            "initial_state: {theta: 1.5707963267948966, phi: 0.0}",
+            "initial_state: {amplitudes: [0.0, 3.55e-281]}",
+        )
+    )
+    assert cfg.initial_state.amplitudes.tolist() == [0.0, 1.0]
+
+
 def test_run_settings() -> None:
     cfg = _parse(DEPHASING_YAML)
     assert cfg.run.require("total_time", "evolve") == pytest.approx(2 * math.pi)

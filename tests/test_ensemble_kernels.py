@@ -363,7 +363,7 @@ def test_qsd_ensemble_invariant_to_threads_and_chunks(monkeypatch) -> None:
     config = QSDConfig(CELLS * CELL, 1e-2, 48, seed=8)
 
     def run(chunk: int) -> tuple:
-        res = averaged_geometric_phase(model, vec, config, shifts, 64, chunk)
+        res = averaged_geometric_phase(model, vec, config, shifts, chunk_size=chunk)
         return res.mean_overlap, res.std_error, res.overlap_arg, res.phase, res.n_used
 
     outs = {}

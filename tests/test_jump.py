@@ -13,6 +13,7 @@ from trajphase.dephasing import (
     bloch_spiral,
     closed_form_no_jump_phase,
     closed_form_survival,
+    decay_model,
     dephasing_model,
 )
 from trajphase.jump import (
@@ -247,6 +248,19 @@ def test_sample_trajectory_reproducible_and_normalized() -> None:
     assert np.max(np.abs(norms - 1.0)) < 1e-12
     assert recs[0].survival == (1.0 if not recs[0].jumps else 0.0)
     assert all(event.channel == 0 for event in recs[0].jumps)
+
+
+def test_tiny_initial_amplitudes_are_not_a_zero_vector() -> None:
+    # 3.55e-281 squared underflows to 0; the state is still |0>, which decays.
+    model = decay_model(OMEGA, 0.5)
+    tiny, pole = np.array([3.55e-281, 0.0]), np.array([1.0, 0.0])
+    runs = [
+        sample_jump_trajectory(model, psi, 2.0, 1e-2, np.random.default_rng(5))
+        for psi in (tiny, pole)
+    ]
+    assert runs[0].states.tobytes() == runs[1].states.tobytes()
+    assert runs[0].jumps == runs[1].jumps
+    assert runs[0].jumps
 
 
 def test_sample_trajectory_warns_on_crude_step() -> None:

@@ -54,7 +54,7 @@ def _jump_result(model, shifts):
 
 def _qsd_result(model, shifts):
     config = QSDConfig(total_time=0.5, delta_t=1e-2, n_trajectories=64, seed=3)
-    res = averaged_geometric_phase(model, EQUATOR, config, shifts=shifts, density_steps=64)
+    res = averaged_geometric_phase(model, EQUATOR, config, shifts=shifts)
     return res.mean_overlap, res.std_error, res.overlap_arg, res.dynamical_term
 
 

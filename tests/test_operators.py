@@ -79,6 +79,8 @@ def test_pure_state_norm_and_overlap() -> None:
     assert unit.overlap(unit) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         PureState(np.zeros(2)).normalized()
+    # 3.55e-281 squared underflows to 0; the state is still |1>.
+    assert PureState([0.0, 3.55e-281]).normalized().amplitudes.tolist() == [0.0, 1.0]
 
 
 def test_bloch_round_trip() -> None:
@@ -108,6 +110,15 @@ def test_bloch_path_matches_scalar_conversion() -> None:
     theta, phi = bloch_path(states)
     assert theta == pytest.approx([0.2, 1.0, 2.9])
     assert phi == pytest.approx([0.3, 0.3, 0.3])
+
+
+def test_bloch_path_stores_phi_below_two_pi() -> None:
+    # The relative phase is a tiny negative angle, which % 2 pi rounds up
+    # to 2 pi itself; like BlochAngles, the path stores 0.
+    states = np.array([[1.0, 0.5 - 1e-18j]])
+    _, phi = bloch_path(states)
+    assert phi.tolist() == [0.0]
+    assert phi.tolist() == [bloch_angles(PureState(states[0])).phi]
 
 
 def test_schedule_lookup_and_range() -> None:

@@ -10,7 +10,6 @@ whose steps do not line up with the cells.
 from __future__ import annotations
 
 import math
-import re
 import warnings
 
 import numpy as np
@@ -35,6 +34,7 @@ from trajphase.lindblad import (
     POSITIVITY_HARD_TOL,
     POSITIVITY_TOL,
     _check_states,
+    evolve_states,
     lower_model,
 )
 from trajphase.operators import run_states, step_propagators
@@ -42,7 +42,6 @@ from trajphase.operators import run_states, step_propagators
 STATE_RTOL = 1e-12
 RHO_ATOL = 1e-12
 PRODUCT_RTOL = 1e-12
-EIGENVALUE_RTOL = 1e-9
 
 
 def _random_complex(rng, dim):
@@ -165,42 +164,25 @@ def test_time_ordered_propagator_matches_explicit_product(seed) -> None:
     assert np.max(np.abs(got - want)) <= PRODUCT_RTOL * np.max(np.abs(want))
 
 
+def _superoperator(model, t, dim):
+    """rho -> lindblad_rhs(model, rho, t) as a matrix on the row-major
+    vec(rho), one column per matrix unit."""
+    units = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
+    return np.stack(
+        [lindblad_rhs(model, unit, t).entries.reshape(-1) for unit in units], axis=1
+    )
+
+
 def _reference_evolve(model, rho0, total_time, steps):
-    """Fixed-step RK4 on rho, one step at a time: stage one reads the cell of
-    the step start, the middle stages the step's midpoint cell, stage four
-    the cell of the step end. Checks every state as it goes."""
+    """rho on the grid, as a (steps + 1, d, d) stack, by one scipy expm(dt S)
+    per step, S being the right-hand side at the step's midpoint."""
     dt = total_time / steps
-
-    def rhs(t, rho):
-        return lindblad_rhs(model, rho, t).entries
-
-    rho = rho0.entries.copy()
-    out = [(0.0, rho0)]
+    vec = rho0.entries.reshape(-1)
+    out = [vec]
     for k in range(steps):
-        t = k * dt
-        k1 = rhs(t, rho)
-        k2 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k2)
-        k4 = rhs(t + dt, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        rho = 0.5 * (rho + rho.conj().T)
-        t_next = (k + 1) * dt
-        try:
-            state = DensityMatrix(rho)
-        except ValueError as exc:
-            raise IntegrationError(f"step {k + 1} (t = {t_next:g}): {exc}") from exc
-        low = float(np.min(np.linalg.eigvalsh(rho)))
-        if low < -POSITIVITY_HARD_TOL:
-            raise IntegrationError(
-                f"step {k + 1} (t = {t_next:g}): eigenvalue {low} below -{POSITIVITY_HARD_TOL}"
-            )
-        if low < -POSITIVITY_TOL:
-            warnings.warn(
-                f"density eigenvalue {low} at step {k + 1} is beyond roundoff",
-                RuntimeWarning,
-            )
-        out.append((t_next, state))
-    return out
+        vec = scipy.linalg.expm(dt * _superoperator(model, (k + 0.5) * dt, rho0.dim)) @ vec
+        out.append(vec)
+    return np.array(out).reshape(steps + 1, rho0.dim, rho0.dim)
 
 
 def _random_piecewise_model(rng, dim, cells, total):
@@ -227,7 +209,7 @@ def _random_rho(rng, dim):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_evolve_density_matches_rk4_loop(seed) -> None:
+def test_evolve_density_matches_expm_product(seed) -> None:
     rng = np.random.default_rng(300 + seed)
     dim = int(rng.integers(2, 4))
     total, steps = 3.0, 70
@@ -236,9 +218,13 @@ def test_evolve_density_matches_rk4_loop(seed) -> None:
     rho0 = _random_rho(rng, dim)
     got = evolve_density(model, rho0, total, steps=steps)
     want = _reference_evolve(model, rho0, total, steps)
-    assert [t for t, _ in got] == [t for t, _ in want]
-    worst = max(np.max(np.abs(a.entries - b.entries)) for (_, a), (_, b) in zip(got, want))
+    assert [t for t, _ in got] == [k * (total / steps) for k in range(steps + 1)]
+    worst = max(np.max(np.abs(a.entries - b)) for (_, a), b in zip(got, want))
     assert worst <= RHO_ATOL
+    # One step per cell: each step is the whole cell's exponential.
+    got = evolve_density(model, rho0, total, steps=3)
+    want = _reference_evolve(model, rho0, total, 3)
+    assert max(np.max(np.abs(a.entries - b)) for (_, a), b in zip(got, want)) <= RHO_ATOL
 
 
 def _dephasing(strength, omega=1.0):
@@ -252,52 +238,41 @@ def _dephasing(strength, omega=1.0):
 EQUATOR = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
 
 
-def _failure(run):
+def _quietly(run):
+    """run() and the texts of the warnings it raised."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(IntegrationError) as info:
-            run()
-    return str(info.value), [str(w.message) for w in caught]
+        out = run()
+    return out, [str(w.message) for w in caught]
 
 
-def test_integration_error_names_the_reference_step() -> None:
-    model = _dephasing(40.0)
-    got = _failure(lambda: evolve_density(model, EQUATOR, 2.0, steps=4))
-    want = _failure(lambda: _reference_evolve(model, EQUATOR, 2.0, 4))
-    assert got == want
-
-
-_WARNING = re.compile(r"density eigenvalue (\S+) at step (\d+) is beyond roundoff")
-
-
-def test_positivity_warnings_keep_their_text() -> None:
-    # Closed system with omega * dt just past RK4's stability limit 2 sqrt 2
-    # on the imaginary axis: the coherence grows by about 1e-8 per step, so
-    # the low eigenvalue warns from step 1 and crosses the hard limit later.
-    steps = 400
-    omega = (2.0 * math.sqrt(2.0) + 4e-9) * steps / 2.0
-    model = _dephasing(0.0, omega)
-    got_error, got = _failure(lambda: evolve_density(model, EQUATOR, 2.0, steps=steps))
-    want_error, want = _failure(lambda: _reference_evolve(model, EQUATOR, 2.0, steps))
-    assert got_error.split(":")[0] == want_error.split(":")[0]
-    assert len(want) > 100
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        ma, mb = _WARNING.fullmatch(a), _WARNING.fullmatch(b)
-        assert ma and mb
-        assert ma.group(2) == mb.group(2)
-        assert float(ma.group(1)) == pytest.approx(float(mb.group(1)), rel=EIGENVALUE_RTOL)
-
-
-def test_blow_up_raises_without_numpy_warnings() -> None:
-    # |R(3i)| ~ 1.5 per step: left alone the states overflow long before the
-    # last step; the error must come from the check, with no overflow warning.
-    steps = 4000
-    model = _dephasing(0.0, 3.0 * steps / 2.0)
-    message, caught = _failure(lambda: evolve_density(model, EQUATOR, 2.0, steps=steps))
-    assert message.startswith("step 1 (t = ")
+def test_coarse_grid_keeps_the_closed_form_coherence() -> None:
+    # lambda dt = 20: each step is still the exact map of its cell.
+    lam = 40.0
+    (times, rhos), caught = _quietly(
+        lambda: evolve_states(lower_model(_dephasing(lam)), EQUATOR, 2.0, 4)
+    )
     assert caught == []
+    want = 0.5 * np.exp(-(2 * lam + 1j) * times)
+    assert np.max(np.abs(rhos[:, 0, 1] - want)) <= 1e-12
+    assert np.max(np.abs(rhos[:, 0, 1] - want) / np.abs(want)) <= 1e-10
+    for rho in rhos:
+        DensityMatrix(rho).validate()
 
+
+@pytest.mark.parametrize(
+    "steps, turn",
+    [(400, 2.0 * math.sqrt(2.0) + 4e-9), (4000, 3.0)],
+    ids=["400-steps", "4000-steps"],
+)
+def test_large_rotation_per_step_keeps_the_coherence(steps, turn) -> None:
+    # Closed system turning the coherence by `turn` radians per step.
+    model = _dephasing(0.0, turn * steps / 2.0)
+    samples, caught = _quietly(lambda: evolve_density(model, EQUATOR, 2.0, steps=steps))
+    assert caught == []
+    rhos = np.array([rho.entries for _, rho in samples])
+    assert np.max(np.abs(np.abs(rhos[:, 0, 1]) - 0.5)) <= 1e-12
+    assert np.max(np.abs(rhos[:, [0, 1], [0, 1]] - 0.5)) <= 1e-12
 
 
 def _diagonal_stack(lows):
@@ -341,6 +316,35 @@ def test_positivity_check_warns_with_the_step(monkeypatch) -> None:
     messages, calls = _checked(rhos, monkeypatch)
     assert messages == [f"density eigenvalue {low} at step 3 is beyond roundoff"]
     assert calls == [4]
+
+
+def _refused(rhos):
+    """(error text, warning texts) of `_check_states` on a stack it refuses."""
+    times = 0.25 * np.arange(1, len(rhos) + 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(IntegrationError) as info:
+            _check_states(rhos, times)
+    return str(info.value), [str(w.message) for w in caught]
+
+
+def test_blow_up_raises_without_numpy_warnings() -> None:
+    # Blown-up states: nan at step 2, inf at step 4. The check names the
+    # first, and NumPy's own overflow and invalid warnings stay silent.
+    rhos = _diagonal_stack([0.5, 0.5, 0.5, 0.5])
+    rhos[1, 0, 1] = rhos[1, 1, 0] = np.nan
+    rhos[3, 0, 0] = np.inf
+    assert _refused(rhos) == (
+        "step 2 (t = 0.5): density matrix has non-finite entries", []
+    )
+
+
+def test_check_states_names_the_first_trace_defect() -> None:
+    rhos = _diagonal_stack([0.5, 0.5, 0.5, 0.5])
+    rhos[2, 0, 0] += 1e-9
+    assert _refused(rhos) == (
+        "step 3 (t = 0.75): density matrix trace differs from 1 beyond 1e-10", []
+    )
 
 
 def test_positivity_check_raises_below_the_hard_limit(monkeypatch) -> None:

@@ -8,10 +8,12 @@ import time
 import numpy as np
 import pytest
 
+from trajphase._ensemble import grid_steps
 from trajphase.dephasing import (
     DephasingParams,
     closed_form_dynamical_phase,
     closed_form_overlap_phase,
+    dephasing_model,
 )
 from trajphase.lindblad import DensityMatrix, LindbladModel, ShiftSet, evolve_states, lower_model
 from trajphase.operators import (
@@ -27,10 +29,9 @@ from trajphase.qsd import (
     QSDConfig,
     QSDEnsembleResult,
     _energy_trace,
+    _QSDKernel,
     averaged_geometric_phase,
     averaged_overlap,
-    qsd_step,
-    wiener_increments,
 )
 
 EQUATOR = bloch_state(BlochAngles(math.pi / 2, 0.0))
@@ -56,55 +57,71 @@ def test_config_validation() -> None:
         QSDConfig(1e-3, 1e-2, 10, seed=0)
 
 
+def _kernel(model, dt, count, shifts=None) -> _QSDKernel:
+    """The QSD kernel of one step of width dt for `count` trajectories."""
+    return _QSDKernel([lower_model(model, shifts)], dt, 1, EQUATOR.amplitudes, count)
+
+
+def _step(kernel, x, dws) -> np.ndarray:
+    out = np.empty_like(x)
+    kernel.step(0, x, out, dws)
+    return out
+
+
+def _columns(vec, count) -> np.ndarray:
+    return np.repeat(np.asarray(vec, dtype=complex)[:, np.newaxis], count, axis=1)
+
+
 def test_wiener_increment_moments() -> None:
     rng = np.random.default_rng(8)
-    dt = 1e-2
-    draws = np.array([wiener_increments(1, dt, rng)[0] for _ in range(20000)])
-    assert abs(draws.mean()) < 3 * math.sqrt(dt / 20000)
+    dt, n = 1e-2, 20000
+    kernel = _kernel(dephasing_model(1.0, 0.5), dt, n)
+    raw = rng.standard_normal((n, 1, 2))
+    (draws,) = kernel.draws([raw])
+    assert draws.shape == (1, n)
+    # Channel m's pair (xi_1, xi_2) is columns m and C + m of the raw noise.
+    want = math.sqrt(dt / 2.0) * (raw[:, 0, 0] + 1j * raw[:, 0, 1])
+    assert np.max(np.abs(draws[0] - want)) <= 1e-15
+    draws = draws[0]
+    assert abs(draws.mean()) < 3 * math.sqrt(dt / n)
     assert np.mean(np.abs(draws) ** 2) == pytest.approx(dt, rel=0.05)
-    assert abs(np.mean(draws**2)) < 3 * dt / math.sqrt(20000)
+    assert abs(np.mean(draws**2)) < 3 * dt / math.sqrt(n)
     with pytest.raises(ValueError, match="delta_t"):
-        wiener_increments(1, 0.0, rng)
+        grid_steps(1.0, 0.0)
 
 
 def test_qsd_step_deterministic_part() -> None:
-    p = DephasingParams(1.0, 0.0, 0.0, math.pi / 2)
-    out = qsd_step(p.as_model(), EQUATOR, 0.0, 1e-3, np.zeros(1))
+    # Dephasing by sigma_z: sigma_z^dag sigma_z = I, so the drift is
+    # 1 - dt (i H + strength / 2).
+    p = DephasingParams(1.0, 0.5, 0.0, math.pi / 2)
+    dt = 1e-3
+    out = _step(_kernel(p.as_model(), dt, 1), _columns(EQUATOR.amplitudes, 1), np.zeros((1, 1)))
     h = np.diag([0.5, -0.5])
-    want = EQUATOR.amplitudes - 1e-3 * 1j * (h @ EQUATOR.amplitudes)
-    assert np.max(np.abs(out.amplitudes - want)) < 1e-15
+    want = EQUATOR.amplitudes - dt * (1j * h @ EQUATOR.amplitudes + 0.25 * EQUATOR.amplitudes)
+    assert np.max(np.abs(out[:, 0] - want)) < 1e-15
 
 
 def test_qsd_step_is_linear() -> None:
     p = DephasingParams(1.0, 0.4, 0.3, math.pi / 3)
-    model, shifts = p.as_model(), p.as_shifts()
+    kernel = _kernel(p.as_model(), 1e-2, 2, p.as_shifts())
     rng = np.random.default_rng(2)
-    dw = wiener_increments(1, 1e-2, rng)
-    a = qsd_step(model, EQUATOR, 0.0, 1e-2, dw, shifts).amplitudes
-    scaled = qsd_step(model, 0.7j * EQUATOR.amplitudes, 0.0, 1e-2, dw, shifts).amplitudes
-    assert np.max(np.abs(scaled - 0.7j * a)) < 1e-15
-
-
-def test_qsd_step_requires_one_increment_per_channel() -> None:
-    p = DephasingParams(1.0, 0.4, 0.0, math.pi / 2)
-    with pytest.raises(ValueError, match="increment"):
-        qsd_step(p.as_model(), EQUATOR, 0.0, 1e-2, np.zeros(2))
+    (dws,) = kernel.draws([np.repeat(rng.standard_normal((1, 1, 2)), 2, axis=0)])
+    x = np.stack([EQUATOR.amplitudes, 0.7j * EQUATOR.amplitudes], axis=1)
+    out = _step(kernel, x, dws)
+    assert np.max(np.abs(out[:, 1] - 0.7j * out[:, 0])) < 1e-15
 
 
 def test_qsd_step_mean_follows_drift() -> None:
     # Averaging the stochastic step over many draws recovers the Euler
     # drift step to Monte Carlo accuracy.
     p = DephasingParams(1.0, 0.5, 0.0, math.pi / 2)
-    model = p.as_model()
-    dt = 1e-2
-    rng = np.random.default_rng(4)
-    n = 40000
-    acc = np.zeros(2, dtype=complex)
-    for _ in range(n):
-        acc += qsd_step(model, EQUATOR, 0.0, dt, wiener_increments(1, dt, rng)).amplitudes
-    drift = qsd_step(model, EQUATOR, 0.0, dt, np.zeros(1)).amplitudes
-    noise_scale = math.sqrt(model.strength * dt / n)
-    assert np.max(np.abs(acc / n - drift)) < 4 * noise_scale
+    dt, n = 1e-2, 40000
+    kernel = _kernel(p.as_model(), dt, n)
+    (dws,) = kernel.draws([np.random.default_rng(4).standard_normal((n, 1, 2))])
+    out = _step(kernel, _columns(EQUATOR.amplitudes, n), dws)
+    drift = _step(_kernel(p.as_model(), dt, 1), _columns(EQUATOR.amplitudes, 1), np.zeros((1, 1)))
+    noise_scale = math.sqrt(p.strength * dt / n)
+    assert np.max(np.abs(out.mean(axis=1) - drift[:, 0])) < 4 * noise_scale
 
 
 def test_averaged_overlap_matches_exact_mean() -> None:

@@ -45,6 +45,7 @@ from .operators import (
     Operator,
     OperatorSchedule,
     PureState,
+    binary_scaled,
     key_runs,
     run_states,
     simpson,
@@ -215,7 +216,9 @@ def propagate_no_jump(
     Uses the exponential midpoint rule per substep; a run of substeps in one
     cell is propagated by powers of that cell's exponential
     (`operators.run_states`). survival is the final squared norm relative to
-    the initial one, clamped to [0, 1].
+    the initial one, clamped to [0, 1]; TotalDecayError is raised once the
+    norm falls below NORM_FLOOR times the initial one. psi0 is propagated
+    scaled by a power of two into [1/2, 1), so its norms cannot underflow.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -226,18 +229,22 @@ def propagate_no_jump(
         raise ValueError("state dimension differs from the generator's")
 
     dt = total_time / steps
-    states = run_states(*step_propagators(generator, 0.0, total_time, steps), vec)
+    exponent = int(np.frexp(np.abs(vec).max())[1])
+    maps, cells = step_propagators(generator, 0.0, total_time, steps)
+    states = run_states(maps, cells, binary_scaled(vec, -exponent))
 
     norms = np.linalg.norm(states, axis=1)
-    if np.min(norms) < NORM_FLOOR:
-        first = int(np.argmax(norms < NORM_FLOOR))
+    decayed = norms < NORM_FLOOR * norms[0]
+    if decayed.any():
+        first = int(np.argmax(decayed))
         raise TotalDecayError(
-            f"state norm underflowed below {NORM_FLOOR:g} at t = {first * dt:g}"
+            f"state norm underflowed below {NORM_FLOOR:g} of the initial norm "
+            f"at t = {first * dt:g}"
         )
     times = np.arange(steps + 1) * dt
     survival = float(norms[-1] ** 2 / norms[0] ** 2)
     survival = min(1.0, max(0.0, survival))
-    return TrajectoryRecord(times, states, (), survival)
+    return TrajectoryRecord(times, binary_scaled(states, exponent), (), survival)
 
 
 def no_jump_probability(record: TrajectoryRecord) -> float:
@@ -544,22 +551,14 @@ def average_jump_ensemble(
             stacklevel=2,
         )
     seeds = trajectory_seeds(seed, n_trajectories)
-    jobs = []
-    for lo in range(0, n_trajectories, chunk_size):
-        jobs.append((model, shifts, vec, total_time, delta_t, seeds[lo : lo + chunk_size]))
+    jobs = [
+        (model, shifts, vec, total_time, delta_t, seeds[lo : lo + chunk_size])
+        for lo in range(0, n_trajectories, chunk_size)
+    ]
     results = map_ordered(_ensemble_chunk, jobs)
-
-    dim = vec.shape[0]
-    sum_proj = np.zeros((steps + 1, dim, dim), dtype=complex)
-    sum_re2 = np.zeros((steps + 1, dim, dim))
-    sum_im2 = np.zeros((steps + 1, dim, dim))
-    chunk_counts = []
-    for proj, re2, im2, counts in results:
-        sum_proj += proj
-        sum_re2 += re2
-        sum_im2 += im2
-        chunk_counts.append(counts)
-    jump_counts = np.concatenate(chunk_counts)
+    # Chunk sums in chunk order.
+    sum_proj, sum_re2, sum_im2 = (sum(r[i] for r in results) for i in range(3))
+    jump_counts = np.concatenate([r[3] for r in results])
 
     n = float(n_trajectories)
     estimates = sum_proj / n

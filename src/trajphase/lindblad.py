@@ -125,7 +125,8 @@ def _as_scalar_schedule(value: Union[complex, ScalarSchedule]) -> ScalarSchedule
 @dataclasses.dataclass(frozen=True, eq=False)
 class LindbladModel:
     """Hamiltonian schedule plus dimensionless channels and one coupling
-    strength. strength = 0 is a closed system."""
+    strength. strength = 0 is a closed system. The Hamiltonian must be
+    Hermitian in every cell, within HERMITICITY_TOL times max(1, max |H|)."""
 
     hamiltonian: OperatorSchedule
     lindblads: tuple[OperatorSchedule, ...]
@@ -136,6 +137,9 @@ class LindbladModel:
         chans = tuple(_as_operator_schedule(c) for c in self.lindblads)
         if self.strength < 0:
             raise ValueError("coupling strength must be nonnegative")
+        for cell, op in enumerate(ham.values):
+            if not is_hermitian(op, HERMITICITY_TOL * max(1.0, np.abs(op.entries).max())):
+                raise ValueError(f"Hamiltonian is not Hermitian in cell {cell}")
         for c in chans:
             if c.dim != ham.dim:
                 raise ValueError("channel dimension differs from the Hamiltonian's")

@@ -86,6 +86,13 @@ class Operator:
         return f"Operator(dim={self.dim})"
 
 
+def binary_scaled(values: np.ndarray, exponent: int) -> np.ndarray:
+    """values * 2**exponent in two halves, as 2**exponent alone can overflow
+    for subnormal values; exact unless the result underflows or overflows."""
+    half = exponent // 2
+    return values * 2.0**half * 2.0 ** (exponent - half)
+
+
 def unit_vector(vec: np.ndarray) -> np.ndarray:
     """vec / ||vec|| for a finite vector that is not zero.
 
@@ -94,10 +101,7 @@ def unit_vector(vec: np.ndarray) -> np.ndarray:
     gives [0, 1]. Powers of two scale exactly, so wherever the plain norm does
     not underflow or overflow the result is vec / ||vec|| to the last bit.
     """
-    _, exponent = np.frexp(np.abs(vec).max())
-    # Two halves, as 2^-exponent alone can overflow for subnormal entries.
-    half = int(exponent) // 2
-    vec = vec * 2.0**-half * 2.0 ** (half - int(exponent))
+    vec = binary_scaled(vec, -int(np.frexp(np.abs(vec).max())[1]))
     return vec / np.linalg.norm(vec)
 
 

@@ -11,9 +11,11 @@ mean of |phi><phi| reproduces the master equation, and the averaged phase
 
     phase = arg E[<phi_0|phi(T)>] + integral of Tr[rho(t) K(t)] dt
 
-uses the exact master-equation rho(t), not the ensemble estimate. With
-shifts, channels become L_m - f_m while the Hamiltonian field is untouched
-(the regrouped Hermitian K enters only the dynamical term); both come from
+uses the exact master-equation rho(t), not the ensemble estimate. The
+branch of the argument comes from the exact mean path E[phi_k] on the same
+grid, so each trajectory keeps only its final overlap. With shifts,
+channels become L_m - f_m while the Hamiltonian field is untouched (the
+regrouped Hermitian K enters only the dynamical term); both come from
 `lindblad.lower_model`. Several shift sets of one model run as one ensemble
 pass (`averaged_geometric_phases`), in which trajectory i draws the same
 noise at every point.
@@ -22,7 +24,6 @@ noise at every point.
 from __future__ import annotations
 
 import dataclasses
-import math
 import warnings
 from typing import Optional, Sequence
 
@@ -37,13 +38,12 @@ from ._ensemble import (
     trajectory_seeds,
 )
 from .lindblad import DensityMatrix, LindbladModel, ShiftSet, evolve_states, lower_model
-from .operators import key_runs, simpson
+from .operators import key_runs, run_states, simpson, wrap_phase
 
 # Unused here; bench/tracing.py wraps these names on this module.
 from .lindblad import apply_shift, evolve_density, shifted_hamiltonian  # noqa: F401
 
 NORM_OVERFLOW = 1e100
-CHECKPOINT_INTERVALS = 64
 # Grid of the Simpson rule of the dynamical term. rho(t) is exact on any
 # grid, so this sets only the quadrature; a fixed count keeps the stack of
 # grid states bounded whatever T is.
@@ -101,20 +101,6 @@ class QSDEnsembleResult:
         return self.std_error / scale
 
 
-def _checkpoint_indices(steps: int, intervals: int) -> np.ndarray:
-    count = min(intervals, steps)
-    idx = np.unique(np.round(np.linspace(0, steps, count + 1)).astype(int))
-    return idx
-
-
-def _checkpoint_intervals(lowered, total_time: float) -> int:
-    """Checkpoint intervals of one point: at least CHECKPOINT_INTERVALS, and
-    enough that the drift exp(-i K_tilde t) turns the mean overlap by at most
-    pi/4 per interval, so unwrapping its argument cannot skip a branch."""
-    rate = max(np.linalg.norm(c.k_tilde, 2) for c in lowered.values)
-    return max(CHECKPOINT_INTERVALS, math.ceil(4 * total_time * rate / math.pi))
-
-
 class _QSDKernel:
     """Euler-Maruyama steps of P points (one per lowered model) of a block of
     N trajectories, held as one (P d, N) array. Trajectory i of every point
@@ -158,13 +144,6 @@ class _QSDKernel:
         ]
         self.term = np.empty(self.shape, dtype=complex)
         self.bra = vec.conj()
-        self.checkpoints = [
-            _checkpoint_indices(steps, _checkpoint_intervals(low, total_time))
-            for low in lowereds
-        ]
-        self.overlaps = [np.empty((len(cps), count), dtype=complex) for cps in self.checkpoints]
-        for overlaps in self.overlaps:
-            overlaps[0] = self.bra @ vec
         self.alive = np.ones((points, count), dtype=bool)
         self.screen = NORM_OVERFLOW / (2 * dim)
 
@@ -203,22 +182,20 @@ class _QSDKernel:
         parts = points.view(float)
         peak = np.maximum(parts.max(axis=(0, 2)), -parts.min(axis=(0, 2)))
         suspects = ~(peak.reshape(len(self.alive), -1, 2).max(axis=2) < self.screen)
-        for p, (alive, cps, overlaps) in enumerate(
-            zip(self.alive, self.checkpoints, self.overlaps)
-        ):
+        for p, alive in enumerate(self.alive):
             suspect = np.flatnonzero(suspects[p])
             if suspect.size:
                 norms = np.linalg.norm(points[:, p][:, :, suspect], axis=1)
                 blown = suspect[alive[suspect] & ~(norms < NORM_OVERFLOW).all(axis=0)]
                 alive[blown] = False
                 points[-1, p][:, blown] = 0.0
-            lo, hi = np.searchsorted(cps, [first, first + n])
-            overlaps[lo:hi] = self.bra @ points[cps[lo:hi] - first, p]
+        # (P, N) overlaps at the block's last step; the last block's are at T.
+        self.final = self.bra @ points[-1]
 
 
 def _qsd_chunk(args) -> list[tuple]:
     """One chunk of trajectories at every point of shift_sets, in one pass;
-    one (overlap sums, sum re^2, sum im^2, used, excluded) per point."""
+    one (sum of final overlaps, sum re^2, sum im^2, used, excluded) per point."""
     model, shift_sets, vec, total_time, delta_t, streams = args
     steps, _ = grid_steps(total_time, delta_t)
     count = len(streams)
@@ -235,12 +212,11 @@ def _qsd_chunk(args) -> list[tuple]:
         stream_ensemble(x0, steps, [source], kernel, scratch_bytes=16 * kernel.channels)
 
     sums = []
-    for alive, overlaps in zip(kernel.alive, kernel.overlaps):
-        z_alive = overlaps[:, alive]
-        final = z_alive[-1]
+    for alive, overlaps in zip(kernel.alive, kernel.final):
+        final = overlaps[alive]
         sums.append(
             (
-                z_alive.sum(axis=1),
+                final.sum(),
                 float(np.sum(final.real**2)),
                 float(np.sum(final.imag**2)),
                 int(alive.sum()),
@@ -258,8 +234,22 @@ def _energy_trace(lowered, times: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     return values
 
 
+def _mean_path_arg(lowered, vec: np.ndarray, total_time: float, steps: int) -> float:
+    """Unwrapped argument of the exact mean overlap <phi_0|E phi_k> on the
+    estimator's grid. The noise has mean zero and is independent of phi_k,
+    so E[phi_k] follows the drift maps I - i dt K_tilde alone; each is divided
+    by its spectral norm, which keeps every argument and stops underflow."""
+    dt = total_time / steps
+    maps = {}
+    for c, terms in enumerate(lowered.values):
+        drift = np.eye(len(vec)) + dt * (-1j * terms.k_tilde)
+        maps[c] = drift / np.linalg.norm(drift, 2)
+    path = run_states(maps, lowered.step_cells(0.0, total_time, steps), vec) @ vec.conj()
+    return float(np.sum(np.angle(path[1:] * path[:-1].conj())))
+
+
 def _point_result(
-    lowered, rho0: DensityMatrix, config: QSDConfig, chunks: list[tuple]
+    lowered, vec: np.ndarray, config: QSDConfig, chunks: list[tuple]
 ) -> QSDEnsembleResult:
     """Reduce one point's chunk sums, in chunk order, and add its dynamical
     term; NaN estimates if every trajectory overflowed."""
@@ -278,15 +268,17 @@ def _point_result(
         nan = float("nan")
         return QSDEnsembleResult(complex(nan, nan), nan, nan, nan, nan, 0, excluded)
 
-    means = z_sums / used
-    mean_overlap = complex(means[-1])
+    mean_overlap = complex(z_sums / used)
     if used > 1:
         var_re = max(re2 / used - mean_overlap.real**2, 0.0) * used / (used - 1)
         var_im = max(im2 / used - mean_overlap.imag**2, 0.0) * used / (used - 1)
         std_error = float(np.sqrt((var_re + var_im) / used))
     else:
         std_error = 0.0
-    overlap_arg = float(np.sum(np.angle(means[1:] * np.conj(means[:-1]))))
+    steps, _ = grid_steps(config.total_time, config.delta_t)
+    branch = _mean_path_arg(lowered, vec, config.total_time, steps)
+    overlap_arg = branch + wrap_phase(float(np.angle(mean_overlap)) - branch)
+    rho0 = DensityMatrix.from_pure(vec)
     times, rhos = evolve_states(lowered, rho0, config.total_time, DENSITY_STEPS)
     values = _energy_trace(lowered, times, rhos)
     dynamical = simpson(values, config.total_time / DENSITY_STEPS)
@@ -312,13 +304,12 @@ def averaged_geometric_phases(
     set, in order, from one ensemble pass.
 
     Trajectory i draws the same noise at every point, so the points share
-    its draws and every step's kernel calls. The overlap argument is
-    unwrapped through per-point checkpoint means: at least 64 intervals,
-    and enough that the drift turns the overlap by at most pi/4 per
-    interval. The dynamical term integrates Tr[rho(t) K(t)] along the
-    exact master-equation solution of the model actually simulated, by
-    Simpson's rule on DENSITY_STEPS steps.
-    A point where every trajectory overflowed has n_used 0 and NaN
+    its draws and every step's kernel calls. The overlap argument is arg of
+    the sample mean overlap at T, on the branch nearest the unwrapped
+    argument of the exact mean overlap along the same grid. The dynamical
+    term integrates Tr[rho(t) K(t)] along the exact master-equation solution
+    of the model actually simulated, by Simpson's rule on DENSITY_STEPS
+    steps. A point where every trajectory overflowed has n_used 0 and NaN
     estimates, its dynamical term included.
     """
     vec = np.asarray(getattr(phi0, "amplitudes", phi0), dtype=complex).reshape(-1)
@@ -333,11 +324,10 @@ def averaged_geometric_phases(
         for lo in range(0, config.n_trajectories, chunk_size)
     ]
     results = map_ordered(_qsd_chunk, jobs)
-    rho0 = DensityMatrix.from_pure(vec)
     out = []
     for p, shifts in enumerate(shift_sets):
         chunks = [r[p] for r in results]
-        out.append(_point_result(lower_model(model, shifts), rho0, config, chunks))
+        out.append(_point_result(lower_model(model, shifts), vec, config, chunks))
     return out
 
 

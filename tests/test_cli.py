@@ -419,6 +419,15 @@ def test_symmetry_check_needs_shifts(config_file, capsys) -> None:
     assert "needs a shifts section" in capsys.readouterr().err
 
 
+def test_non_hermitian_hamiltonian_is_a_config_error(config_file, capsys) -> None:
+    text = BASE_YAML.replace(
+        "hamiltonian: {preset: precession, omega: 1.0}", "hamiltonian: {matrix: [[0, 1], [0, 0]]}"
+    )
+    assert main(["evolve", "--config", config_file(text)]) == EXIT_CONFIG == 2
+    err = capsys.readouterr().err
+    assert "config error: model: Hamiltonian is not Hermitian in cell 0" in err
+
+
 def test_exit_codes_for_bad_input(config_file, tmp_path, capsys) -> None:
     assert main(["evolve", "--config", str(tmp_path / "missing.yaml")]) == EXIT_CONFIG
     assert "no such config" in capsys.readouterr().err

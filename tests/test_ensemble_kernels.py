@@ -29,12 +29,12 @@ from trajphase.operators import (
     bloch_state,
     pauli,
     step_propagators,
+    wrap_phase,
 )
 from trajphase.qsd import (
     NORM_OVERFLOW,
     QSDConfig,
-    _checkpoint_indices,
-    _checkpoint_intervals,
+    _mean_path_arg,
     _qsd_chunk,
     _QSDKernel,
     averaged_geometric_phase,
@@ -59,7 +59,6 @@ def _reference_qsd_chunk(args) -> tuple:
     model, shifts, vec, total_time, delta_t, streams = args
     steps, dt = grid_steps(total_time, delta_t)
     lowered = lower_model(model, shifts)
-    checkpoints = _checkpoint_indices(steps, _checkpoint_intervals(lowered, total_time))
     lam = model.strength
     count = len(streams)
     dim = vec.shape[0]
@@ -79,9 +78,6 @@ def _reference_qsd_chunk(args) -> tuple:
     states = np.tile(vec, (count, 1))
     alive = np.ones(count, dtype=bool)
     blown_at = np.full(count, -1)
-    z_buffer = np.empty((count, len(checkpoints)), dtype=complex)
-    z_buffer[:, 0] = states @ vec.conj()
-    next_cp = 1
     for k in range(steps):
         euler, noise_ops = mats[cells[k]]
         new_states = states @ euler.T
@@ -94,13 +90,9 @@ def _reference_qsd_chunk(args) -> tuple:
             alive &= ~blown
             blown_at[blown] = k
             states[blown] = 0.0
-        if next_cp < len(checkpoints) and k + 1 == checkpoints[next_cp]:
-            z_buffer[:, next_cp] = states @ vec.conj()
-            next_cp += 1
 
-    z_alive = z_buffer[alive]
-    z_sums = z_alive.sum(axis=0)
-    final = z_alive[:, -1]
+    final = (states @ vec.conj())[alive]
+    z_sums = final.sum()
     return (
         z_sums,
         float(np.sum(final.real**2)),
@@ -109,6 +101,28 @@ def _reference_qsd_chunk(args) -> tuple:
         int(count - alive.sum()),
         blown_at,
     )
+
+
+def _exact_overlap_moments(model, shifts, vec, total_time, delta_t) -> tuple:
+    """Per-step recursions of the QSD estimator's moments: E phi' = M E phi
+    and E[phi phi^dag]' = M P M^dag + lam dt sum_m L_m P L_m^dag, with
+    M = I - i dt K_tilde (the noise has mean zero and E[dw dw*] = dt).
+    Returns E<phi_0|phi_k> at every step and E|<phi_0|phi_T>|^2."""
+    steps, dt = grid_steps(total_time, delta_t)
+    lowered = lower_model(model, shifts)
+    cells = lowered.step_cells(0.0, total_time, steps).tolist()
+    mean = vec.copy()
+    second = np.outer(vec, vec.conj())
+    means = [vec.conj() @ mean]
+    for k in range(steps):
+        terms = lowered.values[cells[k]]
+        drift = np.eye(len(vec)) - 1j * dt * terms.k_tilde
+        mean = drift @ mean
+        second = drift @ second @ drift.conj().T + model.strength * dt * sum(
+            l @ second @ l.conj().T for l in terms.channels
+        )
+        means.append(vec.conj() @ mean)
+    return np.array(means), float((vec.conj() @ second @ vec).real)
 
 
 def _reference_step_terms(model, shifts, total_time, steps) -> list[tuple]:
@@ -254,6 +268,23 @@ def test_qsd_chunk_matches_reference_loop(dim: int, count: int, budget) -> None:
     assert _relative_gap(z_sums, want[0]) <= 1e-12
     assert re2 == pytest.approx(want[1], rel=1e-12)
     assert im2 == pytest.approx(want[2], rel=1e-12)
+
+
+@pytest.mark.parametrize("dim,count", SIZES)
+def test_qsd_branch_follows_the_exact_mean_path(dim: int, count: int) -> None:
+    model, shifts, vec, total_time, delta_t, _ = _job(dim, count, 0.4, 0, 800 + 10 * dim + count)
+    config = QSDConfig(total_time, delta_t, 400, seed=dim + 10 * count)
+    res = averaged_geometric_phase(model, vec, config, shifts)
+    means, second = _exact_overlap_moments(model, shifts, vec, total_time, delta_t)
+    exact_se = math.sqrt((second - abs(means[-1]) ** 2) / res.n_used)
+    assert abs(res.mean_overlap - means[-1]) <= 5 * exact_se
+    steps, _ = grid_steps(total_time, delta_t)
+    exact_arg = float(np.sum(np.angle(means[1:] * means[:-1].conj())))
+    got_arg = _mean_path_arg(lower_model(model, shifts), vec, total_time, steps)
+    assert abs(got_arg - exact_arg) <= 1e-9
+    # The branch of arg mean_overlap nearest the exact path's argument.
+    assert abs(wrap_phase(res.overlap_arg - np.angle(res.mean_overlap))) <= 1e-12
+    assert abs(res.overlap_arg - exact_arg) <= math.pi
 
 
 @pytest.mark.parametrize("block_steps", [None, 5])

@@ -138,6 +138,18 @@ def test_propagate_no_jump_total_decay() -> None:
         propagate_no_jump(gen, EQUATOR, 800.0, steps=1024)
 
 
+def test_propagate_no_jump_floor_is_relative_to_the_initial_norm() -> None:
+    # The squares of 3.55e-281 underflow; the norm floor must still compare
+    # with the initial norm rather than call the state decayed at t = 0.
+    gen = no_jump_hamiltonian(dephasing_model(OMEGA, 1.0))
+    tiny = propagate_no_jump(gen, np.array([0.0, 3.55e-281]), 1.0, 16)
+    unit = propagate_no_jump(gen, np.array([0.0, 1.0]), 1.0, 16)
+    assert tiny.survival == pytest.approx(unit.survival, rel=1e-14)
+    assert unit.survival == pytest.approx(math.exp(-1.0), rel=1e-12)
+    # The record keeps the states at the scale they were given.
+    assert np.max(np.abs(tiny.states / 3.55e-281 - unit.states)) <= 1e-14
+
+
 def test_no_jump_probability_rejects_jump_records() -> None:
     times = np.array([0.0, 1.0])
     states = np.array([[1, 0], [0, 1]], dtype=complex)

@@ -46,6 +46,20 @@ def _random_rho(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     return rho / np.trace(rho)
 
 
+def test_model_refuses_a_non_hermitian_hamiltonian() -> None:
+    with pytest.raises(ValueError, match="Hamiltonian is not Hermitian in cell 0"):
+        LindbladModel(Operator(np.array([[0, 1], [0, 0]])), (pauli("z"),), 0.1)
+    ham = OperatorSchedule.piecewise(
+        [pauli("x"), Operator(np.array([[1, 1j], [1j, 0]])), pauli("z")], 0.5
+    )
+    with pytest.raises(ValueError, match="Hamiltonian is not Hermitian in cell 1"):
+        LindbladModel(ham, (pauli("z"),), 0.1)
+    # Roundoff-sized asymmetry at a large scale is still Hermitian.
+    big = 1e6 * pauli("x").entries
+    big[0, 1] += 1e-7
+    LindbladModel(Operator(big), (pauli("z"),), 0.1)
+
+
 def test_density_matrix_validation() -> None:
     with pytest.raises(ValueError, match="Hermitian"):
         DensityMatrix(np.array([[0.5, 0.5], [0.1, 0.5]]))

@@ -1,20 +1,23 @@
-"""Properties over random inputs: the unraveling freedoms over random small
-models (dim 2-4, 1-3 channels, coupling strength at most 0.5), and the
-serialize/parse round trip over random scenarios. Hypothesis runs a fixed
-set of examples (derandomize=True), so the suite stays deterministic; an
-example that raises fails the test."""
+"""Properties over random inputs: the unraveling freedoms and the chunk-size
+invariance of both ensembles over random small models (dim 2-4, 1-3
+channels, coupling strength at most 0.5), and the serialize/parse round
+trip over random scenarios. Hypothesis runs a fixed set of examples
+(derandomize=True), so the suite stays deterministic; an example that
+raises fails the test."""
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajphase.config import parse_config, serialize_config
-from trajphase.jump import gauge_transform_check, no_jump_geometric_phase
-from trajphase.lindblad import LindbladModel, apply_unitary_mixing
+from trajphase.jump import average_jump_ensemble, gauge_transform_check, no_jump_geometric_phase
+from trajphase.lindblad import LindbladModel, ShiftSet, apply_unitary_mixing
 from trajphase.operators import Operator, wrap_phase
+from trajphase.qsd import QSDConfig, averaged_geometric_phases
 
 # Criterion 10's tolerance.
 TOL = 1e-8
@@ -73,6 +76,57 @@ def test_unitary_channel_mixing_leaves_the_phase_unchanged(system) -> None:
     assert abs(wrap_phase(other.phase - base.phase)) <= TOL
 
 
+@st.composite
+def chunked_ensembles(draw, threads: str):
+    """(system, shifts, steps, trajectories, chunk size, seed); with more
+    than one thread the chunk size leaves at least two chunks."""
+    model, vec, total_time, rng = draw(open_systems())
+    count = len(model.lindblads)
+    shifts = ShiftSet.constants(list(rng.normal(size=count) + 1j * rng.normal(size=count)))
+    steps = draw(st.integers(20, 50))
+    trajectories = draw(st.integers(1 if threads == "1" else 2, 12))
+    largest = trajectories if threads == "1" else trajectories // 2
+    chunk = draw(st.integers(1, largest))
+    return (model, vec, total_time), shifts, steps, trajectories, chunk, draw(st.integers(0, 999))
+
+
+def _check_chunk_invariance(case, threads: str) -> None:
+    (model, vec, total_time), shifts, steps, trajectories, chunk, seed = case
+    # total_time / steps divides the run, so no grid snaps.
+    delta_t = total_time / steps
+    config = QSDConfig(total_time, delta_t, trajectories, seed)
+
+    def run(size: int) -> tuple:
+        qsd = averaged_geometric_phases(model, vec, config, [None, shifts], chunk_size=size)
+        jumps = average_jump_ensemble(
+            model, vec, total_time, delta_t, trajectories, seed, shifts, chunk_size=size
+        )
+        return qsd, jumps.jump_counts
+
+    whole, whole_counts = run(trajectories)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("TRAJPHASE_THREADS", threads)
+        split, split_counts = run(chunk)
+    for a, b in zip(whole, split):
+        assert (a.n_used, a.n_excluded) == (b.n_used, b.n_excluded)
+        assert abs(a.overlap_arg - b.overlap_arg) <= 1e-12
+        assert abs(a.phase - b.phase) <= 1e-12
+        assert abs(wrap_phase(b.overlap_arg - np.angle(b.mean_overlap))) <= 1e-12
+    assert split_counts.tobytes() == whole_counts.tobytes()
+
+
+@PROPERTY
+@given(chunked_ensembles("1"))
+def test_ensembles_are_invariant_to_the_chunk_size(case) -> None:
+    _check_chunk_invariance(case, "1")
+
+
+@settings(PROPERTY, max_examples=3)
+@given(chunked_ensembles("2"))
+def test_ensembles_are_invariant_to_the_chunk_size_across_workers(case) -> None:
+    _check_chunk_invariance(case, "2")
+
+
 _NUMBER = st.floats(-10.0, 10.0, allow_subnormal=False)
 _PAIR = st.lists(_NUMBER, min_size=2, max_size=2)
 
@@ -80,6 +134,20 @@ _PAIR = st.lists(_NUMBER, min_size=2, max_size=2)
 def _matrix_literal(dim: int):
     entry = st.one_of(_NUMBER, _PAIR)
     return st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+
+
+@st.composite
+def _hermitian_literal(draw, dim: int):
+    """A Hermitian matrix literal: real diagonal, each entry above it a
+    number or an [re, im] pair, mirrored below as its conjugate."""
+    rows = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        rows[i][i] = draw(_NUMBER)
+        for j in range(i + 1, dim):
+            entry = draw(st.one_of(_NUMBER, _PAIR))
+            rows[i][j] = entry
+            rows[j][i] = [entry[0], -entry[1]] if isinstance(entry, list) else entry
+    return rows
 
 
 def _shift_literal():
@@ -106,7 +174,7 @@ def scenarios(draw):
     if precession:
         hamiltonian = {"preset": "precession", "omega": draw(_NUMBER)}
     else:
-        hamiltonian = {"matrix": draw(_matrix_literal(dim))}
+        hamiltonian = {"matrix": draw(_hermitian_literal(dim))}
     presets = ["annihilation"]
     if dim == 2:
         presets += ["sigma_x", "sigma_y", "sigma_z", "sigma_minus"]

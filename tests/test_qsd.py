@@ -29,8 +29,10 @@ from trajphase.qsd import (
     QSDConfig,
     QSDEnsembleResult,
     _energy_trace,
+    _mean_path_arg,
     _QSDKernel,
     averaged_geometric_phase,
+    averaged_geometric_phases,
     averaged_overlap,
 )
 
@@ -154,8 +156,8 @@ def test_averaged_phase_matches_closed_forms() -> None:
 
 
 def test_averaged_phase_tracks_through_multiple_periods() -> None:
-    # After a full period the raw argument folds to +pi; checkpoint tracking
-    # must continue to about -pi for a mostly-north initial state.
+    # After a full period the raw argument folds to +pi; the branch must
+    # continue to about -pi for a mostly-north initial state.
     p = DephasingParams(1.0, 0.05, 0.0, math.pi / 3)
     # 2e-3 does not divide 2 pi; the grid snaps and says so.
     with pytest.warns(RuntimeWarning, match="adjusted"):
@@ -168,9 +170,9 @@ def test_averaged_phase_tracks_through_multiple_periods() -> None:
 
 
 def test_long_run_checkpoints_follow_the_dynamics() -> None:
-    # 66 periods at lambda = 0: with 64 fixed checkpoints each interval turns
-    # the overlap by more than pi and the unwrapped phase came out 64 * 2 pi
-    # too high; the interval count now grows with T times the drift's norm.
+    # 66 periods at lambda = 0: unwrapping through 64 fixed checkpoints
+    # turned the overlap by more than pi per interval and came out 64 * 2 pi
+    # too high; the branch now follows the exact mean path step by step.
     p = DephasingParams(1.0, 0.0, 0.0, 0.3)
     total = 66 * 2 * math.pi
     with pytest.warns(RuntimeWarning, match="adjusted"):
@@ -181,6 +183,34 @@ def test_long_run_checkpoints_follow_the_dynamics() -> None:
     want = closed_form_overlap_phase(p, total) + closed_form_dynamical_phase(p, total)
     assert abs(res.phase - want) <= 1e-2
     assert elapsed < 1.0
+
+
+def test_mean_path_argument_does_not_underflow() -> None:
+    # On the Euler grid the mean overlap is c^2 a^k + s^2 conj(a)^k with
+    # a = 1 - (strength/2 + i omega/2) dt; |a|^k falls below the smallest
+    # double before T = 400, so an unscaled path underflows to 0 and its
+    # argument stops near -185.30.
+    p = DephasingParams(1.0, 4.0, 0.0, math.pi / 3)
+    vec = np.asarray(bloch_state(p.initial_state()).amplitudes)
+    got = _mean_path_arg(lower_model(p.as_model()), vec, 400.0, 40_000)
+    assert got == pytest.approx(-204.1414548973610, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_branch_of_a_mean_through_zero_follows_the_exact_path(seed: int) -> None:
+    # At theta0 = pi/2 and f = 0 the mean overlap is proportional to
+    # cos(omega t / 2), which passes zero at t = pi; sampled means near
+    # there picked the branch by noise, +3.118 and +3.154 at these seeds
+    # against the closed form -pi.
+    p = DephasingParams(1.0, 0.1, 0.0, math.pi / 2)
+    total = 2 * math.pi
+    with pytest.warns(RuntimeWarning, match="adjusted"):
+        cfg = QSDConfig(total, 1e-3, 256, seed=seed)
+    (res,) = averaged_geometric_phases(p.as_model(), EQUATOR, cfg, [ShiftSet.constants([0.0])])
+    want = closed_form_overlap_phase(p, total) + closed_form_dynamical_phase(p, total)
+    assert want == pytest.approx(-math.pi, abs=1e-12)
+    assert abs(res.phase - want) <= 5 * res.phase_std_error
+    assert abs(wrap_phase(res.overlap_arg - np.angle(res.mean_overlap))) <= 1e-12
 
 
 def test_phase_std_error_of_zero_overlap() -> None:

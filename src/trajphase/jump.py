@@ -219,6 +219,8 @@ def propagate_no_jump(
     the initial one, clamped to [0, 1]; TotalDecayError is raised once the
     norm falls below NORM_FLOOR times the initial one. psi0 is propagated
     scaled by a power of two into [1/2, 1), so its norms cannot underflow.
+    The record's states are the transpose of C-ordered (d, steps + 1)
+    columns, as `run_states` returns them.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -233,8 +235,8 @@ def propagate_no_jump(
     maps, cells = step_propagators(generator, 0.0, total_time, steps)
     states = run_states(maps, cells, binary_scaled(vec, -exponent))
 
-    norms = np.linalg.norm(states, axis=1)
-    decayed = norms < NORM_FLOOR * norms[0]
+    sq_norms = _squared_norms(states.T)
+    decayed = sq_norms < NORM_FLOOR**2 * sq_norms[0]
     if decayed.any():
         first = int(np.argmax(decayed))
         raise TotalDecayError(
@@ -242,9 +244,10 @@ def propagate_no_jump(
             f"at t = {first * dt:g}"
         )
     times = np.arange(steps + 1) * dt
-    survival = float(norms[-1] ** 2 / norms[0] ** 2)
-    survival = min(1.0, max(0.0, survival))
-    return TrajectoryRecord(times, binary_scaled(states, exponent), (), survival)
+    survival = min(1.0, max(0.0, float(sq_norms[-1] / sq_norms[0])))
+    if exponent:
+        states = binary_scaled(states, exponent)
+    return TrajectoryRecord(times, states, (), survival)
 
 
 def no_jump_probability(record: TrajectoryRecord) -> float:
@@ -254,11 +257,18 @@ def no_jump_probability(record: TrajectoryRecord) -> float:
     return record.survival
 
 
-def _dynamical_integrand(herm: OperatorSchedule, times, states, sq_norms) -> np.ndarray:
-    k_states = np.empty_like(states)
+def _dynamical_integrand(herm: OperatorSchedule, times, cols, sq_norms) -> np.ndarray:
+    """<psi|K|psi> / <psi|psi> at each grid time, for the states in the
+    columns of cols: Re[(K psi) * conj(psi)] summed over the rows, with one
+    product per run of cells."""
+    k_cols = np.empty_like(cols)
     for a, b, cell in key_runs(herm.cells_at(times)):
-        k_states[a:b] = states[a:b] @ herm.values[cell].entries.T
-    return np.einsum("ni,ni->n", states.conj(), k_states).real / sq_norms
+        np.matmul(herm.values[cell].entries, cols[:, a:b], out=k_cols[:, a:b])
+    # Re[(K psi)_i conj(psi_i)] = Re(K psi)_i Re(psi_i) + Im(K psi)_i Im(psi_i),
+    # formed in place to keep no second (d, n) temporary.
+    parts = k_cols.view(float)
+    parts *= cols.view(float)
+    return np.add.reduce(parts[:, 0::2] + parts[:, 1::2], axis=0) / sq_norms
 
 
 def _phase_generators(model, shifts) -> tuple[OperatorSchedule, OperatorSchedule]:
@@ -275,13 +285,15 @@ def _tracked_phase(
     steps: int,
 ) -> GeometricPhaseResult:
     attempt = max(1, steps)
+    bra = vec.conj()
     for doubling in range(MAX_GRID_DOUBLINGS):
         if doubling:
             attempt *= 2
         record = propagate_no_jump(gen, vec, total_time, attempt)
-        states = record.states
-        overlaps = states @ vec.conj()
-        norms = np.linalg.norm(states, axis=1)
+        cols = record.states.T
+        overlaps = bra @ cols
+        sq_norms = _squared_norms(cols)
+        norms = np.sqrt(sq_norms)
         rel = np.abs(overlaps) / (norms[0] * norms)
         crossing = rel < BRANCH_EPS
         increments = np.angle(overlaps[1:] * overlaps[:-1].conj())
@@ -300,8 +312,7 @@ def _tracked_phase(
             "the geometric phase is undefined there"
         )
     overlap_arg = float(np.sum(increments))
-    sq_norms = norms**2
-    integrand = _dynamical_integrand(herm, record.times, states, sq_norms)
+    integrand = _dynamical_integrand(herm, record.times, cols, sq_norms)
     if total_time > 0:
         dynamical = simpson(integrand, total_time / attempt)
     else:

@@ -13,10 +13,13 @@ this step-to-cell rule, and every per-step lookup goes through it.
 
 Consecutive steps in one cell apply the same linear map, so a run of them is
 propagated by powers of that cell's map rather than step by step:
-`run_states` fills a run of length n with about log2(n) stacked products
-(repeated squaring), and `time_ordered_propagator` multiplies one matrix
-power per run. Both are plain matrix products, exact up to roundoff for any
-map, normal or not.
+`run_states` fills a run of length n with about log2(n) products (repeated
+squaring), and `time_ordered_propagator` multiplies one matrix power per run.
+Both are plain matrix products, exact up to roundoff for any map, normal or
+not. `run_states` keeps the states as the columns of a C-ordered (d, n + 1)
+array, so each product is a d x d map times a contiguous block of columns
+and any reduction over the d entries of a state runs along rows; it returns
+the transpose, an (n + 1, d) view, whose `.T` gives the columns back.
 """
 
 from __future__ import annotations
@@ -437,24 +440,26 @@ def key_runs(keys) -> list[tuple[int, int, int]]:
 def run_states(maps, keys, x0) -> np.ndarray:
     """States x_0..x_n of x_{k+1} = maps[keys[k]] @ x_k, as an (n + 1, d) array.
 
-    Within a run of equal keys the known states are advanced by the map's
-    power by repeated squaring, out[a+m : a+2m] = out[a : a+m] @ (M^m).T,
-    so a run of length L costs about log2(L) stacked products.
+    The states are filled as the columns of a C-ordered (d, n + 1) array,
+    and the view returned is its transpose. Within a run of equal keys the
+    known columns are advanced by the map's power by repeated squaring,
+    out[:, a+m : a+2m] = M^m @ out[:, a : a+m], so a run of length L costs
+    about log2(L) products.
     """
     x0 = np.asarray(x0, dtype=complex).reshape(-1)
-    out = np.empty((len(keys) + 1, x0.shape[0]), dtype=complex)
-    out[0] = x0
+    out = np.empty((x0.shape[0], len(keys) + 1), dtype=complex)
+    out[:, 0] = x0
     for a, b, key in key_runs(keys):
         power = np.asarray(maps[key], dtype=complex)
         m = 1
         while True:
             count = min(m, b - a - m + 1)
-            out[a + m : a + m + count] = out[a : a + count] @ power.T
+            np.matmul(power, out[:, a : a + count], out=out[:, a + m : a + m + count])
             if a + m + count > b:
                 break
             power = power @ power
             m *= 2
-    return out
+    return out.T
 
 
 def time_ordered_propagator(

@@ -38,7 +38,7 @@ from ._ensemble import (
     trajectory_seeds,
 )
 from .lindblad import DensityMatrix, LindbladModel, ShiftSet, evolve_states, lower_model
-from .operators import key_runs, run_states, simpson, wrap_phase
+from .operators import key_runs, run_states, simpson, unit_vector, wrap_phase
 
 # Unused here; bench/tracing.py wraps these names on this module.
 from .lindblad import apply_shift, evolve_density, shifted_hamiltonian  # noqa: F401
@@ -237,15 +237,24 @@ def _energy_trace(lowered, times: np.ndarray, rhos: np.ndarray) -> np.ndarray:
 def _mean_path_arg(lowered, vec: np.ndarray, total_time: float, steps: int) -> float:
     """Unwrapped argument of the exact mean overlap <phi_0|E phi_k> on the
     estimator's grid. The noise has mean zero and is independent of phi_k,
-    so E[phi_k] follows the drift maps I - i dt K_tilde alone; each is divided
-    by its spectral norm, which keeps every argument and stops underflow."""
+    so E[phi_k] follows the drift maps I - i dt K_tilde alone.
+
+    Positive scale factors keep every argument. Each drift map is divided by
+    its spectral radius, so within a run of steps in one cell the path
+    neither decays nor grows geometrically, however non-normal the map, and
+    each run restarts from the previous run's last state as a unit vector."""
     dt = total_time / steps
-    maps = {}
-    for c, terms in enumerate(lowered.values):
-        drift = np.eye(len(vec)) + dt * (-1j * terms.k_tilde)
-        maps[c] = drift / np.linalg.norm(drift, 2)
-    path = run_states(maps, lowered.step_cells(0.0, total_time, steps), vec) @ vec.conj()
-    return float(np.sum(np.angle(path[1:] * path[:-1].conj())))
+    bra = vec.conj()
+    start = vec
+    total = 0.0
+    for a, b, c in key_runs(lowered.step_cells(0.0, total_time, steps)):
+        drift = np.eye(len(vec)) + dt * (-1j * lowered.values[c].k_tilde)
+        drift /= np.abs(np.linalg.eigvals(drift)).max()
+        cols = run_states({c: drift}, np.full(b - a, c), start).T
+        path = bra @ cols
+        total += float(np.sum(np.angle(path[1:] * path[:-1].conj())))
+        start = unit_vector(cols[:, -1])
+    return total
 
 
 def _point_result(

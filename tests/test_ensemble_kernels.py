@@ -4,6 +4,7 @@ shifts), plus determinism and bounded memory."""
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import tracemalloc
@@ -285,6 +286,38 @@ def test_qsd_branch_follows_the_exact_mean_path(dim: int, count: int) -> None:
     # The branch of arg mean_overlap nearest the exact path's argument.
     assert abs(wrap_phase(res.overlap_arg - np.angle(res.mean_overlap))) <= 1e-12
     assert abs(res.overlap_arg - exact_arg) <= math.pi
+
+
+def _renormalized_path_arg(drift: np.ndarray, vec: np.ndarray, steps: int) -> float:
+    """Argument of <vec|M^k vec> summed step by step, the state scaled back
+    to unit norm after every step (d = 2, in Python complex arithmetic)."""
+    (m00, m01), (m10, m11) = drift.tolist()
+    b0, b1 = (complex(v) for v in vec.conj())
+    x0, x1 = (complex(v) for v in vec)
+    prev = b0 * x0 + b1 * x1
+    increments = []
+    for _ in range(steps):
+        x0, x1 = m00 * x0 + m01 * x1, m10 * x0 + m11 * x1
+        z = b0 * x0 + b1 * x1
+        increments.append(cmath.phase(z * prev.conjugate()))
+        scale = 1.0 / math.hypot(abs(x0), abs(x1))
+        x0, x1, prev = x0 * scale, x1 * scale, z * scale
+    return math.fsum(increments)
+
+
+def test_mean_path_of_a_non_normal_drift_stays_finite() -> None:
+    # The drift map's spectral radius is 0.99764 of its spectral norm, so a
+    # path scaled by the norm falls below the smallest double near T = 3000
+    # and its argument stops turning.
+    rng = np.random.default_rng(3)
+    model = _random_model(2, 2, 0.4, rng)
+    vec = _random_state(2, rng)
+    lowered = lower_model(model)
+    dt, steps = 1e-2, 320_000
+    drift = np.eye(2) - 1j * dt * lowered.values[0].k_tilde
+    assert np.abs(np.linalg.eigvals(drift)).max() < 0.998 * np.linalg.norm(drift, 2)
+    got = _mean_path_arg(lowered, vec, steps * dt, steps)
+    assert abs(got - _renormalized_path_arg(drift, vec, steps)) <= 1e-9
 
 
 @pytest.mark.parametrize("block_steps", [None, 5])

@@ -9,6 +9,7 @@ whose steps do not line up with the cells.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 
@@ -33,11 +34,19 @@ from trajphase import (
 from trajphase.lindblad import (
     POSITIVITY_HARD_TOL,
     POSITIVITY_TOL,
+    ShiftSet,
     _check_states,
     evolve_states,
     lower_model,
 )
-from trajphase.operators import run_states, step_propagators
+from trajphase.jump import BRANCH_EPS, MAX_GRID_DOUBLINGS
+from trajphase.operators import (
+    ScalarSchedule,
+    run_states,
+    simpson,
+    step_propagators,
+    wrap_phase,
+)
 
 STATE_RTOL = 1e-12
 RHO_ATOL = 1e-12
@@ -107,6 +116,30 @@ def test_run_states_without_steps() -> None:
     assert np.array_equal(got, x0[np.newaxis, :])
 
 
+# Around each squaring level: a run of length L fills columns a+m .. a+2m-1
+# for m = 1, 2, 4, ... and then the last min(m, L - m + 1).
+RUN_LENGTHS = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 63, 65, 255, 257]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_run_states_at_run_length_edges(dim) -> None:
+    rng = np.random.default_rng(40 + dim)
+    maps = [scipy.linalg.expm(-0.05j * _no_jump_like(rng, dim)) for _ in range(3)]
+    x0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    patterns = [[0] * n for n in RUN_LENGTHS]
+    # Runs of every length between runs of other cells, and one-step runs.
+    patterns.append([k % 3 for k in range(40)])
+    patterns += [[1] * 3 + [0] * n + [2] * n + [1] for n in RUN_LENGTHS]
+    for keys in patterns:
+        got = run_states(maps, np.array(keys), x0)
+        assert got.shape == (len(keys) + 1, dim)
+        want = _loop_states(maps, keys, x0)
+        assert np.max(_relative_errors(got, want)) <= STATE_RTOL
+    got = run_states(maps, np.zeros(0, dtype=int), x0)
+    assert got.shape == (1, dim)
+    assert np.array_equal(got[0], x0)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_propagate_no_jump_matches_step_loop(seed) -> None:
     rng = np.random.default_rng(100 + seed)
@@ -137,6 +170,104 @@ def test_propagate_no_jump_keeps_weak_damping() -> None:
     for k in range(0, steps + 1, 4096):
         want = scipy.linalg.expm(-1j * (total * k / steps) * k_tilde) @ psi0
         assert np.max(np.abs(record.states[k] - want)) <= 1e-11
+
+
+def _reference_tracked_phase(model, shifts, psi0, total, steps) -> dict:
+    """The no-jump geometric phase by plain per-step loops: states from the
+    `step_propagators` maps, the overlap argument as a sum of per-step
+    increments, and <psi|K|psi> / <psi|psi> integrated by `simpson`. The
+    grid doubles until no step away from a flagged crossing turns the
+    overlap by more than pi/2."""
+    lowered = lower_model(model, shifts)
+    gen = lowered.operators(lambda c: c.k_tilde)
+    herm = lowered.operators(lambda c: c.k)
+    attempt = steps
+    for _ in range(MAX_GRID_DOUBLINGS):
+        maps, keys = step_propagators(gen, 0.0, total, attempt)
+        states = _loop_states(maps, keys.tolist(), psi0)
+        overlaps = [complex(np.vdot(psi0, s)) for s in states]
+        norms = [float(np.linalg.norm(s)) for s in states]
+        crossing = [abs(z) / (norms[0] * n) < BRANCH_EPS for z, n in zip(overlaps, norms)]
+        increments = [cmath.phase(b * a.conjugate()) for a, b in zip(overlaps, overlaps[1:])]
+        turns = [
+            abs(inc) for k, inc in enumerate(increments) if not (crossing[k] or crossing[k + 1])
+        ]
+        if max(turns, default=0.0) <= 0.5 * math.pi:
+            break
+        attempt *= 2
+    dt = total / attempt
+    times = [k * dt for k in range(attempt + 1)]
+    integrand = [
+        np.vdot(s, herm.value_at(t).entries @ s).real / n**2
+        for s, t, n in zip(states, times, norms)
+    ]
+    return {
+        "overlap_arg": math.fsum(increments),
+        "dynamical_term": simpson(integrand, dt),
+        "final_norm": norms[-1],
+        "grid_steps": attempt,
+        "branch_crossings": tuple(t for t, c in zip(times, crossing) if c),
+    }
+
+
+def _random_shifted_model(seed, scale=1.0):
+    """Random model (dim 2-4, 1-3 channels) and 3-cell piecewise complex
+    shifts on [0, 2]; scale multiplies the Hamiltonian."""
+    rng = np.random.default_rng(seed)
+    dim, count = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+    h = _random_complex(rng, dim) / dim
+    chans = tuple(Operator(_random_complex(rng, dim) / dim) for _ in range(count))
+    model = LindbladModel(Operator(scale * (h + h.conj().T)), chans, 0.4)
+    shifts = ShiftSet(
+        tuple(
+            ScalarSchedule.piecewise(0.5 * (rng.normal(size=3) + 1j * rng.normal(size=3)), 2.0 / 3)
+            for _ in range(count)
+        )
+    )
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return model, shifts, psi0 / np.linalg.norm(psi0)
+
+
+def _assert_matches_reference(got, want, modulo_two_pi=False) -> None:
+    gap = got.overlap_arg - want["overlap_arg"]
+    assert abs(wrap_phase(gap) if modulo_two_pi else gap) <= 1e-12
+    assert abs(got.dynamical_term - want["dynamical_term"]) <= 1e-12
+    assert abs(got.final_norm - want["final_norm"]) <= 1e-12
+    assert got.grid_steps == want["grid_steps"]
+    assert got.branch_crossings == want["branch_crossings"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tracked_phase_matches_step_loop_on_random_models(seed) -> None:
+    model, shifts, psi0 = _random_shifted_model(500 + seed)
+    # 301 steps: the shift switches at t = 2/3 and 4/3 fall inside steps.
+    got = no_jump_geometric_phase(model, psi0, 2.0, steps=301, shifts=shifts)
+    want = _reference_tracked_phase(model, shifts, psi0, 2.0, 301)
+    assert want["grid_steps"] == 301
+    _assert_matches_reference(got, want)
+
+
+def test_tracked_phase_matches_step_loop_after_grid_doublings() -> None:
+    # A fast Hamiltonian turns the overlap by more than pi/2 per step on 16
+    # steps, so the tracker doubles the grid.
+    model, shifts, psi0 = _random_shifted_model(520, scale=12.0)
+    got = no_jump_geometric_phase(model, psi0, 2.0, steps=16, shifts=shifts)
+    want = _reference_tracked_phase(model, shifts, psi0, 2.0, 16)
+    assert want["grid_steps"] > 16
+    _assert_matches_reference(got, want)
+
+
+def test_tracked_phase_matches_step_loop_across_a_flagged_crossing() -> None:
+    # From the equator the dephasing overlap is e^{-lam t / 2} cos(t / 2),
+    # which vanishes at the grid point t = pi. Across the crossing the
+    # argument is defined modulo 2 pi only.
+    psi0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+    model = _dephasing(0.5)
+    got = no_jump_geometric_phase(model, psi0, 2 * math.pi, steps=64)
+    want = _reference_tracked_phase(model, None, psi0, 2 * math.pi, 64)
+    assert len(want["branch_crossings"]) == 1
+    assert want["branch_crossings"][0] == pytest.approx(math.pi)
+    _assert_matches_reference(got, want, modulo_two_pi=True)
 
 
 def test_no_jump_phase_refuses_an_unresolved_crossing() -> None:

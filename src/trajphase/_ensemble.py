@@ -1,9 +1,11 @@
-"""Deterministic trajectory streams, the block-streaming ensemble driver and
-optional process parallelism.
+"""Deterministic trajectory streams, the sampling grid, the block-streaming
+driver of the QSD ensemble and optional process parallelism.
 
 Trajectory i always draws from the stream spawned at index i from the run
 seed, and chunk results are reduced in index order, so ensemble output is
-byte-identical for every TRAJPHASE_THREADS setting.
+byte-identical for every TRAJPHASE_THREADS setting. The jump ensemble uses
+the seeds, the grid and the worker processes; it takes one draw per jump
+rather than per step, so it does not stream.
 
 `stream_ensemble` advances the states of one chunk, held as the columns of
 a (d, N) array, through the sampling grid in blocks of steps. Per block it

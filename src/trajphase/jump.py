@@ -14,6 +14,18 @@ overlap argument tracked continuously along the path. The discrete-time
 monitoring picture is exposed through Kraus sets F_0 = 1 - i K_tilde dt,
 F_m = sqrt(strength * dt) L_m and the connection matrix relating shifted and
 unshifted sets.
+
+Jump trajectories follow the waiting-time law on a uniform grid (Dalibard,
+Castin and Molmer, PRL 68, 580 (1992); Plenio and Knight, RMP 70, 101
+(1998)). From a normalized state at grid point p a trajectory draws (r, u)
+from its own stream and follows psi~_{k+1} = U_k psi~_k, psi~_p that state.
+It jumps during the first step k at which ||psi~_{k+1}||^2 < r: channel m of
+step k's cell, chosen by u with probability proportional to
+||(L_m - f_m) psi~_k||^2, acts on psi~_k, and the normalized result is the
+state at k + 1, where the trajectory starts again. Jump times, k * dt,
+resolve only to dt; the law departs from continuous time at O(strength *
+dt). A jump whose total probability strength * dt * sum_m
+||(L_m - f_m) psi||^2, psi normalized, exceeds 1 raises StepSizeError.
 """
 
 from __future__ import annotations
@@ -25,14 +37,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from ._ensemble import (
-    NoiseSource,
-    grid_steps,
-    map_ordered,
-    sampling_grid,
-    stream_ensemble,
-    trajectory_seeds,
-)
+from ._ensemble import grid_steps, map_ordered, sampling_grid, trajectory_seeds
 from .lindblad import (
     DensityMatrix,
     LindbladModel,
@@ -46,10 +51,12 @@ from .operators import (
     OperatorSchedule,
     PureState,
     binary_scaled,
+    cell_maps,
     key_runs,
     run_states,
     simpson,
     step_propagators,
+    step_runs,
     unit_vector,
 )
 
@@ -62,6 +69,8 @@ from .operators import combine_schedules, matrix_exponential  # noqa: F401
 BRANCH_EPS = 1e-10
 NORM_FLOOR = 1e-150
 MAX_GRID_DOUBLINGS = 7
+# (r, u) pairs drawn per generator call; a trajectory takes one per jump, plus one.
+PAIR_BLOCK = 8
 
 
 class TotalDecayError(RuntimeError):
@@ -140,23 +149,18 @@ class KrausSet:
 
     def apply(self, rho: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
         arr = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-        out = np.zeros_like(arr)
-        for op in self.ops:
-            out = out + op.entries @ arr @ op.entries.conj().T
-        return out
+        return sum(op.entries @ arr @ op.entries.conj().T for op in self.ops)
 
     def completeness_residual(self) -> float:
         """Max-entry norm of sum_mu F_mu^dag F_mu - identity (O(delta_t^2))."""
-        dim = self.ops[0].dim
-        total = np.zeros((dim, dim), dtype=complex)
-        for op in self.ops:
-            total = total + op.entries.conj().T @ op.entries
-        return float(np.max(np.abs(total - np.eye(dim))))
+        total = sum(op.entries.conj().T @ op.entries for op in self.ops)
+        return float(np.max(np.abs(total - np.eye(self.ops[0].dim))))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class JumpEnsembleResult:
-    """Ensemble-averaged projector estimates on the sampling grid."""
+    """Ensemble-averaged projector estimate at T: times is [T], estimates
+    and std_error are (1, d, d)."""
 
     times: np.ndarray
     estimates: np.ndarray
@@ -169,10 +173,7 @@ class JumpEnsembleResult:
 
     @property
     def samples(self) -> list[tuple[float, DensityMatrix]]:
-        return [
-            (float(t), DensityMatrix(rho))
-            for t, rho in zip(self.times, self.estimates)
-        ]
+        return [(float(t), DensityMatrix(rho)) for t, rho in zip(self.times, self.estimates)]
 
     @property
     def final_estimate(self) -> DensityMatrix:
@@ -384,57 +385,121 @@ def _squared_norms(columns: np.ndarray) -> np.ndarray:
     return np.add.reduce(parts[..., 0::2] + parts[..., 1::2], axis=-2)
 
 
-class _JumpStep:
-    """One step of the first-order jump unraveling for the normalized states
-    in the columns of a (d, N) array.
+def _warn_if_crude(strength_dt: float) -> None:
+    if strength_dt > 0.1:
+        message = "jump times resolve only to delta_t, so first-order errors in it are large"
+        warnings.warn(f"strength * delta_t above 0.1; {message}", RuntimeWarning, stacklevel=3)
 
-    One product with the cell's stacked matrix [U; L_1 - f_1; ...; L_C - f_C]
-    of shape (d (1 + C), d), U the no-jump propagator, gives every column's
-    no-jump successor and channel amplitudes. Channel m fires with
-    probability strength * dt * ||(L_m - f_m) psi||^2; the new state is the
-    fired channel's amplitude or the no-jump successor, renormalized.
-    """
 
-    def __init__(self, model, shifts, total_time: float, steps: int, count: int):
+class _Pairs:
+    """Each column's (r, u) pairs in order, drawn from its own generator
+    PAIR_BLOCK at a time; draws are sequential, so the block is not seen."""
+
+    def __init__(self, generators):
+        self.fills = [g.random for g in generators]
+        self.block = np.empty((len(generators), PAIR_BLOCK, 2))
+        self.used = np.full(len(generators), PAIR_BLOCK)
+
+    def take(self, cols: np.ndarray) -> np.ndarray:
+        """The next pair of each column in cols, as the rows r and u."""
+        for c in cols[self.used[cols] == self.block.shape[1]].tolist():
+            self.fills[c](out=self.block[c])
+            self.used[c] = 0
+        self.used[cols] += 1
+        return self.block[cols, self.used[cols] - 1].T
+
+
+class _JumpSampler:
+    """The waiting-time law of this module for the columns of a (d, N) array.
+
+    Steps whose cell terms are byte-equal share one key, so equal-valued
+    cells form one run. In round j of a run, every column left in it finds
+    its j-th jump there by greedy binary lifting over the powers U^(2^i) of
+    the run's no-jump map: from the highest down, a column takes a power
+    that stays in the run and keeps ||psi~||^2 at or above r. The norm never
+    grows, so this finds the last grid point above r; no map is inverted."""
+
+    def __init__(self, model, shifts, total_time: float, steps: int):
         lowered = lower_model(model, shifts)
         gen = lowered.operators(lambda c: c.k_tilde)
-        maps, cells = step_propagators(gen, 0.0, total_time, steps)
-        self.cells = cells.tolist()
-        self.stacks = {
-            c: np.concatenate([u, *lowered.values[c].channels]) for c, u in maps.items()
-        }
+        cell_runs = step_runs(gen, 0.0, total_time, steps)
+        # The key of a cell is the first cell whose terms equal its own.
+        first: dict[bytes, int] = {}
+        keys = []
+        for _, _, c in cell_runs:
+            terms = lowered.values[c]
+            data = b"".join(m.tobytes() for m in (terms.k_tilde, *terms.channels))
+            keys.append(first.setdefault(data, c))
+        self.runs = [(cell_runs[i][0], cell_runs[j - 1][1], k) for i, j, k in key_runs(keys)]
+        self.maps = cell_maps(gen, first.values(), total_time / steps)
+        # The channels of a key as one (C, d, d) array.
+        shape = (-1, model.dim, model.dim)
+        self.stacks = {c: np.reshape(lowered.values[c].channels, shape) for c in first.values()}
         self.lam_dt = model.strength * (total_time / steps)
-        self.product = np.empty(((1 + len(model.lindblads)) * model.dim, count), dtype=complex)
-        self.blocks = self.product.reshape(-1, model.dim, count)
+        self.powers: dict[int, list[np.ndarray]] = {}
+        for a, b, key in self.runs:
+            table = self.powers.setdefault(key, [self.maps[key]])
+            while 2 ** len(table) <= b - a:
+                table.append(table[-1] @ table[-1])
 
-    def __call__(self, k: int, x, out, u_jump, u_chan) -> tuple[np.ndarray, np.ndarray]:
-        """Advance x over step k into out, deciding with the uniforms u_jump
-        and u_chan (one per column). Returns the columns that jumped and
-        their channels."""
-        np.matmul(self.stacks[self.cells[k]], x, out=self.product)
-        # Row 0: squared norm of the no-jump successor; row 1 + m: of channel m.
-        sq_norms = _squared_norms(self.blocks)
-        probs = sq_norms[1:] * self.lam_dt
-        totals = np.add.reduce(probs, axis=0)
-        cols = (u_jump < totals).nonzero()[0]
-        channel = cols
-        next_sq = sq_norms[0]
-        out[...] = self.blocks[0]
-        if cols.size:
-            # u < 1, so a column whose total exceeds 1 always counts as jumped.
-            worst = float(np.maximum.reduce(totals[cols]))
-            if worst > 1.0:
+    def _jump(self, psi, u, key) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For columns psi~_k jumping in steps of key: the normalized states
+        at k + 1, the channels chosen by u and the total jump probabilities.
+        A state all channels annihilate takes the no-jump step (channel -1)."""
+        amps = self.stacks[key] @ psi
+        sq = _squared_norms(amps)
+        rate = np.add.reduce(sq, axis=0)
+        total = self.lam_dt * rate / _squared_norms(psi)
+        chan = np.sum(np.cumsum(sq, axis=0) <= u * rate, axis=0)
+        chan[rate <= 0] = -1
+        fired = np.flatnonzero(rate > 0)
+        out = psi if fired.size == psi.shape[1] else self.maps[key] @ psi
+        out[:, fired] = amps[chan[fired], :, fired].T
+        out /= np.sqrt(_squared_norms(out))
+        return out, chan, total
+
+    def run(self, x: np.ndarray, pairs: _Pairs, events: Optional[list] = None) -> np.ndarray:
+        """Take the normalized columns of x through the grid in place, to
+        the unnormalized psi~ at T, and return their jump counts; events, if
+        given, collects (column, step, channel) of every jump. A refused jump
+        raises once its run is swept, naming the earliest such step of all
+        columns and the largest total there."""
+        jumps = np.zeros(x.shape[1], dtype=np.int64)
+        pos = np.zeros(x.shape[1], dtype=np.intp)
+        r, u = pairs.take(np.arange(x.shape[1]))
+        for _, b, key in self.runs:
+            powers, refused, stop = self.powers[key], None, b
+            while (live := np.flatnonzero(pos < stop)).size:
+                xs, ks, rs = x.take(live, axis=1), pos[live], r[live]
+                for i in range(len(powers) - 1, -1, -1):
+                    y = powers[i] @ xs
+                    take = (ks + (1 << i) <= b) & (_squared_norms(y) >= rs)
+                    np.copyto(xs, y, where=take)
+                    ks[take] += 1 << i
+                hit = np.flatnonzero(ks < b)
+                if hit.size:
+                    cols, step = live[hit], ks[hit]
+                    xs[:, hit], chan, total = self._jump(xs.take(hit, axis=1), u[cols], key)
+                    if np.any(total > 1.0):
+                        # The earliest refused step, then its largest total; only
+                        # columns not past it can still refuse an earlier step.
+                        k = int(step[total > 1.0].min())
+                        refused = min(refused or (b, 0.0), (k, -float(total[step == k].max())))
+                        stop = refused[0] + 1
+                    fired = chan >= 0
+                    jumps[cols[fired]] += 1
+                    if events is not None:
+                        events += zip(*(v[fired].tolist() for v in (cols, step, chan)))
+                    ks[hit] += 1
+                    r[cols], u[cols] = pairs.take(cols)
+                x[:, live] = xs
+                pos[live] = ks
+            if refused is not None:
                 raise StepSizeError(
-                    f"total jump probability {worst:g} exceeds 1 at step {k}; reduce delta_t"
+                    f"total jump probability {-refused[1]:g} exceeds 1 at step {refused[0]}; "
+                    "reduce delta_t"
                 )
-            cum = np.cumsum(probs[:, cols], axis=0)
-            channel = np.sum(cum <= u_chan[cols] * totals[cols], axis=0)
-            out[:, cols] = self.blocks[1 + channel, :, cols].T
-            next_sq = next_sq.copy()
-            next_sq[cols] = sq_norms[1 + channel, cols]
-        # Scale real and imaginary parts alike by the inverse column norms.
-        out.view(float)[...] *= np.repeat(1.0 / np.sqrt(next_sq), 2)
-        return cols, channel
+        return jumps
 
 
 def sample_jump_trajectory(
@@ -445,94 +510,40 @@ def sample_jump_trajectory(
     rng: np.random.Generator,
     shifts: Optional[ShiftSet] = None,
 ) -> TrajectoryRecord:
-    """One stochastic trajectory of the first-order jump unraveling.
-
-    Per step, channel m fires with probability strength * dt *
-    ||(L_m - f_m) psi||^2; otherwise the state follows the no-jump generator.
-    States are renormalized after every step. Draws two uniform blocks of
-    length steps from rng (jump decisions, then channel choices), so equal
-    rng states reproduce the trajectory exactly.
+    """One trajectory of the jump unraveling, drawn from rng in blocks of
+    PAIR_BLOCK (r, u) pairs by the sampler of `average_jump_ensemble`: with
+    np.random.default_rng of trajectory i's stream it is trajectory i.
+    The normalized grid states between jumps come from `run_states`.
     """
     steps, dt = sampling_grid(total_time, delta_t)
-    if model.strength * dt > 0.1:
-        warnings.warn(
-            "strength * delta_t above 0.1; first-order jump probabilities are crude",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    advance = _JumpStep(model, shifts, total_time, steps, 1)
+    _warn_if_crude(model.strength * dt)
     vec = unit_vector(_state_vector(psi0))
-
-    u_jump = rng.random(steps)
-    u_chan = rng.random(steps)
-    states = np.empty((steps + 1, vec.shape[0], 1), dtype=complex)
-    states[0, :, 0] = vec
-    events = []
-    for k in range(steps):
-        cols, channel = advance(
-            k, states[k], states[k + 1], u_jump[k : k + 1], u_chan[k : k + 1]
-        )
-        if cols.size:
-            events.append(JumpEvent(time=k * dt, channel=int(channel[0])))
-    times = np.arange(steps + 1) * dt
-    survival = 1.0 if not events else 0.0
-    return TrajectoryRecord(times, states[:, :, 0], tuple(events), survival)
-
-
-class _JumpEnsemble:
-    """Jump counts and projector moments of a chunk, for `stream_ensemble`:
-    sum_proj[k] = sum_n |psi_n(k)><psi_n(k)| and the sums of the squared
-    real and imaginary parts of its entries, reduced once per block."""
-
-    def __init__(self, advance: _JumpStep, steps: int, dim: int, count: int):
-        self.advance = advance
-        self.jumps = np.zeros(count, dtype=np.int64)
-        self.sum_proj = np.zeros((steps + 1, dim, dim), dtype=complex)
-        self.sum_re2 = np.zeros((steps + 1, dim, dim))
-        self.sum_im2 = np.zeros((steps + 1, dim, dim))
-
-    def draws(self, noise: list[np.ndarray]) -> np.ndarray:
-        """Jump and channel uniforms of each step, as (n, 2, N)."""
-        u_jump, u_chan = noise
-        return np.stack([u_jump[:, :, 0].T, u_chan[:, :, 0].T], axis=1)
-
-    def step(self, k: int, x, out, uniforms) -> None:
-        cols, _ = self.advance(k, x, out, uniforms[0], uniforms[1])
-        if cols.size:
-            self.jumps[cols] += 1
-
-    def reduce(self, first: int, states: np.ndarray) -> None:
-        proj = states[:, :, np.newaxis, :] * states.conj()[:, np.newaxis, :, :]
-        last = first + len(states)
-        self.sum_proj[first:last] = np.add.reduce(proj, axis=-1)
-        self.sum_re2[first:last] = np.einsum("bijn,bijn->bij", proj.real, proj.real)
-        self.sum_im2[first:last] = np.einsum("bijn,bijn->bij", proj.imag, proj.imag)
+    sampler = _JumpSampler(model, shifts, total_time, steps)
+    found: list = []
+    sampler.run(vec[:, np.newaxis].copy(), _Pairs([rng]), found)
+    keys = np.concatenate([np.full(b - a, key) for a, b, key in sampler.runs])
+    cols = np.empty((model.dim, steps + 1), dtype=complex)
+    start, x = 0, vec
+    for _, k, m in found:
+        cols[:, start : k + 1] = run_states(sampler.maps, keys[start:k], x).T
+        x = sampler.stacks[keys[k]][m] @ cols[:, k]
+        start = k + 1
+    cols[:, start:] = run_states(sampler.maps, keys[start:], x).T
+    cols /= np.sqrt(_squared_norms(cols))
+    events = tuple(JumpEvent(time=k * dt, channel=m) for _, k, m in found)
+    return TrajectoryRecord(np.arange(steps + 1) * dt, cols.T, events, float(not events))
 
 
 def _ensemble_chunk(args) -> tuple:
     model, shifts, vec, total_time, delta_t, streams = args
     steps, _ = grid_steps(total_time, delta_t)
-    count = len(streams)
-    dim = vec.shape[0]
-    kernel = _JumpEnsemble(_JumpStep(model, shifts, total_time, steps, count), steps, dim, count)
-    # Trajectory i draws `steps` jump uniforms and then `steps` channel
-    # uniforms from its stream; the channel cursor is a copy of the stream
-    # advanced past the jump uniforms, so both are read one block at a time.
-    sources = [
-        NoiseSource([np.random.default_rng(s) for s in streams], 1, "random"),
-        NoiseSource(
-            [np.random.Generator(np.random.PCG64(s).advance(steps)) for s in streams],
-            1,
-            "random",
-        ),
-    ]
-    x0 = np.repeat(vec[:, np.newaxis], count, axis=1)
-    kernel.reduce(0, x0[np.newaxis])
-    # Block scratch per trajectory-step: the stacked uniforms, the
-    # conjugate states and the projectors of the moment reduction.
-    scratch = 16 + 16 * dim + 16 * dim * dim
-    stream_ensemble(x0, steps, sources, kernel, scratch_bytes=scratch)
-    return kernel.sum_proj, kernel.sum_re2, kernel.sum_im2, kernel.jumps
+    x = np.repeat(vec[:, np.newaxis], len(streams), axis=1)
+    sampler = _JumpSampler(model, shifts, total_time, steps)
+    jumps = sampler.run(x, _Pairs([np.random.default_rng(s) for s in streams]))
+    x /= np.sqrt(_squared_norms(x))
+    # Sums over the columns of |psi><psi| and of its entries' squared moduli.
+    proj = x[:, np.newaxis] * x.conj()
+    return np.add.reduce(proj, axis=-1), np.add.reduce(np.abs(proj) ** 2, axis=-1), jumps
 
 
 def average_jump_ensemble(
@@ -545,22 +556,18 @@ def average_jump_ensemble(
     shifts: Optional[ShiftSet] = None,
     chunk_size: int = 2048,
 ) -> JumpEnsembleResult:
-    """Monte Carlo estimate of rho(t) from the jump unraveling.
+    """Monte Carlo estimate of rho(T) from the jump unraveling, by the
+    waiting-time law of this module; projector moments are taken at T only.
 
     Trajectory i draws from a stream spawned deterministically from
-    (seed, i); results are reduced in fixed chunk order, so the outcome is
-    identical for any TRAJPHASE_THREADS setting.
+    (seed, i), and chunks are reduced in order, so the outcome is identical
+    for any TRAJPHASE_THREADS setting.
     """
     if n_trajectories < 1:
         raise ValueError("n_trajectories must be >= 1")
     vec = unit_vector(_state_vector(psi0))
-    steps, dt = sampling_grid(total_time, delta_t)
-    if model.strength * dt > 0.1:
-        warnings.warn(
-            "strength * delta_t above 0.1; first-order jump probabilities are crude",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _, dt = sampling_grid(total_time, delta_t)
+    _warn_if_crude(model.strength * dt)
     seeds = trajectory_seeds(seed, n_trajectories)
     jobs = [
         (model, shifts, vec, total_time, delta_t, seeds[lo : lo + chunk_size])
@@ -568,23 +575,16 @@ def average_jump_ensemble(
     ]
     results = map_ordered(_ensemble_chunk, jobs)
     # Chunk sums in chunk order.
-    sum_proj, sum_re2, sum_im2 = (sum(r[i] for r in results) for i in range(3))
-    jump_counts = np.concatenate([r[3] for r in results])
+    sum_proj, sum_abs2 = (sum(r[i] for r in results)[np.newaxis] for i in range(2))
+    jump_counts = np.concatenate([r[2] for r in results])
 
     n = float(n_trajectories)
     estimates = sum_proj / n
-    var_re = np.maximum(sum_re2 / n - estimates.real**2, 0.0)
-    var_im = np.maximum(sum_im2 / n - estimates.imag**2, 0.0)
-    if n_trajectories > 1:
-        bessel = n / (n - 1.0)
-        std_error = np.sqrt((var_re + var_im) * bessel / n)
-        jump_se = math.sqrt(float(np.var(jump_counts, ddof=1)) / n)
-    else:
-        std_error = np.zeros_like(var_re)
-        jump_se = 0.0
-    times = np.arange(steps + 1) * dt
+    bessel = n / (n - 1.0) if n_trajectories > 1 else 0.0
+    std_error = np.sqrt(np.maximum(sum_abs2 / n - np.abs(estimates) ** 2, 0.0) * bessel / n)
+    jump_se = math.sqrt(float(np.var(jump_counts, ddof=1)) / n) if n_trajectories > 1 else 0.0
     return JumpEnsembleResult(
-        times=times,
+        times=np.array([total_time]),
         estimates=estimates,
         std_error=std_error,
         mean_jumps=float(jump_counts.mean()),

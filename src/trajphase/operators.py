@@ -246,15 +246,16 @@ class Schedule:
             )
         return np.clip((times / self.cell).astype(np.intp), 0, len(self.values) - 1)
 
-    def step_cells(self, t0: float, t1: float, steps: int) -> np.ndarray:
+    def step_cells(self, t0: float, t1: float, steps: int, index=None) -> np.ndarray:
         """Cell of each step of the uniform grid of `steps` steps on [t0, t1],
-        by the step-to-cell rule of this module."""
+        or of the steps in index, by the step-to-cell rule of this module."""
         if not self.covers(t0, t1):
             raise ScheduleRangeError(
                 f"schedule covers [0, {self.extent}], requested [{t0}, {t1}]"
             )
         dt = (t1 - t0) / steps
-        return self.cells_at(t0 + (np.arange(steps) + 0.5) * dt)
+        k = np.arange(steps) if index is None else np.asarray(index)
+        return self.cells_at(t0 + (k + 0.5) * dt)
 
     def value_at(self, t: float):
         return self.values[int(self.cells_at(t))]
@@ -419,12 +420,34 @@ def step_propagators(
     grid on [t0, t1]: step k applies maps[cells[k]]. One exponential per
     cell used."""
     cells = generator.step_cells(t0, t1, steps)
-    dt = (t1 - t0) / steps
-    maps = {
-        c: matrix_exponential(-1j * dt * generator.values[c].entries)
-        for c in {key for _, _, key in key_runs(cells)}
-    }
-    return maps, cells
+    used = {key for _, _, key in key_runs(cells)}
+    return cell_maps(generator, used, (t1 - t0) / steps), cells
+
+
+def cell_maps(generator: OperatorSchedule, cells, dt: float) -> dict[int, np.ndarray]:
+    """The step map exp(-i dt G_c) of each cell c in cells."""
+    return {c: matrix_exponential(-1j * dt * generator.values[c].entries) for c in cells}
+
+
+def step_runs(schedule: Schedule, t0: float, t1: float, steps: int) -> list[tuple[int, int, int]]:
+    """`key_runs(schedule.step_cells(t0, t1, steps))` without the per-step
+    cells. The cells never decrease along the grid, so the first step of
+    each later cell is found by bisection on the step index: the rule is
+    evaluated at O(cells log steps) steps, whatever the step count."""
+
+    def cells(k) -> np.ndarray:
+        return schedule.step_cells(t0, t1, steps, k)
+
+    first, last = cells([0, steps - 1]).tolist()
+    targets = np.arange(first + 1, last + 1)
+    # cells(lo) < target <= cells(hi) for every later cell.
+    lo, hi = np.zeros_like(targets), np.full_like(targets, steps - 1)
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        above = cells(mid) >= targets
+        hi, lo = np.where(above, mid, hi), np.where(above, lo, mid)
+    bounds = [0, *np.unique(hi).tolist(), steps]
+    return [(a, b, int(c)) for a, b, c in zip(bounds[:-1], bounds[1:], cells(bounds[:-1]))]
 
 
 def key_runs(keys) -> list[tuple[int, int, int]]:

@@ -1,6 +1,9 @@
-"""The block-streaming ensemble kernels against the per-step loops they
-replaced, on seeded random models (dim 2-4, 1-3 channels, 3-cell piecewise
-shifts), plus determinism and bounded memory."""
+"""The ensemble kernels against step-by-step reference loops, on seeded
+random models (dim 2-4, 1-3 channels, 3-cell piecewise shifts): the
+block-streaming QSD kernel against the per-step loop it replaced, and the
+jump sampler against the waiting-time law taken one step at a time; plus
+the jump law against the master equation, determinism and bounded
+memory."""
 
 from __future__ import annotations
 
@@ -13,15 +16,18 @@ import numpy as np
 import pytest
 
 import trajphase._ensemble as ensemble
+import trajphase.jump as jump
 from trajphase._ensemble import grid_steps, trajectory_seeds
 from trajphase.dephasing import dephasing_model
 from trajphase.jump import (
     StepSizeError,
     _ensemble_chunk,
+    _JumpSampler,
+    _Pairs,
     average_jump_ensemble,
     sample_jump_trajectory,
 )
-from trajphase.lindblad import LindbladModel, ShiftSet, lower_model
+from trajphase.lindblad import DensityMatrix, LindbladModel, ShiftSet, evolve_states, lower_model
 from trajphase.operators import (
     BlochAngles,
     Operator,
@@ -51,7 +57,7 @@ SIZES = list(itertools.product((2, 3, 4), (1, 2, 3)))
 BUDGETS = [None, 1, 40_000]
 
 
-# --- reference loops: the per-step kernels as they were -------------------
+# --- reference loops: per-step kernels and the jump law step by step ------
 
 
 def _reference_qsd_chunk(args) -> tuple:
@@ -132,85 +138,56 @@ def _reference_step_terms(model, shifts, total_time, steps) -> list[tuple]:
     return [(maps[c], lowered.values[c].channels) for c in cells.tolist()]
 
 
-def _reference_advance_batch(states, step, k, dt, lam, u_jump, u_chan):
-    u, ls = step
-    amps = [states @ l.T for l in ls]
-    probs = np.stack(
-        [lam * dt * np.sum(np.abs(a) ** 2, axis=1) for a in amps], axis=1
-    )
-    totals = probs.sum(axis=1)
-    if float(totals.max(initial=0.0)) > 1.0:
-        raise StepSizeError(
-            f"total jump probability {totals.max():g} exceeds 1 at step {k}; reduce delta_t"
-        )
-    jumped = u_jump < totals
-    channel = np.zeros(states.shape[0], dtype=np.int64)
-    if jumped.any():
-        cum = np.cumsum(probs, axis=1)
-        targets = u_chan * totals
-        channel = np.sum(cum <= targets[:, None], axis=1)
-        for m, amp in enumerate(amps):
-            mask = jumped & (channel == m)
-            if mask.any():
-                states[mask] = amp[mask]
-    quiet = ~jumped
-    if quiet.any():
-        states[quiet] = states[quiet] @ u.T
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
-    return jumped, channel
+def _reference_jump_law(model, shifts, vec, total_time, delta_t, rngs) -> tuple:
+    """The waiting-time jump law step by step, one trajectory after another.
 
-
-def _reference_jump_chunk(args) -> tuple:
-    model, shifts, vec, total_time, delta_t, streams = args
+    Trajectory n reads a pair (r, u) from rngs[n] at the start and after
+    every jump. Over step k, psi~ <- U_k psi~; if ||psi~||^2 falls below r,
+    the trajectory jumps instead: channel m, chosen by u with probability
+    proportional to ||L_m psi~_k||^2, acts on psi~_k (a state every channel
+    annihilates takes the no-jump step without a jump). Returns the
+    normalized grid states (N, steps + 1, d), the events (n, k, m), and
+    the StepSizeError text of the earliest jump whose total probability
+    exceeds 1 (the largest total at that step), or None.
+    """
     steps, dt = grid_steps(total_time, delta_t)
     terms = _reference_step_terms(model, shifts, total_time, steps)
-    lam = model.strength
-    count = len(streams)
-    dim = vec.shape[0]
+    lam_dt = model.strength * dt
+    paths = np.empty((len(rngs), steps + 1, vec.shape[0]), dtype=complex)
+    events, refused = [], []
+    for n, rng in enumerate(rngs):
+        x = vec.copy()
+        paths[n, 0] = x
+        r, u = rng.random(2)
+        for k, (step_map, channels) in enumerate(terms):
+            y = step_map @ x
+            if np.vdot(y, y).real >= r:
+                x = y
+                paths[n, k + 1] = x / np.linalg.norm(x)
+                continue
+            amps = [l @ x for l in channels]
+            rates = [np.vdot(a, a).real for a in amps]
+            rate = sum(rates)
+            if rate > 0:
+                m = int(np.sum(np.cumsum(rates) <= u * rate))
+                events.append((n, k, m))
+                refused.append((k, -lam_dt * rate / np.vdot(x, x).real))
+                y = amps[m]
+            x = y / np.linalg.norm(y)
+            paths[n, k + 1] = x
+            r, u = rng.random(2)
+    refused = [e for e in refused if -e[1] > 1.0]
+    message = None
+    if refused:
+        k, total = min(refused)
+        message = f"total jump probability {-total:g} exceeds 1 at step {k}; reduce delta_t"
+    return paths, events, message
 
-    rngs = [np.random.default_rng(s) for s in streams]
-    u_jump = np.stack([r.random(steps) for r in rngs])
-    u_chan = np.stack([r.random(steps) for r in rngs])
 
-    states = np.tile(vec, (count, 1))
-    jumps = np.zeros(count, dtype=np.int64)
-    sum_proj = np.zeros((steps + 1, dim, dim), dtype=complex)
-    sum_re2 = np.zeros((steps + 1, dim, dim))
-    sum_im2 = np.zeros((steps + 1, dim, dim))
-
-    def accumulate(k: int) -> None:
-        proj = states[:, :, np.newaxis] * states[:, np.newaxis, :].conj()
-        sum_proj[k] += proj.sum(axis=0)
-        sum_re2[k] += np.sum(proj.real**2, axis=0)
-        sum_im2[k] += np.sum(proj.imag**2, axis=0)
-
-    accumulate(0)
-    for k in range(steps):
-        jumped, _ = _reference_advance_batch(
-            states, terms[k], k, dt, lam, u_jump[:, k], u_chan[:, k]
-        )
-        jumps += jumped
-        accumulate(k + 1)
-    return sum_proj, sum_re2, sum_im2, jumps
-
-
-def _reference_trajectory(model, vec, total_time, delta_t, rng, shifts):
-    steps, dt = grid_steps(total_time, delta_t)
-    terms = _reference_step_terms(model, shifts, total_time, steps)
-    u_jump = rng.random(steps)
-    u_chan = rng.random(steps)
-    states = np.empty((steps + 1, vec.shape[0]), dtype=complex)
-    batch = vec[np.newaxis, :].copy()
-    events = []
-    for k in range(steps):
-        states[k] = batch[0]
-        jumped, channel = _reference_advance_batch(
-            batch, terms[k], k, dt, model.strength, u_jump[k : k + 1], u_chan[k : k + 1]
-        )
-        if jumped[0]:
-            events.append((k * dt, int(channel[0])))
-    states[steps] = batch[0]
-    return states, events
+def _reference_moments(paths) -> tuple:
+    final = paths[:, -1]
+    proj = final[:, :, np.newaxis] * final[:, np.newaxis, :].conj()
+    return proj.sum(axis=0), np.sum(np.abs(proj) ** 2, axis=0)
 
 
 # --- random models ----------------------------------------------------------
@@ -463,14 +440,45 @@ def test_qsd_working_memory_does_not_grow_with_total_time() -> None:
 # --- jumps ------------------------------------------------------------------
 
 
+@pytest.fixture(params=[None, 1, 3], ids=["budget", "one-step", "few-steps"])
+def pair_block(request, monkeypatch):
+    """None keeps the module's PAIR_BLOCK; the others draw one and three
+    (r, u) pairs per generator call, so refills fall between jumps. The ids
+    are those of the step blocks the per-step jump kernel was tested in."""
+    if request.param is not None:
+        monkeypatch.setattr(jump, "PAIR_BLOCK", request.param)
+    return request.param
+
+
+def _generators(streams) -> list:
+    return [np.random.default_rng(s) for s in streams]
+
+
+def _chunk_events(args) -> list:
+    """(trajectory, step, channel) of every jump of a chunk's sampler run,
+    in trajectory and time order."""
+    model, shifts, vec, total_time, delta_t, streams = args
+    sampler = _JumpSampler(model, shifts, total_time, grid_steps(total_time, delta_t)[0])
+    events = []
+    x = np.repeat(vec[:, np.newaxis], len(streams), axis=1)
+    sampler.run(x, _Pairs(_generators(streams)), events)
+    return sorted(events)
+
+
 @pytest.mark.parametrize("dim,count", SIZES)
-def test_jump_chunk_matches_reference_loop(dim: int, count: int, budget) -> None:
+def test_jump_chunk_matches_reference_loop(dim: int, count: int, pair_block) -> None:
     args = _job(dim, count, 0.4, 40, 400 + 10 * dim + count)
-    sum_proj, sum_re2, sum_im2, jumps = _ensemble_chunk(args)
-    want = _reference_jump_chunk(args)
-    assert jumps.tobytes() == want[3].tobytes()
-    assert jumps.sum() > 0
-    for got, ref in zip((sum_proj, sum_re2, sum_im2), want[:3]):
+    model, shifts, vec, total_time, delta_t, streams = args
+    sum_proj, sum_abs2, jumps = _ensemble_chunk(args)
+    paths, events, message = _reference_jump_law(
+        model, shifts, vec, total_time, delta_t, _generators(streams)
+    )
+    assert message is None
+    want = np.bincount([n for n, _, _ in events], minlength=len(streams)).astype(np.int64)
+    assert jumps.tobytes() == want.tobytes()
+    assert jumps.max() >= 2
+    assert np.array(_chunk_events(args)).tobytes() == np.array(events).tobytes()
+    for got, ref in zip((sum_proj, sum_abs2), _reference_moments(paths)):
         assert _relative_gap(got, ref) <= 1e-12
 
 
@@ -480,22 +488,52 @@ def test_sampled_trajectory_matches_reference_loop(dim: int, count: int) -> None
     model = _random_model(dim, count, 2.0, rng)
     shifts = _random_shifts(count, rng)
     vec = _random_state(dim, rng)
-    record = sample_jump_trajectory(model, vec, 1.5, 1e-2, np.random.default_rng(3), shifts)
-    states, events = _reference_trajectory(model, vec, 1.5, 1e-2, np.random.default_rng(3), shifts)
-    assert [(e.time, e.channel) for e in record.jumps] == events
-    assert events
-    assert np.max(np.abs(record.states - states)) <= 1e-12
+    dt = grid_steps(1.5, 1e-2)[1]
+    # Under the waiting-time law rng 3 alone draws no jump at dim 2; three
+    # streams together do.
+    jumped = 0
+    for stream in (3, 4, 5):
+        record = sample_jump_trajectory(
+            model, vec, 1.5, 1e-2, np.random.default_rng(stream), shifts
+        )
+        paths, events, message = _reference_jump_law(
+            model, shifts, vec, 1.5, 1e-2, [np.random.default_rng(stream)]
+        )
+        assert message is None
+        assert [(e.time, e.channel) for e in record.jumps] == [(k * dt, m) for _, k, m in events]
+        assert np.max(np.abs(record.states - paths[0])) <= 1e-12
+        jumped += len(events)
+    assert jumped
+
+
+def test_sampled_trajectories_are_the_ensemble_trajectories() -> None:
+    rng = np.random.default_rng(8)
+    model = _random_model(3, 2, 1.0, rng)
+    shifts = _random_shifts(2, rng)
+    vec = _random_state(3, rng)
+    seeds = trajectory_seeds(11, 24)
+    res = average_jump_ensemble(model, vec, CELLS * CELL, 1e-2, 24, 11, shifts, chunk_size=10)
+    events = _chunk_events((model, shifts, vec, CELLS * CELL, 1e-2, seeds))
+    dt = grid_steps(CELLS * CELL, 1e-2)[1]
+    for i, stream in enumerate(seeds):
+        record = sample_jump_trajectory(
+            model, vec, CELLS * CELL, 1e-2, np.random.default_rng(stream), shifts
+        )
+        assert len(record.jumps) == res.jump_counts[i]
+        want = [(k * dt, m) for n, k, m in events if n == i]
+        assert [(e.time, e.channel) for e in record.jumps] == want
+    assert res.jump_counts.sum() > 24
 
 
 def _step_size_messages(args) -> tuple[str, str]:
     with pytest.raises(StepSizeError) as got:
         _ensemble_chunk(args)
-    with pytest.raises(StepSizeError) as want:
-        _reference_jump_chunk(args)
-    return str(got.value), str(want.value)
+    model, shifts, vec, total_time, delta_t, streams = args
+    _, _, want = _reference_jump_law(model, shifts, vec, total_time, delta_t, _generators(streams))
+    return str(got.value), want
 
 
-def test_step_size_error_keeps_message_and_step(budget) -> None:
+def test_step_size_error_keeps_message_and_step(pair_block) -> None:
     vec = np.asarray(EQUATOR.amplitudes)
     # A shift so large that the first step already fails.
     strong = (dephasing_model(1.0, 1.0), ShiftSet.constants([30.0]), vec, 0.5, 1e-2)
@@ -503,7 +541,7 @@ def test_step_size_error_keeps_message_and_step(budget) -> None:
     assert got == want
     assert "at step 0;" in got
     # A channel that only becomes strong in the last of three cells, so the
-    # failure comes mid-run, after the first blocks.
+    # failure comes mid-run, after jumps in the first cell.
     zero = Operator(np.zeros((2, 2)))
     channel = OperatorSchedule.piecewise([0.3 * pauli("x"), zero, 6 * pauli("z")], 0.5)
     model = LindbladModel(OperatorSchedule.constant(pauli("z")), (channel,), 3.0)
@@ -511,6 +549,73 @@ def test_step_size_error_keeps_message_and_step(budget) -> None:
     got, want = _step_size_messages(late)
     assert got == want
     assert "at step 100;" in got
+    # A qubit driven into a strongly monitored level: a second jump can be
+    # refused at an earlier step than any first jump, so the sampler sweeps
+    # the whole run before it names the earliest refused step.
+    model = LindbladModel(30 * pauli("x"), (Operator(np.diag([0.0, 1.0])),), 15.0)
+    pole = np.array([1.0, 0.0], dtype=complex)
+    for seed in range(12):
+        got, want = _step_size_messages((model, None, pole, 2.0, 0.1, trajectory_seeds(seed, 8)))
+        assert got == want
+
+
+def test_a_state_no_channel_acts_on_steps_on_without_a_jump() -> None:
+    # L = |0><1| annihilates |0>, where every jump lands, but H turns |0>
+    # towards |1> within a step, so the no-jump norm can fall below r over a
+    # step that starts at |0>: such a trajectory takes the no-jump step.
+    model = LindbladModel(pauli("x"), (Operator(np.array([[0.0, 1.0], [0.0, 0.0]])),), 1.0)
+    args = (model, None, np.array([1.0, 0.0], dtype=complex), 5.0, 0.5, trajectory_seeds(3, 40))
+    paths, events, message = _reference_jump_law(*args[:5], _generators(args[5]))
+    assert message is None
+    sum_proj, sum_abs2, jumps = _ensemble_chunk(args)
+    assert np.array(_chunk_events(args)).tobytes() == np.array(events).tobytes()
+    assert jumps.sum() == len(events)
+    for got, ref in zip((sum_proj, sum_abs2), _reference_moments(paths)):
+        assert _relative_gap(got, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("dim,count", SIZES)
+def test_jump_law_matches_the_master_equation(dim: int, count: int) -> None:
+    # 1400 steps over three cells of 0.5: every cell edge falls inside a step.
+    rng = np.random.default_rng(900 + 10 * dim + count)
+    model = _random_model(dim, count, 0.4, rng)
+    shifts = _random_shifts(count, rng)
+    vec = _random_state(dim, rng)
+    total, steps, fine = CELLS * CELL, 1400, 2**14
+    res = average_jump_ensemble(model, vec, total, total / steps, 2000, dim + 10 * count, shifts)
+    lowered = lower_model(model, shifts)
+    _, rhos = evolve_states(lowered, DensityMatrix.from_pure(vec), total, fine)
+    assert np.all(np.abs(res.estimates[-1] - rhos[-1]) <= 5 * res.std_error[-1] + 1e-12)
+    # E[jumps] = strength * integral of sum_m Tr[(L_m - f_m)^dag (L_m - f_m) rho] dt,
+    # by the midpoint rule on each step of the fine grid.
+    weights = np.array([sum(c.squares) for c in lowered.values])
+    mids = 0.5 * (rhos[1:] + rhos[:-1])
+    rates = np.einsum("kij,kji->k", weights[lowered.step_cells(0.0, total, fine)], mids).real
+    exact = model.strength * float(np.sum(rates)) * total / fine
+    assert abs(res.mean_jumps - exact) <= 5 * res.mean_jumps_error
+
+
+def _jump_chunk_peak_bytes(total_time: float) -> int:
+    rng = np.random.default_rng(9)
+    model = _random_model(4, 2, 0.4, rng)
+    args = (model, None, _random_state(4, rng), total_time, 1e-3, trajectory_seeds(1, 256))
+    tracemalloc.start()
+    try:
+        _ensemble_chunk(args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_jump_chunk_working_memory_does_not_grow_with_total_time() -> None:
+    # A first call also allocates what NumPy builds lazily on first use.
+    _jump_chunk_peak_bytes(0.1)
+    short = _jump_chunk_peak_bytes(4.0)
+    long = _jump_chunk_peak_bytes(16.0)
+    # Sums of the 16 projector entries at every grid point (complex, and the
+    # squared real and imaginary parts: 512 B a point) would alone take 6 MB
+    # more in the long run.
+    assert long <= 1.1 * short + 2**20
 
 
 def test_jump_ensemble_invariant_to_threads_and_chunks(monkeypatch) -> None:

@@ -24,9 +24,11 @@ from trajphase.operators import (
     commutator,
     identity,
     is_hermitian,
+    key_runs,
     matrix_exponential,
     pauli,
     simpson,
+    step_runs,
     time_ordered_propagator,
     wrap_phase,
 )
@@ -237,6 +239,24 @@ def test_time_ordered_propagator_composes_cells() -> None:
     )
     assert np.max(np.abs(u.entries - want)) < 1e-12
     assert np.max(np.abs(u.entries @ u.entries.conj().T - np.eye(2))) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_step_runs_equal_the_runs_of_the_step_cells(seed) -> None:
+    # Cells wider and narrower than a step, edges on and off the grid,
+    # grids that start inside the schedule or stop short of its end.
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        count = int(rng.integers(1, 12))
+        cell = float(rng.choice([1.0, 0.5, 1 / 3, 0.07, 0.013]))
+        sched = ScalarSchedule.piecewise(list(rng.integers(0, 3, count)), cell)
+        t0, t1 = sorted(rng.uniform(0.0, count * cell, 2))
+        if rng.random() < 0.5:
+            t0, t1 = 0.0, count * cell
+        steps = int(rng.choice([1, 2, 3, int(rng.integers(1, 5000))]))
+        assert step_runs(sched, t0, t1, steps) == key_runs(sched.step_cells(t0, t1, steps))
+    constant = ScalarSchedule.constant(1.0)
+    assert step_runs(constant, 0.0, 2.0, 10) == [(0, 10, 0)]
 
 
 def test_time_ordered_propagator_validation() -> None:

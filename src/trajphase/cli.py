@@ -33,6 +33,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ScenarioConfig, load_config, serialize_config
+from .config import _constant_real_shift
 from .dephasing import closed_form_dynamical_phase, closed_form_overlap_phase
 from .jump import (
     BranchTrackingError,
@@ -188,14 +189,6 @@ def _cmd_jump_sample(cfg: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _constant_real_shift(cfg: ScenarioConfig) -> float:
-    """The single constant real shift of the scenario, or nan."""
-    if len(cfg.shift_values) != 1 or not isinstance(cfg.shift_values[0], complex):
-        return float("nan")
-    value = cfg.shift_values[0]
-    return value.real if abs(value.imag) <= 1e-15 else float("nan")
-
-
 def _cmd_qsd_phase(cfg: ScenarioConfig) -> str:
     total = cfg.run.require("total_time", "qsd-phase")
     delta_t = cfg.run.require("delta_t", "qsd-phase")
@@ -239,7 +232,8 @@ def _cmd_qsd_phase(cfg: ScenarioConfig) -> str:
             ) + closed_form_dynamical_phase(params, total)
         else:
             closed = nan
-        f_value = point.get("f", _constant_real_shift(pinned))
+        shift = _constant_real_shift(pinned.shift_values)
+        f_value = point.get("f", nan if shift is None else shift)
         status = "ok"
         if res.n_used == 0:
             # Flag the point and keep sweeping; the report collects the warning.

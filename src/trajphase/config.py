@@ -101,6 +101,15 @@ def _matrix(node, path: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def _constant_real_shift(shift_values: tuple) -> Optional[float]:
+    """The one shift of shift_values when it is a constant whose imaginary
+    part is at most 1e-15, as a real number; else None."""
+    if len(shift_values) != 1 or not isinstance(shift_values[0], complex):
+        return None
+    value = shift_values[0]
+    return value.real if abs(value.imag) <= 1e-15 else None
+
+
 def _pairs(matrix: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in matrix]
 
@@ -193,17 +202,9 @@ class ScenarioConfig:
             return None
         if self.channel_kinds != ("sigma_z",) or self.initial_angles is None:
             return None
-        if self.shifts is None:
-            f = 0.0
-        else:
-            if len(self.shift_values) != 1 or not isinstance(
-                self.shift_values[0], complex
-            ):
-                return None
-            value = self.shift_values[0]
-            if abs(value.imag) > 1e-15:
-                return None
-            f = value.real
+        f = 0.0 if self.shifts is None else _constant_real_shift(self.shift_values)
+        if f is None:
+            return None
         return DephasingParams(
             omega=self.omega,
             strength=self.model.strength,

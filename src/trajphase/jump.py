@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from ._ensemble import grid_steps, map_ordered, sampling_grid, trajectory_seeds
+from ._ensemble import chunked, grid_steps, map_ordered, sampling_grid, trajectory_seeds
 from .lindblad import (
     DensityMatrix,
     LindbladModel,
@@ -55,6 +55,7 @@ from .operators import (
     key_runs,
     run_states,
     simpson,
+    state_vector,
     step_propagators,
     step_runs,
     unit_vector,
@@ -191,16 +192,8 @@ def shifted_no_jump_hamiltonian(model: LindbladModel, shifts: ShiftSet) -> Opera
     return lower_model(model, shifts).operators(lambda c: c.k_tilde)
 
 
-def _state_vector(psi) -> np.ndarray:
-    vec = np.asarray(getattr(psi, "amplitudes", psi), dtype=complex).reshape(-1)
-    # A norm would underflow to 0 for tiny nonzero amplitudes.
-    if not vec.any():
-        raise ValueError("state vector must be nonzero")
-    return vec
-
-
-def _unit_vector(psi) -> np.ndarray:
-    vec = _state_vector(psi)
+def _unit_vector(psi, dim: int) -> np.ndarray:
+    vec = state_vector(psi, dim)
     if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
         raise ValueError("psi0 must be normalized within 1e-12")
     return vec
@@ -227,9 +220,7 @@ def propagate_no_jump(
         raise ValueError("steps must be >= 1")
     if total_time < 0:
         raise ValueError("total_time must be >= 0")
-    vec = _state_vector(psi0)
-    if vec.shape[0] != generator.dim:
-        raise ValueError("state dimension differs from the generator's")
+    vec = state_vector(psi0, generator.dim)
 
     dt = total_time / steps
     exponent = int(np.frexp(np.abs(vec).max())[1])
@@ -344,7 +335,7 @@ def no_jump_geometric_phase(
     at most pi/2, except across flagged zero crossings of the overlap, where
     the result is meaningful modulo 2 pi only.
     """
-    vec = _unit_vector(psi0)
+    vec = _unit_vector(psi0, model.dim)
     gen, herm = _phase_generators(model, shifts)
     return _tracked_phase(gen, herm, vec, total_time, steps)
 
@@ -368,7 +359,7 @@ def gauge_transform_check(
     """
     if scale == 0:
         raise ValueError("scale must be nonzero; c(t) may not vanish")
-    vec = _unit_vector(psi0)
+    vec = _unit_vector(psi0, model.dim)
     gen, herm = _phase_generators(model, shifts)
     base = _tracked_phase(gen, herm, vec, total_time, steps)
     eye = np.eye(model.dim)
@@ -517,7 +508,7 @@ def sample_jump_trajectory(
     """
     steps, dt = sampling_grid(total_time, delta_t)
     _warn_if_crude(model.strength * dt)
-    vec = unit_vector(_state_vector(psi0))
+    vec = unit_vector(state_vector(psi0, model.dim))
     sampler = _JumpSampler(model, shifts, total_time, steps)
     found: list = []
     sampler.run(vec[:, np.newaxis].copy(), _Pairs([rng]), found)
@@ -565,13 +556,13 @@ def average_jump_ensemble(
     """
     if n_trajectories < 1:
         raise ValueError("n_trajectories must be >= 1")
-    vec = unit_vector(_state_vector(psi0))
+    vec = unit_vector(state_vector(psi0, model.dim))
     _, dt = sampling_grid(total_time, delta_t)
     _warn_if_crude(model.strength * dt)
     seeds = trajectory_seeds(seed, n_trajectories)
     jobs = [
-        (model, shifts, vec, total_time, delta_t, seeds[lo : lo + chunk_size])
-        for lo in range(0, n_trajectories, chunk_size)
+        (model, shifts, vec, total_time, delta_t, streams)
+        for streams in chunked(seeds, chunk_size)
     ]
     results = map_ordered(_ensemble_chunk, jobs)
     # Chunk sums in chunk order.

@@ -108,6 +108,18 @@ def unit_vector(vec: np.ndarray) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
+def state_vector(psi, dim: int) -> np.ndarray:
+    """Amplitudes of psi (a PureState or an array) as a complex vector,
+    refused unless there are dim of them and one is nonzero."""
+    vec = np.asarray(getattr(psi, "amplitudes", psi), dtype=complex).reshape(-1)
+    if vec.shape[0] != dim:
+        raise ValueError(f"state dimension {vec.shape[0]} differs from the model's {dim}")
+    # A norm would underflow to 0 for tiny nonzero amplitudes.
+    if not vec.any():
+        raise ValueError("state vector must be nonzero")
+    return vec
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class PureState:
     """State vector, not necessarily normalized."""
@@ -446,7 +458,8 @@ def step_runs(schedule: Schedule, t0: float, t1: float, steps: int) -> list[tupl
         mid = (lo + hi) // 2
         above = cells(mid) >= targets
         hi, lo = np.where(above, mid, hi), np.where(above, lo, mid)
-    bounds = [0, *np.unique(hi).tolist(), steps]
+    # Cells shorter than a step share their first step with the next cell.
+    bounds = [0, *sorted(set(hi.tolist())), steps]
     return [(a, b, int(c)) for a, b, c in zip(bounds[:-1], bounds[1:], cells(bounds[:-1]))]
 
 

@@ -11,45 +11,41 @@ mean of |phi><phi| reproduces the master equation, and the averaged phase
 
     phase = arg E[<phi_0|phi(T)>] + integral of Tr[rho(t) K(t)] dt
 
-uses the exact master-equation rho(t), not the ensemble estimate. The
-branch of the argument comes from the exact mean path E[phi_k] on the same
-grid, so each trajectory keeps only its final overlap. With shifts,
-channels become L_m - f_m while the Hamiltonian field is untouched (the
-regrouped Hermitian K enters only the dynamical term); both come from
-`lindblad.lower_model`. Several shift sets of one model run as one ensemble
-pass (`averaged_geometric_phases`), in which trajectory i draws the same
-noise at every point.
+uses the exact master-equation rho(t), not the ensemble estimate: the
+integral is exact per cell of the schedule (`lindblad.energy_integral`),
+with no grid of its own. The branch of the argument comes from the exact
+mean path E[phi_k] on the estimator's grid, so each trajectory keeps only
+its final overlap. With shifts, channels become L_m - f_m while the
+Hamiltonian field is untouched (the regrouped Hermitian K enters only the
+dynamical term); both come from `lindblad.lower_model`. Several shift sets
+of one model run as one ensemble pass (`averaged_geometric_phases`), in
+which trajectory i draws the same noise at every point.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import warnings
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._ensemble import (
-    NoiseSource,
-    grid_steps,
-    map_ordered,
-    sampling_grid,
-    stream_ensemble,
-    trajectory_seeds,
-)
-from .lindblad import DensityMatrix, LindbladModel, ShiftSet, evolve_states, lower_model
-from .operators import key_runs, run_states, simpson, unit_vector, wrap_phase
+from ._ensemble import chunked, grid_steps, map_ordered, sampling_grid, trajectory_seeds
+from .lindblad import LindbladModel, ShiftSet, energy_integral, lower_model
+from .operators import run_states, state_vector, step_runs, unit_vector, wrap_phase
 
 # Unused here; bench/tracing.py wraps these names on this module.
 from .lindblad import apply_shift, evolve_density, shifted_hamiltonian  # noqa: F401
 
 NORM_OVERFLOW = 1e100
-# Grid of the Simpson rule of the dynamical term. rho(t) is exact on any
-# grid, so this sets only the quadrature; a fixed count keeps the stack of
-# grid states bounded whatever T is.
-DENSITY_STEPS = 2048
 # Trajectories per worker batch.
 DEFAULT_CHUNK = 2048
+# Working memory of one block of steps of one chunk: its noise, its stored
+# states and the kernel's scratch. At 2048 trajectories a block is then
+# 128 steps, long enough that the fixed cost of one draw call per trajectory
+# stays small against the draws themselves.
+BLOCK_BYTES = 16 * 2**20
 
 
 class AllOverflowError(RuntimeError):
@@ -102,16 +98,17 @@ class QSDEnsembleResult:
 
 
 class _QSDKernel:
-    """Euler-Maruyama steps of P points (one per lowered model) of a block of
+    """Euler-Maruyama steps of P points (one per lowered model) of a chunk of
     N trajectories, held as one (P d, N) array. Trajectory i of every point
     sees the same noise.
 
     Each combination of the points' cells has one (P, d (1 + C), d) stack of
     the matrices [I - i dt K_tilde; sqrt(lam) L_1; ...; sqrt(lam) L_C], so a
     step is one batched product plus C noise-weighted additions for all
-    points. Overflow (a norm at or above NORM_OVERFLOW, or not finite, at any
-    step) is screened per point once per block over its stored states;
-    overflowed trajectories of a point are excluded and restart from zero.
+    points. `run` goes through the grid in blocks of steps. Overflow (a norm
+    at or above NORM_OVERFLOW, or not finite, at any step) is screened per
+    point once per block over its stored states; overflowed trajectories of
+    a point are excluded and restart from zero.
     """
 
     def __init__(self, lowereds, total_time: float, steps: int, vec: np.ndarray, count: int):
@@ -128,12 +125,14 @@ class _QSDKernel:
             ]
             for lowered in lowereds
         ]
-        cells = np.stack([low.step_cells(0.0, total_time, steps) for low in lowereds], axis=1)
-        # Each point's cell only grows with the step, so every combination of
-        # cells is one run of steps, and the runs come in lexicographic order.
-        fresh = np.concatenate([[True], np.any(cells[1:] != cells[:-1], axis=1)])
-        self.stacks = [np.stack([m[c] for m, c in zip(mats, combo)]) for combo in cells[fresh]]
-        self.keys = (np.cumsum(fresh) - 1).tolist()
+        # Each point's cell only grows with the step, so the combination of
+        # cells changes exactly where some point's run starts, and never recurs.
+        runs = [step_runs(low, 0.0, total_time, steps) for low in lowereds]
+        starts = sorted({a for point in runs for a, _, _ in point})
+        cells = [low.step_cells(0.0, total_time, steps, starts).tolist() for low in lowereds]
+        self.stacks = [np.stack([m[c] for m, c in zip(mats, combo)]) for combo in zip(*cells)]
+        self.lengths = np.diff([*starts, steps]).tolist()
+        self.steps = steps
         self.channels = len(lowereds[0].values[0].channels)
         self.scale = np.sqrt(dt / 2.0)
         self.shape = (points, dim, count)
@@ -147,9 +146,35 @@ class _QSDKernel:
         self.alive = np.ones((points, count), dtype=bool)
         self.screen = NORM_OVERFLOW / (2 * dim)
 
-    def draws(self, noise: list[np.ndarray]) -> np.ndarray:
-        """Complex increments sqrt(dt/2) (xi_1 + i xi_2), as (n, C, N)."""
-        (raw,) = noise
+    def run(self, rngs: Sequence[np.random.Generator], x0: np.ndarray) -> None:
+        """Advance the (P d, N) columns of x0 through the grid in blocks of
+        steps, trajectory i drawing from rngs[i]. NumPy generators draw
+        sequentially, so a block of draws equals the matching slice of one
+        draw over the whole grid; memory stays within BLOCK_BYTES whatever
+        the number of steps."""
+        dim, count = x0.shape
+        width = 2 * self.channels
+        # Noise, stored state and scratch term of one trajectory-step.
+        per_step = 8 * width + 16 * dim + 16 * self.channels
+        block = max(1, min(self.steps, BLOCK_BYTES // max(1, count * per_step)))
+        raw = np.empty((count, block, width))
+        states = np.empty((block + 1, dim, count), dtype=complex)
+        states[0] = x0
+        stacks = itertools.chain.from_iterable(map(itertools.repeat, self.stacks, self.lengths))
+        for start in range(0, self.steps, block):
+            n = min(block, self.steps - start)
+            for rng, row in zip(rngs, raw):
+                rng.standard_normal(out=row[:n])
+            dws = self.draws(raw[:, :n])
+            for j, stack in zip(range(n), stacks):
+                self.step(stack, states[j], states[j + 1], dws[j])
+            self.reduce(states[1 : n + 1])
+            # The block's last state, with reduce's edits, starts the next.
+            states[0] = states[n]
+
+    def draws(self, raw: np.ndarray) -> np.ndarray:
+        """Complex increments sqrt(dt/2) (xi_1 + i xi_2), as (n, C, N), from
+        (N, n, 2 C) standard normals."""
         count, n, width = raw.shape
         c = width // 2
         # Each channel's (xi_1, xi_2) side by side, read as one complex number.
@@ -159,8 +184,9 @@ class _QSDKernel:
         np.multiply(pairs.transpose(1, 2, 0), self.scale, out=dws)
         return dws
 
-    def step(self, k: int, x: np.ndarray, out: np.ndarray, dws: np.ndarray) -> None:
-        np.matmul(self.stacks[self.keys[k]], x.reshape(self.shape), out=self.product)
+    def step(self, stack: np.ndarray, x: np.ndarray, out: np.ndarray, dws: np.ndarray) -> None:
+        """Advance the states x into out over one step of the cells of stack."""
+        np.matmul(stack, x.reshape(self.shape), out=self.product)
         out = out.reshape(self.shape)
         if not self.noise_terms:
             out[...] = self.drift
@@ -172,7 +198,7 @@ class _QSDKernel:
             np.multiply(term, dw, out=self.term)
             out += self.term
 
-    def reduce(self, first: int, states: np.ndarray) -> None:
+    def reduce(self, states: np.ndarray) -> None:
         n = len(states)
         points = states.reshape(n, *self.shape)
         # A norm at or above NORM_OVERFLOW needs a real or imaginary part of
@@ -201,37 +227,20 @@ def _qsd_chunk(args) -> list[tuple]:
     count = len(streams)
     lowereds = [lower_model(model, shifts) for shifts in shift_sets]
     kernel = _QSDKernel(lowereds, total_time, steps, vec, count)
-    # Each trajectory's noise comes from its own stream, so the outcome is
-    # independent of how trajectories are grouped into chunks.
-    rngs = [np.random.default_rng(s) for s in streams]
-    source = NoiseSource(rngs, 2 * kernel.channels, "standard_normal")
     x0 = np.repeat(np.tile(vec, len(lowereds))[:, np.newaxis], count, axis=1)
-    # An overflowing trajectory may reach inf or nan before the block ends;
+    # Each trajectory's noise comes from its own stream, so the outcome is
+    # independent of how trajectories are grouped into chunks. An
+    # overflowing trajectory may reach inf or nan before the block ends;
     # the screen in reduce() excludes it.
     with np.errstate(over="ignore", invalid="ignore"):
-        stream_ensemble(x0, steps, [source], kernel, scratch_bytes=16 * kernel.channels)
+        kernel.run([np.random.default_rng(s) for s in streams], x0)
 
     sums = []
     for alive, overlaps in zip(kernel.alive, kernel.final):
-        final = overlaps[alive]
-        sums.append(
-            (
-                final.sum(),
-                float(np.sum(final.real**2)),
-                float(np.sum(final.imag**2)),
-                int(alive.sum()),
-                int(count - alive.sum()),
-            )
-        )
+        final, used = overlaps[alive], int(alive.sum())
+        re2, im2 = float(np.sum(final.real**2)), float(np.sum(final.imag**2))
+        sums.append((final.sum(), re2, im2, used, count - used))
     return sums
-
-
-def _energy_trace(lowered, times: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """Tr[rho(t) K(t)] at each grid time, one einsum per run of cells."""
-    values = np.empty(len(times))
-    for a, b, cell in key_runs(lowered.cells_at(times)):
-        values[a:b] = np.einsum("nij,ji->n", rhos[a:b], lowered.values[cell].k).real
-    return values
 
 
 def _mean_path_arg(lowered, vec: np.ndarray, total_time: float, steps: int) -> float:
@@ -247,7 +256,7 @@ def _mean_path_arg(lowered, vec: np.ndarray, total_time: float, steps: int) -> f
     bra = vec.conj()
     start = vec
     total = 0.0
-    for a, b, c in key_runs(lowered.step_cells(0.0, total_time, steps)):
+    for a, b, c in step_runs(lowered, 0.0, total_time, steps):
         drift = np.eye(len(vec)) + dt * (-1j * lowered.values[c].k_tilde)
         drift /= np.abs(np.linalg.eigvals(drift)).max()
         cols = run_states({c: drift}, np.full(b - a, c), start).T
@@ -262,11 +271,7 @@ def _point_result(
 ) -> QSDEnsembleResult:
     """Reduce one point's chunk sums, in chunk order, and add its dynamical
     term; NaN estimates if every trajectory overflowed."""
-    z_sums = sum(c[0] for c in chunks)
-    re2 = sum(c[1] for c in chunks)
-    im2 = sum(c[2] for c in chunks)
-    used = sum(c[3] for c in chunks)
-    excluded = sum(c[4] for c in chunks)
+    z_sums, re2, im2, used, excluded = (sum(c[i] for c in chunks) for i in range(5))
     if excluded:
         warnings.warn(
             f"excluded {excluded} trajectories whose norm exceeded {NORM_OVERFLOW:g}",
@@ -287,10 +292,7 @@ def _point_result(
     steps, _ = grid_steps(config.total_time, config.delta_t)
     branch = _mean_path_arg(lowered, vec, config.total_time, steps)
     overlap_arg = branch + wrap_phase(float(np.angle(mean_overlap)) - branch)
-    rho0 = DensityMatrix.from_pure(vec)
-    times, rhos = evolve_states(lowered, rho0, config.total_time, DENSITY_STEPS)
-    values = _energy_trace(lowered, times, rhos)
-    dynamical = simpson(values, config.total_time / DENSITY_STEPS)
+    dynamical = energy_integral(lowered, vec, config.total_time)
     return QSDEnsembleResult(
         mean_overlap=mean_overlap,
         std_error=std_error,
@@ -316,12 +318,12 @@ def averaged_geometric_phases(
     its draws and every step's kernel calls. The overlap argument is arg of
     the sample mean overlap at T, on the branch nearest the unwrapped
     argument of the exact mean overlap along the same grid. The dynamical
-    term integrates Tr[rho(t) K(t)] along the exact master-equation solution
-    of the model actually simulated, by Simpson's rule on DENSITY_STEPS
-    steps. A point where every trajectory overflowed has n_used 0 and NaN
-    estimates, its dynamical term included.
+    term is the exact integral of Tr[rho(t) K(t)], cell by cell of the
+    schedule, along the master-equation solution of the model actually
+    simulated (`lindblad.energy_integral`). A point where every trajectory
+    overflowed has n_used 0 and NaN estimates, its dynamical term included.
     """
-    vec = np.asarray(getattr(phi0, "amplitudes", phi0), dtype=complex).reshape(-1)
+    vec = state_vector(phi0, model.dim)
     if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
         raise ValueError("phi0 must be normalized within 1e-12")
     shift_sets = list(shift_sets)
@@ -329,8 +331,8 @@ def averaged_geometric_phases(
         return []
     seeds = trajectory_seeds(config.seed, config.n_trajectories)
     jobs = [
-        (model, shift_sets, vec, config.total_time, config.delta_t, seeds[lo : lo + chunk_size])
-        for lo in range(0, config.n_trajectories, chunk_size)
+        (model, shift_sets, vec, config.total_time, config.delta_t, streams)
+        for streams in chunked(seeds, chunk_size)
     ]
     results = map_ordered(_qsd_chunk, jobs)
     out = []

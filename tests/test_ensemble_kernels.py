@@ -15,8 +15,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import trajphase._ensemble as ensemble
 import trajphase.jump as jump
+import trajphase.qsd as qsd
 from trajphase._ensemble import grid_steps, trajectory_seeds
 from trajphase.dephasing import dephasing_model
 from trajphase.jump import (
@@ -45,6 +45,7 @@ from trajphase.qsd import (
     _qsd_chunk,
     _QSDKernel,
     averaged_geometric_phase,
+    averaged_geometric_phases,
     averaged_overlap,
 )
 
@@ -230,7 +231,7 @@ def _relative_gap(got, want) -> float:
 @pytest.fixture(params=BUDGETS, ids=["budget", "one-step", "few-steps"])
 def budget(request, monkeypatch):
     if request.param is not None:
-        monkeypatch.setattr(ensemble, "BLOCK_BYTES", request.param)
+        monkeypatch.setattr(qsd, "BLOCK_BYTES", request.param)
     return request.param
 
 
@@ -305,7 +306,7 @@ def test_qsd_excludes_the_same_trajectories(block_steps, monkeypatch) -> None:
     seeds = trajectory_seeds(0, 16)
     if block_steps is not None:
         # One-trajectory chunks: noise 16 B, state 32 B, increment 16 B per step.
-        monkeypatch.setattr(ensemble, "BLOCK_BYTES", 64 * block_steps)
+        monkeypatch.setattr(qsd, "BLOCK_BYTES", 64 * block_steps)
     got = [_qsd_chunk((model, [None], vec, 24.0, 0.1, [s]))[0][4] for s in seeds]
     want = _reference_qsd_chunk((model, None, vec, 24.0, 0.1, seeds))
     blown_at = want[5]
@@ -333,7 +334,7 @@ def test_qsd_overflow_screen_keeps_the_per_step_rule() -> None:
     states[2, 0, 4] = np.inf
     assert np.linalg.norm(states[2, :, 2]) >= NORM_OVERFLOW
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel.reduce(1, states)
+        kernel.reduce(states)
     assert kernel.alive[0].tolist() == [True, False, False, False, False]
     # Excluded trajectories restart from zero in the next block.
     assert np.all(states[-1][:, 1:] == 0.0)
@@ -367,7 +368,7 @@ def test_qsd_points_in_one_pass_match_reference_loop(
     dim: int, count: int, block_bytes, monkeypatch
 ) -> None:
     if block_bytes is not None:
-        monkeypatch.setattr(ensemble, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(qsd, "BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(600 + 10 * dim + count)
     model = _random_model(dim, count, 0.4, rng)
     constant = ShiftSet.constants(list(rng.normal(size=count) + 1j * rng.normal(size=count)))
@@ -385,7 +386,7 @@ def test_qsd_point_overflow_stays_in_its_point(monkeypatch) -> None:
     # the increment 16 B.
     model = LindbladModel(0.5 * pauli("z"), (Operator(np.eye(2)),), 60.0)
     vec = np.asarray(EQUATOR.amplitudes)
-    monkeypatch.setattr(ensemble, "BLOCK_BYTES", 16 * (16 + 96 + 16) * 5)
+    monkeypatch.setattr(qsd, "BLOCK_BYTES", 16 * (16 + 96 + 16) * 5)
     shift_sets = [None, ShiftSet.constants([1.0]), ShiftSet.constants([0.1])]
     blown_at = _check_points_against_reference(
         model, shift_sets, vec, 26.0, 0.1, trajectory_seeds(0, 16)
@@ -636,3 +637,32 @@ def test_jump_ensemble_invariant_to_threads_and_chunks(monkeypatch) -> None:
         other = outs["1", chunk]
         assert other.jump_counts.tobytes() == one.jump_counts.tobytes()
         assert _relative_gap(other.estimates, one.estimates) <= 1e-12
+
+
+# --- both ensembles ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("chunk_size", [0, -4])
+def test_ensembles_refuse_a_chunk_size_below_one(chunk_size: int) -> None:
+    # Once an all-NaN QSD row, a TypeError or "range() arg 3 must not be zero".
+    model = dephasing_model(1.0, 0.1)
+    config = QSDConfig(0.5, 1e-2, 8, seed=0)
+    with pytest.raises(ValueError, match="chunk_size"):
+        averaged_geometric_phases(model, EQUATOR, config, [None], chunk_size=chunk_size)
+    with pytest.raises(ValueError, match="chunk_size"):
+        averaged_geometric_phase(model, EQUATOR, config, chunk_size=chunk_size)
+    with pytest.raises(ValueError, match="chunk_size"):
+        average_jump_ensemble(model, EQUATOR, 0.5, 1e-2, 8, seed=0, chunk_size=chunk_size)
+
+
+def test_ensembles_refuse_a_state_of_another_dimension() -> None:
+    # Once a NumPy broadcast or matmul error from deep inside a chunk.
+    model = dephasing_model(1.0, 0.1)
+    state = np.array([1.0, 0.0, 0.0], dtype=complex)
+    match = "state dimension 3 differs from the model's 2"
+    with pytest.raises(ValueError, match=match):
+        averaged_geometric_phases(model, state, QSDConfig(0.5, 1e-2, 8, seed=0), [None])
+    with pytest.raises(ValueError, match=match):
+        average_jump_ensemble(model, state, 0.5, 1e-2, 8, seed=0)
+    with pytest.raises(ValueError, match=match):
+        sample_jump_trajectory(model, state, 0.5, 1e-2, np.random.default_rng(0))

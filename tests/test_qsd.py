@@ -15,20 +15,28 @@ from trajphase.dephasing import (
     closed_form_overlap_phase,
     dephasing_model,
 )
-from trajphase.lindblad import DensityMatrix, LindbladModel, ShiftSet, evolve_states, lower_model
+from trajphase.lindblad import (
+    DensityMatrix,
+    LindbladModel,
+    ShiftSet,
+    energy_integral,
+    evolve_states,
+    lower_model,
+)
 from trajphase.operators import (
     BlochAngles,
     Operator,
     OperatorSchedule,
     ScalarSchedule,
+    ScheduleRangeError,
     bloch_state,
     pauli,
+    simpson,
     wrap_phase,
 )
 from trajphase.qsd import (
     QSDConfig,
     QSDEnsembleResult,
-    _energy_trace,
     _mean_path_arg,
     _QSDKernel,
     averaged_geometric_phase,
@@ -66,7 +74,7 @@ def _kernel(model, dt, count, shifts=None) -> _QSDKernel:
 
 def _step(kernel, x, dws) -> np.ndarray:
     out = np.empty_like(x)
-    kernel.step(0, x, out, dws)
+    kernel.step(kernel.stacks[0], x, out, dws)
     return out
 
 
@@ -79,7 +87,7 @@ def test_wiener_increment_moments() -> None:
     dt, n = 1e-2, 20000
     kernel = _kernel(dephasing_model(1.0, 0.5), dt, n)
     raw = rng.standard_normal((n, 1, 2))
-    (draws,) = kernel.draws([raw])
+    (draws,) = kernel.draws(raw)
     assert draws.shape == (1, n)
     # Channel m's pair (xi_1, xi_2) is columns m and C + m of the raw noise.
     want = math.sqrt(dt / 2.0) * (raw[:, 0, 0] + 1j * raw[:, 0, 1])
@@ -107,7 +115,7 @@ def test_qsd_step_is_linear() -> None:
     p = DephasingParams(1.0, 0.4, 0.3, math.pi / 3)
     kernel = _kernel(p.as_model(), 1e-2, 2, p.as_shifts())
     rng = np.random.default_rng(2)
-    (dws,) = kernel.draws([np.repeat(rng.standard_normal((1, 1, 2)), 2, axis=0)])
+    (dws,) = kernel.draws(np.repeat(rng.standard_normal((1, 1, 2)), 2, axis=0))
     x = np.stack([EQUATOR.amplitudes, 0.7j * EQUATOR.amplitudes], axis=1)
     out = _step(kernel, x, dws)
     assert np.max(np.abs(out[:, 1] - 0.7j * out[:, 0])) < 1e-15
@@ -119,7 +127,7 @@ def test_qsd_step_mean_follows_drift() -> None:
     p = DephasingParams(1.0, 0.5, 0.0, math.pi / 2)
     dt, n = 1e-2, 40000
     kernel = _kernel(p.as_model(), dt, n)
-    (dws,) = kernel.draws([np.random.default_rng(4).standard_normal((n, 1, 2))])
+    (dws,) = kernel.draws(np.random.default_rng(4).standard_normal((n, 1, 2)))
     out = _step(kernel, _columns(EQUATOR.amplitudes, n), dws)
     drift = _step(_kernel(p.as_model(), dt, 1), _columns(EQUATOR.amplitudes, 1), np.zeros((1, 1)))
     noise_scale = math.sqrt(p.strength * dt / n)
@@ -271,19 +279,98 @@ def test_shift_changes_trajectories_not_mean() -> None:
     assert abs(got0 - got1) > 5 * max(se0, se1)
 
 
-def test_energy_trace_matches_per_state_trace() -> None:
-    # A piecewise Hamiltonian and shift, so the runs of cells matter.
-    rng = np.random.default_rng(17)
-    ham = OperatorSchedule.piecewise([pauli("x"), 0.5 * pauli("z"), pauli("y")], 0.5)
-    chan = Operator(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    model = LindbladModel(ham, (chan,), 0.3)
-    shifts = ShiftSet((ScalarSchedule.piecewise([0.2, 0.3 - 0.4j, -0.5j], 0.5),))
+# --- the exact dynamical term -----------------------------------------------
+
+SIZES = [(2, 1), (2, 3), (3, 2), (4, 1), (4, 3)]
+PER_CELL = 2**14
+
+
+def _random_model(dim: int, count: int, rng) -> LindbladModel:
+    def matrix() -> np.ndarray:
+        return (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / dim
+
+    h = matrix()
+    channels = tuple(Operator(matrix()) for _ in range(count))
+    return LindbladModel(Operator(h + h.conj().T), channels, 0.4)
+
+
+def _random_state(dim: int, rng) -> np.ndarray:
+    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return vec / np.linalg.norm(vec)
+
+
+def _per_cell_simpson(lowered, vec, total: float, cell: float) -> float:
+    """Simpson's rule of Tr[rho K] on each cell's span [c cell, (c + 1) cell]
+    of [0, total] separately, PER_CELL steps to a whole cell, rho from
+    `evolve_states` on a grid whose nodes include every cell edge."""
+    steps = round(total / cell * PER_CELL)
+    _, rhos = evolve_states(lowered, DensityMatrix.from_pure(vec), total, steps)
+    dt = total / steps
+    out = 0.0
+    for a in range(0, steps, PER_CELL):
+        b = min(a + PER_CELL, steps)
+        k = lowered.value_at(0.5 * (a + b) * dt).k
+        out += simpson(np.einsum("nij,ji->n", rhos[a : b + 1], k).real, dt)
+    return out
+
+
+def _grid_simpson(lowered, vec, total: float, steps: int = 2048) -> float:
+    """Simpson's rule of Tr[rho K] straight across [0, total] on `steps` steps."""
+    times, rhos = evolve_states(lowered, DensityMatrix.from_pure(vec), total, steps)
+    ks = np.stack([c.k for c in lowered.values])[lowered.cells_at(times)]
+    return simpson(np.einsum("nij,nji->n", rhos, ks).real, total / steps)
+
+
+@pytest.mark.parametrize("dim,count", SIZES)
+def test_dynamical_term_is_the_per_cell_integral(dim: int, count: int) -> None:
+    # Three cells of 0.5 over T = 1.25, so the last one is cut, and 250 QSD
+    # steps, so no cell edge falls on a node of the estimator's grid.
+    rng = np.random.default_rng(40 + 10 * dim + count)
+    model = _random_model(dim, count, rng)
+    cells = [
+        ScalarSchedule.piecewise(rng.normal(size=3) + 1j * rng.normal(size=3), 0.5)
+        for _ in range(count)
+    ]
+    shift_sets = [
+        ShiftSet(tuple(cells)),
+        ShiftSet.constants(list(rng.normal(size=count) + 1j * rng.normal(size=count))),
+        None,
+    ]
+    vec = _random_state(dim, rng)
+    config = QSDConfig(1.25, 0.005, 2, seed=dim)
+    results = averaged_geometric_phases(model, vec, config, shift_sets)
+    for p, (shifts, res) in enumerate(zip(shift_sets, results)):
+        lowered = lower_model(model, shifts)
+        want = _per_cell_simpson(lowered, vec, 1.25, 0.5)
+        assert abs(res.dynamical_term - want) <= 1e-10
+        assert res.dynamical_term == energy_integral(lowered, vec, 1.25)
+        if p > 0:
+            # A constant K: the earlier grid rule was already right.
+            assert abs(res.dynamical_term - _grid_simpson(lowered, vec, 1.25)) <= 1e-10
+
+
+@pytest.mark.parametrize("cells", [3, 7, 16])
+def test_dynamical_term_across_jumps_of_k(cells: int) -> None:
+    # The imaginary part of the shift flips sign between cells, so K jumps
+    # at every edge; Simpson's rule across the edges on 2048 steps was off
+    # by 2.5e-4, 7.1e-4 and 3.7e-4 here.
+    model = LindbladModel(0.5 * pauli("z") + 0.3 * pauli("x"), (pauli("z"),), 0.5)
+    k = np.arange(cells)
+    total = 2 * math.pi
+    values = 0.2 + 0.8 * k / cells + 1j * (0.9 * (k % 2) - 0.3)
+    shifts = ShiftSet((ScalarSchedule.piecewise(values, total / cells),))
+    vec = bloch_state(BlochAngles(math.pi / 3, 0.0)).amplitudes
+    # 1000 steps: the cell edges fall inside steps of the estimator's grid.
+    res = averaged_geometric_phase(model, vec, QSDConfig(total, total / 1000, 4, seed=1), shifts)
     lowered = lower_model(model, shifts)
-    times, rhos = evolve_states(lowered, DensityMatrix.from_pure(EQUATOR), 1.5, 300)
-    cells = lowered.cells_at(times).tolist()
-    want = np.array(
-        [np.trace(rho @ lowered.values[c].k).real for c, rho in zip(cells, rhos)]
-    )
-    got = _energy_trace(lowered, times, rhos)
-    assert np.max(np.abs(got - want)) <= 1e-14
-    assert len(set(cells)) == 3
+    want = _per_cell_simpson(lowered, vec, total, total / cells)
+    assert abs(res.dynamical_term - want) <= 1e-10
+    assert abs(_grid_simpson(lowered, vec, total) - want) > 1e-4
+
+
+def test_energy_integral_refuses_times_beyond_the_schedule() -> None:
+    model = LindbladModel(pauli("z"), (pauli("x"),), 0.3)
+    lowered = lower_model(model, ShiftSet((ScalarSchedule.piecewise([0.2, 0.5j], 0.5),)))
+    with pytest.raises(ScheduleRangeError, match="outside"):
+        energy_integral(lowered, EQUATOR.amplitudes, 1.5)
+    assert energy_integral(lowered, EQUATOR.amplitudes, 0.0) == 0.0

@@ -1,19 +1,21 @@
 """What both ensembles share: deterministic trajectory streams, the sampling
 grid, chunks of trajectories and optional process parallelism.
 
-Trajectory i always draws from the stream spawned at index i from the run
-seed, and chunk results are reduced in index order, so ensemble output is
-byte-identical for every TRAJPHASE_THREADS setting.
+Trajectory i always draws from child i of `SeedSequence(seed).spawn`, whose
+PCG64 words `_streams` derives for all trajectories in one vectorized pass,
+and chunk results are reduced in index order, so ensemble output is
+byte-identical for every TRAJPHASE_THREADS setting. `numpy.random` and the
+process pool are imported only when a run needs them.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
-import numpy as np
+if TYPE_CHECKING:
+    from ._streams import TrajectoryStream
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -21,8 +23,13 @@ _R = TypeVar("_R")
 THREADS_ENV = "TRAJPHASE_THREADS"
 
 
-def trajectory_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
-    return np.random.SeedSequence(seed).spawn(count)
+def trajectory_seeds(seed: int, count: int) -> list[TrajectoryStream]:
+    """The streams of trajectories 0..count-1 of a run: as seeds of
+    np.random.default_rng, the first count children of SeedSequence(seed).
+    A negative seed and a count of 2**32 or more raise ValueError."""
+    from ._streams import trajectory_streams
+
+    return trajectory_streams(seed, count)
 
 
 def chunked(items: Sequence[_T], chunk_size: int) -> list[Sequence[_T]]:
@@ -75,5 +82,7 @@ def map_ordered(fn: Callable[[_T], _R], jobs: Sequence[_T]) -> list[_R]:
     workers = min(thread_count(), len(jobs))
     if workers <= 1:
         return [fn(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))

@@ -365,6 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
     run = cfg.run
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed", "must be >= 0")
         run = dataclasses.replace(run, seed=args.seed)
     if args.steps is not None:
         if args.steps < 1:

@@ -377,6 +377,8 @@ def _parse_run(node) -> RunSettings:
             raise ConfigError("run.n_trajectories", "must be >= 1")
     if "seed" in section:
         kwargs["seed"] = _need_int(section["seed"], "run.seed")
+        if kwargs["seed"] < 0:
+            raise ConfigError("run.seed", "must be >= 0")
     return RunSettings(**kwargs)
 
 

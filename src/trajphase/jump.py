@@ -556,6 +556,8 @@ def average_jump_ensemble(
     """
     if n_trajectories < 1:
         raise ValueError("n_trajectories must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     vec = unit_vector(state_vector(psi0, model.dim))
     _, dt = sampling_grid(total_time, delta_t)
     _warn_if_crude(model.strength * dt)

@@ -68,6 +68,8 @@ class QSDConfig:
     def __post_init__(self) -> None:
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         # Validates delta_t > 0 and total_time >= delta_t up front.
         sampling_grid(self.total_time, self.delta_t)
 

@@ -528,3 +528,9 @@ def test_warning_counts_equal_across_threads(command, config_file, tmp_path, mon
     assert len(snaps) == 1
     points = 2 if command == "qsd-phase" else 1
     assert reports[0]["warning_counts"][snaps[0]] == points
+
+
+def test_negative_seed_override_is_a_config_error(config_file, capsys) -> None:
+    path = config_file(BASE_YAML.replace("seed: 0", "seed: 0, delta_t: 0.01, n_trajectories: 4"))
+    assert main(["qsd-phase", "--config", path, "--seed", "-5"]) == EXIT_CONFIG
+    assert "config error: --seed: must be >= 0" in capsys.readouterr().err

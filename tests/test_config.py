@@ -370,3 +370,9 @@ def test_malformed_yaml_names_its_source(loader, monkeypatch, tmp_path, capsys) 
     path.write_text("model: {dim: 2\nrun: [")
     assert main(["evolve", "--config", str(path)]) == EXIT_CONFIG
     assert f"config error: {path}: not valid YAML" in capsys.readouterr().err
+
+
+def test_negative_run_seed_is_a_config_error() -> None:
+    with pytest.raises(ConfigError) as err:
+        _parse(DEPHASING_YAML.replace("seed: 3", "seed: -3"))
+    assert err.value.path == "run.seed"

@@ -394,3 +394,9 @@ def test_kraus_maps_agree_for_hidden_shifts() -> None:
     decay = LindbladModel(pauli("z"), (Operator([[0, 0], [2, 0]]),), 0.5)
     with pytest.raises(ValueError, match="hidden"):
         kraus_maps_equal(decay, ShiftSet.constants([0.3]), 1e-3, rho)
+
+
+def test_ensemble_refuses_a_negative_seed() -> None:
+    model = dephasing_model(OMEGA, 0.5)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        average_jump_ensemble(model, EQUATOR, 1.0, 1e-2, 4, seed=-3)

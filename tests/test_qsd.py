@@ -374,3 +374,8 @@ def test_energy_integral_refuses_times_beyond_the_schedule() -> None:
     with pytest.raises(ScheduleRangeError, match="outside"):
         energy_integral(lowered, EQUATOR.amplitudes, 1.5)
     assert energy_integral(lowered, EQUATOR.amplitudes, 0.0) == 0.0
+
+
+def test_config_refuses_a_negative_seed() -> None:
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        QSDConfig(1.0, 1e-2, 10, seed=-1)

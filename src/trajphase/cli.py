@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import collections
 import dataclasses
+import functools
 import hashlib
 import json
 import platform
@@ -362,6 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process: parse_args keeps no
+    state between calls."""
+    return build_parser()
+
+
 def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
     run = cfg.run
     if args.seed is not None:
@@ -381,9 +389,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_CONFIG

@@ -20,6 +20,12 @@ Hamiltonian field is untouched (the regrouped Hermitian K enters only the
 dynamical term); both come from `lindblad.lower_model`. Several shift sets
 of one model run as one ensemble pass (`averaged_geometric_phases`), in
 which trajectory i draws the same noise at every point.
+
+A step is two NumPy calls on one slot of a ring of (1 + C, d, P, N)
+arrays: a broadcast multiply writes dw_m phi into the slot's noise rows,
+and one batched product with [I - i dt K_tilde | sqrt(strength) L_1 |
+... | sqrt(strength) L_C] writes the next slot's state. Noise is drawn
+per trajectory in blocks of steps; see `_QSDKernel`.
 """
 
 from __future__ import annotations
@@ -41,10 +47,13 @@ from .lindblad import apply_shift, evolve_density, shifted_hamiltonian  # noqa: 
 NORM_OVERFLOW = 1e100
 # Trajectories per worker batch.
 DEFAULT_CHUNK = 2048
-# Working memory of one block of steps of one chunk: its noise, its stored
-# states and the kernel's scratch. At 2048 trajectories a block is then
-# 128 steps, long enough that the fixed cost of one draw call per trajectory
-# stays small against the draws themselves.
+# Working memory of one chunk: its ring of states, at most an eighth of
+# the budget so that it stays in a core's cache, and one block of noise in
+# the rest (the raw normals, their complex increments and, with several
+# channels, the pairs reordered between them). At 2048 trajectories of one
+# point and one channel the ring holds 15 steps and a block 224, long
+# enough that the fixed cost of one draw call per trajectory stays small
+# against the draws themselves.
 BLOCK_BYTES = 16 * 2**20
 
 
@@ -101,16 +110,23 @@ class QSDEnsembleResult:
 
 class _QSDKernel:
     """Euler-Maruyama steps of P points (one per lowered model) of a chunk of
-    N trajectories, held as one (P d, N) array. Trajectory i of every point
-    sees the same noise.
+    N trajectories. Trajectory i of every point sees the same noise.
 
-    Each combination of the points' cells has one (P, d (1 + C), d) stack of
-    the matrices [I - i dt K_tilde; sqrt(lam) L_1; ...; sqrt(lam) L_C], so a
-    step is one batched product plus C noise-weighted additions for all
-    points. `run` goes through the grid in blocks of steps. Overflow (a norm
-    at or above NORM_OVERFLOW, or not finite, at any step) is screened per
-    point once per block over its stored states; overflowed trajectories of
-    a point are excluded and restart from zero.
+    Each combination of the points' cells has one (P, d, (1 + C) d) stack of
+    the matrices [I - i dt K_tilde | sqrt(lam) L_1 | ... | sqrt(lam) L_C].
+    A step works on one slot of shape (1 + C, d, P, N): slot[0] is the
+    state and slot[1 + m] receives dw_m times it. So a step is two calls
+    for any C: one broadcast multiply, from slot[0] into slot[1:] (disjoint
+    memory, so NumPy copies nothing), and one batched product of the stack
+    with the slot read as (P, (1 + C) d, N), which writes the next slot's
+    state read as (P, d, N). Both are strided views that BLAS takes as they
+    are; they are built once, so the step loop reshapes nothing.
+
+    The slots form a ring that stays in cache. Overflow (a norm at or above
+    NORM_OVERFLOW, or not finite, at any step) is screened per point each
+    time the ring fills, over the ring's states; overflowed trajectories of
+    a point are excluded and restart from zero. Noise is drawn per
+    trajectory in longer blocks of steps.
     """
 
     def __init__(self, lowereds, total_time: float, steps: int, vec: np.ndarray, count: int):
@@ -121,7 +137,8 @@ class _QSDKernel:
         mats = [
             [
                 np.concatenate(
-                    [np.eye(dim) + dt * (-1j * c.k_tilde), *(root * l for l in c.channels)]
+                    [np.eye(dim) + dt * (-1j * c.k_tilde), *(root * l for l in c.channels)],
+                    axis=1,
                 )
                 for c in lowered.values
             ]
@@ -135,90 +152,105 @@ class _QSDKernel:
         self.stacks = [np.stack([m[c] for m, c in zip(mats, combo)]) for combo in zip(*cells)]
         self.lengths = np.diff([*starts, steps]).tolist()
         self.steps = steps
-        self.channels = len(lowereds[0].values[0].channels)
+        self.channels = channels = len(lowereds[0].values[0].channels)
         self.scale = np.sqrt(dt / 2.0)
-        self.shape = (points, dim, count)
-        self.product = np.empty((points, dim * (1 + self.channels), count), dtype=complex)
-        self.drift = self.product[:, :dim]
-        self.noise_terms = [
-            self.product[:, dim * (m + 1) : dim * (m + 2)] for m in range(self.channels)
-        ]
-        self.term = np.empty(self.shape, dtype=complex)
+        self.ket = vec[:, np.newaxis, np.newaxis]
         self.bra = vec.conj()
         self.alive = np.ones((points, count), dtype=bool)
-        self.screen = NORM_OVERFLOW / (2 * dim)
+        self.screen_level = NORM_OVERFLOW / (2 * dim)
 
-    def run(self, rngs: Sequence[np.random.Generator], x0: np.ndarray) -> None:
-        """Advance the (P d, N) columns of x0 through the grid in blocks of
-        steps, trajectory i drawing from rngs[i]. NumPy generators draw
-        sequentially, so a block of draws equals the matching slice of one
-        draw over the whole grid; memory stays within BLOCK_BYTES whatever
-        the number of steps."""
-        dim, count = x0.shape
+        # One slot per step of a ring segment, plus the slot it starts from.
+        slot_bytes = 16 * (1 + channels) * dim * points * count
+        self.ring_steps = max(1, min(steps, BLOCK_BYTES // 8 // slot_bytes - 1))
+        spare = BLOCK_BYTES - (self.ring_steps + 1) * slot_bytes
+        # Per trajectory-step: the raw normals and their complex increments,
+        # 16 C bytes each, and with several channels the reordered pairs.
+        noise_bytes = 16 * channels * count * (2 if channels == 1 else 3)
+        self.block = max(1, min(steps, spare // max(1, noise_bytes)))
+        self.ring = np.empty((self.ring_steps + 1, 1 + channels, dim, points, count), complex)
+        # Per slot: state, noise rows and the (P, (1 + C) d, N) operand of
+        # the product; the product writes the (P, d, N) view of a state.
+        self.slots = [
+            (s[0], s[1:], s.reshape(-1, points, count).transpose(1, 0, 2)) for s in self.ring
+        ]
+        self.outputs = [s[0].transpose(1, 0, 2) for s in self.ring]
+        # The slot that holds the current states.
+        self.pos = 0
+
+    def run(self, rngs: Sequence[np.random.Generator]) -> None:
+        """Advance every trajectory from the initial state through the grid,
+        trajectory i drawing from rngs[i], and leave the (P, N) overlaps at T
+        in `final`. NumPy generators draw sequentially, so a block of draws
+        equals the matching slice of one draw over the whole grid; memory
+        stays within BLOCK_BYTES whatever the number of steps."""
+        count = len(rngs)
         width = 2 * self.channels
-        # Noise, stored state and scratch term of one trajectory-step.
-        per_step = 8 * width + 16 * dim + 16 * self.channels
-        block = max(1, min(self.steps, BLOCK_BYTES // max(1, count * per_step)))
-        raw = np.empty((count, block, width))
-        states = np.empty((block + 1, dim, count), dtype=complex)
-        states[0] = x0
+        # Flat, so the shorter last block is still one contiguous array.
+        raw = np.empty(count * self.block * width)
+        dws = np.empty((self.block, self.channels, 1, 1, count), dtype=complex)
+        self.ring[0, 0] = self.ket
         stacks = itertools.chain.from_iterable(map(itertools.repeat, self.stacks, self.lengths))
-        for start in range(0, self.steps, block):
-            n = min(block, self.steps - start)
-            for rng, row in zip(rngs, raw):
-                rng.standard_normal(out=row[:n])
-            dws = self.draws(raw[:, :n])
-            for j, stack in zip(range(n), stacks):
-                self.step(stack, states[j], states[j + 1], dws[j])
-            self.reduce(states[1 : n + 1])
-            # The block's last state, with reduce's edits, starts the next.
-            states[0] = states[n]
+        for start in range(0, self.steps, self.block):
+            n = min(self.block, self.steps - start)
+            normals = raw[: count * n * width].reshape(count, n, width)
+            for rng, row in zip(rngs, normals):
+                rng.standard_normal(out=row)
+            self.advance(self.draws(normals, dws[:n]), stacks)
+        if self.pos:
+            self.screen(self.ring[1 : self.pos + 1, 0])
+        self.final = self.bra @ self.outputs[self.pos]
 
-    def draws(self, raw: np.ndarray) -> np.ndarray:
-        """Complex increments sqrt(dt/2) (xi_1 + i xi_2), as (n, C, N), from
-        (N, n, 2 C) standard normals."""
+    def draws(self, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Complex increments sqrt(dt/2) (xi_1 + i xi_2) into out, as
+        (n, C, 1, 1, N), from (N, n, 2 C) standard normals: channel m's
+        pair is columns m and C + m."""
         count, n, width = raw.shape
         c = width // 2
-        # Each channel's (xi_1, xi_2) side by side, read as one complex number.
+        # Each channel's (xi_1, xi_2) side by side, read as one complex
+        # number; with one channel, a contiguous raw is read as it is.
         pairs = raw.reshape(count, n, 2, c).swapaxes(2, 3)
         pairs = np.ascontiguousarray(pairs).view(complex)[..., 0]
-        dws = np.empty((n, c, count), dtype=complex)
-        np.multiply(pairs.transpose(1, 2, 0), self.scale, out=dws)
-        return dws
+        np.multiply(pairs.transpose(1, 2, 0), self.scale, out=out[:, :, 0, 0])
+        return out
 
-    def step(self, stack: np.ndarray, x: np.ndarray, out: np.ndarray, dws: np.ndarray) -> None:
-        """Advance the states x into out over one step of the cells of stack."""
-        np.matmul(stack, x.reshape(self.shape), out=self.product)
-        out = out.reshape(self.shape)
-        if not self.noise_terms:
-            out[...] = self.drift
-            return
-        # Addition commutes exactly, so this equals drift + term_1 dw_1 + ...
-        np.multiply(self.noise_terms[0], dws[0], out=out)
-        out += self.drift
-        for term, dw in zip(self.noise_terms[1:], dws[1:]):
-            np.multiply(term, dw, out=self.term)
-            out += self.term
+    def advance(self, dws: np.ndarray, stacks) -> None:
+        """Take len(dws) steps, one stack from the iterator stacks each,
+        screening the ring's states whenever it fills."""
+        done = 0
+        while done < len(dws):
+            pos = self.pos
+            n = min(len(dws) - done, self.ring_steps - pos)
+            # dws first, so zip stops without taking a stack too many.
+            steps = zip(dws[done : done + n], stacks, self.slots[pos:], self.outputs[pos + 1 :])
+            for dw, stack, (state, rows, operand), out in steps:
+                np.multiply(dw, state, out=rows)
+                np.matmul(stack, operand, out=out)
+            done += n
+            self.pos += n
+            if self.pos == self.ring_steps:
+                self.screen(self.ring[1:, 0])
+                # The segment's last state, with the screen's edits, starts the next.
+                self.ring[0, 0] = self.ring[-1, 0]
+                self.pos = 0
 
-    def reduce(self, states: np.ndarray) -> None:
-        n = len(states)
-        points = states.reshape(n, *self.shape)
+    def screen(self, states: np.ndarray) -> None:
+        """Exclude the trajectories of each point whose norm overflowed at
+        any of the (n, d, P, N) states, and zero them in the last state."""
         # A norm at or above NORM_OVERFLOW needs a real or imaginary part of
         # at least NORM_OVERFLOW / sqrt(2d). A column whose parts all stay
         # below the smaller screen NORM_OVERFLOW / (2d) has not overflowed;
         # the others (nan included) get the exact per-step norm test.
-        parts = points.view(float)
-        peak = np.maximum(parts.max(axis=(0, 2)), -parts.min(axis=(0, 2)))
-        suspects = ~(peak.reshape(len(self.alive), -1, 2).max(axis=2) < self.screen)
+        parts = states.view(float)
+        peak = np.maximum(parts.max(axis=(0, 1)), -parts.min(axis=(0, 1)))
+        # (P, N): the larger of each column's real and imaginary peaks.
+        suspects = ~(np.maximum(peak[:, 0::2], peak[:, 1::2]) < self.screen_level)
         for p, alive in enumerate(self.alive):
             suspect = np.flatnonzero(suspects[p])
             if suspect.size:
-                norms = np.linalg.norm(points[:, p][:, :, suspect], axis=1)
+                norms = np.linalg.norm(states[:, :, p][:, :, suspect], axis=1)
                 blown = suspect[alive[suspect] & ~(norms < NORM_OVERFLOW).all(axis=0)]
                 alive[blown] = False
-                points[-1, p][:, blown] = 0.0
-        # (P, N) overlaps at the block's last step; the last block's are at T.
-        self.final = self.bra @ points[-1]
+                states[-1, :, p][:, blown] = 0.0
 
 
 def _qsd_chunk(args) -> list[tuple]:
@@ -229,13 +261,12 @@ def _qsd_chunk(args) -> list[tuple]:
     count = len(streams)
     lowereds = [lower_model(model, shifts) for shifts in shift_sets]
     kernel = _QSDKernel(lowereds, total_time, steps, vec, count)
-    x0 = np.repeat(np.tile(vec, len(lowereds))[:, np.newaxis], count, axis=1)
     # Each trajectory's noise comes from its own stream, so the outcome is
     # independent of how trajectories are grouped into chunks. An
-    # overflowing trajectory may reach inf or nan before the block ends;
-    # the screen in reduce() excludes it.
+    # overflowing trajectory may reach inf or nan before the ring fills;
+    # the kernel's screen excludes it.
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel.run([np.random.default_rng(s) for s in streams], x0)
+        kernel.run([np.random.default_rng(s) for s in streams])
 
     sums = []
     for alive, overlaps in zip(kernel.alive, kernel.final):

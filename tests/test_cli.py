@@ -15,6 +15,7 @@ import scipy.integrate
 import yaml
 
 import trajphase
+import trajphase.cli as cli
 from trajphase.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, SCHEMA_LINE, main
 from trajphase.config import _pairs, load_config
 from trajphase.dephasing import DephasingParams, closed_form_no_jump_phase
@@ -467,6 +468,54 @@ def test_quiet_suppresses_warnings(config_file, capsys) -> None:
     assert "trajphase: warning:" in capsys.readouterr().err
     assert main(["qsd-phase", "--config", path, "--quiet"]) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+def _calls_with_outputs(calls, tmp_path, capsys, fresh: bool) -> list[tuple]:
+    """Exit code, stdout, stderr, output file and report (wall time aside)
+    of each call; with fresh, main builds its parser anew for every call,
+    as in a new process."""
+    results = []
+    for i, argv in enumerate(calls):
+        if fresh:
+            cli._parser.cache_clear()
+        out = tmp_path / f"{'fresh' if fresh else 'warm'}-{i}.csv"
+        argv = [*argv, "--out", str(out)] if i % 2 else argv
+        code = main(argv)
+        captured = capsys.readouterr()
+        err = captured.err.replace(str(out), "OUT")
+        written = report = None
+        if out.exists():
+            written = out.read_text()
+            report = json.loads(Path(f"{out}.report.json").read_text())
+            del report["wall_time_s"]
+            report["outputs"] = ["OUT"]
+        results.append((code, captured.out, err, written, report))
+    return results
+
+
+def test_main_reuses_its_parser_across_calls(config_file, tmp_path, capsys) -> None:
+    jumps = config_file(BASE_YAML.replace(
+        "run: {T: 1.0, steps: 256, seed: 0}",
+        "run: {T: 1.0, delta_t: 0.01, n_trajectories: 20, seed: 4}"), "jumps.yaml")
+    base = config_file(BASE_YAML)
+    calls = [
+        ["jump-sample", "--config", jumps, "--seed", "3"],
+        ["jump-sample", "--config", jumps, "--quiet"],
+        ["evolve", "--config", base, "--steps", "64"],
+        ["nojump-phase", "--config", base, "--steps", "128", "--quiet"],
+        ["symmetry-check", "--config", base, "--seed", "7", "--steps", "32"],
+        ["evolve", "--config", base],
+        ["jump-sample", "--config", jumps, "--steps", "0"],
+        ["no-such-command", "--config", base],
+    ]
+    cli._parser.cache_clear()
+    warm = _calls_with_outputs(calls, tmp_path, capsys, fresh=False)
+    assert cli._parser.cache_info().misses == 1
+    fresh = _calls_with_outputs(calls, tmp_path, capsys, fresh=True)
+    assert warm == fresh
+    assert [r[0] for r in warm] == [EXIT_OK] * 6 + [EXIT_CONFIG] * 2
+    # A public parser is still a new one each time.
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_argparse_failures_return_config_exit(capsys) -> None:

@@ -322,23 +322,49 @@ def test_qsd_excludes_the_same_trajectories(block_steps, monkeypatch) -> None:
 
 
 def test_qsd_overflow_screen_keeps_the_per_step_rule() -> None:
-    # Columns: fine; nan mid-block; norm exactly at the threshold with every
-    # entry below it; a spike that returns below the threshold; inf.
+    # Columns: fine; nan mid-segment; norm exactly at the threshold with
+    # every entry below it; a spike that returns below the threshold; inf.
     lowered = lower_model(dephasing_model(1.0, 0.1))
     vec = np.array([1.0, 0.0], dtype=complex)
     kernel = _QSDKernel([lowered], 1.0, 10, vec, 5)
-    states = np.ones((4, 2, 5), dtype=complex)
-    states[1, 0, 1] = np.nan
-    states[2, :, 2] = NORM_OVERFLOW / math.sqrt(2.0)
-    states[1, 1, 3] = 1e150
-    states[2, 0, 4] = np.inf
-    assert np.linalg.norm(states[2, :, 2]) >= NORM_OVERFLOW
+    # Four steps' (d, P, N) states, as the kernel's ring holds them.
+    states = kernel.ring[1:5, 0]
+    states[...] = 1.0
+    states[1, 0, 0, 1] = np.nan
+    states[2, :, 0, 2] = NORM_OVERFLOW / math.sqrt(2.0)
+    states[1, 1, 0, 3] = 1e150
+    states[2, 0, 0, 4] = np.inf
+    assert np.linalg.norm(states[2, :, 0, 2]) >= NORM_OVERFLOW
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel.reduce(states)
+        kernel.screen(states)
     assert kernel.alive[0].tolist() == [True, False, False, False, False]
-    # Excluded trajectories restart from zero in the next block.
-    assert np.all(states[-1][:, 1:] == 0.0)
-    assert np.all(states[-1][:, 0] == 1.0)
+    # Excluded trajectories restart from zero in the next segment.
+    assert np.all(states[-1, :, 0, 1:] == 0.0)
+    assert np.all(states[-1, :, 0, 0] == 1.0)
+
+
+def test_qsd_ring_screens_every_state_of_a_segment() -> None:
+    # H = 0 and L = I: a step multiplies each column by 1 - dt / 2 + dw.
+    # Column 1 spikes past the threshold at the first step of a four-step
+    # segment and falls back below it at the second.
+    dt = 0.1
+    model = LindbladModel(Operator(np.zeros((2, 2))), (Operator(np.eye(2)),), 1.0)
+    vec = np.array([1.0, 0.0], dtype=complex)
+    kernel = _QSDKernel([lower_model(model)], 4 * dt, 4, vec, 2)
+    assert kernel.ring_steps == 4
+    dws = np.zeros((4, 1, 1, 1, 2), dtype=complex)
+    dws[0, 0, 0, 0, 1] = 1e101
+    dws[1, 0, 0, 0, 1] = -(1.0 - dt / 2)
+    kernel.ring[0, 0] = vec[:, np.newaxis, np.newaxis]
+    kernel.advance(dws, itertools.repeat(kernel.stacks[0], 4))
+    assert np.linalg.norm(kernel.ring[1, 0, :, 0, 1]) >= NORM_OVERFLOW
+    assert np.linalg.norm(kernel.ring[2, 0, :, 0, 1]) < NORM_OVERFLOW
+    assert kernel.alive[0].tolist() == [True, False]
+    # The ring wrapped: the segment's last states start the next one.
+    assert kernel.pos == 0
+    final = kernel.ring[0, 0, :, 0]
+    assert np.all(final[:, 1] == 0.0)
+    assert np.allclose(final[:, 0], (1.0 - dt / 2) ** 4 * vec, rtol=1e-15, atol=0)
 
 
 def _check_points_against_reference(model, shift_sets, vec, total_time, delta_t, seeds):
@@ -376,6 +402,63 @@ def test_qsd_points_in_one_pass_match_reference_loop(
     vec = _random_state(dim, rng)
     seeds = trajectory_seeds(700 + dim, 24)
     _check_points_against_reference(model, shift_sets, vec, CELLS * CELL, 1e-2, seeds)
+
+
+def _unitary_channel_model(dim: int, count: int, strength: float, rng) -> LindbladModel:
+    """Random Hamiltonian and unitary channels (sum_m L_m^dag L_m = count I):
+    at a large strength every trajectory grows at about the same rate, so
+    which ones pass NORM_OVERFLOW by a given step is up to the noise."""
+
+    def matrix() -> np.ndarray:
+        return (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / dim
+
+    h = matrix()
+    channels = tuple(Operator(np.linalg.qr(matrix())[0]) for _ in range(count))
+    return LindbladModel(Operator(h + h.conj().T), channels, strength)
+
+
+def _ring_inside_a_block(lowered, total_time: float, steps: int, vec, count: int, monkeypatch):
+    """Patch BLOCK_BYTES so that the kernel's ring, of three steps or more,
+    is shorter than a noise block and does not divide it, with several
+    blocks to the run; returns the ring's length in steps."""
+    for budget in itertools.count(1024, 16):
+        monkeypatch.setattr(qsd, "BLOCK_BYTES", budget)
+        kernel = _QSDKernel([lowered], total_time, steps, vec, count)
+        ring, block = kernel.ring_steps, kernel.block
+        if 2 < ring < block < steps and block % ring:
+            return ring
+
+
+@pytest.mark.parametrize("dim,count", SIZES)
+def test_qsd_overflow_inside_a_ring_segment(dim: int, count: int, monkeypatch) -> None:
+    rng = np.random.default_rng(900 + 10 * dim + count)
+    model = _unitary_channel_model(dim, count, 60.0 / count, rng)
+    vec = _random_state(dim, rng)
+    seeds = trajectory_seeds(dim + count, 16)
+    delta_t = 0.1
+    # Overflows bunch in time; end the run at the median overflow step of a
+    # longer run (a prefix of it: the same draws), so that about half of
+    # the trajectories overflow.
+    longer = _reference_qsd_chunk((model, None, vec, 400 * delta_t, delta_t, seeds))[5]
+    steps = int(np.sort(longer)[len(seeds) // 2])
+    job = (model, None, vec, steps * delta_t, delta_t, seeds)
+    want = _reference_qsd_chunk(job)
+    blown_at = want[5]
+    assert 0 < want[4] < len(seeds)
+
+    lowered = lower_model(model)
+    ring = _ring_inside_a_block(lowered, steps * delta_t, steps, vec, len(seeds), monkeypatch)
+    # Some overflow falls strictly inside a ring segment.
+    assert np.any((blown_at[blown_at >= 0] + 1) % ring != 0)
+    got = _qsd_chunk((model, [None], *job[2:]))[0]
+    assert got[3:] == want[3:5]
+    assert _relative_gap(got[0], want[0]) <= 1e-12
+    assert got[1] == pytest.approx(want[1], rel=1e-12)
+    assert got[2] == pytest.approx(want[2], rel=1e-12)
+    kernel = _QSDKernel([lowered], steps * delta_t, steps, vec, len(seeds))
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel.run([np.random.default_rng(s) for s in seeds])
+    assert kernel.alive[0].tolist() == (blown_at < 0).tolist()
 
 
 def test_qsd_point_overflow_stays_in_its_point(monkeypatch) -> None:
@@ -436,6 +519,24 @@ def test_qsd_working_memory_does_not_grow_with_total_time() -> None:
     # Noise for the short run alone is 256 x 2000 x 16 B = 8 MB; the long
     # run would need four times that if memory followed the step count.
     assert long <= 1.1 * short + 2**20
+
+
+@pytest.mark.parametrize("dim,count", [(2, 1), (3, 2)])
+def test_qsd_chunk_stays_within_its_block_budget(dim: int, count: int) -> None:
+    # Two points of 512 trajectories over 3000 steps: the ring, the noise
+    # block and, with two channels, the reordered pairs fill the budget.
+    rng = np.random.default_rng(40 + dim)
+    model = _random_model(dim, count, 0.4, rng)
+    vec = _random_state(dim, rng)
+    job = (model, [None, ShiftSet.constants([0.5] * count)], vec, 3.0, 1e-3,
+           trajectory_seeds(3, 512))
+    tracemalloc.start()
+    try:
+        _qsd_chunk(job)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert qsd.BLOCK_BYTES // 2 < peak <= qsd.BLOCK_BYTES + 2**20
 
 
 # --- jumps ------------------------------------------------------------------

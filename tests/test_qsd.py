@@ -72,10 +72,17 @@ def _kernel(model, dt, count, shifts=None) -> _QSDKernel:
     return _QSDKernel([lower_model(model, shifts)], dt, 1, EQUATOR.amplitudes, count)
 
 
+def _increments(kernel, raw) -> np.ndarray:
+    """The kernel's (n, C, 1, 1, N) increments from (N, n, 2 C) normals."""
+    count, n, width = raw.shape
+    return kernel.draws(raw, np.empty((n, width // 2, 1, 1, count), dtype=complex))
+
+
 def _step(kernel, x, dws) -> np.ndarray:
-    out = np.empty_like(x)
-    kernel.step(kernel.stacks[0], x, out, dws)
-    return out
+    """The (d, N) states x after one step with the (1, C, 1, 1, N) dws."""
+    kernel.ring[kernel.pos, 0, :, 0] = x
+    kernel.advance(dws, iter(kernel.stacks))
+    return kernel.ring[kernel.pos, 0, :, 0].copy()
 
 
 def _columns(vec, count) -> np.ndarray:
@@ -87,12 +94,12 @@ def test_wiener_increment_moments() -> None:
     dt, n = 1e-2, 20000
     kernel = _kernel(dephasing_model(1.0, 0.5), dt, n)
     raw = rng.standard_normal((n, 1, 2))
-    (draws,) = kernel.draws(raw)
-    assert draws.shape == (1, n)
+    draws = _increments(kernel, raw)
+    assert draws.shape == (1, 1, 1, 1, n)
     # Channel m's pair (xi_1, xi_2) is columns m and C + m of the raw noise.
     want = math.sqrt(dt / 2.0) * (raw[:, 0, 0] + 1j * raw[:, 0, 1])
-    assert np.max(np.abs(draws[0] - want)) <= 1e-15
-    draws = draws[0]
+    draws = draws[0, 0, 0, 0]
+    assert np.max(np.abs(draws - want)) <= 1e-15
     assert abs(draws.mean()) < 3 * math.sqrt(dt / n)
     assert np.mean(np.abs(draws) ** 2) == pytest.approx(dt, rel=0.05)
     assert abs(np.mean(draws**2)) < 3 * dt / math.sqrt(n)
@@ -105,7 +112,8 @@ def test_qsd_step_deterministic_part() -> None:
     # 1 - dt (i H + strength / 2).
     p = DephasingParams(1.0, 0.5, 0.0, math.pi / 2)
     dt = 1e-3
-    out = _step(_kernel(p.as_model(), dt, 1), _columns(EQUATOR.amplitudes, 1), np.zeros((1, 1)))
+    zero = np.zeros((1, 1, 1, 1, 1), dtype=complex)
+    out = _step(_kernel(p.as_model(), dt, 1), _columns(EQUATOR.amplitudes, 1), zero)
     h = np.diag([0.5, -0.5])
     want = EQUATOR.amplitudes - dt * (1j * h @ EQUATOR.amplitudes + 0.25 * EQUATOR.amplitudes)
     assert np.max(np.abs(out[:, 0] - want)) < 1e-15
@@ -115,7 +123,7 @@ def test_qsd_step_is_linear() -> None:
     p = DephasingParams(1.0, 0.4, 0.3, math.pi / 3)
     kernel = _kernel(p.as_model(), 1e-2, 2, p.as_shifts())
     rng = np.random.default_rng(2)
-    (dws,) = kernel.draws(np.repeat(rng.standard_normal((1, 1, 2)), 2, axis=0))
+    dws = _increments(kernel, np.repeat(rng.standard_normal((1, 1, 2)), 2, axis=0))
     x = np.stack([EQUATOR.amplitudes, 0.7j * EQUATOR.amplitudes], axis=1)
     out = _step(kernel, x, dws)
     assert np.max(np.abs(out[:, 1] - 0.7j * out[:, 0])) < 1e-15
@@ -127,9 +135,10 @@ def test_qsd_step_mean_follows_drift() -> None:
     p = DephasingParams(1.0, 0.5, 0.0, math.pi / 2)
     dt, n = 1e-2, 40000
     kernel = _kernel(p.as_model(), dt, n)
-    (dws,) = kernel.draws(np.random.default_rng(4).standard_normal((n, 1, 2)))
+    dws = _increments(kernel, np.random.default_rng(4).standard_normal((n, 1, 2)))
     out = _step(kernel, _columns(EQUATOR.amplitudes, n), dws)
-    drift = _step(_kernel(p.as_model(), dt, 1), _columns(EQUATOR.amplitudes, 1), np.zeros((1, 1)))
+    zero = np.zeros((1, 1, 1, 1, 1), dtype=complex)
+    drift = _step(_kernel(p.as_model(), dt, 1), _columns(EQUATOR.amplitudes, 1), zero)
     noise_scale = math.sqrt(p.strength * dt / n)
     assert np.max(np.abs(out.mean(axis=1) - drift[:, 0])) < 4 * noise_scale
 
@@ -262,6 +271,23 @@ def test_ensemble_deterministic_across_thread_counts(monkeypatch) -> None:
         )
     assert outs[0][0] == outs[1][0]
     assert outs[0][1] == outs[1][1]
+
+
+def test_channel_free_model_follows_the_euler_drift() -> None:
+    # With no channels there is no noise: every trajectory is the drift
+    # path (I - i dt H)^n phi0, so the sample has no spread. 16 equal
+    # overlaps sum exactly, which makes the standard error exactly 0.
+    h = 0.5 * pauli("z") + 0.3 * pauli("x")
+    model = LindbladModel(h, (), 0.5)
+    phi0 = bloch_state(BlochAngles(math.pi / 3, 0.2))
+    dt, steps = 1e-2, 200
+    res = averaged_geometric_phase(model, phi0, QSDConfig(steps * dt, dt, 16, seed=3))
+    assert (res.n_used, res.n_excluded) == (16, 0)
+    assert res.std_error == 0.0
+    vec = np.asarray(phi0.amplitudes)
+    drift = np.eye(2) - 1j * dt * h.entries
+    want = vec.conj() @ np.linalg.matrix_power(drift, steps) @ vec
+    assert abs(res.mean_overlap - want) <= 1e-12
 
 
 def test_shift_changes_trajectories_not_mean() -> None:

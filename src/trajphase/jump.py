@@ -53,6 +53,7 @@ from .operators import (
     binary_scaled,
     cell_maps,
     key_runs,
+    normalized_state_vector,
     run_states,
     simpson,
     state_vector,
@@ -192,13 +193,6 @@ def shifted_no_jump_hamiltonian(model: LindbladModel, shifts: ShiftSet) -> Opera
     return lower_model(model, shifts).operators(lambda c: c.k_tilde)
 
 
-def _unit_vector(psi, dim: int) -> np.ndarray:
-    vec = state_vector(psi, dim)
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
-        raise ValueError("psi0 must be normalized within 1e-12")
-    return vec
-
-
 def propagate_no_jump(
     generator: OperatorSchedule,
     psi0,
@@ -224,8 +218,8 @@ def propagate_no_jump(
 
     dt = total_time / steps
     exponent = int(np.frexp(np.abs(vec).max())[1])
-    maps, cells = step_propagators(generator, 0.0, total_time, steps)
-    states = run_states(maps, cells, binary_scaled(vec, -exponent))
+    maps, runs = step_propagators(generator, 0.0, total_time, steps)
+    states = run_states(maps, runs, binary_scaled(vec, -exponent))
 
     sq_norms = _squared_norms(states.T)
     decayed = sq_norms < NORM_FLOOR**2 * sq_norms[0]
@@ -335,7 +329,7 @@ def no_jump_geometric_phase(
     at most pi/2, except across flagged zero crossings of the overlap, where
     the result is meaningful modulo 2 pi only.
     """
-    vec = _unit_vector(psi0, model.dim)
+    vec = normalized_state_vector(psi0, model.dim, "psi0")
     gen, herm = _phase_generators(model, shifts)
     return _tracked_phase(gen, herm, vec, total_time, steps)
 
@@ -359,7 +353,7 @@ def gauge_transform_check(
     """
     if scale == 0:
         raise ValueError("scale must be nonzero; c(t) may not vanish")
-    vec = _unit_vector(psi0, model.dim)
+    vec = normalized_state_vector(psi0, model.dim, "psi0")
     gen, herm = _phase_generators(model, shifts)
     base = _tracked_phase(gen, herm, vec, total_time, steps)
     eye = np.eye(model.dim)
@@ -516,10 +510,10 @@ def sample_jump_trajectory(
     cols = np.empty((model.dim, steps + 1), dtype=complex)
     start, x = 0, vec
     for _, k, m in found:
-        cols[:, start : k + 1] = run_states(sampler.maps, keys[start:k], x).T
+        cols[:, start : k + 1] = run_states(sampler.maps, key_runs(keys[start:k]), x).T
         x = sampler.stacks[keys[k]][m] @ cols[:, k]
         start = k + 1
-    cols[:, start:] = run_states(sampler.maps, keys[start:], x).T
+    cols[:, start:] = run_states(sampler.maps, key_runs(keys[start:]), x).T
     cols /= np.sqrt(_squared_norms(cols))
     events = tuple(JumpEvent(time=k * dt, channel=m) for _, k, m in found)
     return TrajectoryRecord(np.arange(steps + 1) * dt, cols.T, events, float(not events))

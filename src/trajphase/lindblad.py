@@ -350,9 +350,9 @@ def evolve_states(
         raise ValueError("total_time must be >= 0")
     # exp(-i dt (i S_c)) = exp(dt S_c).
     generator = lowered.operators(lambda c: 1j * _liouvillian(c, lowered.strength))
-    maps, cells = step_propagators(generator, 0.0, total_time, steps)
+    maps, runs = step_propagators(generator, 0.0, total_time, steps)
     dim = rho0.dim
-    stack = run_states(maps, cells, rho0.entries.reshape(-1)).reshape(steps + 1, dim, dim)
+    stack = run_states(maps, runs, rho0.entries.reshape(-1)).reshape(steps + 1, dim, dim)
     rhos = stack[1:]
     # Re-symmetrize to drop the skew part roundoff leaves behind.
     rhos[...] = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
@@ -429,26 +429,22 @@ def shifted_hamiltonian(model: LindbladModel, shifts: ShiftSet) -> OperatorSched
     return lower_model(model, shifts).operators(lambda c: c.k)
 
 
-def _probe_times(*schedules) -> list[float]:
-    times = {0.0}
-    for s in schedules:
-        if not s.is_constant:
-            n = len(s.values)
-            times.update(k * s.cell for k in range(n))
-            times.add(n * s.cell * (1.0 - 1e-12))
-    return sorted(times)
-
-
 def shift_is_hidden(model: LindbladModel, shifts: ShiftSet, tol: float = 1e-12) -> bool:
-    """True when every conj(f_m(t)) L_m(t) is Hermitian on the schedule grid,
-    i.e. when the shift leaves the master equation unchanged."""
+    """True when every conj(f_m) L_m is Hermitian in every cell of the
+    common grid of the channels and shifts, i.e. when the shift leaves the
+    master equation unchanged. Piecewise schedules on different grids raise
+    ValueError, as in `lower_model`."""
     _check_channel_count(model, shifts)
-    for chan, f in zip(model.lindblads, shifts.shifts):
-        for t in _probe_times(chan, f):
-            value = np.conj(complex(f.value_at(t))) * chan.value_at(t).entries
-            if not is_hermitian(value, tol):
-                return False
-    return True
+    count = len(model.lindblads)
+
+    def hermitian(*values) -> bool:
+        return all(
+            is_hermitian(np.conj(complex(f)) * l.entries, tol)
+            for l, f in zip(values[:count], values[count:])
+        )
+
+    cells, _ = combine(hermitian, *model.lindblads, *shifts.shifts)
+    return all(cells)
 
 
 def apply_unitary_mixing(model: LindbladModel, mixing: np.ndarray) -> LindbladModel:

@@ -9,7 +9,8 @@ propagator exactly composable.
 A time t lies in cell floor(t / cell), the right end of the grid in the last
 cell. Step k of a uniform time grid of width dt starting at t0 uses the cell
 that holds its midpoint t0 + (k + 1/2) dt. `Schedule.step_cells` implements
-this step-to-cell rule, and every per-step lookup goes through it.
+this step-to-cell rule; `step_runs` maps a whole grid to the (start, stop,
+cell) runs of consecutive steps in one cell, which every propagator consumes.
 
 Consecutive steps in one cell apply the same linear map, so a run of them is
 propagated by powers of that cell's map rather than step by step:
@@ -117,6 +118,14 @@ def state_vector(psi, dim: int) -> np.ndarray:
     # A norm would underflow to 0 for tiny nonzero amplitudes.
     if not vec.any():
         raise ValueError("state vector must be nonzero")
+    return vec
+
+
+def normalized_state_vector(psi, dim: int, name: str) -> np.ndarray:
+    """`state_vector`, refused unless its norm is 1 within 1e-12."""
+    vec = state_vector(psi, dim)
+    if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
+        raise ValueError(f"{name} must be normalized within 1e-12")
     return vec
 
 
@@ -427,13 +436,12 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
 
 def step_propagators(
     generator: OperatorSchedule, t0: float, t1: float, steps: int
-) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """Per-cell maps exp(-i dt G) and the cell of each step of the uniform
-    grid on [t0, t1]: step k applies maps[cells[k]]. One exponential per
-    cell used."""
-    cells = generator.step_cells(t0, t1, steps)
-    used = {key for _, _, key in key_runs(cells)}
-    return cell_maps(generator, used, (t1 - t0) / steps), cells
+) -> tuple[dict[int, np.ndarray], list[tuple[int, int, int]]]:
+    """Per-cell maps exp(-i dt G) and the `step_runs` of the uniform grid on
+    [t0, t1]: the steps of run (start, stop, cell) apply maps[cell]. One
+    exponential per cell used."""
+    runs = step_runs(generator, t0, t1, steps)
+    return cell_maps(generator, [c for _, _, c in runs], (t1 - t0) / steps), runs
 
 
 def cell_maps(generator: OperatorSchedule, cells, dt: float) -> dict[int, np.ndarray]:
@@ -442,25 +450,27 @@ def cell_maps(generator: OperatorSchedule, cells, dt: float) -> dict[int, np.nda
 
 
 def step_runs(schedule: Schedule, t0: float, t1: float, steps: int) -> list[tuple[int, int, int]]:
-    """`key_runs(schedule.step_cells(t0, t1, steps))` without the per-step
-    cells. The cells never decrease along the grid, so the first step of
-    each later cell is found by bisection on the step index: the rule is
-    evaluated at O(cells log steps) steps, whatever the step count."""
+    """(start, stop, cell) of each run of steps in one cell of the uniform
+    grid of `steps` steps on [t0, t1], as `key_runs` of the `step_cells`.
 
-    def cells(k) -> np.ndarray:
-        return schedule.step_cells(t0, t1, steps, k)
-
-    first, last = cells([0, steps - 1]).tolist()
+    The first step whose midpoint lies in cell c or later is ceil((c cell -
+    t0) / dt - 1/2); each guess is checked once against the rule and moved
+    by one step where roundoff puts it off. A cell narrower than a step may
+    hold none: a run takes the last cell whose first step is its start.
+    """
+    first, last = schedule.step_cells(t0, t1, steps, [0, steps - 1]).tolist()
+    if first == last:
+        return [(0, steps, first)]
     targets = np.arange(first + 1, last + 1)
-    # cells(lo) < target <= cells(hi) for every later cell.
-    lo, hi = np.zeros_like(targets), np.full_like(targets, steps - 1)
-    while np.any(hi - lo > 1):
-        mid = (lo + hi) // 2
-        above = cells(mid) >= targets
-        hi, lo = np.where(above, mid, hi), np.where(above, lo, mid)
-    # Cells shorter than a step share their first step with the next cell.
-    bounds = [0, *sorted(set(hi.tolist())), steps]
-    return [(a, b, int(c)) for a, b, c in zip(bounds[:-1], bounds[1:], cells(bounds[:-1]))]
+    guess = np.ceil((targets * schedule.cell - t0) / ((t1 - t0) / steps) - 0.5)
+    guess = np.clip(guess, 1, steps - 1).astype(np.intp)
+    before, at = schedule.step_cells(t0, t1, steps, np.stack([guess - 1, guess]))
+    guess += at < targets
+    guess -= before >= targets
+    last_of_start = np.append(guess[1:] != guess[:-1], True)
+    bounds = [0, *guess[last_of_start].tolist(), steps]
+    cells = [first, *targets[last_of_start].tolist()]
+    return list(zip(bounds[:-1], bounds[1:], cells))
 
 
 def key_runs(keys) -> list[tuple[int, int, int]]:
@@ -473,19 +483,20 @@ def key_runs(keys) -> list[tuple[int, int, int]]:
     return [(a, b, int(keys[a])) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def run_states(maps, keys, x0) -> np.ndarray:
-    """States x_0..x_n of x_{k+1} = maps[keys[k]] @ x_k, as an (n + 1, d) array.
+def run_states(maps, runs, x0) -> np.ndarray:
+    """States x_0..x_n of x_{k+1} = maps[key] @ x_k for the steps k of each
+    run (start, stop, key), as an (n + 1, d) array; the runs tile [0, n).
 
     The states are filled as the columns of a C-ordered (d, n + 1) array,
-    and the view returned is its transpose. Within a run of equal keys the
-    known columns are advanced by the map's power by repeated squaring,
+    and the view returned is its transpose. Within a run the known columns
+    are advanced by the map's power by repeated squaring,
     out[:, a+m : a+2m] = M^m @ out[:, a : a+m], so a run of length L costs
     about log2(L) products.
     """
     x0 = np.asarray(x0, dtype=complex).reshape(-1)
-    out = np.empty((x0.shape[0], len(keys) + 1), dtype=complex)
+    out = np.empty((x0.shape[0], runs[-1][1] + 1 if runs else 1), dtype=complex)
     out[:, 0] = x0
-    for a, b, key in key_runs(keys):
+    for a, b, key in runs:
         power = np.asarray(maps[key], dtype=complex)
         m = 1
         while True:
@@ -518,8 +529,8 @@ def time_ordered_propagator(
     total = np.eye(schedule.dim, dtype=complex)
     if t1 == t0:
         return Operator(total)
-    maps, cells = step_propagators(schedule, t0, t1, steps)
-    for a, b, cell in key_runs(cells):
+    maps, runs = step_propagators(schedule, t0, t1, steps)
+    for a, b, cell in runs:
         total = np.linalg.matrix_power(maps[cell], b - a) @ total
     return Operator(total)
 

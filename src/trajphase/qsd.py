@@ -39,7 +39,7 @@ import numpy as np
 
 from ._ensemble import chunked, grid_steps, map_ordered, sampling_grid, trajectory_seeds
 from .lindblad import LindbladModel, ShiftSet, energy_integral, lower_model
-from .operators import run_states, state_vector, step_runs, unit_vector, wrap_phase
+from .operators import normalized_state_vector, run_states, step_runs, unit_vector, wrap_phase
 
 # Unused here; bench/tracing.py wraps these names on this module.
 from .lindblad import apply_shift, evolve_density, shifted_hamiltonian  # noqa: F401
@@ -148,7 +148,7 @@ class _QSDKernel:
         # cells changes exactly where some point's run starts, and never recurs.
         runs = [step_runs(low, 0.0, total_time, steps) for low in lowereds]
         starts = sorted({a for point in runs for a, _, _ in point})
-        cells = [low.step_cells(0.0, total_time, steps, starts).tolist() for low in lowereds]
+        cells = [[c for a, b, c in point for s in starts if a <= s < b] for point in runs]
         self.stacks = [np.stack([m[c] for m, c in zip(mats, combo)]) for combo in zip(*cells)]
         self.lengths = np.diff([*starts, steps]).tolist()
         self.steps = steps
@@ -292,7 +292,7 @@ def _mean_path_arg(lowered, vec: np.ndarray, total_time: float, steps: int) -> f
     for a, b, c in step_runs(lowered, 0.0, total_time, steps):
         drift = np.eye(len(vec)) + dt * (-1j * lowered.values[c].k_tilde)
         drift /= np.abs(np.linalg.eigvals(drift)).max()
-        cols = run_states({c: drift}, np.full(b - a, c), start).T
+        cols = run_states({c: drift}, [(0, b - a, c)], start).T
         path = bra @ cols
         total += float(np.sum(np.angle(path[1:] * path[:-1].conj())))
         start = unit_vector(cols[:, -1])
@@ -356,9 +356,7 @@ def averaged_geometric_phases(
     simulated (`lindblad.energy_integral`). A point where every trajectory
     overflowed has n_used 0 and NaN estimates, its dynamical term included.
     """
-    vec = state_vector(phi0, model.dim)
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
-        raise ValueError("phi0 must be normalized within 1e-12")
+    vec = normalized_state_vector(phi0, model.dim, "phi0")
     shift_sets = list(shift_sets)
     if not shift_sets:
         return []

@@ -345,6 +345,21 @@ def test_symmetry_check_generator_shift_covers_every_cell(config_file, capsys) -
     assert doc["generator_shift_max"] == pytest.approx(0.25, abs=1e-12)
 
 
+def test_symmetry_check_sees_a_visible_cell_off_the_probe_times(config_file, capsys) -> None:
+    # Nine cells of width 1/3 with a real shift except in cell 7, where
+    # lambda * |Im f| = 0.25; the time 7 * (1/3) rounds into cell 6.
+    values = ", ".join("[0.0, 0.5]" if k == 7 else "0.3" for k in range(9))
+    text = BASE_YAML.replace("shifts: [0.2]", f"shifts: [{{cell: {1 / 3!r}, values: [{values}]}}]")
+    text = text.replace("run: {T: 1.0, steps: 256, seed: 0}", "run: {T: 3.0, steps: 900, seed: 0}")
+    assert main(["symmetry-check", "--config", config_file(text)]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["hidden"] is False
+    assert doc["hidden_per_channel"] == [False]
+    assert doc["generator_shift_max"] == pytest.approx(0.25, abs=1e-12)
+    assert doc["rho_residual_max"] > 1e-3
+    assert doc["verdict"].startswith("shift is not hidden")
+
+
 def _random_piecewise_shift_yaml(seed: int) -> str:
     """A random model of dim 2-3 with 1-2 channels and a 3-cell piecewise
     shift: hidden (L_m = e^{i a} A_m with A_m Hermitian, f_m real times

@@ -135,8 +135,9 @@ def _exact_overlap_moments(model, shifts, vec, total_time, delta_t) -> tuple:
 
 def _reference_step_terms(model, shifts, total_time, steps) -> list[tuple]:
     lowered = lower_model(model, shifts)
-    maps, cells = step_propagators(lowered.operators(lambda c: c.k_tilde), 0.0, total_time, steps)
-    return [(maps[c], lowered.values[c].channels) for c in cells.tolist()]
+    maps, _ = step_propagators(lowered.operators(lambda c: c.k_tilde), 0.0, total_time, steps)
+    cells = lowered.step_cells(0.0, total_time, steps).tolist()
+    return [(maps[c], lowered.values[c].channels) for c in cells]
 
 
 def _reference_jump_law(model, shifts, vec, total_time, delta_t, rngs) -> tuple:

@@ -15,6 +15,7 @@ from trajphase.lindblad import (
     apply_unitary_mixing,
     evolve_density,
     lindblad_rhs,
+    lower_model,
     shift_is_hidden,
     shifted_hamiltonian,
     zero_point_shift,
@@ -304,6 +305,41 @@ def test_time_dependent_shift_schedule() -> None:
     assert shift_is_hidden(model, ShiftSet((shift,)))
     complex_shift = ScalarSchedule.piecewise([0.1, 0.4j], 1.0)
     assert not shift_is_hidden(model, ShiftSet((complex_shift,)))
+
+
+def test_shift_is_hidden_checks_every_cell() -> None:
+    # A single visible cell anywhere on the grid makes the shift visible,
+    # and lower_model's regrouped Hamiltonian moves in that cell alone.
+    model = _dephasing(0.5)
+    for count, cell in ((9, 1 / 3), (10, 0.1), (16, 2 * math.pi / 16), (7, 0.07)):
+        for visible in range(count):
+            values = [0.3] * count
+            values[visible] = 0.5j
+            shifts = ShiftSet((ScalarSchedule.piecewise(values, cell),))
+            assert not shift_is_hidden(model, shifts)
+            moved = [
+                float(np.max(np.abs(c.k - c.h))) for c in lower_model(model, shifts).values
+            ]
+            assert moved.index(max(moved)) == visible
+            assert max(moved) == pytest.approx(0.25, abs=1e-12)
+        hidden = ShiftSet((ScalarSchedule.piecewise([0.3] * count, cell),))
+        assert shift_is_hidden(model, hidden)
+
+
+def test_shift_is_hidden_needs_a_common_grid() -> None:
+    # A piecewise channel and a piecewise shift on different grids raise,
+    # as lower_model does; constants broadcast over either grid.
+    channel = OperatorSchedule.piecewise([pauli("z"), 2 * pauli("z")], 1.0)
+    model = LindbladModel(0.5 * pauli("z"), (channel,), 0.5)
+    for shift in (ScalarSchedule.piecewise([0.1, 0.2, 0.3], 1.0),
+                  ScalarSchedule.piecewise([0.1, 0.2], 0.5)):
+        with pytest.raises(ValueError, match="common grid"):
+            shift_is_hidden(model, ShiftSet((shift,)))
+        with pytest.raises(ValueError, match="common grid"):
+            lower_model(model, ShiftSet((shift,)))
+    assert shift_is_hidden(model, ShiftSet.constants([0.4]))
+    assert shift_is_hidden(model, ShiftSet((ScalarSchedule.piecewise([0.1, -0.2], 1.0),)))
+    assert not shift_is_hidden(model, ShiftSet((ScalarSchedule.piecewise([0.1, 0.2j], 1.0),)))
 
 
 def test_unitary_mixing_preserves_generator() -> None:

@@ -27,6 +27,7 @@ from trajphase.operators import (
     key_runs,
     matrix_exponential,
     pauli,
+    run_states,
     simpson,
     step_runs,
     time_ordered_propagator,
@@ -255,8 +256,41 @@ def test_step_runs_equal_the_runs_of_the_step_cells(seed) -> None:
             t0, t1 = 0.0, count * cell
         steps = int(rng.choice([1, 2, 3, int(rng.integers(1, 5000))]))
         assert step_runs(sched, t0, t1, steps) == key_runs(sched.step_cells(t0, t1, steps))
+
+    def check(count: int, cell: float, t0: float, t1: float, steps: int) -> None:
+        sched = ScalarSchedule.piecewise(list(rng.integers(0, 3, count)), cell)
+        t1 = min(t1, sched.extent)
+        assert step_runs(sched, t0, t1, steps) == key_runs(sched.step_cells(t0, t1, steps))
+
+    # Up to 10^6 steps, from t0 = 0 and from inside the first cells.
+    for steps in (10**4, 999_983, 10**6):
+        count = int(rng.integers(2, 64))
+        cell = float(rng.choice([1.0, 1 / 3, 0.07]))
+        for t0 in (0.0, float(rng.uniform(0.0, 2 * cell))):
+            check(count, cell, t0, count * cell, steps)
+    # Cell edges exactly on grid nodes (cell = m dt, t0 = j dt > 0) and on
+    # step midpoints (cell = (m + 1/2) dt).
+    for m in (1, 2, 3, 7, 64):
+        for dt in (0.1, 1 / 3, 2.0**-10, float(rng.uniform(1e-3, 1.0))):
+            for cell in (m * dt, (m + 0.5) * dt):
+                count = int(rng.integers(2, 40))
+                steps = int(count * cell / dt) - 2
+                j = int(rng.integers(1, 3))
+                check(count, cell, j * dt, (j + steps) * dt, steps)
+                check(count, cell, 0.0, count * cell, int(count * cell / dt))
+    # Cells narrower than a step: some hold no step and share a start.
+    for ratio in (1.5, 2.0, 3.0, 7.3, 100.0):
+        for steps in (2, 5, 17, 1000):
+            dt = 0.01
+            count = math.ceil(steps * ratio) + 1
+            t0 = float(rng.uniform(0.0, dt))
+            check(count, dt / ratio, t0, t0 + steps * dt, steps)
+
     constant = ScalarSchedule.constant(1.0)
     assert step_runs(constant, 0.0, 2.0, 10) == [(0, 10, 0)]
+    # No runs propagate no step.
+    x0 = np.array([1.0, 2.0j])
+    assert np.array_equal(run_states({}, [], x0), x0[np.newaxis, :])
 
 
 def test_time_ordered_propagator_validation() -> None:

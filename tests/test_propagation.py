@@ -42,6 +42,7 @@ from trajphase.lindblad import (
 from trajphase.jump import BRANCH_EPS, MAX_GRID_DOUBLINGS
 from trajphase.operators import (
     ScalarSchedule,
+    key_runs,
     run_states,
     simpson,
     step_propagators,
@@ -91,10 +92,10 @@ def test_run_states_matches_step_loop(seed) -> None:
     # A prime step count never lines up with the cells.
     steps = int(rng.choice([97, 211, 331]))
     sched = _random_schedule(rng, dim, cells, total)
-    maps, keys = step_propagators(sched, 0.0, total, steps)
+    maps, runs = step_propagators(sched, 0.0, total, steps)
     x0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    got = run_states(maps, keys, x0)
-    want = _loop_states(maps, keys.tolist(), x0)
+    got = run_states(maps, runs, x0)
+    want = _loop_states(maps, sched.step_cells(0.0, total, steps).tolist(), x0)
     assert got.shape == (steps + 1, dim)
     assert np.max(_relative_errors(got, want)) <= STATE_RTOL
 
@@ -105,14 +106,14 @@ def test_run_states_defective_map() -> None:
     rotation = scipy.linalg.expm(-0.1j * pauli("x").entries)
     keys = np.array([0] * 45 + [1] * 3 + [0] * 17)
     x0 = np.array([0.3, 1.0], dtype=complex)
-    got = run_states([jordan, rotation], keys, x0)
+    got = run_states([jordan, rotation], key_runs(keys), x0)
     want = _loop_states([jordan, rotation], keys.tolist(), x0)
     assert np.max(_relative_errors(got, want)) <= STATE_RTOL
 
 
 def test_run_states_without_steps() -> None:
     x0 = np.array([1.0, 2.0j])
-    got = run_states({}, np.zeros(0, dtype=int), x0)
+    got = run_states({}, [], x0)
     assert np.array_equal(got, x0[np.newaxis, :])
 
 
@@ -131,11 +132,11 @@ def test_run_states_at_run_length_edges(dim) -> None:
     patterns.append([k % 3 for k in range(40)])
     patterns += [[1] * 3 + [0] * n + [2] * n + [1] for n in RUN_LENGTHS]
     for keys in patterns:
-        got = run_states(maps, np.array(keys), x0)
+        got = run_states(maps, key_runs(keys), x0)
         assert got.shape == (len(keys) + 1, dim)
         want = _loop_states(maps, keys, x0)
         assert np.max(_relative_errors(got, want)) <= STATE_RTOL
-    got = run_states(maps, np.zeros(0, dtype=int), x0)
+    got = run_states(maps, [], x0)
     assert got.shape == (1, dim)
     assert np.array_equal(got[0], x0)
 
@@ -147,8 +148,8 @@ def test_propagate_no_jump_matches_step_loop(seed) -> None:
     sched = _random_schedule(rng, dim, int(rng.integers(1, 17)), 3.0)
     psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     record = propagate_no_jump(sched, psi0, 3.0, steps=1000)
-    maps, keys = step_propagators(sched, 0.0, 3.0, 1000)
-    want = _loop_states(maps, keys.tolist(), psi0)
+    maps, _ = step_propagators(sched, 0.0, 3.0, 1000)
+    want = _loop_states(maps, sched.step_cells(0.0, 3.0, 1000).tolist(), psi0)
     assert np.max(_relative_errors(record.states, want)) <= STATE_RTOL
 
 
@@ -174,7 +175,8 @@ def test_propagate_no_jump_keeps_weak_damping() -> None:
 
 def _reference_tracked_phase(model, shifts, psi0, total, steps) -> dict:
     """The no-jump geometric phase by plain per-step loops: states from the
-    `step_propagators` maps, the overlap argument as a sum of per-step
+    `step_propagators` maps in the cell `Schedule.step_cells` gives each
+    step, the overlap argument as a sum of per-step
     increments, and <psi|K|psi> / <psi|psi> integrated by `simpson`. The
     grid doubles until no step away from a flagged crossing turns the
     overlap by more than pi/2."""
@@ -183,8 +185,8 @@ def _reference_tracked_phase(model, shifts, psi0, total, steps) -> dict:
     herm = lowered.operators(lambda c: c.k)
     attempt = steps
     for _ in range(MAX_GRID_DOUBLINGS):
-        maps, keys = step_propagators(gen, 0.0, total, attempt)
-        states = _loop_states(maps, keys.tolist(), psi0)
+        maps, _ = step_propagators(gen, 0.0, total, attempt)
+        states = _loop_states(maps, gen.step_cells(0.0, total, attempt).tolist(), psi0)
         overlaps = [complex(np.vdot(psi0, s)) for s in states]
         norms = [float(np.linalg.norm(s)) for s in states]
         crossing = [abs(z) / (norms[0] * n) < BRANCH_EPS for z, n in zip(overlaps, norms)]

@@ -451,26 +451,8 @@ def cell_maps(generator: OperatorSchedule, cells, dt: float) -> dict[int, np.nda
 
 def step_runs(schedule: Schedule, t0: float, t1: float, steps: int) -> list[tuple[int, int, int]]:
     """(start, stop, cell) of each run of steps in one cell of the uniform
-    grid of `steps` steps on [t0, t1], as `key_runs` of the `step_cells`.
-
-    The first step whose midpoint lies in cell c or later is ceil((c cell -
-    t0) / dt - 1/2); each guess is checked once against the rule and moved
-    by one step where roundoff puts it off. A cell narrower than a step may
-    hold none: a run takes the last cell whose first step is its start.
-    """
-    first, last = schedule.step_cells(t0, t1, steps, [0, steps - 1]).tolist()
-    if first == last:
-        return [(0, steps, first)]
-    targets = np.arange(first + 1, last + 1)
-    guess = np.ceil((targets * schedule.cell - t0) / ((t1 - t0) / steps) - 0.5)
-    guess = np.clip(guess, 1, steps - 1).astype(np.intp)
-    before, at = schedule.step_cells(t0, t1, steps, np.stack([guess - 1, guess]))
-    guess += at < targets
-    guess -= before >= targets
-    last_of_start = np.append(guess[1:] != guess[:-1], True)
-    bounds = [0, *guess[last_of_start].tolist(), steps]
-    cells = [first, *targets[last_of_start].tolist()]
-    return list(zip(bounds[:-1], bounds[1:], cells))
+    grid of `steps` steps on [t0, t1]: `key_runs` of the `step_cells`."""
+    return key_runs(schedule.step_cells(t0, t1, steps))
 
 
 def key_runs(keys) -> list[tuple[int, int, int]]:

@@ -148,7 +148,7 @@ class _QSDKernel:
         # cells changes exactly where some point's run starts, and never recurs.
         runs = [step_runs(low, 0.0, total_time, steps) for low in lowereds]
         starts = sorted({a for point in runs for a, _, _ in point})
-        cells = [[c for a, b, c in point for s in starts if a <= s < b] for point in runs]
+        cells = [low.step_cells(0.0, total_time, steps, starts).tolist() for low in lowereds]
         self.stacks = [np.stack([m[c] for m, c in zip(mats, combo)]) for combo in zip(*cells)]
         self.lengths = np.diff([*starts, steps]).tolist()
         self.steps = steps

@@ -1,9 +1,9 @@
 """What both ensembles share: deterministic trajectory streams, the sampling
-grid, chunks of trajectories and optional process parallelism.
+grid, chunks, optional process parallelism and one reduction, `mean_and_error`.
 
 Trajectory i always draws from child i of `SeedSequence(seed).spawn`, whose
 PCG64 words `_streams` derives for all trajectories in one vectorized pass,
-and chunk results are reduced in index order, so ensemble output is
+and chunk results are joined in index order, so ensemble output is
 byte-identical for every TRAJPHASE_THREADS setting. `numpy.random` and the
 process pool are imported only when a run needs them.
 """
@@ -13,6 +13,8 @@ from __future__ import annotations
 import os
 import warnings
 from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+
+import numpy as np
 
 if TYPE_CHECKING:
     from ._streams import TrajectoryStream
@@ -86,3 +88,18 @@ def map_ordered(fn: Callable[[_T], _R], jobs: Sequence[_T]) -> list[_R]:
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
+
+
+def mean_and_error(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over the last axis of samples and its standard error,
+    sqrt(sum |x - mean|^2 / (n - 1) / n) or 0 for n = 1, in two passes so
+    that a small spread about a large mean keeps its digits. Float or complex
+    samples, last axis contiguous, are overwritten; others are copied."""
+    x = samples if np.issubdtype(samples.dtype, np.inexact) else samples.astype(float)
+    n = x.shape[-1]
+    mean = x.mean(axis=-1)
+    x -= mean[..., np.newaxis]
+    # Complex deviations read as interleaved real and imaginary parts.
+    parts = x.view(x.real.dtype)
+    np.square(parts, out=parts)
+    return mean, np.sqrt(parts.sum(axis=-1) / max(n - 1, 1) / n)

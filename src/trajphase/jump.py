@@ -38,6 +38,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from ._ensemble import chunked, grid_steps, map_ordered, sampling_grid, trajectory_seeds
+from ._ensemble import mean_and_error
 from .lindblad import (
     DensityMatrix,
     LindbladModel,
@@ -519,16 +520,14 @@ def sample_jump_trajectory(
     return TrajectoryRecord(np.arange(steps + 1) * dt, cols.T, events, float(not events))
 
 
-def _ensemble_chunk(args) -> tuple:
+def _ensemble_chunk(args) -> tuple[np.ndarray, np.ndarray]:
+    """A chunk's normalized (d, N) states at T and its (N,) jump counts."""
     model, shifts, vec, total_time, delta_t, streams = args
     steps, _ = grid_steps(total_time, delta_t)
     x = np.repeat(vec[:, np.newaxis], len(streams), axis=1)
     sampler = _JumpSampler(model, shifts, total_time, steps)
     jumps = sampler.run(x, _Pairs([np.random.default_rng(s) for s in streams]))
-    x /= np.sqrt(_squared_norms(x))
-    # Sums over the columns of |psi><psi| and of its entries' squared moduli.
-    proj = x[:, np.newaxis] * x.conj()
-    return np.add.reduce(proj, axis=-1), np.add.reduce(np.abs(proj) ** 2, axis=-1), jumps
+    return x / np.sqrt(_squared_norms(x)), jumps
 
 
 def average_jump_ensemble(
@@ -545,8 +544,8 @@ def average_jump_ensemble(
     waiting-time law of this module; projector moments are taken at T only.
 
     Trajectory i draws from a stream spawned deterministically from
-    (seed, i), and chunks are reduced in order, so the outcome is identical
-    for any TRAJPHASE_THREADS setting.
+    (seed, i), and chunk results are joined in order, so the outcome is
+    identical for any TRAJPHASE_THREADS setting.
     """
     if n_trajectories < 1:
         raise ValueError("n_trajectories must be >= 1")
@@ -560,22 +559,16 @@ def average_jump_ensemble(
         (model, shifts, vec, total_time, delta_t, streams)
         for streams in chunked(seeds, chunk_size)
     ]
-    results = map_ordered(_ensemble_chunk, jobs)
-    # Chunk sums in chunk order.
-    sum_proj, sum_abs2 = (sum(r[i] for r in results)[np.newaxis] for i in range(2))
-    jump_counts = np.concatenate([r[2] for r in results])
-
-    n = float(n_trajectories)
-    estimates = sum_proj / n
-    bessel = n / (n - 1.0) if n_trajectories > 1 else 0.0
-    std_error = np.sqrt(np.maximum(sum_abs2 / n - np.abs(estimates) ** 2, 0.0) * bessel / n)
-    jump_se = math.sqrt(float(np.var(jump_counts, ddof=1)) / n) if n_trajectories > 1 else 0.0
+    x, jump_counts = (np.concatenate(c, axis=-1) for c in zip(*map_ordered(_ensemble_chunk, jobs)))
+    # The (d, d, n) stack of |psi><psi|, reduced in place.
+    estimates, std_error = mean_and_error(x[:, np.newaxis] * x.conj())
+    mean_jumps, jumps_error = mean_and_error(jump_counts)
     return JumpEnsembleResult(
         times=np.array([total_time]),
-        estimates=estimates,
-        std_error=std_error,
-        mean_jumps=float(jump_counts.mean()),
-        mean_jumps_error=jump_se,
+        estimates=estimates[np.newaxis],
+        std_error=std_error[np.newaxis],
+        mean_jumps=float(mean_jumps),
+        mean_jumps_error=float(jumps_error),
         n_trajectories=n_trajectories,
         jump_counts=jump_counts,
     )

@@ -14,12 +14,13 @@ mean of |phi><phi| reproduces the master equation, and the averaged phase
 uses the exact master-equation rho(t), not the ensemble estimate: the
 integral is exact per cell of the schedule (`lindblad.energy_integral`),
 with no grid of its own. The branch of the argument comes from the exact
-mean path E[phi_k] on the estimator's grid, so each trajectory keeps only
-its final overlap. With shifts, channels become L_m - f_m while the
-Hamiltonian field is untouched (the regrouped Hermitian K enters only the
-dynamical term); both come from `lindblad.lower_model`. Several shift sets
-of one model run as one ensemble pass (`averaged_geometric_phases`), in
-which trajectory i draws the same noise at every point.
+mean path E[phi_k] on the estimator's grid, so a chunk returns only its
+final overlaps, which `_ensemble.mean_and_error` reduces. With shifts,
+channels become L_m - f_m while the Hamiltonian field is untouched (the
+regrouped Hermitian K enters only the dynamical term); both come from
+`lindblad.lower_model`. Several shift sets of one model run as one ensemble
+pass (`averaged_geometric_phases`), in which trajectory i draws the same
+noise at every point.
 
 A step is two NumPy calls on one slot of a ring of (1 + C, d, P, N)
 arrays: a broadcast multiply writes dw_m phi into the slot's noise rows,
@@ -38,6 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._ensemble import chunked, grid_steps, map_ordered, sampling_grid, trajectory_seeds
+from ._ensemble import mean_and_error
 from .lindblad import LindbladModel, ShiftSet, energy_integral, lower_model
 from .operators import normalized_state_vector, run_states, step_runs, unit_vector, wrap_phase
 
@@ -253,27 +255,20 @@ class _QSDKernel:
                 states[-1, :, p][:, blown] = 0.0
 
 
-def _qsd_chunk(args) -> list[tuple]:
-    """One chunk of trajectories at every point of shift_sets, in one pass;
-    one (sum of final overlaps, sum re^2, sum im^2, used, excluded) per point."""
+def _qsd_chunk(args) -> tuple[np.ndarray, np.ndarray]:
+    """One chunk at every point of shift_sets, in one pass: the (P, N) final
+    overlaps <phi_0|phi(T)> and the (P, N) mask of those that did not overflow."""
     model, shift_sets, vec, total_time, delta_t, streams = args
     steps, _ = grid_steps(total_time, delta_t)
-    count = len(streams)
     lowereds = [lower_model(model, shifts) for shifts in shift_sets]
-    kernel = _QSDKernel(lowereds, total_time, steps, vec, count)
+    kernel = _QSDKernel(lowereds, total_time, steps, vec, len(streams))
     # Each trajectory's noise comes from its own stream, so the outcome is
     # independent of how trajectories are grouped into chunks. An
     # overflowing trajectory may reach inf or nan before the ring fills;
     # the kernel's screen excludes it.
     with np.errstate(over="ignore", invalid="ignore"):
         kernel.run([np.random.default_rng(s) for s in streams])
-
-    sums = []
-    for alive, overlaps in zip(kernel.alive, kernel.final):
-        final, used = overlaps[alive], int(alive.sum())
-        re2, im2 = float(np.sum(final.real**2)), float(np.sum(final.imag**2))
-        sums.append((final.sum(), re2, im2, used, count - used))
-    return sums
+    return kernel.final, kernel.alive
 
 
 def _mean_path_arg(lowered, vec: np.ndarray, total_time: float, steps: int) -> float:
@@ -300,11 +295,11 @@ def _mean_path_arg(lowered, vec: np.ndarray, total_time: float, steps: int) -> f
 
 
 def _point_result(
-    lowered, vec: np.ndarray, config: QSDConfig, chunks: list[tuple]
+    lowered, vec: np.ndarray, config: QSDConfig, overlaps: np.ndarray
 ) -> QSDEnsembleResult:
-    """Reduce one point's chunk sums, in chunk order, and add its dynamical
-    term; NaN estimates if every trajectory overflowed."""
-    z_sums, re2, im2, used, excluded = (sum(c[i] for c in chunks) for i in range(5))
+    """One point's estimates from its surviving trajectories' final overlaps,
+    in trajectory order, and its dynamical term; NaN if none survived."""
+    used, excluded = overlaps.size, config.n_trajectories - overlaps.size
     if excluded:
         warnings.warn(
             f"excluded {excluded} trajectories whose norm exceeded {NORM_OVERFLOW:g}",
@@ -315,13 +310,8 @@ def _point_result(
         nan = float("nan")
         return QSDEnsembleResult(complex(nan, nan), nan, nan, nan, nan, 0, excluded)
 
-    mean_overlap = complex(z_sums / used)
-    if used > 1:
-        var_re = max(re2 / used - mean_overlap.real**2, 0.0) * used / (used - 1)
-        var_im = max(im2 / used - mean_overlap.imag**2, 0.0) * used / (used - 1)
-        std_error = float(np.sqrt((var_re + var_im) / used))
-    else:
-        std_error = 0.0
+    mean, error = mean_and_error(overlaps)
+    mean_overlap, std_error = complex(mean), float(error)
     steps, _ = grid_steps(config.total_time, config.delta_t)
     branch = _mean_path_arg(lowered, vec, config.total_time, steps)
     overlap_arg = branch + wrap_phase(float(np.angle(mean_overlap)) - branch)
@@ -365,12 +355,11 @@ def averaged_geometric_phases(
         (model, shift_sets, vec, config.total_time, config.delta_t, streams)
         for streams in chunked(seeds, chunk_size)
     ]
-    results = map_ordered(_qsd_chunk, jobs)
-    out = []
-    for p, shifts in enumerate(shift_sets):
-        chunks = [r[p] for r in results]
-        out.append(_point_result(lower_model(model, shifts), vec, config, chunks))
-    return out
+    finals, alive = (np.concatenate(c, axis=-1) for c in zip(*map_ordered(_qsd_chunk, jobs)))
+    return [
+        _point_result(lower_model(model, shifts), vec, config, final[kept])
+        for shifts, final, kept in zip(shift_sets, finals, alive)
+    ]
 
 
 def averaged_geometric_phase(

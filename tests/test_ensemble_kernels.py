@@ -17,7 +17,7 @@ import pytest
 
 import trajphase.jump as jump
 import trajphase.qsd as qsd
-from trajphase._ensemble import grid_steps, trajectory_seeds
+from trajphase._ensemble import grid_steps, mean_and_error, trajectory_seeds
 from trajphase.dephasing import dephasing_model
 from trajphase.jump import (
     StepSizeError,
@@ -62,8 +62,9 @@ BUDGETS = [None, 1, 40_000]
 
 
 def _reference_qsd_chunk(args) -> tuple:
-    """The per-step QSD chunk; also returns the step after which each
-    trajectory overflowed (-1 if never)."""
+    """The per-step QSD chunk: each trajectory's final overlap (0 once it
+    overflowed), whether it did not overflow, and the step after which it
+    overflowed (-1 if never)."""
     model, shifts, vec, total_time, delta_t, streams = args
     steps, dt = grid_steps(total_time, delta_t)
     lowered = lower_model(model, shifts)
@@ -99,16 +100,7 @@ def _reference_qsd_chunk(args) -> tuple:
             blown_at[blown] = k
             states[blown] = 0.0
 
-    final = (states @ vec.conj())[alive]
-    z_sums = final.sum()
-    return (
-        z_sums,
-        float(np.sum(final.real**2)),
-        float(np.sum(final.imag**2)),
-        int(alive.sum()),
-        int(count - alive.sum()),
-        blown_at,
-    )
+    return states @ vec.conj(), alive, blown_at
 
 
 def _exact_overlap_moments(model, shifts, vec, total_time, delta_t) -> tuple:
@@ -186,12 +178,6 @@ def _reference_jump_law(model, shifts, vec, total_time, delta_t, rngs) -> tuple:
     return paths, events, message
 
 
-def _reference_moments(paths) -> tuple:
-    final = paths[:, -1]
-    proj = final[:, :, np.newaxis] * final[:, np.newaxis, :].conj()
-    return proj.sum(axis=0), np.sum(np.abs(proj) ** 2, axis=0)
-
-
 # --- random models ----------------------------------------------------------
 
 
@@ -229,6 +215,17 @@ def _relative_gap(got, want) -> float:
     return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
 
 
+def _trajectory_gap(got, want) -> float:
+    """Largest difference of two arrays of per-trajectory values, each
+    relative to its own reference value; 0 where both are equal (0 for an
+    excluded trajectory), inf where only the reference is 0."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gaps = np.abs(got - want) / np.abs(want)
+    return float(np.max(np.where(got == want, 0.0, gaps), initial=0.0))
+
+
 @pytest.fixture(params=BUDGETS, ids=["budget", "one-step", "few-steps"])
 def budget(request, monkeypatch):
     if request.param is not None:
@@ -242,12 +239,10 @@ def budget(request, monkeypatch):
 @pytest.mark.parametrize("dim,count", SIZES)
 def test_qsd_chunk_matches_reference_loop(dim: int, count: int, budget) -> None:
     args = _job(dim, count, 0.4, 24, 300 + 10 * dim + count)
-    z_sums, re2, im2, used, excluded = _qsd_chunk((args[0], [args[1]], *args[2:]))[0]
-    want = _reference_qsd_chunk(args)
-    assert (used, excluded) == want[3:5] == (24, 0)
-    assert _relative_gap(z_sums, want[0]) <= 1e-12
-    assert re2 == pytest.approx(want[1], rel=1e-12)
-    assert im2 == pytest.approx(want[2], rel=1e-12)
+    (final,), (alive,) = _qsd_chunk((args[0], [args[1]], *args[2:]))
+    want, want_alive, _ = _reference_qsd_chunk(args)
+    assert alive.all() and want_alive.all() and alive.shape == (24,)
+    assert _trajectory_gap(final, want) <= 1e-12
 
 
 @pytest.mark.parametrize("dim,count", SIZES)
@@ -308,18 +303,17 @@ def test_qsd_excludes_the_same_trajectories(block_steps, monkeypatch) -> None:
     if block_steps is not None:
         # One-trajectory chunks: noise 16 B, state 32 B, increment 16 B per step.
         monkeypatch.setattr(qsd, "BLOCK_BYTES", 64 * block_steps)
-    got = [_qsd_chunk((model, [None], vec, 24.0, 0.1, [s]))[0][4] for s in seeds]
-    want = _reference_qsd_chunk((model, None, vec, 24.0, 0.1, seeds))
-    blown_at = want[5]
+    got = [int(not _qsd_chunk((model, [None], vec, 24.0, 0.1, [s]))[1][0, 0]) for s in seeds]
+    want, want_alive, blown_at = _reference_qsd_chunk((model, None, vec, 24.0, 0.1, seeds))
     assert got == (blown_at >= 0).astype(int).tolist()
     assert 0 < sum(got) < 16
     if block_steps is not None:
         # Some overflow falls strictly inside a block of steps.
         ends = (blown_at[blown_at >= 0] + 1) % block_steps
         assert np.any(ends != 0)
-    whole = _qsd_chunk((model, [None], vec, 24.0, 0.1, seeds))[0]
-    assert whole[3:] == want[3:5]
-    assert _relative_gap(whole[0], want[0]) <= 1e-12
+    (final,), (alive,) = _qsd_chunk((model, [None], vec, 24.0, 0.1, seeds))
+    assert alive.tolist() == want_alive.tolist()
+    assert _trajectory_gap(final, want) <= 1e-12
 
 
 def test_qsd_overflow_screen_keeps_the_per_step_rule() -> None:
@@ -371,21 +365,19 @@ def test_qsd_ring_screens_every_state_of_a_segment() -> None:
 def _check_points_against_reference(model, shift_sets, vec, total_time, delta_t, seeds):
     """One batched chunk over shift_sets against the per-point reference
     loop and against one-point chunks; returns each point's overflow steps."""
-    job = (model, shift_sets, vec, total_time, delta_t, seeds)
-    points = _qsd_chunk(job)
-    assert len(points) == len(shift_sets)
+    tail = (vec, total_time, delta_t, seeds)
+    finals, alive = _qsd_chunk((model, shift_sets, *tail))
+    assert finals.shape == alive.shape == (len(shift_sets), len(seeds))
     blown_at = []
-    for shifts, got in zip(shift_sets, points):
-        want = _reference_qsd_chunk((model, shifts, vec, total_time, delta_t, seeds))
-        assert got[3:] == want[3:5]
-        assert _relative_gap(got[0], want[0]) <= 1e-12
-        assert got[1] == pytest.approx(want[1], rel=1e-12)
-        assert got[2] == pytest.approx(want[2], rel=1e-12)
+    for shifts, final, kept in zip(shift_sets, finals, alive):
+        want, want_alive, blown = _reference_qsd_chunk((model, shifts, *tail))
+        assert kept.tolist() == want_alive.tolist()
+        assert _trajectory_gap(final, want) <= 1e-12
         # The other points change nothing, not even roundoff.
-        (alone,) = _qsd_chunk((model, [shifts], vec, total_time, delta_t, seeds))
-        assert got[0].tobytes() == alone[0].tobytes()
-        assert got[1:] == alone[1:]
-        blown_at.append(want[5])
+        (final_alone,), (kept_alone,) = _qsd_chunk((model, [shifts], *tail))
+        assert final.tobytes() == final_alone.tobytes()
+        assert kept.tobytes() == kept_alone.tobytes()
+        blown_at.append(blown)
     return blown_at
 
 
@@ -440,22 +432,19 @@ def test_qsd_overflow_inside_a_ring_segment(dim: int, count: int, monkeypatch) -
     # Overflows bunch in time; end the run at the median overflow step of a
     # longer run (a prefix of it: the same draws), so that about half of
     # the trajectories overflow.
-    longer = _reference_qsd_chunk((model, None, vec, 400 * delta_t, delta_t, seeds))[5]
+    longer = _reference_qsd_chunk((model, None, vec, 400 * delta_t, delta_t, seeds))[2]
     steps = int(np.sort(longer)[len(seeds) // 2])
     job = (model, None, vec, steps * delta_t, delta_t, seeds)
-    want = _reference_qsd_chunk(job)
-    blown_at = want[5]
-    assert 0 < want[4] < len(seeds)
+    want, want_alive, blown_at = _reference_qsd_chunk(job)
+    assert 0 < (~want_alive).sum() < len(seeds)
 
     lowered = lower_model(model)
     ring = _ring_inside_a_block(lowered, steps * delta_t, steps, vec, len(seeds), monkeypatch)
     # Some overflow falls strictly inside a ring segment.
     assert np.any((blown_at[blown_at >= 0] + 1) % ring != 0)
-    got = _qsd_chunk((model, [None], *job[2:]))[0]
-    assert got[3:] == want[3:5]
-    assert _relative_gap(got[0], want[0]) <= 1e-12
-    assert got[1] == pytest.approx(want[1], rel=1e-12)
-    assert got[2] == pytest.approx(want[2], rel=1e-12)
+    (final,), (alive,) = _qsd_chunk((model, [None], *job[2:]))
+    assert alive.tolist() == want_alive.tolist()
+    assert _trajectory_gap(final, want) <= 1e-12
     kernel = _QSDKernel([lowered], steps * delta_t, steps, vec, len(seeds))
     with np.errstate(over="ignore", invalid="ignore"):
         kernel.run([np.random.default_rng(s) for s in seeds])
@@ -572,7 +561,7 @@ def _chunk_events(args) -> list:
 def test_jump_chunk_matches_reference_loop(dim: int, count: int, pair_block) -> None:
     args = _job(dim, count, 0.4, 40, 400 + 10 * dim + count)
     model, shifts, vec, total_time, delta_t, streams = args
-    sum_proj, sum_abs2, jumps = _ensemble_chunk(args)
+    x, jumps = _ensemble_chunk(args)
     paths, events, message = _reference_jump_law(
         model, shifts, vec, total_time, delta_t, _generators(streams)
     )
@@ -581,8 +570,8 @@ def test_jump_chunk_matches_reference_loop(dim: int, count: int, pair_block) -> 
     assert jumps.tobytes() == want.tobytes()
     assert jumps.max() >= 2
     assert np.array(_chunk_events(args)).tobytes() == np.array(events).tobytes()
-    for got, ref in zip((sum_proj, sum_abs2), _reference_moments(paths)):
-        assert _relative_gap(got, ref) <= 1e-12
+    # Unit vectors, so each column's gap is relative to its norm.
+    assert np.max(np.abs(x - paths[:, -1].T)) <= 1e-12
 
 
 @pytest.mark.parametrize("dim,count", [(2, 1), (3, 2), (4, 3)])
@@ -670,11 +659,10 @@ def test_a_state_no_channel_acts_on_steps_on_without_a_jump() -> None:
     args = (model, None, np.array([1.0, 0.0], dtype=complex), 5.0, 0.5, trajectory_seeds(3, 40))
     paths, events, message = _reference_jump_law(*args[:5], _generators(args[5]))
     assert message is None
-    sum_proj, sum_abs2, jumps = _ensemble_chunk(args)
+    x, jumps = _ensemble_chunk(args)
     assert np.array(_chunk_events(args)).tobytes() == np.array(events).tobytes()
     assert jumps.sum() == len(events)
-    for got, ref in zip((sum_proj, sum_abs2), _reference_moments(paths)):
-        assert _relative_gap(got, ref) <= 1e-12
+    assert np.max(np.abs(x - paths[:, -1].T)) <= 1e-12
 
 
 @pytest.mark.parametrize("dim,count", SIZES)
@@ -768,3 +756,44 @@ def test_ensembles_refuse_a_state_of_another_dimension() -> None:
         average_jump_ensemble(model, state, 0.5, 1e-2, 8, seed=0)
     with pytest.raises(ValueError, match=match):
         sample_jump_trajectory(model, state, 0.5, 1e-2, np.random.default_rng(0))
+
+
+def test_mean_and_error_matches_numpy() -> None:
+    rng = np.random.default_rng(13)
+    stack = rng.normal(size=(3, 3, 501)) + 1j * rng.normal(size=(3, 3, 501))
+    counts = rng.poisson(2.5, size=501)
+    for samples in (stack, counts):
+        want_mean = np.mean(samples, axis=-1)
+        want_error = np.std(samples, axis=-1, ddof=1) / math.sqrt(samples.shape[-1])
+        mean, error = mean_and_error(samples.copy())
+        assert _relative_gap(mean, want_mean) <= 1e-12
+        assert _relative_gap(error, want_error) <= 1e-12
+    # One sample has no spread to estimate.
+    for one in (np.array([[2.5 + 1j]]), np.array([7])):
+        mean, error = mean_and_error(one.copy())
+        assert np.array_equal(mean, one[..., 0]) and error.shape == one.shape[:-1]
+        assert not np.any(error)
+
+
+def test_mean_and_error_keeps_a_small_spread_about_a_large_mean() -> None:
+    # E[x^2] - E[x]^2 from raw sums is 1e16 less 1e16: its rounding, about
+    # 2, swamps the variance of 1e-8.
+    rng = np.random.default_rng(14)
+    samples = 1e8 + 1e-4 * rng.normal(size=1000)
+    # Differences of nearby doubles are exact.
+    want = np.std(samples - 1e8, ddof=1) / math.sqrt(samples.size)
+    mean, error = mean_and_error(samples.copy())
+    assert abs(error - want) <= 1e-6 * want
+    assert abs(mean - np.mean(samples)) <= 1e-15 * 1e8
+
+
+def test_mean_and_error_works_in_place() -> None:
+    # The deviations overwrite the samples: no (d, d, n) temporary.
+    stack = np.ones((4, 4, 20_000), dtype=complex)
+    tracemalloc.start()
+    try:
+        mean_and_error(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= stack.nbytes // 16

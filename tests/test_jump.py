@@ -315,6 +315,18 @@ def test_ensemble_recovers_density_evolution() -> None:
     assert res.mean_jumps == pytest.approx(res.jump_counts.mean())
 
 
+def test_ensemble_without_jumps_has_no_spread() -> None:
+    # At strength 0 every trajectory is the same unitary path. Raw sums of
+    # |x|^2 less |mean|^2 cancelled to a standard error of 1.8e-9 here.
+    h = 0.5 * pauli("z") + 0.3 * pauli("x")
+    model = LindbladModel(h, (pauli("z"),), 0.0)
+    phi0 = bloch_state(BlochAngles(math.pi / 3, 0.2))
+    res = average_jump_ensemble(model, phi0, 2.0, 1e-2, 100, seed=3)
+    assert res.jump_counts.sum() == 0
+    assert res.std_error.max() <= 1e-15
+    assert res.mean_jumps_error == 0.0
+
+
 def test_ensemble_deterministic_across_thread_counts(monkeypatch) -> None:
     model = dephasing_model(OMEGA, 0.5)
     outs = []

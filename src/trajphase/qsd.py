@@ -1,13 +1,19 @@
-"""Linear diffusive unraveling driven by complex Wiener noise.
+"""Linear diffusive unraveling driven by complex two-point increments.
 
 One Euler-Maruyama step of the linear equation:
 
     phi -> phi + [-i H(t) - (strength / 2) sum_m L_m^dag L_m] phi dt
                + sqrt(strength) sum_m L_m phi dw_m,
 
-dw_m = sqrt(dt/2) (xi_1 + i xi_2) with independent standard normals, so
-E[dw dw] = 0 and E[dw dw*] = dt. There is no renormalization; the ensemble
-mean of |phi><phi| reproduces the master equation, and the averaged phase
+with dw_m = sqrt(dt/2) (xi_1 + i xi_2), xi_1 and xi_2 independent and +1
+or -1 with equal probability (the simplified weak Euler scheme, Kloeden
+and Platen 1992, section 14.1). These increments have the moments of the
+complex Wiener increment that the estimator depends on, E[dw] = 0,
+E[dw dw] = 0 and E[dw dw*] = dt, so the SDE being sampled is unchanged:
+<phi_0|phi(T)> is linear in the final state, and its mean and variance on
+a given grid are those of Gaussian increments. Only per-seed samples differ
+from a Gaussian draw. There is no renormalization; the ensemble mean of
+|phi><phi| reproduces the master equation, and the averaged phase
 
     phase = arg E[<phi_0|phi(T)>] + integral of Tr[rho(t) K(t)] dt
 
@@ -25,8 +31,9 @@ noise at every point.
 A step is two NumPy calls on one slot of a ring of (1 + C, d, P, N)
 arrays: a broadcast multiply writes dw_m phi into the slot's noise rows,
 and one batched product with [I - i dt K_tilde | sqrt(strength) L_1 |
-... | sqrt(strength) L_C] writes the next slot's state. Noise is drawn
-per trajectory in blocks of steps; see `_QSDKernel`.
+... | sqrt(strength) L_C] writes the next slot's state. Each trajectory
+reads its increments as bit pairs of raw PCG64 words from its own stream,
+in blocks of steps; see `_QSDKernel.run`.
 """
 
 from __future__ import annotations
@@ -51,12 +58,19 @@ NORM_OVERFLOW = 1e100
 DEFAULT_CHUNK = 2048
 # Working memory of one chunk: its ring of states, at most an eighth of
 # the budget so that it stays in a core's cache, and one block of noise in
-# the rest (the raw normals, their complex increments and, with several
-# channels, the pairs reordered between them). At 2048 trajectories of one
-# point and one channel the ring holds 15 steps and a block 224, long
-# enough that the fixed cost of one draw call per trajectory stays small
-# against the draws themselves.
+# the rest. The increments are two-point, sqrt(dt/2) (+-1 +- i), with the
+# Wiener increment's first and second moments, so the SDE is unchanged;
+# each is two bits of a raw PCG64 word (`_QSDKernel.run`). Per
+# trajectory-step a block holds 16 C B of increments and C/4 B of words,
+# plus what decoding them takes: C/4 B of the words' bytes transposed, C B
+# of bit pairs and the 8 C B of intp indices that the gather converts them
+# to. Blocks are whole multiples of 32 steps, except a run's last, so 32
+# steps read exactly C words and the increments do not depend on the
+# budget. At 2048 trajectories of one point and one channel the ring holds
+# 15 steps and a block 256.
 BLOCK_BYTES = 16 * 2**20
+# Right shifts that bring bit pairs 0-3 of a byte to its lowest two bits.
+_PAIR_SHIFTS = np.arange(0, 8, 2, dtype=np.uint8)[:, np.newaxis]
 
 
 class AllOverflowError(RuntimeError):
@@ -127,8 +141,8 @@ class _QSDKernel:
     The slots form a ring that stays in cache. Overflow (a norm at or above
     NORM_OVERFLOW, or not finite, at any step) is screened per point each
     time the ring fills, over the ring's states; overflowed trajectories of
-    a point are excluded and restart from zero. Noise is drawn per
-    trajectory in longer blocks of steps.
+    a point are excluded and restart from zero. Noise is read per
+    trajectory in longer blocks of steps (`run`).
     """
 
     def __init__(self, lowereds, total_time: float, steps: int, vec: np.ndarray, count: int):
@@ -155,7 +169,6 @@ class _QSDKernel:
         self.lengths = np.diff([*starts, steps]).tolist()
         self.steps = steps
         self.channels = channels = len(lowereds[0].values[0].channels)
-        self.scale = np.sqrt(dt / 2.0)
         self.ket = vec[:, np.newaxis, np.newaxis]
         self.bra = vec.conj()
         self.alive = np.ones((points, count), dtype=bool)
@@ -165,10 +178,13 @@ class _QSDKernel:
         slot_bytes = 16 * (1 + channels) * dim * points * count
         self.ring_steps = max(1, min(steps, BLOCK_BYTES // 8 // slot_bytes - 1))
         spare = BLOCK_BYTES - (self.ring_steps + 1) * slot_bytes
-        # Per trajectory-step: the raw normals and their complex increments,
-        # 16 C bytes each, and with several channels the reordered pairs.
-        noise_bytes = 16 * channels * count * (2 if channels == 1 else 3)
-        self.block = max(1, min(steps, spare // max(1, noise_bytes)))
+        # Per trajectory-step, 25.5 C B of words, their decoding and the
+        # increments (see BLOCK_BYTES), in whole multiples of 32 steps.
+        noise_bytes = 51 * channels * count // 2
+        self.block = min(steps, max(32, spare // max(1, noise_bytes) // 32 * 32))
+        # Bit pair value b_0 + 2 b_1 decodes to sqrt(dt/2) (xi_1 + i xi_2),
+        # with xi_1 = 1 - 2 b_0 and xi_2 = 1 - 2 b_1.
+        self.increments = np.sqrt(dt / 2.0) * np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j])
         self.ring = np.empty((self.ring_steps + 1, 1 + channels, dim, points, count), complex)
         # Per slot: state, noise rows and the (P, (1 + C) d, N) operand of
         # the product; the product writes the (P, d, N) view of a state.
@@ -182,38 +198,50 @@ class _QSDKernel:
     def run(self, rngs: Sequence[np.random.Generator]) -> None:
         """Advance every trajectory from the initial state through the grid,
         trajectory i drawing from rngs[i], and leave the (P, N) overlaps at T
-        in `final`. NumPy generators draw sequentially, so a block of draws
-        equals the matching slice of one draw over the whole grid; memory
-        stays within BLOCK_BYTES whatever the number of steps."""
+        in `final`.
+
+        The increments are two-point: dw = sqrt(dt/2) (xi_1 + i xi_2), xi_1
+        and xi_2 = +-1 with equal probability, which have the Wiener
+        increment's E[dw] = 0, E[dw dw] = 0 and E[dw dw*] = dt. The SDE
+        stepped is unchanged; only the increments' sampling law differs
+        from complex Gaussian draws.
+
+        Trajectory i's increment j = k C + m (step k, channel m) is bit pair
+        j of the raw 64-bit words of rngs[i]'s bit generator, bits
+        2 (j mod 32) and 2 (j mod 32) + 1 of word j // 32, decoded by
+        `increments`. Words are read in blocks of steps, each a whole
+        multiple of 32 steps but the last, so the blocks read the stream's
+        words in order whatever their length, and memory stays within
+        BLOCK_BYTES whatever the number of steps."""
         count = len(rngs)
-        width = 2 * self.channels
+        channels = self.channels
+        draws = [rng.bit_generator.random_raw for rng in rngs]
         # Flat, so the shorter last block is still one contiguous array.
-        raw = np.empty(count * self.block * width)
-        dws = np.empty((self.block, self.channels, 1, 1, count), dtype=complex)
+        words = np.empty(count * -(-self.block * channels // 32), dtype="<u8")
+        pairs = np.empty(32 * words.size, dtype=np.uint8)
+        incs = np.empty(32 * words.size, dtype=complex)
         self.ring[0, 0] = self.ket
         stacks = itertools.chain.from_iterable(map(itertools.repeat, self.stacks, self.lengths))
         for start in range(0, self.steps, self.block):
             n = min(self.block, self.steps - start)
-            normals = raw[: count * n * width].reshape(count, n, width)
-            for rng, row in zip(rngs, normals):
-                rng.standard_normal(out=row)
-            self.advance(self.draws(normals, dws[:n]), stacks)
+            width = -(-n * channels // 32)
+            block = words[: count * width]
+            np.concatenate([draw(width) for draw in draws], out=block)
+            # Little-endian words, so byte b of a trajectory's words holds
+            # its increments 4b .. 4b + 3; row b holds every trajectory's.
+            octets = np.ascontiguousarray(block.view(np.uint8).reshape(count, -1).T)
+            # Row 4b + q: bit pair q of byte b, every trajectory's increment 4b + q.
+            split = pairs[: 32 * block.size].reshape(8 * width, 4, count)
+            np.right_shift(octets[:, np.newaxis], _PAIR_SHIFTS, out=split)
+            split &= 3
+            # The (n C, N) increments. "clip" never clips a pair; it lets take
+            # write into dws directly.
+            dws = incs[: n * channels * count].reshape(-1, count)
+            np.take(self.increments, split.reshape(-1, count)[: len(dws)], out=dws, mode="clip")
+            self.advance(dws.reshape(n, channels, 1, 1, count), stacks)
         if self.pos:
             self.screen(self.ring[1 : self.pos + 1, 0])
         self.final = self.bra @ self.outputs[self.pos]
-
-    def draws(self, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Complex increments sqrt(dt/2) (xi_1 + i xi_2) into out, as
-        (n, C, 1, 1, N), from (N, n, 2 C) standard normals: channel m's
-        pair is columns m and C + m."""
-        count, n, width = raw.shape
-        c = width // 2
-        # Each channel's (xi_1, xi_2) side by side, read as one complex
-        # number; with one channel, a contiguous raw is read as it is.
-        pairs = raw.reshape(count, n, 2, c).swapaxes(2, 3)
-        pairs = np.ascontiguousarray(pairs).view(complex)[..., 0]
-        np.multiply(pairs.transpose(1, 2, 0), self.scale, out=out[:, :, 0, 0])
-        return out
 
     def advance(self, dws: np.ndarray, stacks) -> None:
         """Take len(dws) steps, one stack from the iterator stacks each,

@@ -251,11 +251,12 @@ def test_qsd_phase_output(config_file, capsys) -> None:
 
 
 def test_qsd_phase_reports_all_overflow(config_file, capsys) -> None:
-    # lambda * delta_t = 6 makes the Euler steps unstable: at f = 0 some
-    # trajectories survive, at f = 3 none do. The sweep still writes both rows.
+    # lambda * delta_t = 6 makes the Euler steps unstable: at f = 0 about
+    # half of the trajectories survive to T = 23, at f = 3 none do. The
+    # sweep still writes both rows.
     text = BASE_YAML.replace("lambda: 0.5", "lambda: 60.0")
     text = text.replace("run: {T: 1.0, steps: 256, seed: 0}",
-                        "run: {T: 24.0, delta_t: 0.1, n_trajectories: 16, seed: 0}")
+                        "run: {T: 23.0, delta_t: 0.1, n_trajectories: 16, seed: 0}")
     text += "sweep:\n  f: [0.0, 3.0]\n"
     assert main(["qsd-phase", "--config", config_file(text)]) == EXIT_OK
     captured = capsys.readouterr()
@@ -271,12 +272,13 @@ def test_qsd_phase_reports_all_overflow(config_file, capsys) -> None:
 def test_qsd_phase_sweep_in_one_pass_equals_one_point_runs(
     config_file, tmp_path, monkeypatch
 ) -> None:
-    # lambda = 30: f = 0 keeps every trajectory, f = 3 loses all of them and
-    # f = 0.5 about half. 2100 trajectories make two chunks per point, and
-    # delta_t = 0.07 snaps, so every point also warns once for the grid.
+    # lambda = 30: by T = 19.8, f = 0 keeps every trajectory, f = 3 loses
+    # all of them and f = 0.5 about half. 2100 trajectories make two chunks
+    # per point, and delta_t = 0.07 snaps, so every point also warns once
+    # for the grid.
     text = BASE_YAML.replace("lambda: 0.5", "lambda: 30.0")
     text = text.replace("run: {T: 1.0, steps: 256, seed: 0}",
-                        "run: {T: 24.0, delta_t: 0.07, n_trajectories: 2100, seed: 0}")
+                        "run: {T: 19.8, delta_t: 0.07, n_trajectories: 2100, seed: 0}")
 
     def run(sweep: str, tag: str) -> tuple[list[str], dict]:
         out = tmp_path / f"{tag}.csv"

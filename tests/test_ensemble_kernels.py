@@ -53,12 +53,24 @@ EQUATOR = bloch_state(BlochAngles(math.pi / 2, 0.0))
 CELL = 0.5
 CELLS = 3
 SIZES = list(itertools.product((2, 3, 4), (1, 2, 3)))
-# None keeps the module's budget; the others force blocks of one step and
-# of a handful of steps, so blocks end mid-run.
-BUDGETS = [None, 1, 40_000]
+# None keeps the module's budget, one block for the whole run. The others
+# force a ring of one step and blocks of 32, the shortest; a ring of a few
+# steps and blocks of 32; and blocks of 32 to 128 steps that end mid-run.
+DEFAULT_BLOCK_BYTES = qsd.BLOCK_BYTES
+BUDGETS = [None, 1, 40_000, 100_000]
 
 
 # --- reference loops: per-step kernels and the jump law step by step ------
+
+
+def _two_point(words: np.ndarray, dt: float) -> np.ndarray:
+    """Every increment of a trajectory's raw words, decoded bit pair by bit
+    pair: increment j is bits 2 (j mod 32) and 2 (j mod 32) + 1 of word
+    j // 32, the low bit the sign of its real part and the high bit that of
+    its imaginary part, times sqrt(dt/2)."""
+    pairs = (words[:, np.newaxis] >> np.arange(0, 64, 2, dtype=np.uint64)) & np.uint64(3)
+    pairs = pairs.ravel().astype(int)
+    return math.sqrt(dt / 2.0) * (1 - 2 * (pairs & 1) + 1j * (1 - (pairs & 2)))
 
 
 def _reference_qsd_chunk(args) -> tuple:
@@ -73,10 +85,13 @@ def _reference_qsd_chunk(args) -> tuple:
     dim = vec.shape[0]
     channels = len(model.lindblads)
 
-    rngs = [np.random.default_rng(s) for s in streams]
-    noise = np.stack([r.standard_normal((steps, 2 * channels)) for r in rngs])
-    scale = np.sqrt(dt / 2.0)
-    dws = scale * (noise[:, :, :channels] + 1j * noise[:, :, channels:])
+    words = -(-steps * channels // 32)
+    dws = np.stack(
+        [
+            _two_point(np.random.default_rng(s).bit_generator.random_raw(words), dt)
+            for s in streams
+        ]
+    )[:, : steps * channels].reshape(count, steps, channels)
 
     cells = lowered.step_cells(0.0, total_time, steps).tolist()
     mats = [
@@ -226,23 +241,36 @@ def _trajectory_gap(got, want) -> float:
     return float(np.max(np.where(got == want, 0.0, gaps), initial=0.0))
 
 
-@pytest.fixture(params=BUDGETS, ids=["budget", "one-step", "few-steps"])
+@pytest.fixture(params=BUDGETS, ids=["budget", "one-step", "few-steps", "many-steps"])
 def budget(request, monkeypatch):
     if request.param is not None:
         monkeypatch.setattr(qsd, "BLOCK_BYTES", request.param)
     return request.param
 
 
+def _assert_budget_free(job, finals, alive, monkeypatch) -> None:
+    """The finals and masks of _qsd_chunk(job) under the patched budget are
+    those under the module's own, byte for byte."""
+    with monkeypatch.context() as m:
+        m.setattr(qsd, "BLOCK_BYTES", DEFAULT_BLOCK_BYTES)
+        want_finals, want_alive = _qsd_chunk(job)
+    assert finals.tobytes() == want_finals.tobytes()
+    assert alive.tobytes() == want_alive.tobytes()
+
+
 # --- QSD --------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("dim,count", SIZES)
-def test_qsd_chunk_matches_reference_loop(dim: int, count: int, budget) -> None:
+def test_qsd_chunk_matches_reference_loop(dim: int, count: int, budget, monkeypatch) -> None:
     args = _job(dim, count, 0.4, 24, 300 + 10 * dim + count)
-    (final,), (alive,) = _qsd_chunk((args[0], [args[1]], *args[2:]))
+    job = (args[0], [args[1]], *args[2:])
+    finals, masks = _qsd_chunk(job)
+    (final,), (alive,) = finals, masks
     want, want_alive, _ = _reference_qsd_chunk(args)
     assert alive.all() and want_alive.all() and alive.shape == (24,)
     assert _trajectory_gap(final, want) <= 1e-12
+    _assert_budget_free(job, finals, masks, monkeypatch)
 
 
 @pytest.mark.parametrize("dim,count", SIZES)
@@ -253,6 +281,10 @@ def test_qsd_branch_follows_the_exact_mean_path(dim: int, count: int) -> None:
     means, second = _exact_overlap_moments(model, shifts, vec, total_time, delta_t)
     exact_se = math.sqrt((second - abs(means[-1]) ** 2) / res.n_used)
     assert abs(res.mean_overlap - means[-1]) <= 5 * exact_se
+    # The sampled SE estimates the exact one. For a circular Gaussian z its
+    # relative spread at 400 trajectories is 1 / (2 sqrt(400)) = 2.5%; the
+    # bound, fixed before the first run, leaves room for heavier tails.
+    assert abs(res.std_error / exact_se - 1.0) <= 0.25
     steps, _ = grid_steps(total_time, delta_t)
     exact_arg = float(np.sum(np.angle(means[1:] * means[:-1].conj())))
     got_arg = _mean_path_arg(lower_model(model, shifts), vec, total_time, steps)
@@ -294,24 +326,29 @@ def test_mean_path_of_a_non_normal_drift_stays_finite() -> None:
     assert abs(got - _renormalized_path_arg(drift, vec, steps)) <= 1e-9
 
 
-@pytest.mark.parametrize("block_steps", [None, 5])
-def test_qsd_excludes_the_same_trajectories(block_steps, monkeypatch) -> None:
-    # lambda = 60 overflows most trajectories, at steps all over the run.
+@pytest.mark.parametrize("ring_steps", [None, 5])
+def test_qsd_excludes_the_same_trajectories(ring_steps, monkeypatch) -> None:
+    # lambda = 60 overflows about half of the trajectories by T = 23. A
+    # two-point increment bounds a step's growth on both sides, so the
+    # overflows come within a few steps of each other, after about 230.
     model = dephasing_model(1.0, 60.0)
     vec = np.asarray(EQUATOR.amplitudes)
     seeds = trajectory_seeds(0, 16)
-    if block_steps is not None:
-        # One-trajectory chunks: noise 16 B, state 32 B, increment 16 B per step.
-        monkeypatch.setattr(qsd, "BLOCK_BYTES", 64 * block_steps)
-    got = [int(not _qsd_chunk((model, [None], vec, 24.0, 0.1, [s]))[1][0, 0]) for s in seeds]
-    want, want_alive, blown_at = _reference_qsd_chunk((model, None, vec, 24.0, 0.1, seeds))
+    if ring_steps is not None:
+        # One-trajectory chunks: a slot holds 64 B, and the ring takes an
+        # eighth of the budget; the noise blocks are 96 steps long.
+        monkeypatch.setattr(qsd, "BLOCK_BYTES", 8 * 64 * (ring_steps + 1))
+        kernel = _QSDKernel([lower_model(model)], 23.0, 230, vec, 1)
+        assert (kernel.ring_steps, kernel.block) == (ring_steps, 96)
+    got = [int(not _qsd_chunk((model, [None], vec, 23.0, 0.1, [s]))[1][0, 0]) for s in seeds]
+    want, want_alive, blown_at = _reference_qsd_chunk((model, None, vec, 23.0, 0.1, seeds))
     assert got == (blown_at >= 0).astype(int).tolist()
     assert 0 < sum(got) < 16
-    if block_steps is not None:
-        # Some overflow falls strictly inside a block of steps.
-        ends = (blown_at[blown_at >= 0] + 1) % block_steps
+    if ring_steps is not None:
+        # Some overflow falls strictly inside a ring segment.
+        ends = (blown_at[blown_at >= 0] + 1) % ring_steps
         assert np.any(ends != 0)
-    (final,), (alive,) = _qsd_chunk((model, [None], vec, 24.0, 0.1, seeds))
+    (final,), (alive,) = _qsd_chunk((model, [None], vec, 23.0, 0.1, seeds))
     assert alive.tolist() == want_alive.tolist()
     assert _trajectory_gap(final, want) <= 1e-12
 
@@ -395,6 +432,8 @@ def test_qsd_points_in_one_pass_match_reference_loop(
     vec = _random_state(dim, rng)
     seeds = trajectory_seeds(700 + dim, 24)
     _check_points_against_reference(model, shift_sets, vec, CELLS * CELL, 1e-2, seeds)
+    job = (model, shift_sets, vec, CELLS * CELL, 1e-2, seeds)
+    _assert_budget_free(job, *_qsd_chunk(job), monkeypatch)
 
 
 def _unitary_channel_model(dim: int, count: int, strength: float, rng) -> LindbladModel:
@@ -442,9 +481,11 @@ def test_qsd_overflow_inside_a_ring_segment(dim: int, count: int, monkeypatch) -
     ring = _ring_inside_a_block(lowered, steps * delta_t, steps, vec, len(seeds), monkeypatch)
     # Some overflow falls strictly inside a ring segment.
     assert np.any((blown_at[blown_at >= 0] + 1) % ring != 0)
-    (final,), (alive,) = _qsd_chunk((model, [None], *job[2:]))
+    finals, masks = _qsd_chunk((model, [None], *job[2:]))
+    (final,), (alive,) = finals, masks
     assert alive.tolist() == want_alive.tolist()
     assert _trajectory_gap(final, want) <= 1e-12
+    _assert_budget_free((model, [None], *job[2:]), finals, masks, monkeypatch)
     kernel = _QSDKernel([lowered], steps * delta_t, steps, vec, len(seeds))
     with np.errstate(over="ignore", invalid="ignore"):
         kernel.run([np.random.default_rng(s) for s in seeds])
@@ -453,16 +494,19 @@ def test_qsd_overflow_inside_a_ring_segment(dim: int, count: int, monkeypatch) -
 
 def test_qsd_point_overflow_stays_in_its_point(monkeypatch) -> None:
     # lambda = 60 with L = identity: unshifted, the Euler factor 1 - 3 and
-    # strong noise overflow most trajectories after about 250 steps; at f = 1
-    # the shifted channel vanishes and nothing overflows. Blocks of 5 steps put overflows inside
-    # blocks: per trajectory-step, noise 16 B, three points' states 96 B and
-    # the increment 16 B.
+    # strong noise overflow about half of the trajectories by step 233; at
+    # f = 1 the shifted channel vanishes and nothing overflows. A ring of 5
+    # steps puts overflows inside ring segments: a slot holds three points'
+    # states and noise rows, 16 (2 + 2) 3 16 = 3072 B, and the ring takes an
+    # eighth of the budget.
     model = LindbladModel(0.5 * pauli("z"), (Operator(np.eye(2)),), 60.0)
     vec = np.asarray(EQUATOR.amplitudes)
-    monkeypatch.setattr(qsd, "BLOCK_BYTES", 16 * (16 + 96 + 16) * 5)
+    monkeypatch.setattr(qsd, "BLOCK_BYTES", 8 * 3072 * 6)
     shift_sets = [None, ShiftSet.constants([1.0]), ShiftSet.constants([0.1])]
+    lowereds = [lower_model(model, shifts) for shifts in shift_sets]
+    assert _QSDKernel(lowereds, 23.3, 233, vec, 16).ring_steps == 5
     blown_at = _check_points_against_reference(
-        model, shift_sets, vec, 26.0, 0.1, trajectory_seeds(0, 16)
+        model, shift_sets, vec, 23.3, 0.1, trajectory_seeds(0, 16)
     )
     overflowed = blown_at[0][blown_at[0] >= 0]
     assert 0 < len(overflowed) < 16
@@ -513,8 +557,8 @@ def test_qsd_working_memory_does_not_grow_with_total_time() -> None:
 
 @pytest.mark.parametrize("dim,count", [(2, 1), (3, 2)])
 def test_qsd_chunk_stays_within_its_block_budget(dim: int, count: int) -> None:
-    # Two points of 512 trajectories over 3000 steps: the ring, the noise
-    # block and, with two channels, the reordered pairs fill the budget.
+    # Two points of 512 trajectories over 3000 steps: the ring and one
+    # block of words, their decoding and the increments fill the budget.
     rng = np.random.default_rng(40 + dim)
     model = _random_model(dim, count, 0.4, rng)
     vec = _random_state(dim, rng)

@@ -8,7 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from trajphase._ensemble import grid_steps
+import trajphase.qsd as qsd
+from trajphase._ensemble import grid_steps, trajectory_seeds
 from trajphase.dephasing import (
     DephasingParams,
     closed_form_dynamical_phase,
@@ -72,10 +73,20 @@ def _kernel(model, dt, count, shifts=None) -> _QSDKernel:
     return _QSDKernel([lower_model(model, shifts)], dt, 1, EQUATOR.amplitudes, count)
 
 
-def _increments(kernel, raw) -> np.ndarray:
-    """The kernel's (n, C, 1, 1, N) increments from (N, n, 2 C) normals."""
-    count, n, width = raw.shape
-    return kernel.draws(raw, np.empty((n, width // 2, 1, 1, count), dtype=complex))
+def _two_point(words: np.ndarray, dt: float) -> np.ndarray:
+    """Every increment of a trajectory's raw words, decoded bit pair by bit
+    pair: increment j is bits 2 (j mod 32) and 2 (j mod 32) + 1 of word
+    j // 32, the low bit the sign of its real part and the high bit that of
+    its imaginary part, times sqrt(dt/2)."""
+    pairs = (words[:, np.newaxis] >> np.arange(0, 64, 2, dtype=np.uint64)) & np.uint64(3)
+    pairs = pairs.ravel().astype(int)
+    return math.sqrt(dt / 2.0) * (1 - 2 * (pairs & 1) + 1j * (1 - (pairs & 2)))
+
+
+def _increments(rng, dt, count) -> np.ndarray:
+    """One step's (1, 1, 1, 1, count) increments, from the words of rng."""
+    words = rng.bit_generator.random_raw(-(-count // 32))
+    return _two_point(words, dt)[:count].reshape(1, 1, 1, 1, count)
 
 
 def _step(kernel, x, dws) -> np.ndarray:
@@ -90,21 +101,41 @@ def _columns(vec, count) -> np.ndarray:
 
 
 def test_wiener_increment_moments() -> None:
-    rng = np.random.default_rng(8)
-    dt, n = 1e-2, 20000
-    kernel = _kernel(dephasing_model(1.0, 0.5), dt, n)
-    raw = rng.standard_normal((n, 1, 2))
-    draws = _increments(kernel, raw)
-    assert draws.shape == (1, 1, 1, 1, n)
-    # Channel m's pair (xi_1, xi_2) is columns m and C + m of the raw noise.
-    want = math.sqrt(dt / 2.0) * (raw[:, 0, 0] + 1j * raw[:, 0, 1])
-    draws = draws[0, 0, 0, 0]
-    assert np.max(np.abs(draws - want)) <= 1e-15
-    assert abs(draws.mean()) < 3 * math.sqrt(dt / n)
-    assert np.mean(np.abs(draws) ** 2) == pytest.approx(dt, rel=0.05)
-    assert abs(np.mean(draws**2)) < 3 * dt / math.sqrt(n)
+    # The four equally likely increments sqrt(dt/2) (+-1 +- i) have the
+    # Wiener moments the estimator depends on, exactly.
+    dt = 1e-2
+    table = _kernel(dephasing_model(1.0, 0.5), dt, 1).increments
+    scale = math.sqrt(dt / 2.0)
+    assert sorted(table.tolist(), key=lambda z: (z.real, z.imag)) == [
+        scale * complex(a, b) for a in (-1, 1) for b in (-1, 1)
+    ]
+    assert abs(table.mean()) <= 1e-15 * math.sqrt(dt)
+    assert abs(np.mean(np.abs(table) ** 2) - dt) <= 1e-15 * dt
+    assert abs(np.mean(table**2)) <= 1e-15 * dt
     with pytest.raises(ValueError, match="delta_t"):
         grid_steps(1.0, 0.0)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_increments_are_the_bit_pairs_of_each_stream(channels: int, monkeypatch) -> None:
+    # Blocks of 32 steps over 75: the increments cross two block edges, and
+    # the last block reads part of its last word.
+    model = LindbladModel(0.5 * pauli("z"), tuple(pauli("x") for _ in range(channels)), 0.5)
+    dt, steps, count = 1e-2, 75, 5
+    monkeypatch.setattr(qsd, "BLOCK_BYTES", 1)
+    kernel = _QSDKernel([lower_model(model)], steps * dt, steps, EQUATOR.amplitudes, count)
+    assert kernel.block == 32
+    blocks = []
+    monkeypatch.setattr(kernel, "advance", lambda dws, stacks: blocks.append(dws.copy()))
+    streams = trajectory_seeds(4, count)
+    kernel.run([np.random.default_rng(s) for s in streams])
+    got = np.concatenate(blocks)
+    assert [len(b) for b in blocks] == [32, 32, 11]
+    assert got.shape == (steps, channels, 1, 1, count)
+    for i, stream in enumerate(streams):
+        words = np.random.default_rng(stream).bit_generator.random_raw(-(-steps * channels // 32))
+        want = _two_point(words, dt)[: steps * channels].reshape(steps, channels)
+        assert np.array_equal(got[:, :, 0, 0, i], want)
 
 
 def test_qsd_step_deterministic_part() -> None:
@@ -122,8 +153,7 @@ def test_qsd_step_deterministic_part() -> None:
 def test_qsd_step_is_linear() -> None:
     p = DephasingParams(1.0, 0.4, 0.3, math.pi / 3)
     kernel = _kernel(p.as_model(), 1e-2, 2, p.as_shifts())
-    rng = np.random.default_rng(2)
-    dws = _increments(kernel, np.repeat(rng.standard_normal((1, 1, 2)), 2, axis=0))
+    dws = np.repeat(_increments(np.random.default_rng(2), 1e-2, 1), 2, axis=-1)
     x = np.stack([EQUATOR.amplitudes, 0.7j * EQUATOR.amplitudes], axis=1)
     out = _step(kernel, x, dws)
     assert np.max(np.abs(out[:, 1] - 0.7j * out[:, 0])) < 1e-15
@@ -135,7 +165,7 @@ def test_qsd_step_mean_follows_drift() -> None:
     p = DephasingParams(1.0, 0.5, 0.0, math.pi / 2)
     dt, n = 1e-2, 40000
     kernel = _kernel(p.as_model(), dt, n)
-    dws = _increments(kernel, np.random.default_rng(4).standard_normal((n, 1, 2)))
+    dws = _increments(np.random.default_rng(4), dt, n)
     out = _step(kernel, _columns(EQUATOR.amplitudes, n), dws)
     zero = np.zeros((1, 1, 1, 1, 1), dtype=complex)
     drift = _step(_kernel(p.as_model(), dt, 1), _columns(EQUATOR.amplitudes, 1), zero)
@@ -246,7 +276,7 @@ def test_requires_normalized_initial_state() -> None:
 
 def test_overflowing_trajectories_are_excluded_with_warning() -> None:
     p = DephasingParams(1.0, 60.0, 0.0, math.pi / 2)
-    cfg = QSDConfig(24.0, 0.1, 16, seed=0)
+    cfg = QSDConfig(23.0, 0.1, 16, seed=0)
     with pytest.warns(RuntimeWarning, match="excluded"):
         got, _ = averaged_overlap(p.as_model(), EQUATOR, cfg)
     assert np.isfinite(got.real) and np.isfinite(got.imag)

@@ -28,16 +28,18 @@ regrouped Hermitian K enters only the dynamical term); both come from
 pass (`averaged_geometric_phases`), in which trajectory i draws the same
 noise at every point.
 
-A step is two NumPy calls on one slot of a ring of (1 + C, d, P, N)
-arrays: a broadcast multiply writes dw_m phi into the slot's noise rows,
-and one batched product with [I - i dt K_tilde | sqrt(strength) L_1 |
-... | sqrt(strength) L_C] writes the next slot's state. Each trajectory
-reads its increments as bit pairs of raw PCG64 words from its own stream,
-in blocks of steps; see `_QSDKernel.run`.
+A chunk takes k = 4 // C steps at a time (C channels; 4 with none, 1 from
+three channels on). The kC increments of such an op choose its matrix from
+a per-cell table of at most 256 products of one-step matrices, so an op is
+one gather of each trajectory's table entry, one multiply and one sum, all
+elementwise over the trajectories; see `_QSDKernel`. Each trajectory reads
+its increments as bit pairs of raw PCG64 words from its own stream, in
+blocks of ops; see `_QSDKernel.run`.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import warnings
@@ -56,21 +58,22 @@ from .lindblad import apply_shift, evolve_density, shifted_hamiltonian  # noqa: 
 NORM_OVERFLOW = 1e100
 # Trajectories per worker batch.
 DEFAULT_CHUNK = 2048
-# Working memory of one chunk: its ring of states, at most an eighth of
-# the budget so that it stays in a core's cache, and one block of noise in
-# the rest. The increments are two-point, sqrt(dt/2) (+-1 +- i), with the
-# Wiener increment's first and second moments, so the SDE is unchanged;
-# each is two bits of a raw PCG64 word (`_QSDKernel.run`). Per
-# trajectory-step a block holds 16 C B of increments and C/4 B of words,
-# plus what decoding them takes: C/4 B of the words' bytes transposed, C B
-# of bit pairs and the 8 C B of intp indices that the gather converts them
-# to. Blocks are whole multiples of 32 steps, except a run's last, so 32
-# steps read exactly C words and the increments do not depend on the
-# budget. At 2048 trajectories of one point and one channel the ring holds
-# 15 steps and a block 256.
+# Working memory of one chunk: its ring of states, at most a quarter of the
+# budget, and one block of ops' symbols in the rest (`_QSDKernel`). An op
+# takes k = 4 // C steps (C channels; 4 with none, 1 from three on), and its
+# kC increments are two bits each of raw PCG64 words. Per trajectory-step a
+# block holds C/4 B of words, as much again while they are drawn, 8 / k B of
+# intp symbol per group of 4 channels (2 C B for C = 1, 2 or 4, and 8 B for
+# C = 3), and, when an op's increments are not one whole byte (C = 3 or more
+# than 4), C B of bit pairs. Blocks are whole multiples of 32 ops, except a
+# run's last, so 32 ops read exactly kC words and the increments do not
+# depend on the budget. They have this length whatever the total time, so
+# the memory a chunk takes does not grow with it. At 2048 trajectories of
+# one point and one channel the ring holds 63 ops of 4 steps and a block 608.
 BLOCK_BYTES = 16 * 2**20
-# Right shifts that bring bit pairs 0-3 of a byte to its lowest two bits.
-_PAIR_SHIFTS = np.arange(0, 8, 2, dtype=np.uint8)[:, np.newaxis]
+# 2 t for bit pair t = 0-3 of a byte: the right shift that brings the pair
+# to the lowest two bits, and the left shift that puts it back.
+_PAIR_SHIFTS = np.arange(0, 8, 2, dtype=np.uint8)
 
 
 class AllOverflowError(RuntimeError):
@@ -124,81 +127,164 @@ class QSDEnsembleResult:
         return self.std_error / scale
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the last two axes, broadcast, as one multiply and one sum
+    per entry, so that an entry's rounding does not depend on the batch."""
+    return np.add.reduce(a[..., :, :, np.newaxis] * b[..., np.newaxis, :, :], axis=-2)
+
+
+def _pieces(lowereds, total_time: float, steps: int, span: int):
+    """The grid's ops of span steps from a multiple of span, the last one
+    possibly shorter, in pieces of ops with one table: the first op of each
+    piece, its number of ops, and each point's cells at the steps of its
+    first op."""
+    ops = -(-steps // span)
+    # Each point's cell only grows with the step, so the combination of
+    # cells changes exactly where some point's run starts. A piece starts at
+    # op 0, at the op holding such a step and at the op after it, and at a
+    # shorter last op.
+    starts = {a for low in lowereds for a, _, _ in step_runs(low, 0.0, total_time, steps)}
+    edges = {0, ops, *(a // span for a in starts), *(-(-a // span) for a in starts)}
+    if steps % span:
+        edges.add(ops - 1)
+    edges = sorted(edges)
+    firsts = [range(e * span, min(e * span + span, steps)) for e in edges[:-1]]
+    index = [k for first in firsts for k in first]
+    splits = np.cumsum([len(first) for first in firsts])[:-1]
+    cells = [np.split(low.step_cells(0.0, total_time, steps, index), splits) for low in lowereds]
+    pieces = [[c.tolist() for c in piece] for piece in zip(*cells)]
+    return edges[:-1], np.diff(edges).tolist(), pieces
+
+
 class _QSDKernel:
     """Euler-Maruyama steps of P points (one per lowered model) of a chunk of
-    N trajectories. Trajectory i of every point sees the same noise.
+    N trajectories, k = 4 // C steps at a time (C channels; 4 with none, 1
+    from three channels on). Trajectory i of every point sees the same noise.
 
-    Each combination of the points' cells has one (P, d, (1 + C) d) stack of
-    the matrices [I - i dt K_tilde | sqrt(lam) L_1 | ... | sqrt(lam) L_C].
-    A step works on one slot of shape (1 + C, d, P, N): slot[0] is the
-    state and slot[1 + m] receives dw_m times it. So a step is two calls
-    for any C: one broadcast multiply, from slot[0] into slot[1:] (disjoint
-    memory, so NumPy copies nothing), and one batched product of the stack
-    with the slot read as (P, (1 + C) d, N), which writes the next slot's
-    state read as (P, d, N). Both are strided views that BLAS takes as they
-    are; they are built once, so the step loop reshapes nothing.
+    The k steps from a multiple of k form an op, and its kC increments are
+    kC bit pairs of the trajectory's words: for C = 1, 2 or 4 one byte, for
+    C = 3 a 6-bit symbol, and for C > 4 one symbol per 4 channels. So each
+    op's matrix comes from a table of at most 256 entries per point: the
+    products M_{k-1} ... M_0 of its steps' one-step matrices
+    M = I - i dt K_tilde + sum_m dw_m sqrt(lam) L_m, each step in its own
+    cell. For C > 4 an op is one step, and its matrix is the sum of one
+    entry of each of ceil(C / 4) tables of 4 channels, the first carrying
+    the drift. Ops inside a run of one combination of the points' cells
+    share that run's table; an op that straddles a cell edge, and a shorter
+    last op, get their own. A short op's table ignores the symbol's unused
+    high bits. Tables are stored as (d_j, d_i, P, V), built point by point
+    and entry by entry, so a point's arithmetic never depends on the others.
 
-    The slots form a ring that stays in cache. Overflow (a norm at or above
-    NORM_OVERFLOW, or not finite, at any step) is screened per point each
-    time the ring fills, over the ring's states; overflowed trajectories of
-    a point are excluded and restart from zero. Noise is read per
-    trajectory in longer blocks of steps (`run`).
+    An op is three calls: a gather of each trajectory's table entry into
+    the (d_j, d_i, P, N) buffer `gathered`, a multiply by the broadcast
+    state, and a sum over the column index j into the next slot of a ring
+    of (d, P, N) states. Every call is elementwise over the trajectories,
+    so a trajectory's arithmetic does not depend on the chunk either.
+
+    Overflow (a norm at or above NORM_OVERFLOW, or not finite, at any step)
+    is screened per point each time the ring fills and at the end of each
+    block of ops, over the segment's states; overflowed trajectories of a
+    point are excluded and restart from zero. Noise is read per trajectory
+    in longer blocks of ops (`run`).
     """
 
     def __init__(self, lowereds, total_time: float, steps: int, vec: np.ndarray, count: int):
         dt = total_time / steps
         dim = vec.shape[0]
         points = len(lowereds)
-        root = np.sqrt(lowereds[0].strength)
-        mats = [
-            [
-                np.concatenate(
-                    [np.eye(dim) + dt * (-1j * c.k_tilde), *(root * l for l in c.channels)],
-                    axis=1,
-                )
-                for c in lowered.values
-            ]
-            for lowered in lowereds
-        ]
-        # Each point's cell only grows with the step, so the combination of
-        # cells changes exactly where some point's run starts, and never recurs.
-        runs = [step_runs(low, 0.0, total_time, steps) for low in lowereds]
-        starts = sorted({a for point in runs for a, _, _ in point})
-        cells = [low.step_cells(0.0, total_time, steps, starts).tolist() for low in lowereds]
-        self.stacks = [np.stack([m[c] for m, c in zip(mats, combo)]) for combo in zip(*cells)]
-        self.lengths = np.diff([*starts, steps]).tolist()
-        self.steps = steps
         self.channels = channels = len(lowereds[0].values[0].channels)
-        self.ket = vec[:, np.newaxis, np.newaxis]
-        self.bra = vec.conj()
-        self.alive = np.ones((points, count), dtype=bool)
-        self.screen_level = NORM_OVERFLOW / (2 * dim)
-
-        # One slot per step of a ring segment, plus the slot it starts from.
-        slot_bytes = 16 * (1 + channels) * dim * points * count
-        self.ring_steps = max(1, min(steps, BLOCK_BYTES // 8 // slot_bytes - 1))
-        spare = BLOCK_BYTES - (self.ring_steps + 1) * slot_bytes
-        # Per trajectory-step, 25.5 C B of words, their decoding and the
-        # increments (see BLOCK_BYTES), in whole multiples of 32 steps.
-        noise_bytes = 51 * channels * count // 2
-        self.block = min(steps, max(32, spare // max(1, noise_bytes) // 32 * 32))
+        self.span = span = max(1, 4 // channels) if channels else 4
+        # Increments per op, and tables (groups of at most 4 channels) per op.
+        self.width = width = span * channels
+        self.groups = groups = -(-max(channels, 1) // 4)
+        self.ops = -(-steps // span)
         # Bit pair value b_0 + 2 b_1 decodes to sqrt(dt/2) (xi_1 + i xi_2),
         # with xi_1 = 1 - 2 b_0 and xi_2 = 1 - 2 b_1.
         self.increments = np.sqrt(dt / 2.0) * np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j])
-        self.ring = np.empty((self.ring_steps + 1, 1 + channels, dim, points, count), complex)
-        # Per slot: state, noise rows and the (P, (1 + C) d, N) operand of
-        # the product; the product writes the (P, d, N) view of a state.
-        self.slots = [
-            (s[0], s[1:], s.reshape(-1, points, count).transpose(1, 0, 2)) for s in self.ring
-        ]
-        self.outputs = [s[0].transpose(1, 0, 2) for s in self.ring]
-        # The slot that holds the current states.
-        self.pos = 0
+        root = np.sqrt(lowereds[0].strength)
+        one_step = [[self._one_step(c, dt, root) for c in low.values] for low in lowereds]
+        self.piece_starts, self.lengths, pieces = _pieces(lowereds, total_time, steps, span)
+        self.tables = [self._tables(one_step, piece) for piece in pieces]
+        self.screen_level = NORM_OVERFLOW / (2 * dim)
+        if span > 1:
+            # One group of channels. `screen` steps suspect columns again
+            # through the one-step matrices of each step of a piece's ops,
+            # the identity past a short op's last step.
+            eye = [np.broadcast_to(np.eye(dim), (4**channels, dim, dim))] * points
+            self.step_mats = np.array(
+                [
+                    [[tabs[c][0] for tabs, c in zip(one_step, cs)] for cs in zip(*piece)]
+                    + [eye] * (span - len(piece[0]))
+                    for piece in pieces
+                ]
+            )
+            # The states inside an op that starts from a state passing the
+            # screen at this level stay below NORM_OVERFLOW: growth is the
+            # largest spectral norm of a one-step matrix, at least 1.
+            mats = np.concatenate([tabs[0] for point in one_step for tabs in point])
+            growth = max(1.0, float(np.linalg.norm(mats, 2, axis=(-2, -1)).max()))
+            self.screen_level /= growth ** (span - 1)
+        self.bra = vec.conj()[:, np.newaxis, np.newaxis]
+        self.ket = vec[:, np.newaxis, np.newaxis]
+        self.alive = np.ones((points, count), dtype=bool)
 
-    def run(self, rngs: Sequence[np.random.Generator]) -> None:
+        slot = 16 * dim * points * count
+        self.ring_ops = max(1, min(self.ops, BLOCK_BYTES // 4 // slot - 1))
+        self.ring = np.empty((self.ring_ops + 1, dim, points, count), complex)
+        # The state of each slot broadcast over the rows i of a gathered matrix.
+        self.heads = [s[:, np.newaxis] for s in self.ring]
+        self.gathered = np.empty((min(groups, 2), dim, dim, points, count), complex)
+        spare = BLOCK_BYTES - self.ring.nbytes - self.gathered.nbytes
+        # Per trajectory and 32 ops: 8 kC B of words and as much while they
+        # are drawn, 256 B of symbols per group, and 32 kC B of bit pairs
+        # when an op's increments are not one whole byte (see BLOCK_BYTES).
+        unit = count * (16 * width + 256 * groups + (32 * width if width % 4 else 0))
+        self.block = 32 * max(1, spare // unit)
+
+    def _one_step(self, terms, dt: float, root: float) -> list[np.ndarray]:
+        """The (4^c, d, d) one-step tables of the cell terms, one per group of
+        c <= 4 channels; entry q of a group takes increment (q >> 2 t) & 3 for
+        its channel t, and the first group adds the drift I - i dt K_tilde."""
+        drift = np.eye(len(terms.k_tilde)) + dt * (-1j * terms.k_tilde)
+        tables = []
+        for lo in range(0, max(self.channels, 1), 4):
+            group = terms.channels[lo : lo + 4]
+            q = np.arange(4 ** len(group))
+            table = np.broadcast_to(drift if lo == 0 else 0j, (len(q), *drift.shape))
+            for t, l in enumerate(group):
+                dws = self.increments[(q >> 2 * t) & 3]
+                table = table + dws[:, np.newaxis, np.newaxis] * (root * l)
+            tables.append(np.array(table))
+        return tables
+
+    def _tables(self, one_step, piece) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The tables of a piece's ops, each point's cells at the steps of an
+        op in piece, as (first, extra) arrays of shape (d_j, d_i, P, V):
+        entry [j, i, p, v] is row i, column j of point p's matrix for symbol
+        v, so gathering along V gives (d_j, d_i, P, N).
+
+        With one group of channels, point p's entry v = sum_t q_t 4^(C t) is
+        the product M_(q_last) ... M_(q_0) of the op's steps' one-step
+        matrices, the unused high bits of a short op ignored; with more, an
+        op is one step and each group has a table of its own."""
+        per_point = []
+        for tabs, cells in zip(one_step, piece):
+            table, *extra = tabs[cells[0]]
+            for c in cells[1:]:
+                (step,) = tabs[c]
+                table = _product(step[:, np.newaxis], table[np.newaxis])
+                table = table.reshape(-1, *step.shape[1:])
+            reps = 4**self.width // len(table) if not extra else 1
+            per_point.append([np.tile(table, (reps, 1, 1)), *extra])
+        first, *extra = (
+            np.ascontiguousarray(np.stack(group).transpose(3, 2, 0, 1)) for group in zip(*per_point)
+        )
+        return first, tuple(extra)
+
+    def run(self, bit_generators: Sequence[np.random.BitGenerator]) -> None:
         """Advance every trajectory from the initial state through the grid,
-        trajectory i drawing from rngs[i], and leave the (P, N) overlaps at T
-        in `final`.
+        trajectory i drawing raw words from bit_generators[i], and leave the
+        (P, N) overlaps at T in `final`, 0 for an excluded trajectory.
 
         The increments are two-point: dw = sqrt(dt/2) (xi_1 + i xi_2), xi_1
         and xi_2 = +-1 with equal probability, which have the Wiener
@@ -207,69 +293,92 @@ class _QSDKernel:
         from complex Gaussian draws.
 
         Trajectory i's increment j = k C + m (step k, channel m) is bit pair
-        j of the raw 64-bit words of rngs[i]'s bit generator, bits
-        2 (j mod 32) and 2 (j mod 32) + 1 of word j // 32, decoded by
-        `increments`. Words are read in blocks of steps, each a whole
-        multiple of 32 steps but the last, so the blocks read the stream's
-        words in order whatever their length, and memory stays within
-        BLOCK_BYTES whatever the number of steps."""
-        count = len(rngs)
-        channels = self.channels
-        draws = [rng.bit_generator.random_raw for rng in rngs]
+        j of its raw 64-bit words, bits 2 (j mod 32) and 2 (j mod 32) + 1 of
+        word j // 32, decoded by `increments`. Op o takes increments
+        o kC .. o kC + kC - 1, so for C = 1, 2 or 4 its symbol is byte o of
+        the words. Words are read in blocks of ops, each a whole multiple of
+        32 ops but the last, so the blocks read the stream's words in order
+        whatever their length, and memory stays within BLOCK_BYTES whatever
+        the number of steps."""
+        count = len(bit_generators)
+        draws = [bg.random_raw for bg in bit_generators]
         # Flat, so the shorter last block is still one contiguous array.
-        words = np.empty(count * -(-self.block * channels // 32), dtype="<u8")
-        pairs = np.empty(32 * words.size, dtype=np.uint8)
-        incs = np.empty(32 * words.size, dtype=complex)
-        self.ring[0, 0] = self.ket
-        stacks = itertools.chain.from_iterable(map(itertools.repeat, self.stacks, self.lengths))
-        for start in range(0, self.steps, self.block):
-            n = min(self.block, self.steps - start)
-            width = -(-n * channels // 32)
+        words = np.empty(count * (self.block * self.width // 32), dtype="<u8")
+        symbols = np.empty((self.block, self.groups, count), dtype=np.intp)
+        self.ring[0] = self.ket
+        for first in range(0, self.ops, self.block):
+            n = min(self.block, self.ops - first)
+            width = -(-n * self.width // 32)
             block = words[: count * width]
-            np.concatenate([draw(width) for draw in draws], out=block)
-            # Little-endian words, so byte b of a trajectory's words holds
-            # its increments 4b .. 4b + 3; row b holds every trajectory's.
-            octets = np.ascontiguousarray(block.view(np.uint8).reshape(count, -1).T)
-            # Row 4b + q: bit pair q of byte b, every trajectory's increment 4b + q.
-            split = pairs[: 32 * block.size].reshape(8 * width, 4, count)
-            np.right_shift(octets[:, np.newaxis], _PAIR_SHIFTS, out=split)
-            split &= 3
-            # The (n C, N) increments. "clip" never clips a pair; it lets take
-            # write into dws directly.
-            dws = incs[: n * channels * count].reshape(-1, count)
-            np.take(self.increments, split.reshape(-1, count)[: len(dws)], out=dws, mode="clip")
-            self.advance(dws.reshape(n, channels, 1, 1, count), stacks)
-        if self.pos:
-            self.screen(self.ring[1 : self.pos + 1, 0])
-        self.final = self.bra @ self.outputs[self.pos]
+            if width:
+                np.concatenate([draw(width) for draw in draws], out=block)
+            # Little-endian words: byte b of a trajectory's words holds its
+            # increments 4b .. 4b + 3.
+            self.decode(block.view(np.uint8).reshape(count, 8 * width), symbols[:n])
+            self.advance(symbols[:n], first)
+        self.final = np.add.reduce(self.bra * self.ring[0], axis=0)
+        self.final[~self.alive] = 0.0
 
-    def advance(self, dws: np.ndarray, stacks) -> None:
-        """Take len(dws) steps, one stack from the iterator stacks each,
-        screening the ring's states whenever it fills."""
-        done = 0
-        while done < len(dws):
-            pos = self.pos
-            n = min(len(dws) - done, self.ring_steps - pos)
-            # dws first, so zip stops without taking a stack too many.
-            steps = zip(dws[done : done + n], stacks, self.slots[pos:], self.outputs[pos + 1 :])
-            for dw, stack, (state, rows, operand), out in steps:
-                np.multiply(dw, state, out=rows)
-                np.matmul(stack, operand, out=out)
-            done += n
-            self.pos += n
-            if self.pos == self.ring_steps:
-                self.screen(self.ring[1:, 0])
-                # The segment's last state, with the screen's edits, starts the next.
-                self.ring[0, 0] = self.ring[-1, 0]
-                self.pos = 0
+    def decode(self, octets: np.ndarray, symbols: np.ndarray) -> None:
+        """Write the (n, groups, N) symbols of n ops from the (N, bytes) bytes
+        of each trajectory's words: increment t of a group is its bit pair t."""
+        n = len(symbols)
+        if self.width == 0:
+            # No channels: every op takes the one entry of its table.
+            symbols[...] = 0
+            return
+        if self.width == 4:
+            # An op's increments are one whole byte.
+            np.copyto(symbols[:, 0], octets[:, :n].T)
+            return
+        pairs = (octets[:, :, np.newaxis] >> _PAIR_SHIFTS) & 3
+        pairs = pairs.reshape(len(octets), -1)[:, : n * self.width].reshape(-1, n, self.width)
+        for g in range(symbols.shape[1]):
+            group = pairs[:, :, 4 * g : 4 * g + 4]
+            values = np.sum(group << _PAIR_SHIFTS[: group.shape[-1]], axis=-1, dtype=np.intp)
+            np.copyto(symbols[:, g], values.T)
 
-    def screen(self, states: np.ndarray) -> None:
-        """Exclude the trajectories of each point whose norm overflowed at
-        any of the (n, d, P, N) states, and zero them in the last state."""
+    def advance(self, symbols: np.ndarray, first: int) -> None:
+        """Take the len(symbols) ops from op first, each with its (groups, N)
+        symbols, from the states in the ring's first slot, and screen the
+        states each time the ring fills and at the end; the last state is
+        left in the first slot."""
+        tables = self.tables_from(first)
+        gathered, extra_buf = self.gathered[0], self.gathered[-1]
+        for done in range(0, len(symbols), self.ring_ops):
+            segment = symbols[done : done + self.ring_ops]
+            # segment first, so zip stops without taking a table too many.
+            # "clip" never clips a symbol; it lets take write into its out directly.
+            ops = zip(segment, tables, self.heads, self.ring[1:])
+            for sym, (table, extra), head, out in ops:
+                table.take(sym[0], -1, gathered, "clip")
+                if extra:
+                    for tab, s in zip(extra, sym[1:]):
+                        gathered += tab.take(s, -1, extra_buf, "clip")
+                np.multiply(gathered, head, out=gathered)
+                np.add.reduce(gathered, axis=0, out=out)
+            n = len(segment)
+            self.screen(self.ring[: n + 1], segment, first + done)
+            # The segment's last state, with the screen's edits, starts the next.
+            self.ring[0] = self.ring[n]
+
+    def tables_from(self, first: int):
+        """The tables of the ops from op first on, one (table, extra) per op."""
+        i = bisect.bisect_right(self.piece_starts, first) - 1
+        head = itertools.repeat(self.tables[i], self.piece_starts[i] + self.lengths[i] - first)
+        rest = map(itertools.repeat, self.tables[i + 1 :], self.lengths[i + 1 :])
+        return itertools.chain(head, *rest)
+
+    def screen(self, states: np.ndarray, symbols: np.ndarray, first: int) -> None:
+        """Exclude the trajectories of each point whose norm overflowed at any
+        step of the ops from op first with the (n, groups, N) symbols, given
+        the (n + 1, d, P, N) states before them and after each, and zero them
+        in the last state."""
         # A norm at or above NORM_OVERFLOW needs a real or imaginary part of
         # at least NORM_OVERFLOW / sqrt(2d). A column whose parts all stay
-        # below the smaller screen NORM_OVERFLOW / (2d) has not overflowed;
-        # the others (nan included) get the exact per-step norm test.
+        # below the smaller screen_level has not overflowed, at the states
+        # nor inside an op; the others (nan included) get the exact test at
+        # every step, inside an op by stepping it again one step at a time.
         parts = states.view(float)
         peak = np.maximum(parts.max(axis=(0, 1)), -parts.min(axis=(0, 1)))
         # (P, N): the larger of each column's real and imaginary peaks.
@@ -277,10 +386,28 @@ class _QSDKernel:
         for p, alive in enumerate(self.alive):
             suspect = np.flatnonzero(suspects[p])
             if suspect.size:
-                norms = np.linalg.norm(states[:, :, p][:, :, suspect], axis=1)
-                blown = suspect[alive[suspect] & ~(norms < NORM_OVERFLOW).all(axis=0)]
+                cols = states[:, :, p][:, :, suspect]
+                kept = (np.linalg.norm(cols[1:], axis=1) < NORM_OVERFLOW).all(axis=0)
+                if self.span > 1:
+                    kept &= self.inside_ops_kept(cols[:-1], symbols[:, 0, suspect], first, p)
+                blown = suspect[alive[suspect] & ~kept]
                 alive[blown] = False
                 states[-1, :, p][:, blown] = 0.0
+
+    def inside_ops_kept(self, starts, symbols, first: int, point: int) -> np.ndarray:
+        """Whether every state inside the ops from op first stays below
+        NORM_OVERFLOW, per column, stepping the (n, d, S) states before the
+        ops one step at a time with the (n, S) symbols at the given point."""
+        ops = np.arange(first, first + len(starts))
+        pieces = np.searchsorted(self.piece_starts, ops, side="right")[:, np.newaxis] - 1
+        x = starts.transpose(0, 2, 1)
+        kept = np.ones(x.shape[1], dtype=bool)
+        for t in range(self.span - 1):
+            q = (symbols >> 2 * self.channels * t) & (4**self.channels - 1)
+            mats = self.step_mats[pieces, t, point, q]
+            x = np.add.reduce(mats * x[:, :, np.newaxis, :], axis=-1)
+            kept &= (np.linalg.norm(x, axis=-1) < NORM_OVERFLOW).all(axis=0)
+        return kept
 
 
 def _qsd_chunk(args) -> tuple[np.ndarray, np.ndarray]:
@@ -295,7 +422,7 @@ def _qsd_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     # overflowing trajectory may reach inf or nan before the ring fills;
     # the kernel's screen excludes it.
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel.run([np.random.default_rng(s) for s in streams])
+        kernel.run([np.random.PCG64(s) for s in streams])
     return kernel.final, kernel.alive
 
 

@@ -1,6 +1,6 @@
 """The ensemble kernels against step-by-step reference loops, on seeded
-random models (dim 2-4, 1-3 channels, 3-cell piecewise shifts): the
-block-streaming QSD kernel against the per-step loop it replaced, and the
+random models (dim 2-4, 1-3 channels, 3-cell piecewise shifts): the QSD
+kernel, several steps per table gather, against the per-step loop, and the
 jump sampler against the waiting-time law taken one step at a time; plus
 the jump law against the master equation, determinism and bounded
 memory."""
@@ -53,11 +53,16 @@ EQUATOR = bloch_state(BlochAngles(math.pi / 2, 0.0))
 CELL = 0.5
 CELLS = 3
 SIZES = list(itertools.product((2, 3, 4), (1, 2, 3)))
-# None keeps the module's budget, one block for the whole run. The others
-# force a ring of one step and blocks of 32, the shortest; a ring of a few
-# steps and blocks of 32; and blocks of 32 to 128 steps that end mid-run.
+# QSD ops of one step whose increments are a whole byte (4 channels), and
+# whose matrices sum the entries of two or three tables of up to 4 channels.
+MANY_CHANNELS = [(2, 4), (3, 5), (2, 9)]
+# None keeps the module's budget: one block and one ring segment for the
+# whole run. The others force, on 24 trajectories, a ring of one op and
+# blocks of 32 ops, the shortest; a ring of 2-5 ops and blocks of 32; and a
+# ring of 5-12 ops and blocks of 64 or 96 ops that end mid-run at three
+# channels.
 DEFAULT_BLOCK_BYTES = qsd.BLOCK_BYTES
-BUDGETS = [None, 1, 40_000, 100_000]
+BUDGETS = [None, 1, 20_000, 40_000]
 
 
 # --- reference loops: per-step kernels and the jump law step by step ------
@@ -261,7 +266,7 @@ def _assert_budget_free(job, finals, alive, monkeypatch) -> None:
 # --- QSD --------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("dim,count", SIZES)
+@pytest.mark.parametrize("dim,count", SIZES + MANY_CHANNELS)
 def test_qsd_chunk_matches_reference_loop(dim: int, count: int, budget, monkeypatch) -> None:
     args = _job(dim, count, 0.4, 24, 300 + 10 * dim + count)
     job = (args[0], [args[1]], *args[2:])
@@ -326,28 +331,28 @@ def test_mean_path_of_a_non_normal_drift_stays_finite() -> None:
     assert abs(got - _renormalized_path_arg(drift, vec, steps)) <= 1e-9
 
 
-@pytest.mark.parametrize("ring_steps", [None, 5])
-def test_qsd_excludes_the_same_trajectories(ring_steps, monkeypatch) -> None:
+@pytest.mark.parametrize("ring_ops", [None, 5])
+def test_qsd_excludes_the_same_trajectories(ring_ops, monkeypatch) -> None:
     # lambda = 60 overflows about half of the trajectories by T = 23. A
     # two-point increment bounds a step's growth on both sides, so the
     # overflows come within a few steps of each other, after about 230.
     model = dephasing_model(1.0, 60.0)
     vec = np.asarray(EQUATOR.amplitudes)
     seeds = trajectory_seeds(0, 16)
-    if ring_steps is not None:
-        # One-trajectory chunks: a slot holds 64 B, and the ring takes an
-        # eighth of the budget; the noise blocks are 96 steps long.
-        monkeypatch.setattr(qsd, "BLOCK_BYTES", 8 * 64 * (ring_steps + 1))
+    if ring_ops is not None:
+        # One-trajectory chunks: a slot holds 32 B, and the ring takes a
+        # quarter of the budget; the noise blocks are 32 ops of 4 steps.
+        monkeypatch.setattr(qsd, "BLOCK_BYTES", 4 * 32 * (ring_ops + 1))
         kernel = _QSDKernel([lower_model(model)], 23.0, 230, vec, 1)
-        assert (kernel.ring_steps, kernel.block) == (ring_steps, 96)
+        assert (kernel.ring_ops, kernel.span, kernel.block) == (ring_ops, 4, 32)
     got = [int(not _qsd_chunk((model, [None], vec, 23.0, 0.1, [s]))[1][0, 0]) for s in seeds]
     want, want_alive, blown_at = _reference_qsd_chunk((model, None, vec, 23.0, 0.1, seeds))
     assert got == (blown_at >= 0).astype(int).tolist()
     assert 0 < sum(got) < 16
-    if ring_steps is not None:
-        # Some overflow falls strictly inside a ring segment.
-        ends = (blown_at[blown_at >= 0] + 1) % ring_steps
-        assert np.any(ends != 0)
+    if ring_ops is not None:
+        # Some overflow falls strictly inside a ring segment, and inside an op.
+        ends = blown_at[blown_at >= 0] + 1
+        assert np.any(ends % (4 * ring_ops) != 0) and np.any(ends % 4 != 0)
     (final,), (alive,) = _qsd_chunk((model, [None], vec, 23.0, 0.1, seeds))
     assert alive.tolist() == want_alive.tolist()
     assert _trajectory_gap(final, want) <= 1e-12
@@ -358,9 +363,10 @@ def test_qsd_overflow_screen_keeps_the_per_step_rule() -> None:
     # every entry below it; a spike that returns below the threshold; inf.
     lowered = lower_model(dephasing_model(1.0, 0.1))
     vec = np.array([1.0, 0.0], dtype=complex)
-    kernel = _QSDKernel([lowered], 1.0, 10, vec, 5)
-    # Four steps' (d, P, N) states, as the kernel's ring holds them.
-    states = kernel.ring[1:5, 0]
+    kernel = _QSDKernel([lowered], 2.0, 20, vec, 5)
+    # A segment's (d, P, N) states, as the kernel's ring holds them: the one
+    # it starts from and those after each of its four ops.
+    states = kernel.ring[:5]
     states[...] = 1.0
     states[1, 0, 0, 1] = np.nan
     states[2, :, 0, 2] = NORM_OVERFLOW / math.sqrt(2.0)
@@ -368,7 +374,7 @@ def test_qsd_overflow_screen_keeps_the_per_step_rule() -> None:
     states[2, 0, 0, 4] = np.inf
     assert np.linalg.norm(states[2, :, 0, 2]) >= NORM_OVERFLOW
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel.screen(states)
+        kernel.screen(states, np.zeros((4, 1, 5), dtype=np.intp), 0)
     assert kernel.alive[0].tolist() == [True, False, False, False, False]
     # Excluded trajectories restart from zero in the next segment.
     assert np.all(states[-1, :, 0, 1:] == 0.0)
@@ -376,27 +382,38 @@ def test_qsd_overflow_screen_keeps_the_per_step_rule() -> None:
 
 
 def test_qsd_ring_screens_every_state_of_a_segment() -> None:
-    # H = 0 and L = I: a step multiplies each column by 1 - dt / 2 + dw.
-    # Column 1 spikes past the threshold at the first step of a four-step
-    # segment and falls back below it at the second.
+    # H = 0 and L = [[0, 1], [0, 0]] at lambda dt = 4: the step matrix of bit
+    # pair q is M_q = [[1, b_q], [0, -1]] with |b_q| = 2, b_0 = -b_3, and
+    # M_q M_q is the identity. The ring's states after each four-step op
+    # stay below the threshold, and only stepping the ops again finds the
+    # spikes inside them. Column 1, from (0, v), repeats pair 3 (byte 85 3):
+    # (b v, -v) at the first step passes the threshold. Column 2, from a
+    # state whose parts pass even the screen for single steps, takes pairs
+    # 3, 0, 0, 3 (byte 195): (2 b v, v) at the second step passes it.
     dt = 0.1
-    model = LindbladModel(Operator(np.zeros((2, 2))), (Operator(np.eye(2)),), 1.0)
+    lower = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    model = LindbladModel(Operator(np.zeros((2, 2))), (lower,), 4.0 / dt)
     vec = np.array([1.0, 0.0], dtype=complex)
-    kernel = _QSDKernel([lower_model(model)], 4 * dt, 4, vec, 2)
-    assert kernel.ring_steps == 4
-    dws = np.zeros((4, 1, 1, 1, 2), dtype=complex)
-    dws[0, 0, 0, 0, 1] = 1e101
-    dws[1, 0, 0, 0, 1] = -(1.0 - dt / 2)
-    kernel.ring[0, 0] = vec[:, np.newaxis, np.newaxis]
-    kernel.advance(dws, itertools.repeat(kernel.stacks[0], 4))
-    assert np.linalg.norm(kernel.ring[1, 0, :, 0, 1]) >= NORM_OVERFLOW
-    assert np.linalg.norm(kernel.ring[2, 0, :, 0, 1]) < NORM_OVERFLOW
-    assert kernel.alive[0].tolist() == [True, False]
+    kernel = _QSDKernel([lower_model(model)], 16 * dt, 16, vec, 3)
+    assert (kernel.ring_ops, kernel.span) == (4, 4)
+    step = [np.array([[1.0, 2.0 * dw / math.sqrt(dt)], [0.0, -1.0]]) for dw in kernel.increments]
+    spike = np.array([0.0, 5e99], dtype=complex)
+    quiet = np.array([0.0, 2.45e99], dtype=complex)
+    assert np.linalg.norm(step[3] @ spike) >= NORM_OVERFLOW
+    assert np.max(np.abs(quiet)) < NORM_OVERFLOW / 4
+    assert np.linalg.norm(step[0] @ step[3] @ quiet) >= NORM_OVERFLOW
+    kernel.ring[0, :, 0] = np.stack([vec, spike, quiet], axis=1)
+    symbols = np.zeros((4, 1, 3), dtype=np.intp)
+    symbols[:, 0, 0] = [0, 27, 228, 255]
+    symbols[:, 0, 1] = 85 * 3
+    symbols[:, 0, 2] = 195
+    kernel.advance(symbols, 0)
+    assert np.all(np.linalg.norm(kernel.ring[1:4, :, 0, 1:], axis=1) < NORM_OVERFLOW)
+    assert kernel.alive[0].tolist() == [True, False, False]
     # The ring wrapped: the segment's last states start the next one.
-    assert kernel.pos == 0
-    final = kernel.ring[0, 0, :, 0]
-    assert np.all(final[:, 1] == 0.0)
-    assert np.allclose(final[:, 0], (1.0 - dt / 2) ** 4 * vec, rtol=1e-15, atol=0)
+    final = kernel.ring[0, :, 0]
+    assert np.all(final[:, 1:] == 0.0)
+    assert np.allclose(final[:, 0], vec, rtol=1e-15, atol=0)
 
 
 def _check_points_against_reference(model, shift_sets, vec, total_time, delta_t, seeds):
@@ -436,6 +453,69 @@ def test_qsd_points_in_one_pass_match_reference_loop(
     _assert_budget_free(job, *_qsd_chunk(job), monkeypatch)
 
 
+def _one_step_matrices(model, shifts, dt: float) -> np.ndarray:
+    """The (4^C, d, d) matrices I - i dt K_tilde + sum_m dw_m sqrt(lam) L_m
+    of a one-cell model, entry q taking its increment for channel m from bit
+    pair m of q, built from the lowered model one channel at a time."""
+    (terms,) = lower_model(model, shifts).values
+    count = len(terms.channels)
+    digits = (np.arange(4**count)[:, np.newaxis] >> 2 * np.arange(count)) & 3
+    incs = math.sqrt(dt / 2.0) * (1 - 2 * (digits & 1) + 1j * (1 - (digits & 2)))
+    mats = np.array([np.eye(len(terms.k_tilde)) - 1j * dt * terms.k_tilde] * 4**count)
+    for m, l in enumerate(terms.channels):
+        mats += incs[:, m, np.newaxis, np.newaxis] * (math.sqrt(model.strength) * l)
+    return mats
+
+
+@pytest.mark.parametrize("dim,count", [(2, 1), (3, 1), (2, 2), (4, 2)])
+def test_qsd_table_entry_is_the_product_of_its_steps(dim: int, count: int) -> None:
+    # Symbol v of an op of k = 4 // C steps holds M_(q_(k-1)) ... M_(q_0),
+    # step t taking the C bit pairs of v from pair t C on.
+    rng = np.random.default_rng(70 + 10 * dim + count)
+    model = _random_model(dim, count, 0.4, rng)
+    constant = ShiftSet.constants(list(rng.normal(size=count) + 1j * rng.normal(size=count)))
+    vec = _random_state(dim, rng)
+    dt, steps = 1e-2, 40
+    kernel = _QSDKernel([lower_model(model, constant)], steps * dt, steps, vec, 3)
+    span = kernel.span
+    assert span == 4 // count and len(kernel.tables) == 1
+    [(table, extra)] = kernel.tables
+    assert extra == () and table.shape == (dim, dim, 1, 256)
+    mats = _one_step_matrices(model, constant, dt)
+    for v in range(256):
+        want = np.eye(dim)
+        for t in range(span):
+            want = mats[(v >> 2 * count * t) & (4**count - 1)] @ want
+        got = table[:, :, 0, v].T
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_qsd_op_across_a_cell_edge_keeps_points_apart(count: int) -> None:
+    # Cells of 0.51 on a grid of 1e-2: the piecewise point's runs start at
+    # steps 51 and 102, inside ops of 4 steps (one channel) and 51 inside
+    # one of 2 (two channels); one channel's last op, of 150 steps, has 2.
+    rng = np.random.default_rng(60 + count)
+    model = _random_model(2, count, 0.4, rng)
+    piecewise = ShiftSet(
+        tuple(
+            ScalarSchedule.piecewise(0.5 * (rng.normal(size=3) + 1j * rng.normal(size=3)), 0.51)
+            for _ in range(count)
+        )
+    )
+    constant = ShiftSet.constants(list(rng.normal(size=count) + 1j * rng.normal(size=count)))
+    vec = _random_state(2, rng)
+    lowereds = [lower_model(model, piecewise), lower_model(model, constant)]
+    kernel = _QSDKernel(lowereds, 1.5, 150, vec, 24)
+    span = kernel.span
+    # The op holding the edge step has a table of its own.
+    for edge in (51, 102)[: 3 - count]:
+        piece = kernel.piece_starts.index(edge // span)
+        assert edge % span and kernel.lengths[piece] == 1
+    seeds = trajectory_seeds(80 + count, 24)
+    _check_points_against_reference(model, [piecewise, constant], vec, 1.5, 1e-2, seeds)
+
+
 def _unitary_channel_model(dim: int, count: int, strength: float, rng) -> LindbladModel:
     """Random Hamiltonian and unitary channels (sum_m L_m^dag L_m = count I):
     at a large strength every trajectory grows at about the same rate, so
@@ -450,15 +530,15 @@ def _unitary_channel_model(dim: int, count: int, strength: float, rng) -> Lindbl
 
 
 def _ring_inside_a_block(lowered, total_time: float, steps: int, vec, count: int, monkeypatch):
-    """Patch BLOCK_BYTES so that the kernel's ring, of three steps or more,
+    """Patch BLOCK_BYTES so that the kernel's ring, of three ops or more,
     is shorter than a noise block and does not divide it, with several
     blocks to the run; returns the ring's length in steps."""
     for budget in itertools.count(1024, 16):
         monkeypatch.setattr(qsd, "BLOCK_BYTES", budget)
         kernel = _QSDKernel([lowered], total_time, steps, vec, count)
-        ring, block = kernel.ring_steps, kernel.block
-        if 2 < ring < block < steps and block % ring:
-            return ring
+        ring, block = kernel.ring_ops, kernel.block
+        if 2 < ring < block < kernel.ops and block % ring:
+            return ring * kernel.span
 
 
 @pytest.mark.parametrize("dim,count", SIZES)
@@ -488,7 +568,7 @@ def test_qsd_overflow_inside_a_ring_segment(dim: int, count: int, monkeypatch) -
     _assert_budget_free((model, [None], *job[2:]), finals, masks, monkeypatch)
     kernel = _QSDKernel([lowered], steps * delta_t, steps, vec, len(seeds))
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel.run([np.random.default_rng(s) for s in seeds])
+        kernel.run([np.random.PCG64(s) for s in seeds])
     assert kernel.alive[0].tolist() == (blown_at < 0).tolist()
 
 
@@ -496,21 +576,22 @@ def test_qsd_point_overflow_stays_in_its_point(monkeypatch) -> None:
     # lambda = 60 with L = identity: unshifted, the Euler factor 1 - 3 and
     # strong noise overflow about half of the trajectories by step 233; at
     # f = 1 the shifted channel vanishes and nothing overflows. A ring of 5
-    # steps puts overflows inside ring segments: a slot holds three points'
-    # states and noise rows, 16 (2 + 2) 3 16 = 3072 B, and the ring takes an
-    # eighth of the budget.
+    # ops of 4 steps puts overflows inside ring segments and inside ops: a
+    # slot holds three points' states, 16 2 3 16 = 1536 B, and the ring
+    # takes a quarter of the budget.
     model = LindbladModel(0.5 * pauli("z"), (Operator(np.eye(2)),), 60.0)
     vec = np.asarray(EQUATOR.amplitudes)
-    monkeypatch.setattr(qsd, "BLOCK_BYTES", 8 * 3072 * 6)
+    monkeypatch.setattr(qsd, "BLOCK_BYTES", 4 * 1536 * 6)
     shift_sets = [None, ShiftSet.constants([1.0]), ShiftSet.constants([0.1])]
     lowereds = [lower_model(model, shifts) for shifts in shift_sets]
-    assert _QSDKernel(lowereds, 23.3, 233, vec, 16).ring_steps == 5
+    kernel = _QSDKernel(lowereds, 23.3, 233, vec, 16)
+    assert (kernel.ring_ops, kernel.span) == (5, 4)
     blown_at = _check_points_against_reference(
         model, shift_sets, vec, 23.3, 0.1, trajectory_seeds(0, 16)
     )
     overflowed = blown_at[0][blown_at[0] >= 0]
     assert 0 < len(overflowed) < 16
-    assert np.any((overflowed + 1) % 5 != 0)
+    assert np.any((overflowed + 1) % 20 != 0) and np.any((overflowed + 1) % 4 != 0)
     assert np.all(blown_at[1] < 0)
 
 
@@ -534,6 +615,22 @@ def test_qsd_ensemble_invariant_to_threads_and_chunks(monkeypatch) -> None:
         assert outs["1", chunk][-1] == outs["1", 16][-1] == 48
         for a, b in zip(outs["1", chunk][:-1], outs["1", 16][:-1]):
             assert abs(a - b) <= 1e-12 * max(abs(b), 1.0)
+
+
+def test_qsd_ensemble_is_byte_identical_across_chunk_sizes() -> None:
+    # Every step and the final overlap are elementwise over the trajectories,
+    # so no chunk size changes a trajectory's rounding.
+    rng = np.random.default_rng(5)
+    model = _random_model(3, 2, 0.4, rng)
+    shift_sets = [_random_shifts(2, rng), None]
+    vec = _random_state(3, rng)
+    config = QSDConfig(CELLS * CELL, 1e-2, 300, seed=8)
+    outs = []
+    for chunk in (300, 100, 7, 1):
+        results = averaged_geometric_phases(model, vec, config, shift_sets, chunk_size=chunk)
+        fields = [(r.mean_overlap, r.std_error, r.overlap_arg, r.phase) for r in results]
+        outs.append(np.array(fields).tobytes())
+    assert outs[1:] == outs[:1] * 3
 
 
 def _qsd_peak_bytes(total_time: float) -> int:

@@ -83,17 +83,18 @@ def _two_point(words: np.ndarray, dt: float) -> np.ndarray:
     return math.sqrt(dt / 2.0) * (1 - 2 * (pairs & 1) + 1j * (1 - (pairs & 2)))
 
 
-def _increments(rng, dt, count) -> np.ndarray:
-    """One step's (1, 1, 1, 1, count) increments, from the words of rng."""
-    words = rng.bit_generator.random_raw(-(-count // 32))
-    return _two_point(words, dt)[:count].reshape(1, 1, 1, 1, count)
+def _symbols(rng, count) -> np.ndarray:
+    """One op's (1, 1, count) symbols, a byte of the words of rng each."""
+    words = rng.bit_generator.random_raw(-(-count // 8))
+    return words.view(np.uint8)[:count].astype(np.intp).reshape(1, 1, count)
 
 
-def _step(kernel, x, dws) -> np.ndarray:
-    """The (d, N) states x after one step with the (1, C, 1, 1, N) dws."""
-    kernel.ring[kernel.pos, 0, :, 0] = x
-    kernel.advance(dws, iter(kernel.stacks))
-    return kernel.ring[kernel.pos, 0, :, 0].copy()
+def _step(kernel, x, symbols) -> np.ndarray:
+    """The (d, N) states x after the one step of a one-step kernel with the
+    (1, 1, N) symbols: a column's increment is its symbol's low bit pair."""
+    kernel.ring[0, :, 0] = x
+    kernel.advance(symbols, 0)
+    return kernel.ring[0, :, 0].copy()
 
 
 def _columns(vec, count) -> np.ndarray:
@@ -118,44 +119,52 @@ def test_wiener_increment_moments() -> None:
 
 @pytest.mark.parametrize("channels", [1, 3])
 def test_increments_are_the_bit_pairs_of_each_stream(channels: int, monkeypatch) -> None:
-    # Blocks of 32 steps over 75: the increments cross two block edges, and
-    # the last block reads part of its last word.
+    # Blocks of 32 ops over 75: the symbols cross two block edges, and the
+    # last block reads part of its last word. One channel takes 4 steps per
+    # op, the last op 2 of them, and three channels 1 step.
     model = LindbladModel(0.5 * pauli("z"), tuple(pauli("x") for _ in range(channels)), 0.5)
-    dt, steps, count = 1e-2, 75, 5
+    span = 4 // channels
+    dt, steps, count = 1e-2, 75 * span - span // 2, 5
     monkeypatch.setattr(qsd, "BLOCK_BYTES", 1)
     kernel = _QSDKernel([lower_model(model)], steps * dt, steps, EQUATOR.amplitudes, count)
-    assert kernel.block == 32
+    assert (kernel.span, kernel.ops, kernel.block) == (span, 75, 32)
     blocks = []
-    monkeypatch.setattr(kernel, "advance", lambda dws, stacks: blocks.append(dws.copy()))
+    monkeypatch.setattr(kernel, "advance", lambda symbols, first: blocks.append(symbols.copy()))
     streams = trajectory_seeds(4, count)
-    kernel.run([np.random.default_rng(s) for s in streams])
+    kernel.run([np.random.PCG64(s) for s in streams])
     got = np.concatenate(blocks)
     assert [len(b) for b in blocks] == [32, 32, 11]
-    assert got.shape == (steps, channels, 1, 1, count)
+    assert got.shape == (75, 1, count)
+    # Op o's symbol: its span C increments, from increment o span C, as the
+    # base-4 digits of a number, the first increment lowest.
+    width = span * channels
     for i, stream in enumerate(streams):
-        words = np.random.default_rng(stream).bit_generator.random_raw(-(-steps * channels // 32))
-        want = _two_point(words, dt)[: steps * channels].reshape(steps, channels)
-        assert np.array_equal(got[:, :, 0, 0, i], want)
+        words = np.random.default_rng(stream).bit_generator.random_raw(-(-75 * width // 32))
+        incs = _two_point(words, dt)[: 75 * width].reshape(75, width)
+        digits = ((incs.real < 0) + 2 * (incs.imag < 0)).astype(int)
+        want = digits @ 4 ** np.arange(width)
+        assert np.array_equal(got[:, 0, i], want)
 
 
 def test_qsd_step_deterministic_part() -> None:
     # Dephasing by sigma_z: sigma_z^dag sigma_z = I, so the drift is
     # 1 - dt (i H + strength / 2).
+    # Symbols 0 and 3 take opposite increments, so their mean is the drift.
     p = DephasingParams(1.0, 0.5, 0.0, math.pi / 2)
     dt = 1e-3
-    zero = np.zeros((1, 1, 1, 1, 1), dtype=complex)
-    out = _step(_kernel(p.as_model(), dt, 1), _columns(EQUATOR.amplitudes, 1), zero)
+    opposite = np.array([0, 3]).reshape(1, 1, 2)
+    out = _step(_kernel(p.as_model(), dt, 2), _columns(EQUATOR.amplitudes, 2), opposite)
     h = np.diag([0.5, -0.5])
     want = EQUATOR.amplitudes - dt * (1j * h @ EQUATOR.amplitudes + 0.25 * EQUATOR.amplitudes)
-    assert np.max(np.abs(out[:, 0] - want)) < 1e-15
+    assert np.max(np.abs(out.mean(axis=1) - want)) < 1e-15
 
 
 def test_qsd_step_is_linear() -> None:
     p = DephasingParams(1.0, 0.4, 0.3, math.pi / 3)
     kernel = _kernel(p.as_model(), 1e-2, 2, p.as_shifts())
-    dws = np.repeat(_increments(np.random.default_rng(2), 1e-2, 1), 2, axis=-1)
+    symbols = np.repeat(_symbols(np.random.default_rng(2), 1), 2, axis=-1)
     x = np.stack([EQUATOR.amplitudes, 0.7j * EQUATOR.amplitudes], axis=1)
-    out = _step(kernel, x, dws)
+    out = _step(kernel, x, symbols)
     assert np.max(np.abs(out[:, 1] - 0.7j * out[:, 0])) < 1e-15
 
 
@@ -165,10 +174,11 @@ def test_qsd_step_mean_follows_drift() -> None:
     p = DephasingParams(1.0, 0.5, 0.0, math.pi / 2)
     dt, n = 1e-2, 40000
     kernel = _kernel(p.as_model(), dt, n)
-    dws = _increments(np.random.default_rng(4), dt, n)
-    out = _step(kernel, _columns(EQUATOR.amplitudes, n), dws)
-    zero = np.zeros((1, 1, 1, 1, 1), dtype=complex)
-    drift = _step(_kernel(p.as_model(), dt, 1), _columns(EQUATOR.amplitudes, 1), zero)
+    symbols = _symbols(np.random.default_rng(4), n)
+    out = _step(kernel, _columns(EQUATOR.amplitudes, n), symbols)
+    opposite = np.array([0, 3]).reshape(1, 1, 2)
+    drift = _step(_kernel(p.as_model(), dt, 2), _columns(EQUATOR.amplitudes, 2), opposite)
+    drift = drift.mean(axis=1, keepdims=True)
     noise_scale = math.sqrt(p.strength * dt / n)
     assert np.max(np.abs(out.mean(axis=1) - drift[:, 0])) < 4 * noise_scale
 

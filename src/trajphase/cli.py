@@ -41,6 +41,7 @@ from .jump import (
     TotalDecayError,
     average_jump_ensemble,
     no_jump_geometric_phase,
+    no_jump_geometric_phases,
 )
 from .lindblad import (
     DensityMatrix,
@@ -127,16 +128,27 @@ def _cmd_nojump_phase(cfg: ScenarioConfig) -> str:
     ]
     lines = [SCHEMA_LINE, ",".join(header)]
     nan = float("nan")
-    for point, pinned in cfg.sweep_points():
+    points = list(cfg.sweep_points())
+    # The sweep varies f, lambda and theta0 only, so every point shares the
+    # run grid; one call tracks them all.
+    outcomes = no_jump_geometric_phases(
+        [(pinned.model, pinned.initial_state, pinned.shifts) for _, pinned in points],
+        total,
+        steps=cfg.run.steps,
+    )
+    for (point, _), res in zip(points, outcomes):
         row: list = [point[n] for n in names]
-        try:
-            res = no_jump_geometric_phase(
-                pinned.model,
-                pinned.initial_state,
-                total,
-                steps=pinned.run.steps,
-                shifts=pinned.shifts,
+        if isinstance(res, (BranchTrackingError, TotalDecayError)):
+            # Flag the point and keep sweeping; the report collects the warning.
+            if isinstance(res, TotalDecayError):
+                status, what = "total-decay", "no-jump norm underflowed"
+            else:
+                status, what = "branch-failure", "branch tracking failed"
+            warnings.warn(
+                f"{what} at {point or 'base point'}", RuntimeWarning, stacklevel=2
             )
+            row += [nan, nan, nan, nan, -1, status]
+        else:
             row += [
                 res.phase,
                 res.overlap_arg,
@@ -145,16 +157,6 @@ def _cmd_nojump_phase(cfg: ScenarioConfig) -> str:
                 len(res.branch_crossings),
                 "ok",
             ]
-        except (BranchTrackingError, TotalDecayError) as exc:
-            # Flag the point and keep sweeping; the report collects the warning.
-            if isinstance(exc, TotalDecayError):
-                status, what = "total-decay", "no-jump norm underflowed"
-            else:
-                status, what = "branch-failure", "branch tracking failed"
-            warnings.warn(
-                f"{what} at {point or 'base point'}", RuntimeWarning, stacklevel=2
-            )
-            row += [nan, nan, nan, nan, -1, status]
         lines.append(_row(row))
     return "\n".join(lines) + "\n"
 

@@ -10,7 +10,10 @@ no-jump branch is
     phase = arg<psi(0)|psi(T)> + integral of <psi|K|psi> / <psi|psi> dt,
 
 with K the Hermitian Hamiltonian of the (possibly shifted) model and the
-overlap argument tracked continuously along the path. The discrete-time
+overlap argument tracked continuously along the path. The tracker
+(`no_jump_geometric_phases`) propagates the points that share a grid and
+its runs as one stack, in windows of grid columns within STACK_BYTES, and
+forms each column's norm, overlap and integrand once. The discrete-time
 monitoring picture is exposed through Kraus sets F_0 = 1 - i K_tilde dt,
 F_m = sqrt(strength * dt) L_m and the connection matrix relating shifted and
 unshifted sets.
@@ -31,6 +34,7 @@ dt). A jump whose total probability strength * dt * sum_m
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 from typing import NamedTuple, Optional, Union
@@ -54,6 +58,7 @@ from .operators import (
     binary_scaled,
     cell_maps,
     key_runs,
+    matrix_exponential,
     normalized_state_vector,
     run_states,
     simpson,
@@ -65,13 +70,20 @@ from .operators import (
 
 # Unused here; bench/tracing.py wraps these names on this module.
 from .lindblad import apply_shift, shifted_hamiltonian  # noqa: F401
-from .operators import combine_schedules, matrix_exponential  # noqa: F401
+from .operators import combine_schedules  # noqa: F401
 
 # Overlap magnitudes below this fraction of the norm product are treated as
 # equator crossings where the accumulated argument has no stable branch.
 BRANCH_EPS = 1e-10
 NORM_FLOOR = 1e-150
 MAX_GRID_DOUBLINGS = 7
+# Bytes the no-jump tracker holds for the points it propagates together:
+# their window buffers and their integrands, one float per point and grid
+# point. A point whose integrand alone takes more than half of it gets half
+# for its windows. 640 KiB fits a lone point's 4096-step grid in one
+# window; 1 MiB ran the 63-point bench sweep about 14% faster but raised
+# its peak RSS by another 0.5 MB.
+STACK_BYTES = 5 * 2**17
 # (r, u) pairs drawn per generator call; a trajectory takes one per jump, plus one.
 PAIR_BLOCK = 8
 
@@ -209,7 +221,8 @@ def propagate_no_jump(
     norm falls below NORM_FLOOR times the initial one. psi0 is propagated
     scaled by a power of two into [1/2, 1), so its norms cannot underflow.
     The record's states are the transpose of C-ordered (d, steps + 1)
-    columns, as `run_states` returns them.
+    columns, as `run_states` returns them. The phase tracker does not use
+    it: it keeps no states beyond a window.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -225,16 +238,18 @@ def propagate_no_jump(
     sq_norms = _squared_norms(states.T)
     decayed = sq_norms < NORM_FLOOR**2 * sq_norms[0]
     if decayed.any():
-        first = int(np.argmax(decayed))
-        raise TotalDecayError(
-            f"state norm underflowed below {NORM_FLOOR:g} of the initial norm "
-            f"at t = {first * dt:g}"
-        )
+        raise _decay_error(int(np.argmax(decayed)) * dt)
     times = np.arange(steps + 1) * dt
     survival = min(1.0, max(0.0, float(sq_norms[-1] / sq_norms[0])))
     if exponent:
         states = binary_scaled(states, exponent)
     return TrajectoryRecord(times, states, (), survival)
+
+
+def _decay_error(time: float) -> TotalDecayError:
+    return TotalDecayError(
+        f"state norm underflowed below {NORM_FLOOR:g} of the initial norm at t = {time:g}"
+    )
 
 
 def no_jump_probability(record: TrajectoryRecord) -> float:
@@ -244,75 +259,287 @@ def no_jump_probability(record: TrajectoryRecord) -> float:
     return record.survival
 
 
-def _dynamical_integrand(herm: OperatorSchedule, times, cols, sq_norms) -> np.ndarray:
-    """<psi|K|psi> / <psi|psi> at each grid time, for the states in the
-    columns of cols: Re[(K psi) * conj(psi)] summed over the rows, with one
-    product per run of cells."""
-    k_cols = np.empty_like(cols)
-    for a, b, cell in key_runs(herm.cells_at(times)):
-        np.matmul(herm.values[cell].entries, cols[:, a:b], out=k_cols[:, a:b])
-    # Re[(K psi)_i conj(psi_i)] = Re(K psi)_i Re(psi_i) + Im(K psi)_i Im(psi_i),
-    # formed in place to keep no second (d, n) temporary.
-    parts = k_cols.view(float)
-    parts *= cols.view(float)
-    return np.add.reduce(parts[:, 0::2] + parts[:, 1::2], axis=0) / sq_norms
-
-
 def _phase_generators(model, shifts) -> tuple[OperatorSchedule, OperatorSchedule]:
     """The no-jump generator K_tilde and the Hermitian K of the dynamical term."""
     lowered = lower_model(model, shifts)
     return lowered.operators(lambda c: c.k_tilde), lowered.operators(lambda c: c.k)
 
 
-def _tracked_phase(
-    gen: OperatorSchedule,
-    herm: OperatorSchedule,
-    vec: np.ndarray,
-    total_time: float,
-    steps: int,
-) -> GeometricPhaseResult:
+def _window_column_bytes(dim: int) -> int:
+    """Bytes of `_track_stack`'s window buffers per point and grid column:
+    two windows of dim complex state rows, one of dim + 1 readout rows,
+    four float rows and three flag rows."""
+    return 16 * (2 * dim + dim + 1) + 8 * 4 + 3
+
+
+def _window_plan(ranges, width: int, windows: int) -> list[list[tuple]]:
+    """For each window of `width` grid columns, the parts (lo, hi, *rest)
+    of the column ranges [lo, hi) in ranges (lo, hi, *rest) that fall in it."""
+    plan: list[list[tuple]] = [[] for _ in range(windows)]
+    for lo, hi, *rest in ranges:
+        for w in range(lo // width, (hi - 1) // width + 1):
+            plan[w].append((max(lo, w * width), min(hi, (w + 1) * width), *rest))
+    return plan
+
+
+def _track_stack(tracks, runs, point_runs, total_time: float, steps: int) -> list:
+    """`_tracked_phases` on one grid of `steps` steps for tracks that share
+    a dimension, the `step_runs` of their generators and the runs of the
+    cells of their Hamiltonians at the grid points (point_runs). Each
+    outcome is a GeometricPhaseResult, the point's error, or None where a
+    step away from a flagged crossing turned the overlap by more than pi/2.
+
+    The G points' states are the columns of (G, d, width + 1) windows over
+    the grid; column 0 of a window holds the grid column before it. Where a
+    run began at least a width back, the window is the run's map raised to
+    the power width times the previous window; a run's first columns fill
+    by squaring from the column before them, as in `run_states`. One
+    product per cell of K then reads each column: K psi and the overlap
+    <psi0|psi>. Each column's squared norm, overlap, crossing flag, overlap
+    increment and integrand value is formed once, and the overlap and flag
+    of a window's last column carry to the next. Only the integrand is kept
+    for the whole grid, one float per point and grid point, for `simpson`.
+    The initial states are scaled by powers of two into [1/2, 1), like
+    `propagate_no_jump`'s, and so is the bra of the overlaps; every
+    quantity but the final norm is independent of that scale.
+    """
+    count, dim = len(tracks), tracks[0][2].shape[0]
+    dt = total_time / steps
+    cols = steps + 1
+    exponents = [int(np.frexp(np.abs(vec).max())[1]) for _, _, vec in tracks]
+    x0 = np.stack([binary_scaled(vec, -e) for (_, _, vec), e in zip(tracks, exponents)])
+    cells = [c for _, _, c in runs]
+    generators = np.array([[gen.values[c].entries for c in cells] for gen, _, _ in tracks])
+    # powers[c][i] is M^(2^i) of cell c's (G, d, d) maps M, extended on use.
+    stacked = matrix_exponential(-1j * dt * generators).swapaxes(0, 1)
+    powers = {c: [maps] for c, maps in zip(cells, stacked)}
+    # readout[c] stacks the cell's K over the bra: rows K psi, then <psi0|psi>.
+    read_cells = sorted({c for _, _, c in point_runs})
+    stacked_reads = np.empty((count, len(read_cells), dim + 1, dim), complex)
+    stacked_reads[:, :, :dim] = [[h.values[c].entries for c in read_cells] for _, h, _ in tracks]
+    stacked_reads[:, :, dim] = x0.conj()[:, np.newaxis]
+    readout = dict(zip(read_cells, stacked_reads.swapaxes(0, 1)))
+    room = max(STACK_BYTES - 8 * count * cols, STACK_BYTES // 2)
+    width = max(1, min(cols, room // (count * _window_column_bytes(dim))))
+    windows = -(-cols // width)
+    # Run (a, b, cell) takes the states of columns a..b-1 to a+1..b.
+    state_plan = _window_plan([(a + 1, b + 1, c, a) for a, b, c in runs], width, windows)
+    read_plan = _window_plan(point_runs, width, windows)
+
+    across: dict[int, np.ndarray] = {}
+
+    def window_power(cell: int) -> np.ndarray:
+        """M^width, a product of the squares of M for the bits of width."""
+        if cell not in across:
+            table = powers[cell]
+            while len(table) < width.bit_length():
+                table.append(table[-1] @ table[-1])
+            bits = [m for i, m in enumerate(table) if width >> i & 1]
+            across[cell] = functools.reduce(lambda acc, m: m @ acc, bits)
+        return across[cell]
+
+    buffers = [np.empty((count, dim, width + 1), complex) for _ in range(min(windows, 2))]
+    x, last = buffers[0], buffers[-1]
+    y = np.empty((count, dim + 1, width + 1), complex)
+    z = y[:, dim]
+    # pairs holds the interleaved sums; then den, its first half, n0 |psi|;
+    # then prod, all of it as complex, the products z_k conj z_{k-1}; then
+    # den the size of each increment. mag holds |z|, then the increments.
+    pairs = np.empty((count, 2 * width))
+    den, prod = pairs[:, :width], pairs.view(complex)
+    sq, mag = np.empty((count, width)), np.empty((count, width))
+    cross = np.empty((count, width + 1), bool)
+    flag, near = (np.empty((count, width), bool) for _ in range(2))
+    integrand = np.empty((count, cols))
+    outcomes: list = [None] * count
+    overlap_arg = np.zeros(count)
+    calm = np.ones(count, bool)
+    crossings: list[list[int]] = [[] for _ in range(count)]
+    # Decayed points ride along to the end; their zeros must not warn.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for w in range(windows):
+            start = w * width
+            span = min(width, cols - start)
+            if w:
+                x, last = last, x
+                x[:, :, 0] = last[:, :, width]
+                z[:, 0] = z[:, width]
+                cross[:, 0] = cross[:, width]
+            else:
+                x[:, :, 1] = x0
+            for lo, hi, cell, a in state_plan[w]:
+                i, j = lo - start + 1, hi - start + 1
+                if lo - width >= a:
+                    # A full width into the run: one product with the last window.
+                    np.matmul(window_power(cell), last[:, :, i:j], out=x[:, :, i:j])
+                    continue
+                # Squaring from column i - 1: x[i-1+m : i-1+2m] = M^m x[i-1 : i-1+m].
+                table, m, level = powers[cell], 1, 0
+                while True:
+                    if level == len(table):
+                        table.append(table[-1] @ table[-1])
+                    take = min(m, j - i - m + 1)
+                    src = x[:, :, i - 1 : i - 1 + take]
+                    np.matmul(table[level], src, out=x[:, :, i - 1 + m : i - 1 + m + take])
+                    if m + take > j - i:
+                        break
+                    m, level = 2 * m, level + 1
+            for lo, hi, read_cell in read_plan[w]:
+                i, j = lo - start + 1, hi - start + 1
+                np.matmul(readout[read_cell], x[:, :, i:j], out=y[:, :, i:j])
+
+            now = slice(1, span + 1)
+            sq_w, mag_w, den_w = sq[:, :span], mag[:, :span], den[:, :span]
+            xs = x[:, :, now].view(float)
+            # Re and Im parts interleave along the last axis of the float views.
+            np.einsum("gdk,gdk->gk", xs, xs, out=pairs[:, : 2 * span])
+            np.add(pairs[:, 0 : 2 * span : 2], pairs[:, 1 : 2 * span : 2], out=sq_w)
+            np.einsum("gdk,gdk->gk", xs, y[:, :dim, now].view(float), out=pairs[:, : 2 * span])
+            energy = integrand[:, start : start + span]
+            np.add(pairs[:, 0 : 2 * span : 2], pairs[:, 1 : 2 * span : 2], out=energy)
+            np.divide(energy, sq_w, out=energy)
+            if not w:
+                floor = NORM_FLOOR**2 * sq[:, :1]
+                norm0 = np.sqrt(sq[:, :1])
+
+            decayed = np.less(sq_w, floor, out=flag[:, :span])
+            if decayed.any():
+                for g in np.flatnonzero(decayed.any(axis=1)).tolist():
+                    if outcomes[g] is None:
+                        outcomes[g] = _decay_error((start + int(np.argmax(decayed[g]))) * dt)
+                if None not in outcomes:
+                    return outcomes
+
+            np.abs(z[:, now], out=mag_w)
+            np.sqrt(sq_w, out=den_w)
+            np.multiply(norm0, den_w, out=den_w)
+            np.divide(mag_w, den_w, out=mag_w)
+            flagged = np.less(mag_w, BRANCH_EPS, out=cross[:, now])
+            if flagged.any():
+                for g, k in zip(*(v.tolist() for v in np.nonzero(flagged))):
+                    crossings[g].append(start + k)
+
+            # Increments arg(z_k conj z_{k-1}); the grid's column 0 has none.
+            lo = 1 if w else 2
+            n = span + 1 - lo
+            turn, increments = prod[:, :n], mag[:, :n]
+            np.conjugate(z[:, lo - 1 : span], out=turn)
+            np.multiply(z[:, lo : span + 1], turn, out=turn)
+            np.arctan2(turn.imag, turn.real, out=increments)
+            overlap_arg += increments.sum(axis=1)
+            np.logical_or(cross[:, lo : span + 1], cross[:, lo - 1 : span], out=near[:, :n])
+            np.less_equal(np.abs(increments, out=den[:, :n]), 0.5 * math.pi, out=flag[:, :n])
+            calm &= np.logical_or(flag[:, :n], near[:, :n], out=flag[:, :n]).all(axis=1)
+
+    for g in range(count):
+        if outcomes[g] is not None or not calm[g]:
+            continue
+        # A state that is not finite makes every later one so, so the final
+        # overlap is finite exactly when all are (short of |z| overflowing).
+        if cross[g, span] or not np.isfinite(z[g, span]):
+            outcomes[g] = BranchTrackingError(
+                "overlap with the initial state vanishes at the endpoint; "
+                "the geometric phase is undefined there"
+            )
+            continue
+        dynamical = simpson(integrand[g], dt) if total_time > 0 else 0.0
+        arg = float(overlap_arg[g])
+        outcomes[g] = GeometricPhaseResult(
+            phase=arg + dynamical,
+            overlap_arg=arg,
+            dynamical_term=dynamical,
+            final_norm=math.ldexp(math.sqrt(sq[g, span - 1]), exponents[g]),
+            grid_steps=steps,
+            branch_crossings=tuple(k * dt for k in crossings[g]),
+        )
+    return outcomes
+
+
+def _grid_runs(gen: OperatorSchedule, herm: OperatorSchedule, total_time: float, steps: int):
+    """The `step_runs` of gen and the runs of herm's cells at the grid
+    points, (start, stop, cell) over grid columns."""
+    runs = tuple(step_runs(gen, 0.0, total_time, steps))
+    times = np.arange(steps + 1) * (total_time / steps)
+    return runs, tuple(key_runs(herm.cells_at(times)))
+
+
+def _tracked_phases(tracks, total_time: float, steps: int) -> list:
+    """Branch-tracked no-jump phases of (generator, Hamiltonian, psi0)
+    tracks on a shared grid, each a GeometricPhaseResult or the
+    BranchTrackingError or TotalDecayError of its point.
+
+    A point's grid doubles, up to MAX_GRID_DOUBLINGS - 1 times, until no
+    step away from a flagged crossing turns its overlap by more than pi/2.
+    On each grid the points that share a dimension and the runs of their
+    schedules are tracked together by `_track_stack`, in stacks whose
+    integrands take at most half of STACK_BYTES, or one point's integrand
+    where that takes more; the windows take the rest, or half.
+    """
+    if total_time < 0:
+        raise ValueError("total_time must be >= 0")
+    outcomes: list = [None] * len(tracks)
+    pending = list(range(len(tracks)))
     attempt = max(1, steps)
-    bra = vec.conj()
     for doubling in range(MAX_GRID_DOUBLINGS):
         if doubling:
             attempt *= 2
-        record = propagate_no_jump(gen, vec, total_time, attempt)
-        cols = record.states.T
-        overlaps = bra @ cols
-        sq_norms = _squared_norms(cols)
-        norms = np.sqrt(sq_norms)
-        rel = np.abs(overlaps) / (norms[0] * norms)
-        crossing = rel < BRANCH_EPS
-        increments = np.angle(overlaps[1:] * overlaps[:-1].conj())
-        near_crossing = crossing[1:] | crossing[:-1]
-        worst = np.max(np.abs(increments[~near_crossing]), initial=0.0)
-        if worst <= 0.5 * math.pi:
+        # The runs depend on a schedule's grid, not on its values.
+        grids: dict[tuple, tuple] = {}
+        groups: dict[tuple, list[int]] = {}
+        for i in pending:
+            gen, herm, vec = tracks[i]
+            grid = (gen.cell, len(gen.values), herm.cell, len(herm.values))
+            if grid not in grids:
+                grids[grid] = _grid_runs(gen, herm, total_time, attempt)
+            groups.setdefault((vec.shape[0], *grids[grid]), []).append(i)
+        for (dim, runs, point_runs), members in groups.items():
+            # Integrands and one window column per point in half the budget.
+            most = max(1, STACK_BYTES // 2 // (8 * (attempt + 1) + _window_column_bytes(dim)))
+            size = -(-len(members) // -(-len(members) // most))
+            for lo in range(0, len(members), size):
+                part = members[lo : lo + size]
+                found = _track_stack([tracks[i] for i in part], runs, point_runs, total_time, attempt)
+                for i, outcome in zip(part, found):
+                    outcomes[i] = outcome
+        pending = [i for i in pending if outcomes[i] is None]
+        if not pending:
             break
-    else:
-        raise BranchTrackingError(
+    for i in pending:
+        outcomes[i] = BranchTrackingError(
             f"per-step overlap rotation stayed above pi/2 after refining to {attempt} steps"
         )
+    return outcomes
 
-    if crossing[-1] or not np.all(np.isfinite(overlaps)):
-        raise BranchTrackingError(
-            "overlap with the initial state vanishes at the endpoint; "
-            "the geometric phase is undefined there"
-        )
-    overlap_arg = float(np.sum(increments))
-    integrand = _dynamical_integrand(herm, record.times, cols, sq_norms)
-    if total_time > 0:
-        dynamical = simpson(integrand, total_time / attempt)
-    else:
-        dynamical = 0.0
-    crossing_times = tuple(float(t) for t in record.times[crossing])
-    return GeometricPhaseResult(
-        phase=overlap_arg + dynamical,
-        overlap_arg=overlap_arg,
-        dynamical_term=dynamical,
-        final_norm=float(norms[-1]),
-        grid_steps=attempt,
-        branch_crossings=crossing_times,
-    )
+
+def no_jump_geometric_phases(
+    points,
+    total_time: float,
+    steps: int = DEFAULT_SUBSTEPS,
+) -> list[Union[GeometricPhaseResult, BranchTrackingError, TotalDecayError]]:
+    """`no_jump_geometric_phase` of each (model, psi0, shifts) point, shifts
+    None for the plain model, on one starting grid.
+
+    A point's entry is its result, or the BranchTrackingError or
+    TotalDecayError the one-point call would raise; that point's failure
+    leaves the others untouched. Invalid input raises at once. Points that
+    share a dimension and the runs of their schedules are propagated
+    together, in windows of grid columns within STACK_BYTES, so the
+    tracker's memory does not grow with the total time beyond one float
+    per point and grid point.
+    """
+    tracks = []
+    for model, psi0, shifts in points:
+        vec = normalized_state_vector(psi0, model.dim, "psi0")
+        tracks.append((*_phase_generators(model, shifts), vec))
+    return _tracked_phases(tracks, total_time, steps)
+
+
+def _result(outcome) -> GeometricPhaseResult:
+    """A one-point outcome of `_tracked_phases`: the result, or its error
+    raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def no_jump_geometric_phase(
@@ -328,11 +555,11 @@ def no_jump_geometric_phase(
     shifts are given); the dynamical integral uses the matching Hermitian
     Hamiltonian. The grid is doubled until every step rotates the overlap by
     at most pi/2, except across flagged zero crossings of the overlap, where
-    the result is meaningful modulo 2 pi only.
+    the result is meaningful modulo 2 pi only. The one-point form of
+    `no_jump_geometric_phases`.
     """
-    vec = normalized_state_vector(psi0, model.dim, "psi0")
-    gen, herm = _phase_generators(model, shifts)
-    return _tracked_phase(gen, herm, vec, total_time, steps)
+    (outcome,) = no_jump_geometric_phases([(model, psi0, shifts)], total_time, steps)
+    return _result(outcome)
 
 
 def gauge_transform_check(
@@ -350,18 +577,18 @@ def gauge_transform_check(
     The transformed path is generated by K_tilde + i * log_rate * identity
     and the Hamiltonian picks up the compensating term -Im(log_rate) *
     identity, so both phases agree (the imaginary part of log_rate and the
-    constant scale drop out of the phase entirely).
+    constant scale drop out of the phase entirely). Both paths are tracked
+    in one pass.
     """
     if scale == 0:
         raise ValueError("scale must be nonzero; c(t) may not vanish")
     vec = normalized_state_vector(psi0, model.dim, "psi0")
     gen, herm = _phase_generators(model, shifts)
-    base = _tracked_phase(gen, herm, vec, total_time, steps)
     eye = np.eye(model.dim)
     gen2 = gen.map(lambda op: Operator(op.entries + 1j * complex(log_rate) * eye))
     herm2 = herm.map(lambda op: Operator(op.entries - complex(log_rate).imag * eye))
-    vec2 = complex(scale) * vec
-    transformed = _tracked_phase(gen2, herm2, vec2, total_time, steps)
+    tracks = [(gen, herm, vec), (gen2, herm2, complex(scale) * vec)]
+    base, transformed = (_result(o) for o in _tracked_phases(tracks, total_time, steps))
     return base.phase, transformed.phase
 
 

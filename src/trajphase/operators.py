@@ -399,7 +399,8 @@ _PADE_COEFFS = {
 
 
 def matrix_exponential(a: np.ndarray) -> np.ndarray:
-    """exp(A) for a dense complex matrix, normal or not.
+    """exp(A) for a dense complex matrix, normal or not, or for each matrix
+    of a stack of shape (..., d, d).
 
     One route for every matrix: scaling and squaring with a diagonal Pade
     approximant (Higham 2005). The lowest degree m in (3, 5, 7, 9) whose
@@ -409,20 +410,43 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
     is evaluated as I + 2 (V - U)^-1 U, which keeps the small part of a
     near-identity step map to full relative precision. The backward error
     is of the order of unit roundoff for any A, including the non-normal
-    no-jump generators of channels that do not commute with H.
+    no-jump generators of channels that do not commute with H. The matrices
+    of a stack that share m and s are evaluated together, each to the same
+    bits as alone.
     """
     a = np.asarray(a, dtype=complex)
-    norm = float(np.abs(a).sum(axis=0).max())
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    if a.ndim == 2:
+        return _pade_exponential(a, *_pade_choice(float(norms)))
+    flat = a.reshape(-1, *a.shape[-2:])
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, norm in enumerate(norms.reshape(-1).tolist()):
+        groups.setdefault(_pade_choice(norm), []).append(i)
+    out = np.empty_like(flat)
+    for (degree, squarings), members in groups.items():
+        out[members] = _pade_exponential(flat[members], degree, squarings)
+    return out.reshape(a.shape)
+
+
+def _pade_choice(norm: float) -> tuple[int, int]:
+    """The degree m and the squarings s for a matrix of 1-norm norm."""
     if not math.isfinite(norm):
         raise ValueError("matrix exponential needs finite entries")
     degree = next((m for m in (3, 5, 7, 9) if norm <= _PADE_THETA[m]), 13)
     squarings = 0
     if norm > _PADE_THETA[13]:
         squarings = math.ceil(math.log2(norm / _PADE_THETA[13]))
+    return degree, squarings
+
+
+def _pade_exponential(a: np.ndarray, degree: int, squarings: int) -> np.ndarray:
+    """`matrix_exponential` of a matrix or a stack with one degree and one
+    number of squarings."""
+    if squarings:
         a = a / 2.0**squarings
     coeffs = _PADE_COEFFS[degree]
     # Even powers I, A^2, ..., A^(m-1) weight both parts.
-    powers = [np.eye(a.shape[0], dtype=complex), a @ a]
+    powers = [np.eye(a.shape[-1], dtype=complex), a @ a]
     while len(powers) <= degree // 2:
         powers.append(powers[-1] @ powers[1])
     odd = a @ sum(c * p for c, p in zip(coeffs[1::2], powers))

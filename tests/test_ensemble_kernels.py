@@ -654,8 +654,8 @@ def test_qsd_working_memory_does_not_grow_with_total_time() -> None:
 
 @pytest.mark.parametrize("dim,count", [(2, 1), (3, 2)])
 def test_qsd_chunk_stays_within_its_block_budget(dim: int, count: int) -> None:
-    # Two points of 512 trajectories over 3000 steps: the ring and one
-    # block of words, their decoding and the increments fill the budget.
+    # Two points of 512 trajectories over 3000 steps: the ring of states and
+    # one block of raw words and their decoded symbols fill the budget.
     rng = np.random.default_rng(40 + dim)
     model = _random_model(dim, count, 0.4, rng)
     vec = _random_state(dim, rng)

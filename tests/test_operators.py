@@ -213,6 +213,23 @@ def test_matrix_exponential_matches_scipy_across_norms() -> None:
         matrix_exponential(np.array([[0.0, np.inf], [0.0, 0.0]]))
 
 
+def test_matrix_exponential_of_a_stack_equals_each_alone() -> None:
+    # Norms from 1e-4 to 500 take every Pade degree and several squarings,
+    # so the stack splits into groups; each matrix keeps its bits.
+    rng = np.random.default_rng(13)
+    norms = np.geomspace(1e-4, 500.0, 24)
+    a = rng.normal(size=(24, 3, 3)) + 1j * rng.normal(size=(24, 3, 3))
+    a *= (norms / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
+    alone = np.array([matrix_exponential(m) for m in a])
+    assert np.array_equal(matrix_exponential(a), alone)
+    assert np.array_equal(matrix_exponential(a.reshape(4, 6, 3, 3)), alone.reshape(4, 6, 3, 3))
+    same = a[5] * np.linspace(0.9, 1.0, 7)[:, None, None]
+    assert np.array_equal(matrix_exponential(same), [matrix_exponential(m) for m in same])
+    a[7, 1, 2] = np.nan
+    with pytest.raises(ValueError):
+        matrix_exponential(a)
+
+
 @pytest.mark.parametrize("dx", [1e-3, 0.1, 2 * math.pi / 4097, 1.0, 7.5])
 def test_simpson_equals_scipy_on_both_parities(dx) -> None:
     rng = np.random.default_rng(13)

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import trajphase.jump
 from trajphase import (
     BranchTrackingError,
     DensityMatrix,
@@ -24,9 +26,11 @@ from trajphase import (
     LindbladModel,
     Operator,
     OperatorSchedule,
+    TotalDecayError,
     evolve_density,
     lindblad_rhs,
     no_jump_geometric_phase,
+    no_jump_geometric_phases,
     pauli,
     propagate_no_jump,
     time_ordered_propagator,
@@ -212,9 +216,9 @@ def _reference_tracked_phase(model, shifts, psi0, total, steps) -> dict:
     }
 
 
-def _random_shifted_model(seed, scale=1.0):
+def _random_shifted_model(seed, scale=1.0, total=2.0):
     """Random model (dim 2-4, 1-3 channels) and 3-cell piecewise complex
-    shifts on [0, 2]; scale multiplies the Hamiltonian."""
+    shifts on [0, total]; scale multiplies the Hamiltonian."""
     rng = np.random.default_rng(seed)
     dim, count = int(rng.integers(2, 5)), int(rng.integers(1, 4))
     h = _random_complex(rng, dim) / dim
@@ -222,7 +226,7 @@ def _random_shifted_model(seed, scale=1.0):
     model = LindbladModel(Operator(scale * (h + h.conj().T)), chans, 0.4)
     shifts = ShiftSet(
         tuple(
-            ScalarSchedule.piecewise(0.5 * (rng.normal(size=3) + 1j * rng.normal(size=3)), 2.0 / 3)
+            ScalarSchedule.piecewise(0.5 * (rng.normal(size=3) + 1j * rng.normal(size=3)), total / 3)
             for _ in range(count)
         )
     )
@@ -280,6 +284,96 @@ def test_no_jump_phase_refuses_an_unresolved_crossing() -> None:
     psi0 = np.array([math.cos(0.3), 1j * math.sin(0.3)])
     with pytest.raises(BranchTrackingError, match=r"after refining to 262144 steps$"):
         no_jump_geometric_phase(_driven_damped_qubit(1e-3), psi0, 2 * math.pi)
+
+
+def _mixed_points():
+    """(model, psi0, shifts) on [0, 4]: constant dephasing points, random
+    piecewise models whose shift edges fall inside steps of a 301-step
+    grid, one that doubles its grid, one whose grid refinement fails, one
+    whose overlap vanishes at T and one that decays at lambda = 200."""
+    theta = np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)], dtype=complex)
+    equator = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+    points = [
+        (_dephasing(lam), theta, ShiftSet.constants([f]))
+        for f in (0.0, 0.2, 2.0)
+        for lam in (0.1, 0.7)
+    ]
+    points.append((_dephasing(200.0), theta, None))
+    points.append((_dephasing(0.5, omega=math.pi / 4), equator, None))
+    for seed, scale in [(521, 1), (522, 1), (523, 1), (525, 1), (526, 1), (527, 1), (528, 30)]:
+        model, shifts, psi0 = _random_shifted_model(seed, scale, total=4.0)
+        points.append((model, psi0, shifts))
+    model, shifts, psi0 = _random_shifted_model(520, 60, total=4.0)
+    points.insert(3, (model, psi0, shifts))
+    return points
+
+
+@pytest.mark.parametrize("budget", [None, 2**15, 2**12], ids=["default", "small", "tiny"])
+def test_mixed_no_jump_phases_match_one_point_calls(budget, monkeypatch) -> None:
+    # One-point calls on the default budget against one call for all
+    # points; the small budgets split the stacks and the grid into windows
+    # of a few columns, so runs start inside windows and windows continue
+    # runs.
+    points, total, steps = _mixed_points(), 4.0, 301
+    want = []
+    for model, psi0, shifts in points:
+        try:
+            want.append(no_jump_geometric_phase(model, psi0, total, steps, shifts))
+        except (BranchTrackingError, TotalDecayError) as exc:
+            want.append(exc)
+    if budget is not None:
+        monkeypatch.setattr(trajphase.jump, "STACK_BYTES", budget)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = no_jump_geometric_phases(points, total, steps)
+    assert len(got) == len(points)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        if isinstance(w, Exception):
+            assert str(g) == str(w)
+            continue
+        assert g.grid_steps == w.grid_steps
+        assert g.branch_crossings == w.branch_crossings
+        for name in ("phase", "overlap_arg", "dynamical_term", "final_norm"):
+            assert abs(getattr(g, name) - getattr(w, name)) <= 1e-12
+    kinds = [type(w).__name__ for w in want]
+    assert kinds.count("TotalDecayError") == 1
+    assert kinds.count("BranchTrackingError") == 2
+    assert "underflowed" in str(want[kinds.index("TotalDecayError")])
+    assert max(w.grid_steps for w in want if not isinstance(w, Exception)) > steps
+
+
+def test_flagged_crossing_carries_across_window_edges(monkeypatch) -> None:
+    # The crossing at t = pi is grid column 32 of 64 steps. Budgets from a
+    # few columns to the whole grid per window put it at every position in
+    # a window, the last one included, where its flag must carry.
+    psi0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+    model = _dephasing(0.5)
+    want = no_jump_geometric_phase(model, psi0, 2 * math.pi, steps=64)
+    assert len(want.branch_crossings) == 1
+    for budget in range(1000, 20000, 97):
+        monkeypatch.setattr(trajphase.jump, "STACK_BYTES", budget)
+        got = no_jump_geometric_phase(model, psi0, 2 * math.pi, steps=64)
+        assert got.grid_steps == want.grid_steps
+        assert got.branch_crossings == want.branch_crossings
+        assert abs(wrap_phase(got.phase - want.phase)) <= 1e-12
+
+
+def test_no_jump_phase_memory_does_not_grow_with_steps() -> None:
+    # A lone point's windows and integrand stay within the stack budget; at
+    # 65536 steps the whole-grid arrays would take 9 MB.
+    model = _dephasing(0.5)
+    psi0 = np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)], dtype=complex)
+    shifts = ShiftSet.constants([0.2])
+    no_jump_geometric_phase(model, psi0, 2 * math.pi, 4096, shifts)
+    tracemalloc.start()
+    try:
+        res = no_jump_geometric_phase(model, psi0, 2 * math.pi, 65536, shifts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.grid_steps == 65536
+    assert peak <= trajphase.jump.STACK_BYTES + 10**6
 
 
 @pytest.mark.parametrize("seed", range(4))

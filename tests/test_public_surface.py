@@ -67,6 +67,7 @@ EXPORTS = [
     "load_config",
     "matrix_exponential",
     "no_jump_geometric_phase",
+    "no_jump_geometric_phases",
     "no_jump_hamiltonian",
     "no_jump_phase_correction",
     "no_jump_probability",

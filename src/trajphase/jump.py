@@ -13,7 +13,9 @@ with K the Hermitian Hamiltonian of the (possibly shifted) model and the
 overlap argument tracked continuously along the path. The tracker
 (`no_jump_geometric_phases`) propagates the points that share a grid and
 its runs as one stack, in windows of grid columns within STACK_BYTES, and
-forms each column's norm, overlap and integrand once. The discrete-time
+forms each column's norm, overlap and integrand once. The integral is the
+composite Simpson rule, summed window by window from the rule's weights
+(`operators.simpson_weights`), so no array spans the grid. The discrete-time
 monitoring picture is exposed through Kraus sets F_0 = 1 - i K_tilde dt,
 F_m = sqrt(strength * dt) L_m and the connection matrix relating shifted and
 unshifted sets.
@@ -57,11 +59,12 @@ from .operators import (
     PureState,
     binary_scaled,
     cell_maps,
+    index_runs,
     key_runs,
     matrix_exponential,
     normalized_state_vector,
     run_states,
-    simpson,
+    simpson_weights,
     state_vector,
     step_propagators,
     step_runs,
@@ -77,13 +80,17 @@ from .operators import combine_schedules  # noqa: F401
 BRANCH_EPS = 1e-10
 NORM_FLOOR = 1e-150
 MAX_GRID_DOUBLINGS = 7
-# Bytes the no-jump tracker holds for the points it propagates together:
-# their window buffers and their integrands, one float per point and grid
-# point. A point whose integrand alone takes more than half of it gets half
-# for its windows. 640 KiB fits a lone point's 4096-step grid in one
-# window; 1 MiB ran the 63-point bench sweep about 14% faster but raised
-# its peak RSS by another 0.5 MB.
+# Bytes of the window buffers the no-jump tracker holds for the points it
+# propagates together; nothing else it holds grows with the grid. On the
+# 63-point bench sweep (2-vCPU host, one BLAS thread), 640 KiB, 768 KiB and
+# 1 MiB ran equally fast within run-to-run noise (`wall_rel` medians 0.151,
+# 0.149 and 0.157, three runs each), and each step up raised the peak RSS
+# by about 0.3 MB.
 STACK_BYTES = 5 * 2**17
+# Fewest grid columns a window may take before its stack is split. On the
+# 303-point fig1 sweep, floors of 128 and 256 columns ran about 1.8 times as
+# fast as one stack of 14-column windows; 32, 64 and 512 were slower.
+MIN_WINDOW = 128
 # (r, u) pairs drawn per generator call; a trajectory takes one per jump, plus one.
 PAIR_BLOCK = 8
 
@@ -272,14 +279,45 @@ def _window_column_bytes(dim: int) -> int:
     return 16 * (2 * dim + dim + 1) + 8 * 4 + 3
 
 
-def _window_plan(ranges, width: int, windows: int) -> list[list[tuple]]:
-    """For each window of `width` grid columns, the parts (lo, hi, *rest)
-    of the column ranges [lo, hi) in ranges (lo, hi, *rest) that fall in it."""
-    plan: list[list[tuple]] = [[] for _ in range(windows)]
-    for lo, hi, *rest in ranges:
-        for w in range(lo // width, (hi - 1) // width + 1):
-            plan[w].append((max(lo, w * width), min(hi, (w + 1) * width), *rest))
-    return plan
+def _window_parts(ranges, width: int):
+    """For each window of `width` grid columns in turn, the list of the
+    parts (lo, hi, *rest) of the column ranges [lo, hi) in ranges (lo, hi,
+    *rest) that fall in it; ranges tile the grid in order."""
+    i, start = 0, 0
+    while i < len(ranges):
+        stop, parts = start + width, []
+        while i < len(ranges) and ranges[i][0] < stop:
+            lo, hi, *rest = ranges[i]
+            parts.append((max(lo, start), min(hi, stop), *rest))
+            if hi > stop:
+                break
+            i += 1
+        yield parts
+        start = stop
+
+
+def _flag_crossings(size, sq, limit, bound, out) -> np.ndarray:
+    """Flag the overlaps z within BRANCH_EPS of zero relative to the norms,
+    |z|^2 < BRANCH_EPS^2 |psi0|^2 |psi|^2, from size = |z|^2, the states'
+    squared norms sq and limit = BRANCH_EPS^2 |psi0|^2; bound receives the
+    right side. The decisions are those of |z| / (|psi0| |psi|) <
+    BRANCH_EPS, at zeros, NaNs and infinities too, up to rounding at the
+    boundary itself, reached without abs, sqrt or a division."""
+    return np.less(size, np.multiply(sq, limit, out=bound), out=out)
+
+
+def _flag_calm_steps(turn, increments, sums, out) -> np.ndarray:
+    """Flag the steps that turn the overlap by at most pi/2 from the
+    products turn = z_k conj z_{k-1}, their arguments increments and the
+    sums of those along the last axis: Re(turn) >= 0 and the increment is
+    not NaN. The decisions are those of |increment| <= pi/2, but for an
+    argument just past pi/2 that rounds to pi/2, and a turn of (-0, +-0)
+    between overlaps of which one is zero, which is a flagged crossing."""
+    np.greater_equal(turn.real, 0.0, out=out)
+    # An increment is NaN where turn has a NaN part; then so is its sum.
+    if np.isnan(sums).any():
+        np.logical_and(out, ~np.isnan(increments), out=out)
+    return out
 
 
 def _track_stack(tracks, runs, point_runs, total_time: float, steps: int) -> list:
@@ -297,9 +335,10 @@ def _track_stack(tracks, runs, point_runs, total_time: float, steps: int) -> lis
     product per cell of K then reads each column: K psi and the overlap
     <psi0|psi>. Each column's squared norm, overlap, crossing flag, overlap
     increment and integrand value is formed once, and the overlap and flag
-    of a window's last column carry to the next. Only the integrand is kept
-    for the whole grid, one float per point and grid point, for `simpson`.
-    The initial states are scaled by powers of two into [1/2, 1), like
+    of a window's last column carry to the next. A window adds its
+    integrand values times their `simpson_weights` to each point's running
+    dynamical term, so nothing is kept for the whole grid. The initial
+    states are scaled by powers of two into [1/2, 1), like
     `propagate_no_jump`'s, and so is the bra of the overlaps; every
     quantity but the final norm is independent of that scale.
     """
@@ -319,12 +358,11 @@ def _track_stack(tracks, runs, point_runs, total_time: float, steps: int) -> lis
     stacked_reads[:, :, :dim] = [[h.values[c].entries for c in read_cells] for _, h, _ in tracks]
     stacked_reads[:, :, dim] = x0.conj()[:, np.newaxis]
     readout = dict(zip(read_cells, stacked_reads.swapaxes(0, 1)))
-    room = max(STACK_BYTES - 8 * count * cols, STACK_BYTES // 2)
-    width = max(1, min(cols, room // (count * _window_column_bytes(dim))))
+    width = max(1, min(cols, STACK_BYTES // (count * _window_column_bytes(dim))))
     windows = -(-cols // width)
     # Run (a, b, cell) takes the states of columns a..b-1 to a+1..b.
-    state_plan = _window_plan([(a + 1, b + 1, c, a) for a, b, c in runs], width, windows)
-    read_plan = _window_plan(point_runs, width, windows)
+    state_parts = _window_parts([(a + 1, b + 1, c, a) for a, b, c in runs], width)
+    read_parts = _window_parts(point_runs, width)
 
     across: dict[int, np.ndarray] = {}
 
@@ -342,22 +380,22 @@ def _track_stack(tracks, runs, point_runs, total_time: float, steps: int) -> lis
     x, last = buffers[0], buffers[-1]
     y = np.empty((count, dim + 1, width + 1), complex)
     z = y[:, dim]
-    # pairs holds the interleaved sums; then den, its first half, n0 |psi|;
-    # then prod, all of it as complex, the products z_k conj z_{k-1}; then
-    # den the size of each increment. mag holds |z|, then the increments.
+    # pairs holds the interleaved sums and squares; then den, its first
+    # half, the crossing bounds; then prod, all of it as complex, the
+    # products z_k conj z_{k-1}. mag holds the weighted integrand, then
+    # |z|^2, then the increments.
     pairs = np.empty((count, 2 * width))
     den, prod = pairs[:, :width], pairs.view(complex)
     sq, mag = np.empty((count, width)), np.empty((count, width))
     cross = np.empty((count, width + 1), bool)
     flag, near = (np.empty((count, width), bool) for _ in range(2))
-    integrand = np.empty((count, cols))
     outcomes: list = [None] * count
-    overlap_arg = np.zeros(count)
+    overlap_arg, dynamical = np.zeros(count), np.zeros(count)
     calm = np.ones(count, bool)
     crossings: list[list[int]] = [[] for _ in range(count)]
     # Decayed points ride along to the end; their zeros must not warn.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for w in range(windows):
+        for w, state_plan, read_plan in zip(range(windows), state_parts, read_parts):
             start = w * width
             span = min(width, cols - start)
             if w:
@@ -367,7 +405,7 @@ def _track_stack(tracks, runs, point_runs, total_time: float, steps: int) -> lis
                 cross[:, 0] = cross[:, width]
             else:
                 x[:, :, 1] = x0
-            for lo, hi, cell, a in state_plan[w]:
+            for lo, hi, cell, a in state_plan:
                 i, j = lo - start + 1, hi - start + 1
                 if lo - width >= a:
                     # A full width into the run: one product with the last window.
@@ -384,23 +422,25 @@ def _track_stack(tracks, runs, point_runs, total_time: float, steps: int) -> lis
                     if m + take > j - i:
                         break
                     m, level = 2 * m, level + 1
-            for lo, hi, read_cell in read_plan[w]:
+            for lo, hi, read_cell in read_plan:
                 i, j = lo - start + 1, hi - start + 1
                 np.matmul(readout[read_cell], x[:, :, i:j], out=y[:, :, i:j])
 
             now = slice(1, span + 1)
             sq_w, mag_w, den_w = sq[:, :span], mag[:, :span], den[:, :span]
+            evens, odds = pairs[:, 0 : 2 * span : 2], pairs[:, 1 : 2 * span : 2]
             xs = x[:, :, now].view(float)
             # Re and Im parts interleave along the last axis of the float views.
             np.einsum("gdk,gdk->gk", xs, xs, out=pairs[:, : 2 * span])
-            np.add(pairs[:, 0 : 2 * span : 2], pairs[:, 1 : 2 * span : 2], out=sq_w)
+            np.add(evens, odds, out=sq_w)
             np.einsum("gdk,gdk->gk", xs, y[:, :dim, now].view(float), out=pairs[:, : 2 * span])
-            energy = integrand[:, start : start + span]
-            np.add(pairs[:, 0 : 2 * span : 2], pairs[:, 1 : 2 * span : 2], out=energy)
-            np.divide(energy, sq_w, out=energy)
+            np.add(evens, odds, out=mag_w)
+            np.divide(mag_w, sq_w, out=mag_w)
+            np.multiply(mag_w, simpson_weights(cols, dt, start, start + span), out=mag_w)
+            dynamical += mag_w.sum(axis=1)
             if not w:
                 floor = NORM_FLOOR**2 * sq[:, :1]
-                norm0 = np.sqrt(sq[:, :1])
+                limit = BRANCH_EPS**2 * sq[:, :1]
 
             decayed = np.less(sq_w, floor, out=flag[:, :span])
             if decayed.any():
@@ -410,11 +450,9 @@ def _track_stack(tracks, runs, point_runs, total_time: float, steps: int) -> lis
                 if None not in outcomes:
                     return outcomes
 
-            np.abs(z[:, now], out=mag_w)
-            np.sqrt(sq_w, out=den_w)
-            np.multiply(norm0, den_w, out=den_w)
-            np.divide(mag_w, den_w, out=mag_w)
-            flagged = np.less(mag_w, BRANCH_EPS, out=cross[:, now])
+            np.square(z[:, now].view(float), out=pairs[:, : 2 * span])
+            np.add(evens, odds, out=mag_w)
+            flagged = _flag_crossings(mag_w, sq_w, limit, den_w, cross[:, now])
             if flagged.any():
                 for g, k in zip(*(v.tolist() for v in np.nonzero(flagged))):
                     crossings[g].append(start + k)
@@ -426,9 +464,10 @@ def _track_stack(tracks, runs, point_runs, total_time: float, steps: int) -> lis
             np.conjugate(z[:, lo - 1 : span], out=turn)
             np.multiply(z[:, lo : span + 1], turn, out=turn)
             np.arctan2(turn.imag, turn.real, out=increments)
-            overlap_arg += increments.sum(axis=1)
+            sums = increments.sum(axis=1)
+            overlap_arg += sums
             np.logical_or(cross[:, lo : span + 1], cross[:, lo - 1 : span], out=near[:, :n])
-            np.less_equal(np.abs(increments, out=den[:, :n]), 0.5 * math.pi, out=flag[:, :n])
+            _flag_calm_steps(turn, increments, sums, flag[:, :n])
             calm &= np.logical_or(flag[:, :n], near[:, :n], out=flag[:, :n]).all(axis=1)
 
     for g in range(count):
@@ -442,12 +481,12 @@ def _track_stack(tracks, runs, point_runs, total_time: float, steps: int) -> lis
                 "the geometric phase is undefined there"
             )
             continue
-        dynamical = simpson(integrand[g], dt) if total_time > 0 else 0.0
+        term = float(dynamical[g]) if total_time > 0 else 0.0
         arg = float(overlap_arg[g])
         outcomes[g] = GeometricPhaseResult(
-            phase=arg + dynamical,
+            phase=arg + term,
             overlap_arg=arg,
-            dynamical_term=dynamical,
+            dynamical_term=term,
             final_norm=math.ldexp(math.sqrt(sq[g, span - 1]), exponents[g]),
             grid_steps=steps,
             branch_crossings=tuple(k * dt for k in crossings[g]),
@@ -458,9 +497,9 @@ def _track_stack(tracks, runs, point_runs, total_time: float, steps: int) -> lis
 def _grid_runs(gen: OperatorSchedule, herm: OperatorSchedule, total_time: float, steps: int):
     """The `step_runs` of gen and the runs of herm's cells at the grid
     points, (start, stop, cell) over grid columns."""
+    dt = total_time / steps
     runs = tuple(step_runs(gen, 0.0, total_time, steps))
-    times = np.arange(steps + 1) * (total_time / steps)
-    return runs, tuple(key_runs(herm.cells_at(times)))
+    return runs, tuple(index_runs(lambda k: herm.cells_at(k * dt), steps + 1))
 
 
 def _tracked_phases(tracks, total_time: float, steps: int) -> list:
@@ -471,9 +510,11 @@ def _tracked_phases(tracks, total_time: float, steps: int) -> list:
     A point's grid doubles, up to MAX_GRID_DOUBLINGS - 1 times, until no
     step away from a flagged crossing turns its overlap by more than pi/2.
     On each grid the points that share a dimension and the runs of their
-    schedules are tracked together by `_track_stack`, in stacks whose
-    integrands take at most half of STACK_BYTES, or one point's integrand
-    where that takes more; the windows take the rest, or half.
+    schedules are tracked together by `_track_stack` as one stack, whose
+    windows take STACK_BYTES. Only where those windows would be narrower
+    than MIN_WINDOW grid columns (or the grid) is the stack split, into
+    even parts, each at most as many points as fill STACK_BYTES with
+    windows of that width.
     """
     if total_time < 0:
         raise ValueError("total_time must be >= 0")
@@ -493,8 +534,9 @@ def _tracked_phases(tracks, total_time: float, steps: int) -> list:
                 grids[grid] = _grid_runs(gen, herm, total_time, attempt)
             groups.setdefault((vec.shape[0], *grids[grid]), []).append(i)
         for (dim, runs, point_runs), members in groups.items():
-            # Integrands and one window column per point in half the budget.
-            most = max(1, STACK_BYTES // 2 // (8 * (attempt + 1) + _window_column_bytes(dim)))
+            # One stack, split only where its windows would fall below MIN_WINDOW.
+            narrowest = min(MIN_WINDOW, attempt + 1)
+            most = max(1, STACK_BYTES // (narrowest * _window_column_bytes(dim)))
             size = -(-len(members) // -(-len(members) // most))
             for lo in range(0, len(members), size):
                 part = members[lo : lo + size]
@@ -523,9 +565,9 @@ def no_jump_geometric_phases(
     TotalDecayError the one-point call would raise; that point's failure
     leaves the others untouched. Invalid input raises at once. Points that
     share a dimension and the runs of their schedules are propagated
-    together, in windows of grid columns within STACK_BYTES, so the
-    tracker's memory does not grow with the total time beyond one float
-    per point and grid point.
+    together, in windows of grid columns within STACK_BYTES, and each
+    window adds its part of every dynamical term, so the tracker's memory
+    does not grow with the total time.
     """
     tracks = []
     for model, psi0, shifts in points:

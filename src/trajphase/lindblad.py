@@ -250,15 +250,22 @@ def _rhs_matrix(terms: CellTerms, strength, rho):
     return out
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two d x d matrices as one broadcast product: entry
+    (i d + k, j d + l) is a[i, j] b[k, l]."""
+    size = a.shape[0] * b.shape[0]
+    return (a[:, np.newaxis, :, np.newaxis] * b[np.newaxis, :, np.newaxis, :]).reshape(size, size)
+
+
 def _liouvillian(terms: CellTerms, strength: float) -> np.ndarray:
     """`_rhs_matrix` of one cell as a d^2 x d^2 matrix on the row-major
     vec(rho), by vec(A X B) = kron(A, B.T) vec(X). The right-hand side is
     G rho + rho G^dag + strength * sum_m L_m rho L_m^dag with G = -i K_tilde."""
     one = np.eye(terms.h.shape[0])
     g = -1j * terms.k_tilde
-    out = np.kron(g, one) + np.kron(one, g.conj())
+    out = _kron(g, one) + _kron(one, g.conj())
     for l in terms.channels:
-        out = out + strength * np.kron(l, l.conj())
+        out = out + strength * _kron(l, l.conj())
     return out
 
 

@@ -11,6 +11,8 @@ cell. Step k of a uniform time grid of width dt starting at t0 uses the cell
 that holds its midpoint t0 + (k + 1/2) dt. `Schedule.step_cells` implements
 this step-to-cell rule; `step_runs` maps a whole grid to the (start, stop,
 cell) runs of consecutive steps in one cell, which every propagator consumes.
+It applies the rule to blocks of steps, so finding the runs takes no array of
+the grid's size.
 
 Consecutive steps in one cell apply the same linear map, so a run of them is
 propagated by powers of that cell's map rather than step by step:
@@ -36,6 +38,8 @@ DEFAULT_SUBSTEPS = 4096
 # Relative tolerance below which a grid lookup just outside the covered
 # interval is attributed to float roundoff on the endpoint.
 _GRID_SLACK = 1e-9
+# Indices whose keys `index_runs` evaluates at once.
+RUN_BLOCK = 2**12
 
 
 class ScheduleRangeError(ValueError):
@@ -475,8 +479,24 @@ def cell_maps(generator: OperatorSchedule, cells, dt: float) -> dict[int, np.nda
 
 def step_runs(schedule: Schedule, t0: float, t1: float, steps: int) -> list[tuple[int, int, int]]:
     """(start, stop, cell) of each run of steps in one cell of the uniform
-    grid of `steps` steps on [t0, t1]: `key_runs` of the `step_cells`."""
-    return key_runs(schedule.step_cells(t0, t1, steps))
+    grid of `steps` steps on [t0, t1]: `index_runs` of the `step_cells`."""
+    return index_runs(lambda k: schedule.step_cells(t0, t1, steps, k), steps)
+
+
+def index_runs(
+    keys_of: Callable[[np.ndarray], np.ndarray], count: int
+) -> list[tuple[int, int, int]]:
+    """`key_runs` of keys_of(np.arange(count)), with keys_of evaluated on
+    blocks of RUN_BLOCK indices and runs merged across block edges, so no
+    array grows with count."""
+    runs: list[tuple[int, int, int]] = []
+    for lo in range(0, count, RUN_BLOCK):
+        for a, b, key in key_runs(keys_of(np.arange(lo, min(count, lo + RUN_BLOCK)))):
+            if not a and runs and runs[-1][2] == key:
+                runs[-1] = (runs[-1][0], lo + b, key)
+            else:
+                runs.append((lo + a, lo + b, key))
+    return runs
 
 
 def key_runs(keys) -> list[tuple[int, int, int]]:
@@ -541,32 +561,40 @@ def time_ordered_propagator(
     return Operator(total)
 
 
-def simpson(samples, dx: float) -> float:
-    """Composite Simpson integral of samples on a uniform grid of spacing dx.
+def simpson_weights(n: int, dx: float, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Weights c_k, k in [lo, hi), of the composite Simpson rule on n >= 2
+    samples of spacing dx: the integral is the sum of c_k y_k.
 
-    An odd sample count uses the plain 1-4-2-...-4-1 rule. An even count
-    uses it on all but the last interval and adds Cartwright's correction
-    for that interval (K. V. Cartwright, J. Math. Sci. Math. Educ. 12, 1
-    (2017)); two samples give the trapezoid. The arithmetic is that of
-    SciPy's `integrate.simpson(samples, dx=dx)`, so the results agree bit
-    for bit.
+    An odd sample count uses the plain 1-4-2-...-4-1 rule over 3. An even
+    count uses it on all but the last interval and adds Cartwright's
+    correction for that interval (K. V. Cartwright, J. Math. Sci. Math.
+    Educ. 12, 1 (2017)); two samples give the trapezoid. Each weight is
+    rounded as SciPy's `integrate.simpson(e_k, dx=dx)` of the unit vector
+    e_k. The interior weights alternate with k, so the weights of a span of
+    columns are formed from its indices alone and a sum over a grid can be
+    split at any column.
     """
-    y = np.asarray(samples, dtype=float)
-    n = y.shape[0]
+    hi = n if hi is None else hi
     if n == 2:
-        return float(0.5 * dx * (y[1] + y[0]))
-    stop = n - 2 if n % 2 else n - 3
-    total = np.sum(y[0:stop:2] + 4.0 * y[1 : stop + 1 : 2] + y[2 : stop + 2 : 2])
-    total *= dx / 3.0
-    if n % 2 == 0:
+        return np.full(hi - lo, 0.5 * dx)
+    third = dx / 3.0
+    out = np.full(hi - lo, 2.0 * third)
+    out[(lo + 1) % 2 :: 2] = 4.0 * third
+    ends = {0: third}
+    if n % 2:
+        ends[n - 1] = third
+    else:
         # Cartwright's weights for spacings h0 = h1 = h, evaluated as the
-        # general formula so that they round the same way.
+        # general formula so that they round as SciPy's do.
         h = np.float64(dx)
         alpha = (2 * h**2 + 3 * h * h) / (6 * (h + h))
         beta = (h**2 + 3.0 * h * h) / (6 * h)
         eta = 1 * h**3 / (6 * h * (h + h))
-        total += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return float(total)
+        ends.update({n - 3: 4.0 * third - eta, n - 2: third + beta, n - 1: alpha})
+    for k, weight in ends.items():
+        if lo <= k < hi:
+            out[k - lo] = weight
+    return out
 
 
 def wrap_phase(x: float) -> float:

@@ -124,20 +124,24 @@ def test_nojump_phase_sweep(config_file, capsys) -> None:
         assert 0.0 < float(row[5]) <= 1.0
 
 
-def test_nojump_phase_odd_steps_integrate_as_scipy(config_file, capsys, monkeypatch) -> None:
-    # 1023 steps give 1024 samples, so the dynamical term takes the
-    # even-count branch of the Simpson rule with its last-interval correction.
-    text = BASE_YAML.replace("run: {T: 1.0, steps: 256, seed: 0}",
-                             "run: {T: 6.283185307179586, steps: 1023, seed: 0}")
-    text += "sweep:\n  f: [0.2, 2.0]\n  lambda: [0.3, 0.8]\n"
-    path = config_file(text)
-    assert main(["nojump-phase", "--config", path]) == EXIT_OK
-    ours = capsys.readouterr().out
-    monkeypatch.setattr(
-        "trajphase.jump.simpson", lambda y, dx: float(scipy.integrate.simpson(y, dx=dx))
-    )
-    assert main(["nojump-phase", "--config", path]) == EXIT_OK
-    assert capsys.readouterr().out == ours
+def test_nojump_phase_odd_steps_integrate_as_scipy(config_file, capsys) -> None:
+    # On the equator the shifted dephasing path has <K> = (omega / 2)
+    # tanh(2 lambda f t), so each row's dynamical term is SciPy's Simpson
+    # rule of that on the grid. 1023 steps give an even sample count, with
+    # the last-interval correction; 1024 steps an odd one.
+    for steps in (1023, 1024):
+        text = BASE_YAML.replace("run: {T: 1.0, steps: 256, seed: 0}",
+                                 f"run: {{T: 6.283185307179586, steps: {steps}, seed: 0}}")
+        text += "sweep:\n  f: [0.2, 2.0]\n  lambda: [0.3, 0.8]\n"
+        assert main(["nojump-phase", "--config", config_file(text)]) == EXIT_OK
+        rows = _rows(capsys.readouterr().out)
+        assert len(rows) == 5
+        dt = 6.283185307179586 / steps
+        for row in rows[1:]:
+            f, lam, term = float(row[0]), float(row[1]), float(row[4])
+            assert row[-1] == "ok"
+            integrand = 0.5 * np.tanh(2 * lam * f * dt * np.arange(steps + 1))
+            assert abs(term - scipy.integrate.simpson(integrand, dx=dt)) <= 1e-11
 
 
 def test_import_path_has_no_scipy() -> None:

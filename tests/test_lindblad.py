@@ -11,6 +11,7 @@ from trajphase.lindblad import (
     DensityMatrix,
     LindbladModel,
     ShiftSet,
+    _liouvillian,
     apply_shift,
     apply_unitary_mixing,
     evolve_density,
@@ -195,6 +196,34 @@ def test_evolve_density_is_exact_on_a_coarse_grid() -> None:
         want = 0.5 * np.exp(-(2 * lam + 1j * OMEGA) * t)
         assert abs(rho.entries[0, 1] - want) <= 1e-12
         rho.validate()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_liouvillian_equals_its_kron_form(dim, count) -> None:
+    # The broadcast outer products must give np.kron's entries, added in
+    # the same order, to the last bit; shifted channels and an inf entry
+    # included.
+    rng = np.random.default_rng(10 * dim + count)
+
+    def rand():
+        return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+    h = rand()
+    channels = tuple(Operator(rand()) for _ in range(count))
+    model = LindbladModel(Operator(h + h.conj().T), channels, 0.7)
+    shifts = ShiftSet.constants(list(rng.normal(size=count) + 1j * rng.normal(size=count)))
+    for terms in (lower_model(model).values[0], lower_model(model, shifts).values[0]):
+        one = np.eye(dim)
+        g = -1j * terms.k_tilde
+        want = np.kron(g, one) + np.kron(one, g.conj())
+        for l in terms.channels:
+            want = want + 0.7 * np.kron(l, l.conj())
+        assert _liouvillian(terms, 0.7).tobytes() == want.tobytes()
+    l = np.full((dim, dim), np.inf + 0j)
+    with np.errstate(invalid="ignore"):
+        want = np.kron(g, one) + np.kron(one, g.conj()) + 0.7 * np.kron(l, l.conj())
+        assert _liouvillian(terms._replace(channels=(l,)), 0.7).tobytes() == want.tobytes()
 
 
 def test_apply_shift_moves_channels_not_hamiltonian() -> None:

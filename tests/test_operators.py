@@ -10,6 +10,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+import trajphase.operators
 from trajphase.operators import (
     BlochAngles,
     Operator,
@@ -24,11 +25,13 @@ from trajphase.operators import (
     combine_schedules,
     commutator,
     identity,
+    index_runs,
     is_hermitian,
+    key_runs,
     matrix_exponential,
     pauli,
     run_states,
-    simpson,
+    simpson_weights,
     step_runs,
     time_ordered_propagator,
     wrap_phase,
@@ -232,10 +235,51 @@ def test_matrix_exponential_of_a_stack_equals_each_alone() -> None:
 
 @pytest.mark.parametrize("dx", [1e-3, 0.1, 2 * math.pi / 4097, 1.0, 7.5])
 def test_simpson_equals_scipy_on_both_parities(dx) -> None:
+    # Each weight is SciPy's integral of its unit vector, bit for bit, and
+    # the weighted sum is SciPy's integral up to the order of summation.
     rng = np.random.default_rng(13)
     for count in range(2, 42):
+        weights = simpson_weights(count, dx)
+        for k, weight in enumerate(weights):
+            assert weight == scipy.integrate.simpson(np.eye(count)[k], dx=dx)
         samples = rng.normal(size=count) * 10.0 ** rng.uniform(-3, 3)
-        assert simpson(samples, dx) == scipy.integrate.simpson(samples, dx=dx)
+        want = scipy.integrate.simpson(samples, dx=dx)
+        assert abs(np.sum(weights * samples) - want) <= 1e-14 * np.sum(np.abs(weights * samples))
+
+
+@pytest.mark.parametrize("count", [2, 3, 4, 5, 1024, 1025])
+def test_simpson_weights_split_at_any_column(count) -> None:
+    # A sum split into two spans, at every column edge, with each span's
+    # weights formed from its indices alone, matches SciPy's rule.
+    rng = np.random.default_rng(count)
+    dx = 2 * math.pi / (count - 1)
+    samples = np.cos(np.arange(count) * dx) + rng.normal(size=count)
+    want = scipy.integrate.simpson(samples, dx=dx)
+    whole = simpson_weights(count, dx)
+    scale = np.sum(np.abs(whole * samples))
+    for edge in range(count + 1):
+        head = simpson_weights(count, dx, 0, edge)
+        tail = simpson_weights(count, dx, edge, count)
+        assert np.array_equal(np.concatenate([head, tail]), whole)
+        got = np.sum(head * samples[:edge]) + np.sum(tail * samples[edge:])
+        assert abs(got - want) <= 1e-14 * scale
+    # Windows of every width from 1 to 40 columns tile the grid.
+    for width in range(1, 41):
+        edges = range(0, count, width)
+        parts = [simpson_weights(count, dx, a, min(a + width, count)) for a in edges]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+def test_index_runs_merge_across_blocks(block, monkeypatch) -> None:
+    # Runs that start, end and continue on every side of a block edge.
+    rng = np.random.default_rng(block)
+    keys = np.repeat(rng.integers(0, 3, 300), rng.integers(1, 12, 300))
+    monkeypatch.setattr(trajphase.operators, "RUN_BLOCK", block)
+    for count in (1, 2, block, block + 1, len(keys)):
+        want = key_runs(keys[:count])
+        assert index_runs(lambda k: keys[k], count) == want
+    assert index_runs(lambda k: keys[k], 0) == []
 
 
 def test_time_ordered_propagator_constant_is_exact() -> None:

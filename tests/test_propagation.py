@@ -16,6 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
 import trajphase.jump
@@ -43,12 +44,11 @@ from trajphase.lindblad import (
     evolve_states,
     lower_model,
 )
-from trajphase.jump import BRANCH_EPS, MAX_GRID_DOUBLINGS
+from trajphase.jump import BRANCH_EPS, MAX_GRID_DOUBLINGS, _flag_calm_steps, _flag_crossings
 from trajphase.operators import (
     ScalarSchedule,
     key_runs,
     run_states,
-    simpson,
     step_propagators,
     wrap_phase,
 )
@@ -180,10 +180,10 @@ def test_propagate_no_jump_keeps_weak_damping() -> None:
 def _reference_tracked_phase(model, shifts, psi0, total, steps) -> dict:
     """The no-jump geometric phase by plain per-step loops: states from the
     `step_propagators` maps in the cell `Schedule.step_cells` gives each
-    step, the overlap argument as a sum of per-step
-    increments, and <psi|K|psi> / <psi|psi> integrated by `simpson`. The
-    grid doubles until no step away from a flagged crossing turns the
-    overlap by more than pi/2."""
+    step, the overlap argument as a sum of per-step increments, and
+    <psi|K|psi> / <psi|psi> integrated by SciPy's `simpson`. The grid
+    doubles until no step away from a flagged crossing turns the overlap by
+    more than pi/2."""
     lowered = lower_model(model, shifts)
     gen = lowered.operators(lambda c: c.k_tilde)
     herm = lowered.operators(lambda c: c.k)
@@ -209,7 +209,7 @@ def _reference_tracked_phase(model, shifts, psi0, total, steps) -> dict:
     ]
     return {
         "overlap_arg": math.fsum(increments),
-        "dynamical_term": simpson(integrand, dt),
+        "dynamical_term": scipy.integrate.simpson(integrand, dx=dt),
         "final_norm": norms[-1],
         "grid_steps": attempt,
         "branch_crossings": tuple(t for t, c in zip(times, crossing) if c),
@@ -359,21 +359,93 @@ def test_flagged_crossing_carries_across_window_edges(monkeypatch) -> None:
         assert abs(wrap_phase(got.phase - want.phase)) <= 1e-12
 
 
-def test_no_jump_phase_memory_does_not_grow_with_steps() -> None:
-    # A lone point's windows and integrand stay within the stack budget; at
-    # 65536 steps the whole-grid arrays would take 9 MB.
+def _lone_point_peak(steps: int) -> int:
+    """tracemalloc peak of one constant dephasing point on `steps` steps."""
     model = _dephasing(0.5)
     psi0 = np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)], dtype=complex)
     shifts = ShiftSet.constants([0.2])
     no_jump_geometric_phase(model, psi0, 2 * math.pi, 4096, shifts)
     tracemalloc.start()
     try:
-        res = no_jump_geometric_phase(model, psi0, 2 * math.pi, 65536, shifts)
+        res = no_jump_geometric_phase(model, psi0, 2 * math.pi, steps, shifts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.grid_steps == 65536
-    assert peak <= trajphase.jump.STACK_BYTES + 10**6
+    assert res.grid_steps == steps
+    return peak
+
+
+def test_no_jump_phase_memory_does_not_grow_with_steps() -> None:
+    # A lone point's windows and run finding stay within 640 KiB + 1 MB; at
+    # 65536 steps the whole-grid arrays would take 9 MB.
+    assert _lone_point_peak(65536) <= 5 * 2**17 + 10**6
+
+
+def test_no_jump_phase_memory_is_flat_from_2_16_to_2_18_steps() -> None:
+    # Neither the tracker nor the run finding holds an array of the grid:
+    # four times the steps leave the peak where it was.
+    assert _lone_point_peak(2**18) <= _lone_point_peak(2**16) + 250_000
+
+
+def test_crossing_and_calm_tests_decide_as_abs_and_arctan2() -> None:
+    # Every pair of overlaps (z_{k-1}, z_k) from zeros of both signs, NaN,
+    # infinities, exact quarter turns and ordinary values, with squared
+    # norms as a state of that overlap can have (NaN or inf where z is not
+    # finite), gets the tracker's step decision, calm or next to a flagged
+    # crossing, as the former |z| / (|psi0| |psi|) < BRANCH_EPS and
+    # |arg(z_k conj z_{k-1})| <= pi/2 gave. A state of squared norm 0 has
+    # decayed, so it is not one of them.
+    parts = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0, math.inf, -math.inf, math.nan]
+    overlaps = [complex(a, b) for a in parts for b in parts]
+
+    def norms(z):
+        if math.isnan(z.real) or math.isnan(z.imag):
+            return [math.nan]
+        if math.isinf(z.real) or math.isinf(z.imag):
+            return [math.inf, math.nan]
+        return [0.25, 1.0, 2.0, 1e-250]
+
+    pairs = [
+        (a, b, sa, sb) for a in overlaps for b in overlaps for sa in norms(a) for sb in norms(b)
+    ]
+    z = np.array([[a, b] for a, b, _, _ in pairs])
+    sq = np.array([[sa, sb] for _, _, sa, sb in pairs])
+    for sq0 in (0.25, 1.0, 3.0):
+        with np.errstate(all="ignore"):
+            old_cross = np.abs(z) / (math.sqrt(sq0) * np.sqrt(sq)) < BRANCH_EPS
+            turn = z[:, 1:] * z[:, :1].conj()
+            increments = np.arctan2(turn.imag, turn.real)
+            old = (np.abs(increments) <= 0.5 * math.pi) | old_cross.any(axis=1, keepdims=True)
+            squares = np.square(z.view(float))
+            size = squares[:, 0::2] + squares[:, 1::2]
+            limit = np.array([[BRANCH_EPS**2 * sq0]])
+            cross = _flag_crossings(size, sq, limit, np.empty(sq.shape), np.empty(sq.shape, bool))
+            sums = increments.sum(axis=1)
+            calm = _flag_calm_steps(turn, increments, sums, np.empty(turn.shape, bool))
+        assert np.array_equal(cross, old_cross)
+        assert np.array_equal(calm | cross.any(axis=1, keepdims=True), old)
+
+    # At the BRANCH_EPS boundary, with norms that scale exactly.
+    for sq0, sqk in [(1.0, 1.0), (0.25, 4.0), (4.0, 0.25), (1.0, 2.0**-40)]:
+        edge = BRANCH_EPS * math.sqrt(sq0) * math.sqrt(sqk)
+        sizes = [edge * s for s in (1 - 2**-50, 1 - 2**-52, 1.0, 1 + 2**-52, 1 + 2**-50)]
+        z = np.array([[complex(v, 0.0), complex(0.0, -v)] for v in sizes])
+        sq = np.full(z.shape, sqk)
+        limit = np.array([[BRANCH_EPS**2 * sq0]])
+        old_cross = np.abs(z) / (math.sqrt(sq0) * np.sqrt(sq)) < BRANCH_EPS
+        squares = np.square(z.view(float))
+        size = squares[:, 0::2] + squares[:, 1::2]
+        cross = _flag_crossings(size, sq, limit, np.empty(sq.shape), np.empty(sq.shape, bool))
+        assert np.array_equal(cross, old_cross)
+        assert old_cross[:2].all() and not old_cross[2:].any()
+
+    # Where a turn just past pi/2 rounds to pi/2, the old test called it
+    # calm; the sign of its real part does not.
+    turn = np.array([[complex(-1e-300, 1.0)]])
+    increments = np.arctan2(turn.imag, turn.real)
+    assert np.abs(increments[0, 0]) <= 0.5 * math.pi
+    calm = _flag_calm_steps(turn, increments, increments.sum(axis=1), np.empty((1, 1), bool))
+    assert not calm[0, 0]
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 import trajphase.qsd as qsd
 from trajphase._ensemble import grid_steps, trajectory_seeds
@@ -32,7 +33,6 @@ from trajphase.operators import (
     ScheduleRangeError,
     bloch_state,
     pauli,
-    simpson,
     wrap_phase,
 )
 from trajphase.qsd import (
@@ -379,7 +379,7 @@ def _per_cell_simpson(lowered, vec, total: float, cell: float) -> float:
     for a in range(0, steps, PER_CELL):
         b = min(a + PER_CELL, steps)
         k = lowered.value_at(0.5 * (a + b) * dt).k
-        out += simpson(np.einsum("nij,ji->n", rhos[a : b + 1], k).real, dt)
+        out += scipy.integrate.simpson(np.einsum("nij,ji->n", rhos[a : b + 1], k).real, dx=dt)
     return out
 
 
@@ -387,7 +387,7 @@ def _grid_simpson(lowered, vec, total: float, steps: int = 2048) -> float:
     """Simpson's rule of Tr[rho K] straight across [0, total] on `steps` steps."""
     times, rhos = evolve_states(lowered, DensityMatrix.from_pure(vec), total, steps)
     ks = np.stack([c.k for c in lowered.values])[lowered.cells_at(times)]
-    return simpson(np.einsum("nij,nji->n", rhos, ks).real, total / steps)
+    return scipy.integrate.simpson(np.einsum("nij,nji->n", rhos, ks).real, dx=total / steps)
 
 
 @pytest.mark.parametrize("dim,count", SIZES)

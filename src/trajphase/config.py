@@ -169,8 +169,11 @@ class ScenarioConfig:
                     cfg, shifts=shifts, shift_values=tuple([complex(value)] * count)
                 )
             elif name == "theta0":
-                phi = cfg.initial_angles.phi if cfg.initial_angles else 0.0
-                angles = BlochAngles(float(value), phi)
+                if cfg.initial_angles is None:
+                    raise ConfigError(
+                        "sweep.theta0", "needs an initial_state of theta and phi, not amplitudes"
+                    )
+                angles = BlochAngles(float(value), cfg.initial_angles.phi)
                 cfg = dataclasses.replace(
                     cfg, initial_state=bloch_state(angles), initial_angles=angles
                 )

@@ -36,7 +36,6 @@ dt). A jump whose total probability strength * dt * sum_m
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import warnings
 from typing import NamedTuple, Optional, Union
@@ -54,6 +53,7 @@ from .lindblad import (
 )
 from .operators import (
     DEFAULT_SUBSTEPS,
+    MapPowers,
     Operator,
     OperatorSchedule,
     PureState,
@@ -239,7 +239,7 @@ def propagate_no_jump(
 
     dt = total_time / steps
     exponent = int(np.frexp(np.abs(vec).max())[1])
-    maps, runs = step_propagators(generator, 0.0, total_time, steps)
+    maps, runs = step_propagators(generator, total_time, steps)
     states = run_states(maps, runs, binary_scaled(vec, -exponent))
 
     sq_norms = _squared_norms(states.T)
@@ -328,19 +328,19 @@ def _track_stack(tracks, runs, point_runs, total_time: float, steps: int) -> lis
     step away from a flagged crossing turned the overlap by more than pi/2.
 
     The G points' states are the columns of (G, d, width + 1) windows over
-    the grid; column 0 of a window holds the grid column before it. Where a
-    run began at least a width back, the window is the run's map raised to
-    the power width times the previous window; a run's first columns fill
-    by squaring from the column before them, as in `run_states`. One
-    product per cell of K then reads each column: K psi and the overlap
-    <psi0|psi>. Each column's squared norm, overlap, crossing flag, overlap
-    increment and integrand value is formed once, and the overlap and flag
-    of a window's last column carry to the next. A window adds its
-    integrand values times their `simpson_weights` to each point's running
-    dynamical term, so nothing is kept for the whole grid. The initial
-    states are scaled by powers of two into [1/2, 1), like
-    `propagate_no_jump`'s, and so is the bra of the overlaps; every
-    quantity but the final norm is independent of that scale.
+    the grid; column 0 of a window holds the grid column before it. The (G,
+    d, d) step maps of each cell have one `MapPowers`. Where a run began at
+    least a width back, the window is their power width times the previous
+    window; a run's first columns are their `MapPowers.fill` from the column
+    before them. One product per cell of K then reads each column: K psi and
+    the overlap <psi0|psi>. Each column's squared norm, overlap, crossing
+    flag, overlap increment and integrand value is formed once, and the
+    overlap and flag of a window's last column carry to the next. A window
+    adds its integrand values times their `simpson_weights` to each point's
+    running dynamical term, so nothing is kept for the whole grid. The
+    initial states are scaled by powers of two into [1/2, 1), like
+    `propagate_no_jump`'s, and so is the bra of the overlaps; every quantity
+    but the final norm is independent of that scale.
     """
     count, dim = len(tracks), tracks[0][2].shape[0]
     dt = total_time / steps
@@ -349,9 +349,8 @@ def _track_stack(tracks, runs, point_runs, total_time: float, steps: int) -> lis
     x0 = np.stack([binary_scaled(vec, -e) for (_, _, vec), e in zip(tracks, exponents)])
     cells = [c for _, _, c in runs]
     generators = np.array([[gen.values[c].entries for c in cells] for gen, _, _ in tracks])
-    # powers[c][i] is M^(2^i) of cell c's (G, d, d) maps M, extended on use.
     stacked = matrix_exponential(-1j * dt * generators).swapaxes(0, 1)
-    powers = {c: [maps] for c, maps in zip(cells, stacked)}
+    powers = {c: MapPowers(maps) for c, maps in zip(cells, stacked)}
     # readout[c] stacks the cell's K over the bra: rows K psi, then <psi0|psi>.
     read_cells = sorted({c for _, _, c in point_runs})
     stacked_reads = np.empty((count, len(read_cells), dim + 1, dim), complex)
@@ -364,18 +363,8 @@ def _track_stack(tracks, runs, point_runs, total_time: float, steps: int) -> lis
     state_parts = _window_parts([(a + 1, b + 1, c, a) for a, b, c in runs], width)
     read_parts = _window_parts(point_runs, width)
 
+    # across[c] is cell c's maps to the power width, formed on first use.
     across: dict[int, np.ndarray] = {}
-
-    def window_power(cell: int) -> np.ndarray:
-        """M^width, a product of the squares of M for the bits of width."""
-        if cell not in across:
-            table = powers[cell]
-            while len(table) < width.bit_length():
-                table.append(table[-1] @ table[-1])
-            bits = [m for i, m in enumerate(table) if width >> i & 1]
-            across[cell] = functools.reduce(lambda acc, m: m @ acc, bits)
-        return across[cell]
-
     buffers = [np.empty((count, dim, width + 1), complex) for _ in range(min(windows, 2))]
     x, last = buffers[0], buffers[-1]
     y = np.empty((count, dim + 1, width + 1), complex)
@@ -409,19 +398,11 @@ def _track_stack(tracks, runs, point_runs, total_time: float, steps: int) -> lis
                 i, j = lo - start + 1, hi - start + 1
                 if lo - width >= a:
                     # A full width into the run: one product with the last window.
-                    np.matmul(window_power(cell), last[:, :, i:j], out=x[:, :, i:j])
-                    continue
-                # Squaring from column i - 1: x[i-1+m : i-1+2m] = M^m x[i-1 : i-1+m].
-                table, m, level = powers[cell], 1, 0
-                while True:
-                    if level == len(table):
-                        table.append(table[-1] @ table[-1])
-                    take = min(m, j - i - m + 1)
-                    src = x[:, :, i - 1 : i - 1 + take]
-                    np.matmul(table[level], src, out=x[:, :, i - 1 + m : i - 1 + m + take])
-                    if m + take > j - i:
-                        break
-                    m, level = 2 * m, level + 1
+                    if cell not in across:
+                        across[cell] = powers[cell].power(width)
+                    np.matmul(across[cell], last[:, :, i:j], out=x[:, :, i:j])
+                else:
+                    powers[cell].fill(x, i - 1, j - 1)
             for lo, hi, read_cell in read_plan:
                 i, j = lo - start + 1, hi - start + 1
                 np.matmul(readout[read_cell], x[:, :, i:j], out=y[:, :, i:j])
@@ -498,7 +479,7 @@ def _grid_runs(gen: OperatorSchedule, herm: OperatorSchedule, total_time: float,
     """The `step_runs` of gen and the runs of herm's cells at the grid
     points, (start, stop, cell) over grid columns."""
     dt = total_time / steps
-    runs = tuple(step_runs(gen, 0.0, total_time, steps))
+    runs = tuple(step_runs(gen, total_time, steps))
     return runs, tuple(index_runs(lambda k: herm.cells_at(k * dt), steps + 1))
 
 
@@ -670,14 +651,15 @@ class _JumpSampler:
     Steps whose cell terms are byte-equal share one key, so equal-valued
     cells form one run. In round j of a run, every column left in it finds
     its j-th jump there by greedy binary lifting over the powers U^(2^i) of
-    the run's no-jump map: from the highest down, a column takes a power
-    that stays in the run and keeps ||psi~||^2 at or above r. The norm never
-    grows, so this finds the last grid point above r; no map is inverted."""
+    the run's no-jump map, each key's `MapPowers`: from the highest a run
+    of its length can take down, a column takes a power that stays in the
+    run and keeps ||psi~||^2 at or above r. The norm never grows, so this
+    finds the last grid point above r; no map is inverted."""
 
     def __init__(self, model, shifts, total_time: float, steps: int):
         lowered = lower_model(model, shifts)
         gen = lowered.operators(lambda c: c.k_tilde)
-        cell_runs = step_runs(gen, 0.0, total_time, steps)
+        cell_runs = step_runs(gen, total_time, steps)
         # The key of a cell is the first cell whose terms equal its own.
         first: dict[bytes, int] = {}
         keys = []
@@ -691,11 +673,7 @@ class _JumpSampler:
         shape = (-1, model.dim, model.dim)
         self.stacks = {c: np.reshape(lowered.values[c].channels, shape) for c in first.values()}
         self.lam_dt = model.strength * (total_time / steps)
-        self.powers: dict[int, list[np.ndarray]] = {}
-        for a, b, key in self.runs:
-            table = self.powers.setdefault(key, [self.maps[key]])
-            while 2 ** len(table) <= b - a:
-                table.append(table[-1] @ table[-1])
+        self.powers = {key: MapPowers(m) for key, m in self.maps.items()}
 
     def _jump(self, psi, u, key) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """For columns psi~_k jumping in steps of key: the normalized states
@@ -722,12 +700,12 @@ class _JumpSampler:
         jumps = np.zeros(x.shape[1], dtype=np.int64)
         pos = np.zeros(x.shape[1], dtype=np.intp)
         r, u = pairs.take(np.arange(x.shape[1]))
-        for _, b, key in self.runs:
+        for a, b, key in self.runs:
             powers, refused, stop = self.powers[key], None, b
             while (live := np.flatnonzero(pos < stop)).size:
                 xs, ks, rs = x.take(live, axis=1), pos[live], r[live]
-                for i in range(len(powers) - 1, -1, -1):
-                    y = powers[i] @ xs
+                for i in range((b - a).bit_length() - 1, -1, -1):
+                    y = powers.square(i) @ xs
                     take = (ks + (1 << i) <= b) & (_squared_norms(y) >= rs)
                     np.copyto(xs, y, where=take)
                     ks[take] += 1 << i

@@ -357,7 +357,7 @@ def evolve_states(
         raise ValueError("total_time must be >= 0")
     # exp(-i dt (i S_c)) = exp(dt S_c).
     generator = lowered.operators(lambda c: 1j * _liouvillian(c, lowered.strength))
-    maps, runs = step_propagators(generator, 0.0, total_time, steps)
+    maps, runs = step_propagators(generator, total_time, steps)
     dim = rho0.dim
     stack = run_states(maps, runs, rho0.entries.reshape(-1)).reshape(steps + 1, dim, dim)
     rhos = stack[1:]

@@ -3,26 +3,28 @@
 Everything downstream works with explicit complex matrices on small Hilbert
 spaces (qubits, truncated oscillators), so operators are plain numpy arrays
 wrapped in thin immutable containers. Time dependence is restricted to
-piecewise-constant schedules on a uniform grid, which keeps the time-ordered
-propagator exactly composable.
+piecewise-constant schedules on a uniform grid, which keeps propagation over
+a grid an exact product of per-cell maps.
 
 A time t lies in cell floor(t / cell), the right end of the grid in the last
-cell. Step k of a uniform time grid of width dt starting at t0 uses the cell
-that holds its midpoint t0 + (k + 1/2) dt. `Schedule.step_cells` implements
-this step-to-cell rule; `step_runs` maps a whole grid to the (start, stop,
-cell) runs of consecutive steps in one cell, which every propagator consumes.
-It applies the rule to blocks of steps, so finding the runs takes no array of
+cell. Step k of a uniform time grid of width dt from 0 uses the cell that
+holds its midpoint (k + 1/2) dt. `Schedule.step_cells` implements this
+step-to-cell rule; `step_runs` maps a whole grid to the (start, stop, cell)
+runs of consecutive steps in one cell, which every propagator consumes. It
+applies the rule to blocks of steps, so finding the runs takes no array of
 the grid's size.
 
 Consecutive steps in one cell apply the same linear map, so a run of them is
-propagated by powers of that cell's map rather than step by step:
-`run_states` fills a run of length n with about log2(n) products (repeated
-squaring), and `time_ordered_propagator` multiplies one matrix power per run.
-Both are plain matrix products, exact up to roundoff for any map, normal or
-not. `run_states` keeps the states as the columns of a C-ordered (d, n + 1)
-array, so each product is a d x d map times a contiguous block of columns
-and any reduction over the d entries of a state runs along rows; it returns
-the transpose, an (n + 1, d) view, whose `.T` gives the columns back.
+propagated by powers of that cell's map rather than step by step.
+`MapPowers` is the one owner of those powers: it holds the squares
+M^(2^i) of a map, or of a stack of maps, forms M^n as a product of squares,
+and fills a run of length n with about log2(n) products (repeated
+squaring). These are plain matrix products, exact up to roundoff for any
+map, normal or not. `run_states` keeps the states as the columns of a
+C-ordered (d, n + 1) array, so each product is a d x d map times a
+contiguous block of columns and any reduction over the d entries of a state
+runs along rows; it returns the transpose, an (n + 1, d) view, whose `.T`
+gives the columns back.
 """
 
 from __future__ import annotations
@@ -271,16 +273,17 @@ class Schedule:
             )
         return np.clip((times / self.cell).astype(np.intp), 0, len(self.values) - 1)
 
-    def step_cells(self, t0: float, t1: float, steps: int, index=None) -> np.ndarray:
-        """Cell of each step of the uniform grid of `steps` steps on [t0, t1],
-        or of the steps in index, by the step-to-cell rule of this module."""
-        if not self.covers(t0, t1):
+    def step_cells(self, total_time: float, steps: int, index=None) -> np.ndarray:
+        """Cell of each step of the uniform grid of `steps` steps on [0,
+        total_time], or of the steps in index, by the step-to-cell rule of
+        this module."""
+        if not self.covers(0.0, total_time):
             raise ScheduleRangeError(
-                f"schedule covers [0, {self.extent}], requested [{t0}, {t1}]"
+                f"schedule covers [0, {self.extent}], requested [0, {total_time}]"
             )
-        dt = (t1 - t0) / steps
+        dt = total_time / steps
         k = np.arange(steps) if index is None else np.asarray(index)
-        return self.cells_at(t0 + (k + 0.5) * dt)
+        return self.cells_at((k + 0.5) * dt)
 
     def value_at(self, t: float):
         return self.values[int(self.cells_at(t))]
@@ -463,13 +466,13 @@ def _pade_exponential(a: np.ndarray, degree: int, squarings: int) -> np.ndarray:
 
 
 def step_propagators(
-    generator: OperatorSchedule, t0: float, t1: float, steps: int
+    generator: OperatorSchedule, total_time: float, steps: int
 ) -> tuple[dict[int, np.ndarray], list[tuple[int, int, int]]]:
     """Per-cell maps exp(-i dt G) and the `step_runs` of the uniform grid on
-    [t0, t1]: the steps of run (start, stop, cell) apply maps[cell]. One
-    exponential per cell used."""
-    runs = step_runs(generator, t0, t1, steps)
-    return cell_maps(generator, [c for _, _, c in runs], (t1 - t0) / steps), runs
+    [0, total_time]: the steps of run (start, stop, cell) apply maps[cell].
+    One exponential per cell used."""
+    runs = step_runs(generator, total_time, steps)
+    return cell_maps(generator, [c for _, _, c in runs], total_time / steps), runs
 
 
 def cell_maps(generator: OperatorSchedule, cells, dt: float) -> dict[int, np.ndarray]:
@@ -477,10 +480,11 @@ def cell_maps(generator: OperatorSchedule, cells, dt: float) -> dict[int, np.nda
     return {c: matrix_exponential(-1j * dt * generator.values[c].entries) for c in cells}
 
 
-def step_runs(schedule: Schedule, t0: float, t1: float, steps: int) -> list[tuple[int, int, int]]:
+def step_runs(schedule: Schedule, total_time: float, steps: int) -> list[tuple[int, int, int]]:
     """(start, stop, cell) of each run of steps in one cell of the uniform
-    grid of `steps` steps on [t0, t1]: `index_runs` of the `step_cells`."""
-    return index_runs(lambda k: schedule.step_cells(t0, t1, steps, k), steps)
+    grid of `steps` steps on [0, total_time]: `index_runs` of the
+    `step_cells`."""
+    return index_runs(lambda k: schedule.step_cells(total_time, steps, k), steps)
 
 
 def index_runs(
@@ -509,56 +513,61 @@ def key_runs(keys) -> list[tuple[int, int, int]]:
     return [(a, b, int(keys[a])) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+class MapPowers:
+    """The squares M^(2^i) of a d x d map M, or of each map of a (..., d, d)
+    stack, each formed from the last one on first use."""
+
+    def __init__(self, base) -> None:
+        self.squares = [np.asarray(base, dtype=complex)]
+
+    def square(self, level: int) -> np.ndarray:
+        """M^(2^level)."""
+        while len(self.squares) <= level:
+            self.squares.append(self.squares[-1] @ self.squares[-1])
+        return self.squares[level]
+
+    def power(self, n: int) -> np.ndarray:
+        """M^n for n >= 1: the product of the squares for the bits of n,
+        lowest bit first."""
+        levels = [i for i in range(n.bit_length()) if n >> i & 1]
+        out = self.square(levels[0])
+        for i in levels[1:]:
+            out = self.square(i) @ out
+        return out
+
+    def fill(self, out: np.ndarray, a: int, b: int) -> None:
+        """Fill columns a+1..b of out, a (..., d, n) array, from column a by
+        x_{k+1} = M x_k, doubling the known columns with each square:
+        out[..., a+m : a+2m] = M^m @ out[..., a : a+m], so b - a columns
+        cost about log2(b - a) products."""
+        m, level = 1, 0
+        while True:
+            count = min(m, b - a - m + 1)
+            src = out[..., a : a + count]
+            np.matmul(self.square(level), src, out=out[..., a + m : a + m + count])
+            if a + m + count > b:
+                return
+            m, level = 2 * m, level + 1
+
+
 def run_states(maps, runs, x0) -> np.ndarray:
     """States x_0..x_n of x_{k+1} = maps[key] @ x_k for the steps k of each
     run (start, stop, key), as an (n + 1, d) array; the runs tile [0, n).
 
     The states are filled as the columns of a C-ordered (d, n + 1) array,
-    and the view returned is its transpose. Within a run the known columns
-    are advanced by the map's power by repeated squaring,
-    out[:, a+m : a+2m] = M^m @ out[:, a : a+m], so a run of length L costs
-    about log2(L) products.
+    and the view returned is its transpose. Each run is filled by
+    `MapPowers.fill`, from one table of squares per key, so a run of length
+    L costs about log2(L) products.
     """
     x0 = np.asarray(x0, dtype=complex).reshape(-1)
     out = np.empty((x0.shape[0], runs[-1][1] + 1 if runs else 1), dtype=complex)
     out[:, 0] = x0
+    powers: dict = {}
     for a, b, key in runs:
-        power = np.asarray(maps[key], dtype=complex)
-        m = 1
-        while True:
-            count = min(m, b - a - m + 1)
-            np.matmul(power, out[:, a : a + count], out=out[:, a + m : a + m + count])
-            if a + m + count > b:
-                break
-            power = power @ power
-            m *= 2
+        if key not in powers:
+            powers[key] = MapPowers(maps[key])
+        powers[key].fill(out, a, b)
     return out.T
-
-
-def time_ordered_propagator(
-    schedule: OperatorSchedule,
-    t0: float,
-    t1: float,
-    steps: int = DEFAULT_SUBSTEPS,
-) -> Operator:
-    """Time-ordered exp(-i integral of K dt) over [t0, t1].
-
-    Composes exact substep exponentials of the midpoint generator, which is
-    exact for generators constant on each substep and second-order accurate
-    for smoothly varying ones. Each run of steps in one cell contributes one
-    matrix power.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if t1 < t0:
-        raise ValueError("t1 must be >= t0")
-    total = np.eye(schedule.dim, dtype=complex)
-    if t1 == t0:
-        return Operator(total)
-    maps, runs = step_propagators(schedule, t0, t1, steps)
-    for a, b, cell in runs:
-        total = np.linalg.matrix_power(maps[cell], b - a) @ total
-    return Operator(total)
 
 
 def simpson_weights(n: int, dx: float, lo: int = 0, hi: int | None = None) -> np.ndarray:

@@ -143,7 +143,7 @@ def _pieces(lowereds, total_time: float, steps: int, span: int):
     # cells changes exactly where some point's run starts. A piece starts at
     # op 0, at the op holding such a step and at the op after it, and at a
     # shorter last op.
-    starts = {a for low in lowereds for a, _, _ in step_runs(low, 0.0, total_time, steps)}
+    starts = {a for low in lowereds for a, _, _ in step_runs(low, total_time, steps)}
     edges = {0, ops, *(a // span for a in starts), *(-(-a // span) for a in starts)}
     if steps % span:
         edges.add(ops - 1)
@@ -151,7 +151,7 @@ def _pieces(lowereds, total_time: float, steps: int, span: int):
     firsts = [range(e * span, min(e * span + span, steps)) for e in edges[:-1]]
     index = [k for first in firsts for k in first]
     splits = np.cumsum([len(first) for first in firsts])[:-1]
-    cells = [np.split(low.step_cells(0.0, total_time, steps, index), splits) for low in lowereds]
+    cells = [np.split(low.step_cells(total_time, steps, index), splits) for low in lowereds]
     pieces = [[c.tolist() for c in piece] for piece in zip(*cells)]
     return edges[:-1], np.diff(edges).tolist(), pieces
 
@@ -439,7 +439,7 @@ def _mean_path_arg(lowered, vec: np.ndarray, total_time: float, steps: int) -> f
     bra = vec.conj()
     start = vec
     total = 0.0
-    for a, b, c in step_runs(lowered, 0.0, total_time, steps):
+    for a, b, c in step_runs(lowered, total_time, steps):
         drift = np.eye(len(vec)) + dt * (-1j * lowered.values[c].k_tilde)
         drift /= np.abs(np.linalg.eigvals(drift)).max()
         cols = run_states({c: drift}, [(0, b - a, c)], start).T

@@ -376,3 +376,33 @@ def test_negative_run_seed_is_a_config_error() -> None:
     with pytest.raises(ConfigError) as err:
         _parse(DEPHASING_YAML.replace("seed: 3", "seed: -3"))
     assert err.value.path == "run.seed"
+
+
+def test_theta0_sweep_of_amplitudes_is_refused(tmp_path, capsys) -> None:
+    # A theta0 point replaces the state by a Bloch state; for amplitudes
+    # there is no phi to keep, and past dim 2 no Bloch state at all.
+    amp = 0.7071067811865476
+    text = DEPHASING_YAML.replace(
+        "initial_state: {theta: 1.5707963267948966, phi: 0.0}",
+        f"initial_state: {{amplitudes: [{amp}, [0.0, {amp}]]}}",
+    ) + "sweep: {theta0: [1.5707963267948966]}\n"
+    three_level = textwrap.dedent(
+        """
+        model:
+          dim: 3
+          hamiltonian: {matrix: [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]]}
+          lindblads: [annihilation]
+          lambda: 0.25
+        initial_state: {amplitudes: [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}
+        run: {T: 1.0, steps: 64, seed: 1}
+        sweep: {theta0: [0.5, 1.0]}
+        """
+    )
+    for source in (text, three_level):
+        with pytest.raises(ConfigError) as err:
+            list(_parse(source).sweep_points())
+        assert err.value.path == "sweep.theta0"
+        path = tmp_path / "amplitudes.yaml"
+        path.write_text(textwrap.dedent(source))
+        assert main(["nojump-phase", "--config", str(path)]) == EXIT_CONFIG == 2
+        assert "config error: sweep.theta0: needs an initial_state" in capsys.readouterr().err

@@ -98,7 +98,7 @@ def _reference_qsd_chunk(args) -> tuple:
         ]
     )[:, : steps * channels].reshape(count, steps, channels)
 
-    cells = lowered.step_cells(0.0, total_time, steps).tolist()
+    cells = lowered.step_cells(total_time, steps).tolist()
     mats = [
         (np.eye(dim) + dt * (-1j * c.k_tilde), [np.sqrt(lam) * l for l in c.channels])
         for c in lowered.values
@@ -130,7 +130,7 @@ def _exact_overlap_moments(model, shifts, vec, total_time, delta_t) -> tuple:
     Returns E<phi_0|phi_k> at every step and E|<phi_0|phi_T>|^2."""
     steps, dt = grid_steps(total_time, delta_t)
     lowered = lower_model(model, shifts)
-    cells = lowered.step_cells(0.0, total_time, steps).tolist()
+    cells = lowered.step_cells(total_time, steps).tolist()
     mean = vec.copy()
     second = np.outer(vec, vec.conj())
     means = [vec.conj() @ mean]
@@ -147,8 +147,8 @@ def _exact_overlap_moments(model, shifts, vec, total_time, delta_t) -> tuple:
 
 def _reference_step_terms(model, shifts, total_time, steps) -> list[tuple]:
     lowered = lower_model(model, shifts)
-    maps, _ = step_propagators(lowered.operators(lambda c: c.k_tilde), 0.0, total_time, steps)
-    cells = lowered.step_cells(0.0, total_time, steps).tolist()
+    maps, _ = step_propagators(lowered.operators(lambda c: c.k_tilde), total_time, steps)
+    cells = lowered.step_cells(total_time, steps).tolist()
     return [(maps[c], lowered.values[c].channels) for c in cells]
 
 
@@ -822,7 +822,7 @@ def test_jump_law_matches_the_master_equation(dim: int, count: int) -> None:
     # by the midpoint rule on each step of the fine grid.
     weights = np.array([sum(c.squares) for c in lowered.values])
     mids = 0.5 * (rhos[1:] + rhos[:-1])
-    rates = np.einsum("kij,kji->k", weights[lowered.step_cells(0.0, total, fine)], mids).real
+    rates = np.einsum("kij,kji->k", weights[lowered.step_cells(total, fine)], mids).real
     exact = model.strength * float(np.sum(rates)) * total / fine
     assert abs(res.mean_jumps - exact) <= 5 * res.mean_jumps_error
 

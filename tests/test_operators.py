@@ -33,7 +33,6 @@ from trajphase.operators import (
     run_states,
     simpson_weights,
     step_runs,
-    time_ordered_propagator,
     wrap_phase,
 )
 
@@ -282,31 +281,10 @@ def test_index_runs_merge_across_blocks(block, monkeypatch) -> None:
     assert index_runs(lambda k: keys[k], 0) == []
 
 
-def test_time_ordered_propagator_constant_is_exact() -> None:
-    h = 0.5 * pauli("z").entries
-    sched = OperatorSchedule.constant(Operator(h))
-    u = time_ordered_propagator(sched, 0.0, 2.0, steps=16)
-    want = scipy.linalg.expm(-2j * h)
-    assert np.max(np.abs(u.entries - want)) < 1e-12
-
-
-def test_time_ordered_propagator_composes_cells() -> None:
-    # Non-commuting two-cell schedule: the exact answer is the ordered product
-    # of the cell exponentials.
-    cells = [pauli("z"), pauli("x")]
-    sched = OperatorSchedule.piecewise(cells, 1.0)
-    u = time_ordered_propagator(sched, 0.0, 2.0, steps=64)
-    want = scipy.linalg.expm(-1j * cells[1].entries) @ scipy.linalg.expm(
-        -1j * cells[0].entries
-    )
-    assert np.max(np.abs(u.entries - want)) < 1e-12
-    assert np.max(np.abs(u.entries @ u.entries.conj().T - np.eye(2))) < 1e-12
-
-
-def _runs_of_step_cells(sched, t0: float, t1: float, steps: int) -> list:
+def _runs_of_step_cells(sched, total: float, steps: int) -> list:
     """(start, stop, cell) runs of the step-to-cell rule, grouped step by step."""
     runs, start = [], 0
-    for cell, group in itertools.groupby(sched.step_cells(t0, t1, steps).tolist()):
+    for cell, group in itertools.groupby(sched.step_cells(total, steps).tolist()):
         stop = start + sum(1 for _ in group)
         runs.append((start, stop, cell))
         start = stop
@@ -316,63 +294,51 @@ def _runs_of_step_cells(sched, t0: float, t1: float, steps: int) -> list:
 @pytest.mark.parametrize("seed", range(4))
 def test_step_runs_equal_the_runs_of_the_step_cells(seed) -> None:
     # Cells wider and narrower than a step, edges on and off the grid,
-    # grids that start inside the schedule or stop short of its end.
+    # grids that stop short of the schedule's end.
     rng = np.random.default_rng(seed)
     for _ in range(200):
         count = int(rng.integers(1, 12))
         cell = float(rng.choice([1.0, 0.5, 1 / 3, 0.07, 0.013]))
         sched = ScalarSchedule.piecewise(list(rng.integers(0, 3, count)), cell)
-        t0, t1 = sorted(rng.uniform(0.0, count * cell, 2))
-        if rng.random() < 0.5:
-            t0, t1 = 0.0, count * cell
+        total = count * cell if rng.random() < 0.5 else float(rng.uniform(0.0, count * cell))
         steps = int(rng.choice([1, 2, 3, int(rng.integers(1, 5000))]))
-        assert step_runs(sched, t0, t1, steps) == _runs_of_step_cells(sched, t0, t1, steps)
+        assert step_runs(sched, total, steps) == _runs_of_step_cells(sched, total, steps)
 
-    def check(count: int, cell: float, t0: float, t1: float, steps: int) -> None:
+    def check(count: int, cell: float, total: float, steps: int) -> None:
         sched = ScalarSchedule.piecewise(list(rng.integers(0, 3, count)), cell)
-        t1 = min(t1, sched.extent)
-        assert step_runs(sched, t0, t1, steps) == _runs_of_step_cells(sched, t0, t1, steps)
+        total = min(total, sched.extent)
+        assert step_runs(sched, total, steps) == _runs_of_step_cells(sched, total, steps)
 
-    # Up to 10^6 steps, from t0 = 0 and from inside the first cells.
+    # Up to 10^6 steps, to the schedule's end and short of it.
     for steps in (10**4, 999_983, 10**6):
         count = int(rng.integers(2, 64))
         cell = float(rng.choice([1.0, 1 / 3, 0.07]))
-        for t0 in (0.0, float(rng.uniform(0.0, 2 * cell))):
-            check(count, cell, t0, count * cell, steps)
-    # Cell edges exactly on grid nodes (cell = m dt, t0 = j dt > 0) and on
-    # step midpoints (cell = (m + 1/2) dt).
+        for total in (count * cell, float(rng.uniform(0.5, 1.0)) * count * cell):
+            check(count, cell, total, steps)
+    # Cell edges exactly on grid nodes (cell = m dt) and on step midpoints
+    # (cell = (m + 1/2) dt), on grids short of the end and to it.
     for m in (1, 2, 3, 7, 64):
         for dt in (0.1, 1 / 3, 2.0**-10, float(rng.uniform(1e-3, 1.0))):
             for cell in (m * dt, (m + 0.5) * dt):
                 count = int(rng.integers(2, 40))
                 steps = int(count * cell / dt) - 2
-                j = int(rng.integers(1, 3))
-                check(count, cell, j * dt, (j + steps) * dt, steps)
-                check(count, cell, 0.0, count * cell, int(count * cell / dt))
+                check(count, cell, steps * dt, steps)
+                check(count, cell, count * cell, int(count * cell / dt))
     # Cells narrower than a step: some hold no step and share a start.
     for ratio in (1.5, 2.0, 3.0, 7.3, 100.0):
         for steps in (2, 5, 17, 1000):
             dt = 0.01
             count = math.ceil(steps * ratio) + 1
-            t0 = float(rng.uniform(0.0, dt))
-            check(count, dt / ratio, t0, t0 + steps * dt, steps)
+            check(count, dt / ratio, steps * dt, steps)
 
     constant = ScalarSchedule.constant(1.0)
-    assert step_runs(constant, 0.0, 2.0, 10) == [(0, 10, 0)]
+    assert step_runs(constant, 2.0, 10) == [(0, 10, 0)]
+    # A grid past the schedule's end is refused.
+    with pytest.raises(ScheduleRangeError, match=r"requested \[0, 3.0\]"):
+        step_runs(ScalarSchedule.piecewise([1.0], 1.0), 3.0, 10)
     # No runs propagate no step.
     x0 = np.array([1.0, 2.0j])
     assert np.array_equal(run_states({}, [], x0), x0[np.newaxis, :])
-
-
-def test_time_ordered_propagator_validation() -> None:
-    sched = OperatorSchedule.piecewise([pauli("z")], 1.0)
-    with pytest.raises(ScheduleRangeError):
-        time_ordered_propagator(sched, 0.0, 3.0)
-    with pytest.raises(ValueError):
-        time_ordered_propagator(sched, 1.0, 0.0)
-    assert np.allclose(
-        time_ordered_propagator(sched, 0.5, 0.5).entries, np.eye(2)
-    )
 
 
 def test_identity_helper() -> None:

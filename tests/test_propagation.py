@@ -1,10 +1,11 @@
 """Run-based propagation against step-by-step reference loops.
 
-`operators.run_states`, `jump.propagate_no_jump`, `lindblad.evolve_states`
-and `operators.time_ordered_propagator` advance runs of steps in one cell by
-powers of the cell's map. These tests compare them with the plain per-step
-products they replace, on seeded random non-normal generators and on grids
-whose steps do not line up with the cells.
+`operators.MapPowers` forms the powers of a step map, or of a stack of
+them, by repeated squaring; `operators.run_states`, `jump.propagate_no_jump`
+and `lindblad.evolve_states` advance runs of steps in one cell with them.
+These tests compare them with the plain per-step products they replace, on
+seeded random non-normal generators and on grids whose steps do not line up
+with the cells.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from trajphase import (
     no_jump_geometric_phases,
     pauli,
     propagate_no_jump,
-    time_ordered_propagator,
 )
 from trajphase.lindblad import (
     POSITIVITY_HARD_TOL,
@@ -46,6 +46,7 @@ from trajphase.lindblad import (
 )
 from trajphase.jump import BRANCH_EPS, MAX_GRID_DOUBLINGS, _flag_calm_steps, _flag_crossings
 from trajphase.operators import (
+    MapPowers,
     ScalarSchedule,
     key_runs,
     run_states,
@@ -96,10 +97,10 @@ def test_run_states_matches_step_loop(seed) -> None:
     # A prime step count never lines up with the cells.
     steps = int(rng.choice([97, 211, 331]))
     sched = _random_schedule(rng, dim, cells, total)
-    maps, runs = step_propagators(sched, 0.0, total, steps)
+    maps, runs = step_propagators(sched, total, steps)
     x0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     got = run_states(maps, runs, x0)
-    want = _loop_states(maps, sched.step_cells(0.0, total, steps).tolist(), x0)
+    want = _loop_states(maps, sched.step_cells(total, steps).tolist(), x0)
     assert got.shape == (steps + 1, dim)
     assert np.max(_relative_errors(got, want)) <= STATE_RTOL
 
@@ -144,6 +145,40 @@ def test_run_states_at_run_length_edges(dim) -> None:
     assert got.shape == (1, dim)
     assert np.array_equal(got[0], x0)
 
+    # The same run lengths on a (G, d, d) stack of the maps, from column 3:
+    # each point against its 2-D fill and the step loop. Columns outside
+    # 3..3+n stay untouched.
+    starts = np.stack([x0, x0.conj(), 2j * x0])
+    for n in RUN_LENGTHS:
+        cols = np.full((len(maps), dim, n + 5), np.nan, dtype=complex)
+        cols[:, :, 3] = starts
+        MapPowers(np.stack(maps)).fill(cols, 3, 3 + n)
+        assert np.isnan(cols[:, :, :3]).all() and np.isnan(cols[:, :, 4 + n :]).all()
+        for g, point in enumerate(maps):
+            alone = np.empty((dim, n + 1), dtype=complex)
+            alone[:, 0] = starts[g]
+            MapPowers(point).fill(alone, 0, n)
+            got = cols[g, :, 3 : 4 + n].T
+            assert np.max(_relative_errors(got, alone.T)) <= STATE_RTOL
+            want = _loop_states(maps, [g] * n, starts[g])
+            assert np.max(_relative_errors(got, want)) <= STATE_RTOL
+
+
+def test_map_powers_equal_explicit_products() -> None:
+    # A Jordan block, a random non-normal map and a (G, d, d) stack.
+    rng = np.random.default_rng(60)
+    jordan = np.array([[0.99, 1.0], [0.0, 0.99]], dtype=complex)
+    general = scipy.linalg.expm(-0.05j * _no_jump_like(rng, 3))
+    stack = np.stack([scipy.linalg.expm(-0.05j * _no_jump_like(rng, 2)) for _ in range(4)])
+    for base in (jordan, general, stack):
+        powers = MapPowers(base)
+        want = np.broadcast_to(np.eye(base.shape[-1], dtype=complex), base.shape)
+        for n in range(1, 71):
+            want = base @ want
+            got = powers.power(n)
+            assert got.shape == base.shape
+            assert np.max(np.abs(got - want)) <= PRODUCT_RTOL * np.max(np.abs(want))
+
 
 @pytest.mark.parametrize("seed", range(4))
 def test_propagate_no_jump_matches_step_loop(seed) -> None:
@@ -152,8 +187,8 @@ def test_propagate_no_jump_matches_step_loop(seed) -> None:
     sched = _random_schedule(rng, dim, int(rng.integers(1, 17)), 3.0)
     psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     record = propagate_no_jump(sched, psi0, 3.0, steps=1000)
-    maps, _ = step_propagators(sched, 0.0, 3.0, 1000)
-    want = _loop_states(maps, sched.step_cells(0.0, 3.0, 1000).tolist(), psi0)
+    maps, _ = step_propagators(sched, 3.0, 1000)
+    want = _loop_states(maps, sched.step_cells(3.0, 1000).tolist(), psi0)
     assert np.max(_relative_errors(record.states, want)) <= STATE_RTOL
 
 
@@ -189,8 +224,8 @@ def _reference_tracked_phase(model, shifts, psi0, total, steps) -> dict:
     herm = lowered.operators(lambda c: c.k)
     attempt = steps
     for _ in range(MAX_GRID_DOUBLINGS):
-        maps, _ = step_propagators(gen, 0.0, total, attempt)
-        states = _loop_states(maps, gen.step_cells(0.0, total, attempt).tolist(), psi0)
+        maps, _ = step_propagators(gen, total, attempt)
+        states = _loop_states(maps, gen.step_cells(total, attempt).tolist(), psi0)
         overlaps = [complex(np.vdot(psi0, s)) for s in states]
         norms = [float(np.linalg.norm(s)) for s in states]
         crossing = [abs(z) / (norms[0] * n) < BRANCH_EPS for z, n in zip(overlaps, norms)]
@@ -446,21 +481,6 @@ def test_crossing_and_calm_tests_decide_as_abs_and_arctan2() -> None:
     assert np.abs(increments[0, 0]) <= 0.5 * math.pi
     calm = _flag_calm_steps(turn, increments, increments.sum(axis=1), np.empty((1, 1), bool))
     assert not calm[0, 0]
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_time_ordered_propagator_matches_explicit_product(seed) -> None:
-    rng = np.random.default_rng(200 + seed)
-    dim = int(rng.integers(2, 5))
-    sched = _random_schedule(rng, dim, int(rng.integers(2, 9)), 2.0)
-    t0, t1, steps = 0.13, 1.91, 173
-    dt = (t1 - t0) / steps
-    want = np.eye(dim, dtype=complex)
-    for k in range(steps):
-        mid = t0 + (k + 0.5) * dt
-        want = scipy.linalg.expm(-1j * dt * sched.value_at(mid).entries) @ want
-    got = time_ordered_propagator(sched, t0, t1, steps=steps).entries
-    assert np.max(np.abs(got - want)) <= PRODUCT_RTOL * np.max(np.abs(want))
 
 
 def _superoperator(model, t, dim):

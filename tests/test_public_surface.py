@@ -79,7 +79,6 @@ EXPORTS = [
     "shift_is_hidden",
     "shifted_hamiltonian",
     "shifted_no_jump_hamiltonian",
-    "time_ordered_propagator",
     "wrap_phase",
     "zero_point_shift",
 ]

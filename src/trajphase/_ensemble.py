@@ -34,6 +34,14 @@ def trajectory_seeds(seed: int, count: int) -> list[TrajectoryStream]:
     return trajectory_streams(seed, count)
 
 
+def trajectory_words(seed: int, count: int) -> np.ndarray:
+    """The (count, 4) uint64 PCG64 seed words of trajectories 0..count-1,
+    those of `trajectory_seeds` as one array, for `_streams.PCG64Rows`."""
+    from ._streams import trajectory_words
+
+    return trajectory_words(seed, count)
+
+
 def chunked(items: Sequence[_T], chunk_size: int) -> list[Sequence[_T]]:
     """Consecutive slices of chunk_size items, the last one possibly shorter."""
     if chunk_size < 1:

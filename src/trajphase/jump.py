@@ -42,8 +42,8 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from ._ensemble import chunked, grid_steps, map_ordered, sampling_grid, trajectory_seeds
-from ._ensemble import mean_and_error
+from ._ensemble import chunked, grid_steps, map_ordered, mean_and_error, sampling_grid
+from ._ensemble import trajectory_words
 from .lindblad import (
     DensityMatrix,
     LindbladModel,
@@ -72,6 +72,7 @@ from .operators import (
 )
 
 # Unused here; bench/tracing.py wraps these names on this module.
+from ._ensemble import trajectory_seeds  # noqa: F401
 from .lindblad import apply_shift, shifted_hamiltonian  # noqa: F401
 from .operators import combine_schedules  # noqa: F401
 
@@ -91,7 +92,7 @@ STACK_BYTES = 5 * 2**17
 # 303-point fig1 sweep, floors of 128 and 256 columns ran about 1.8 times as
 # fast as one stack of 14-column windows; 32, 64 and 512 were slower.
 MIN_WINDOW = 128
-# (r, u) pairs drawn per generator call; a trajectory takes one per jump, plus one.
+# (r, u) pairs a trajectory draws at a time; it takes one per jump, plus one.
 PAIR_BLOCK = 8
 
 
@@ -627,24 +628,6 @@ def _warn_if_crude(strength_dt: float) -> None:
         warnings.warn(f"strength * delta_t above 0.1; {message}", RuntimeWarning, stacklevel=3)
 
 
-class _Pairs:
-    """Each column's (r, u) pairs in order, drawn from its own generator
-    PAIR_BLOCK at a time; draws are sequential, so the block is not seen."""
-
-    def __init__(self, generators):
-        self.fills = [g.random for g in generators]
-        self.block = np.empty((len(generators), PAIR_BLOCK, 2))
-        self.used = np.full(len(generators), PAIR_BLOCK)
-
-    def take(self, cols: np.ndarray) -> np.ndarray:
-        """The next pair of each column in cols, as the rows r and u."""
-        for c in cols[self.used[cols] == self.block.shape[1]].tolist():
-            self.fills[c](out=self.block[c])
-            self.used[c] = 0
-        self.used[cols] += 1
-        return self.block[cols, self.used[cols] - 1].T
-
-
 class _JumpSampler:
     """The waiting-time law of this module for the columns of a (d, N) array.
 
@@ -654,7 +637,11 @@ class _JumpSampler:
     the run's no-jump map, each key's `MapPowers`: from the highest a run
     of its length can take down, a column takes a power that stays in the
     run and keeps ||psi~||^2 at or above r. The norm never grows, so this
-    finds the last grid point above r; no map is inverted."""
+    finds the last grid point above r; no map is inverted.
+
+    Column i draws its (r, u) pairs from row i of a `_streams.PCG64Rows`,
+    PAIR_BLOCK pairs at a time, as `Generator.random` of its stream would
+    give them; only exhausted columns are refilled, all in one draw."""
 
     def __init__(self, model, shifts, total_time: float, steps: int):
         lowered = lower_model(model, shifts)
@@ -691,15 +678,27 @@ class _JumpSampler:
         out /= np.sqrt(_squared_norms(out))
         return out, chan, total
 
-    def run(self, x: np.ndarray, pairs: _Pairs, events: Optional[list] = None) -> np.ndarray:
+    def run(self, x: np.ndarray, rows, events: Optional[list] = None) -> np.ndarray:
         """Take the normalized columns of x through the grid in place, to
-        the unnormalized psi~ at T, and return their jump counts; events, if
-        given, collects (column, step, channel) of every jump. A refused jump
-        raises once its run is swept, naming the earliest such step of all
-        columns and the largest total there."""
+        the unnormalized psi~ at T, drawing from rows, and return their jump
+        counts; events, if given, collects (column, step, channel) of every
+        jump. A refused jump raises once its run is swept, naming the
+        earliest such step of all columns and the largest total there."""
         jumps = np.zeros(x.shape[1], dtype=np.int64)
         pos = np.zeros(x.shape[1], dtype=np.intp)
-        r, u = pairs.take(np.arange(x.shape[1]))
+        pairs = np.empty((x.shape[1], PAIR_BLOCK, 2))
+        used = np.full(x.shape[1], PAIR_BLOCK)
+
+        def draw(cols: np.ndarray) -> np.ndarray:
+            """The next pair of each column in cols, as the rows r and u."""
+            empty = cols[used[cols] == PAIR_BLOCK]
+            if empty.size:
+                pairs[empty] = rows.doubles(empty, 2 * PAIR_BLOCK).reshape(-1, PAIR_BLOCK, 2)
+                used[empty] = 0
+            used[cols] += 1
+            return pairs[cols, used[cols] - 1].T
+
+        r, u = draw(np.arange(x.shape[1]))
         for a, b, key in self.runs:
             powers, refused, stop = self.powers[key], None, b
             while (live := np.flatnonzero(pos < stop)).size:
@@ -724,7 +723,7 @@ class _JumpSampler:
                     if events is not None:
                         events += zip(*(v[fired].tolist() for v in (cols, step, chan)))
                     ks[hit] += 1
-                    r[cols], u[cols] = pairs.take(cols)
+                    r[cols], u[cols] = draw(cols)
                 x[:, live] = xs
                 pos[live] = ks
             if refused is not None:
@@ -743,37 +742,54 @@ def sample_jump_trajectory(
     rng: np.random.Generator,
     shifts: Optional[ShiftSet] = None,
 ) -> TrajectoryRecord:
-    """One trajectory of the jump unraveling, drawn from rng in blocks of
-    PAIR_BLOCK (r, u) pairs by the sampler of `average_jump_ensemble`: with
-    np.random.default_rng of trajectory i's stream it is trajectory i.
-    The normalized grid states between jumps come from `run_states`.
+    """One trajectory of the jump unraveling by the sampler of
+    `average_jump_ensemble`, drawn from rng's PCG64 in blocks of PAIR_BLOCK
+    (r, u) pairs: with np.random.default_rng of trajectory i's stream it is
+    trajectory i. rng is left advanced by the blocks drawn, as if by
+    `rng.random`; a Generator on any other bit generator raises TypeError.
+    The normalized grid states between jumps are filled from the sampler's
+    own powers of each run's no-jump map.
     """
+    from ._streams import PCG64Rows
+
     steps, dt = sampling_grid(total_time, delta_t)
     _warn_if_crude(model.strength * dt)
     vec = unit_vector(state_vector(psi0, model.dim))
+    rows = PCG64Rows.of(rng)
     sampler = _JumpSampler(model, shifts, total_time, steps)
     found: list = []
-    sampler.run(vec[:, np.newaxis].copy(), _Pairs([rng]), found)
-    keys = np.concatenate([np.full(b - a, key) for a, b, key in sampler.runs])
+    try:
+        sampler.run(vec[:, np.newaxis].copy(), rows, found)
+    finally:
+        rows.store(rng)
     cols = np.empty((model.dim, steps + 1), dtype=complex)
-    start, x = 0, vec
-    for _, k, m in found:
-        cols[:, start : k + 1] = run_states(sampler.maps, key_runs(keys[start:k]), x).T
-        x = sampler.stacks[keys[k]][m] @ cols[:, k]
-        start = k + 1
-    cols[:, start:] = run_states(sampler.maps, key_runs(keys[start:]), x).T
+    cols[:, 0] = vec
+    pending = iter(found)
+    event = next(pending, None)
+    for a, b, key in sampler.runs:
+        powers = sampler.powers[key]
+        while event is not None and event[1] < b:
+            _, k, m = event
+            powers.fill(cols, a, k)
+            cols[:, k + 1] = sampler.stacks[key][m] @ cols[:, k]
+            a, event = k + 1, next(pending, None)
+        powers.fill(cols, a, b)
     cols /= np.sqrt(_squared_norms(cols))
     events = tuple(JumpEvent(time=k * dt, channel=m) for _, k, m in found)
     return TrajectoryRecord(np.arange(steps + 1) * dt, cols.T, events, float(not events))
 
 
 def _ensemble_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    """A chunk's normalized (d, N) states at T and its (N,) jump counts."""
-    model, shifts, vec, total_time, delta_t, streams = args
+    """A chunk's normalized (d, N) states at T and its (N,) jump counts,
+    trajectory i drawing from the PCG64 seeded by row i of the chunk's
+    (N, 4) seed words."""
+    from ._streams import PCG64Rows
+
+    model, shifts, vec, total_time, delta_t, words = args
     steps, _ = grid_steps(total_time, delta_t)
-    x = np.repeat(vec[:, np.newaxis], len(streams), axis=1)
+    x = np.repeat(vec[:, np.newaxis], len(words), axis=1)
     sampler = _JumpSampler(model, shifts, total_time, steps)
-    jumps = sampler.run(x, _Pairs([np.random.default_rng(s) for s in streams]))
+    jumps = sampler.run(x, PCG64Rows.seeded(words))
     return x / np.sqrt(_squared_norms(x)), jumps
 
 
@@ -801,10 +817,10 @@ def average_jump_ensemble(
     vec = unit_vector(state_vector(psi0, model.dim))
     _, dt = sampling_grid(total_time, delta_t)
     _warn_if_crude(model.strength * dt)
-    seeds = trajectory_seeds(seed, n_trajectories)
+    words = trajectory_words(seed, n_trajectories)
     jobs = [
-        (model, shifts, vec, total_time, delta_t, streams)
-        for streams in chunked(seeds, chunk_size)
+        (model, shifts, vec, total_time, delta_t, block)
+        for block in chunked(words, chunk_size)
     ]
     x, jump_counts = (np.concatenate(c, axis=-1) for c in zip(*map_ordered(_ensemble_chunk, jobs)))
     # The (d, d, n) stack of |psi><psi|, reduced in place.

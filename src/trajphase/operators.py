@@ -476,8 +476,14 @@ def step_propagators(
 
 
 def cell_maps(generator: OperatorSchedule, cells, dt: float) -> dict[int, np.ndarray]:
-    """The step map exp(-i dt G_c) of each cell c in cells."""
-    return {c: matrix_exponential(-1j * dt * generator.values[c].entries) for c in cells}
+    """The step map exp(-i dt G_c) of each cell c in cells, from one
+    `matrix_exponential` of the distinct cells' stack; each map has the bits
+    of its cell's exponential alone."""
+    cells = list(dict.fromkeys(cells))
+    if not cells:
+        return {}
+    stack = np.stack([generator.values[c].entries for c in cells])
+    return dict(zip(cells, matrix_exponential(-1j * dt * stack)))
 
 
 def step_runs(schedule: Schedule, total_time: float, steps: int) -> list[tuple[int, int, int]]:

@@ -17,19 +17,20 @@ import pytest
 
 import trajphase.jump as jump
 import trajphase.qsd as qsd
-from trajphase._ensemble import grid_steps, mean_and_error, trajectory_seeds
+from trajphase._ensemble import grid_steps, mean_and_error, trajectory_seeds, trajectory_words
+from trajphase._streams import PCG64Rows
 from trajphase.dephasing import dephasing_model
 from trajphase.jump import (
     StepSizeError,
     _ensemble_chunk,
     _JumpSampler,
-    _Pairs,
     average_jump_ensemble,
     sample_jump_trajectory,
 )
 from trajphase.lindblad import DensityMatrix, LindbladModel, ShiftSet, evolve_states, lower_model
 from trajphase.operators import (
     BlochAngles,
+    MapPowers,
     Operator,
     OperatorSchedule,
     ScalarSchedule,
@@ -222,12 +223,18 @@ def _random_state(dim: int, rng) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _job(dim: int, count: int, strength: float, trajectories: int, seed: int):
+def _model_job(dim: int, count: int, strength: float, seed: int) -> tuple:
+    """A random model, shifts and state, the head of an ensemble chunk job."""
     rng = np.random.default_rng(seed)
     model = _random_model(dim, count, strength, rng)
     shifts = _random_shifts(count, rng)
-    vec = _random_state(dim, rng)
-    return (model, shifts, vec, CELLS * CELL, 1e-2, trajectory_seeds(seed, trajectories))
+    return model, shifts, _random_state(dim, rng), CELLS * CELL, 1e-2
+
+
+def _job(dim: int, count: int, strength: float, trajectories: int, seed: int):
+    """A QSD chunk job: a random model and the streams of its trajectories."""
+    head = _model_job(dim, count, strength, seed)
+    return head + (trajectory_seeds(seed, trajectories),)
 
 
 def _relative_gap(got, want) -> float:
@@ -683,31 +690,38 @@ def pair_block(request, monkeypatch):
     return request.param
 
 
-def _generators(streams) -> list:
-    return [np.random.default_rng(s) for s in streams]
+def _generators(seed: int, count: int) -> list:
+    """The reference draws: NumPy's own Generators of the first count
+    children of SeedSequence(seed), which the chunks' PCG64 rows must
+    reproduce."""
+    return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(count)]
+
+
+def _jump_job(head: tuple, seed: int, count: int) -> tuple:
+    """A jump chunk job: head and the seed words of count trajectories."""
+    return head + (trajectory_words(seed, count),)
 
 
 def _chunk_events(args) -> list:
     """(trajectory, step, channel) of every jump of a chunk's sampler run,
     in trajectory and time order."""
-    model, shifts, vec, total_time, delta_t, streams = args
+    model, shifts, vec, total_time, delta_t, words = args
     sampler = _JumpSampler(model, shifts, total_time, grid_steps(total_time, delta_t)[0])
     events = []
-    x = np.repeat(vec[:, np.newaxis], len(streams), axis=1)
-    sampler.run(x, _Pairs(_generators(streams)), events)
+    x = np.repeat(vec[:, np.newaxis], len(words), axis=1)
+    sampler.run(x, PCG64Rows.seeded(words), events)
     return sorted(events)
 
 
 @pytest.mark.parametrize("dim,count", SIZES)
 def test_jump_chunk_matches_reference_loop(dim: int, count: int, pair_block) -> None:
-    args = _job(dim, count, 0.4, 40, 400 + 10 * dim + count)
-    model, shifts, vec, total_time, delta_t, streams = args
+    seed = 400 + 10 * dim + count
+    head = _model_job(dim, count, 0.4, seed)
+    args = _jump_job(head, seed, 40)
     x, jumps = _ensemble_chunk(args)
-    paths, events, message = _reference_jump_law(
-        model, shifts, vec, total_time, delta_t, _generators(streams)
-    )
+    paths, events, message = _reference_jump_law(*head, _generators(seed, 40))
     assert message is None
-    want = np.bincount([n for n, _, _ in events], minlength=len(streams)).astype(np.int64)
+    want = np.bincount([n for n, _, _ in events], minlength=40).astype(np.int64)
     assert jumps.tobytes() == want.tobytes()
     assert jumps.max() >= 2
     assert np.array(_chunk_events(args)).tobytes() == np.array(events).tobytes()
@@ -746,7 +760,7 @@ def test_sampled_trajectories_are_the_ensemble_trajectories() -> None:
     vec = _random_state(3, rng)
     seeds = trajectory_seeds(11, 24)
     res = average_jump_ensemble(model, vec, CELLS * CELL, 1e-2, 24, 11, shifts, chunk_size=10)
-    events = _chunk_events((model, shifts, vec, CELLS * CELL, 1e-2, seeds))
+    events = _chunk_events(_jump_job((model, shifts, vec, CELLS * CELL, 1e-2), 11, 24))
     dt = grid_steps(CELLS * CELL, 1e-2)[1]
     for i, stream in enumerate(seeds):
         record = sample_jump_trajectory(
@@ -758,11 +772,45 @@ def test_sampled_trajectories_are_the_ensemble_trajectories() -> None:
     assert res.jump_counts.sum() > 24
 
 
-def _step_size_messages(args) -> tuple[str, str]:
+def test_sampled_trajectory_forms_no_square_the_sampler_did_not(monkeypatch) -> None:
+    # The grid states between jumps are filled from the sampler's own
+    # powers: a trajectory with many jumps (the dephasing qubit, 48 jumps)
+    # and one on three cells of a random model form exactly the squares
+    # the sampler's own run forms.
+    formed = []
+    square = MapPowers.square
+
+    def counted(self, level: int) -> np.ndarray:
+        before = len(self.squares)
+        out = square(self, level)
+        formed.append(len(self.squares) - before)
+        return out
+
+    monkeypatch.setattr(MapPowers, "square", counted)
+    rng = np.random.default_rng(8)
+    model = _random_model(3, 2, 2.0, rng)
+    cases = [
+        (dephasing_model(1.0, 2.0), None, np.array([1.0, 1.0j]) / np.sqrt(2.0), 20.0, 1e-3),
+        (model, _random_shifts(2, rng), _random_state(3, rng), CELLS * CELL, 1e-3),
+    ]
+    for model, shifts, vec, total_time, delta_t in cases:
+        steps = grid_steps(total_time, delta_t)[0]
+        sampler = _JumpSampler(model, shifts, total_time, steps)
+        formed.clear()
+        sampler.run(vec[:, np.newaxis].copy(), PCG64Rows.of(np.random.default_rng(1)))
+        by_sampler = sum(formed)
+        formed.clear()
+        record = sample_jump_trajectory(
+            model, vec, total_time, delta_t, np.random.default_rng(1), shifts
+        )
+        assert sum(formed) == by_sampler, (len(record.jumps), by_sampler)
+        assert len(record.jumps) >= 4
+
+
+def _step_size_messages(head: tuple, seed: int, count: int) -> tuple[str, str]:
     with pytest.raises(StepSizeError) as got:
-        _ensemble_chunk(args)
-    model, shifts, vec, total_time, delta_t, streams = args
-    _, _, want = _reference_jump_law(model, shifts, vec, total_time, delta_t, _generators(streams))
+        _ensemble_chunk(_jump_job(head, seed, count))
+    _, _, want = _reference_jump_law(*head, _generators(seed, count))
     return str(got.value), want
 
 
@@ -770,7 +818,7 @@ def test_step_size_error_keeps_message_and_step(pair_block) -> None:
     vec = np.asarray(EQUATOR.amplitudes)
     # A shift so large that the first step already fails.
     strong = (dephasing_model(1.0, 1.0), ShiftSet.constants([30.0]), vec, 0.5, 1e-2)
-    got, want = _step_size_messages(strong + (trajectory_seeds(0, 4),))
+    got, want = _step_size_messages(strong, 0, 4)
     assert got == want
     assert "at step 0;" in got
     # A channel that only becomes strong in the last of three cells, so the
@@ -778,8 +826,7 @@ def test_step_size_error_keeps_message_and_step(pair_block) -> None:
     zero = Operator(np.zeros((2, 2)))
     channel = OperatorSchedule.piecewise([0.3 * pauli("x"), zero, 6 * pauli("z")], 0.5)
     model = LindbladModel(OperatorSchedule.constant(pauli("z")), (channel,), 3.0)
-    late = (model, None, vec, 1.5, 1e-2, trajectory_seeds(2, 8))
-    got, want = _step_size_messages(late)
+    got, want = _step_size_messages((model, None, vec, 1.5, 1e-2), 2, 8)
     assert got == want
     assert "at step 100;" in got
     # A qubit driven into a strongly monitored level: a second jump can be
@@ -788,7 +835,7 @@ def test_step_size_error_keeps_message_and_step(pair_block) -> None:
     model = LindbladModel(30 * pauli("x"), (Operator(np.diag([0.0, 1.0])),), 15.0)
     pole = np.array([1.0, 0.0], dtype=complex)
     for seed in range(12):
-        got, want = _step_size_messages((model, None, pole, 2.0, 0.1, trajectory_seeds(seed, 8)))
+        got, want = _step_size_messages((model, None, pole, 2.0, 0.1), seed, 8)
         assert got == want
 
 
@@ -797,8 +844,9 @@ def test_a_state_no_channel_acts_on_steps_on_without_a_jump() -> None:
     # towards |1> within a step, so the no-jump norm can fall below r over a
     # step that starts at |0>: such a trajectory takes the no-jump step.
     model = LindbladModel(pauli("x"), (Operator(np.array([[0.0, 1.0], [0.0, 0.0]])),), 1.0)
-    args = (model, None, np.array([1.0, 0.0], dtype=complex), 5.0, 0.5, trajectory_seeds(3, 40))
-    paths, events, message = _reference_jump_law(*args[:5], _generators(args[5]))
+    head = (model, None, np.array([1.0, 0.0], dtype=complex), 5.0, 0.5)
+    args = _jump_job(head, 3, 40)
+    paths, events, message = _reference_jump_law(*head, _generators(3, 40))
     assert message is None
     x, jumps = _ensemble_chunk(args)
     assert np.array(_chunk_events(args)).tobytes() == np.array(events).tobytes()
@@ -830,7 +878,7 @@ def test_jump_law_matches_the_master_equation(dim: int, count: int) -> None:
 def _jump_chunk_peak_bytes(total_time: float) -> int:
     rng = np.random.default_rng(9)
     model = _random_model(4, 2, 0.4, rng)
-    args = (model, None, _random_state(4, rng), total_time, 1e-3, trajectory_seeds(1, 256))
+    args = _jump_job((model, None, _random_state(4, rng), total_time, 1e-3), 1, 256)
     tracemalloc.start()
     try:
         _ensemble_chunk(args)

@@ -22,6 +22,7 @@ from trajphase.operators import (
     bloch_angles,
     bloch_path,
     bloch_state,
+    cell_maps,
     combine_schedules,
     commutator,
     identity,
@@ -230,6 +231,31 @@ def test_matrix_exponential_of_a_stack_equals_each_alone() -> None:
     a[7, 1, 2] = np.nan
     with pytest.raises(ValueError):
         matrix_exponential(a)
+
+
+def test_cell_maps_equal_each_cells_exponential_byte_for_byte() -> None:
+    # Cells whose step generators take every Pade degree and up to six
+    # squarings, asked for out of order and with repeats: one stacked
+    # exponential gives each map the bits of its cell's alone.
+    rng = np.random.default_rng(14)
+    dt = 0.37
+    norms = [1e-3, 0.2, 0.8, 2.0, 5.0, 30.0, 300.0]
+    values = []
+    for norm in norms:
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        values.append(Operator(g * norm / (dt * np.abs(g).sum(axis=0).max())))
+    schedule = OperatorSchedule.piecewise(values, 0.5)
+    cells = [4, 0, 6, 4, 1, 3, 5, 2, 0]
+    maps = cell_maps(schedule, cells, dt)
+    assert list(maps) == [4, 0, 6, 1, 3, 5, 2]
+    choices = set()
+    for c, got in maps.items():
+        step = -1j * dt * schedule.values[c].entries
+        choices.add(trajphase.operators._pade_choice(float(np.abs(step).sum(axis=0).max())))
+        assert got.tobytes() == matrix_exponential(step).tobytes()
+    assert {m for m, _ in choices} == {3, 5, 7, 9, 13}
+    assert max(s for _, s in choices) >= 6
+    assert cell_maps(schedule, [], dt) == {}
 
 
 @pytest.mark.parametrize("dx", [1e-3, 0.1, 2 * math.pi / 4097, 1.0, 7.5])

@@ -1,6 +1,9 @@
 """Trajectory streams against NumPy's own `SeedSequence.spawn`: seed words,
 first draws, the fallback for other state requests, pickling, refusals,
-and the import path that leaves `numpy.random` and the worker pool out."""
+and the import path that leaves `numpy.random` and the worker pool out.
+The PCG64 rows of the jump ensemble against NumPy's `PCG64` and
+`Generator.random`, and the Generator state `sample_jump_trajectory`
+leaves."""
 
 from __future__ import annotations
 
@@ -14,8 +17,10 @@ import numpy as np
 import pytest
 
 import trajphase
-from trajphase._ensemble import trajectory_seeds
-from trajphase._streams import TrajectoryStream
+from trajphase._ensemble import trajectory_seeds, trajectory_words
+from trajphase._streams import PCG64Rows, TrajectoryStream
+from trajphase.dephasing import dephasing_model
+from trajphase.jump import PAIR_BLOCK, sample_jump_trajectory
 
 SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3]
 
@@ -94,3 +99,64 @@ def test_import_leaves_numpy_random_and_the_worker_pool_unloaded() -> None:
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pcg64_rows_draw_what_numpy_draws(seed: int) -> None:
+    # Draws of 1, 2, a block, a block and one, and 100 in a row, then a
+    # draw of every third row alone: each row's words are PCG64.random_raw
+    # and its doubles Generator.random of its stream, bit for bit.
+    count = 10**4
+    counts = [1, 2, 2 * PAIR_BLOCK, 2 * PAIR_BLOCK + 1, 100]
+    total = sum(counts)
+    words = trajectory_words(seed, count)
+    streams = trajectory_seeds(seed, count)
+    assert np.array_equal(words, np.stack([s.generate_state(4, np.uint64) for s in streams]))
+    every = np.arange(count)
+    for kind in ("raw", "doubles"):
+        rows = PCG64Rows.seeded(words)
+        draw = getattr(rows, kind)
+        got = np.concatenate([draw(every, n) for n in counts], axis=1)
+        third = draw(every[::3], 5)
+        after = draw(every, 1)
+        if kind == "raw":
+            want = np.stack([np.random.PCG64(s).random_raw(total + 6) for s in streams])
+        else:
+            want = np.stack([np.random.default_rng(s).random(total + 6) for s in streams])
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want[:, :total].tobytes()
+        assert third.tobytes() == want[::3, total : total + 5].tobytes()
+        # Rows not drawn from stay where they were.
+        skipped = np.ones(count, dtype=bool)
+        skipped[::3] = False
+        assert after[skipped, 0].tobytes() == want[skipped, total].tobytes()
+        assert after[~skipped, 0].tobytes() == want[~skipped, total + 5].tobytes()
+
+
+@pytest.mark.parametrize("total_time", [0.5, 20.0])
+def test_sampled_trajectory_leaves_rng_after_whole_blocks(total_time: float) -> None:
+    # sigma_z acts on every state, so each draw after the first is a jump:
+    # the trajectory takes jumps + 1 pairs, and rng is left as Generator.random
+    # would leave it after ceil(pairs / PAIR_BLOCK) blocks. The 32-bit half
+    # PCG64 buffers for 32-bit draws is left as it was.
+    model = dephasing_model(1.0, 2.0)
+    state = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    stream = trajectory_seeds(1, 4)[3]
+    rng, ref = np.random.default_rng(stream), np.random.default_rng(stream)
+    for generator in (rng, ref):
+        generator.integers(0, 2**32, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    record = sample_jump_trajectory(model, state, total_time, 1e-3, rng)
+    blocks = -(-(len(record.jumps) + 1) // PAIR_BLOCK)
+    ref.random(2 * PAIR_BLOCK * blocks)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert blocks == 1 if total_time < 1 else blocks > 2
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM])
+def test_sampled_trajectory_refuses_other_bit_generators(bit_generator) -> None:
+    rng = np.random.Generator(bit_generator(0))
+    with pytest.raises(TypeError, match=f"PCG64 is required, got one on {bit_generator.__name__}$"):
+        sample_jump_trajectory(dephasing_model(1.0, 0.5), [1.0, 0.0], 0.5, 1e-2, rng)
+    # Nothing was drawn.
+    assert rng.random(4).tobytes() == np.random.Generator(bit_generator(0)).random(4).tobytes()

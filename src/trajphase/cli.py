@@ -40,8 +40,7 @@ from .jump import (
     BranchTrackingError,
     TotalDecayError,
     average_jump_ensemble,
-    no_jump_geometric_phase,
-    no_jump_geometric_phases,
+    sweep_no_jump_phases,
 )
 from .lindblad import (
     DensityMatrix,
@@ -50,13 +49,15 @@ from .lindblad import (
     apply_shift,
     evolve_density,
     evolve_states,
-    lower_model,
+    lower_points,
+    lower_sweep,
     shift_is_hidden,
 )
 from .operators import wrap_phase
-from .qsd import QSDConfig, averaged_geometric_phases
+from .qsd import QSDConfig, sweep_averaged_phases
 
 # Unused here; bench/tracing.py wraps these names on this module.
+from .jump import no_jump_geometric_phase  # noqa: F401
 from .lindblad import shifted_hamiltonian  # noqa: F401
 from .qsd import averaged_geometric_phase  # noqa: F401
 
@@ -128,15 +129,13 @@ def _cmd_nojump_phase(cfg: ScenarioConfig) -> str:
     ]
     lines = [SCHEMA_LINE, ",".join(header)]
     nan = float("nan")
-    points = list(cfg.sweep_points())
+    grid = cfg.sweep_grid()
     # The sweep varies f, lambda and theta0 only, so every point shares the
-    # run grid; one call tracks them all.
-    outcomes = no_jump_geometric_phases(
-        [(pinned.model, pinned.initial_state, pinned.shifts) for _, pinned in points],
-        total,
-        steps=cfg.run.steps,
-    )
-    for (point, _), res in zip(points, outcomes):
+    # model's schedules and the run grid: one lowering and one tracker call
+    # serve them all.
+    lowered = lower_sweep(cfg.model, grid.strengths, grid.shifts, grid.shift_cell)
+    outcomes = sweep_no_jump_phases(lowered, grid.states, total, steps=cfg.run.steps)
+    for point, res in zip(grid.assignments, outcomes):
         row: list = [point[n] for n in names]
         if isinstance(res, (BranchTrackingError, TotalDecayError)):
             # Flag the point and keep sweeping; the report collects the warning.
@@ -212,30 +211,25 @@ def _cmd_qsd_phase(cfg: ScenarioConfig) -> str:
     ]
     lines = [SCHEMA_LINE, ",".join(header)]
     nan = float("nan")
-    points = list(cfg.sweep_points())
+    grid = cfg.sweep_grid()
     # Every point is its own run, so each QSDConfig warns if delta_t snaps;
-    # only the shifts differ between points, so one pass serves them all.
+    # only the shifts differ between points, so one lowering and one pass
+    # serve them all.
     configs = [
-        QSDConfig(
-            total_time=total,
-            delta_t=delta_t,
-            n_trajectories=count,
-            seed=pinned.run.seed,
-        )
-        for _, pinned in points
+        QSDConfig(total_time=total, delta_t=delta_t, n_trajectories=count, seed=cfg.run.seed)
+        for _ in grid.assignments
     ]
-    results = averaged_geometric_phases(
-        cfg.model, cfg.initial_state, configs[0], [pinned.shifts for _, pinned in points]
-    )
-    for (point, pinned), res in zip(points, results):
-        params = pinned.dephasing_params()
+    lowered = lower_sweep(cfg.model, grid.strengths, grid.shifts, grid.shift_cell)
+    results = sweep_averaged_phases(lowered, cfg.initial_state, configs[0])
+    shift = _constant_real_shift(cfg.shift_values)
+    for point, res in zip(grid.assignments, results):
+        params = cfg.dephasing_params(point)
         if params is not None:
             closed = closed_form_overlap_phase(
                 params, total
             ) + closed_form_dynamical_phase(params, total)
         else:
             closed = nan
-        shift = _constant_real_shift(pinned.shift_values)
         f_value = point.get("f", nan if shift is None else shift)
         status = "ok"
         if res.n_used == 0:
@@ -278,20 +272,26 @@ def _cmd_symmetry_check(cfg: ScenarioConfig) -> str:
     ]
     hidden = all(per_channel)
 
+    # The plain and the shifted model, each lowered once for the density
+    # evolution, the no-jump phase and the generator shift.
+    plain, shifted = (sweep for sweep, _ in lower_points([(model, None), (model, cfg.shifts)]))
     rho0 = DensityMatrix.from_pure(cfg.initial_state)
-    _, base = evolve_states(lower_model(model), rho0, total, cfg.run.steps)
-    lowered = lower_model(model, cfg.shifts)
-    _, moved = evolve_states(lowered, rho0, total, cfg.run.steps)
+    _, base = evolve_states(plain.point(0), rho0, total, cfg.run.steps)
+    _, moved = evolve_states(shifted.point(0), rho0, total, cfg.run.steps)
     diffs = np.abs(base - moved).max(axis=(1, 2))
     residual = float(diffs.max())
 
-    plain = no_jump_geometric_phase(model, cfg.initial_state, total, steps=cfg.run.steps)
-    shifted = no_jump_geometric_phase(
-        model, cfg.initial_state, total, steps=cfg.run.steps, shifts=cfg.shifts
-    )
-    phase_difference = wrap_phase(shifted.phase - plain.phase)
+    phases = []
+    for lowered in (plain, shifted):
+        (res,) = sweep_no_jump_phases(
+            lowered, cfg.initial_state.amplitudes[np.newaxis], total, steps=cfg.run.steps
+        )
+        if isinstance(res, Exception):
+            raise res
+        phases.append(res.phase)
+    phase_difference = wrap_phase(phases[1] - phases[0])
 
-    generator_shift = max(float(np.max(np.abs(c.k - c.h))) for c in lowered.values)
+    generator_shift = float(np.max(np.abs(shifted.k - shifted.h)))
 
     if hidden:
         verdict = (
@@ -310,8 +310,8 @@ def _cmd_symmetry_check(cfg: ScenarioConfig) -> str:
         "hidden_per_channel": per_channel,
         "rho_residual_final": float(diffs[-1]),
         "rho_residual_max": residual,
-        "phase_without_shift": plain.phase,
-        "phase_with_shift": shifted.phase,
+        "phase_without_shift": phases[0],
+        "phase_with_shift": phases[1],
         "phase_difference": phase_difference,
         "generator_shift_max": generator_shift,
         "verdict": verdict,

@@ -14,6 +14,7 @@ re-parse is identical.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
@@ -22,7 +23,7 @@ import numpy as np
 import yaml
 
 from .dephasing import DephasingParams
-from .lindblad import LindbladModel, ShiftSet
+from .lindblad import LindbladModel, ShiftSet, stack_shifts
 from .operators import (
     BlochAngles,
     Operator,
@@ -140,6 +141,21 @@ class SweepAxis:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
+class SweepGrid:
+    """Every point of a sweep, the first axis varying slowest: its
+    assignment of the swept parameters, and as arrays its coupling
+    strength, its (M, n) channel shifts on cells of width shift_cell (n = 1
+    and shift_cell None for constants; shifts None when no point is
+    shifted) and its initial state."""
+
+    assignments: tuple[dict, ...]
+    strengths: np.ndarray
+    shifts: Optional[np.ndarray]
+    shift_cell: Optional[float]
+    states: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     model: LindbladModel
     shifts: Optional[ShiftSet]
@@ -153,66 +169,103 @@ class ScenarioConfig:
     initial_angles: Optional[BlochAngles] = None
     shift_values: tuple = ()
 
-    def at_point(self, **assignments) -> "ScenarioConfig":
-        """New config with swept scalars pinned to concrete values."""
-        cfg = self
-        for name, value in assignments.items():
-            if name == "lambda":
-                model = LindbladModel(
-                    cfg.model.hamiltonian, cfg.model.lindblads, float(value)
-                )
-                cfg = dataclasses.replace(cfg, model=model)
-            elif name == "f":
-                count = len(cfg.model.lindblads)
-                shifts = ShiftSet.constants([complex(value)] * count)
-                cfg = dataclasses.replace(
-                    cfg, shifts=shifts, shift_values=tuple([complex(value)] * count)
-                )
-            elif name == "theta0":
-                if cfg.initial_angles is None:
+    def sweep_grid(self) -> SweepGrid:
+        """The sweep's points, or the one point of an unswept scenario, as
+        arrays; the one expansion of a sweep."""
+        return self._grid(self.sweep)
+
+    def _grid(self, axes: tuple[SweepAxis, ...]) -> SweepGrid:
+        combos = list(itertools.product(*(range(len(axis.values)) for axis in axes)))
+        count = len(combos)
+        # index[:, a] is each point's position on axis a.
+        index = np.array(combos, dtype=np.intp).reshape(count, len(axes))
+        strengths = np.full(count, self.model.strength)
+        shifts, cell = None, None
+        if self.shifts is not None:
+            shifts, cell = stack_shifts([self.shifts])
+            shifts = np.broadcast_to(shifts, (count, *shifts.shape[1:]))
+        states = np.broadcast_to(self.initial_state.amplitudes, (count, self.model.dim))
+        for a, axis in enumerate(axes):
+            picked = index[:, a]
+            if axis.name == "lambda":
+                strengths = np.array([float(v) for v in axis.values])[picked]
+            elif axis.name == "f":
+                values = np.array([complex(v) for v in axis.values])[picked]
+                shape = (count, len(self.model.lindblads), 1)
+                shifts, cell = np.broadcast_to(values[:, np.newaxis, np.newaxis], shape), None
+            elif axis.name == "theta0":
+                if self.initial_angles is None:
                     raise ConfigError(
                         "sweep.theta0", "needs an initial_state of theta and phi, not amplitudes"
                     )
-                angles = BlochAngles(float(value), cfg.initial_angles.phi)
-                cfg = dataclasses.replace(
-                    cfg, initial_state=bloch_state(angles), initial_angles=angles
-                )
+                phi = self.initial_angles.phi
+                rows = [bloch_state(BlochAngles(float(v), phi)).amplitudes for v in axis.values]
+                states = np.array(rows)[picked]
             else:
-                raise ConfigError(f"sweep.{name}", f"unknown swept parameter {name!r}")
+                raise ConfigError(f"sweep.{axis.name}", f"unknown swept parameter {axis.name!r}")
+        assignments = tuple(
+            {axis.name: axis.values[i] for axis, i in zip(axes, combo)} for combo in combos
+        )
+        return SweepGrid(assignments, strengths, shifts, cell, states)
+
+    def _pinned(self, grid: SweepGrid, p: int) -> "ScenarioConfig":
+        """The config of point p of grid: its swept scalars pinned."""
+        point = grid.assignments[p]
+        cfg = self
+        if "lambda" in point:
+            model = LindbladModel(
+                self.model.hamiltonian, self.model.lindblads, float(grid.strengths[p])
+            )
+            cfg = dataclasses.replace(cfg, model=model)
+        if "f" in point:
+            values = tuple(complex(v) for v in grid.shifts[p, :, 0])
+            cfg = dataclasses.replace(
+                cfg, shifts=ShiftSet.constants(values), shift_values=values
+            )
+        if "theta0" in point:
+            angles = BlochAngles(float(point["theta0"]), self.initial_angles.phi)
+            cfg = dataclasses.replace(
+                cfg, initial_state=PureState(grid.states[p]), initial_angles=angles
+            )
         return cfg
 
-    def sweep_points(self):
-        """Yield (assignment dict, pinned config) over the sweep grid."""
-        if not self.sweep:
-            yield {}, self
-            return
-        if len(self.sweep) == 1:
-            axis = self.sweep[0]
-            for v in axis.values:
-                yield {axis.name: v}, self.at_point(**{axis.name: v})
-        else:
-            first, second = self.sweep
-            for a in first.values:
-                for b in second.values:
-                    point = {first.name: a, second.name: b}
-                    yield point, self.at_point(**point)
+    def at_point(self, **assignments) -> "ScenarioConfig":
+        """New config with swept scalars pinned to concrete values: the one
+        point of a grid of those values."""
+        axes = tuple(SweepAxis(name, (value,)) for name, value in assignments.items())
+        return self._pinned(self._grid(axes), 0)
 
-    def dephasing_params(self) -> Optional[DephasingParams]:
-        """The scenario as closed-form dephasing parameters, when it is one:
+    def sweep_points(self):
+        """Yield (assignment dict, pinned config) over the sweep grid, a view
+        of `sweep_grid`."""
+        grid = self.sweep_grid()
+        for p, point in enumerate(grid.assignments):
+            yield point, self._pinned(grid, p)
+
+    def dephasing_params(self, point: Optional[dict] = None) -> Optional[DephasingParams]:
+        """The scenario, at the sweep point whose assignment dict is point
+        if given, as closed-form dephasing parameters, when it is one:
         precession Hamiltonian, single sigma_z channel, Bloch-angle initial
         state, and at most one real constant shift."""
         if self.hamiltonian_kind != "precession" or self.omega is None:
             return None
         if self.channel_kinds != ("sigma_z",) or self.initial_angles is None:
             return None
-        f = 0.0 if self.shifts is None else _constant_real_shift(self.shift_values)
+        point = point or {}
+        if "f" in point:
+            f = _constant_real_shift((complex(point["f"]),))
+        else:
+            f = 0.0 if self.shifts is None else _constant_real_shift(self.shift_values)
         if f is None:
             return None
+        theta = self.initial_angles.theta
+        if "theta0" in point:
+            theta = BlochAngles(float(point["theta0"]), self.initial_angles.phi).theta
         return DephasingParams(
             omega=self.omega,
-            strength=self.model.strength,
+            strength=float(point.get("lambda", self.model.strength)),
             shift=f,
-            theta0=self.initial_angles.theta,
+            theta0=theta,
             phi0=self.initial_angles.phi,
         )
 
@@ -464,6 +517,9 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
         raise ConfigError("initial_state", f"dimension {state.dim} does not match model")
     run = _parse_run(doc.get("run"))
     sweep = _parse_sweep(doc.get("sweep"))
+    if not chans and any(axis.name == "f" for axis in sweep):
+        # Every point would be the same unshifted model.
+        raise ConfigError("sweep.f", "the model has no channel to shift")
     return ScenarioConfig(
         model=model,
         shifts=shifts,

@@ -10,10 +10,13 @@ no-jump branch is
     phase = arg<psi(0)|psi(T)> + integral of <psi|K|psi> / <psi|psi> dt,
 
 with K the Hermitian Hamiltonian of the (possibly shifted) model and the
-overlap argument tracked continuously along the path. The tracker
-(`no_jump_geometric_phases`) propagates the points that share a grid and
-its runs as one stack, in windows of grid columns within STACK_BYTES, and
-forms each column's norm, overlap and integrand once. The integral is the
+overlap argument tracked continuously along the path. The tracker reads
+the (P, cells, d, d) stacks of K_tilde and K of a lowered sweep
+(`lindblad.lower_sweep`) and the (P, d) initial states, with no per-point
+set-up (`sweep_no_jump_phases`; `no_jump_geometric_phases` lowers its
+points first). It propagates the points that share a grid and its runs as
+one stack, in windows of grid columns within STACK_BYTES, and forms each
+column's norm, overlap and integrand once. The integral is the
 composite Simpson rule, summed window by window from the rule's weights
 (`operators.simpson_weights`), so no array spans the grid. The discrete-time
 monitoring picture is exposed through Kraus sets F_0 = 1 - i K_tilde dt,
@@ -36,6 +39,7 @@ dt). A jump whose total probability strength * dt * sum_m
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import warnings
 from typing import NamedTuple, Optional, Union
@@ -47,8 +51,10 @@ from ._ensemble import trajectory_words
 from .lindblad import (
     DensityMatrix,
     LindbladModel,
+    LoweredSweep,
     ShiftSet,
     lower_model,
+    lower_points,
     shift_is_hidden,
 )
 from .operators import (
@@ -57,12 +63,14 @@ from .operators import (
     Operator,
     OperatorSchedule,
     PureState,
+    Schedule,
     binary_scaled,
     cell_maps,
     index_runs,
     key_runs,
     matrix_exponential,
     normalized_state_vector,
+    normalized_states,
     run_states,
     simpson_weights,
     state_vector,
@@ -267,10 +275,15 @@ def no_jump_probability(record: TrajectoryRecord) -> float:
     return record.survival
 
 
-def _phase_generators(model, shifts) -> tuple[OperatorSchedule, OperatorSchedule]:
-    """The no-jump generator K_tilde and the Hermitian K of the dynamical term."""
-    lowered = lower_model(model, shifts)
-    return lowered.operators(lambda c: c.k_tilde), lowered.operators(lambda c: c.k)
+class _Tracks(NamedTuple):
+    """Points on one schedule grid: (P, C, d, d) stacks of the no-jump
+    generator K_tilde and the Hermitian K of the dynamical term over the
+    grid's C cells, and the (P, d) initial states."""
+
+    grid: Schedule
+    gens: np.ndarray
+    herms: np.ndarray
+    vecs: np.ndarray
 
 
 def _window_column_bytes(dim: int) -> int:
@@ -321,12 +334,14 @@ def _flag_calm_steps(turn, increments, sums, out) -> np.ndarray:
     return out
 
 
-def _track_stack(tracks, runs, point_runs, total_time: float, steps: int) -> list:
-    """`_tracked_phases` on one grid of `steps` steps for tracks that share
-    a dimension, the `step_runs` of their generators and the runs of the
-    cells of their Hamiltonians at the grid points (point_runs). Each
-    outcome is a GeometricPhaseResult, the point's error, or None where a
-    step away from a flagged crossing turned the overlap by more than pi/2.
+def _track_stack(gens, herms, vecs, runs, point_runs, total_time: float, steps: int) -> list:
+    """`_tracked_phases` on one grid of `steps` steps for G points that
+    share a dimension, the `step_runs` of their schedule grid and the runs
+    of its cells at the grid points (point_runs), from their (G, C, d, d)
+    stacks of generators gens and Hamiltonians herms and their (G, d)
+    initial states vecs. Each outcome is a GeometricPhaseResult, the
+    point's error, or None where a step away from a flagged crossing turned
+    the overlap by more than pi/2.
 
     The G points' states are the columns of (G, d, width + 1) windows over
     the grid; column 0 of a window holds the grid column before it. The (G,
@@ -343,19 +358,18 @@ def _track_stack(tracks, runs, point_runs, total_time: float, steps: int) -> lis
     `propagate_no_jump`'s, and so is the bra of the overlaps; every quantity
     but the final norm is independent of that scale.
     """
-    count, dim = len(tracks), tracks[0][2].shape[0]
+    count, dim = vecs.shape
     dt = total_time / steps
     cols = steps + 1
-    exponents = [int(np.frexp(np.abs(vec).max())[1]) for _, _, vec in tracks]
-    x0 = np.stack([binary_scaled(vec, -e) for (_, _, vec), e in zip(tracks, exponents)])
+    exponents = np.frexp(np.abs(vecs).max(axis=1))[1]
+    x0 = binary_scaled(vecs, -exponents[:, np.newaxis])
     cells = [c for _, _, c in runs]
-    generators = np.array([[gen.values[c].entries for c in cells] for gen, _, _ in tracks])
-    stacked = matrix_exponential(-1j * dt * generators).swapaxes(0, 1)
+    stacked = matrix_exponential(-1j * dt * gens[:, cells]).swapaxes(0, 1)
     powers = {c: MapPowers(maps) for c, maps in zip(cells, stacked)}
     # readout[c] stacks the cell's K over the bra: rows K psi, then <psi0|psi>.
     read_cells = sorted({c for _, _, c in point_runs})
     stacked_reads = np.empty((count, len(read_cells), dim + 1, dim), complex)
-    stacked_reads[:, :, :dim] = [[h.values[c].entries for c in read_cells] for _, h, _ in tracks]
+    stacked_reads[:, :, :dim] = herms[:, read_cells]
     stacked_reads[:, :, dim] = x0.conj()[:, np.newaxis]
     readout = dict(zip(read_cells, stacked_reads.swapaxes(0, 1)))
     width = max(1, min(cols, STACK_BYTES // (count * _window_column_bytes(dim))))
@@ -469,25 +483,25 @@ def _track_stack(tracks, runs, point_runs, total_time: float, steps: int) -> lis
             phase=arg + term,
             overlap_arg=arg,
             dynamical_term=term,
-            final_norm=math.ldexp(math.sqrt(sq[g, span - 1]), exponents[g]),
+            final_norm=math.ldexp(math.sqrt(sq[g, span - 1]), int(exponents[g])),
             grid_steps=steps,
             branch_crossings=tuple(k * dt for k in crossings[g]),
         )
     return outcomes
 
 
-def _grid_runs(gen: OperatorSchedule, herm: OperatorSchedule, total_time: float, steps: int):
-    """The `step_runs` of gen and the runs of herm's cells at the grid
+def _grid_runs(grid: Schedule, total_time: float, steps: int):
+    """The `step_runs` of grid and the runs of its cells at the grid
     points, (start, stop, cell) over grid columns."""
     dt = total_time / steps
-    runs = tuple(step_runs(gen, total_time, steps))
-    return runs, tuple(index_runs(lambda k: herm.cells_at(k * dt), steps + 1))
+    runs = tuple(step_runs(grid, total_time, steps))
+    return runs, tuple(index_runs(lambda k: grid.cells_at(k * dt), steps + 1))
 
 
-def _tracked_phases(tracks, total_time: float, steps: int) -> list:
-    """Branch-tracked no-jump phases of (generator, Hamiltonian, psi0)
-    tracks on a shared grid, each a GeometricPhaseResult or the
-    BranchTrackingError or TotalDecayError of its point.
+def _tracked_phases(groups: list[_Tracks], total_time: float, steps: int) -> list:
+    """Branch-tracked no-jump phases of the points of groups on a shared
+    grid, in order, each a GeometricPhaseResult or the BranchTrackingError
+    or TotalDecayError of its point.
 
     A point's grid doubles, up to MAX_GRID_DOUBLINGS - 1 times, until no
     step away from a flagged crossing turns its overlap by more than pi/2.
@@ -500,29 +514,41 @@ def _tracked_phases(tracks, total_time: float, steps: int) -> list:
     """
     if total_time < 0:
         raise ValueError("total_time must be >= 0")
-    outcomes: list = [None] * len(tracks)
-    pending = list(range(len(tracks)))
+    # Point i is row rows[i] of groups[owner[i]].
+    owner = [g for g, tracks in enumerate(groups) for _ in range(len(tracks.vecs))]
+    rows = [r for tracks in groups for r in range(len(tracks.vecs))]
+    outcomes: list = [None] * len(owner)
+    pending = list(range(len(owner)))
     attempt = max(1, steps)
     for doubling in range(MAX_GRID_DOUBLINGS):
         if doubling:
             attempt *= 2
         # The runs depend on a schedule's grid, not on its values.
         grids: dict[tuple, tuple] = {}
-        groups: dict[tuple, list[int]] = {}
+        stacks: dict[tuple, list[int]] = {}
         for i in pending:
-            gen, herm, vec = tracks[i]
-            grid = (gen.cell, len(gen.values), herm.cell, len(herm.values))
+            tracks = groups[owner[i]]
+            grid = (tracks.grid.cell, len(tracks.grid.values))
             if grid not in grids:
-                grids[grid] = _grid_runs(gen, herm, total_time, attempt)
-            groups.setdefault((vec.shape[0], *grids[grid]), []).append(i)
-        for (dim, runs, point_runs), members in groups.items():
+                grids[grid] = _grid_runs(tracks.grid, total_time, attempt)
+            stacks.setdefault((tracks.vecs.shape[1], *grids[grid]), []).append(i)
+        for (dim, runs, point_runs), members in stacks.items():
             # One stack, split only where its windows would fall below MIN_WINDOW.
             narrowest = min(MIN_WINDOW, attempt + 1)
             most = max(1, STACK_BYTES // (narrowest * _window_column_bytes(dim)))
             size = -(-len(members) // -(-len(members) // most))
             for lo in range(0, len(members), size):
                 part = members[lo : lo + size]
-                found = _track_stack([tracks[i] for i in part], runs, point_runs, total_time, attempt)
+                # The part's rows of each group it draws from, in order.
+                picks = [
+                    (groups[g], [rows[i] for i in same])
+                    for g, same in itertools.groupby(part, key=owner.__getitem__)
+                ]
+                stacked = (
+                    np.concatenate([getattr(tracks, name)[taken] for tracks, taken in picks])
+                    for name in ("gens", "herms", "vecs")
+                )
+                found = _track_stack(*stacked, runs, point_runs, total_time, attempt)
                 for i, outcome in zip(part, found):
                     outcomes[i] = outcome
         pending = [i for i in pending if outcomes[i] is None]
@@ -535,6 +561,20 @@ def _tracked_phases(tracks, total_time: float, steps: int) -> list:
     return outcomes
 
 
+def sweep_no_jump_phases(
+    sweep: LoweredSweep,
+    states,
+    total_time: float,
+    steps: int = DEFAULT_SUBSTEPS,
+) -> list[Union[GeometricPhaseResult, BranchTrackingError, TotalDecayError]]:
+    """`no_jump_geometric_phases` of the points of a lowered sweep, point p
+    starting from row p of the (P, d) normalized states."""
+    vecs = normalized_states(states, sweep.model.dim, "psi0")
+    if len(vecs) != len(sweep):
+        raise ValueError(f"{len(vecs)} initial states for {len(sweep)} points")
+    return _tracked_phases([_Tracks(sweep.grid, sweep.k_tilde, sweep.k, vecs)], total_time, steps)
+
+
 def no_jump_geometric_phases(
     points,
     total_time: float,
@@ -545,17 +585,26 @@ def no_jump_geometric_phases(
 
     A point's entry is its result, or the BranchTrackingError or
     TotalDecayError the one-point call would raise; that point's failure
-    leaves the others untouched. Invalid input raises at once. Points that
-    share a dimension and the runs of their schedules are propagated
-    together, in windows of grid columns within STACK_BYTES, and each
-    window adds its part of every dynamical term, so the tracker's memory
-    does not grow with the total time.
+    leaves the others untouched. Invalid input raises at once. The points
+    are lowered by `lindblad.lower_points`, one `lower_sweep` for each
+    group that shares a model's schedules and the kind and grid of its
+    shifts. Points that share a dimension and the runs of their schedules
+    are propagated together, in windows of grid columns within
+    STACK_BYTES, and each window adds its part of every dynamical term, so
+    the tracker's memory does not grow with the total time.
     """
-    tracks = []
-    for model, psi0, shifts in points:
-        vec = normalized_state_vector(psi0, model.dim, "psi0")
-        tracks.append((*_phase_generators(model, shifts), vec))
-    return _tracked_phases(tracks, total_time, steps)
+    points = list(points)
+    vecs = [normalized_state_vector(psi0, model.dim, "psi0") for model, psi0, _ in points]
+    lowered = lower_points([(model, shifts) for model, _, shifts in points])
+    groups = [
+        _Tracks(sweep.grid, sweep.k_tilde, sweep.k, np.array([vecs[i] for i in members]))
+        for sweep, members in lowered
+    ]
+    outcomes: list = [None] * len(points)
+    order = (i for _, members in lowered for i in members)
+    for i, outcome in zip(order, _tracked_phases(groups, total_time, steps)):
+        outcomes[i] = outcome
+    return outcomes
 
 
 def _result(outcome) -> GeometricPhaseResult:
@@ -607,12 +656,12 @@ def gauge_transform_check(
     if scale == 0:
         raise ValueError("scale must be nonzero; c(t) may not vanish")
     vec = normalized_state_vector(psi0, model.dim, "psi0")
-    gen, herm = _phase_generators(model, shifts)
+    ((sweep, _),) = lower_points([(model, shifts)])
     eye = np.eye(model.dim)
-    gen2 = gen.map(lambda op: Operator(op.entries + 1j * complex(log_rate) * eye))
-    herm2 = herm.map(lambda op: Operator(op.entries - complex(log_rate).imag * eye))
-    tracks = [(gen, herm, vec), (gen2, herm2, complex(scale) * vec)]
-    base, transformed = (_result(o) for o in _tracked_phases(tracks, total_time, steps))
+    gens = np.concatenate([sweep.k_tilde, sweep.k_tilde + 1j * complex(log_rate) * eye])
+    herms = np.concatenate([sweep.k, sweep.k - complex(log_rate).imag * eye])
+    tracks = _Tracks(sweep.grid, gens, herms, np.array([vec, complex(scale) * vec]))
+    base, transformed = (_result(o) for o in _tracked_phases([tracks], total_time, steps))
     return base.phase, transformed.phase
 
 

@@ -14,11 +14,16 @@ the dissipator shows the whole effect regroups into the Hamiltonian part,
     H -> K = H - (i * strength / 2) * sum_m (conj(f_m) L_m - f_m L_m^dag),
 
 so the physical evolution is unchanged exactly when every conj(f_m) L_m is
-Hermitian ("hidden" shifts). `lower_model` turns a model and optional
-shifts into per-cell matrices (shifted channels, their squares, the no-jump
-generator K_tilde and the Hermitian K) once; every propagator reads those.
-`apply_shift` and `shifted_hamiltonian` are schedule views of the same
-lowering.
+Hermitian ("hidden" shifts). There is one lowering, `lower_sweep`: it turns
+a model at P points, each with its own strength and shifts, into read-only
+stacks over the points and the cells of their common grid (shifted
+channels, their adjoints and squares, the no-jump generator K_tilde and the
+Hermitian K), with each entry's arithmetic that of a single point and cell,
+so a point of a sweep has the bits it would have alone. `lower_model` is its
+one-point case, whose per-cell CellTerms are views of the stacks, and
+`lower_points` lowers (model, shifts) points with one call per group that
+shares a model's schedules. Every propagator reads a lowering;
+`apply_shift` and `shifted_hamiltonian` are schedule views of one.
 
 The master equation is linear in rho with a piecewise-constant generator,
 so `evolve_states` solves it exactly: each cell's Liouvillian S_c, a
@@ -45,6 +50,7 @@ from .operators import (
     Schedule,
     combine,
     combine_schedules,
+    common_grid,
     identity,
     is_hermitian,
     matrix_exponential,
@@ -174,11 +180,9 @@ class ShiftSet:
         return len(self.shifts)
 
 
-def _check_channel_count(model: LindbladModel, shifts: ShiftSet) -> None:
-    if len(shifts) != len(model.lindblads):
-        raise ValueError(
-            f"{len(shifts)} shifts supplied for {len(model.lindblads)} channels"
-        )
+def _check_channel_count(given: int, count: int) -> None:
+    if given != count:
+        raise ValueError(f"{given} shifts supplied for {count} channels")
 
 
 class CellTerms(NamedTuple):
@@ -207,39 +211,150 @@ class LoweredModel(Schedule):
         return OperatorSchedule(tuple(Operator(pick(c)) for c in self.values), self.cell)
 
 
-def lower_model(model: LindbladModel, shifts: Optional[ShiftSet] = None) -> LoweredModel:
-    """Per-cell matrices of the model with its channels shifted by shifts.
+@dataclasses.dataclass(frozen=True, eq=False)
+class LoweredSweep:
+    """A model at P points, each with its own strength and the same kind
+    of shifts, as read-only stacks over the points p, the cells c of their
+    common grid and the channels m: h[c], channels, adjoints and squares
+    [p, c, m], and k_tilde and k [p, c] (see CellTerms). grid holds each
+    cell's index on that grid."""
 
-    This is the one place that chooses between the shifted and the plain
-    model: with shifts, channels are L_m - f_m and K is the regrouped
-    Hamiltonian; without, channels are L_m and K = H. The Hamiltonian,
-    channels and shifts must share one grid (constants broadcast).
+    model: LindbladModel
+    grid: Schedule
+    strengths: np.ndarray
+    h: np.ndarray
+    channels: np.ndarray
+    adjoints: np.ndarray
+    squares: np.ndarray
+    k_tilde: np.ndarray
+    k: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.strengths)
+
+    def point(self, p: int) -> LoweredModel:
+        """Point p as a LoweredModel whose CellTerms are views of the stacks."""
+        values = tuple(
+            CellTerms(
+                self.h[c],
+                tuple(self.channels[p, c]),
+                tuple(self.adjoints[p, c]),
+                tuple(self.squares[p, c]),
+                self.k_tilde[p, c],
+                self.k[p, c],
+            )
+            for c in range(len(self.h))
+        )
+        return LoweredModel(values, self.grid.cell, float(self.strengths[p]))
+
+
+def lower_sweep(
+    model: LindbladModel,
+    strengths: Sequence[float],
+    shifts: Optional[np.ndarray] = None,
+    cell: Optional[float] = None,
+) -> LoweredSweep:
+    """The model at one point per strength, all plain (shifts None) or all
+    shifted by the (P, M, n) complex shifts: shifts[p, m] are f_m of point p,
+    one value (n = 1, cell None) or one per cell of width cell.
+
+    This is the one lowering; `lower_model` is its one-point case. Every
+    entry takes the arithmetic of a single point and cell, broadcast over
+    points and cells: channels L_m - f_m * 1, squares (L_m - f_m)^dag
+    (L_m - f_m), K_tilde = H - (i lambda / 2) sum_m squares[m] and K = H -
+    (i lambda / 2) sum_m (conj(f_m) L_m - f_m L_m^dag), summed channel by
+    channel in order; plain points keep L_m and K = H. The Hamiltonian,
+    channels and shifts must share one grid (constants broadcast). Only the
+    strengths and the shift count are checked here: the model already is.
     """
+    lam = np.asarray(strengths, dtype=float)
+    if (lam < 0).any():
+        raise ValueError("coupling strength must be nonnegative")
     count = len(model.lindblads)
-    lam = model.strength
-    one = identity(model.dim).entries
+    schedules = (model.hamiltonian, *model.lindblads)
+    grids = [(s.cell, len(s.values)) for s in schedules]
     if shifts is not None:
-        _check_channel_count(model, shifts)
+        shifts = np.asarray(shifts, dtype=complex)
+        _check_channel_count(shifts.shape[1], count)
+        grids.append((cell, shifts.shape[2]))
+    grid_cell, cells = common_grid(grids)
+    dim = model.dim
+    h, *ls = (
+        np.broadcast_to([op.entries for op in s.values], (cells, dim, dim)) for s in schedules
+    )
+    # (C, M, d, d), channel m of cell c.
+    ls = np.stack(ls, axis=1) if ls else np.empty((cells, 0, dim, dim), complex)
+    coef = (0.5j * lam)[:, np.newaxis, np.newaxis, np.newaxis]
+    points = (len(lam), cells)
+    k = np.broadcast_to(h, (*points, dim, dim))
+    chans = ls
+    if shifts is not None:
+        # (P, C, M, 1, 1): f_m of point p in cell c.
+        f = np.broadcast_to(shifts.transpose(0, 2, 1), (*points, count))[..., np.newaxis, np.newaxis]
+        adjs = ls.conj().swapaxes(-1, -2)
+        for m in range(count):
+            k = k - coef * (np.conj(f[:, :, m]) * ls[:, m] - f[:, :, m] * adjs[:, m])
+        chans = ls - f * identity(dim).entries
+    adjoints = chans.conj().swapaxes(-1, -2)
+    squares = adjoints @ chans
+    k_tilde = np.broadcast_to(h, k.shape)
+    for m in range(count):
+        k_tilde = k_tilde - coef * squares[..., m, :, :]
+    stacks = [np.broadcast_to(a, (*points, count, dim, dim)) for a in (chans, adjoints, squares)]
+    for a in (h, *stacks, k_tilde, k):
+        a.flags.writeable = False
+    grid = Schedule(tuple(range(cells)), grid_cell)
+    return LoweredSweep(model, grid, lam, h, *stacks, k_tilde, k)
 
-    def build(ham: Operator, *rest) -> CellTerms:
-        h = ham.entries
-        chans = [c.entries for c in rest[:count]]
-        k = h
+
+def stack_shifts(shift_sets: Sequence[ShiftSet]) -> tuple[np.ndarray, Optional[float]]:
+    """The (P, M, n) values of shift sets that share one grid and its cell,
+    as `lower_sweep` takes them; a constant shift has n = 1 and cell None,
+    and is broadcast over the grid of a piecewise one."""
+    grids = ((s.cell, len(s.values)) for shift_set in shift_sets for s in shift_set.shifts)
+    cell, cells = common_grid(grids)
+    values = np.empty((len(shift_sets), len(shift_sets[0]), cells), complex)
+    for p, shift_set in enumerate(shift_sets):
+        for m, s in enumerate(shift_set.shifts):
+            values[p, m] = s.values
+    return values, cell
+
+
+def lower_points(
+    points: Sequence[tuple[LindbladModel, Optional[ShiftSet]]]
+) -> list[tuple[LoweredSweep, list[int]]]:
+    """`lower_sweep` of each group of (model, shifts) points that share the
+    model's schedules, whether they are shifted and their shifts' grid, so
+    that every point is lowered on the grid it would have alone: each
+    group's lowering with the indices of its points, groups in order of
+    first appearance."""
+    groups: dict[tuple, tuple[LindbladModel, list, list[int]]] = {}
+    for i, (model, shifts) in enumerate(points):
+        grid = None
         if shifts is not None:
-            values = [complex(f) for f in rest[count:]]
-            for l, f in zip(chans, values):
-                k = k - 0.5j * lam * (np.conj(f) * l - f * l.conj().T)
-            chans = [l - f * one for l, f in zip(chans, values)]
-        adjoints = tuple(l.conj().T for l in chans)
-        squares = tuple(ld @ l for l, ld in zip(chans, adjoints))
-        k_tilde = h
-        for sq in squares:
-            k_tilde = k_tilde - 0.5j * lam * sq
-        return CellTerms(h, tuple(chans), adjoints, squares, k_tilde, k)
+            _check_channel_count(len(shifts), len(model.lindblads))
+            grid = common_grid((s.cell, len(s.values)) for s in shifts.shifts)
+        key = (model.hamiltonian, model.lindblads, shifts is None, grid)
+        _, shift_sets, members = groups.setdefault(key, (model, [], []))
+        shift_sets.append(shifts)
+        members.append(i)
+    out = []
+    for model, shift_sets, members in groups.values():
+        strengths = [points[i][0].strength for i in members]
+        stacked = (None, None) if shift_sets[0] is None else stack_shifts(shift_sets)
+        out.append((lower_sweep(model, strengths, *stacked), members))
+    return out
 
-    shift_schedules = () if shifts is None else shifts.shifts
-    values, cell = combine(build, model.hamiltonian, *model.lindblads, *shift_schedules)
-    return LoweredModel(values, cell, lam)
+
+def lower_model(model: LindbladModel, shifts: Optional[ShiftSet] = None) -> LoweredModel:
+    """Per-cell matrices of the model with its channels shifted by shifts:
+    the one-point case of `lower_sweep`. With shifts, channels are L_m -
+    f_m and K is the regrouped Hamiltonian; without, channels are L_m and
+    K = H. The Hamiltonian, channels and shifts must share one grid
+    (constants broadcast).
+    """
+    ((lowered, _),) = lower_points([(model, shifts)])
+    return lowered.point(0)
 
 
 def _rhs_matrix(terms: CellTerms, strength, rho):
@@ -441,7 +556,7 @@ def shift_is_hidden(model: LindbladModel, shifts: ShiftSet, tol: float = 1e-12) 
     common grid of the channels and shifts, i.e. when the shift leaves the
     master equation unchanged. Piecewise schedules on different grids raise
     ValueError, as in `lower_model`."""
-    _check_channel_count(model, shifts)
+    _check_channel_count(len(shifts), len(model.lindblads))
     count = len(model.lindblads)
 
     def hermitian(*values) -> bool:

@@ -130,9 +130,21 @@ def state_vector(psi, dim: int) -> np.ndarray:
 def normalized_state_vector(psi, dim: int, name: str) -> np.ndarray:
     """`state_vector`, refused unless its norm is 1 within 1e-12."""
     vec = state_vector(psi, dim)
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
-        raise ValueError(f"{name} must be normalized within 1e-12")
+    normalized_states(vec[np.newaxis], dim, name)
     return vec
+
+
+def normalized_states(states, dim: int, name: str) -> np.ndarray:
+    """A (P, d) stack of state vectors as a complex array, refused as
+    `normalized_state_vector` refuses each row."""
+    states = np.asarray(states, dtype=complex)
+    if states.ndim != 2 or states.shape[1] != dim:
+        raise ValueError(f"state dimension {states.shape[-1]} differs from the model's {dim}")
+    if not states.any(axis=1).all():
+        raise ValueError("state vector must be nonzero")
+    if (np.abs(np.linalg.norm(states, axis=1) - 1.0) > 1e-12).any():
+        raise ValueError(f"{name} must be normalized within 1e-12")
+    return states
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -324,19 +336,29 @@ def combine(fn: Callable, *schedules: Schedule) -> tuple[tuple, float | None]:
     Piecewise inputs must share one grid; constants are broadcast. The
     combiner runs once per grid cell, so fn must be pure.
     """
-    pieces = [s for s in schedules if not s.is_constant]
-    if not pieces:
+    cell, count = common_grid((s.cell, len(s.values)) for s in schedules)
+    if cell is None:
         return (fn(*(s.values[0] for s in schedules)),), None
-    cell = pieces[0].cell
-    count = len(pieces[0].values)
-    for s in pieces[1:]:
-        if len(s.values) != count or abs(s.cell - cell) > 1e-12 * cell:
-            raise ValueError("piecewise schedules must share a common grid")
     values = tuple(
         fn(*(s.values[0] if s.is_constant else s.values[k] for s in schedules))
         for k in range(count)
     )
     return values, cell
+
+
+def common_grid(grids) -> tuple[float | None, int]:
+    """The (cell, count) grid shared by the piecewise members of (cell,
+    count) grids, constants (cell None) broadcasting over it; (None, 1)
+    when all are constant. Grids differ when their counts do, or their
+    cells by more than 1e-12 of the first piecewise cell."""
+    pieces = [(cell, count) for cell, count in grids if cell is not None]
+    if not pieces:
+        return None, 1
+    cell, count = pieces[0]
+    for other, n in pieces[1:]:
+        if n != count or abs(other - cell) > 1e-12 * cell:
+            raise ValueError("piecewise schedules must share a common grid")
+    return cell, count
 
 
 def combine_schedules(fn: Callable[..., Operator], *schedules: Schedule) -> OperatorSchedule:

@@ -23,10 +23,11 @@ with no grid of its own. The branch of the argument comes from the exact
 mean path E[phi_k] on the estimator's grid, so a chunk returns only its
 final overlaps, which `_ensemble.mean_and_error` reduces. With shifts,
 channels become L_m - f_m while the Hamiltonian field is untouched (the
-regrouped Hermitian K enters only the dynamical term); both come from
-`lindblad.lower_model`. Several shift sets of one model run as one ensemble
-pass (`averaged_geometric_phases`), in which trajectory i draws the same
-noise at every point.
+regrouped Hermitian K enters only the dynamical term); both come from the
+one lowering, `lindblad.lower_sweep`, run once per call before the pass.
+Several shift sets of one model run as one ensemble pass
+(`averaged_geometric_phases`, or `sweep_averaged_phases` on a lowered
+sweep), in which trajectory i draws the same noise at every point.
 
 A chunk takes k = 4 // C steps at a time (C channels; 4 with none, 1 from
 three channels on). The kC increments of such an op choose its matrix from
@@ -49,7 +50,7 @@ import numpy as np
 
 from ._ensemble import chunked, grid_steps, map_ordered, sampling_grid, trajectory_seeds
 from ._ensemble import mean_and_error
-from .lindblad import LindbladModel, ShiftSet, energy_integral, lower_model
+from .lindblad import LindbladModel, LoweredSweep, ShiftSet, energy_integral, lower_points
 from .operators import normalized_state_vector, run_states, step_runs, unit_vector, wrap_phase
 
 # Unused here; bench/tracing.py wraps these names on this module.
@@ -411,11 +412,12 @@ class _QSDKernel:
 
 
 def _qsd_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    """One chunk at every point of shift_sets, in one pass: the (P, N) final
-    overlaps <phi_0|phi(T)> and the (P, N) mask of those that did not overflow."""
-    model, shift_sets, vec, total_time, delta_t, streams = args
+    """One chunk of the model at every lowered point, in one pass: the (P, N)
+    final overlaps <phi_0|phi(T)> and the (P, N) mask of those that did not
+    overflow."""
+    # The model rides along for bench/tracing.py's chunk counts.
+    _, lowereds, vec, total_time, delta_t, streams = args
     steps, _ = grid_steps(total_time, delta_t)
-    lowereds = [lower_model(model, shifts) for shifts in shift_sets]
     kernel = _QSDKernel(lowereds, total_time, steps, vec, len(streams))
     # Each trajectory's noise comes from its own stream, so the outcome is
     # independent of how trajectories are grouped into chunks. An
@@ -500,20 +502,45 @@ def averaged_geometric_phases(
     schedule, along the master-equation solution of the model actually
     simulated (`lindblad.energy_integral`). A point where every trajectory
     overflowed has n_used 0 and NaN estimates, its dynamical term included.
+    The shift sets are lowered once, by `lindblad.lower_points`, before the
+    pass.
     """
     vec = normalized_state_vector(phi0, model.dim, "phi0")
     shift_sets = list(shift_sets)
-    if not shift_sets:
+    lowereds: list = [None] * len(shift_sets)
+    for sweep, members in lower_points([(model, shifts) for shifts in shift_sets]):
+        for row, i in enumerate(members):
+            lowereds[i] = sweep.point(row)
+    return _averaged_phases(model, lowereds, vec, config, chunk_size)
+
+
+def sweep_averaged_phases(
+    sweep: LoweredSweep,
+    phi0,
+    config: QSDConfig,
+    chunk_size: int = DEFAULT_CHUNK,
+) -> list[QSDEnsembleResult]:
+    """`averaged_geometric_phases` at every point of a lowered sweep, from
+    one ensemble pass."""
+    vec = normalized_state_vector(phi0, sweep.model.dim, "phi0")
+    lowereds = [sweep.point(p) for p in range(len(sweep))]
+    return _averaged_phases(sweep.model, lowereds, vec, config, chunk_size)
+
+
+def _averaged_phases(model, lowereds, vec, config: QSDConfig, chunk_size: int):
+    """The ensemble pass of `averaged_geometric_phases` over the model's
+    lowered points, and each point's result."""
+    if not lowereds:
         return []
     seeds = trajectory_seeds(config.seed, config.n_trajectories)
     jobs = [
-        (model, shift_sets, vec, config.total_time, config.delta_t, streams)
+        (model, lowereds, vec, config.total_time, config.delta_t, streams)
         for streams in chunked(seeds, chunk_size)
     ]
     finals, alive = (np.concatenate(c, axis=-1) for c in zip(*map_ordered(_qsd_chunk, jobs)))
     return [
-        _point_result(lower_model(model, shifts), vec, config, final[kept])
-        for shifts, final, kept in zip(shift_sets, finals, alive)
+        _point_result(lowered, vec, config, final[kept])
+        for lowered, final, kept in zip(lowereds, finals, alive)
     ]
 
 

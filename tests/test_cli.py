@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import os
@@ -47,6 +48,59 @@ def config_file(tmp_path):
 def _rows(text: str) -> list[list[str]]:
     lines = [l for l in text.splitlines() if l and not l.startswith("#")]
     return [line.split(",") for line in lines]
+
+
+def _setup_counts(monkeypatch, argv: list[str]) -> collections.Counter:
+    """The models, configs, schedules of each type and lowerings a CLI call
+    constructs."""
+    from trajphase.config import ScenarioConfig
+    from trajphase.lindblad import LindbladModel, LoweredSweep
+    from trajphase.operators import Schedule
+
+    counts: collections.Counter = collections.Counter()
+    with monkeypatch.context() as patch:
+        for cls, name in (
+            (LindbladModel, "__post_init__"),
+            (Schedule, "__post_init__"),
+            (ScenarioConfig, "__init__"),
+            (LoweredSweep, "__init__"),
+        ):
+            original = getattr(cls, name)
+
+            def counted(self, *args, original=original, **kwargs):
+                counts[type(self).__name__] += 1
+                return original(self, *args, **kwargs)
+
+            patch.setattr(cls, name, counted)
+        assert main(argv) == EXIT_OK
+    return counts
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        "lambda: {start: 0.0, stop: 1.0, count: %d}",
+        "f: {start: 0.0, stop: 2.0, count: %d}",
+        "theta0: {start: 0.5, stop: 2.5, count: %d}",
+        "f: [0.0, 1.0]\n  lambda: {start: 0.0, stop: 1.0, count: %d}",
+    ],
+    ids=["lambda", "f", "theta0", "f-lambda"],
+)
+def test_nojump_sweep_setup_does_not_grow_with_points(
+    sweep, config_file, monkeypatch, capsys
+) -> None:
+    # A sweep is lowered once, as arrays: no model, config, schedule or
+    # lowering per point before the tracker.
+    found = []
+    for count in (5, 50):
+        text = BASE_YAML + "sweep:\n  " + sweep % count + "\n"
+        argv = ["nojump-phase", "--config", config_file(text), "--quiet"]
+        found.append(_setup_counts(monkeypatch, argv))
+        rows = _rows(capsys.readouterr().out)
+        assert len(rows) - 1 == count * (2 if sweep.startswith("f: [") else 1)
+    few, many = found
+    assert few == many
+    assert few["LoweredSweep"] == 1 and few["LindbladModel"] == 1
 
 
 def test_evolve_stdout(config_file, capsys) -> None:

@@ -227,6 +227,54 @@ def test_sweep_errors() -> None:
         _parse(DEPHASING_YAML + "sweep: {f: []}")
 
 
+def test_f_sweep_without_channels_is_refused(tmp_path, capsys) -> None:
+    # With no channel to shift, every f would give the same unshifted model
+    # and identical rows.
+    text = textwrap.dedent(
+        """
+        model:
+          dim: 2
+          hamiltonian: {preset: precession, omega: 1.0}
+          lindblads: []
+          lambda: 0.5
+        initial_state: {theta: 1.5707963267948966, phi: 0.0}
+        run: {T: 1.0, steps: 64, seed: 0}
+        sweep: {f: [0.0, 1.0]}
+        """
+    )
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.path == "sweep.f"
+    path = tmp_path / "no_channels.yaml"
+    path.write_text(text)
+    assert main(["nojump-phase", "--config", str(path)]) == EXIT_CONFIG
+    assert "config error: sweep.f: the model has no channel to shift" in capsys.readouterr().err
+    # A sweep of lambda alone stays valid on a closed model.
+    assert len(parse_config(text.replace("f: [0.0, 1.0]", "lambda: [0.0, 1.0]")).sweep) == 1
+
+
+def test_sweep_grid_arrays_match_the_pinned_points() -> None:
+    cfg = _parse(
+        DEPHASING_YAML
+        + textwrap.dedent(
+            """
+            sweep:
+              theta0: [0.5, 1.0, 2.0]
+              f: [0.0, -1.5]
+            """
+        )
+    )
+    grid = cfg.sweep_grid()
+    points = list(cfg.sweep_points())
+    assert list(grid.assignments) == [point for point, _ in points]
+    assert grid.shift_cell is None and grid.shifts.shape == (6, 1, 1)
+    for p, (point, pinned) in enumerate(points):
+        assert grid.strengths[p] == pinned.model.strength
+        assert grid.shifts[p, 0, 0] == complex(pinned.shifts.shifts[0].value_at(0.0))
+        assert grid.states[p].tobytes() == pinned.initial_state.amplitudes.tobytes()
+        assert cfg.dephasing_params(point) == pinned.dephasing_params()
+
+
 def test_at_point_assignments() -> None:
     cfg = _parse(DEPHASING_YAML)
     moved = cfg.at_point(**{"lambda": 0.9, "f": -1.0, "theta0": 0.7})

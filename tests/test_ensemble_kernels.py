@@ -79,6 +79,13 @@ def _two_point(words: np.ndarray, dt: float) -> np.ndarray:
     return math.sqrt(dt / 2.0) * (1 - 2 * (pairs & 1) + 1j * (1 - (pairs & 2)))
 
 
+def _chunk(job) -> tuple[np.ndarray, np.ndarray]:
+    """`_qsd_chunk` of a (model, shift sets, ...) job: the chunk takes each
+    shift set's lowering in place of the shift set."""
+    model, shift_sets, *tail = job
+    return _qsd_chunk((model, [lower_model(model, s) for s in shift_sets], *tail))
+
+
 def _reference_qsd_chunk(args) -> tuple:
     """The per-step QSD chunk: each trajectory's final overlap (0 once it
     overflowed), whether it did not overflow, and the step after which it
@@ -261,11 +268,11 @@ def budget(request, monkeypatch):
 
 
 def _assert_budget_free(job, finals, alive, monkeypatch) -> None:
-    """The finals and masks of _qsd_chunk(job) under the patched budget are
+    """The finals and masks of _chunk(job) under the patched budget are
     those under the module's own, byte for byte."""
     with monkeypatch.context() as m:
         m.setattr(qsd, "BLOCK_BYTES", DEFAULT_BLOCK_BYTES)
-        want_finals, want_alive = _qsd_chunk(job)
+        want_finals, want_alive = _chunk(job)
     assert finals.tobytes() == want_finals.tobytes()
     assert alive.tobytes() == want_alive.tobytes()
 
@@ -277,7 +284,7 @@ def _assert_budget_free(job, finals, alive, monkeypatch) -> None:
 def test_qsd_chunk_matches_reference_loop(dim: int, count: int, budget, monkeypatch) -> None:
     args = _job(dim, count, 0.4, 24, 300 + 10 * dim + count)
     job = (args[0], [args[1]], *args[2:])
-    finals, masks = _qsd_chunk(job)
+    finals, masks = _chunk(job)
     (final,), (alive,) = finals, masks
     want, want_alive, _ = _reference_qsd_chunk(args)
     assert alive.all() and want_alive.all() and alive.shape == (24,)
@@ -352,7 +359,7 @@ def test_qsd_excludes_the_same_trajectories(ring_ops, monkeypatch) -> None:
         monkeypatch.setattr(qsd, "BLOCK_BYTES", 4 * 32 * (ring_ops + 1))
         kernel = _QSDKernel([lower_model(model)], 23.0, 230, vec, 1)
         assert (kernel.ring_ops, kernel.span, kernel.block) == (ring_ops, 4, 32)
-    got = [int(not _qsd_chunk((model, [None], vec, 23.0, 0.1, [s]))[1][0, 0]) for s in seeds]
+    got = [int(not _chunk((model, [None], vec, 23.0, 0.1, [s]))[1][0, 0]) for s in seeds]
     want, want_alive, blown_at = _reference_qsd_chunk((model, None, vec, 23.0, 0.1, seeds))
     assert got == (blown_at >= 0).astype(int).tolist()
     assert 0 < sum(got) < 16
@@ -360,7 +367,7 @@ def test_qsd_excludes_the_same_trajectories(ring_ops, monkeypatch) -> None:
         # Some overflow falls strictly inside a ring segment, and inside an op.
         ends = blown_at[blown_at >= 0] + 1
         assert np.any(ends % (4 * ring_ops) != 0) and np.any(ends % 4 != 0)
-    (final,), (alive,) = _qsd_chunk((model, [None], vec, 23.0, 0.1, seeds))
+    (final,), (alive,) = _chunk((model, [None], vec, 23.0, 0.1, seeds))
     assert alive.tolist() == want_alive.tolist()
     assert _trajectory_gap(final, want) <= 1e-12
 
@@ -427,7 +434,7 @@ def _check_points_against_reference(model, shift_sets, vec, total_time, delta_t,
     """One batched chunk over shift_sets against the per-point reference
     loop and against one-point chunks; returns each point's overflow steps."""
     tail = (vec, total_time, delta_t, seeds)
-    finals, alive = _qsd_chunk((model, shift_sets, *tail))
+    finals, alive = _chunk((model, shift_sets, *tail))
     assert finals.shape == alive.shape == (len(shift_sets), len(seeds))
     blown_at = []
     for shifts, final, kept in zip(shift_sets, finals, alive):
@@ -435,7 +442,7 @@ def _check_points_against_reference(model, shift_sets, vec, total_time, delta_t,
         assert kept.tolist() == want_alive.tolist()
         assert _trajectory_gap(final, want) <= 1e-12
         # The other points change nothing, not even roundoff.
-        (final_alone,), (kept_alone,) = _qsd_chunk((model, [shifts], *tail))
+        (final_alone,), (kept_alone,) = _chunk((model, [shifts], *tail))
         assert final.tobytes() == final_alone.tobytes()
         assert kept.tobytes() == kept_alone.tobytes()
         blown_at.append(blown)
@@ -457,7 +464,7 @@ def test_qsd_points_in_one_pass_match_reference_loop(
     seeds = trajectory_seeds(700 + dim, 24)
     _check_points_against_reference(model, shift_sets, vec, CELLS * CELL, 1e-2, seeds)
     job = (model, shift_sets, vec, CELLS * CELL, 1e-2, seeds)
-    _assert_budget_free(job, *_qsd_chunk(job), monkeypatch)
+    _assert_budget_free(job, *_chunk(job), monkeypatch)
 
 
 def _one_step_matrices(model, shifts, dt: float) -> np.ndarray:
@@ -568,7 +575,7 @@ def test_qsd_overflow_inside_a_ring_segment(dim: int, count: int, monkeypatch) -
     ring = _ring_inside_a_block(lowered, steps * delta_t, steps, vec, len(seeds), monkeypatch)
     # Some overflow falls strictly inside a ring segment.
     assert np.any((blown_at[blown_at >= 0] + 1) % ring != 0)
-    finals, masks = _qsd_chunk((model, [None], *job[2:]))
+    finals, masks = _chunk((model, [None], *job[2:]))
     (final,), (alive,) = finals, masks
     assert alive.tolist() == want_alive.tolist()
     assert _trajectory_gap(final, want) <= 1e-12
@@ -670,7 +677,7 @@ def test_qsd_chunk_stays_within_its_block_budget(dim: int, count: int) -> None:
            trajectory_seeds(3, 512))
     tracemalloc.start()
     try:
-        _qsd_chunk(job)
+        _chunk(job)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

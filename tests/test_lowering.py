@@ -1,4 +1,5 @@
-"""Lowered models: piecewise schedules through both ensembles, and the shift
+"""Lowered models: the stacked lowering of a sweep against one point at a
+time, piecewise schedules through both ensembles, and the shift
 invariances on random small models."""
 
 from __future__ import annotations
@@ -8,17 +9,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajphase.dephasing import dephasing_model
 from trajphase.jump import StepSizeError, average_jump_ensemble, sample_jump_trajectory
 from trajphase.lindblad import (
+    CellTerms,
     DensityMatrix,
     LindbladModel,
     ShiftSet,
     apply_shift,
     evolve_density,
     lindblad_rhs,
+    lower_model,
+    lower_points,
+    lower_sweep,
     shifted_hamiltonian,
+    stack_shifts,
 )
 from trajphase.operators import (
     BlochAngles,
@@ -26,6 +34,8 @@ from trajphase.operators import (
     OperatorSchedule,
     ScalarSchedule,
     bloch_state,
+    combine,
+    identity,
     pauli,
 )
 from trajphase.qsd import QSDConfig, averaged_geometric_phase
@@ -34,6 +44,112 @@ EQUATOR = bloch_state(BlochAngles(math.pi / 2, 0.0))
 CELL = 0.5
 CELLS = 3
 SIZES = list(itertools.product((2, 3, 4), (1, 2, 3)))
+
+
+def _reference_lowering(model, shifts) -> tuple[tuple[CellTerms, ...], float | None]:
+    """Cell by cell, the lowering that `lower_sweep` broadcasts: each cell's
+    terms from its own matrices and shift values, in this order."""
+    count = len(model.lindblads)
+    lam = model.strength
+    one = identity(model.dim).entries
+
+    def build(ham, *rest) -> CellTerms:
+        h = ham.entries
+        chans = [c.entries for c in rest[:count]]
+        k = h
+        if shifts is not None:
+            values = [complex(f) for f in rest[count:]]
+            for l, f in zip(chans, values):
+                k = k - 0.5j * lam * (np.conj(f) * l - f * l.conj().T)
+            chans = [l - f * one for l, f in zip(chans, values)]
+        adjoints = tuple(l.conj().T for l in chans)
+        squares = tuple(ld @ l for l, ld in zip(chans, adjoints))
+        k_tilde = h
+        for sq in squares:
+            k_tilde = k_tilde - 0.5j * lam * sq
+        return CellTerms(h, tuple(chans), adjoints, squares, k_tilde, k)
+
+    return combine(build, model.hamiltonian, *model.lindblads, *(shifts or ShiftSet(())).shifts)
+
+
+def _assert_same_terms(got, want) -> None:
+    """CellTerms equal byte for byte, signed zeros included."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for x, y in zip(a, b):
+            pairs = zip(x, y) if isinstance(x, tuple) else [(x, y)]
+            assert len(x) == len(y)
+            for u, v in pairs:
+                assert u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+@st.composite
+def sweep_points(draw):
+    """Points of one random model (dim 2-4, 1-3 channels, piecewise on 1-3
+    cells or constant): each a strength, 0 included, and no shifts,
+    constant complex shifts or piecewise complex shifts on the model's
+    grid."""
+    dim, count, cells = draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def schedule(hermitian: bool) -> OperatorSchedule:
+        ops = []
+        for _ in range(cells):
+            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            ops.append(Operator(m + m.conj().T if hermitian else m))
+        return OperatorSchedule.piecewise(ops, CELL) if cells > 1 else OperatorSchedule(ops, None)
+
+    model = LindbladModel(schedule(True), tuple(schedule(False) for _ in range(count)), 0.0)
+    points = []
+    for kind, strength in draw(
+        st.lists(st.tuples(st.sampled_from(["none", "constant", "piecewise"]),
+                           st.sampled_from([0.0, 0.3, 1.7])), min_size=1, max_size=6)
+    ):
+        shifts = None
+        if kind != "none":
+            values = rng.normal(size=(count, cells)) + 1j * rng.normal(size=(count, cells))
+            if kind == "constant" or cells == 1:
+                shifts = ShiftSet.constants(values[:, 0])
+            else:
+                shifts = ShiftSet(tuple(ScalarSchedule.piecewise(v, CELL) for v in values))
+        points.append((LindbladModel(model.hamiltonian, model.lindblads, strength), shifts))
+    return points
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(sweep_points())
+def test_stacked_lowering_equals_one_point_lowering(points) -> None:
+    for sweep, members in lower_points(points):
+        for row, i in enumerate(members):
+            model, shifts = points[i]
+            alone, want = lower_model(model, shifts), _reference_lowering(model, shifts)
+            got = sweep.point(row)
+            assert got.cell == alone.cell == want[1]
+            assert got.strength == alone.strength == model.strength
+            _assert_same_terms(got.values, alone.values)
+            _assert_same_terms(got.values, want[0])
+    # One lower_sweep call over every shifted point of one kind.
+    for kind in (lambda s: s.shifts[0].is_constant, lambda s: not s.shifts[0].is_constant):
+        picked = [(m, s) for m, s in points if s is not None and kind(s)]
+        if picked:
+            values, cell = stack_shifts([s for _, s in picked])
+            sweep = lower_sweep(picked[0][0], [m.strength for m, _ in picked], values, cell)
+            for p, (model, shifts) in enumerate(picked):
+                _assert_same_terms(sweep.point(p).values, lower_model(model, shifts).values)
+
+
+def test_stacked_lowering_refuses_as_one_point_lowering() -> None:
+    model = dephasing_model(1.0, 0.5)
+    with pytest.raises(ValueError) as one:
+        LindbladModel(model.hamiltonian, model.lindblads, -0.1)
+    with pytest.raises(ValueError) as stacked:
+        lower_sweep(model, [0.5, -0.1])
+    assert str(stacked.value) == str(one.value) == "coupling strength must be nonnegative"
+    with pytest.raises(ValueError) as one:
+        lower_model(model, ShiftSet.constants([0.1, 0.2]))
+    with pytest.raises(ValueError) as stacked:
+        lower_sweep(model, [0.5], np.zeros((1, 2, 1), complex))
+    assert str(stacked.value) == str(one.value) == "2 shifts supplied for 1 channels"
 
 
 def test_jump_sampler_reads_channels_in_the_midpoint_cell() -> None:

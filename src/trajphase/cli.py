@@ -276,8 +276,8 @@ def _cmd_symmetry_check(cfg: ScenarioConfig) -> str:
     # evolution, the no-jump phase and the generator shift.
     plain, shifted = (sweep for sweep, _ in lower_points([(model, None), (model, cfg.shifts)]))
     rho0 = DensityMatrix.from_pure(cfg.initial_state)
-    _, base = evolve_states(plain.point(0), rho0, total, cfg.run.steps)
-    _, moved = evolve_states(shifted.point(0), rho0, total, cfg.run.steps)
+    _, base = evolve_states(plain, 0, rho0, total, cfg.run.steps)
+    _, moved = evolve_states(shifted, 0, rho0, total, cfg.run.steps)
     diffs = np.abs(base - moved).max(axis=(1, 2))
     residual = float(diffs.max())
 

@@ -10,13 +10,15 @@ no-jump branch is
     phase = arg<psi(0)|psi(T)> + integral of <psi|K|psi> / <psi|psi> dt,
 
 with K the Hermitian Hamiltonian of the (possibly shifted) model and the
-overlap argument tracked continuously along the path. The tracker reads
-the (P, cells, d, d) stacks of K_tilde and K of a lowered sweep
-(`lindblad.lower_sweep`) and the (P, d) initial states, with no per-point
-set-up (`sweep_no_jump_phases`; `no_jump_geometric_phases` lowers its
-points first). It propagates the points that share a grid and its runs as
-one stack, in windows of grid columns within STACK_BYTES, and forms each
-column's norm, overlap and integrand once. The integral is the
+overlap argument tracked continuously along the path. Every propagator
+here reads the one lowered form, a `lindblad.LoweredSweep`: the tracker
+takes the (P, cells, d, d) stacks of K_tilde and K of a sweep and the (P,
+d) initial states, with no per-point set-up (`sweep_no_jump_phases`;
+`no_jump_geometric_phases` lowers its points first), and the jump sampler
+and the Kraus sets read the rows of one point. The tracker propagates the
+points that share a grid and its runs as one stack, in windows of grid
+columns within STACK_BYTES, and forms each column's norm, overlap and
+integrand once. The integral is the
 composite Simpson rule, summed window by window from the rule's weights
 (`operators.simpson_weights`), so no array spans the grid. The discrete-time
 monitoring picture is exposed through Kraus sets F_0 = 1 - i K_tilde dt,
@@ -33,7 +35,8 @@ step k's cell, chosen by u with probability proportional to
 state at k + 1, where the trajectory starts again. Jump times, k * dt,
 resolve only to dt; the law departs from continuous time at O(strength *
 dt). A jump whose total probability strength * dt * sum_m
-||(L_m - f_m) psi||^2, psi normalized, exceeds 1 raises StepSizeError.
+||(L_m - f_m) psi||^2, psi normalized, exceeds 1 raises StepSizeError. An
+ensemble lowers its model once; every chunk job carries that lowering.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .lindblad import (
     LindbladModel,
     LoweredSweep,
     ShiftSet,
+    _schedule,
     lower_model,
     lower_points,
     shift_is_hidden,
@@ -213,13 +217,15 @@ class JumpEnsembleResult:
 
 def no_jump_hamiltonian(model: LindbladModel) -> OperatorSchedule:
     """K_tilde(t) = H(t) - (i * strength / 2) * sum_m L_m(t)^dag L_m(t)."""
-    return lower_model(model).operators(lambda c: c.k_tilde)
+    sweep = lower_model(model)
+    return _schedule(sweep.grid, sweep.k_tilde[0])
 
 
 def shifted_no_jump_hamiltonian(model: LindbladModel, shifts: ShiftSet) -> OperatorSchedule:
     """No-jump generator of the shifted model,
     H - (i * strength / 2) * sum (L - f)^dag (L - f)."""
-    return lower_model(model, shifts).operators(lambda c: c.k_tilde)
+    sweep = lower_model(model, shifts)
+    return _schedule(sweep.grid, sweep.k_tilde[0])
 
 
 def propagate_no_jump(
@@ -248,7 +254,8 @@ def propagate_no_jump(
 
     dt = total_time / steps
     exponent = int(np.frexp(np.abs(vec).max())[1])
-    maps, runs = step_propagators(generator, total_time, steps)
+    gens = np.stack([op.entries for op in generator.values])
+    maps, runs = step_propagators(generator, gens, total_time, steps)
     states = run_states(maps, runs, binary_scaled(vec, -exponent))
 
     sq_norms = _squared_norms(states.T)
@@ -678,10 +685,11 @@ def _warn_if_crude(strength_dt: float) -> None:
 
 
 class _JumpSampler:
-    """The waiting-time law of this module for the columns of a (d, N) array.
+    """The waiting-time law of this module for the columns of a (d, N)
+    array, at point p of a lowered sweep.
 
-    Steps whose cell terms are byte-equal share one key, so equal-valued
-    cells form one run. In round j of a run, every column left in it finds
+    Steps whose cells' K_tilde and channels are byte-equal share one key,
+    so equal-valued cells form one run. In round j of a run, every column left in it finds
     its j-th jump there by greedy binary lifting over the powers U^(2^i) of
     the run's no-jump map, each key's `MapPowers`: from the highest a run
     of its length can take down, a column takes a power that stays in the
@@ -692,23 +700,20 @@ class _JumpSampler:
     PAIR_BLOCK pairs at a time, as `Generator.random` of its stream would
     give them; only exhausted columns are refilled, all in one draw."""
 
-    def __init__(self, model, shifts, total_time: float, steps: int):
-        lowered = lower_model(model, shifts)
-        gen = lowered.operators(lambda c: c.k_tilde)
-        cell_runs = step_runs(gen, total_time, steps)
+    def __init__(self, sweep: LoweredSweep, p: int, total_time: float, steps: int):
+        k_tilde, channels = sweep.k_tilde[p], sweep.channels[p]
+        cell_runs = step_runs(sweep.grid, total_time, steps)
         # The key of a cell is the first cell whose terms equal its own.
         first: dict[bytes, int] = {}
         keys = []
         for _, _, c in cell_runs:
-            terms = lowered.values[c]
-            data = b"".join(m.tobytes() for m in (terms.k_tilde, *terms.channels))
+            data = b"".join(m.tobytes() for m in (k_tilde[c], *channels[c]))
             keys.append(first.setdefault(data, c))
         self.runs = [(cell_runs[i][0], cell_runs[j - 1][1], k) for i, j, k in key_runs(keys)]
-        self.maps = cell_maps(gen, first.values(), total_time / steps)
+        self.maps = cell_maps(k_tilde, first.values(), total_time / steps)
         # The channels of a key as one (C, d, d) array.
-        shape = (-1, model.dim, model.dim)
-        self.stacks = {c: np.reshape(lowered.values[c].channels, shape) for c in first.values()}
-        self.lam_dt = model.strength * (total_time / steps)
+        self.stacks = {c: channels[c] for c in first.values()}
+        self.lam_dt = float(sweep.strengths[p]) * (total_time / steps)
         self.powers = {key: MapPowers(m) for key, m in self.maps.items()}
 
     def _jump(self, psi, u, key) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -805,7 +810,7 @@ def sample_jump_trajectory(
     _warn_if_crude(model.strength * dt)
     vec = unit_vector(state_vector(psi0, model.dim))
     rows = PCG64Rows.of(rng)
-    sampler = _JumpSampler(model, shifts, total_time, steps)
+    sampler = _JumpSampler(lower_model(model, shifts), 0, total_time, steps)
     found: list = []
     try:
         sampler.run(vec[:, np.newaxis].copy(), rows, found)
@@ -829,15 +834,16 @@ def sample_jump_trajectory(
 
 
 def _ensemble_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    """A chunk's normalized (d, N) states at T and its (N,) jump counts,
-    trajectory i drawing from the PCG64 seeded by row i of the chunk's
-    (N, 4) seed words."""
+    """A chunk's normalized (d, N) states at T and its (N,) jump counts at
+    the lowered point (sweep, p), trajectory i drawing from the PCG64
+    seeded by row i of the chunk's (N, 4) seed words."""
     from ._streams import PCG64Rows
 
-    model, shifts, vec, total_time, delta_t, words = args
+    # The model rides along for bench/tracing.py's chunk counts.
+    _, (sweep, p), vec, total_time, delta_t, words = args
     steps, _ = grid_steps(total_time, delta_t)
     x = np.repeat(vec[:, np.newaxis], len(words), axis=1)
-    sampler = _JumpSampler(model, shifts, total_time, steps)
+    sampler = _JumpSampler(sweep, p, total_time, steps)
     jumps = sampler.run(x, PCG64Rows.seeded(words))
     return x / np.sqrt(_squared_norms(x)), jumps
 
@@ -857,7 +863,8 @@ def average_jump_ensemble(
 
     Trajectory i draws from a stream spawned deterministically from
     (seed, i), and chunk results are joined in order, so the outcome is
-    identical for any TRAJPHASE_THREADS setting.
+    identical for any TRAJPHASE_THREADS setting. The model is lowered once,
+    and every chunk job carries the lowering.
     """
     if n_trajectories < 1:
         raise ValueError("n_trajectories must be >= 1")
@@ -867,10 +874,8 @@ def average_jump_ensemble(
     _, dt = sampling_grid(total_time, delta_t)
     _warn_if_crude(model.strength * dt)
     words = trajectory_words(seed, n_trajectories)
-    jobs = [
-        (model, shifts, vec, total_time, delta_t, block)
-        for block in chunked(words, chunk_size)
-    ]
+    point = (lower_model(model, shifts), 0)
+    jobs = [(model, point, vec, total_time, delta_t, w) for w in chunked(words, chunk_size)]
     x, jump_counts = (np.concatenate(c, axis=-1) for c in zip(*map_ordered(_ensemble_chunk, jobs)))
     # The (d, d, n) stack of |psi><psi|, reduced in place.
     estimates, std_error = mean_and_error(x[:, np.newaxis] * x.conj())
@@ -899,12 +904,13 @@ def kraus_set(
     """
     if delta_t <= 0:
         raise ValueError("delta_t must be positive")
-    terms = lower_model(model, shifts).value_at(at_time)
-    first = Operator(np.eye(model.dim) - 1j * delta_t * terms.k_tilde)
+    sweep = lower_model(model, shifts)
+    c = sweep.grid.value_at(at_time)
+    first = Operator(np.eye(model.dim) - 1j * delta_t * sweep.k_tilde[0, c])
     if model.strength == 0.0:
         return KrausSet(delta_t, (first,))
     root = math.sqrt(model.strength * delta_t)
-    ops = [first] + [Operator(root * l) for l in terms.channels]
+    ops = [first] + [Operator(root * l) for l in sweep.channels[0, c]]
     return KrausSet(delta_t, tuple(ops))
 
 

@@ -14,16 +14,17 @@ the dissipator shows the whole effect regroups into the Hamiltonian part,
     H -> K = H - (i * strength / 2) * sum_m (conj(f_m) L_m - f_m L_m^dag),
 
 so the physical evolution is unchanged exactly when every conj(f_m) L_m is
-Hermitian ("hidden" shifts). There is one lowering, `lower_sweep`: it turns
-a model at P points, each with its own strength and shifts, into read-only
-stacks over the points and the cells of their common grid (shifted
-channels, their adjoints and squares, the no-jump generator K_tilde and the
-Hermitian K), with each entry's arithmetic that of a single point and cell,
-so a point of a sweep has the bits it would have alone. `lower_model` is its
-one-point case, whose per-cell CellTerms are views of the stacks, and
-`lower_points` lowers (model, shifts) points with one call per group that
-shares a model's schedules. Every propagator reads a lowering;
-`apply_shift` and `shifted_hamiltonian` are schedule views of one.
+Hermitian ("hidden" shifts). There is one lowering, `lower_sweep`, and
+one lowered form, `LoweredSweep`: read-only stacks over the points of a
+model, each with its own strength and shifts, and the cells of their
+common grid (shifted channels, their adjoints and squares, the no-jump
+generator K_tilde and the Hermitian K), with each entry's arithmetic that
+of a single point and cell, so a point of a sweep has the bits it would
+have alone. `lower_model` is the one-point sweep, and `lower_points` lowers
+(model, shifts) points with one call per group that shares a model's
+schedules. Every propagator takes a point as (sweep, p) and reads row p of
+the stacks; `apply_shift` and `shifted_hamiltonian` build their schedules
+from such rows.
 
 The master equation is linear in rho with a piecewise-constant generator,
 so `evolve_states` solves it exactly: each cell's Liouvillian S_c, a
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -185,39 +186,16 @@ def _check_channel_count(given: int, count: int) -> None:
         raise ValueError(f"{given} shifts supplied for {count} channels")
 
 
-class CellTerms(NamedTuple):
-    """Matrices of one grid cell; channels are already shifted, L_m - f_m."""
-
-    h: np.ndarray
-    channels: tuple[np.ndarray, ...]
-    adjoints: tuple[np.ndarray, ...]
-    # (L_m - f_m)^dag (L_m - f_m)
-    squares: tuple[np.ndarray, ...]
-    # K_tilde = H - (i * strength / 2) * sum_m squares[m]
-    k_tilde: np.ndarray
-    # Hermitian K of the shifted model; H itself when there is no shift.
-    k: np.ndarray
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class LoweredModel(Schedule):
-    """A model and its shifts as one CellTerms per cell of their common grid."""
-
-    values: tuple[CellTerms, ...]
-    strength: float
-
-    def operators(self, pick: Callable[[CellTerms], np.ndarray]) -> OperatorSchedule:
-        """One matrix of every cell, as an operator schedule on the same grid."""
-        return OperatorSchedule(tuple(Operator(pick(c)) for c in self.values), self.cell)
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class LoweredSweep:
     """A model at P points, each with its own strength and the same kind
     of shifts, as read-only stacks over the points p, the cells c of their
-    common grid and the channels m: h[c], channels, adjoints and squares
-    [p, c, m], and k_tilde and k [p, c] (see CellTerms). grid holds each
-    cell's index on that grid."""
+    common grid and the channels m: h[c], the shifted channels L_m - f_m,
+    their adjoints and their squares (L_m - f_m)^dag (L_m - f_m) [p, c, m],
+    the no-jump generator K_tilde = H - (i strengths[p] / 2) sum_m
+    squares[p, c, m] and the Hermitian K of the shifted model (H itself
+    without shifts) [p, c]. grid holds each cell's index on that grid.
+    Point p is the pair (sweep, p): its rows of the stacks."""
 
     model: LindbladModel
     grid: Schedule
@@ -231,21 +209,6 @@ class LoweredSweep:
 
     def __len__(self) -> int:
         return len(self.strengths)
-
-    def point(self, p: int) -> LoweredModel:
-        """Point p as a LoweredModel whose CellTerms are views of the stacks."""
-        values = tuple(
-            CellTerms(
-                self.h[c],
-                tuple(self.channels[p, c]),
-                tuple(self.adjoints[p, c]),
-                tuple(self.squares[p, c]),
-                self.k_tilde[p, c],
-                self.k[p, c],
-            )
-            for c in range(len(self.h))
-        )
-        return LoweredModel(values, self.grid.cell, float(self.strengths[p]))
 
 
 def lower_sweep(
@@ -346,47 +309,59 @@ def lower_points(
     return out
 
 
-def lower_model(model: LindbladModel, shifts: Optional[ShiftSet] = None) -> LoweredModel:
-    """Per-cell matrices of the model with its channels shifted by shifts:
-    the one-point case of `lower_sweep`. With shifts, channels are L_m -
-    f_m and K is the regrouped Hamiltonian; without, channels are L_m and
-    K = H. The Hamiltonian, channels and shifts must share one grid
-    (constants broadcast).
+def lower_model(model: LindbladModel, shifts: Optional[ShiftSet] = None) -> LoweredSweep:
+    """The model with its channels shifted by shifts as the one-point sweep
+    of `lower_sweep`. With shifts, channels are L_m - f_m and K is the
+    regrouped Hamiltonian; without, channels are L_m and K = H. The
+    Hamiltonian, channels and shifts must share one grid (constants
+    broadcast).
     """
     ((lowered, _),) = lower_points([(model, shifts)])
-    return lowered.point(0)
+    return lowered
 
 
-def _rhs_matrix(terms: CellTerms, strength, rho):
-    ham = terms.h
+def _schedule(grid: Schedule, rows) -> OperatorSchedule:
+    """The (C, d, d) rows of a lowering's stack as an operator schedule on
+    its grid."""
+    return OperatorSchedule(tuple(Operator(row) for row in rows), grid.cell)
+
+
+def _rhs_matrix(sweep: LoweredSweep, p: int, c: int, rho):
+    """The master equation's right-hand side at point p in cell c."""
+    ham = sweep.h[c]
     out = -1j * (ham @ rho - rho @ ham)
-    for l, ld, ldl in zip(terms.channels, terms.adjoints, terms.squares):
-        out = out + strength * (l @ rho @ ld - 0.5 * (ldl @ rho + rho @ ldl))
+    for l, ld, ldl in zip(sweep.channels[p, c], sweep.adjoints[p, c], sweep.squares[p, c]):
+        out = out + sweep.strengths[p] * (l @ rho @ ld - 0.5 * (ldl @ rho + rho @ ldl))
     return out
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two d x d matrices as one broadcast product: entry
-    (i d + k, j d + l) is a[i, j] b[k, l]."""
-    size = a.shape[0] * b.shape[0]
-    return (a[:, np.newaxis, :, np.newaxis] * b[np.newaxis, :, np.newaxis, :]).reshape(size, size)
+    """np.kron of d x d matrices, or of each pair of two broadcast (..., d,
+    d) stacks, as one broadcast product: entry (i d + k, j d + l) is a[i, j]
+    b[k, l]."""
+    size = a.shape[-1] * b.shape[-1]
+    out = a[..., :, np.newaxis, :, np.newaxis] * b[..., np.newaxis, :, np.newaxis, :]
+    return out.reshape(*out.shape[:-4], size, size)
 
 
-def _liouvillian(terms: CellTerms, strength: float) -> np.ndarray:
-    """`_rhs_matrix` of one cell as a d^2 x d^2 matrix on the row-major
-    vec(rho), by vec(A X B) = kron(A, B.T) vec(X). The right-hand side is
-    G rho + rho G^dag + strength * sum_m L_m rho L_m^dag with G = -i K_tilde."""
-    one = np.eye(terms.h.shape[0])
-    g = -1j * terms.k_tilde
+def _liouvillian(sweep: LoweredSweep, p: int) -> np.ndarray:
+    """`_rhs_matrix` of point p in every cell as a (C, d^2, d^2) stack of
+    matrices on the row-major vec(rho), by vec(A X B) = kron(A, B.T)
+    vec(X). The right-hand side is G rho + rho G^dag + strength * sum_m L_m
+    rho L_m^dag with G = -i K_tilde."""
+    one = np.eye(sweep.h.shape[-1])
+    g = -1j * sweep.k_tilde[p]
     out = _kron(g, one) + _kron(one, g.conj())
-    for l in terms.channels:
-        out = out + strength * _kron(l, l.conj())
+    for m in range(sweep.channels.shape[2]):
+        l = sweep.channels[p, :, m]
+        out = out + sweep.strengths[p] * _kron(l, l.conj())
     return out
 
 
-def energy_integral(lowered: LoweredModel, vec: np.ndarray, total_time: float) -> float:
+def energy_integral(sweep: LoweredSweep, p: int, vec: np.ndarray, total_time: float) -> float:
     """Integral of Tr[rho(t) K(t)] over [0, total_time], rho(t) being the
-    master-equation solution from the pure state vec, exact per cell.
+    master-equation solution at point p of sweep from the pure state vec,
+    exact per cell.
 
     On the row-major vec, Tr[K rho] = vec(K^T) . vec(rho). Over a cell's span
     s, the exponential of the augmented generator [[S_c, 0], [vec(K_c^T)^T, 0]]
@@ -397,16 +372,17 @@ def energy_integral(lowered: LoweredModel, vec: np.ndarray, total_time: float) -
     """
     if total_time < 0:
         raise ValueError("total_time must be >= 0")
-    last = int(lowered.cells_at(total_time))
+    cell = sweep.grid.cell
+    last = int(sweep.grid.cells_at(total_time))
     size = vec.shape[0] ** 2
     state = np.zeros(size + 1, dtype=complex)
     state[:size] = np.outer(vec, vec.conj()).reshape(-1)
     aug = np.zeros((size + 1, size + 1), dtype=complex)
-    for c, terms in enumerate(lowered.values[: last + 1]):
-        aug[:size, :size] = _liouvillian(terms, lowered.strength)
-        aug[size, :size] = terms.k.T.reshape(-1)
-        start = c * (lowered.cell or 0.0)
-        end = total_time if c == last else (c + 1) * lowered.cell
+    for c, liouvillian in enumerate(_liouvillian(sweep, p)[: last + 1]):
+        aug[:size, :size] = liouvillian
+        aug[size, :size] = sweep.k[p, c].T.reshape(-1)
+        start = c * (cell or 0.0)
+        end = total_time if c == last else (c + 1) * cell
         state = matrix_exponential((end - start) * aug) @ state
     return float(state[size].real)
 
@@ -422,7 +398,8 @@ def _checked_density(entries: np.ndarray) -> DensityMatrix:
 def lindblad_rhs(model: LindbladModel, rho: Union[DensityMatrix, np.ndarray], t: float = 0.0) -> Operator:
     """Right-hand side of the master equation at time t (traceless Hermitian)."""
     arr = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    return Operator(_rhs_matrix(lower_model(model).value_at(t), model.strength, arr))
+    sweep = lower_model(model)
+    return Operator(_rhs_matrix(sweep, 0, sweep.grid.value_at(t), arr))
 
 
 def evolve_density(
@@ -437,20 +414,22 @@ def evolve_density(
     as (time, state) pairs: the list form of `evolve_states`, whose exact
     per-cell maps and once-per-grid checks it shares.
     """
-    times, rhos = evolve_states(lower_model(model), rho0, total_time, steps)
+    times, rhos = evolve_states(lower_model(model), 0, rho0, total_time, steps)
     return [(0.0, rho0)] + [
         (t, _checked_density(rho)) for t, rho in zip(times[1:].tolist(), rhos[1:])
     ]
 
 
 def evolve_states(
-    lowered: LoweredModel,
+    sweep: LoweredSweep,
+    p: int,
     rho0: DensityMatrix,
     total_time: float,
     steps: int = DEFAULT_SUBSTEPS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grid times and the read-only (steps + 1, d, d) stack of checked
-    density matrices of the master-equation solution, rho0 first.
+    density matrices of the master-equation solution at point p of sweep,
+    rho0 first.
 
     A step of cell c is exp(dt S_c) on the row-major vec(rho), S_c being the
     cell's `_liouvillian`: one matrix exponential per cell used, from
@@ -471,8 +450,7 @@ def evolve_states(
     if total_time < 0:
         raise ValueError("total_time must be >= 0")
     # exp(-i dt (i S_c)) = exp(dt S_c).
-    generator = lowered.operators(lambda c: 1j * _liouvillian(c, lowered.strength))
-    maps, runs = step_propagators(generator, total_time, steps)
+    maps, runs = step_propagators(sweep.grid, 1j * _liouvillian(sweep, p), total_time, steps)
     dim = rho0.dim
     stack = run_states(maps, runs, rho0.entries.reshape(-1)).reshape(steps + 1, dim, dim)
     rhos = stack[1:]
@@ -536,10 +514,8 @@ def apply_shift(model: LindbladModel, shifts: ShiftSet) -> LindbladModel:
     shifted model regroups exactly into Hamiltonian `shifted_hamiltonian`
     with the original dissipator, so storing K as well would double-count.
     """
-    lowered = lower_model(model, shifts)
-    channels = tuple(
-        lowered.operators(lambda c, m=m: c.channels[m]) for m in range(len(shifts))
-    )
+    sweep = lower_model(model, shifts)
+    channels = tuple(_schedule(sweep.grid, sweep.channels[0, :, m]) for m in range(len(shifts)))
     return LindbladModel(model.hamiltonian, channels, model.strength)
 
 
@@ -548,7 +524,8 @@ def shifted_hamiltonian(model: LindbladModel, shifts: ShiftSet) -> OperatorSched
 
         K(t) = H(t) - (i * strength / 2) * sum_m (conj(f_m) L_m - f_m L_m^dag)
     """
-    return lower_model(model, shifts).operators(lambda c: c.k)
+    sweep = lower_model(model, shifts)
+    return _schedule(sweep.grid, sweep.k[0])
 
 
 def shift_is_hidden(model: LindbladModel, shifts: ShiftSet, tol: float = 1e-12) -> bool:

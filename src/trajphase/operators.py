@@ -488,24 +488,25 @@ def _pade_exponential(a: np.ndarray, degree: int, squarings: int) -> np.ndarray:
 
 
 def step_propagators(
-    generator: OperatorSchedule, total_time: float, steps: int
+    grid: Schedule, generators: np.ndarray, total_time: float, steps: int
 ) -> tuple[dict[int, np.ndarray], list[tuple[int, int, int]]]:
-    """Per-cell maps exp(-i dt G) and the `step_runs` of the uniform grid on
-    [0, total_time]: the steps of run (start, stop, cell) apply maps[cell].
-    One exponential per cell used."""
-    runs = step_runs(generator, total_time, steps)
-    return cell_maps(generator, [c for _, _, c in runs], total_time / steps), runs
+    """Per-cell maps exp(-i dt G_c) of the (C, d, d) generators on the cells
+    of grid, and the `step_runs` of the uniform grid on [0, total_time]: the
+    steps of run (start, stop, cell) apply maps[cell]. One exponential per
+    cell used."""
+    runs = step_runs(grid, total_time, steps)
+    return cell_maps(generators, [c for _, _, c in runs], total_time / steps), runs
 
 
-def cell_maps(generator: OperatorSchedule, cells, dt: float) -> dict[int, np.ndarray]:
-    """The step map exp(-i dt G_c) of each cell c in cells, from one
-    `matrix_exponential` of the distinct cells' stack; each map has the bits
-    of its cell's exponential alone."""
+def cell_maps(generators: np.ndarray, cells, dt: float) -> dict[int, np.ndarray]:
+    """The step map exp(-i dt G_c) of each cell c in cells, G_c being row c
+    of the (C, d, d) generators, from one `matrix_exponential` of the
+    distinct cells' stack in order of first use; each map has the bits of
+    its cell's exponential alone."""
     cells = list(dict.fromkeys(cells))
     if not cells:
         return {}
-    stack = np.stack([generator.values[c].entries for c in cells])
-    return dict(zip(cells, matrix_exponential(-1j * dt * stack)))
+    return dict(zip(cells, matrix_exponential(-1j * dt * generators[cells])))
 
 
 def step_runs(schedule: Schedule, total_time: float, steps: int) -> list[tuple[int, int, int]]:

@@ -23,11 +23,13 @@ with no grid of its own. The branch of the argument comes from the exact
 mean path E[phi_k] on the estimator's grid, so a chunk returns only its
 final overlaps, which `_ensemble.mean_and_error` reduces. With shifts,
 channels become L_m - f_m while the Hamiltonian field is untouched (the
-regrouped Hermitian K enters only the dynamical term); both come from the
-one lowering, `lindblad.lower_sweep`, run once per call before the pass.
-Several shift sets of one model run as one ensemble pass
-(`averaged_geometric_phases`, or `sweep_averaged_phases` on a lowered
-sweep), in which trajectory i draws the same noise at every point.
+regrouped Hermitian K enters only the dynamical term); both are rows of
+the one lowered form, a `lindblad.LoweredSweep`, made once per call before
+the pass. Several points of one model run as one ensemble pass, each
+point a (sweep, p) pair that the kernel, the mean path and the dynamical
+term read (`averaged_geometric_phases`, which lowers its shift sets, or
+`sweep_averaged_phases` on a lowered sweep); trajectory i draws the same
+noise at every point.
 
 A chunk takes k = 4 // C steps at a time (C channels; 4 with none, 1 from
 three channels on). The kC increments of such an op choose its matrix from
@@ -134,17 +136,18 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.reduce(a[..., :, :, np.newaxis] * b[..., np.newaxis, :, :], axis=-2)
 
 
-def _pieces(lowereds, total_time: float, steps: int, span: int):
+def _pieces(points, total_time: float, steps: int, span: int):
     """The grid's ops of span steps from a multiple of span, the last one
     possibly shorter, in pieces of ops with one table: the first op of each
-    piece, its number of ops, and each point's cells at the steps of its
-    first op."""
+    piece, its number of ops, and each (sweep, p) point's cells at the steps
+    of its first op."""
     ops = -(-steps // span)
     # Each point's cell only grows with the step, so the combination of
     # cells changes exactly where some point's run starts. A piece starts at
     # op 0, at the op holding such a step and at the op after it, and at a
     # shorter last op.
-    starts = {a for low in lowereds for a, _, _ in step_runs(low, total_time, steps)}
+    grids = [sweep.grid for sweep, _ in points]
+    starts = {a for grid in grids for a, _, _ in step_runs(grid, total_time, steps)}
     edges = {0, ops, *(a // span for a in starts), *(-(-a // span) for a in starts)}
     if steps % span:
         edges.add(ops - 1)
@@ -152,29 +155,31 @@ def _pieces(lowereds, total_time: float, steps: int, span: int):
     firsts = [range(e * span, min(e * span + span, steps)) for e in edges[:-1]]
     index = [k for first in firsts for k in first]
     splits = np.cumsum([len(first) for first in firsts])[:-1]
-    cells = [np.split(low.step_cells(total_time, steps, index), splits) for low in lowereds]
+    cells = [np.split(grid.step_cells(total_time, steps, index), splits) for grid in grids]
     pieces = [[c.tolist() for c in piece] for piece in zip(*cells)]
     return edges[:-1], np.diff(edges).tolist(), pieces
 
 
 class _QSDKernel:
-    """Euler-Maruyama steps of P points (one per lowered model) of a chunk of
-    N trajectories, k = 4 // C steps at a time (C channels; 4 with none, 1
-    from three channels on). Trajectory i of every point sees the same noise.
+    """Euler-Maruyama steps of P lowered points, each a (sweep, p) pair, of
+    a chunk of N trajectories, k = 4 // C steps at a time (C channels; 4
+    with none, 1 from three channels on). Trajectory i of every point sees
+    the same noise.
 
     The k steps from a multiple of k form an op, and its kC increments are
     kC bit pairs of the trajectory's words: for C = 1, 2 or 4 one byte, for
     C = 3 a 6-bit symbol, and for C > 4 one symbol per 4 channels. So each
     op's matrix comes from a table of at most 256 entries per point: the
     products M_{k-1} ... M_0 of its steps' one-step matrices
-    M = I - i dt K_tilde + sum_m dw_m sqrt(lam) L_m, each step in its own
-    cell. For C > 4 an op is one step, and its matrix is the sum of one
-    entry of each of ceil(C / 4) tables of 4 channels, the first carrying
-    the drift. Ops inside a run of one combination of the points' cells
-    share that run's table; an op that straddles a cell edge, and a shorter
-    last op, get their own. A short op's table ignores the symbol's unused
-    high bits. Tables are stored as (d_j, d_i, P, V), built point by point
-    and entry by entry, so a point's arithmetic never depends on the others.
+    M = I - i dt K_tilde + sum_m dw_m sqrt(lam) L_m, lam the point's own
+    strength, each step in its own cell. For C > 4 an op is one step, and
+    its matrix is the sum of one entry of each of ceil(C / 4) tables of 4
+    channels, the first carrying the drift. Ops inside a run of one
+    combination of the points' cells share that run's table; an op that
+    straddles a cell edge, and a shorter last op, get their own. A short
+    op's table ignores the symbol's unused high bits. Tables are stored as
+    (d_j, d_i, P, V), built point by point and entry by entry, so a point's
+    arithmetic never depends on the others.
 
     An op is three calls: a gather of each trajectory's table entry into
     the (d_j, d_i, P, N) buffer `gathered`, a multiply by the broadcast
@@ -189,11 +194,11 @@ class _QSDKernel:
     in longer blocks of ops (`run`).
     """
 
-    def __init__(self, lowereds, total_time: float, steps: int, vec: np.ndarray, count: int):
+    def __init__(self, points, total_time: float, steps: int, vec: np.ndarray, count: int):
         dt = total_time / steps
         dim = vec.shape[0]
-        points = len(lowereds)
-        self.channels = channels = len(lowereds[0].values[0].channels)
+        npoints = len(points)
+        self.channels = channels = points[0][0].channels.shape[2]
         self.span = span = max(1, 4 // channels) if channels else 4
         # Increments per op, and tables (groups of at most 4 channels) per op.
         self.width = width = span * channels
@@ -202,16 +207,15 @@ class _QSDKernel:
         # Bit pair value b_0 + 2 b_1 decodes to sqrt(dt/2) (xi_1 + i xi_2),
         # with xi_1 = 1 - 2 b_0 and xi_2 = 1 - 2 b_1.
         self.increments = np.sqrt(dt / 2.0) * np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j])
-        root = np.sqrt(lowereds[0].strength)
-        one_step = [[self._one_step(c, dt, root) for c in low.values] for low in lowereds]
-        self.piece_starts, self.lengths, pieces = _pieces(lowereds, total_time, steps, span)
+        one_step = [self._one_step(sweep, p, dt) for sweep, p in points]
+        self.piece_starts, self.lengths, pieces = _pieces(points, total_time, steps, span)
         self.tables = [self._tables(one_step, piece) for piece in pieces]
         self.screen_level = NORM_OVERFLOW / (2 * dim)
         if span > 1:
             # One group of channels. `screen` steps suspect columns again
             # through the one-step matrices of each step of a piece's ops,
             # the identity past a short op's last step.
-            eye = [np.broadcast_to(np.eye(dim), (4**channels, dim, dim))] * points
+            eye = [np.broadcast_to(np.eye(dim), (4**channels, dim, dim))] * npoints
             self.step_mats = np.array(
                 [
                     [[tabs[c][0] for tabs, c in zip(one_step, cs)] for cs in zip(*piece)]
@@ -227,14 +231,14 @@ class _QSDKernel:
             self.screen_level /= growth ** (span - 1)
         self.bra = vec.conj()[:, np.newaxis, np.newaxis]
         self.ket = vec[:, np.newaxis, np.newaxis]
-        self.alive = np.ones((points, count), dtype=bool)
+        self.alive = np.ones((npoints, count), dtype=bool)
 
-        slot = 16 * dim * points * count
+        slot = 16 * dim * npoints * count
         self.ring_ops = max(1, min(self.ops, BLOCK_BYTES // 4 // slot - 1))
-        self.ring = np.empty((self.ring_ops + 1, dim, points, count), complex)
+        self.ring = np.empty((self.ring_ops + 1, dim, npoints, count), complex)
         # The state of each slot broadcast over the rows i of a gathered matrix.
         self.heads = [s[:, np.newaxis] for s in self.ring]
-        self.gathered = np.empty((min(groups, 2), dim, dim, points, count), complex)
+        self.gathered = np.empty((min(groups, 2), dim, dim, npoints, count), complex)
         spare = BLOCK_BYTES - self.ring.nbytes - self.gathered.nbytes
         # Per trajectory and 32 ops: 8 kC B of words and as much while they
         # are drawn, 256 B of symbols per group, and 32 kC B of bit pairs
@@ -242,21 +246,26 @@ class _QSDKernel:
         unit = count * (16 * width + 256 * groups + (32 * width if width % 4 else 0))
         self.block = 32 * max(1, spare // unit)
 
-    def _one_step(self, terms, dt: float, root: float) -> list[np.ndarray]:
-        """The (4^c, d, d) one-step tables of the cell terms, one per group of
-        c <= 4 channels; entry q of a group takes increment (q >> 2 t) & 3 for
-        its channel t, and the first group adds the drift I - i dt K_tilde."""
-        drift = np.eye(len(terms.k_tilde)) + dt * (-1j * terms.k_tilde)
+    def _one_step(self, sweep, p: int, dt: float) -> list[list[np.ndarray]]:
+        """For each cell, the (4^c, d, d) one-step tables of point p of
+        sweep, one per group of c <= 4 channels; entry q of a group takes
+        increment (q >> 2 t) & 3 for its channel t, and the first group adds
+        the drift I - i dt K_tilde. Each cell's tables are views of one
+        (cells, 4^c, d, d) array per group, built for all cells at once."""
+        root = np.sqrt(sweep.strengths[p])
+        drift = np.eye(sweep.h.shape[-1]) + dt * (-1j * sweep.k_tilde[p])
         tables = []
         for lo in range(0, max(self.channels, 1), 4):
-            group = terms.channels[lo : lo + 4]
-            q = np.arange(4 ** len(group))
-            table = np.broadcast_to(drift if lo == 0 else 0j, (len(q), *drift.shape))
-            for t, l in enumerate(group):
+            group = sweep.channels[p, :, lo : lo + 4]
+            q = np.arange(4 ** group.shape[1])
+            table = np.broadcast_to(
+                drift[:, np.newaxis] if lo == 0 else 0j, (len(drift), len(q), *drift.shape[1:])
+            )
+            for t in range(group.shape[1]):
                 dws = self.increments[(q >> 2 * t) & 3]
-                table = table + dws[:, np.newaxis, np.newaxis] * (root * l)
+                table = table + dws[:, np.newaxis, np.newaxis] * (root * group[:, t, np.newaxis])
             tables.append(np.array(table))
-        return tables
+        return [list(cell) for cell in zip(*tables)]
 
     def _tables(self, one_step, piece) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """The tables of a piece's ops, each point's cells at the steps of an
@@ -416,9 +425,9 @@ def _qsd_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     final overlaps <phi_0|phi(T)> and the (P, N) mask of those that did not
     overflow."""
     # The model rides along for bench/tracing.py's chunk counts.
-    _, lowereds, vec, total_time, delta_t, streams = args
+    _, points, vec, total_time, delta_t, streams = args
     steps, _ = grid_steps(total_time, delta_t)
-    kernel = _QSDKernel(lowereds, total_time, steps, vec, len(streams))
+    kernel = _QSDKernel(points, total_time, steps, vec, len(streams))
     # Each trajectory's noise comes from its own stream, so the outcome is
     # independent of how trajectories are grouped into chunks. An
     # overflowing trajectory may reach inf or nan before the ring fills;
@@ -428,9 +437,9 @@ def _qsd_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     return kernel.final, kernel.alive
 
 
-def _mean_path_arg(lowered, vec: np.ndarray, total_time: float, steps: int) -> float:
-    """Unwrapped argument of the exact mean overlap <phi_0|E phi_k> on the
-    estimator's grid. The noise has mean zero and is independent of phi_k,
+def _mean_path_arg(sweep, p: int, vec: np.ndarray, total_time: float, steps: int) -> float:
+    """Unwrapped argument of the exact mean overlap <phi_0|E phi_k> at point
+    p of sweep on the estimator's grid. The noise has mean zero and is independent of phi_k,
     so E[phi_k] follows the drift maps I - i dt K_tilde alone.
 
     Positive scale factors keep every argument. Each drift map is divided by
@@ -441,8 +450,8 @@ def _mean_path_arg(lowered, vec: np.ndarray, total_time: float, steps: int) -> f
     bra = vec.conj()
     start = vec
     total = 0.0
-    for a, b, c in step_runs(lowered, total_time, steps):
-        drift = np.eye(len(vec)) + dt * (-1j * lowered.values[c].k_tilde)
+    for a, b, c in step_runs(sweep.grid, total_time, steps):
+        drift = np.eye(len(vec)) + dt * (-1j * sweep.k_tilde[p, c])
         drift /= np.abs(np.linalg.eigvals(drift)).max()
         cols = run_states({c: drift}, [(0, b - a, c)], start).T
         path = bra @ cols
@@ -452,9 +461,9 @@ def _mean_path_arg(lowered, vec: np.ndarray, total_time: float, steps: int) -> f
 
 
 def _point_result(
-    lowered, vec: np.ndarray, config: QSDConfig, overlaps: np.ndarray
+    sweep, p: int, vec: np.ndarray, config: QSDConfig, overlaps: np.ndarray
 ) -> QSDEnsembleResult:
-    """One point's estimates from its surviving trajectories' final overlaps,
+    """Point p's estimates from its surviving trajectories' final overlaps,
     in trajectory order, and its dynamical term; NaN if none survived."""
     used, excluded = overlaps.size, config.n_trajectories - overlaps.size
     if excluded:
@@ -470,9 +479,9 @@ def _point_result(
     mean, error = mean_and_error(overlaps)
     mean_overlap, std_error = complex(mean), float(error)
     steps, _ = grid_steps(config.total_time, config.delta_t)
-    branch = _mean_path_arg(lowered, vec, config.total_time, steps)
+    branch = _mean_path_arg(sweep, p, vec, config.total_time, steps)
     overlap_arg = branch + wrap_phase(float(np.angle(mean_overlap)) - branch)
-    dynamical = energy_integral(lowered, vec, config.total_time)
+    dynamical = energy_integral(sweep, p, vec, config.total_time)
     return QSDEnsembleResult(
         mean_overlap=mean_overlap,
         std_error=std_error,
@@ -507,11 +516,11 @@ def averaged_geometric_phases(
     """
     vec = normalized_state_vector(phi0, model.dim, "phi0")
     shift_sets = list(shift_sets)
-    lowereds: list = [None] * len(shift_sets)
+    points: list = [None] * len(shift_sets)
     for sweep, members in lower_points([(model, shifts) for shifts in shift_sets]):
         for row, i in enumerate(members):
-            lowereds[i] = sweep.point(row)
-    return _averaged_phases(model, lowereds, vec, config, chunk_size)
+            points[i] = (sweep, row)
+    return _averaged_phases(model, points, vec, config, chunk_size)
 
 
 def sweep_averaged_phases(
@@ -523,24 +532,24 @@ def sweep_averaged_phases(
     """`averaged_geometric_phases` at every point of a lowered sweep, from
     one ensemble pass."""
     vec = normalized_state_vector(phi0, sweep.model.dim, "phi0")
-    lowereds = [sweep.point(p) for p in range(len(sweep))]
-    return _averaged_phases(sweep.model, lowereds, vec, config, chunk_size)
+    points = [(sweep, p) for p in range(len(sweep))]
+    return _averaged_phases(sweep.model, points, vec, config, chunk_size)
 
 
-def _averaged_phases(model, lowereds, vec, config: QSDConfig, chunk_size: int):
+def _averaged_phases(model, points, vec, config: QSDConfig, chunk_size: int):
     """The ensemble pass of `averaged_geometric_phases` over the model's
-    lowered points, and each point's result."""
-    if not lowereds:
+    lowered (sweep, p) points, and each point's result."""
+    if not points:
         return []
     seeds = trajectory_seeds(config.seed, config.n_trajectories)
     jobs = [
-        (model, lowereds, vec, config.total_time, config.delta_t, streams)
+        (model, points, vec, config.total_time, config.delta_t, streams)
         for streams in chunked(seeds, chunk_size)
     ]
     finals, alive = (np.concatenate(c, axis=-1) for c in zip(*map_ordered(_qsd_chunk, jobs)))
     return [
-        _point_result(lowered, vec, config, final[kept])
-        for lowered, final, kept in zip(lowereds, finals, alive)
+        _point_result(sweep, p, vec, config, final[kept])
+        for (sweep, p), final, kept in zip(points, finals, alive)
     ]
 
 

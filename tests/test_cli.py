@@ -50,8 +50,8 @@ def _rows(text: str) -> list[list[str]]:
     return [line.split(",") for line in lines]
 
 
-def _setup_counts(monkeypatch, argv: list[str]) -> collections.Counter:
-    """The models, configs, schedules of each type and lowerings a CLI call
+def _constructions(monkeypatch, run) -> collections.Counter:
+    """The models, configs, schedules of each type and lowerings that run()
     constructs."""
     from trajphase.config import ScenarioConfig
     from trajphase.lindblad import LindbladModel, LoweredSweep
@@ -72,8 +72,17 @@ def _setup_counts(monkeypatch, argv: list[str]) -> collections.Counter:
                 return original(self, *args, **kwargs)
 
             patch.setattr(cls, name, counted)
-        assert main(argv) == EXIT_OK
+        run()
     return counts
+
+
+def _setup_counts(monkeypatch, argv: list[str]) -> collections.Counter:
+    """The `_constructions` of a CLI call."""
+
+    def run() -> None:
+        assert main(argv) == EXIT_OK
+
+    return _constructions(monkeypatch, run)
 
 
 @pytest.mark.parametrize(
@@ -101,6 +110,23 @@ def test_nojump_sweep_setup_does_not_grow_with_points(
     few, many = found
     assert few == many
     assert few["LoweredSweep"] == 1 and few["LindbladModel"] == 1
+
+
+def test_jump_ensemble_lowers_its_model_once(monkeypatch) -> None:
+    # Three chunks of up to 2048 trajectories share the one lowering their
+    # jobs carry.
+    from trajphase.dephasing import dephasing_model
+    from trajphase.jump import average_jump_ensemble
+
+    monkeypatch.delenv("TRAJPHASE_THREADS", raising=False)
+    model = dephasing_model(1.0, 0.5)
+    psi0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
+
+    def run() -> None:
+        res = average_jump_ensemble(model, psi0, 0.5, 1e-2, 6000, seed=0, chunk_size=2048)
+        assert res.n_trajectories == 6000
+
+    assert _constructions(monkeypatch, run)["LoweredSweep"] == 1
 
 
 def test_evolve_stdout(config_file, capsys) -> None:

@@ -81,9 +81,10 @@ def _two_point(words: np.ndarray, dt: float) -> np.ndarray:
 
 def _chunk(job) -> tuple[np.ndarray, np.ndarray]:
     """`_qsd_chunk` of a (model, shift sets, ...) job: the chunk takes each
-    shift set's lowering in place of the shift set."""
+    shift set's lowering, as the point (sweep, 0), in place of the shift
+    set."""
     model, shift_sets, *tail = job
-    return _qsd_chunk((model, [lower_model(model, s) for s in shift_sets], *tail))
+    return _qsd_chunk((model, [(lower_model(model, s), 0) for s in shift_sets], *tail))
 
 
 def _reference_qsd_chunk(args) -> tuple:
@@ -106,10 +107,10 @@ def _reference_qsd_chunk(args) -> tuple:
         ]
     )[:, : steps * channels].reshape(count, steps, channels)
 
-    cells = lowered.step_cells(total_time, steps).tolist()
+    cells = lowered.grid.step_cells(total_time, steps).tolist()
     mats = [
-        (np.eye(dim) + dt * (-1j * c.k_tilde), [np.sqrt(lam) * l for l in c.channels])
-        for c in lowered.values
+        (np.eye(dim) + dt * (-1j * k_tilde), [np.sqrt(lam) * l for l in channels])
+        for k_tilde, channels in zip(lowered.k_tilde[0], lowered.channels[0])
     ]
 
     states = np.tile(vec, (count, 1))
@@ -138,16 +139,15 @@ def _exact_overlap_moments(model, shifts, vec, total_time, delta_t) -> tuple:
     Returns E<phi_0|phi_k> at every step and E|<phi_0|phi_T>|^2."""
     steps, dt = grid_steps(total_time, delta_t)
     lowered = lower_model(model, shifts)
-    cells = lowered.step_cells(total_time, steps).tolist()
+    cells = lowered.grid.step_cells(total_time, steps).tolist()
     mean = vec.copy()
     second = np.outer(vec, vec.conj())
     means = [vec.conj() @ mean]
     for k in range(steps):
-        terms = lowered.values[cells[k]]
-        drift = np.eye(len(vec)) - 1j * dt * terms.k_tilde
+        drift = np.eye(len(vec)) - 1j * dt * lowered.k_tilde[0, cells[k]]
         mean = drift @ mean
         second = drift @ second @ drift.conj().T + model.strength * dt * sum(
-            l @ second @ l.conj().T for l in terms.channels
+            l @ second @ l.conj().T for l in lowered.channels[0, cells[k]]
         )
         means.append(vec.conj() @ mean)
     return np.array(means), float((vec.conj() @ second @ vec).real)
@@ -155,9 +155,9 @@ def _exact_overlap_moments(model, shifts, vec, total_time, delta_t) -> tuple:
 
 def _reference_step_terms(model, shifts, total_time, steps) -> list[tuple]:
     lowered = lower_model(model, shifts)
-    maps, _ = step_propagators(lowered.operators(lambda c: c.k_tilde), total_time, steps)
-    cells = lowered.step_cells(total_time, steps).tolist()
-    return [(maps[c], lowered.values[c].channels) for c in cells]
+    maps, _ = step_propagators(lowered.grid, lowered.k_tilde[0], total_time, steps)
+    cells = lowered.grid.step_cells(total_time, steps).tolist()
+    return [(maps[c], lowered.channels[0, c]) for c in cells]
 
 
 def _reference_jump_law(model, shifts, vec, total_time, delta_t, rngs) -> tuple:
@@ -306,7 +306,7 @@ def test_qsd_branch_follows_the_exact_mean_path(dim: int, count: int) -> None:
     assert abs(res.std_error / exact_se - 1.0) <= 0.25
     steps, _ = grid_steps(total_time, delta_t)
     exact_arg = float(np.sum(np.angle(means[1:] * means[:-1].conj())))
-    got_arg = _mean_path_arg(lower_model(model, shifts), vec, total_time, steps)
+    got_arg = _mean_path_arg(lower_model(model, shifts), 0, vec, total_time, steps)
     assert abs(got_arg - exact_arg) <= 1e-9
     # The branch of arg mean_overlap nearest the exact path's argument.
     assert abs(wrap_phase(res.overlap_arg - np.angle(res.mean_overlap))) <= 1e-12
@@ -339,9 +339,9 @@ def test_mean_path_of_a_non_normal_drift_stays_finite() -> None:
     vec = _random_state(2, rng)
     lowered = lower_model(model)
     dt, steps = 1e-2, 320_000
-    drift = np.eye(2) - 1j * dt * lowered.values[0].k_tilde
+    drift = np.eye(2) - 1j * dt * lowered.k_tilde[0, 0]
     assert np.abs(np.linalg.eigvals(drift)).max() < 0.998 * np.linalg.norm(drift, 2)
-    got = _mean_path_arg(lowered, vec, steps * dt, steps)
+    got = _mean_path_arg(lowered, 0, vec, steps * dt, steps)
     assert abs(got - _renormalized_path_arg(drift, vec, steps)) <= 1e-9
 
 
@@ -357,7 +357,7 @@ def test_qsd_excludes_the_same_trajectories(ring_ops, monkeypatch) -> None:
         # One-trajectory chunks: a slot holds 32 B, and the ring takes a
         # quarter of the budget; the noise blocks are 32 ops of 4 steps.
         monkeypatch.setattr(qsd, "BLOCK_BYTES", 4 * 32 * (ring_ops + 1))
-        kernel = _QSDKernel([lower_model(model)], 23.0, 230, vec, 1)
+        kernel = _QSDKernel([(lower_model(model), 0)], 23.0, 230, vec, 1)
         assert (kernel.ring_ops, kernel.span, kernel.block) == (ring_ops, 4, 32)
     got = [int(not _chunk((model, [None], vec, 23.0, 0.1, [s]))[1][0, 0]) for s in seeds]
     want, want_alive, blown_at = _reference_qsd_chunk((model, None, vec, 23.0, 0.1, seeds))
@@ -377,7 +377,7 @@ def test_qsd_overflow_screen_keeps_the_per_step_rule() -> None:
     # every entry below it; a spike that returns below the threshold; inf.
     lowered = lower_model(dephasing_model(1.0, 0.1))
     vec = np.array([1.0, 0.0], dtype=complex)
-    kernel = _QSDKernel([lowered], 2.0, 20, vec, 5)
+    kernel = _QSDKernel([(lowered, 0)], 2.0, 20, vec, 5)
     # A segment's (d, P, N) states, as the kernel's ring holds them: the one
     # it starts from and those after each of its four ops.
     states = kernel.ring[:5]
@@ -408,7 +408,7 @@ def test_qsd_ring_screens_every_state_of_a_segment() -> None:
     lower = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
     model = LindbladModel(Operator(np.zeros((2, 2))), (lower,), 4.0 / dt)
     vec = np.array([1.0, 0.0], dtype=complex)
-    kernel = _QSDKernel([lower_model(model)], 16 * dt, 16, vec, 3)
+    kernel = _QSDKernel([(lower_model(model), 0)], 16 * dt, 16, vec, 3)
     assert (kernel.ring_ops, kernel.span) == (4, 4)
     step = [np.array([[1.0, 2.0 * dw / math.sqrt(dt)], [0.0, -1.0]]) for dw in kernel.increments]
     spike = np.array([0.0, 5e99], dtype=complex)
@@ -471,12 +471,13 @@ def _one_step_matrices(model, shifts, dt: float) -> np.ndarray:
     """The (4^C, d, d) matrices I - i dt K_tilde + sum_m dw_m sqrt(lam) L_m
     of a one-cell model, entry q taking its increment for channel m from bit
     pair m of q, built from the lowered model one channel at a time."""
-    (terms,) = lower_model(model, shifts).values
-    count = len(terms.channels)
+    lowered = lower_model(model, shifts)
+    k_tilde, channels = lowered.k_tilde[0, 0], lowered.channels[0, 0]
+    count = len(channels)
     digits = (np.arange(4**count)[:, np.newaxis] >> 2 * np.arange(count)) & 3
     incs = math.sqrt(dt / 2.0) * (1 - 2 * (digits & 1) + 1j * (1 - (digits & 2)))
-    mats = np.array([np.eye(len(terms.k_tilde)) - 1j * dt * terms.k_tilde] * 4**count)
-    for m, l in enumerate(terms.channels):
+    mats = np.array([np.eye(len(k_tilde)) - 1j * dt * k_tilde] * 4**count)
+    for m, l in enumerate(channels):
         mats += incs[:, m, np.newaxis, np.newaxis] * (math.sqrt(model.strength) * l)
     return mats
 
@@ -490,7 +491,7 @@ def test_qsd_table_entry_is_the_product_of_its_steps(dim: int, count: int) -> No
     constant = ShiftSet.constants(list(rng.normal(size=count) + 1j * rng.normal(size=count)))
     vec = _random_state(dim, rng)
     dt, steps = 1e-2, 40
-    kernel = _QSDKernel([lower_model(model, constant)], steps * dt, steps, vec, 3)
+    kernel = _QSDKernel([(lower_model(model, constant), 0)], steps * dt, steps, vec, 3)
     span = kernel.span
     assert span == 4 // count and len(kernel.tables) == 1
     [(table, extra)] = kernel.tables
@@ -519,8 +520,8 @@ def test_qsd_op_across_a_cell_edge_keeps_points_apart(count: int) -> None:
     )
     constant = ShiftSet.constants(list(rng.normal(size=count) + 1j * rng.normal(size=count)))
     vec = _random_state(2, rng)
-    lowereds = [lower_model(model, piecewise), lower_model(model, constant)]
-    kernel = _QSDKernel(lowereds, 1.5, 150, vec, 24)
+    points = [(lower_model(model, piecewise), 0), (lower_model(model, constant), 0)]
+    kernel = _QSDKernel(points, 1.5, 150, vec, 24)
     span = kernel.span
     # The op holding the edge step has a table of its own.
     for edge in (51, 102)[: 3 - count]:
@@ -549,7 +550,7 @@ def _ring_inside_a_block(lowered, total_time: float, steps: int, vec, count: int
     blocks to the run; returns the ring's length in steps."""
     for budget in itertools.count(1024, 16):
         monkeypatch.setattr(qsd, "BLOCK_BYTES", budget)
-        kernel = _QSDKernel([lowered], total_time, steps, vec, count)
+        kernel = _QSDKernel([(lowered, 0)], total_time, steps, vec, count)
         ring, block = kernel.ring_ops, kernel.block
         if 2 < ring < block < kernel.ops and block % ring:
             return ring * kernel.span
@@ -580,7 +581,7 @@ def test_qsd_overflow_inside_a_ring_segment(dim: int, count: int, monkeypatch) -
     assert alive.tolist() == want_alive.tolist()
     assert _trajectory_gap(final, want) <= 1e-12
     _assert_budget_free((model, [None], *job[2:]), finals, masks, monkeypatch)
-    kernel = _QSDKernel([lowered], steps * delta_t, steps, vec, len(seeds))
+    kernel = _QSDKernel([(lowered, 0)], steps * delta_t, steps, vec, len(seeds))
     with np.errstate(over="ignore", invalid="ignore"):
         kernel.run([np.random.PCG64(s) for s in seeds])
     assert kernel.alive[0].tolist() == (blown_at < 0).tolist()
@@ -597,8 +598,8 @@ def test_qsd_point_overflow_stays_in_its_point(monkeypatch) -> None:
     vec = np.asarray(EQUATOR.amplitudes)
     monkeypatch.setattr(qsd, "BLOCK_BYTES", 4 * 1536 * 6)
     shift_sets = [None, ShiftSet.constants([1.0]), ShiftSet.constants([0.1])]
-    lowereds = [lower_model(model, shifts) for shifts in shift_sets]
-    kernel = _QSDKernel(lowereds, 23.3, 233, vec, 16)
+    points = [(lower_model(model, shifts), 0) for shifts in shift_sets]
+    kernel = _QSDKernel(points, 23.3, 233, vec, 16)
     assert (kernel.ring_ops, kernel.span) == (5, 4)
     blown_at = _check_points_against_reference(
         model, shift_sets, vec, 23.3, 0.1, trajectory_seeds(0, 16)
@@ -705,15 +706,17 @@ def _generators(seed: int, count: int) -> list:
 
 
 def _jump_job(head: tuple, seed: int, count: int) -> tuple:
-    """A jump chunk job: head and the seed words of count trajectories."""
-    return head + (trajectory_words(seed, count),)
+    """A jump chunk job: head, its shifts replaced by the lowering as the
+    point (sweep, 0), and the seed words of count trajectories."""
+    model, shifts, *tail = head
+    return (model, (lower_model(model, shifts), 0), *tail, trajectory_words(seed, count))
 
 
 def _chunk_events(args) -> list:
     """(trajectory, step, channel) of every jump of a chunk's sampler run,
     in trajectory and time order."""
-    model, shifts, vec, total_time, delta_t, words = args
-    sampler = _JumpSampler(model, shifts, total_time, grid_steps(total_time, delta_t)[0])
+    _, (sweep, p), vec, total_time, delta_t, words = args
+    sampler = _JumpSampler(sweep, p, total_time, grid_steps(total_time, delta_t)[0])
     events = []
     x = np.repeat(vec[:, np.newaxis], len(words), axis=1)
     sampler.run(x, PCG64Rows.seeded(words), events)
@@ -802,7 +805,7 @@ def test_sampled_trajectory_forms_no_square_the_sampler_did_not(monkeypatch) -> 
     ]
     for model, shifts, vec, total_time, delta_t in cases:
         steps = grid_steps(total_time, delta_t)[0]
-        sampler = _JumpSampler(model, shifts, total_time, steps)
+        sampler = _JumpSampler(lower_model(model, shifts), 0, total_time, steps)
         formed.clear()
         sampler.run(vec[:, np.newaxis].copy(), PCG64Rows.of(np.random.default_rng(1)))
         by_sampler = sum(formed)
@@ -871,13 +874,13 @@ def test_jump_law_matches_the_master_equation(dim: int, count: int) -> None:
     total, steps, fine = CELLS * CELL, 1400, 2**14
     res = average_jump_ensemble(model, vec, total, total / steps, 2000, dim + 10 * count, shifts)
     lowered = lower_model(model, shifts)
-    _, rhos = evolve_states(lowered, DensityMatrix.from_pure(vec), total, fine)
+    _, rhos = evolve_states(lowered, 0, DensityMatrix.from_pure(vec), total, fine)
     assert np.all(np.abs(res.estimates[-1] - rhos[-1]) <= 5 * res.std_error[-1] + 1e-12)
     # E[jumps] = strength * integral of sum_m Tr[(L_m - f_m)^dag (L_m - f_m) rho] dt,
     # by the midpoint rule on each step of the fine grid.
-    weights = np.array([sum(c.squares) for c in lowered.values])
+    weights = np.array([sum(squares) for squares in lowered.squares[0]])
     mids = 0.5 * (rhos[1:] + rhos[:-1])
-    rates = np.einsum("kij,kji->k", weights[lowered.step_cells(total, fine)], mids).real
+    rates = np.einsum("kij,kji->k", weights[lowered.grid.step_cells(total, fine)], mids).real
     exact = model.strength * float(np.sum(rates)) * total / fine
     assert abs(res.mean_jumps - exact) <= 5 * res.mean_jumps_error
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -213,17 +214,18 @@ def test_liouvillian_equals_its_kron_form(dim, count) -> None:
     channels = tuple(Operator(rand()) for _ in range(count))
     model = LindbladModel(Operator(h + h.conj().T), channels, 0.7)
     shifts = ShiftSet.constants(list(rng.normal(size=count) + 1j * rng.normal(size=count)))
-    for terms in (lower_model(model).values[0], lower_model(model, shifts).values[0]):
+    for sweep in (lower_model(model), lower_model(model, shifts)):
         one = np.eye(dim)
-        g = -1j * terms.k_tilde
+        g = -1j * sweep.k_tilde[0, 0]
         want = np.kron(g, one) + np.kron(one, g.conj())
-        for l in terms.channels:
+        for l in sweep.channels[0, 0]:
             want = want + 0.7 * np.kron(l, l.conj())
-        assert _liouvillian(terms, 0.7).tobytes() == want.tobytes()
+        assert _liouvillian(sweep, 0).tobytes() == want[np.newaxis].tobytes()
     l = np.full((dim, dim), np.inf + 0j)
     with np.errstate(invalid="ignore"):
         want = np.kron(g, one) + np.kron(one, g.conj()) + 0.7 * np.kron(l, l.conj())
-        assert _liouvillian(terms._replace(channels=(l,)), 0.7).tobytes() == want.tobytes()
+        inf_channel = dataclasses.replace(sweep, channels=np.broadcast_to(l, (1, 1, 1, dim, dim)))
+        assert _liouvillian(inf_channel, 0).tobytes() == want[np.newaxis].tobytes()
 
 
 def test_apply_shift_moves_channels_not_hamiltonian() -> None:
@@ -346,9 +348,8 @@ def test_shift_is_hidden_checks_every_cell() -> None:
             values[visible] = 0.5j
             shifts = ShiftSet((ScalarSchedule.piecewise(values, cell),))
             assert not shift_is_hidden(model, shifts)
-            moved = [
-                float(np.max(np.abs(c.k - c.h))) for c in lower_model(model, shifts).values
-            ]
+            sweep = lower_model(model, shifts)
+            moved = [float(np.max(np.abs(k - h))) for k, h in zip(sweep.k[0], sweep.h)]
             assert moved.index(max(moved)) == visible
             assert max(moved) == pytest.approx(0.25, abs=1e-12)
         hidden = ShiftSet((ScalarSchedule.piecewise([0.3] * count, cell),))

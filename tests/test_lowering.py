@@ -1,11 +1,14 @@
 """Lowered models: the stacked lowering of a sweep against one point at a
-time, piecewise schedules through both ensembles, and the shift
+time, the propagators on a point's rows of a sweep against the same point
+lowered alone, piecewise schedules through both ensembles, and the shift
 invariances on random small models."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,14 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajphase.dephasing import dephasing_model
-from trajphase.jump import StepSizeError, average_jump_ensemble, sample_jump_trajectory
+from trajphase.jump import (
+    StepSizeError,
+    _JumpSampler,
+    average_jump_ensemble,
+    sample_jump_trajectory,
+)
 from trajphase.lindblad import (
-    CellTerms,
     DensityMatrix,
     LindbladModel,
     ShiftSet,
     apply_shift,
+    energy_integral,
     evolve_density,
+    evolve_states,
     lindblad_rhs,
     lower_model,
     lower_points,
@@ -38,7 +47,12 @@ from trajphase.operators import (
     identity,
     pauli,
 )
-from trajphase.qsd import QSDConfig, averaged_geometric_phase
+from trajphase.qsd import (
+    QSDConfig,
+    _mean_path_arg,
+    averaged_geometric_phase,
+    sweep_averaged_phases,
+)
 
 EQUATOR = bloch_state(BlochAngles(math.pi / 2, 0.0))
 CELL = 0.5
@@ -46,14 +60,31 @@ CELLS = 3
 SIZES = list(itertools.product((2, 3, 4), (1, 2, 3)))
 
 
-def _reference_lowering(model, shifts) -> tuple[tuple[CellTerms, ...], float | None]:
+class Terms(NamedTuple):
+    """The matrices of one point in one cell, channels already shifted."""
+
+    h: np.ndarray
+    channels: tuple
+    adjoints: tuple
+    squares: tuple
+    k_tilde: np.ndarray
+    k: np.ndarray
+
+
+def _rows(sweep, p: int) -> list[Terms]:
+    """Point p of a lowered sweep, cell by cell: its rows of the stacks."""
+    stacks = (sweep.channels, sweep.adjoints, sweep.squares, sweep.k_tilde, sweep.k)
+    return [Terms(h, *(a[p, c] for a in stacks)) for c, h in enumerate(sweep.h)]
+
+
+def _reference_lowering(model, shifts) -> tuple[tuple[Terms, ...], float | None]:
     """Cell by cell, the lowering that `lower_sweep` broadcasts: each cell's
     terms from its own matrices and shift values, in this order."""
     count = len(model.lindblads)
     lam = model.strength
     one = identity(model.dim).entries
 
-    def build(ham, *rest) -> CellTerms:
+    def build(ham, *rest) -> Terms:
         h = ham.entries
         chans = [c.entries for c in rest[:count]]
         k = h
@@ -67,20 +98,19 @@ def _reference_lowering(model, shifts) -> tuple[tuple[CellTerms, ...], float | N
         k_tilde = h
         for sq in squares:
             k_tilde = k_tilde - 0.5j * lam * sq
-        return CellTerms(h, tuple(chans), adjoints, squares, k_tilde, k)
+        return Terms(h, tuple(chans), adjoints, squares, k_tilde, k)
 
     return combine(build, model.hamiltonian, *model.lindblads, *(shifts or ShiftSet(())).shifts)
 
 
 def _assert_same_terms(got, want) -> None:
-    """CellTerms equal byte for byte, signed zeros included."""
+    """Terms equal byte for byte, signed zeros included; a tuple of
+    channel matrices compares as their (M, d, d) stack."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
         for x, y in zip(a, b):
-            pairs = zip(x, y) if isinstance(x, tuple) else [(x, y)]
-            assert len(x) == len(y)
-            for u, v in pairs:
-                assert u.shape == v.shape and u.tobytes() == v.tobytes()
+            u, v = np.asarray(x), np.asarray(y)
+            assert u.shape == v.shape and u.tobytes() == v.tobytes()
 
 
 @st.composite
@@ -123,11 +153,11 @@ def test_stacked_lowering_equals_one_point_lowering(points) -> None:
         for row, i in enumerate(members):
             model, shifts = points[i]
             alone, want = lower_model(model, shifts), _reference_lowering(model, shifts)
-            got = sweep.point(row)
-            assert got.cell == alone.cell == want[1]
-            assert got.strength == alone.strength == model.strength
-            _assert_same_terms(got.values, alone.values)
-            _assert_same_terms(got.values, want[0])
+            assert len(alone) == 1
+            assert sweep.grid.cell == alone.grid.cell == want[1]
+            assert sweep.strengths[row] == alone.strengths[0] == model.strength
+            _assert_same_terms(_rows(sweep, row), _rows(alone, 0))
+            _assert_same_terms(_rows(sweep, row), want[0])
     # One lower_sweep call over every shifted point of one kind.
     for kind in (lambda s: s.shifts[0].is_constant, lambda s: not s.shifts[0].is_constant):
         picked = [(m, s) for m, s in points if s is not None and kind(s)]
@@ -135,7 +165,37 @@ def test_stacked_lowering_equals_one_point_lowering(points) -> None:
             values, cell = stack_shifts([s for _, s in picked])
             sweep = lower_sweep(picked[0][0], [m.strength for m, _ in picked], values, cell)
             for p, (model, shifts) in enumerate(picked):
-                _assert_same_terms(sweep.point(p).values, lower_model(model, shifts).values)
+                _assert_same_terms(_rows(sweep, p), _rows(lower_model(model, shifts), 0))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(sweep_points())
+def test_propagators_read_a_point_as_its_rows(points) -> None:
+    # Point p of a multi-point lowering gives every propagator the bytes
+    # that the same point lowered alone gives.
+    total, steps = 1.0, 7
+    dim = points[0][0].dim
+    vec = (np.arange(1.0, dim + 1) + 1j) / np.linalg.norm(np.arange(1.0, dim + 1) + 1j)
+    rho0 = DensityMatrix.from_pure(vec)
+
+    def outputs(sweep, p: int) -> list:
+        sampler = _JumpSampler(sweep, p, total, steps)
+        return [
+            evolve_states(sweep, p, rho0, total, steps)[1],
+            energy_integral(sweep, p, vec, total),
+            _mean_path_arg(sweep, p, vec, total, steps),
+            sampler.runs,
+            list(sampler.maps),
+            [sampler.maps[key] for key in sampler.maps],
+            [sampler.stacks[key] for key in sampler.maps],
+            sampler.lam_dt,
+        ]
+
+    for sweep, members in lower_points(points):
+        for row, i in enumerate(members):
+            got, want = outputs(sweep, row), outputs(lower_model(*points[i]), 0)
+            for a, b in zip(got, want):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def test_stacked_lowering_refuses_as_one_point_lowering() -> None:
@@ -182,6 +242,19 @@ def test_piecewise_shift_of_equal_cells_matches_constant_shift(run) -> None:
     want = run(model, ShiftSet.constants([0.3]))
     for a, b in zip(got, want):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_qsd_sweep_points_keep_their_own_strengths() -> None:
+    # Each point of a lambda sweep steps its noise with its own strength:
+    # the pass gives every point the bits of its model run alone.
+    model = dephasing_model(1.0, 0.5)
+    config = QSDConfig(total_time=0.5, delta_t=1e-2, n_trajectories=64, seed=3)
+    strengths = [0.2, 0.9, 0.0]
+    results = sweep_averaged_phases(lower_sweep(model, strengths), EQUATOR, config)
+    for lam, got in zip(strengths, results):
+        alone = LindbladModel(model.hamiltonian, model.lindblads, lam)
+        want = averaged_geometric_phase(alone, EQUATOR, config)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
 def _random_model(dim: int, count: int, hermitian_channels: bool, rng) -> LindbladModel:

@@ -244,18 +244,18 @@ def test_cell_maps_equal_each_cells_exponential_byte_for_byte() -> None:
     for norm in norms:
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         values.append(Operator(g * norm / (dt * np.abs(g).sum(axis=0).max())))
-    schedule = OperatorSchedule.piecewise(values, 0.5)
+    generators = np.stack([op.entries for op in values])
     cells = [4, 0, 6, 4, 1, 3, 5, 2, 0]
-    maps = cell_maps(schedule, cells, dt)
+    maps = cell_maps(generators, cells, dt)
     assert list(maps) == [4, 0, 6, 1, 3, 5, 2]
     choices = set()
     for c, got in maps.items():
-        step = -1j * dt * schedule.values[c].entries
+        step = -1j * dt * values[c].entries
         choices.add(trajphase.operators._pade_choice(float(np.abs(step).sum(axis=0).max())))
         assert got.tobytes() == matrix_exponential(step).tobytes()
     assert {m for m, _ in choices} == {3, 5, 7, 9, 13}
     assert max(s for _, s in choices) >= 6
-    assert cell_maps(schedule, [], dt) == {}
+    assert cell_maps(generators, [], dt) == {}
 
 
 @pytest.mark.parametrize("dx", [1e-3, 0.1, 2 * math.pi / 4097, 1.0, 7.5])

@@ -33,6 +33,7 @@ from trajphase import (
     lindblad_rhs,
     no_jump_geometric_phase,
     no_jump_geometric_phases,
+    no_jump_hamiltonian,
     pauli,
     propagate_no_jump,
 )
@@ -77,6 +78,12 @@ def _random_schedule(rng, dim, cells, total):
     return OperatorSchedule.piecewise(values, total / cells)
 
 
+def _stack(sched):
+    """The (C, d, d) matrices of an operator schedule, as
+    `step_propagators` takes them."""
+    return np.stack([op.entries for op in sched.values])
+
+
 def _loop_states(maps, keys, x0):
     states = [np.asarray(x0, dtype=complex)]
     for key in keys:
@@ -97,7 +104,7 @@ def test_run_states_matches_step_loop(seed) -> None:
     # A prime step count never lines up with the cells.
     steps = int(rng.choice([97, 211, 331]))
     sched = _random_schedule(rng, dim, cells, total)
-    maps, runs = step_propagators(sched, total, steps)
+    maps, runs = step_propagators(sched, _stack(sched), total, steps)
     x0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     got = run_states(maps, runs, x0)
     want = _loop_states(maps, sched.step_cells(total, steps).tolist(), x0)
@@ -187,7 +194,7 @@ def test_propagate_no_jump_matches_step_loop(seed) -> None:
     sched = _random_schedule(rng, dim, int(rng.integers(1, 17)), 3.0)
     psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     record = propagate_no_jump(sched, psi0, 3.0, steps=1000)
-    maps, _ = step_propagators(sched, 3.0, 1000)
+    maps, _ = step_propagators(sched, _stack(sched), 3.0, 1000)
     want = _loop_states(maps, sched.step_cells(3.0, 1000).tolist(), psi0)
     assert np.max(_relative_errors(record.states, want)) <= STATE_RTOL
 
@@ -203,7 +210,7 @@ def test_propagate_no_jump_keeps_weak_damping() -> None:
     # At dt = 2 pi / 65536 the normality defect of dt K_tilde is ~1e-14, yet
     # its non-normal part carries the damping.
     steps, total = 65536, 2 * math.pi
-    gen = lower_model(_driven_damped_qubit(1e-5)).operators(lambda c: c.k_tilde)
+    gen = no_jump_hamiltonian(_driven_damped_qubit(1e-5))
     psi0 = np.array([1.0, 0.0], dtype=complex)
     record = propagate_no_jump(gen, psi0, total, steps)
     k_tilde = gen.values[0].entries
@@ -220,12 +227,11 @@ def _reference_tracked_phase(model, shifts, psi0, total, steps) -> dict:
     doubles until no step away from a flagged crossing turns the overlap by
     more than pi/2."""
     lowered = lower_model(model, shifts)
-    gen = lowered.operators(lambda c: c.k_tilde)
-    herm = lowered.operators(lambda c: c.k)
+    grid = lowered.grid
     attempt = steps
     for _ in range(MAX_GRID_DOUBLINGS):
-        maps, _ = step_propagators(gen, total, attempt)
-        states = _loop_states(maps, gen.step_cells(total, attempt).tolist(), psi0)
+        maps, _ = step_propagators(grid, lowered.k_tilde[0], total, attempt)
+        states = _loop_states(maps, grid.step_cells(total, attempt).tolist(), psi0)
         overlaps = [complex(np.vdot(psi0, s)) for s in states]
         norms = [float(np.linalg.norm(s)) for s in states]
         crossing = [abs(z) / (norms[0] * n) < BRANCH_EPS for z, n in zip(overlaps, norms)]
@@ -239,7 +245,7 @@ def _reference_tracked_phase(model, shifts, psi0, total, steps) -> dict:
     dt = total / attempt
     times = [k * dt for k in range(attempt + 1)]
     integrand = [
-        np.vdot(s, herm.value_at(t).entries @ s).real / n**2
+        np.vdot(s, lowered.k[0, grid.value_at(t)] @ s).real / n**2
         for s, t, n in zip(states, times, norms)
     ]
     return {
@@ -569,7 +575,7 @@ def test_coarse_grid_keeps_the_closed_form_coherence() -> None:
     # lambda dt = 20: each step is still the exact map of its cell.
     lam = 40.0
     (times, rhos), caught = _quietly(
-        lambda: evolve_states(lower_model(_dephasing(lam)), EQUATOR, 2.0, 4)
+        lambda: evolve_states(lower_model(_dephasing(lam)), 0, EQUATOR, 2.0, 4)
     )
     assert caught == []
     want = 0.5 * np.exp(-(2 * lam + 1j) * times)

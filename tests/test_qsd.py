@@ -70,7 +70,7 @@ def test_config_validation() -> None:
 
 def _kernel(model, dt, count, shifts=None) -> _QSDKernel:
     """The QSD kernel of one step of width dt for `count` trajectories."""
-    return _QSDKernel([lower_model(model, shifts)], dt, 1, EQUATOR.amplitudes, count)
+    return _QSDKernel([(lower_model(model, shifts), 0)], dt, 1, EQUATOR.amplitudes, count)
 
 
 def _two_point(words: np.ndarray, dt: float) -> np.ndarray:
@@ -126,7 +126,7 @@ def test_increments_are_the_bit_pairs_of_each_stream(channels: int, monkeypatch)
     span = 4 // channels
     dt, steps, count = 1e-2, 75 * span - span // 2, 5
     monkeypatch.setattr(qsd, "BLOCK_BYTES", 1)
-    kernel = _QSDKernel([lower_model(model)], steps * dt, steps, EQUATOR.amplitudes, count)
+    kernel = _QSDKernel([(lower_model(model), 0)], steps * dt, steps, EQUATOR.amplitudes, count)
     assert (kernel.span, kernel.ops, kernel.block) == (span, 75, 32)
     blocks = []
     monkeypatch.setattr(kernel, "advance", lambda symbols, first: blocks.append(symbols.copy()))
@@ -249,7 +249,7 @@ def test_mean_path_argument_does_not_underflow() -> None:
     # argument stops near -185.30.
     p = DephasingParams(1.0, 4.0, 0.0, math.pi / 3)
     vec = np.asarray(bloch_state(p.initial_state()).amplitudes)
-    got = _mean_path_arg(lower_model(p.as_model()), vec, 400.0, 40_000)
+    got = _mean_path_arg(lower_model(p.as_model()), 0, vec, 400.0, 40_000)
     assert got == pytest.approx(-204.1414548973610, abs=1e-9)
 
 
@@ -373,20 +373,20 @@ def _per_cell_simpson(lowered, vec, total: float, cell: float) -> float:
     of [0, total] separately, PER_CELL steps to a whole cell, rho from
     `evolve_states` on a grid whose nodes include every cell edge."""
     steps = round(total / cell * PER_CELL)
-    _, rhos = evolve_states(lowered, DensityMatrix.from_pure(vec), total, steps)
+    _, rhos = evolve_states(lowered, 0, DensityMatrix.from_pure(vec), total, steps)
     dt = total / steps
     out = 0.0
     for a in range(0, steps, PER_CELL):
         b = min(a + PER_CELL, steps)
-        k = lowered.value_at(0.5 * (a + b) * dt).k
+        k = lowered.k[0, lowered.grid.value_at(0.5 * (a + b) * dt)]
         out += scipy.integrate.simpson(np.einsum("nij,ji->n", rhos[a : b + 1], k).real, dx=dt)
     return out
 
 
 def _grid_simpson(lowered, vec, total: float, steps: int = 2048) -> float:
     """Simpson's rule of Tr[rho K] straight across [0, total] on `steps` steps."""
-    times, rhos = evolve_states(lowered, DensityMatrix.from_pure(vec), total, steps)
-    ks = np.stack([c.k for c in lowered.values])[lowered.cells_at(times)]
+    times, rhos = evolve_states(lowered, 0, DensityMatrix.from_pure(vec), total, steps)
+    ks = lowered.k[0][lowered.grid.cells_at(times)]
     return scipy.integrate.simpson(np.einsum("nij,nji->n", rhos, ks).real, dx=total / steps)
 
 
@@ -412,7 +412,7 @@ def test_dynamical_term_is_the_per_cell_integral(dim: int, count: int) -> None:
         lowered = lower_model(model, shifts)
         want = _per_cell_simpson(lowered, vec, 1.25, 0.5)
         assert abs(res.dynamical_term - want) <= 1e-10
-        assert res.dynamical_term == energy_integral(lowered, vec, 1.25)
+        assert res.dynamical_term == energy_integral(lowered, 0, vec, 1.25)
         if p > 0:
             # A constant K: the earlier grid rule was already right.
             assert abs(res.dynamical_term - _grid_simpson(lowered, vec, 1.25)) <= 1e-10
@@ -441,8 +441,8 @@ def test_energy_integral_refuses_times_beyond_the_schedule() -> None:
     model = LindbladModel(pauli("z"), (pauli("x"),), 0.3)
     lowered = lower_model(model, ShiftSet((ScalarSchedule.piecewise([0.2, 0.5j], 0.5),)))
     with pytest.raises(ScheduleRangeError, match="outside"):
-        energy_integral(lowered, EQUATOR.amplitudes, 1.5)
-    assert energy_integral(lowered, EQUATOR.amplitudes, 0.0) == 0.0
+        energy_integral(lowered, 0, EQUATOR.amplitudes, 1.5)
+    assert energy_integral(lowered, 0, EQUATOR.amplitudes, 0.0) == 0.0
 
 
 def test_config_refuses_a_negative_seed() -> None:

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ScenarioConfig, load_config, serialize_config
+from .config import ConfigError, ScenarioConfig, load_config
 from .config import _constant_real_shift
 from .dephasing import closed_form_dynamical_phase, closed_form_overlap_phase
 from .jump import (
@@ -385,6 +385,13 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioC
     return dataclasses.replace(cfg, run=run) if run is not cfg.run else cfg
 
 
+def _config_digest(cfg: ScenarioConfig) -> str:
+    """SHA-256 of the resolved configuration as canonical JSON: sorted keys,
+    no spaces. Every number in it is finite (`config` refuses others)."""
+    text = json.dumps(cfg.to_mapping(), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as stream:
         stream.write(text)
@@ -436,9 +443,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         _write_text(args.out, text)
         report = {
             "command": args.command,
-            "config_digest": hashlib.sha256(
-                serialize_config(cfg).encode("utf-8")
-            ).hexdigest(),
+            "config_digest": _config_digest(cfg),
             "seed": cfg.run.seed,
             "versions": {
                 "python": platform.python_version(),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
@@ -71,7 +72,10 @@ def _need_mapping(node, path: str) -> dict:
 def _need_number(node, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(path, f"expected a number, got {node!r}")
-    return float(node)
+    value = float(node)
+    if not math.isfinite(value):
+        raise ConfigError(path, f"expected a finite number, got {node!r}")
+    return value
 
 
 def _need_int(node, path: str) -> int:
@@ -82,7 +86,7 @@ def _need_int(node, path: str) -> int:
 
 def _complex_scalar(node, path: str) -> complex:
     if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return complex(node)
+        return complex(_need_number(node, path))
     if isinstance(node, list) and len(node) == 2:
         return complex(_need_number(node[0], path), _need_number(node[1], path))
     raise ConfigError(path, f"expected a number or [re, im] pair, got {node!r}")

@@ -49,7 +49,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from ._ensemble import chunked, grid_steps, map_ordered, mean_and_error, sampling_grid
+from ._ensemble import chunked, map_ordered, mean_and_error, sampling_grid
 from ._ensemble import trajectory_words
 from .lindblad import (
     DensityMatrix,
@@ -834,16 +834,15 @@ def sample_jump_trajectory(
 
 
 def _ensemble_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    """A chunk's normalized (d, N) states at T and its (N,) jump counts at
-    the lowered point (sweep, p), trajectory i drawing from the PCG64
-    seeded by row i of the chunk's (N, 4) seed words."""
+    """A chunk's normalized (d, N) states at T and its (N,) jump counts by
+    the ensemble's sampler, trajectory i drawing from the PCG64 seeded by
+    row i of the chunk's (N, 4) seed words."""
     from ._streams import PCG64Rows
 
-    # The model rides along for bench/tracing.py's chunk counts.
-    _, (sweep, p), vec, total_time, delta_t, words = args
-    steps, _ = grid_steps(total_time, delta_t)
+    # The model, total time and step ride along for bench/tracing.py's
+    # chunk counts.
+    _, sampler, vec, _, _, words = args
     x = np.repeat(vec[:, np.newaxis], len(words), axis=1)
-    sampler = _JumpSampler(sweep, p, total_time, steps)
     jumps = sampler.run(x, PCG64Rows.seeded(words))
     return x / np.sqrt(_squared_norms(x)), jumps
 
@@ -863,19 +862,20 @@ def average_jump_ensemble(
 
     Trajectory i draws from a stream spawned deterministically from
     (seed, i), and chunk results are joined in order, so the outcome is
-    identical for any TRAJPHASE_THREADS setting. The model is lowered once,
-    and every chunk job carries the lowering.
+    identical for any TRAJPHASE_THREADS setting. The model is lowered and
+    its cells exponentiated once, into one sampler that every chunk job
+    carries.
     """
     if n_trajectories < 1:
         raise ValueError("n_trajectories must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     vec = unit_vector(state_vector(psi0, model.dim))
-    _, dt = sampling_grid(total_time, delta_t)
+    steps, dt = sampling_grid(total_time, delta_t)
     _warn_if_crude(model.strength * dt)
     words = trajectory_words(seed, n_trajectories)
-    point = (lower_model(model, shifts), 0)
-    jobs = [(model, point, vec, total_time, delta_t, w) for w in chunked(words, chunk_size)]
+    sampler = _JumpSampler(lower_model(model, shifts), 0, total_time, steps)
+    jobs = [(model, sampler, vec, total_time, delta_t, w) for w in chunked(words, chunk_size)]
     x, jump_counts = (np.concatenate(c, axis=-1) for c in zip(*map_ordered(_ensemble_chunk, jobs)))
     # The (d, d, n) stack of |psi><psi|, reduced in place.
     estimates, std_error = mean_and_error(x[:, np.newaxis] * x.conj())

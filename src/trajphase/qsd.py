@@ -31,13 +31,18 @@ term read (`averaged_geometric_phases`, which lowers its shift sets, or
 `sweep_averaged_phases` on a lowered sweep); trajectory i draws the same
 noise at every point.
 
-A chunk takes k = 4 // C steps at a time (C channels; 4 with none, 1 from
-three channels on). The kC increments of such an op choose its matrix from
-a per-cell table of at most 256 products of one-step matrices, so an op is
-one gather of each trajectory's table entry, one multiply and one sum, all
-elementwise over the trajectories; see `_QSDKernel`. Each trajectory reads
+A chunk takes k steps at a time, an op: the most steps whose per-point
+table of 4^(kC) products of one-step matrices (C channels) fits
+TABLE_BYTES, and never fewer than 4 // C (6 for a qubit on one channel, 1
+from four channels on). The kC increments of an op, a symbol of up to 12
+bits, choose its matrix from the table of its run of ops, so an op is one
+gather of each trajectory's table entry, one multiply and one sum, all
+elementwise over the trajectories; an op across a cell edge, and a short
+last op, step one step at a time. See `_QSDKernel`. Each trajectory reads
 its increments as bit pairs of raw PCG64 words from its own stream, in
-blocks of ops; see `_QSDKernel.run`.
+blocks of ops; see `_QSDKernel.run`. The overflow screen runs only over
+stretches of steps where a state could reach NORM_OVERFLOW at all
+(`_QSDKernel.may_overflow`).
 """
 
 from __future__ import annotations
@@ -45,10 +50,12 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import itertools
+import math
 import warnings
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ._ensemble import chunked, grid_steps, map_ordered, sampling_grid, trajectory_seeds
 from ._ensemble import mean_and_error
@@ -61,22 +68,41 @@ from .lindblad import apply_shift, evolve_density, shifted_hamiltonian  # noqa: 
 NORM_OVERFLOW = 1e100
 # Trajectories per worker batch.
 DEFAULT_CHUNK = 2048
+# Largest table of one op's matrices per point: an op takes the most steps
+# k whose 4^(kC) entries of d x d complex, 4^(kC) d^2 16 B, fit, and never
+# fewer than 4 // C (C channels). At 256 KiB a qubit's op takes 6 steps on
+# one channel (4096 entries, 12-bit symbols); see `_op_span`.
+TABLE_BYTES = 256 * 2**10
 # Working memory of one chunk: its ring of states, at most a quarter of the
-# budget, and one block of ops' symbols in the rest (`_QSDKernel`). An op
-# takes k = 4 // C steps (C channels; 4 with none, 1 from three on), and its
-# kC increments are two bits each of raw PCG64 words. Per trajectory-step a
-# block holds C/4 B of words, as much again while they are drawn, 8 / k B of
-# intp symbol per group of 4 channels (2 C B for C = 1, 2 or 4, and 8 B for
-# C = 3), and, when an op's increments are not one whole byte (C = 3 or more
-# than 4), C B of bit pairs. Blocks are whole multiples of 32 ops, except a
-# run's last, so 32 ops read exactly kC words and the increments do not
-# depend on the budget. They have this length whatever the total time, so
-# the memory a chunk takes does not grow with it. At 2048 trajectories of
-# one point and one channel the ring holds 63 ops of 4 steps and a block 608.
+# budget, the table of the run of ops in progress (P 4^(kC) d^2 16 B for P
+# points) and one temporary of its size while it is built, and one block of
+# ops' symbols in the rest (`_QSDKernel`). An op's kC increments are two
+# bits each of raw PCG64 words. Per trajectory-step a block holds C/4 B of
+# words, as much again while they are drawn, 8 / k B of intp symbol per
+# group of 4 channels and 2 / k B of bit fields while they are decoded.
+# Blocks are whole multiples of 32 ops, except a run's last, so 32 ops read
+# exactly kC words and the increments do not depend on the budget. They
+# have this length whatever the total time, so the memory a chunk takes
+# does not grow with it. At 2048 trajectories of one point and one channel
+# the ring holds 63 ops of 6 steps and a block 448.
 BLOCK_BYTES = 16 * 2**20
-# 2 t for bit pair t = 0-3 of a byte: the right shift that brings the pair
-# to the lowest two bits, and the left shift that puts it back.
-_PAIR_SHIFTS = np.arange(0, 8, 2, dtype=np.uint8)
+
+
+def _op_span(dim: int, channels: int) -> int:
+    """Steps per op of a d-level model with C channels: the most steps k
+    whose per-point table, 4^(kC) d^2 16 B, fits TABLE_BYTES, and at least
+    4 // C; 4 with no channels, and from five channels on 1, an op's
+    matrix then summing one table entry per group of 4 channels. It depends
+    on d and C only, so a point's arithmetic does not depend on the sweep
+    or the chunk it runs in."""
+    if channels == 0:
+        return 4
+    if channels > 4:
+        return 1
+    span = 4 // channels
+    while 4 ** ((span + 1) * channels) * dim * dim * 16 <= TABLE_BYTES:
+        span += 1
+    return span
 
 
 class AllOverflowError(RuntimeError):
@@ -136,6 +162,12 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.reduce(a[..., :, :, np.newaxis] * b[..., np.newaxis, :, :], axis=-2)
 
 
+def _gather_layout(stack: np.ndarray) -> np.ndarray:
+    """A (P, V, d_i, d_j) stack of matrices as the (d_j, d_i, P, V) table
+    that gathering along V turns into (d_j, d_i, P, N)."""
+    return np.ascontiguousarray(stack.transpose(3, 2, 0, 1))
+
+
 def _pieces(points, total_time: float, steps: int, span: int):
     """The grid's ops of span steps from a multiple of span, the last one
     possibly shorter, in pieces of ops with one table: the first op of each
@@ -162,24 +194,26 @@ def _pieces(points, total_time: float, steps: int, span: int):
 
 class _QSDKernel:
     """Euler-Maruyama steps of P lowered points, each a (sweep, p) pair, of
-    a chunk of N trajectories, k = 4 // C steps at a time (C channels; 4
-    with none, 1 from three channels on). Trajectory i of every point sees
-    the same noise.
+    a chunk of N trajectories, k steps at a time (`_op_span`: 6 for a qubit
+    on one channel). Trajectory i of every point sees the same noise.
 
     The k steps from a multiple of k form an op, and its kC increments are
-    kC bit pairs of the trajectory's words: for C = 1, 2 or 4 one byte, for
-    C = 3 a 6-bit symbol, and for C > 4 one symbol per 4 channels. So each
-    op's matrix comes from a table of at most 256 entries per point: the
-    products M_{k-1} ... M_0 of its steps' one-step matrices
-    M = I - i dt K_tilde + sum_m dw_m sqrt(lam) L_m, lam the point's own
-    strength, each step in its own cell. For C > 4 an op is one step, and
-    its matrix is the sum of one entry of each of ceil(C / 4) tables of 4
-    channels, the first carrying the drift. Ops inside a run of one
-    combination of the points' cells share that run's table; an op that
-    straddles a cell edge, and a shorter last op, get their own. A short
-    op's table ignores the symbol's unused high bits. Tables are stored as
-    (d_j, d_i, P, V), built point by point and entry by entry, so a point's
-    arithmetic never depends on the others.
+    kC bit pairs of the trajectory's words: one symbol of 2kC <= 12 bits
+    for C <= 4, and for C > 4 one symbol per 4 channels. So each op's matrix
+    comes from a table per point: the products M_{k-1} ... M_0 of its steps'
+    one-step matrices M = I - i dt K_tilde + sum_m dw_m sqrt(lam) L_m, lam
+    the point's own strength. A run of ops inside one combination of the
+    points' cells, a piece, shares one table, built when its first op runs
+    as one outer product of the tables of its first k // 2 steps and of the
+    rest, and held in one buffer while its ops run; the next run's table
+    overwrites it. A point takes an op across one of its own cell edges,
+    and a shorter last op, one step at a time through the one-step tables
+    of its steps' cells instead (`stepping`), so which ops a point steps
+    depends on its own grid only. For C > 4 an op is one step, and its
+    matrix is the sum of one entry of each of ceil(C / 4) tables of 4
+    channels, the first carrying the drift. Tables are stored as
+    (d_j, d_i, P, V), built for every point by the same elementwise
+    arithmetic, so a point's arithmetic never depends on the others.
 
     An op is three calls: a gather of each trajectory's table entry into
     the (d_j, d_i, P, N) buffer `gathered`, a multiply by the broadcast
@@ -189,9 +223,10 @@ class _QSDKernel:
 
     Overflow (a norm at or above NORM_OVERFLOW, or not finite, at any step)
     is screened per point each time the ring fills and at the end of each
-    block of ops, over the segment's states; overflowed trajectories of a
-    point are excluded and restart from zero. Noise is read per trajectory
-    in longer blocks of ops (`run`).
+    block of ops, over the segment's states, unless no state of the segment
+    can overflow (`may_overflow`); overflowed trajectories of a point are
+    excluded and restart from zero. Noise is read per trajectory in longer
+    blocks of ops (`run`).
     """
 
     def __init__(self, points, total_time: float, steps: int, vec: np.ndarray, count: int):
@@ -199,7 +234,7 @@ class _QSDKernel:
         dim = vec.shape[0]
         npoints = len(points)
         self.channels = channels = points[0][0].channels.shape[2]
-        self.span = span = max(1, 4 // channels) if channels else 4
+        self.span = span = _op_span(dim, channels)
         # Increments per op, and tables (groups of at most 4 channels) per op.
         self.width = width = span * channels
         self.groups = groups = -(-max(channels, 1) // 4)
@@ -207,28 +242,52 @@ class _QSDKernel:
         # Bit pair value b_0 + 2 b_1 decodes to sqrt(dt/2) (xi_1 + i xi_2),
         # with xi_1 = 1 - 2 b_0 and xi_2 = 1 - 2 b_1.
         self.increments = np.sqrt(dt / 2.0) * np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j])
-        one_step = [self._one_step(sweep, p, dt) for sweep, p in points]
-        self.piece_starts, self.lengths, pieces = _pieces(points, total_time, steps, span)
-        self.tables = [self._tables(one_step, piece) for piece in pieces]
-        self.screen_level = NORM_OVERFLOW / (2 * dim)
+        self.one_step = one_step = [self._one_step(sweep, p, dt) for sweep, p in points]
+        self.piece_starts, self.lengths, self.pieces = _pieces(points, total_time, steps, span)
+        # The points that take a piece's op one step at a time: every point
+        # for a short op, and those whose cells change inside it. Whether a
+        # point steps an op depends on its own grid only.
+        self.stepping = [
+            tuple(p for p, cells in enumerate(piece) if len(cells) < span or len(set(cells)) > 1)
+            for piece in self.pieces
+        ]
+        # The tables in use, (cells, tables), and the buffer a run's is built in.
+        self.held = self.buffer = None
+        self.period, self.fields = self._fields()
+        self.step_tables = {}
         if span > 1:
-            # One group of channels. `screen` steps suspect columns again
-            # through the one-step matrices of each step of a piece's ops,
-            # the identity past a short op's last step.
+            # One group of channels: the one-step matrices of each step of a
+            # piece's first op, the identity past a short op's last step.
+            # `screen` steps suspect columns again through them, and a
+            # stepped op takes its steps through them in table layout.
             eye = [np.broadcast_to(np.eye(dim), (4**channels, dim, dim))] * npoints
             self.step_mats = np.array(
                 [
                     [[tabs[c][0] for tabs, c in zip(one_step, cs)] for cs in zip(*piece)]
                     + [eye] * (span - len(piece[0]))
-                    for piece in pieces
+                    for piece in self.pieces
                 ]
             )
-            # The states inside an op that starts from a state passing the
-            # screen at this level stay below NORM_OVERFLOW: growth is the
-            # largest spectral norm of a one-step matrix, at least 1.
-            mats = np.concatenate([tabs[0] for point in one_step for tabs in point])
-            growth = max(1.0, float(np.linalg.norm(mats, 2, axis=(-2, -1)).max()))
-            self.screen_level /= growth ** (span - 1)
+            for i, stepped in enumerate(self.stepping):
+                if stepped:
+                    # A slice, a view of the states, when every point steps.
+                    stepped = slice(None) if len(stepped) == npoints else list(stepped)
+                    mats = self.step_mats[i, : len(self.pieces[i][0])][:, stepped]
+                    self.step_tables[i] = (stepped, [_gather_layout(m) for m in mats])
+        # g, a bound on the spectral norm of every one-step matrix and at
+        # least 1: the largest entry's of the first group plus the largest
+        # entry's of each other group. Raised by 2^-30 relative, far more
+        # than the roundoff of a step can add to a norm; NaN if a matrix is.
+        cells = [cell for point in one_step for cell in point]
+        norms = [np.linalg.norm(np.concatenate(g), 2, axis=(-2, -1)).max() for g in zip(*cells)]
+        growth = np.maximum(sum(norms) * (1.0 + 2.0**-30), 1.0)
+        self.log_growth = float(np.log(growth))
+        # A norm at or above NORM_OVERFLOW needs a real or imaginary part of
+        # at least NORM_OVERFLOW / sqrt(2d).
+        self.log_limit = math.log(NORM_OVERFLOW / math.sqrt(2 * dim))
+        # The states inside an op that starts from a state passing the
+        # screen at this level stay below NORM_OVERFLOW.
+        self.screen_level = NORM_OVERFLOW / (2 * dim) / growth ** (span - 1)
         self.bra = vec.conj()[:, np.newaxis, np.newaxis]
         self.ket = vec[:, np.newaxis, np.newaxis]
         self.alive = np.ones((npoints, count), dtype=bool)
@@ -239,11 +298,13 @@ class _QSDKernel:
         # The state of each slot broadcast over the rows i of a gathered matrix.
         self.heads = [s[:, np.newaxis] for s in self.ring]
         self.gathered = np.empty((min(groups, 2), dim, dim, npoints, count), complex)
-        spare = BLOCK_BYTES - self.ring.nbytes - self.gathered.nbytes
+        entries = 4**width if groups == 1 else 256 * groups
+        tables = 2 * 16 * dim * dim * npoints * entries
+        spare = BLOCK_BYTES - self.ring.nbytes - self.gathered.nbytes - tables
         # Per trajectory and 32 ops: 8 kC B of words and as much while they
-        # are drawn, 256 B of symbols per group, and 32 kC B of bit pairs
-        # when an op's increments are not one whole byte (see BLOCK_BYTES).
-        unit = count * (16 * width + 256 * groups + (32 * width if width % 4 else 0))
+        # are drawn, 256 B of symbols per group and 64 B of bit fields while
+        # they are decoded (see BLOCK_BYTES).
+        unit = count * (16 * width + 256 * groups + 64)
         self.block = 32 * max(1, spare // unit)
 
     def _one_step(self, sweep, p: int, dt: float) -> list[list[np.ndarray]]:
@@ -267,29 +328,70 @@ class _QSDKernel:
             tables.append(np.array(table))
         return [list(cell) for cell in zip(*tables)]
 
-    def _tables(self, one_step, piece) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """The tables of a piece's ops, each point's cells at the steps of an
-        op in piece, as (first, extra) arrays of shape (d_j, d_i, P, V):
-        entry [j, i, p, v] is row i, column j of point p's matrix for symbol
-        v, so gathering along V gives (d_j, d_i, P, N).
+    def _fields(self) -> tuple[tuple[int, int], list[tuple]]:
+        """Where `decode` reads each group's symbol. The bit offset of op o's
+        group g is 2 o kC + 8 g, so the offsets repeat every
+        8 / gcd(2 kC, 8) ops, that many ops' bytes later. Returns that
+        period, (ops, bytes), and for each group g and each op r of a
+        period: (g, r, its byte, its shift in that byte, whether it reaches
+        into the next byte, and its mask, or 0 where the window's top bit
+        ends the symbol)."""
+        bits = 2 * self.width
+        ops = 8 // math.gcd(bits, 8) if bits else 1
+        fields = []
+        for g in range(self.groups if self.width else 0):
+            size = 2 * (self.width if self.groups == 1 else min(4, self.width - 4 * g))
+            for r in range(ops):
+                byte, shift = divmod(bits * r + 8 * g, 8)
+                wide = shift + size > 8
+                top = 16 if wide else 8
+                fields.append((g, r, byte, shift, wide, (1 << size) - 1 if shift + size < top else 0))
+        return (ops, bits * ops // 8), fields
 
-        With one group of channels, point p's entry v = sum_t q_t 4^(C t) is
-        the product M_(q_last) ... M_(q_0) of the op's steps' one-step
-        matrices, the unused high bits of a short op ignored; with more, an
-        op is one step and each group has a table of its own."""
-        per_point = []
-        for tabs, cells in zip(one_step, piece):
-            table, *extra = tabs[cells[0]]
-            for c in cells[1:]:
-                (step,) = tabs[c]
+    def _table(self, cells) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The (first, extra) tables of a run of ops whose steps are all in
+        each point's cell of cells, of shape (d_j, d_i, P, V): entry
+        [j, i, p, v] is row i, column j of point p's matrix for symbol v, so
+        gathering along V gives (d_j, d_i, P, N).
+
+        With more than one group of channels an op is one step and each
+        group has a table of its own. With one, point p's entry
+        v = sum_t q_t 4^(C t) is the product M_(q_last) ... M_(q_0) of the
+        op's k steps' one-step matrices, formed as the outer product of the
+        tables of the last k - k // 2 steps and of the first k // 2; it is
+        written into one buffer that the run's table reuses."""
+        steps = [tabs[c] for tabs, c in zip(self.one_step, cells)]
+        if self.groups > 1 or self.span == 1:
+            first, *extra = (_gather_layout(np.stack(group)) for group in zip(*steps))
+            return first, tuple(extra)
+        low, high = self.span // 2, self.span - self.span // 2
+        lows, highs = [], []
+        for (step,) in steps:
+            table = step
+            for count in range(2, high + 1):
+                if count - 1 == low:
+                    lows.append(table)
                 table = _product(step[:, np.newaxis], table[np.newaxis])
                 table = table.reshape(-1, *step.shape[1:])
-            reps = 4**self.width // len(table) if not extra else 1
-            per_point.append([np.tile(table, (reps, 1, 1)), *extra])
-        first, *extra = (
-            np.ascontiguousarray(np.stack(group).transpose(3, 2, 0, 1)) for group in zip(*per_point)
-        )
-        return first, tuple(extra)
+            if low == high:
+                lows.append(table)
+            highs.append(table)
+        # (j, m, P, V_lo) and (i, m, P, V_hi): entry [j, i, p, hi, lo] of
+        # the table is the sum over m of high[i, m, p, hi] low[j, m, p, lo].
+        low = np.ascontiguousarray(np.stack(lows).transpose(3, 2, 0, 1))
+        high = np.ascontiguousarray(np.stack(highs).transpose(2, 3, 0, 1))
+        dim, npoints = high.shape[:3:2]
+        if self.buffer is None:
+            self.buffer = np.empty((dim, dim, npoints, high.shape[3] * low.shape[3]), complex)
+        out = self.buffer.reshape(dim, dim, npoints, high.shape[3], low.shape[3])
+        term = np.empty_like(out)
+        for m in range(dim):
+            a = low[:, np.newaxis, m, :, np.newaxis, :]
+            b = high[np.newaxis, :, m, :, :, np.newaxis]
+            np.multiply(a, b, out=term if m else out)
+            if m:
+                out += term
+        return self.buffer, ()
 
     def run(self, bit_generators: Sequence[np.random.BitGenerator]) -> None:
         """Advance every trajectory from the initial state through the grid,
@@ -305,15 +407,15 @@ class _QSDKernel:
         Trajectory i's increment j = k C + m (step k, channel m) is bit pair
         j of its raw 64-bit words, bits 2 (j mod 32) and 2 (j mod 32) + 1 of
         word j // 32, decoded by `increments`. Op o takes increments
-        o kC .. o kC + kC - 1, so for C = 1, 2 or 4 its symbol is byte o of
-        the words. Words are read in blocks of ops, each a whole multiple of
-        32 ops but the last, so the blocks read the stream's words in order
-        whatever their length, and memory stays within BLOCK_BYTES whatever
-        the number of steps."""
+        o kC .. o kC + kC - 1, bits 2 o kC on of the words. Words are read
+        in blocks of ops, each a whole multiple of 32 ops but the last, so
+        the blocks read the stream's words in order whatever their length,
+        and memory stays within BLOCK_BYTES whatever the number of steps."""
         count = len(bit_generators)
         draws = [bg.random_raw for bg in bit_generators]
-        # Flat, so the shorter last block is still one contiguous array.
-        words = np.empty(count * (self.block * self.width // 32), dtype="<u8")
+        # Flat, so the shorter last block is still one contiguous array, and
+        # one word longer: `decode` may read a byte past a block's last row.
+        words = np.empty(count * (self.block * self.width // 32) + 1, dtype="<u8")
         symbols = np.empty((self.block, self.groups, count), dtype=np.intp)
         self.ring[0] = self.ket
         for first in range(0, self.ops, self.block):
@@ -322,8 +424,8 @@ class _QSDKernel:
             block = words[: count * width]
             if width:
                 np.concatenate([draw(width) for draw in draws], out=block)
-            # Little-endian words: byte b of a trajectory's words holds its
-            # increments 4b .. 4b + 3.
+            # Little-endian words: bit b of a trajectory's words is bit b % 8
+            # of its byte b // 8.
             self.decode(block.view(np.uint8).reshape(count, 8 * width), symbols[:n])
             self.advance(symbols[:n], first)
         self.final = np.add.reduce(self.bra * self.ring[0], axis=0)
@@ -331,53 +433,103 @@ class _QSDKernel:
 
     def decode(self, octets: np.ndarray, symbols: np.ndarray) -> None:
         """Write the (n, groups, N) symbols of n ops from the (N, bytes) bytes
-        of each trajectory's words: increment t of a group is its bit pair t."""
-        n = len(symbols)
-        if self.width == 0:
+        of each trajectory's words: increment t of a group is its bit pair t.
+        Each symbol is one bit field, read from a one- or two-byte window of
+        its row, for every op of one entry of `fields` at once through one
+        strided view; a window may end one byte past the last row."""
+        n, count = len(symbols), len(octets)
+        if not self.fields:
             # No channels: every op takes the one entry of its table.
             symbols[...] = 0
             return
-        if self.width == 4:
-            # An op's increments are one whole byte.
-            np.copyto(symbols[:, 0], octets[:, :n].T)
-            return
-        pairs = (octets[:, :, np.newaxis] >> _PAIR_SHIFTS) & 3
-        pairs = pairs.reshape(len(octets), -1)[:, : n * self.width].reshape(-1, n, self.width)
-        for g in range(symbols.shape[1]):
-            group = pairs[:, :, 4 * g : 4 * g + 4]
-            values = np.sum(group << _PAIR_SHIFTS[: group.shape[-1]], axis=-1, dtype=np.intp)
-            np.copyto(symbols[:, g], values.T)
+        ops, stride = self.period
+        values = np.empty((count, -(-n // ops)), dtype=np.uint16)
+        for g, r, byte, shift, wide, mask in self.fields:
+            m = len(range(r, n, ops))
+            if not m:
+                continue
+            shape, strides = (count, m, 1 + wide), (octets.strides[0], stride, 1)
+            window = as_strided(octets[:, byte:], shape, strides)
+            field = values[:, :m]
+            np.right_shift(window.view("<u2" if wide else np.uint8)[..., 0], shift, out=field)
+            if mask:
+                np.bitwise_and(field, mask, out=field)
+            np.copyto(symbols[r::ops, g], field.T)
 
     def advance(self, symbols: np.ndarray, first: int) -> None:
         """Take the len(symbols) ops from op first, each with its (groups, N)
         symbols, from the states in the ring's first slot, and screen the
-        states each time the ring fills and at the end; the last state is
-        left in the first slot."""
+        states each time the ring fills and at the end where they may have
+        overflowed; the last state is left in the first slot."""
         tables = self.tables_from(first)
         gathered, extra_buf = self.gathered[0], self.gathered[-1]
         for done in range(0, len(symbols), self.ring_ops):
             segment = symbols[done : done + self.ring_ops]
+            n = len(segment)
+            screen = self.may_overflow(self.ring[0], n)
             # segment first, so zip stops without taking a table too many.
             # "clip" never clips a symbol; it lets take write into its out directly.
             ops = zip(segment, tables, self.heads, self.ring[1:])
-            for sym, (table, extra), head, out in ops:
-                table.take(sym[0], -1, gathered, "clip")
-                if extra:
+            for sym, (table, extra, stepped), head, out in ops:
+                if table is not None:
+                    table.take(sym[0], -1, gathered, "clip")
                     for tab, s in zip(extra, sym[1:]):
                         gathered += tab.take(s, -1, extra_buf, "clip")
-                np.multiply(gathered, head, out=gathered)
-                np.add.reduce(gathered, axis=0, out=out)
-            n = len(segment)
-            self.screen(self.ring[: n + 1], segment, first + done)
+                    np.multiply(gathered, head, out=gathered)
+                    np.add.reduce(gathered, axis=0, out=out)
+                if stepped is not None:
+                    self.step(*stepped, sym[0], head, out)
+            if screen:
+                self.screen(self.ring[: n + 1], segment, first + done)
             # The segment's last state, with the screen's edits, starts the next.
             self.ring[0] = self.ring[n]
 
+    def step(self, points, tables, symbols: np.ndarray, head: np.ndarray, out: np.ndarray):
+        """Take an op one step at a time at the given points, from the
+        (d, 1, P, N) states head into the (d, P, N) out, through one
+        (d_j, d_i, S, 4^C) one-step table per step; step t takes bit pairs
+        t C .. t C + C - 1 of the (N,) symbols."""
+        x = head[:, :, points]
+        shifts = np.arange(0, 2 * self.channels * len(tables), 2 * self.channels)
+        digits = (symbols >> shifts[:, np.newaxis]) & (4**self.channels - 1)
+        for table, digit in zip(tables, digits):
+            x = np.add.reduce(table.take(digit, -1) * x, axis=0)[:, np.newaxis]
+        out[:, points] = x[:, 0]
+
     def tables_from(self, first: int):
-        """The tables of the ops from op first on, one (table, extra) per op."""
+        """The tables of the ops from op first on, one (table, extra,
+        stepped) per op: the op's table, None when every point steps it,
+        with those of the other groups, and (points, one-step tables) for
+        the points that step it, or None. A run's table is built when its
+        first op is reached."""
         i = bisect.bisect_right(self.piece_starts, first) - 1
-        head = itertools.repeat(self.tables[i], self.piece_starts[i] + self.lengths[i] - first)
-        rest = map(itertools.repeat, self.tables[i + 1 :], self.lengths[i + 1 :])
-        return itertools.chain(head, *rest)
+        for i in range(i, len(self.lengths)):
+            left = self.piece_starts[i] + self.lengths[i] - max(first, self.piece_starts[i])
+            yield from itertools.repeat(self.piece_tables(i), left)
+
+    def piece_tables(self, i: int):
+        """Piece i's (table, extra, stepped), building its table unless the
+        one held is of the same cells; a point that steps the op takes the
+        table of its first step's cell, which the steps then overwrite."""
+        stepped = self.step_tables.get(i)
+        if len(self.stepping[i]) == len(self.pieces[i]):
+            return None, (), stepped
+        cells = [cells[0] for cells in self.pieces[i]]
+        if self.held is None or self.held[0] != cells:
+            # Let go of the old tables before the new ones are built.
+            self.held = None
+            self.held = (cells, self._table(cells))
+        return (*self.held[1], stepped)
+
+    def may_overflow(self, start: np.ndarray, ops: int) -> bool:
+        """Whether a state within ops ops of the (d, P, N) states start can
+        reach NORM_OVERFLOW or stop being finite. Each part of start is at
+        most its peak, so its norm at most sqrt(2d) peak, and a step grows a
+        norm by at most g: below peak sqrt(2d) g^(k ops) < NORM_OVERFLOW
+        nothing can."""
+        parts = start.view(float)
+        peak = max(parts.max(), -parts.min())
+        return not peak < math.exp(self.log_limit - ops * self.span * self.log_growth)
 
     def screen(self, states: np.ndarray, symbols: np.ndarray, first: int) -> None:
         """Exclude the trajectories of each point whose norm overflowed at any

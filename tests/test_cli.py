@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import hashlib
 import json
 import math
 import os
@@ -166,6 +167,15 @@ def test_out_file_and_report(config_file, tmp_path, capsys) -> None:
     assert set(report["versions"]) == {"python", "numpy", "trajphase"}
     assert report["wall_time_s"] >= 0
     assert report["warnings"] == []
+
+
+def test_config_digest_is_the_sha256_of_canonical_json(config_file, tmp_path) -> None:
+    path = config_file(BASE_YAML)
+    out = tmp_path / "rho.csv"
+    assert main(["evolve", "--config", path, "--out", str(out)]) == EXIT_OK
+    report = json.loads((tmp_path / "rho.csv.report.json").read_text())
+    text = json.dumps(load_config(path).to_mapping(), sort_keys=True, separators=(",", ":"))
+    assert report["config_digest"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_seed_override_lands_in_report_and_digest(config_file, tmp_path) -> None:

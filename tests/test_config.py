@@ -86,6 +86,35 @@ def test_model_section_errors(mutation: str, path_fragment: str) -> None:
     assert path_fragment in err.value.path
 
 
+@pytest.mark.parametrize(
+    "old, new, path",
+    [
+        ("phi: 0.0", "phi: .inf", "initial_state.phi"),
+        ("lambda: 0.5", "lambda: .nan", "model.lambda"),
+        ("shifts: [0.2]", "shifts: [[0.2, -.inf]]", "shifts"),
+    ],
+    ids=["phi", "lambda", "shift"],
+)
+def test_non_finite_numbers_are_refused(old: str, new: str, path: str) -> None:
+    # A non-finite number has no JSON form for the report's config digest.
+    text = textwrap.dedent(
+        """
+        model:
+          dim: 2
+          hamiltonian: {preset: precession, omega: 1.0}
+          lindblads: [sigma_z]
+          lambda: 0.5
+        shifts: [0.2]
+        initial_state: {theta: 1.0, phi: 0.0}
+        run: {T: 1.0, steps: 16, seed: 0}
+        """
+    )
+    assert old in text
+    with pytest.raises(ConfigError, match="finite") as err:
+        parse_config(text.replace(old, new))
+    assert path in err.value.path
+
+
 def test_matrix_forms() -> None:
     cfg = _parse(
         """

@@ -355,10 +355,11 @@ def test_qsd_excludes_the_same_trajectories(ring_ops, monkeypatch) -> None:
     seeds = trajectory_seeds(0, 16)
     if ring_ops is not None:
         # One-trajectory chunks: a slot holds 32 B, and the ring takes a
-        # quarter of the budget; the noise blocks are 32 ops of 4 steps.
+        # quarter of the budget; the noise blocks are 32 ops of 6 steps, a
+        # qubit's op on one channel, and the last op has 2.
         monkeypatch.setattr(qsd, "BLOCK_BYTES", 4 * 32 * (ring_ops + 1))
         kernel = _QSDKernel([(lower_model(model), 0)], 23.0, 230, vec, 1)
-        assert (kernel.ring_ops, kernel.span, kernel.block) == (ring_ops, 4, 32)
+        assert (kernel.ring_ops, kernel.span, kernel.block) == (ring_ops, 6, 32)
     got = [int(not _chunk((model, [None], vec, 23.0, 0.1, [s]))[1][0, 0]) for s in seeds]
     want, want_alive, blown_at = _reference_qsd_chunk((model, None, vec, 23.0, 0.1, seeds))
     assert got == (blown_at >= 0).astype(int).tolist()
@@ -366,7 +367,7 @@ def test_qsd_excludes_the_same_trajectories(ring_ops, monkeypatch) -> None:
     if ring_ops is not None:
         # Some overflow falls strictly inside a ring segment, and inside an op.
         ends = blown_at[blown_at >= 0] + 1
-        assert np.any(ends % (4 * ring_ops) != 0) and np.any(ends % 4 != 0)
+        assert np.any(ends % (6 * ring_ops) != 0) and np.any(ends % 6 != 0)
     (final,), (alive,) = _chunk((model, [None], vec, 23.0, 0.1, seeds))
     assert alive.tolist() == want_alive.tolist()
     assert _trajectory_gap(final, want) <= 1e-12
@@ -398,18 +399,19 @@ def test_qsd_overflow_screen_keeps_the_per_step_rule() -> None:
 def test_qsd_ring_screens_every_state_of_a_segment() -> None:
     # H = 0 and L = [[0, 1], [0, 0]] at lambda dt = 4: the step matrix of bit
     # pair q is M_q = [[1, b_q], [0, -1]] with |b_q| = 2, b_0 = -b_3, and
-    # M_q M_q is the identity. The ring's states after each four-step op
+    # M_q M_q is the identity. The ring's states after each six-step op
     # stay below the threshold, and only stepping the ops again finds the
-    # spikes inside them. Column 1, from (0, v), repeats pair 3 (byte 85 3):
-    # (b v, -v) at the first step passes the threshold. Column 2, from a
-    # state whose parts pass even the screen for single steps, takes pairs
-    # 3, 0, 0, 3 (byte 195): (2 b v, v) at the second step passes it.
+    # spikes inside them. Column 1, from (0, v), repeats pair 3 (symbol
+    # 4095): (b v, -v) at the first step passes the threshold. Column 2,
+    # from a state whose parts pass even the screen for single steps, takes
+    # pairs 3, 0, 0, 3, 0, 0 (symbol 195): (2 b v, v) at the second step
+    # passes it.
     dt = 0.1
     lower = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
     model = LindbladModel(Operator(np.zeros((2, 2))), (lower,), 4.0 / dt)
     vec = np.array([1.0, 0.0], dtype=complex)
-    kernel = _QSDKernel([(lower_model(model), 0)], 16 * dt, 16, vec, 3)
-    assert (kernel.ring_ops, kernel.span) == (4, 4)
+    kernel = _QSDKernel([(lower_model(model), 0)], 24 * dt, 24, vec, 3)
+    assert (kernel.ring_ops, kernel.span) == (4, 6)
     step = [np.array([[1.0, 2.0 * dw / math.sqrt(dt)], [0.0, -1.0]]) for dw in kernel.increments]
     spike = np.array([0.0, 5e99], dtype=complex)
     quiet = np.array([0.0, 2.45e99], dtype=complex)
@@ -418,8 +420,8 @@ def test_qsd_ring_screens_every_state_of_a_segment() -> None:
     assert np.linalg.norm(step[0] @ step[3] @ quiet) >= NORM_OVERFLOW
     kernel.ring[0, :, 0] = np.stack([vec, spike, quiet], axis=1)
     symbols = np.zeros((4, 1, 3), dtype=np.intp)
-    symbols[:, 0, 0] = [0, 27, 228, 255]
-    symbols[:, 0, 1] = 85 * 3
+    symbols[:, 0, 0] = [0, 1755, 2340, 4095]
+    symbols[:, 0, 1] = 4095
     symbols[:, 0, 2] = 195
     kernel.advance(symbols, 0)
     assert np.all(np.linalg.norm(kernel.ring[1:4, :, 0, 1:], axis=1) < NORM_OVERFLOW)
@@ -482,53 +484,81 @@ def _one_step_matrices(model, shifts, dt: float) -> np.ndarray:
     return mats
 
 
-@pytest.mark.parametrize("dim,count", [(2, 1), (3, 1), (2, 2), (4, 2)])
+# Steps per op of (d, C) models: the most whose per-point table of 4^(kC)
+# d x d complex entries fits qsd.TABLE_BYTES, 256 KiB, and at least 4 // C.
+# A qubit's op on one channel takes 6 steps, a 12-bit symbol; at d = 16 the
+# table of 4 // C = 4 steps is larger than the budget.
+SPANS = {(2, 1): 6, (3, 1): 5, (2, 2): 3, (4, 2): 2, (2, 3): 2, (3, 3): 1, (16, 1): 4, (2, 5): 1}
+
+
+@pytest.mark.parametrize("dim,count", [(2, 1), (3, 1), (2, 2), (4, 2), (2, 3), (3, 3)])
 def test_qsd_table_entry_is_the_product_of_its_steps(dim: int, count: int) -> None:
-    # Symbol v of an op of k = 4 // C steps holds M_(q_(k-1)) ... M_(q_0),
-    # step t taking the C bit pairs of v from pair t C on.
+    # Symbol v of an op of k steps holds M_(q_(k-1)) ... M_(q_0), step t
+    # taking the C bit pairs of v from pair t C on.
     rng = np.random.default_rng(70 + 10 * dim + count)
     model = _random_model(dim, count, 0.4, rng)
     constant = ShiftSet.constants(list(rng.normal(size=count) + 1j * rng.normal(size=count)))
     vec = _random_state(dim, rng)
-    dt, steps = 1e-2, 40
+    dt, steps, span = 1e-2, 60, SPANS[dim, count]
     kernel = _QSDKernel([(lower_model(model, constant), 0)], steps * dt, steps, vec, 3)
-    span = kernel.span
-    assert span == 4 // count and len(kernel.tables) == 1
-    [(table, extra)] = kernel.tables
-    assert extra == () and table.shape == (dim, dim, 1, 256)
+    assert kernel.span == span and kernel.piece_starts == [0] and kernel.stepping == [()]
+    table, extra, stepped = kernel.piece_tables(0)
+    entries = 4 ** (span * count)
+    assert extra == () and stepped is None and table.shape == (dim, dim, 1, entries)
+    assert entries * dim * dim * 16 <= qsd.TABLE_BYTES < 4**count * table.nbytes
     mats = _one_step_matrices(model, constant, dt)
-    for v in range(256):
-        want = np.eye(dim)
-        for t in range(span):
-            want = mats[(v >> 2 * count * t) & (4**count - 1)] @ want
-        got = table[:, :, 0, v].T
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    v = np.arange(entries)
+    want = np.broadcast_to(np.eye(dim), (entries, dim, dim))
+    for t in range(span):
+        want = mats[(v >> 2 * count * t) & (4**count - 1)] @ want
+    got = table[:, :, 0].transpose(2, 1, 0)
+    # The table multiplies the products of the first k // 2 steps and of
+    # the rest, the reference one step after another: each of the k
+    # products of d terms rounds by about d ulps.
+    bound = span * dim * np.finfo(float).eps * np.max(np.abs(want), axis=(1, 2))
+    assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= bound)
+
+
+@pytest.mark.parametrize("dim,count", [(2, 1), (3, 1), (16, 1), (2, 2), (2, 3), (2, 5)])
+def test_qsd_op_span_depends_on_dim_and_channels_only(dim: int, count: int) -> None:
+    # A span that followed the points or the chunk would change a point's
+    # arithmetic with the sweep it runs in and with the chunk size.
+    rng = np.random.default_rng(90 + 10 * dim + count)
+    model = _random_model(dim, count, 0.4, rng)
+    vec = _random_state(dim, rng)
+    for npoints, trajectories in itertools.product((1, 2, 5), (1, 7, 2048)):
+        points = [(lower_model(model, ShiftSet.constants([0.1 * p] * count)), 0)
+                  for p in range(npoints)]
+        assert _QSDKernel(points, 0.6, 60, vec, trajectories).span == SPANS[dim, count]
 
 
 @pytest.mark.parametrize("count", [1, 2])
 def test_qsd_op_across_a_cell_edge_keeps_points_apart(count: int) -> None:
-    # Cells of 0.51 on a grid of 1e-2: the piecewise point's runs start at
-    # steps 51 and 102, inside ops of 4 steps (one channel) and 51 inside
-    # one of 2 (two channels); one channel's last op, of 150 steps, has 2.
+    # Cells of 0.52 on a grid of 1e-2: the piecewise point's runs start at
+    # steps 52 and 104, inside ops of 6 steps (one channel) and of 3 (two
+    # channels); the last op of 151 steps has 1.
     rng = np.random.default_rng(60 + count)
     model = _random_model(2, count, 0.4, rng)
     piecewise = ShiftSet(
         tuple(
-            ScalarSchedule.piecewise(0.5 * (rng.normal(size=3) + 1j * rng.normal(size=3)), 0.51)
+            ScalarSchedule.piecewise(0.5 * (rng.normal(size=3) + 1j * rng.normal(size=3)), 0.52)
             for _ in range(count)
         )
     )
     constant = ShiftSet.constants(list(rng.normal(size=count) + 1j * rng.normal(size=count)))
     vec = _random_state(2, rng)
     points = [(lower_model(model, piecewise), 0), (lower_model(model, constant), 0)]
-    kernel = _QSDKernel(points, 1.5, 150, vec, 24)
+    kernel = _QSDKernel(points, 1.51, 151, vec, 24)
     span = kernel.span
-    # The op holding the edge step has a table of its own.
-    for edge in (51, 102)[: 3 - count]:
-        piece = kernel.piece_starts.index(edge // span)
-        assert edge % span and kernel.lengths[piece] == 1
+    assert span == 6 // count
+    # The piecewise point steps the op holding an edge step one step at a
+    # time, and both points step the short last op; the runs between them
+    # share a table.
+    edges = [kernel.piece_starts.index(edge // span) for edge in (52, 104)]
+    assert all(kernel.lengths[piece] == 1 for piece in edges) and 52 % span and 104 % span
+    assert kernel.stepping == [(), (0,), (), (0,), (), (0, 1)]
     seeds = trajectory_seeds(80 + count, 24)
-    _check_points_against_reference(model, [piecewise, constant], vec, 1.5, 1e-2, seeds)
+    _check_points_against_reference(model, [piecewise, constant], vec, 1.51, 1e-2, seeds)
 
 
 def _unitary_channel_model(dim: int, count: int, strength: float, rng) -> LindbladModel:
@@ -591,7 +621,7 @@ def test_qsd_point_overflow_stays_in_its_point(monkeypatch) -> None:
     # lambda = 60 with L = identity: unshifted, the Euler factor 1 - 3 and
     # strong noise overflow about half of the trajectories by step 233; at
     # f = 1 the shifted channel vanishes and nothing overflows. A ring of 5
-    # ops of 4 steps puts overflows inside ring segments and inside ops: a
+    # ops of 6 steps puts overflows inside ring segments and inside ops: a
     # slot holds three points' states, 16 2 3 16 = 1536 B, and the ring
     # takes a quarter of the budget.
     model = LindbladModel(0.5 * pauli("z"), (Operator(np.eye(2)),), 60.0)
@@ -600,13 +630,13 @@ def test_qsd_point_overflow_stays_in_its_point(monkeypatch) -> None:
     shift_sets = [None, ShiftSet.constants([1.0]), ShiftSet.constants([0.1])]
     points = [(lower_model(model, shifts), 0) for shifts in shift_sets]
     kernel = _QSDKernel(points, 23.3, 233, vec, 16)
-    assert (kernel.ring_ops, kernel.span) == (5, 4)
+    assert (kernel.ring_ops, kernel.span) == (5, 6)
     blown_at = _check_points_against_reference(
         model, shift_sets, vec, 23.3, 0.1, trajectory_seeds(0, 16)
     )
     overflowed = blown_at[0][blown_at[0] >= 0]
     assert 0 < len(overflowed) < 16
-    assert np.any((overflowed + 1) % 20 != 0) and np.any((overflowed + 1) % 4 != 0)
+    assert np.any((overflowed + 1) % 30 != 0) and np.any((overflowed + 1) % 6 != 0)
     assert np.all(blown_at[1] < 0)
 
 
@@ -706,17 +736,18 @@ def _generators(seed: int, count: int) -> list:
 
 
 def _jump_job(head: tuple, seed: int, count: int) -> tuple:
-    """A jump chunk job: head, its shifts replaced by the lowering as the
-    point (sweep, 0), and the seed words of count trajectories."""
-    model, shifts, *tail = head
-    return (model, (lower_model(model, shifts), 0), *tail, trajectory_words(seed, count))
+    """A jump chunk job: head, its shifts replaced by the sampler of their
+    lowering, and the seed words of count trajectories."""
+    model, shifts, vec, total_time, delta_t = head
+    steps, _ = grid_steps(total_time, delta_t)
+    sampler = _JumpSampler(lower_model(model, shifts), 0, total_time, steps)
+    return (model, sampler, vec, total_time, delta_t, trajectory_words(seed, count))
 
 
 def _chunk_events(args) -> list:
     """(trajectory, step, channel) of every jump of a chunk's sampler run,
     in trajectory and time order."""
-    _, (sweep, p), vec, total_time, delta_t, words = args
-    sampler = _JumpSampler(sweep, p, total_time, grid_steps(total_time, delta_t)[0])
+    _, sampler, vec, _, _, words = args
     events = []
     x = np.repeat(vec[:, np.newaxis], len(words), axis=1)
     sampler.run(x, PCG64Rows.seeded(words), events)
@@ -926,6 +957,16 @@ def test_jump_ensemble_invariant_to_threads_and_chunks(monkeypatch) -> None:
         other = outs["1", chunk]
         assert other.jump_counts.tobytes() == one.jump_counts.tobytes()
         assert _relative_gap(other.estimates, one.estimates) <= 1e-12
+
+
+def test_jump_ensemble_exponentiates_its_cells_once(monkeypatch) -> None:
+    # Three chunks of one sampler: its per-cell maps are formed once.
+    calls = []
+    cell_maps = jump.cell_maps
+    monkeypatch.setattr(jump, "cell_maps", lambda *a: calls.append(1) or cell_maps(*a))
+    model = dephasing_model(1.0, 0.5)
+    res = average_jump_ensemble(model, EQUATOR, 0.5, 1e-2, 6000, seed=2, chunk_size=2048)
+    assert len(calls) == 1 and res.jump_counts.shape == (6000,)
 
 
 # --- both ensembles ---------------------------------------------------------

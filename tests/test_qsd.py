@@ -117,16 +117,32 @@ def test_wiener_increment_moments() -> None:
         grid_steps(1.0, 0.0)
 
 
-@pytest.mark.parametrize("channels", [1, 3])
-def test_increments_are_the_bit_pairs_of_each_stream(channels: int, monkeypatch) -> None:
+# Steps per op, k, of a (d, C) model: every op width 2 kC the rule gives,
+# 12 bits (three sizes), 10, 8 (four) and 6, and one-step ops of 2 and 3
+# groups of up to 4 channels. d = 16 takes the fewest steps the rule
+# allows, 4 // C. A qubit's case is named by C alone.
+OP_SPANS = {
+    (2, 1): 6, (3, 1): 5, (8, 1): 4, (16, 1): 4, (2, 2): 3, (3, 2): 2,
+    (2, 3): 2, (3, 3): 1, (2, 4): 1, (2, 5): 1, (2, 9): 1,
+}
+
+
+@pytest.mark.parametrize(
+    "dim,channels", OP_SPANS, ids=[f"{c}" if d == 2 else f"{d}-{c}" for d, c in OP_SPANS]
+)
+def test_increments_are_the_bit_pairs_of_each_stream(
+    dim: int, channels: int, monkeypatch
+) -> None:
     # Blocks of 32 ops over 75: the symbols cross two block edges, and the
-    # last block reads part of its last word. One channel takes 4 steps per
-    # op, the last op 2 of them, and three channels 1 step.
-    model = LindbladModel(0.5 * pauli("z"), tuple(pauli("x") for _ in range(channels)), 0.5)
-    span = 4 // channels
+    # last block, of an odd number of ops, reads part of its last word. Ops
+    # of more than one step leave the last op short by span // 2 steps.
+    hop = Operator(np.roll(np.eye(dim), 1, axis=0))
+    model = LindbladModel(Operator(np.diag(np.arange(dim))), (hop,) * channels, 0.5)
+    vec = np.eye(dim, dtype=complex)[0]
+    span = OP_SPANS[dim, channels]
     dt, steps, count = 1e-2, 75 * span - span // 2, 5
     monkeypatch.setattr(qsd, "BLOCK_BYTES", 1)
-    kernel = _QSDKernel([(lower_model(model), 0)], steps * dt, steps, EQUATOR.amplitudes, count)
+    kernel = _QSDKernel([(lower_model(model), 0)], steps * dt, steps, vec, count)
     assert (kernel.span, kernel.ops, kernel.block) == (span, 75, 32)
     blocks = []
     monkeypatch.setattr(kernel, "advance", lambda symbols, first: blocks.append(symbols.copy()))
@@ -134,16 +150,19 @@ def test_increments_are_the_bit_pairs_of_each_stream(channels: int, monkeypatch)
     kernel.run([np.random.PCG64(s) for s in streams])
     got = np.concatenate(blocks)
     assert [len(b) for b in blocks] == [32, 32, 11]
-    assert got.shape == (75, 1, count)
-    # Op o's symbol: its span C increments, from increment o span C, as the
-    # base-4 digits of a number, the first increment lowest.
+    groups = -(-channels // 4)
+    assert got.shape == (75, groups, count)
+    # Op o's symbol of each group: its increments, from increment o k C
+    # (group g from 4 g more) as the base-4 digits of a number, the first
+    # increment lowest.
     width = span * channels
     for i, stream in enumerate(streams):
         words = np.random.default_rng(stream).bit_generator.random_raw(-(-75 * width // 32))
         incs = _two_point(words, dt)[: 75 * width].reshape(75, width)
         digits = ((incs.real < 0) + 2 * (incs.imag < 0)).astype(int)
-        want = digits @ 4 ** np.arange(width)
-        assert np.array_equal(got[:, 0, i], want)
+        for g in range(groups):
+            group = digits[:, 4 * g : 4 * g + 4] if groups > 1 else digits
+            assert np.array_equal(got[:, g, i], group @ 4 ** np.arange(group.shape[1]))
 
 
 def test_qsd_step_deterministic_part() -> None:
@@ -290,6 +309,34 @@ def test_overflowing_trajectories_are_excluded_with_warning() -> None:
     with pytest.warns(RuntimeWarning, match="excluded"):
         got, _ = averaged_overlap(p.as_model(), EQUATOR, cfg)
     assert np.isfinite(got.real) and np.isfinite(got.imag)
+
+
+def test_screen_runs_only_where_a_state_can_overflow(monkeypatch) -> None:
+    # The qsd-phase benchmark scenario: lambda 0.1, f = 0 and 1, T = 2 pi on
+    # 6283 steps, 256 trajectories. A one-step matrix grows a norm by at
+    # most g = 1.014, and g^6283 is about 1e38, so no state can reach
+    # NORM_OVERFLOW and no segment is screened. Screening every segment
+    # changes no byte of the output.
+    p = DephasingParams(1.0, 0.1, 0.0, math.pi / 2)
+    with pytest.warns(RuntimeWarning, match="adjusted"):
+        config = QSDConfig(2 * math.pi, 1e-3, 256, seed=0)
+    screened = []
+    screen = _QSDKernel.screen
+    monkeypatch.setattr(
+        _QSDKernel, "screen", lambda self, *args: screened.append(1) or screen(self, *args)
+    )
+
+    def run() -> bytes:
+        shift_sets = [None, ShiftSet.constants([1.0])]
+        results = averaged_geometric_phases(p.as_model(), EQUATOR, config, shift_sets)
+        fields = [(r.mean_overlap, r.std_error, r.overlap_arg, r.phase) for r in results]
+        return np.array(fields).tobytes()
+
+    gated = run()
+    assert screened == []
+    monkeypatch.setattr(_QSDKernel, "may_overflow", lambda self, start, ops: True)
+    assert run() == gated
+    assert screened
 
 
 def test_total_overflow_raises() -> None:

@@ -16,8 +16,8 @@ takes the (P, cells, d, d) stacks of K_tilde and K of a sweep and the (P,
 d) initial states, with no per-point set-up (`sweep_no_jump_phases`;
 `no_jump_geometric_phases` lowers its points first), and the jump sampler
 and the Kraus sets read the rows of one point. The tracker propagates the
-points that share a grid and its runs as one stack, in windows of grid
-columns within STACK_BYTES, and forms each column's norm, overlap and
+points of one lowered sweep as one stack, in windows of grid columns
+within STACK_BYTES, and forms each column's norm, overlap and
 integrand once. The integral is the
 composite Simpson rule, summed window by window from the rule's weights
 (`operators.simpson_weights`), so no array spans the grid. The discrete-time
@@ -42,7 +42,6 @@ ensemble lowers its model once; every chunk job carries that lowering.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import warnings
 from typing import NamedTuple, Optional, Union
@@ -505,59 +504,38 @@ def _grid_runs(grid: Schedule, total_time: float, steps: int):
     return runs, tuple(index_runs(lambda k: grid.cells_at(k * dt), steps + 1))
 
 
-def _tracked_phases(groups: list[_Tracks], total_time: float, steps: int) -> list:
-    """Branch-tracked no-jump phases of the points of groups on a shared
+def _tracked_phases(tracks: _Tracks, total_time: float, steps: int) -> list:
+    """Branch-tracked no-jump phases of the points of tracks on a shared
     grid, in order, each a GeometricPhaseResult or the BranchTrackingError
     or TotalDecayError of its point.
 
     A point's grid doubles, up to MAX_GRID_DOUBLINGS - 1 times, until no
     step away from a flagged crossing turns its overlap by more than pi/2.
-    On each grid the points that share a dimension and the runs of their
-    schedules are tracked together by `_track_stack` as one stack, whose
-    windows take STACK_BYTES. Only where those windows would be narrower
-    than MIN_WINDOW grid columns (or the grid) is the stack split, into
-    even parts, each at most as many points as fill STACK_BYTES with
-    windows of that width.
+    On each grid the points still pending are tracked together by
+    `_track_stack` as one stack, whose windows take STACK_BYTES. Only where
+    those windows would be narrower than MIN_WINDOW grid columns (or the
+    grid) is the stack split, into even parts, each at most as many points
+    as fill STACK_BYTES with windows of that width.
     """
     if total_time < 0:
         raise ValueError("total_time must be >= 0")
-    # Point i is row rows[i] of groups[owner[i]].
-    owner = [g for g, tracks in enumerate(groups) for _ in range(len(tracks.vecs))]
-    rows = [r for tracks in groups for r in range(len(tracks.vecs))]
-    outcomes: list = [None] * len(owner)
-    pending = list(range(len(owner)))
+    outcomes: list = [None] * len(tracks.vecs)
+    pending = list(range(len(outcomes)))
     attempt = max(1, steps)
     for doubling in range(MAX_GRID_DOUBLINGS):
         if doubling:
             attempt *= 2
-        # The runs depend on a schedule's grid, not on its values.
-        grids: dict[tuple, tuple] = {}
-        stacks: dict[tuple, list[int]] = {}
-        for i in pending:
-            tracks = groups[owner[i]]
-            grid = (tracks.grid.cell, len(tracks.grid.values))
-            if grid not in grids:
-                grids[grid] = _grid_runs(tracks.grid, total_time, attempt)
-            stacks.setdefault((tracks.vecs.shape[1], *grids[grid]), []).append(i)
-        for (dim, runs, point_runs), members in stacks.items():
-            # One stack, split only where its windows would fall below MIN_WINDOW.
-            narrowest = min(MIN_WINDOW, attempt + 1)
-            most = max(1, STACK_BYTES // (narrowest * _window_column_bytes(dim)))
-            size = -(-len(members) // -(-len(members) // most))
-            for lo in range(0, len(members), size):
-                part = members[lo : lo + size]
-                # The part's rows of each group it draws from, in order.
-                picks = [
-                    (groups[g], [rows[i] for i in same])
-                    for g, same in itertools.groupby(part, key=owner.__getitem__)
-                ]
-                stacked = (
-                    np.concatenate([getattr(tracks, name)[taken] for tracks, taken in picks])
-                    for name in ("gens", "herms", "vecs")
-                )
-                found = _track_stack(*stacked, runs, point_runs, total_time, attempt)
-                for i, outcome in zip(part, found):
-                    outcomes[i] = outcome
+        runs, point_runs = _grid_runs(tracks.grid, total_time, attempt)
+        # One stack, split only where its windows would fall below MIN_WINDOW.
+        narrowest = min(MIN_WINDOW, attempt + 1)
+        most = max(1, STACK_BYTES // (narrowest * _window_column_bytes(tracks.vecs.shape[1])))
+        size = -(-len(pending) // -(-len(pending) // most))
+        for lo in range(0, len(pending), size):
+            part = pending[lo : lo + size]
+            stacked = (getattr(tracks, name)[part] for name in ("gens", "herms", "vecs"))
+            found = _track_stack(*stacked, runs, point_runs, total_time, attempt)
+            for i, outcome in zip(part, found):
+                outcomes[i] = outcome
         pending = [i for i in pending if outcomes[i] is None]
         if not pending:
             break
@@ -579,7 +557,7 @@ def sweep_no_jump_phases(
     vecs = normalized_states(states, sweep.model.dim, "psi0")
     if len(vecs) != len(sweep):
         raise ValueError(f"{len(vecs)} initial states for {len(sweep)} points")
-    return _tracked_phases([_Tracks(sweep.grid, sweep.k_tilde, sweep.k, vecs)], total_time, steps)
+    return _tracked_phases(_Tracks(sweep.grid, sweep.k_tilde, sweep.k, vecs), total_time, steps)
 
 
 def no_jump_geometric_phases(
@@ -595,22 +573,22 @@ def no_jump_geometric_phases(
     leaves the others untouched. Invalid input raises at once. The points
     are lowered by `lindblad.lower_points`, one `lower_sweep` for each
     group that shares a model's schedules and the kind and grid of its
-    shifts. Points that share a dimension and the runs of their schedules
-    are propagated together, in windows of grid columns within
-    STACK_BYTES, and each window adds its part of every dynamical term, so
-    the tracker's memory does not grow with the total time.
+    shifts. The points of each group are propagated together, in windows
+    of grid columns within STACK_BYTES, and each window adds its part of
+    every dynamical term, so the tracker's memory does not grow with the
+    total time.
     """
     points = list(points)
     vecs = [normalized_state_vector(psi0, model.dim, "psi0") for model, psi0, _ in points]
     lowered = lower_points([(model, shifts) for model, _, shifts in points])
-    groups = [
-        _Tracks(sweep.grid, sweep.k_tilde, sweep.k, np.array([vecs[i] for i in members]))
-        for sweep, members in lowered
-    ]
+    if total_time < 0:
+        # As `_tracked_phases` does, which no group calls when there are no points.
+        raise ValueError("total_time must be >= 0")
     outcomes: list = [None] * len(points)
-    order = (i for _, members in lowered for i in members)
-    for i, outcome in zip(order, _tracked_phases(groups, total_time, steps)):
-        outcomes[i] = outcome
+    for sweep, members in lowered:
+        tracks = _Tracks(sweep.grid, sweep.k_tilde, sweep.k, np.array([vecs[i] for i in members]))
+        for i, outcome in zip(members, _tracked_phases(tracks, total_time, steps)):
+            outcomes[i] = outcome
     return outcomes
 
 
@@ -668,7 +646,7 @@ def gauge_transform_check(
     gens = np.concatenate([sweep.k_tilde, sweep.k_tilde + 1j * complex(log_rate) * eye])
     herms = np.concatenate([sweep.k, sweep.k - complex(log_rate).imag * eye])
     tracks = _Tracks(sweep.grid, gens, herms, np.array([vec, complex(scale) * vec]))
-    base, transformed = (_result(o) for o in _tracked_phases([tracks], total_time, steps))
+    base, transformed = (_result(o) for o in _tracked_phases(tracks, total_time, steps))
     return base.phase, transformed.phase
 
 

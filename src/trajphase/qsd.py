@@ -37,12 +37,13 @@ TABLE_BYTES, and never fewer than 4 // C (6 for a qubit on one channel, 1
 from four channels on). The kC increments of an op, a symbol of up to 12
 bits, choose its matrix from the table of its run of ops, so an op is one
 gather of each trajectory's table entry, one multiply and one sum, all
-elementwise over the trajectories; an op across a cell edge, and a short
-last op, step one step at a time. See `_QSDKernel`. Each trajectory reads
-its increments as bit pairs of raw PCG64 words from its own stream, in
-blocks of ops; see `_QSDKernel.run`. The overflow screen runs only over
-stretches of steps where a state could reach NORM_OVERFLOW at all
-(`_QSDKernel.may_overflow`).
+elementwise over the trajectories. An op across a cell edge, and a short
+last op, takes its matrix the same way, from a table of the products of
+its own steps' one-step matrices, each of its step's cell. See
+`_QSDKernel`. Each trajectory reads its increments as bit pairs of raw
+PCG64 words from its own stream, in blocks of ops; see `_QSDKernel.run`.
+The overflow screen runs only over stretches of steps where a state could
+reach NORM_OVERFLOW at all (`_QSDKernel.may_overflow`).
 """
 
 from __future__ import annotations
@@ -157,9 +158,13 @@ class QSDEnsembleResult:
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over the last two axes, broadcast, as one multiply and one sum
-    per entry, so that an entry's rounding does not depend on the batch."""
-    return np.add.reduce(a[..., :, :, np.newaxis] * b[..., np.newaxis, :, :], axis=-2)
+    """a @ b over the last two axes, broadcast, as one multiply per term and
+    the terms summed in order, elementwise, so that an entry's rounding does
+    not depend on the batch."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for m in range(1, a.shape[-1]):
+        out += a[..., :, m : m + 1] * b[..., m : m + 1, :]
+    return out
 
 
 def _gather_layout(stack: np.ndarray) -> np.ndarray:
@@ -202,17 +207,17 @@ class _QSDKernel:
     for C <= 4, and for C > 4 one symbol per 4 channels. So each op's matrix
     comes from a table per point: the products M_{k-1} ... M_0 of its steps'
     one-step matrices M = I - i dt K_tilde + sum_m dw_m sqrt(lam) L_m, lam
-    the point's own strength. A run of ops inside one combination of the
-    points' cells, a piece, shares one table, built when its first op runs
-    as one outer product of the tables of its first k // 2 steps and of the
-    rest, and held in one buffer while its ops run; the next run's table
-    overwrites it. A point takes an op across one of its own cell edges,
-    and a shorter last op, one step at a time through the one-step tables
-    of its steps' cells instead (`stepping`), so which ops a point steps
-    depends on its own grid only. For C > 4 an op is one step, and its
-    matrix is the sum of one entry of each of ceil(C / 4) tables of 4
-    channels, the first carrying the drift. Tables are stored as
-    (d_j, d_i, P, V), built for every point by the same elementwise
+    the point's own strength, each step's M of its own cell. The ops of
+    one combination of the points' cells at each step of an op, a piece,
+    share one table: a run of ops inside one cell of every point, a single
+    op across a cell edge of some point, or the shorter last op, whose
+    steps past the grid's end take the identity. It is built when the
+    piece's first op runs, as one outer product of the products of its
+    first k // 2 steps and of the rest, and held in one buffer while its
+    ops run; the next piece's table overwrites it. For C > 4 an op is one
+    step, and its matrix is the sum of one entry of each of ceil(C / 4)
+    tables of 4 channels, the first carrying the drift. Tables are stored
+    as (d_j, d_i, P, V), built for every point by the same elementwise
     arithmetic, so a point's arithmetic never depends on the others.
 
     An op is three calls: a gather of each trajectory's table entry into
@@ -244,22 +249,15 @@ class _QSDKernel:
         self.increments = np.sqrt(dt / 2.0) * np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j])
         self.one_step = one_step = [self._one_step(sweep, p, dt) for sweep, p in points]
         self.piece_starts, self.lengths, self.pieces = _pieces(points, total_time, steps, span)
-        # The points that take a piece's op one step at a time: every point
-        # for a short op, and those whose cells change inside it. Whether a
-        # point steps an op depends on its own grid only.
-        self.stepping = [
-            tuple(p for p, cells in enumerate(piece) if len(cells) < span or len(set(cells)) > 1)
-            for piece in self.pieces
-        ]
-        # The tables in use, (cells, tables), and the buffer a run's is built in.
+        # The tables in use, (cells at each step, tables), and the buffer
+        # a piece's is built in.
         self.held = self.buffer = None
         self.period, self.fields = self._fields()
-        self.step_tables = {}
         if span > 1:
             # One group of channels: the one-step matrices of each step of a
-            # piece's first op, the identity past a short op's last step.
-            # `screen` steps suspect columns again through them, and a
-            # stepped op takes its steps through them in table layout.
+            # piece's first op, each from its own cell, the identity past a
+            # short op's last step. A piece's table is their product, and
+            # `screen` steps suspect columns again through them.
             eye = [np.broadcast_to(np.eye(dim), (4**channels, dim, dim))] * npoints
             self.step_mats = np.array(
                 [
@@ -268,12 +266,6 @@ class _QSDKernel:
                     for piece in self.pieces
                 ]
             )
-            for i, stepped in enumerate(self.stepping):
-                if stepped:
-                    # A slice, a view of the states, when every point steps.
-                    stepped = slice(None) if len(stepped) == npoints else list(stepped)
-                    mats = self.step_mats[i, : len(self.pieces[i][0])][:, stepped]
-                    self.step_tables[i] = (stepped, [_gather_layout(m) for m in mats])
         # g, a bound on the spectral norm of every one-step matrix and at
         # least 1: the largest entry's of the first group plus the largest
         # entry's of each other group. Raised by 2^-30 relative, far more
@@ -348,39 +340,35 @@ class _QSDKernel:
                 fields.append((g, r, byte, shift, wide, (1 << size) - 1 if shift + size < top else 0))
         return (ops, bits * ops // 8), fields
 
-    def _table(self, cells) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """The (first, extra) tables of a run of ops whose steps are all in
-        each point's cell of cells, of shape (d_j, d_i, P, V): entry
-        [j, i, p, v] is row i, column j of point p's matrix for symbol v, so
-        gathering along V gives (d_j, d_i, P, N).
+    def _table(self, i: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The (first, extra) tables of piece i's run of ops, of shape
+        (d_j, d_i, P, V): entry [j, i, p, v] is row i, column j of point p's
+        matrix for symbol v, so gathering along V gives (d_j, d_i, P, N).
 
         With more than one group of channels an op is one step and each
         group has a table of its own. With one, point p's entry
         v = sum_t q_t 4^(C t) is the product M_(q_last) ... M_(q_0) of the
-        op's k steps' one-step matrices, formed as the outer product of the
-        tables of the last k - k // 2 steps and of the first k // 2; it is
-        written into one buffer that the run's table reuses."""
-        steps = [tabs[c] for tabs, c in zip(self.one_step, cells)]
+        piece's first op's k one-step matrices (`step_mats`), each of its
+        step's own cell, the identity past a short op's last step. It is
+        formed as the outer product of the products of the last k - k // 2
+        steps and of the first k // 2, and written into one buffer that
+        every piece's table reuses."""
         if self.groups > 1 or self.span == 1:
+            steps = [tabs[cells[0]] for tabs, cells in zip(self.one_step, self.pieces[i])]
             first, *extra = (_gather_layout(np.stack(group)) for group in zip(*steps))
             return first, tuple(extra)
-        low, high = self.span // 2, self.span - self.span // 2
-        lows, highs = [], []
-        for (step,) in steps:
-            table = step
-            for count in range(2, high + 1):
-                if count - 1 == low:
-                    lows.append(table)
-                table = _product(step[:, np.newaxis], table[np.newaxis])
-                table = table.reshape(-1, *step.shape[1:])
-            if low == high:
-                lows.append(table)
-            highs.append(table)
+        npoints, _, dim = self.step_mats.shape[2:5]
+        halves = []
+        for steps in np.split(self.step_mats[i], [self.span // 2]):
+            table = steps[0]
+            for step in steps[1:]:
+                table = _product(step[:, :, np.newaxis], table[:, np.newaxis])
+                table = table.reshape(npoints, -1, dim, dim)
+            halves.append(table)
         # (j, m, P, V_lo) and (i, m, P, V_hi): entry [j, i, p, hi, lo] of
         # the table is the sum over m of high[i, m, p, hi] low[j, m, p, lo].
-        low = np.ascontiguousarray(np.stack(lows).transpose(3, 2, 0, 1))
-        high = np.ascontiguousarray(np.stack(highs).transpose(2, 3, 0, 1))
-        dim, npoints = high.shape[:3:2]
+        low = np.ascontiguousarray(halves[0].transpose(3, 2, 0, 1))
+        high = np.ascontiguousarray(halves[1].transpose(2, 3, 0, 1))
         if self.buffer is None:
             self.buffer = np.empty((dim, dim, npoints, high.shape[3] * low.shape[3]), complex)
         out = self.buffer.reshape(dim, dim, npoints, high.shape[3], low.shape[3])
@@ -470,37 +458,20 @@ class _QSDKernel:
             # segment first, so zip stops without taking a table too many.
             # "clip" never clips a symbol; it lets take write into its out directly.
             ops = zip(segment, tables, self.heads, self.ring[1:])
-            for sym, (table, extra, stepped), head, out in ops:
-                if table is not None:
-                    table.take(sym[0], -1, gathered, "clip")
-                    for tab, s in zip(extra, sym[1:]):
-                        gathered += tab.take(s, -1, extra_buf, "clip")
-                    np.multiply(gathered, head, out=gathered)
-                    np.add.reduce(gathered, axis=0, out=out)
-                if stepped is not None:
-                    self.step(*stepped, sym[0], head, out)
+            for sym, (table, extra), head, out in ops:
+                table.take(sym[0], -1, gathered, "clip")
+                for tab, s in zip(extra, sym[1:]):
+                    gathered += tab.take(s, -1, extra_buf, "clip")
+                np.multiply(gathered, head, out=gathered)
+                np.add.reduce(gathered, axis=0, out=out)
             if screen:
                 self.screen(self.ring[: n + 1], segment, first + done)
             # The segment's last state, with the screen's edits, starts the next.
             self.ring[0] = self.ring[n]
 
-    def step(self, points, tables, symbols: np.ndarray, head: np.ndarray, out: np.ndarray):
-        """Take an op one step at a time at the given points, from the
-        (d, 1, P, N) states head into the (d, P, N) out, through one
-        (d_j, d_i, S, 4^C) one-step table per step; step t takes bit pairs
-        t C .. t C + C - 1 of the (N,) symbols."""
-        x = head[:, :, points]
-        shifts = np.arange(0, 2 * self.channels * len(tables), 2 * self.channels)
-        digits = (symbols >> shifts[:, np.newaxis]) & (4**self.channels - 1)
-        for table, digit in zip(tables, digits):
-            x = np.add.reduce(table.take(digit, -1) * x, axis=0)[:, np.newaxis]
-        out[:, points] = x[:, 0]
-
     def tables_from(self, first: int):
-        """The tables of the ops from op first on, one (table, extra,
-        stepped) per op: the op's table, None when every point steps it,
-        with those of the other groups, and (points, one-step tables) for
-        the points that step it, or None. A run's table is built when its
+        """The (table, extra) of each op from op first on: the op's table
+        and those of the other groups. A run's table is built when its
         first op is reached."""
         i = bisect.bisect_right(self.piece_starts, first) - 1
         for i in range(i, len(self.lengths)):
@@ -508,18 +479,13 @@ class _QSDKernel:
             yield from itertools.repeat(self.piece_tables(i), left)
 
     def piece_tables(self, i: int):
-        """Piece i's (table, extra, stepped), building its table unless the
-        one held is of the same cells; a point that steps the op takes the
-        table of its first step's cell, which the steps then overwrite."""
-        stepped = self.step_tables.get(i)
-        if len(self.stepping[i]) == len(self.pieces[i]):
-            return None, (), stepped
-        cells = [cells[0] for cells in self.pieces[i]]
-        if self.held is None or self.held[0] != cells:
+        """Piece i's (table, extra), building its table unless the one held
+        is of the same cells at every step of the op."""
+        if self.held is None or self.held[0] != self.pieces[i]:
             # Let go of the old tables before the new ones are built.
             self.held = None
-            self.held = (cells, self._table(cells))
-        return (*self.held[1], stepped)
+            self.held = (self.pieces[i], self._table(i))
+        return self.held[1]
 
     def may_overflow(self, start: np.ndarray, ops: int) -> bool:
         """Whether a state within ops ops of the (d, P, N) states start can
@@ -540,7 +506,7 @@ class _QSDKernel:
         # at least NORM_OVERFLOW / sqrt(2d). A column whose parts all stay
         # below the smaller screen_level has not overflowed, at the states
         # nor inside an op; the others (nan included) get the exact test at
-        # every step, inside an op by stepping it again one step at a time.
+        # every step, inside an op by taking it again one step at a time.
         parts = states.view(float)
         peak = np.maximum(parts.max(axis=(0, 1)), -parts.min(axis=(0, 1)))
         # (P, N): the larger of each column's real and imaginary peaks.
@@ -558,8 +524,9 @@ class _QSDKernel:
 
     def inside_ops_kept(self, starts, symbols, first: int, point: int) -> np.ndarray:
         """Whether every state inside the ops from op first stays below
-        NORM_OVERFLOW, per column, stepping the (n, d, S) states before the
-        ops one step at a time with the (n, S) symbols at the given point."""
+        NORM_OVERFLOW, per column, taking the ops again one step at a time
+        from the (n, d, S) states before them with the (n, S) symbols at the
+        given point."""
         ops = np.arange(first, first + len(starts))
         pieces = np.searchsorted(self.piece_starts, ops, side="right")[:, np.newaxis] - 1
         x = starts.transpose(0, 2, 1)

@@ -469,12 +469,12 @@ def test_qsd_points_in_one_pass_match_reference_loop(
     _assert_budget_free(job, *_chunk(job), monkeypatch)
 
 
-def _one_step_matrices(model, shifts, dt: float) -> np.ndarray:
+def _one_step_matrices(model, shifts, dt: float, cell: int = 0) -> np.ndarray:
     """The (4^C, d, d) matrices I - i dt K_tilde + sum_m dw_m sqrt(lam) L_m
-    of a one-cell model, entry q taking its increment for channel m from bit
-    pair m of q, built from the lowered model one channel at a time."""
+    of a cell of a model, entry q taking its increment for channel m from
+    bit pair m of q, built from the lowered model one channel at a time."""
     lowered = lower_model(model, shifts)
-    k_tilde, channels = lowered.k_tilde[0, 0], lowered.channels[0, 0]
+    k_tilde, channels = lowered.k_tilde[0, cell], lowered.channels[0, cell]
     count = len(channels)
     digits = (np.arange(4**count)[:, np.newaxis] >> 2 * np.arange(count)) & 3
     incs = math.sqrt(dt / 2.0) * (1 - 2 * (digits & 1) + 1j * (1 - (digits & 2)))
@@ -494,29 +494,53 @@ SPANS = {(2, 1): 6, (3, 1): 5, (2, 2): 3, (4, 2): 2, (2, 3): 2, (3, 3): 1, (16, 
 @pytest.mark.parametrize("dim,count", [(2, 1), (3, 1), (2, 2), (4, 2), (2, 3), (3, 3)])
 def test_qsd_table_entry_is_the_product_of_its_steps(dim: int, count: int) -> None:
     # Symbol v of an op of k steps holds M_(q_(k-1)) ... M_(q_0), step t
-    # taking the C bit pairs of v from pair t C on.
+    # taking the C bit pairs of v from pair t C on, M of the step's own
+    # cell, and the identity for the steps of a short op past the grid.
+    # Cases: an op inside one cell; an op across the edge of a 3-cell shift
+    # at step 49, inside an op of 2, 3, 5 or 6 steps; a last op of 2 steps;
+    # and a last op of one step, whose entries are its one-step matrices.
     rng = np.random.default_rng(70 + 10 * dim + count)
     model = _random_model(dim, count, 0.4, rng)
     constant = ShiftSet.constants(list(rng.normal(size=count) + 1j * rng.normal(size=count)))
     vec = _random_state(dim, rng)
-    dt, steps, span = 1e-2, 60, SPANS[dim, count]
-    kernel = _QSDKernel([(lower_model(model, constant), 0)], steps * dt, steps, vec, 3)
-    assert kernel.span == span and kernel.piece_starts == [0] and kernel.stepping == [()]
-    table, extra, stepped = kernel.piece_tables(0)
-    entries = 4 ** (span * count)
-    assert extra == () and stepped is None and table.shape == (dim, dim, 1, entries)
-    assert entries * dim * dim * 16 <= qsd.TABLE_BYTES < 4**count * table.nbytes
-    mats = _one_step_matrices(model, constant, dt)
-    v = np.arange(entries)
-    want = np.broadcast_to(np.eye(dim), (entries, dim, dim))
-    for t in range(span):
-        want = mats[(v >> 2 * count * t) & (4**count - 1)] @ want
-    got = table[:, :, 0].transpose(2, 1, 0)
-    # The table multiplies the products of the first k // 2 steps and of
-    # the rest, the reference one step after another: each of the k
-    # products of d terms rounds by about d ulps.
-    bound = span * dim * np.finfo(float).eps * np.max(np.abs(want), axis=(1, 2))
-    assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= bound)
+    piecewise = _random_shifts(count, rng)
+    span = SPANS[dim, count]
+    for case in ["run", "edge"] + ["one-step"] * (span > 1) + ["short"] * (span > 2):
+        steps = {"run": 60, "edge": 3 * 49, "short": 10 * span + 2, "one-step": 10 * span + 1}[case]
+        total = CELLS * CELL if case == "edge" else steps * 1e-2
+        shifts = piecewise if case == "edge" else constant
+        lowered = lower_model(model, shifts)
+        kernel = _QSDKernel([(lowered, 0)], total, steps, vec, 3)
+        # The first step of the op holding step 0, step 49 or the last step.
+        first = {"run": 0, "edge": 49}.get(case, steps - 1) // span * span
+        piece = kernel.piece_starts.index(first // span)
+        cells = lowered.grid.step_cells(total, steps).tolist()[first : first + span]
+        assert kernel.span == span and kernel.pieces[piece][0] == cells
+        if case == "run":
+            assert kernel.piece_starts == [0]
+        else:
+            # An op of one step never straddles an edge; its piece runs on.
+            assert span == 1 or kernel.lengths[piece] == 1
+            assert len(set(cells)) == 1 + (case == "edge" and span > 1)
+            assert len(cells) == {"short": 2, "one-step": 1}.get(case, span)
+        table, extra = kernel.piece_tables(piece)
+        entries = 4 ** (span * count)
+        assert extra == () and table.shape == (dim, dim, 1, entries)
+        assert entries * dim * dim * 16 <= qsd.TABLE_BYTES < 4**count * table.nbytes
+        got = table[:, :, 0].transpose(2, 1, 0)
+        v = np.arange(entries)
+        mats = [_one_step_matrices(model, shifts, total / steps, cell) for cell in cells]
+        if case == "one-step":
+            # Products with the identity are exact.
+            assert np.array_equal(got, mats[0][v & (4**count - 1)])
+        want = np.broadcast_to(np.eye(dim), (entries, dim, dim))
+        for t, step in enumerate(mats):
+            want = step[(v >> 2 * count * t) & (4**count - 1)] @ want
+        # The table multiplies the products of the first k // 2 steps and
+        # of the rest, the reference one step after another: each of the k
+        # products of d terms rounds by about d ulps.
+        bound = span * dim * np.finfo(float).eps * np.max(np.abs(want), axis=(1, 2))
+        assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= bound)
 
 
 @pytest.mark.parametrize("dim,count", [(2, 1), (3, 1), (16, 1), (2, 2), (2, 3), (2, 5)])
@@ -551,12 +575,18 @@ def test_qsd_op_across_a_cell_edge_keeps_points_apart(count: int) -> None:
     kernel = _QSDKernel(points, 1.51, 151, vec, 24)
     span = kernel.span
     assert span == 6 // count
-    # The piecewise point steps the op holding an edge step one step at a
-    # time, and both points step the short last op; the runs between them
-    # share a table.
+    # The op holding each of the piecewise point's edge steps is a piece of
+    # one op, its steps in two of that point's cells, and so is the short
+    # last op; the runs between them share a table. Each piece differs in
+    # some point's cell at some step from the pieces beside it, so it takes
+    # a table of its own.
     edges = [kernel.piece_starts.index(edge // span) for edge in (52, 104)]
-    assert all(kernel.lengths[piece] == 1 for piece in edges) and 52 % span and 104 % span
-    assert kernel.stepping == [(), (0,), (), (0,), (), (0, 1)]
+    assert edges == [1, 3] and 52 % span and 104 % span
+    assert [kernel.lengths[piece] for piece in (1, 3, 5)] == [1, 1, 1]
+    assert [len(set(piece[0])) for piece in kernel.pieces] == [1, 2, 1, 2, 1, 1]
+    assert [len(set(piece[1])) for piece in kernel.pieces] == [1] * 6
+    assert len(kernel.pieces[5][0]) == 151 % span
+    assert all(a != b for a, b in zip(kernel.pieces, kernel.pieces[1:]))
     seeds = trajectory_seeds(80 + count, 24)
     _check_points_against_reference(model, [piecewise, constant], vec, 1.51, 1e-2, seeds)
 

@@ -326,15 +326,6 @@ def _schedule(grid: Schedule, rows) -> OperatorSchedule:
     return OperatorSchedule(tuple(Operator(row) for row in rows), grid.cell)
 
 
-def _rhs_matrix(sweep: LoweredSweep, p: int, c: int, rho):
-    """The master equation's right-hand side at point p in cell c."""
-    ham = sweep.h[c]
-    out = -1j * (ham @ rho - rho @ ham)
-    for l, ld, ldl in zip(sweep.channels[p, c], sweep.adjoints[p, c], sweep.squares[p, c]):
-        out = out + sweep.strengths[p] * (l @ rho @ ld - 0.5 * (ldl @ rho + rho @ ldl))
-    return out
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron of d x d matrices, or of each pair of two broadcast (..., d,
     d) stacks, as one broadcast product: entry (i d + k, j d + l) is a[i, j]
@@ -345,10 +336,10 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _liouvillian(sweep: LoweredSweep, p: int) -> np.ndarray:
-    """`_rhs_matrix` of point p in every cell as a (C, d^2, d^2) stack of
-    matrices on the row-major vec(rho), by vec(A X B) = kron(A, B.T)
-    vec(X). The right-hand side is G rho + rho G^dag + strength * sum_m L_m
-    rho L_m^dag with G = -i K_tilde."""
+    """The master equation's right-hand side at point p in every cell as a
+    (C, d^2, d^2) stack of matrices on the row-major vec(rho), by
+    vec(A X B) = kron(A, B.T) vec(X). The right-hand side is G rho +
+    rho G^dag + strength * sum_m L_m rho L_m^dag with G = -i K_tilde."""
     one = np.eye(sweep.h.shape[-1])
     g = -1j * sweep.k_tilde[p]
     out = _kron(g, one) + _kron(one, g.conj())
@@ -396,10 +387,13 @@ def _checked_density(entries: np.ndarray) -> DensityMatrix:
 
 
 def lindblad_rhs(model: LindbladModel, rho: Union[DensityMatrix, np.ndarray], t: float = 0.0) -> Operator:
-    """Right-hand side of the master equation at time t (traceless Hermitian)."""
+    """Right-hand side of the master equation at time t (traceless
+    Hermitian): the cell's `_liouvillian`, the generator `evolve_states`
+    exponentiates, applied to the row-major vec(rho)."""
     arr = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     sweep = lower_model(model)
-    return Operator(_rhs_matrix(sweep, 0, sweep.grid.value_at(t), arr))
+    generator = _liouvillian(sweep, 0)[sweep.grid.value_at(t)]
+    return Operator((generator @ arr.reshape(-1)).reshape(arr.shape))
 
 
 def evolve_density(

@@ -42,8 +42,9 @@ last op, takes its matrix the same way, from a table of the products of
 its own steps' one-step matrices, each of its step's cell. See
 `_QSDKernel`. Each trajectory reads its increments as bit pairs of raw
 PCG64 words from its own stream, in blocks of ops; see `_QSDKernel.run`.
-The overflow screen runs only over stretches of steps where a state could
-reach NORM_OVERFLOW at all (`_QSDKernel.may_overflow`).
+Ops run unscreened as far as a bound on the growth of norms shows that no
+state can reach NORM_OVERFLOW (`_QSDKernel.safe_ops`), and past that one
+at a time, each screened.
 """
 
 from __future__ import annotations
@@ -74,18 +75,18 @@ DEFAULT_CHUNK = 2048
 # fewer than 4 // C (C channels). At 256 KiB a qubit's op takes 6 steps on
 # one channel (4096 entries, 12-bit symbols); see `_op_span`.
 TABLE_BYTES = 256 * 2**10
-# Working memory of one chunk: its ring of states, at most a quarter of the
-# budget, the table of the run of ops in progress (P 4^(kC) d^2 16 B for P
-# points) and one temporary of its size while it is built, and one block of
-# ops' symbols in the rest (`_QSDKernel`). An op's kC increments are two
-# bits each of raw PCG64 words. Per trajectory-step a block holds C/4 B of
-# words, as much again while they are drawn, 8 / k B of intp symbol per
-# group of 4 channels and 2 / k B of bit fields while they are decoded.
-# Blocks are whole multiples of 32 ops, except a run's last, so 32 ops read
-# exactly kC words and the increments do not depend on the budget. They
-# have this length whatever the total time, so the memory a chunk takes
-# does not grow with it. At 2048 trajectories of one point and one channel
-# the ring holds 63 ops of 6 steps and a block 448.
+# Working memory of one chunk: its two states and gathered matrices per
+# trajectory and point, the table of the run of ops in progress (P 4^(kC)
+# d^2 16 B for P points) and one temporary of its size while it is built,
+# and one block of ops' symbols in the rest (`_QSDKernel`). An op's kC
+# increments are two bits each of raw PCG64 words. Per trajectory-step a
+# block holds C/4 B of words, as much again while they are drawn, 8 / k B
+# of intp symbol per group of 4 channels and 2 / k B of bit fields while
+# they are decoded. Blocks are whole multiples of 32 ops, except a run's
+# last, so 32 ops read exactly kC words and the increments do not depend
+# on the budget. They have this length whatever the total time, so the
+# memory a chunk takes does not grow with it. At 2048 trajectories of one
+# point and one channel a block holds 576 ops of 6 steps.
 BLOCK_BYTES = 16 * 2**20
 
 
@@ -169,7 +170,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _gather_layout(stack: np.ndarray) -> np.ndarray:
     """A (P, V, d_i, d_j) stack of matrices as the (d_j, d_i, P, V) table
-    that gathering along V turns into (d_j, d_i, P, N)."""
+    that a gather along V turns into (d_j, d_i, P, N)."""
     return np.ascontiguousarray(stack.transpose(3, 2, 0, 1))
 
 
@@ -222,16 +223,16 @@ class _QSDKernel:
 
     An op is three calls: a gather of each trajectory's table entry into
     the (d_j, d_i, P, N) buffer `gathered`, a multiply by the broadcast
-    state, and a sum over the column index j into the next slot of a ring
-    of (d, P, N) states. Every call is elementwise over the trajectories,
-    so a trajectory's arithmetic does not depend on the chunk either.
+    state, and a sum over the column index j. The ops alternate between the
+    two (d, P, N) states of `states`: op o takes states[o % 2] to
+    states[1 - o % 2]. Every call is elementwise over the trajectories, so
+    a trajectory's arithmetic does not depend on the chunk either.
 
-    Overflow (a norm at or above NORM_OVERFLOW, or not finite, at any step)
-    is screened per point each time the ring fills and at the end of each
-    block of ops, over the segment's states, unless no state of the segment
-    can overflow (`may_overflow`); overflowed trajectories of a point are
-    excluded and restart from zero. Noise is read per trajectory in longer
-    blocks of ops (`run`).
+    No norm can overflow (reach NORM_OVERFLOW or stop being finite) at
+    any step of the ops that `safe_ops` counts, which run unscreened; where
+    it counts none, one op runs and `screen` excludes, per point, the
+    trajectories that overflowed in it, which restart from zero. Noise is
+    read per trajectory in longer blocks of ops (`run`).
     """
 
     def __init__(self, points, total_time: float, steps: int, vec: np.ndarray, count: int):
@@ -284,15 +285,11 @@ class _QSDKernel:
         self.ket = vec[:, np.newaxis, np.newaxis]
         self.alive = np.ones((npoints, count), dtype=bool)
 
-        slot = 16 * dim * npoints * count
-        self.ring_ops = max(1, min(self.ops, BLOCK_BYTES // 4 // slot - 1))
-        self.ring = np.empty((self.ring_ops + 1, dim, npoints, count), complex)
-        # The state of each slot broadcast over the rows i of a gathered matrix.
-        self.heads = [s[:, np.newaxis] for s in self.ring]
+        self.states = np.empty((2, dim, npoints, count), complex)
         self.gathered = np.empty((min(groups, 2), dim, dim, npoints, count), complex)
         entries = 4**width if groups == 1 else 256 * groups
         tables = 2 * 16 * dim * dim * npoints * entries
-        spare = BLOCK_BYTES - self.ring.nbytes - self.gathered.nbytes - tables
+        spare = BLOCK_BYTES - self.states.nbytes - self.gathered.nbytes - tables
         # Per trajectory and 32 ops: 8 kC B of words and as much while they
         # are drawn, 256 B of symbols per group and 64 B of bit fields while
         # they are decoded (see BLOCK_BYTES).
@@ -343,7 +340,7 @@ class _QSDKernel:
     def _table(self, i: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """The (first, extra) tables of piece i's run of ops, of shape
         (d_j, d_i, P, V): entry [j, i, p, v] is row i, column j of point p's
-        matrix for symbol v, so gathering along V gives (d_j, d_i, P, N).
+        matrix for symbol v, so a gather along V gives (d_j, d_i, P, N).
 
         With more than one group of channels an op is one step and each
         group has a table of its own. With one, point p's entry
@@ -405,7 +402,7 @@ class _QSDKernel:
         # one word longer: `decode` may read a byte past a block's last row.
         words = np.empty(count * (self.block * self.width // 32) + 1, dtype="<u8")
         symbols = np.empty((self.block, self.groups, count), dtype=np.intp)
-        self.ring[0] = self.ket
+        self.states[0] = self.ket
         for first in range(0, self.ops, self.block):
             n = min(self.block, self.ops - first)
             width = -(-n * self.width // 32)
@@ -416,7 +413,7 @@ class _QSDKernel:
             # of its byte b // 8.
             self.decode(block.view(np.uint8).reshape(count, 8 * width), symbols[:n])
             self.advance(symbols[:n], first)
-        self.final = np.add.reduce(self.bra * self.ring[0], axis=0)
+        self.final = np.add.reduce(self.bra * self.states[self.ops % 2], axis=0)
         self.final[~self.alive] = 0.0
 
     def decode(self, octets: np.ndarray, symbols: np.ndarray) -> None:
@@ -445,29 +442,27 @@ class _QSDKernel:
             np.copyto(symbols[r::ops, g], field.T)
 
     def advance(self, symbols: np.ndarray, first: int) -> None:
-        """Take the len(symbols) ops from op first, each with its (groups, N)
-        symbols, from the states in the ring's first slot, and screen the
-        states each time the ring fills and at the end where they may have
-        overflowed; the last state is left in the first slot."""
-        tables = self.tables_from(first)
+        """Take the len(symbols) ops from op first, an even op, each with its
+        (groups, N) symbols: op o from states[o % 2] into states[1 - o % 2].
+        The ops that `safe_ops` counts run unscreened; where it counts none,
+        one op runs and is screened."""
         gathered, extra_buf = self.gathered[0], self.gathered[-1]
-        for done in range(0, len(symbols), self.ring_ops):
-            segment = symbols[done : done + self.ring_ops]
-            n = len(segment)
-            screen = self.may_overflow(self.ring[0], n)
-            # segment first, so zip stops without taking a table too many.
+        safe = 0
+        # symbols first, so zip stops without taking a table too many.
+        for op, (sym, (table, extra)) in enumerate(zip(symbols, self.tables_from(first)), first):
+            pair = self.states[::-1] if op % 2 else self.states
+            if not safe:
+                safe = self.safe_ops(pair[0], first + len(symbols) - op)
             # "clip" never clips a symbol; it lets take write into its out directly.
-            ops = zip(segment, tables, self.heads, self.ring[1:])
-            for sym, (table, extra), head, out in ops:
-                table.take(sym[0], -1, gathered, "clip")
-                for tab, s in zip(extra, sym[1:]):
-                    gathered += tab.take(s, -1, extra_buf, "clip")
-                np.multiply(gathered, head, out=gathered)
-                np.add.reduce(gathered, axis=0, out=out)
-            if screen:
-                self.screen(self.ring[: n + 1], segment, first + done)
-            # The segment's last state, with the screen's edits, starts the next.
-            self.ring[0] = self.ring[n]
+            table.take(sym[0], -1, gathered, "clip")
+            for tab, s in zip(extra, sym[1:]):
+                gathered += tab.take(s, -1, extra_buf, "clip")
+            np.multiply(gathered, pair[0][:, np.newaxis], out=gathered)
+            np.add.reduce(gathered, axis=0, out=pair[1])
+            if safe:
+                safe -= 1
+            else:
+                self.screen(pair, sym, op)
 
     def tables_from(self, first: int):
         """The (table, extra) of each op from op first on: the op's table
@@ -487,55 +482,55 @@ class _QSDKernel:
             self.held = (self.pieces[i], self._table(i))
         return self.held[1]
 
-    def may_overflow(self, start: np.ndarray, ops: int) -> bool:
-        """Whether a state within ops ops of the (d, P, N) states start can
-        reach NORM_OVERFLOW or stop being finite. Each part of start is at
-        most its peak, so its norm at most sqrt(2d) peak, and a step grows a
-        norm by at most g: below peak sqrt(2d) g^(k ops) < NORM_OVERFLOW
-        nothing can."""
+    def safe_ops(self, start: np.ndarray, ops: int) -> int:
+        """The most ops, up to ops, that the (d, P, N) states start can take
+        with no state reaching NORM_OVERFLOW or ceasing to be finite: a part
+        of start is at most its peak, a norm so at most sqrt(2d) peak, and a
+        step grows a norm by at most g, so k ops are safe while peak sqrt(2d)
+        g^(k span) < NORM_OVERFLOW (a peak of 0 taken as the smallest
+        normal double)."""
         parts = start.view(float)
-        peak = max(parts.max(), -parts.min())
-        return not peak < math.exp(self.log_limit - ops * self.span * self.log_growth)
+        peak = max(parts.max(), -parts.min(), np.finfo(float).tiny)
+        # log(peak) + k rate < log_limit; a peak of nan or inf allows no op.
+        room = self.log_limit - math.log(peak) if peak < math.inf else math.nan
+        rate = self.span * self.log_growth
+        if not (room > 0 and rate >= 0):
+            return 0
+        return ops if rate == 0 else max(0, min(ops, math.ceil(room / rate) - 1))
 
-    def screen(self, states: np.ndarray, symbols: np.ndarray, first: int) -> None:
+    def screen(self, pair: np.ndarray, symbols: np.ndarray, op: int) -> None:
         """Exclude the trajectories of each point whose norm overflowed at any
-        step of the ops from op first with the (n, groups, N) symbols, given
-        the (n + 1, d, P, N) states before them and after each, and zero them
-        in the last state."""
-        # A norm at or above NORM_OVERFLOW needs a real or imaginary part of
-        # at least NORM_OVERFLOW / sqrt(2d). A column whose parts all stay
-        # below the smaller screen_level has not overflowed, at the states
-        # nor inside an op; the others (nan included) get the exact test at
-        # every step, inside an op by taking it again one step at a time.
-        parts = states.view(float)
+        step of op `op`, with the (groups, N) symbols, given the (2, d, P, N)
+        states before and after it, and zero them in the after state."""
+        # Columns whose parts all stay below screen_level have not overflowed,
+        # after the op nor inside it; the others (nan included) get the exact
+        # test at every step, inside the op by taking it again step by step.
+        parts = pair.view(float)
         peak = np.maximum(parts.max(axis=(0, 1)), -parts.min(axis=(0, 1)))
         # (P, N): the larger of each column's real and imaginary peaks.
         suspects = ~(np.maximum(peak[:, 0::2], peak[:, 1::2]) < self.screen_level)
         for p, alive in enumerate(self.alive):
             suspect = np.flatnonzero(suspects[p])
             if suspect.size:
-                cols = states[:, :, p][:, :, suspect]
-                kept = (np.linalg.norm(cols[1:], axis=1) < NORM_OVERFLOW).all(axis=0)
+                before, after = pair[:, :, p][:, :, suspect]
+                kept = np.linalg.norm(after, axis=0) < NORM_OVERFLOW
                 if self.span > 1:
-                    kept &= self.inside_ops_kept(cols[:-1], symbols[:, 0, suspect], first, p)
+                    kept &= self.inside_ops_kept(before, symbols[0, suspect], op, p)
                 blown = suspect[alive[suspect] & ~kept]
                 alive[blown] = False
-                states[-1, :, p][:, blown] = 0.0
+                pair[1, :, p][:, blown] = 0.0
 
-    def inside_ops_kept(self, starts, symbols, first: int, point: int) -> np.ndarray:
-        """Whether every state inside the ops from op first stays below
-        NORM_OVERFLOW, per column, taking the ops again one step at a time
-        from the (n, d, S) states before them with the (n, S) symbols at the
-        given point."""
-        ops = np.arange(first, first + len(starts))
-        pieces = np.searchsorted(self.piece_starts, ops, side="right")[:, np.newaxis] - 1
-        x = starts.transpose(0, 2, 1)
-        kept = np.ones(x.shape[1], dtype=bool)
+    def inside_ops_kept(self, start, symbols, op: int, point: int) -> np.ndarray:
+        """Whether every state inside op `op` stays below NORM_OVERFLOW, per
+        column, taking the op again one step at a time from the (d, S)
+        states before it with the (S,) symbols at the given point."""
+        piece = bisect.bisect_right(self.piece_starts, op) - 1
+        x = start.T
+        kept = np.ones(len(x), dtype=bool)
         for t in range(self.span - 1):
             q = (symbols >> 2 * self.channels * t) & (4**self.channels - 1)
-            mats = self.step_mats[pieces, t, point, q]
-            x = np.add.reduce(mats * x[:, :, np.newaxis, :], axis=-1)
-            kept &= (np.linalg.norm(x, axis=-1) < NORM_OVERFLOW).all(axis=0)
+            x = np.add.reduce(self.step_mats[piece, t, point, q] * x[:, np.newaxis], axis=-1)
+            kept &= np.linalg.norm(x, axis=-1) < NORM_OVERFLOW
         return kept
 
 
@@ -549,8 +544,8 @@ def _qsd_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     kernel = _QSDKernel(points, total_time, steps, vec, len(streams))
     # Each trajectory's noise comes from its own stream, so the outcome is
     # independent of how trajectories are grouped into chunks. An
-    # overflowing trajectory may reach inf or nan before the ring fills;
-    # the kernel's screen excludes it.
+    # overflowing trajectory may reach inf or nan in the op whose screen
+    # then excludes it.
     with np.errstate(over="ignore", invalid="ignore"):
         kernel.run([np.random.PCG64(s) for s in streams])
     return kernel.final, kernel.alive
@@ -563,19 +558,23 @@ def _mean_path_arg(sweep, p: int, vec: np.ndarray, total_time: float, steps: int
 
     Positive scale factors keep every argument. Each drift map is divided by
     its spectral radius, so within a run of steps in one cell the path
-    neither decays nor grows geometrically, however non-normal the map, and
-    each run restarts from the previous run's last state as a unit vector."""
+    neither decays nor grows geometrically, however non-normal the map. Runs
+    are taken in windows of steps whose states and path values, 16 (d + 4)
+    B a step, fit in half of BLOCK_BYTES, each window restarting from the
+    last state before it as a unit vector."""
     dt = total_time / steps
     bra = vec.conj()
     start = vec
     total = 0.0
+    window = BLOCK_BYTES // 2 // (16 * (len(vec) + 4))
     for a, b, c in step_runs(sweep.grid, total_time, steps):
         drift = np.eye(len(vec)) + dt * (-1j * sweep.k_tilde[p, c])
         drift /= np.abs(np.linalg.eigvals(drift)).max()
-        cols = run_states({c: drift}, [(0, b - a, c)], start).T
-        path = bra @ cols
-        total += float(np.sum(np.angle(path[1:] * path[:-1].conj())))
-        start = unit_vector(cols[:, -1])
+        for lo in range(a, b, window):
+            cols = run_states({c: drift}, [(0, min(window, b - lo), c)], start).T
+            path = bra @ cols
+            total += float(np.sum(np.angle(path[1:] * path[:-1].conj())))
+            start = unit_vector(cols[:, -1])
     return total
 
 

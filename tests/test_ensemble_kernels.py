@@ -8,12 +8,15 @@ memory."""
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trajphase.jump as jump
 import trajphase.qsd as qsd
@@ -57,13 +60,13 @@ SIZES = list(itertools.product((2, 3, 4), (1, 2, 3)))
 # QSD ops of one step whose increments are a whole byte (4 channels), and
 # whose matrices sum the entries of two or three tables of up to 4 channels.
 MANY_CHANNELS = [(2, 4), (3, 5), (2, 9)]
-# None keeps the module's budget: one block and one ring segment for the
-# whole run. The others force, on 24 trajectories, a ring of one op and
-# blocks of 32 ops, the shortest; a ring of 2-5 ops and blocks of 32; and a
-# ring of 5-12 ops and blocks of 64 or 96 ops that end mid-run at three
-# channels.
+# None keeps the module's budget: one block for the whole run. The others
+# force, on 24 trajectories, blocks of 32 ops, the shortest, so that every
+# run of more than 32 ops crosses a block edge; and, where an op's tables
+# are small (one-step ops), blocks of 64 or 128 ops and of 64 to 256 ops
+# that end mid-run.
 DEFAULT_BLOCK_BYTES = qsd.BLOCK_BYTES
-BUDGETS = [None, 1, 20_000, 40_000]
+BUDGETS = [None, 1, 60_000, 100_000]
 
 
 # --- reference loops: per-step kernels and the jump law step by step ------
@@ -313,6 +316,20 @@ def test_qsd_branch_follows_the_exact_mean_path(dim: int, count: int) -> None:
     assert abs(res.overlap_arg - exact_arg) <= math.pi
 
 
+def test_mean_path_memory_does_not_grow_with_steps() -> None:
+    # A million steps in one cell: their states and path values together
+    # took 69 MiB; the run is taken in windows that stay within the budget.
+    lowered = lower_model(dephasing_model(1.0, 0.1))
+    vec = _random_state(2, np.random.default_rng(2))
+    tracemalloc.start()
+    try:
+        _mean_path_arg(lowered, 0, vec, 1e3, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < qsd.BLOCK_BYTES
+
+
 def _renormalized_path_arg(drift: np.ndarray, vec: np.ndarray, steps: int) -> float:
     """Argument of <vec|M^k vec> summed step by step, the state scaled back
     to unit norm after every step (d = 2, in Python complex arithmetic)."""
@@ -345,91 +362,143 @@ def test_mean_path_of_a_non_normal_drift_stays_finite() -> None:
     assert abs(got - _renormalized_path_arg(drift, vec, steps)) <= 1e-9
 
 
-@pytest.mark.parametrize("ring_ops", [None, 5])
-def test_qsd_excludes_the_same_trajectories(ring_ops, monkeypatch) -> None:
+@pytest.mark.parametrize("cap", [None, 5])
+def test_qsd_excludes_the_same_trajectories(cap, monkeypatch) -> None:
     # lambda = 60 overflows about half of the trajectories by T = 23. A
     # two-point increment bounds a step's growth on both sides, so the
     # overflows come within a few steps of each other, after about 230.
     model = dephasing_model(1.0, 60.0)
     vec = np.asarray(EQUATOR.amplitudes)
     seeds = trajectory_seeds(0, 16)
-    if ring_ops is not None:
-        # One-trajectory chunks: a slot holds 32 B, and the ring takes a
-        # quarter of the budget; the noise blocks are 32 ops of 6 steps, a
-        # qubit's op on one channel, and the last op has 2.
-        monkeypatch.setattr(qsd, "BLOCK_BYTES", 4 * 32 * (ring_ops + 1))
+    if cap is not None:
+        # One-trajectory chunks in noise blocks of 32 ops of 6 steps, a
+        # qubit's op on one channel, the last op of 2; at most cap ops run
+        # unscreened before `safe_ops` counts again.
+        monkeypatch.setattr(qsd, "BLOCK_BYTES", 1)
+        safe_ops = _QSDKernel.safe_ops
+        monkeypatch.setattr(
+            _QSDKernel, "safe_ops", lambda self, start, ops: min(cap, safe_ops(self, start, ops))
+        )
         kernel = _QSDKernel([(lower_model(model), 0)], 23.0, 230, vec, 1)
-        assert (kernel.ring_ops, kernel.span, kernel.block) == (ring_ops, 6, 32)
+        assert (kernel.span, kernel.block) == (6, 32)
+        assert 0 < kernel.safe_ops(np.ones((2, 1, 1), complex), kernel.ops) == cap
     got = [int(not _chunk((model, [None], vec, 23.0, 0.1, [s]))[1][0, 0]) for s in seeds]
     want, want_alive, blown_at = _reference_qsd_chunk((model, None, vec, 23.0, 0.1, seeds))
     assert got == (blown_at >= 0).astype(int).tolist()
     assert 0 < sum(got) < 16
-    if ring_ops is not None:
-        # Some overflow falls strictly inside a ring segment, and inside an op.
-        ends = blown_at[blown_at >= 0] + 1
-        assert np.any(ends % (6 * ring_ops) != 0) and np.any(ends % 6 != 0)
+    # Some overflow falls strictly inside an op, and some past op 32, in the
+    # second block where blocks are of 32 ops.
+    ends = blown_at[blown_at >= 0] + 1
+    assert np.any(ends % 6 != 0) and np.any(ends > 6 * 32)
     (final,), (alive,) = _chunk((model, [None], vec, 23.0, 0.1, seeds))
     assert alive.tolist() == want_alive.tolist()
     assert _trajectory_gap(final, want) <= 1e-12
 
 
 def test_qsd_overflow_screen_keeps_the_per_step_rule() -> None:
-    # Columns: fine; nan mid-segment; norm exactly at the threshold with
-    # every entry below it; a spike that returns below the threshold; inf.
+    # Columns: fine; nan after the op; norm exactly at the threshold with
+    # every entry below it; a start past the threshold, which the op's steps
+    # keep there although the state after it is fine; inf after the op.
     lowered = lower_model(dephasing_model(1.0, 0.1))
     vec = np.array([1.0, 0.0], dtype=complex)
     kernel = _QSDKernel([(lowered, 0)], 2.0, 20, vec, 5)
-    # A segment's (d, P, N) states, as the kernel's ring holds them: the one
-    # it starts from and those after each of its four ops.
-    states = kernel.ring[:5]
-    states[...] = 1.0
-    states[1, 0, 0, 1] = np.nan
-    states[2, :, 0, 2] = NORM_OVERFLOW / math.sqrt(2.0)
-    states[1, 1, 0, 3] = 1e150
-    states[2, 0, 0, 4] = np.inf
-    assert np.linalg.norm(states[2, :, 0, 2]) >= NORM_OVERFLOW
+    # An op's (d, P, N) states before and after it, as the kernel holds them.
+    pair = kernel.states
+    pair[...] = 1.0
+    pair[1, 0, 0, 1] = np.nan
+    pair[1, :, 0, 2] = NORM_OVERFLOW / math.sqrt(2.0)
+    pair[0, 1, 0, 3] = 1e150
+    pair[1, 0, 0, 4] = np.inf
+    assert np.linalg.norm(pair[1, :, 0, 2]) >= NORM_OVERFLOW
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel.screen(states, np.zeros((4, 1, 5), dtype=np.intp), 0)
+        kernel.screen(pair, np.zeros((1, 5), dtype=np.intp), 0)
     assert kernel.alive[0].tolist() == [True, False, False, False, False]
-    # Excluded trajectories restart from zero in the next segment.
-    assert np.all(states[-1, :, 0, 1:] == 0.0)
-    assert np.all(states[-1, :, 0, 0] == 1.0)
+    # Excluded trajectories restart from zero at the next op.
+    assert np.all(pair[1, :, 0, 1:] == 0.0)
+    assert np.all(pair[1, :, 0, 0] == 1.0)
 
 
-def test_qsd_ring_screens_every_state_of_a_segment() -> None:
+def test_qsd_screen_steps_inside_every_op() -> None:
     # H = 0 and L = [[0, 1], [0, 0]] at lambda dt = 4: the step matrix of bit
     # pair q is M_q = [[1, b_q], [0, -1]] with |b_q| = 2, b_0 = -b_3, and
-    # M_q M_q is the identity. The ring's states after each six-step op
-    # stay below the threshold, and only stepping the ops again finds the
-    # spikes inside them. Column 1, from (0, v), repeats pair 3 (symbol
-    # 4095): (b v, -v) at the first step passes the threshold. Column 2,
-    # from a state whose parts pass even the screen for single steps, takes
-    # pairs 3, 0, 0, 3, 0, 0 (symbol 195): (2 b v, v) at the second step
-    # passes it.
+    # M_q M_q is the identity. Every op below is the identity, so the states
+    # after each six-step op stay below the threshold, and only stepping
+    # the ops again finds the spikes inside them. Column 1, from (0, v),
+    # repeats pair 3 (symbol 4095): (b v, -v) at the first step passes the
+    # threshold. Column 2, from a state whose parts pass even the screen
+    # for single steps, takes pairs 3, 0, 0, 3, 0, 0 (symbol 195): (2 b v, v)
+    # at the second step passes it. From these starts `safe_ops` counts no
+    # op, so each of the four ops is screened.
     dt = 0.1
     lower = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
     model = LindbladModel(Operator(np.zeros((2, 2))), (lower,), 4.0 / dt)
     vec = np.array([1.0, 0.0], dtype=complex)
     kernel = _QSDKernel([(lower_model(model), 0)], 24 * dt, 24, vec, 3)
-    assert (kernel.ring_ops, kernel.span) == (4, 6)
+    assert (kernel.ops, kernel.span) == (4, 6)
     step = [np.array([[1.0, 2.0 * dw / math.sqrt(dt)], [0.0, -1.0]]) for dw in kernel.increments]
     spike = np.array([0.0, 5e99], dtype=complex)
     quiet = np.array([0.0, 2.45e99], dtype=complex)
     assert np.linalg.norm(step[3] @ spike) >= NORM_OVERFLOW
     assert np.max(np.abs(quiet)) < NORM_OVERFLOW / 4
     assert np.linalg.norm(step[0] @ step[3] @ quiet) >= NORM_OVERFLOW
-    kernel.ring[0, :, 0] = np.stack([vec, spike, quiet], axis=1)
     symbols = np.zeros((4, 1, 3), dtype=np.intp)
     symbols[:, 0, 0] = [0, 1755, 2340, 4095]
     symbols[:, 0, 1] = 4095
     symbols[:, 0, 2] = 195
+    for v in np.unique(symbols):
+        op = np.eye(2)
+        for t in range(6):
+            op = step[v >> 2 * t & 3] @ op
+        assert np.allclose(op, np.eye(2), rtol=0, atol=1e-15)
+    kernel.states[0, :, 0] = np.stack([vec, spike, quiet], axis=1)
+    assert kernel.safe_ops(kernel.states[0], 4) == 0
     kernel.advance(symbols, 0)
-    assert np.all(np.linalg.norm(kernel.ring[1:4, :, 0, 1:], axis=1) < NORM_OVERFLOW)
     assert kernel.alive[0].tolist() == [True, False, False]
-    # The ring wrapped: the segment's last states start the next one.
-    final = kernel.ring[0, :, 0]
+    # After an even number of ops the last states are back in states[0].
+    final = kernel.states[0, :, 0]
     assert np.all(final[:, 1:] == 0.0)
     assert np.allclose(final[:, 0], vec, rtol=1e-15, atol=0)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    st.integers(2, 3),
+    st.integers(1, 3),
+    st.sampled_from([0.4, 6.0, 60.0]),
+    st.floats(-20.0, 100.5),
+    st.integers(0, 2**32 - 1),
+)
+def test_qsd_safe_ops_never_allow_an_overflow(
+    dim: int, count: int, strength: float, scale: float, seed: int
+) -> None:
+    # From a random start whose largest real or imaginary part is 10^scale,
+    # no step of the ops that `safe_ops` counts reaches NORM_OVERFLOW in
+    # the per-step reference, even where every step takes, column by
+    # column, the increments that grow the norm the most. One op more and
+    # the bound would fail, unless the count reached the ops asked for.
+    rng = np.random.default_rng(seed)
+    model = _random_model(dim, count, strength, rng)
+    dt, steps, columns = 0.1, 600, 8
+    kernel = _QSDKernel([(lower_model(model), 0)], steps * dt, steps, _random_state(dim, rng), 8)
+    start = rng.normal(size=(dim, 1, columns)) + 1j * rng.normal(size=(dim, 1, columns))
+    start *= 10.0**scale / np.abs(start.view(float)).max()
+    ops = kernel.safe_ops(start, kernel.ops)
+    mats = _one_step_matrices(model, None, dt)
+    x = start[:, 0].T
+    for _ in range(ops * kernel.span):
+        # (N, 4^C, d): each column after each choice of increments.
+        candidates = np.einsum("qij,nj->nqi", mats, x)
+        norms = np.linalg.norm(candidates, axis=-1)
+        assert np.all(norms < NORM_OVERFLOW)
+        x = candidates[np.arange(columns), norms.argmax(axis=1)]
+    if ops < kernel.ops:
+        log_peak = math.log(np.abs(start.view(float)).max())
+        bound = log_peak + (ops + 1) * kernel.span * kernel.log_growth
+        assert bound >= math.log(NORM_OVERFLOW / math.sqrt(2 * dim)) - 1e-9
+    # Nothing safe from a state that is not finite; zero states are safe.
+    for bad in (np.nan, np.inf):
+        assert kernel.safe_ops(np.full_like(start, bad), kernel.ops) == 0
+    assert kernel.safe_ops(np.zeros_like(start), 3) == 3
 
 
 def _check_points_against_reference(model, shift_sets, vec, total_time, delta_t, seeds):
@@ -604,18 +673,6 @@ def _unitary_channel_model(dim: int, count: int, strength: float, rng) -> Lindbl
     return LindbladModel(Operator(h + h.conj().T), channels, strength)
 
 
-def _ring_inside_a_block(lowered, total_time: float, steps: int, vec, count: int, monkeypatch):
-    """Patch BLOCK_BYTES so that the kernel's ring, of three ops or more,
-    is shorter than a noise block and does not divide it, with several
-    blocks to the run; returns the ring's length in steps."""
-    for budget in itertools.count(1024, 16):
-        monkeypatch.setattr(qsd, "BLOCK_BYTES", budget)
-        kernel = _QSDKernel([(lowered, 0)], total_time, steps, vec, count)
-        ring, block = kernel.ring_ops, kernel.block
-        if 2 < ring < block < kernel.ops and block % ring:
-            return ring * kernel.span
-
-
 @pytest.mark.parametrize("dim,count", SIZES)
 def test_qsd_overflow_inside_a_ring_segment(dim: int, count: int, monkeypatch) -> None:
     rng = np.random.default_rng(900 + 10 * dim + count)
@@ -632,10 +689,16 @@ def test_qsd_overflow_inside_a_ring_segment(dim: int, count: int, monkeypatch) -
     want, want_alive, blown_at = _reference_qsd_chunk(job)
     assert 0 < (~want_alive).sum() < len(seeds)
 
+    # Noise blocks of 32 ops, shorter than the run.
+    monkeypatch.setattr(qsd, "BLOCK_BYTES", 1)
     lowered = lower_model(model)
-    ring = _ring_inside_a_block(lowered, steps * delta_t, steps, vec, len(seeds), monkeypatch)
-    # Some overflow falls strictly inside a ring segment.
-    assert np.any((blown_at[blown_at >= 0] + 1) % ring != 0)
+    kernel = _QSDKernel([(lowered, 0)], steps * delta_t, steps, vec, len(seeds))
+    assert kernel.block == 32 < kernel.ops
+    # Some overflow falls strictly inside an op, where an op has several
+    # steps, and some in a later block than the first.
+    ends = blown_at[blown_at >= 0] + 1
+    assert kernel.span == 1 or np.any(ends % kernel.span != 0)
+    assert np.any(ends > 32 * kernel.span)
     finals, masks = _chunk((model, [None], *job[2:]))
     (final,), (alive,) = finals, masks
     assert alive.tolist() == want_alive.tolist()
@@ -650,24 +713,39 @@ def test_qsd_overflow_inside_a_ring_segment(dim: int, count: int, monkeypatch) -
 def test_qsd_point_overflow_stays_in_its_point(monkeypatch) -> None:
     # lambda = 60 with L = identity: unshifted, the Euler factor 1 - 3 and
     # strong noise overflow about half of the trajectories by step 233; at
-    # f = 1 the shifted channel vanishes and nothing overflows. A ring of 5
-    # ops of 6 steps puts overflows inside ring segments and inside ops: a
-    # slot holds three points' states, 16 2 3 16 = 1536 B, and the ring
-    # takes a quarter of the budget.
+    # f = 1 the shifted channel vanishes and nothing overflows. Ops of 6
+    # steps in noise blocks of 32 ops put overflows inside ops and in the
+    # second block.
     model = LindbladModel(0.5 * pauli("z"), (Operator(np.eye(2)),), 60.0)
     vec = np.asarray(EQUATOR.amplitudes)
-    monkeypatch.setattr(qsd, "BLOCK_BYTES", 4 * 1536 * 6)
+    monkeypatch.setattr(qsd, "BLOCK_BYTES", 1)
     shift_sets = [None, ShiftSet.constants([1.0]), ShiftSet.constants([0.1])]
     points = [(lower_model(model, shifts), 0) for shifts in shift_sets]
     kernel = _QSDKernel(points, 23.3, 233, vec, 16)
-    assert (kernel.ring_ops, kernel.span) == (5, 6)
+    assert (kernel.block, kernel.span) == (32, 6)
     blown_at = _check_points_against_reference(
         model, shift_sets, vec, 23.3, 0.1, trajectory_seeds(0, 16)
     )
     overflowed = blown_at[0][blown_at[0] >= 0]
     assert 0 < len(overflowed) < 16
-    assert np.any((overflowed + 1) % 30 != 0) and np.any((overflowed + 1) % 6 != 0)
+    assert np.any((overflowed + 1) % 6 != 0) and np.any(overflowed >= 6 * 32)
     assert np.all(blown_at[1] < 0)
+
+
+def _excluding_fields(chunk: int) -> bytes:
+    """Every field of the results of the lambda = 60 dephasing qubit of
+    `test_qsd_excludes_the_same_trajectories` over 300 trajectories in
+    chunks of the given size: at f = 0 some trajectories overflow, at
+    f = 0.5 all of them. Which ops are screened follows the peak over a
+    chunk's trajectories; which trajectories are excluded must not."""
+    config = QSDConfig(23.0, 0.1, 300, seed=0)
+    shift_sets = [None, ShiftSet.constants([0.5])]
+    with pytest.warns(RuntimeWarning, match="excluded"):
+        results = averaged_geometric_phases(
+            dephasing_model(1.0, 60.0), EQUATOR, config, shift_sets, chunk_size=chunk
+        )
+    assert 0 < results[0].n_used < 300 and results[1].n_used == 0
+    return np.array([dataclasses.astuple(r) for r in results], dtype=complex).tobytes()
 
 
 def test_qsd_ensemble_invariant_to_threads_and_chunks(monkeypatch) -> None:
@@ -690,6 +768,11 @@ def test_qsd_ensemble_invariant_to_threads_and_chunks(monkeypatch) -> None:
         assert outs["1", chunk][-1] == outs["1", 16][-1] == 48
         for a, b in zip(outs["1", chunk][:-1], outs["1", 16][:-1]):
             assert abs(a - b) <= 1e-12 * max(abs(b), 1.0)
+    excluding = set()
+    for threads, chunk in itertools.product(("1", "2"), (300, 7, 1)):
+        monkeypatch.setenv("TRAJPHASE_THREADS", threads)
+        excluding.add(_excluding_fields(chunk))
+    assert len(excluding) == 1
 
 
 def test_qsd_ensemble_is_byte_identical_across_chunk_sizes() -> None:
@@ -706,6 +789,9 @@ def test_qsd_ensemble_is_byte_identical_across_chunk_sizes() -> None:
         fields = [(r.mean_overlap, r.std_error, r.overlap_arg, r.phase) for r in results]
         outs.append(np.array(fields).tobytes())
     assert outs[1:] == outs[:1] * 3
+    # Every field, n_used and n_excluded included, where trajectories overflow.
+    excluding = [_excluding_fields(chunk) for chunk in (300, 7, 1)]
+    assert excluding[1:] == excluding[:1] * 2
 
 
 def _qsd_peak_bytes(total_time: float) -> int:
@@ -729,8 +815,9 @@ def test_qsd_working_memory_does_not_grow_with_total_time() -> None:
 
 @pytest.mark.parametrize("dim,count", [(2, 1), (3, 2)])
 def test_qsd_chunk_stays_within_its_block_budget(dim: int, count: int) -> None:
-    # Two points of 512 trajectories over 3000 steps: the ring of states and
-    # one block of raw words and their decoded symbols fill the budget.
+    # Two points of 512 trajectories over 3000 steps: the pair of states,
+    # the table and one block of raw words and their decoded symbols fill
+    # the budget.
     rng = np.random.default_rng(40 + dim)
     model = _random_model(dim, count, 0.4, rng)
     vec = _random_state(dim, rng)

@@ -92,9 +92,9 @@ def _symbols(rng, count) -> np.ndarray:
 def _step(kernel, x, symbols) -> np.ndarray:
     """The (d, N) states x after the one step of a one-step kernel with the
     (1, 1, N) symbols: a column's increment is its symbol's low bit pair."""
-    kernel.ring[0, :, 0] = x
+    kernel.states[0, :, 0] = x
     kernel.advance(symbols, 0)
-    return kernel.ring[0, :, 0].copy()
+    return kernel.states[1, :, 0].copy()
 
 
 def _columns(vec, count) -> np.ndarray:
@@ -315,8 +315,8 @@ def test_screen_runs_only_where_a_state_can_overflow(monkeypatch) -> None:
     # The qsd-phase benchmark scenario: lambda 0.1, f = 0 and 1, T = 2 pi on
     # 6283 steps, 256 trajectories. A one-step matrix grows a norm by at
     # most g = 1.014, and g^6283 is about 1e38, so no state can reach
-    # NORM_OVERFLOW and no segment is screened. Screening every segment
-    # changes no byte of the output.
+    # NORM_OVERFLOW and no op is screened. Screening every op, where
+    # `safe_ops` counts none, changes no byte of the output.
     p = DephasingParams(1.0, 0.1, 0.0, math.pi / 2)
     with pytest.warns(RuntimeWarning, match="adjusted"):
         config = QSDConfig(2 * math.pi, 1e-3, 256, seed=0)
@@ -334,9 +334,10 @@ def test_screen_runs_only_where_a_state_can_overflow(monkeypatch) -> None:
 
     gated = run()
     assert screened == []
-    monkeypatch.setattr(_QSDKernel, "may_overflow", lambda self, start, ops: True)
+    monkeypatch.setattr(_QSDKernel, "safe_ops", lambda self, start, ops: 0)
     assert run() == gated
-    assert screened
+    # One chunk holds both points: each of its ops of 6 steps is screened.
+    assert len(screened) == -(-6283 // 6)
 
 
 def test_total_overflow_raises() -> None:

@@ -1,5 +1,10 @@
 """What both ensembles share: deterministic trajectory streams, the sampling
-grid, chunks, optional process parallelism and one reduction, `mean_and_error`.
+grid, chunk jobs, optional process parallelism and one reduction,
+`mean_and_error`.
+
+An ensemble plans its kernel once per pass, a `qsd._QSDKernel` or a
+`jump._JumpSampler`. This module owns the chunk jobs that carry it:
+`chunk_jobs` builds them and `run_chunk` runs one, by `kernel.chunk`.
 
 Trajectory i always draws from child i of `SeedSequence(seed).spawn`, whose
 PCG64 words `_streams` derives for all trajectories in one vectorized pass,
@@ -42,11 +47,24 @@ def trajectory_words(seed: int, count: int) -> np.ndarray:
     return trajectory_words(seed, count)
 
 
-def chunked(items: Sequence[_T], chunk_size: int) -> list[Sequence[_T]]:
-    """Consecutive slices of chunk_size items, the last one possibly shorter."""
+def chunk_jobs(model, kernel, vec, total_time: float, delta_t: float, seeds, chunk_size: int):
+    """(model, kernel, vec, total_time, delta_t, seeds) per chunk of
+    chunk_size consecutive seeds, the last one possibly shorter. The model,
+    total time and step ride along for bench/tracing.py's chunk counts."""
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    return [items[lo : lo + chunk_size] for lo in range(0, len(items), chunk_size)]
+    return [
+        (model, kernel, vec, total_time, delta_t, seeds[lo : lo + chunk_size])
+        for lo in range(0, len(seeds), chunk_size)
+    ]
+
+
+def run_chunk(job):
+    """The arrays of one job of `chunk_jobs`, `kernel.chunk(vec, seeds)`:
+    trajectory i draws from seeds[i] alone, so they do not depend on how the
+    trajectories are grouped into chunks."""
+    _, kernel, vec, _, _, seeds = job
+    return kernel.chunk(vec, seeds)
 
 
 def grid_steps(total_time: float, delta_t: float) -> tuple[int, float]:

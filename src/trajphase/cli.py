@@ -419,10 +419,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         warnings.simplefilter("always")
         try:
             text = _COMMANDS[args.command](cfg)
-        except ConfigError as exc:
-            print(f"trajphase: config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
         except ValueError as exc:
+            # ConfigError included: it is a ValueError.
             print(f"trajphase: config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except (RuntimeError, FloatingPointError) as exc:

@@ -36,7 +36,8 @@ state at k + 1, where the trajectory starts again. Jump times, k * dt,
 resolve only to dt; the law departs from continuous time at O(strength *
 dt). A jump whose total probability strength * dt * sum_m
 ||(L_m - f_m) psi||^2, psi normalized, exceeds 1 raises StepSizeError. An
-ensemble lowers its model once; every chunk job carries that lowering.
+ensemble lowers its model once, into one `_JumpSampler`, and every chunk
+job carries it in the layout that `_ensemble` owns.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from ._ensemble import chunked, map_ordered, mean_and_error, sampling_grid
+from ._ensemble import chunk_jobs, map_ordered, mean_and_error, run_chunk, sampling_grid
 from ._ensemble import trajectory_words
 from .lindblad import (
     DensityMatrix,
@@ -765,6 +766,16 @@ class _JumpSampler:
                 )
         return jumps
 
+    def chunk(self, vec: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A chunk's normalized (d, N) states at T, all from vec, and its (N,)
+        jump counts, trajectory i drawing from the PCG64 seeded by row i of
+        the (N, 4) seed words."""
+        from ._streams import PCG64Rows
+
+        x = np.repeat(vec[:, np.newaxis], len(words), axis=1)
+        jumps = self.run(x, PCG64Rows.seeded(words))
+        return x / np.sqrt(_squared_norms(x)), jumps
+
 
 def sample_jump_trajectory(
     model: LindbladModel,
@@ -811,20 +822,6 @@ def sample_jump_trajectory(
     return TrajectoryRecord(np.arange(steps + 1) * dt, cols.T, events, float(not events))
 
 
-def _ensemble_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    """A chunk's normalized (d, N) states at T and its (N,) jump counts by
-    the ensemble's sampler, trajectory i drawing from the PCG64 seeded by
-    row i of the chunk's (N, 4) seed words."""
-    from ._streams import PCG64Rows
-
-    # The model, total time and step ride along for bench/tracing.py's
-    # chunk counts.
-    _, sampler, vec, _, _, words = args
-    x = np.repeat(vec[:, np.newaxis], len(words), axis=1)
-    jumps = sampler.run(x, PCG64Rows.seeded(words))
-    return x / np.sqrt(_squared_norms(x)), jumps
-
-
 def average_jump_ensemble(
     model: LindbladModel,
     psi0,
@@ -842,7 +839,7 @@ def average_jump_ensemble(
     (seed, i), and chunk results are joined in order, so the outcome is
     identical for any TRAJPHASE_THREADS setting. The model is lowered and
     its cells exponentiated once, into one sampler that every chunk job
-    carries.
+    carries; `_ensemble` owns the job layout.
     """
     if n_trajectories < 1:
         raise ValueError("n_trajectories must be >= 1")
@@ -853,8 +850,8 @@ def average_jump_ensemble(
     _warn_if_crude(model.strength * dt)
     words = trajectory_words(seed, n_trajectories)
     sampler = _JumpSampler(lower_model(model, shifts), 0, total_time, steps)
-    jobs = [(model, sampler, vec, total_time, delta_t, w) for w in chunked(words, chunk_size)]
-    x, jump_counts = (np.concatenate(c, axis=-1) for c in zip(*map_ordered(_ensemble_chunk, jobs)))
+    jobs = chunk_jobs(model, sampler, vec, total_time, delta_t, words, chunk_size)
+    x, jump_counts = (np.concatenate(c, axis=-1) for c in zip(*map_ordered(run_chunk, jobs)))
     # The (d, d, n) stack of |psi><psi|, reduced in place.
     estimates, std_error = mean_and_error(x[:, np.newaxis] * x.conj())
     mean_jumps, jumps_error = mean_and_error(jump_counts)

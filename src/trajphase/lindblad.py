@@ -17,10 +17,9 @@ so the physical evolution is unchanged exactly when every conj(f_m) L_m is
 Hermitian ("hidden" shifts). There is one lowering, `lower_sweep`, and
 one lowered form, `LoweredSweep`: read-only stacks over the points of a
 model, each with its own strength and shifts, and the cells of their
-common grid (shifted channels, their adjoints and squares, the no-jump
-generator K_tilde and the Hermitian K), with each entry's arithmetic that
-of a single point and cell, so a point of a sweep has the bits it would
-have alone. `lower_model` is the one-point sweep, and `lower_points` lowers
+common grid (shifted channels, the no-jump generator K_tilde and the
+Hermitian K), with each entry's arithmetic that of a single point and
+cell, so a point of a sweep has the bits it would have alone. `lower_model` is the one-point sweep, and `lower_points` lowers
 (model, shifts) points with one call per group that shares a model's
 schedules. Every propagator takes a point as (sweep, p) and reads row p of
 the stacks; `apply_shift` and `shifted_hamiltonian` build their schedules
@@ -190,20 +189,17 @@ def _check_channel_count(given: int, count: int) -> None:
 class LoweredSweep:
     """A model at P points, each with its own strength and the same kind
     of shifts, as read-only stacks over the points p, the cells c of their
-    common grid and the channels m: h[c], the shifted channels L_m - f_m,
-    their adjoints and their squares (L_m - f_m)^dag (L_m - f_m) [p, c, m],
-    the no-jump generator K_tilde = H - (i strengths[p] / 2) sum_m
-    squares[p, c, m] and the Hermitian K of the shifted model (H itself
-    without shifts) [p, c]. grid holds each cell's index on that grid.
-    Point p is the pair (sweep, p): its rows of the stacks."""
+    common grid and the channels m: h[c], the shifted channels L_m - f_m
+    [p, c, m], the no-jump generator K_tilde = H - (i strengths[p] / 2)
+    sum_m (L_m - f_m)^dag (L_m - f_m) and the Hermitian K of the shifted
+    model (H itself without shifts) [p, c]. grid holds each cell's index on
+    that grid. Point p is the pair (sweep, p): its rows of the stacks."""
 
     model: LindbladModel
     grid: Schedule
     strengths: np.ndarray
     h: np.ndarray
     channels: np.ndarray
-    adjoints: np.ndarray
-    squares: np.ndarray
     k_tilde: np.ndarray
     k: np.ndarray
 
@@ -258,16 +254,15 @@ def lower_sweep(
         for m in range(count):
             k = k - coef * (np.conj(f[:, :, m]) * ls[:, m] - f[:, :, m] * adjs[:, m])
         chans = ls - f * identity(dim).entries
-    adjoints = chans.conj().swapaxes(-1, -2)
-    squares = adjoints @ chans
+    squares = chans.conj().swapaxes(-1, -2) @ chans
     k_tilde = np.broadcast_to(h, k.shape)
     for m in range(count):
         k_tilde = k_tilde - coef * squares[..., m, :, :]
-    stacks = [np.broadcast_to(a, (*points, count, dim, dim)) for a in (chans, adjoints, squares)]
-    for a in (h, *stacks, k_tilde, k):
+    chans = np.broadcast_to(chans, (*points, count, dim, dim))
+    for a in (h, chans, k_tilde, k):
         a.flags.writeable = False
     grid = Schedule(tuple(range(cells)), grid_cell)
-    return LoweredSweep(model, grid, lam, h, *stacks, k_tilde, k)
+    return LoweredSweep(model, grid, lam, h, chans, k_tilde, k)
 
 
 def stack_shifts(shift_sets: Sequence[ShiftSet]) -> tuple[np.ndarray, Optional[float]]:

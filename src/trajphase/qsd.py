@@ -31,7 +31,9 @@ term read (`averaged_geometric_phases`, which lowers its shift sets, or
 `sweep_averaged_phases` on a lowered sweep); trajectory i draws the same
 noise at every point.
 
-A chunk takes k steps at a time, an op: the most steps whose per-point
+A pass plans one `_QSDKernel` of arrays, which every chunk job carries
+and runs on its own trajectories (`_QSDKernel.chunk`). A chunk takes k
+steps at a time, an op: the most steps whose per-point
 table of 4^(kC) products of one-step matrices (C channels) fits
 TABLE_BYTES, and never fewer than 4 // C (6 for a qubit on one channel, 1
 from four channels on). The kC increments of an op, a symbol of up to 12
@@ -41,7 +43,7 @@ elementwise over the trajectories. An op across a cell edge, and a short
 last op, takes its matrix the same way, from a table of the products of
 its own steps' one-step matrices, each of its step's cell. See
 `_QSDKernel`. Each trajectory reads its increments as bit pairs of raw
-PCG64 words from its own stream, in blocks of ops; see `_QSDKernel.run`.
+PCG64 words from its own stream, in blocks of ops; see `_QSDKernel.chunk`.
 Ops run unscreened as far as a bound on the growth of norms shows that no
 state can reach NORM_OVERFLOW (`_QSDKernel.safe_ops`), and past that one
 at a time, each screened.
@@ -59,8 +61,8 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ._ensemble import chunked, grid_steps, map_ordered, sampling_grid, trajectory_seeds
-from ._ensemble import mean_and_error
+from ._ensemble import chunk_jobs, grid_steps, map_ordered, mean_and_error, run_chunk
+from ._ensemble import sampling_grid, trajectory_seeds
 from .lindblad import LindbladModel, LoweredSweep, ShiftSet, energy_integral, lower_points
 from .operators import normalized_state_vector, run_states, step_runs, unit_vector, wrap_phase
 
@@ -84,9 +86,11 @@ TABLE_BYTES = 256 * 2**10
 # of intp symbol per group of 4 channels and 2 / k B of bit fields while
 # they are decoded. Blocks are whole multiples of 32 ops, except a run's
 # last, so 32 ops read exactly kC words and the increments do not depend
-# on the budget. They have this length whatever the total time, so the
-# memory a chunk takes does not grow with it. At 2048 trajectories of one
-# point and one channel a block holds 576 ops of 6 steps.
+# on the budget. A block holds as many ops as fit, and no more than the
+# run's ops rounded up to 32, so memory does not grow with the total time.
+# At 2048 trajectories of one point and one channel 576 ops of 6 steps
+# fit; at 256 trajectories of two points 4704 would, and a run of 1048
+# ops (T = 2 pi, dt = 1e-3) takes one block of 1056.
 BLOCK_BYTES = 16 * 2**20
 
 
@@ -168,58 +172,59 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gather_layout(stack: np.ndarray) -> np.ndarray:
-    """A (P, V, d_i, d_j) stack of matrices as the (d_j, d_i, P, V) table
-    that a gather along V turns into (d_j, d_i, P, N)."""
-    return np.ascontiguousarray(stack.transpose(3, 2, 0, 1))
-
-
-def _pieces(points, total_time: float, steps: int, span: int):
+def _pieces(points, bases, total_time: float, steps: int, span: int):
     """The grid's ops of span steps from a multiple of span, the last one
     possibly shorter, in pieces of ops with one table: the first op of each
-    piece, its number of ops, and each (sweep, p) point's cells at the steps
-    of its first op."""
+    piece, its number of ops, and the (piece, step, point) rows of the
+    kernel's flat one-step arrays that the steps of the piece's first op
+    take. Point j's row of cell c is bases[j] + c; a step past the grid's
+    end takes the last row, -1, the identity."""
     ops = -(-steps // span)
     # Each point's cell only grows with the step, so the combination of
     # cells changes exactly where some point's run starts. A piece starts at
     # op 0, at the op holding such a step and at the op after it, and at a
     # shorter last op.
-    grids = [sweep.grid for sweep, _ in points]
-    starts = {a for grid in grids for a, _, _ in step_runs(grid, total_time, steps)}
+    runs = {id(sweep): np.array(step_runs(sweep.grid, total_time, steps)) for sweep, _ in points}
+    starts = {a for run in runs.values() for a in run[:, 0].tolist()}
     edges = {0, ops, *(a // span for a in starts), *(-(-a // span) for a in starts)}
     if steps % span:
         edges.add(ops - 1)
     edges = sorted(edges)
-    firsts = [range(e * span, min(e * span + span, steps)) for e in edges[:-1]]
-    index = [k for first in firsts for k in first]
-    splits = np.cumsum([len(first) for first in firsts])[:-1]
-    cells = [np.split(grid.step_cells(total_time, steps, index), splits) for grid in grids]
-    pieces = [[c.tolist() for c in piece] for piece in zip(*cells)]
-    return edges[:-1], np.diff(edges).tolist(), pieces
+    first = np.array(edges[:-1])[:, np.newaxis] * span + np.arange(span)
+    # Each sweep's cell at each of those steps, from the run holding it.
+    cells = {key: run[np.searchsorted(run[:, 0], first, "right") - 1, 2] for key, run in runs.items()}
+    rows = np.stack([cells[id(sweep)] for sweep, _ in points], axis=-1) + bases
+    rows[first >= steps] = -1
+    return edges[:-1], np.diff(edges).tolist(), rows
 
 
 class _QSDKernel:
-    """Euler-Maruyama steps of P lowered points, each a (sweep, p) pair, of
-    a chunk of N trajectories, k steps at a time (`_op_span`: 6 for a qubit
-    on one channel). Trajectory i of every point sees the same noise.
+    """The plan of one ensemble pass, run on each chunk of N trajectories
+    by `chunk`: Euler-Maruyama steps of P lowered points, each a (sweep, p)
+    pair, k steps at a time (`_op_span`: 6 for a qubit on one channel).
+    Trajectory i of every point sees the same noise.
 
     The k steps from a multiple of k form an op, and its kC increments are
     kC bit pairs of the trajectory's words: one symbol of 2kC <= 12 bits
     for C <= 4, and for C > 4 one symbol per 4 channels. So each op's matrix
     comes from a table per point: the products M_{k-1} ... M_0 of its steps'
     one-step matrices M = I - i dt K_tilde + sum_m dw_m sqrt(lam) L_m, lam
-    the point's own strength, each step's M of its own cell. The ops of
-    one combination of the points' cells at each step of an op, a piece,
-    share one table: a run of ops inside one cell of every point, a single
-    op across a cell edge of some point, or the shorter last op, whose
-    steps past the grid's end take the identity. It is built when the
-    piece's first op runs, as one outer product of the products of its
-    first k // 2 steps and of the rest, and held in one buffer while its
-    ops run; the next piece's table overwrites it. For C > 4 an op is one
-    step, and its matrix is the sum of one entry of each of ceil(C / 4)
-    tables of 4 channels, the first carrying the drift. Tables are stored
-    as (d_j, d_i, P, V), built for every point by the same elementwise
-    arithmetic, so a point's arithmetic never depends on the others.
+    the point's own strength, each step's M of its own cell. `one_step`
+    holds them for every row and cell of each sweep, the sweeps' blocks in
+    order, as one flat (rows + 1, 4^c, d, d) array per group of c <= 4
+    channels; its last row is the identity, which steps past the grid's end
+    take. The ops of one combination of the points' cells at each step of
+    an op, a piece, share one table: a run of ops inside one cell of every
+    point, a single op across a cell edge of some point, or the shorter
+    last op. `pieces` holds the row of each (piece, step of its first op,
+    point). A piece's table is built when its first op runs, as one outer
+    product of the products of its first k // 2 steps and of the rest, and
+    held in one buffer while its ops run; the next piece's table
+    overwrites it. For C > 4 an op is one step, and its matrix is the sum
+    of one entry of each of ceil(C / 4) tables of 4 channels, the first
+    carrying the drift. Tables are stored as (d_j, d_i, P, V), built for
+    every point by the same elementwise arithmetic, so a point's
+    arithmetic never depends on the others.
 
     An op is three calls: a gather of each trajectory's table entry into
     the (d_j, d_i, P, N) buffer `gathered`, a multiply by the broadcast
@@ -232,13 +237,13 @@ class _QSDKernel:
     any step of the ops that `safe_ops` counts, which run unscreened; where
     it counts none, one op runs and `screen` excludes, per point, the
     trajectories that overflowed in it, which restart from zero. Noise is
-    read per trajectory in longer blocks of ops (`run`).
+    read per trajectory in longer blocks of ops (`chunk`).
     """
 
-    def __init__(self, points, total_time: float, steps: int, vec: np.ndarray, count: int):
+    def __init__(self, points, total_time: float, steps: int):
         dt = total_time / steps
-        dim = vec.shape[0]
-        npoints = len(points)
+        self.dim = dim = points[0][0].h.shape[-1]
+        self.npoints = len(points)
         self.channels = channels = points[0][0].channels.shape[2]
         self.span = span = _op_span(dim, channels)
         # Increments per op, and tables (groups of at most 4 channels) per op.
@@ -248,31 +253,23 @@ class _QSDKernel:
         # Bit pair value b_0 + 2 b_1 decodes to sqrt(dt/2) (xi_1 + i xi_2),
         # with xi_1 = 1 - 2 b_0 and xi_2 = 1 - 2 b_1.
         self.increments = np.sqrt(dt / 2.0) * np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j])
-        self.one_step = one_step = [self._one_step(sweep, p, dt) for sweep, p in points]
-        self.piece_starts, self.lengths, self.pieces = _pieces(points, total_time, steps, span)
-        # The tables in use, (cells at each step, tables), and the buffer
-        # a piece's is built in.
-        self.held = self.buffer = None
+        sweeps = list({id(sweep): sweep for sweep, _ in points}.values())
+        self.one_step = [
+            np.concatenate([*blocks, np.broadcast_to(np.eye(dim), (1, *blocks[0].shape[1:]))])
+            for blocks in zip(*(self._one_step(sweep, dt) for sweep in sweeps))
+        ]
+        # Each point's row of its first cell: a sweep's rows follow those of
+        # the sweeps before it, and its row p follows p rows of cells.
+        sizes = [sweep.k_tilde.shape[0] * sweep.k_tilde.shape[1] for sweep in sweeps]
+        offsets = dict(zip(map(id, sweeps), np.cumsum([0, *sizes]).tolist()))
+        bases = [offsets[id(sweep)] + p * sweep.k_tilde.shape[1] for sweep, p in points]
+        self.piece_starts, self.lengths, self.pieces = _pieces(points, bases, total_time, steps, span)
         self.period, self.fields = self._fields()
-        if span > 1:
-            # One group of channels: the one-step matrices of each step of a
-            # piece's first op, each from its own cell, the identity past a
-            # short op's last step. A piece's table is their product, and
-            # `screen` steps suspect columns again through them.
-            eye = [np.broadcast_to(np.eye(dim), (4**channels, dim, dim))] * npoints
-            self.step_mats = np.array(
-                [
-                    [[tabs[c][0] for tabs, c in zip(one_step, cs)] for cs in zip(*piece)]
-                    + [eye] * (span - len(piece[0]))
-                    for piece in self.pieces
-                ]
-            )
         # g, a bound on the spectral norm of every one-step matrix and at
         # least 1: the largest entry's of the first group plus the largest
         # entry's of each other group. Raised by 2^-30 relative, far more
         # than the roundoff of a step can add to a norm; NaN if a matrix is.
-        cells = [cell for point in one_step for cell in point]
-        norms = [np.linalg.norm(np.concatenate(g), 2, axis=(-2, -1)).max() for g in zip(*cells)]
+        norms = [np.linalg.norm(group[:-1], 2, axis=(-2, -1)).max() for group in self.one_step]
         growth = np.maximum(sum(norms) * (1.0 + 2.0**-30), 1.0)
         self.log_growth = float(np.log(growth))
         # A norm at or above NORM_OVERFLOW needs a real or imaginary part of
@@ -281,41 +278,30 @@ class _QSDKernel:
         # The states inside an op that starts from a state passing the
         # screen at this level stay below NORM_OVERFLOW.
         self.screen_level = NORM_OVERFLOW / (2 * dim) / growth ** (span - 1)
-        self.bra = vec.conj()[:, np.newaxis, np.newaxis]
-        self.ket = vec[:, np.newaxis, np.newaxis]
-        self.alive = np.ones((npoints, count), dtype=bool)
-
-        self.states = np.empty((2, dim, npoints, count), complex)
-        self.gathered = np.empty((min(groups, 2), dim, dim, npoints, count), complex)
+        # The table in use and one temporary of its size while it is built.
         entries = 4**width if groups == 1 else 256 * groups
-        tables = 2 * 16 * dim * dim * npoints * entries
-        spare = BLOCK_BYTES - self.states.nbytes - self.gathered.nbytes - tables
-        # Per trajectory and 32 ops: 8 kC B of words and as much while they
-        # are drawn, 256 B of symbols per group and 64 B of bit fields while
-        # they are decoded (see BLOCK_BYTES).
-        unit = count * (16 * width + 256 * groups + 64)
-        self.block = 32 * max(1, spare // unit)
+        self.table_bytes = 2 * 16 * dim * dim * self.npoints * entries
 
-    def _one_step(self, sweep, p: int, dt: float) -> list[list[np.ndarray]]:
-        """For each cell, the (4^c, d, d) one-step tables of point p of
-        sweep, one per group of c <= 4 channels; entry q of a group takes
-        increment (q >> 2 t) & 3 for its channel t, and the first group adds
-        the drift I - i dt K_tilde. Each cell's tables are views of one
-        (cells, 4^c, d, d) array per group, built for all cells at once."""
-        root = np.sqrt(sweep.strengths[p])
-        drift = np.eye(sweep.h.shape[-1]) + dt * (-1j * sweep.k_tilde[p])
+    def _one_step(self, sweep, dt: float) -> list[np.ndarray]:
+        """The one-step tables of every row p and cell c of sweep, one
+        (P C, 4^c, d, d) array per group of c <= 4 channels, row p C + c;
+        entry q of a group takes increment (q >> 2 t) & 3 for its channel t,
+        and the first group adds the drift I - i dt K_tilde. Each entry is
+        the arithmetic of its own row and cell."""
+        rows, cells, dim = sweep.k_tilde.shape[:3]
+        root = np.sqrt(sweep.strengths)[:, np.newaxis, np.newaxis, np.newaxis, np.newaxis]
+        drift = np.eye(dim) + dt * (-1j * sweep.k_tilde)
         tables = []
         for lo in range(0, max(self.channels, 1), 4):
-            group = sweep.channels[p, :, lo : lo + 4]
-            q = np.arange(4 ** group.shape[1])
-            table = np.broadcast_to(
-                drift[:, np.newaxis] if lo == 0 else 0j, (len(drift), len(q), *drift.shape[1:])
-            )
-            for t in range(group.shape[1]):
+            group = sweep.channels[:, :, lo : lo + 4]
+            q = np.arange(4 ** group.shape[2])
+            shape = (rows, cells, len(q), dim, dim)
+            table = np.broadcast_to(drift[:, :, np.newaxis] if lo == 0 else 0j, shape)
+            for t in range(group.shape[2]):
                 dws = self.increments[(q >> 2 * t) & 3]
-                table = table + dws[:, np.newaxis, np.newaxis] * (root * group[:, t, np.newaxis])
-            tables.append(np.array(table))
-        return [list(cell) for cell in zip(*tables)]
+                table = table + dws[:, np.newaxis, np.newaxis] * (root * group[:, :, t, np.newaxis])
+            tables.append(np.ascontiguousarray(table).reshape(rows * cells, len(q), dim, dim))
+        return tables
 
     def _fields(self) -> tuple[tuple[int, int], list[tuple]]:
         """Where `decode` reads each group's symbol. The bit offset of op o's
@@ -345,20 +331,23 @@ class _QSDKernel:
         With more than one group of channels an op is one step and each
         group has a table of its own. With one, point p's entry
         v = sum_t q_t 4^(C t) is the product M_(q_last) ... M_(q_0) of the
-        piece's first op's k one-step matrices (`step_mats`), each of its
-        step's own cell, the identity past a short op's last step. It is
-        formed as the outer product of the products of the last k - k // 2
-        steps and of the first k // 2, and written into one buffer that
-        every piece's table reuses."""
+        piece's first op's k one-step matrices, each of its step's own cell,
+        the identity past a short op's last step. It is formed as the outer
+        product of the products of the last k - k // 2 steps and of the
+        first k // 2, and written into one buffer that every piece's table
+        reuses."""
         if self.groups > 1 or self.span == 1:
-            steps = [tabs[cells[0]] for tabs, cells in zip(self.one_step, self.pieces[i])]
-            first, *extra = (_gather_layout(np.stack(group)) for group in zip(*steps))
+            # (P, V, d_i, d_j) matrices as (d_j, d_i, P, V) tables.
+            stacks = (group[self.pieces[i, 0]].transpose(3, 2, 0, 1) for group in self.one_step)
+            first, *extra = map(np.ascontiguousarray, stacks)
             return first, tuple(extra)
-        npoints, _, dim = self.step_mats.shape[2:5]
+        # (k, P, V, d, d): each step's one-step matrices at every point.
+        steps = self.one_step[0][self.pieces[i]]
+        npoints, _, dim = steps.shape[1:4]
         halves = []
-        for steps in np.split(self.step_mats[i], [self.span // 2]):
-            table = steps[0]
-            for step in steps[1:]:
+        for half in np.split(steps, [self.span // 2]):
+            table = half[0]
+            for step in half[1:]:
                 table = _product(step[:, :, np.newaxis], table[:, np.newaxis])
                 table = table.reshape(npoints, -1, dim, dim)
             halves.append(table)
@@ -378,43 +367,60 @@ class _QSDKernel:
                 out += term
         return self.buffer, ()
 
-    def run(self, bit_generators: Sequence[np.random.BitGenerator]) -> None:
-        """Advance every trajectory from the initial state through the grid,
-        trajectory i drawing raw words from bit_generators[i], and leave the
-        (P, N) overlaps at T in `final`, 0 for an excluded trajectory.
+    def start(self, vec: np.ndarray, count: int) -> None:
+        """Set up a chunk of count trajectories at vec: its states, (P, N)
+        mask of those that did not overflow and gathered entries, no table
+        held, and the ops of its blocks of noise (see BLOCK_BYTES)."""
+        dim, npoints, groups = self.dim, self.npoints, self.groups
+        self.held = self.buffer = None
+        self.states = np.empty((2, dim, npoints, count), complex)
+        self.states[0] = vec[:, np.newaxis, np.newaxis]
+        self.alive = np.ones((npoints, count), dtype=bool)
+        self.gathered = np.empty((min(groups, 2), dim, dim, npoints, count), complex)
+        spare = BLOCK_BYTES - self.states.nbytes - self.gathered.nbytes - self.table_bytes
+        # Per trajectory and 32 ops: 8 kC B of words and as much while they
+        # are drawn, 256 B of symbols per group and 64 B of bit fields while
+        # they are decoded (see BLOCK_BYTES).
+        unit = count * (16 * self.width + 256 * groups + 64)
+        self.block = 32 * min(max(1, spare // unit), -(-self.ops // 32))
 
-        The increments are two-point: dw = sqrt(dt/2) (xi_1 + i xi_2), xi_1
-        and xi_2 = +-1 with equal probability, which have the Wiener
-        increment's E[dw] = 0, E[dw dw] = 0 and E[dw dw*] = dt. The SDE
-        stepped is unchanged; only the increments' sampling law differs
-        from complex Gaussian draws.
+    def chunk(self, vec: np.ndarray, seeds) -> tuple[np.ndarray, np.ndarray]:
+        """Advance a chunk of trajectories from vec through the grid,
+        trajectory i drawing raw words from the PCG64 of seeds[i], and
+        return the (P, N) overlaps <phi_0|phi(T)>, 0 for an excluded
+        trajectory, and the (P, N) mask of those that did not overflow.
 
         Trajectory i's increment j = k C + m (step k, channel m) is bit pair
         j of its raw 64-bit words, bits 2 (j mod 32) and 2 (j mod 32) + 1 of
         word j // 32, decoded by `increments`. Op o takes increments
         o kC .. o kC + kC - 1, bits 2 o kC on of the words. Words are read
-        in blocks of ops, each a whole multiple of 32 ops but the last, so
-        the blocks read the stream's words in order whatever their length,
-        and memory stays within BLOCK_BYTES whatever the number of steps."""
-        count = len(bit_generators)
-        draws = [bg.random_raw for bg in bit_generators]
+        in blocks of ops (`start`), each a whole multiple of 32 ops but the
+        last, so the blocks read the stream's words in order whatever their
+        length, and memory stays within BLOCK_BYTES whatever the number of
+        steps. An overflowing trajectory may reach inf or nan in the op
+        whose screen then excludes it."""
+        count = len(seeds)
+        self.start(vec, count)
+        draws = [np.random.PCG64(s).random_raw for s in seeds]
         # Flat, so the shorter last block is still one contiguous array, and
         # one word longer: `decode` may read a byte past a block's last row.
         words = np.empty(count * (self.block * self.width // 32) + 1, dtype="<u8")
         symbols = np.empty((self.block, self.groups, count), dtype=np.intp)
-        self.states[0] = self.ket
-        for first in range(0, self.ops, self.block):
-            n = min(self.block, self.ops - first)
-            width = -(-n * self.width // 32)
-            block = words[: count * width]
-            if width:
-                np.concatenate([draw(width) for draw in draws], out=block)
-            # Little-endian words: bit b of a trajectory's words is bit b % 8
-            # of its byte b // 8.
-            self.decode(block.view(np.uint8).reshape(count, 8 * width), symbols[:n])
-            self.advance(symbols[:n], first)
-        self.final = np.add.reduce(self.bra * self.states[self.ops % 2], axis=0)
-        self.final[~self.alive] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for first in range(0, self.ops, self.block):
+                n = min(self.block, self.ops - first)
+                width = -(-n * self.width // 32)
+                block = words[: count * width]
+                if width:
+                    np.concatenate([draw(width) for draw in draws], out=block)
+                # Little-endian words: bit b of a trajectory's words is bit
+                # b % 8 of its byte b // 8.
+                self.decode(block.view(np.uint8).reshape(count, 8 * width), symbols[:n])
+                self.advance(symbols[:n], first)
+            bra = vec.conj()[:, np.newaxis, np.newaxis]
+            final = np.add.reduce(bra * self.states[self.ops % 2], axis=0)
+        final[~self.alive] = 0.0
+        return final, self.alive
 
     def decode(self, octets: np.ndarray, symbols: np.ndarray) -> None:
         """Write the (n, groups, N) symbols of n ops from the (N, bytes) bytes
@@ -474,12 +480,12 @@ class _QSDKernel:
             yield from itertools.repeat(self.piece_tables(i), left)
 
     def piece_tables(self, i: int):
-        """Piece i's (table, extra), building its table unless the one held
-        is of the same cells at every step of the op."""
-        if self.held is None or self.held[0] != self.pieces[i]:
+        """Piece i's (table, extra), building its table unless it is the
+        one held; no two pieces have the same cells at every step."""
+        if self.held is None or self.held[0] != i:
             # Let go of the old tables before the new ones are built.
             self.held = None
-            self.held = (self.pieces[i], self._table(i))
+            self.held = (i, self._table(i))
         return self.held[1]
 
     def safe_ops(self, start: np.ndarray, ops: int) -> int:
@@ -524,31 +530,14 @@ class _QSDKernel:
         """Whether every state inside op `op` stays below NORM_OVERFLOW, per
         column, taking the op again one step at a time from the (d, S)
         states before it with the (S,) symbols at the given point."""
-        piece = bisect.bisect_right(self.piece_starts, op) - 1
+        rows = self.pieces[bisect.bisect_right(self.piece_starts, op) - 1, :, point]
         x = start.T
         kept = np.ones(len(x), dtype=bool)
         for t in range(self.span - 1):
             q = (symbols >> 2 * self.channels * t) & (4**self.channels - 1)
-            x = np.add.reduce(self.step_mats[piece, t, point, q] * x[:, np.newaxis], axis=-1)
+            x = np.add.reduce(self.one_step[0][rows[t], q] * x[:, np.newaxis], axis=-1)
             kept &= np.linalg.norm(x, axis=-1) < NORM_OVERFLOW
         return kept
-
-
-def _qsd_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    """One chunk of the model at every lowered point, in one pass: the (P, N)
-    final overlaps <phi_0|phi(T)> and the (P, N) mask of those that did not
-    overflow."""
-    # The model rides along for bench/tracing.py's chunk counts.
-    _, points, vec, total_time, delta_t, streams = args
-    steps, _ = grid_steps(total_time, delta_t)
-    kernel = _QSDKernel(points, total_time, steps, vec, len(streams))
-    # Each trajectory's noise comes from its own stream, so the outcome is
-    # independent of how trajectories are grouped into chunks. An
-    # overflowing trajectory may reach inf or nan in the op whose screen
-    # then excludes it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        kernel.run([np.random.PCG64(s) for s in streams])
-    return kernel.final, kernel.alive
 
 
 def _mean_path_arg(sweep, p: int, vec: np.ndarray, total_time: float, steps: int) -> float:
@@ -660,11 +649,10 @@ def _averaged_phases(model, points, vec, config: QSDConfig, chunk_size: int):
     if not points:
         return []
     seeds = trajectory_seeds(config.seed, config.n_trajectories)
-    jobs = [
-        (model, points, vec, config.total_time, config.delta_t, streams)
-        for streams in chunked(seeds, chunk_size)
-    ]
-    finals, alive = (np.concatenate(c, axis=-1) for c in zip(*map_ordered(_qsd_chunk, jobs)))
+    steps, _ = grid_steps(config.total_time, config.delta_t)
+    kernel = _QSDKernel(points, config.total_time, steps)
+    jobs = chunk_jobs(model, kernel, vec, config.total_time, config.delta_t, seeds, chunk_size)
+    finals, alive = (np.concatenate(c, axis=-1) for c in zip(*map_ordered(run_chunk, jobs)))
     return [
         _point_result(sweep, p, vec, config, final[kept])
         for (sweep, p), final, kept in zip(points, finals, alive)

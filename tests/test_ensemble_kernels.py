@@ -20,12 +20,12 @@ from hypothesis import strategies as st
 
 import trajphase.jump as jump
 import trajphase.qsd as qsd
-from trajphase._ensemble import grid_steps, mean_and_error, trajectory_seeds, trajectory_words
+from trajphase._ensemble import grid_steps, mean_and_error, run_chunk, trajectory_seeds
+from trajphase._ensemble import trajectory_words
 from trajphase._streams import PCG64Rows
 from trajphase.dephasing import dephasing_model
 from trajphase.jump import (
     StepSizeError,
-    _ensemble_chunk,
     _JumpSampler,
     average_jump_ensemble,
     sample_jump_trajectory,
@@ -46,7 +46,6 @@ from trajphase.qsd import (
     NORM_OVERFLOW,
     QSDConfig,
     _mean_path_arg,
-    _qsd_chunk,
     _QSDKernel,
     averaged_geometric_phase,
     averaged_geometric_phases,
@@ -83,11 +82,12 @@ def _two_point(words: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _chunk(job) -> tuple[np.ndarray, np.ndarray]:
-    """`_qsd_chunk` of a (model, shift sets, ...) job: the chunk takes each
-    shift set's lowering, as the point (sweep, 0), in place of the shift
-    set."""
-    model, shift_sets, *tail = job
-    return _qsd_chunk((model, [(lower_model(model, s), 0) for s in shift_sets], *tail))
+    """`_QSDKernel.chunk` of a (model, shift sets, ...) job: the kernel takes
+    each shift set's lowering as the point (sweep, 0)."""
+    model, shift_sets, vec, total_time, delta_t, streams = job
+    points = [(lower_model(model, s), 0) for s in shift_sets]
+    kernel = _QSDKernel(points, total_time, grid_steps(total_time, delta_t)[0])
+    return kernel.chunk(vec, streams)
 
 
 def _reference_qsd_chunk(args) -> tuple:
@@ -379,7 +379,8 @@ def test_qsd_excludes_the_same_trajectories(cap, monkeypatch) -> None:
         monkeypatch.setattr(
             _QSDKernel, "safe_ops", lambda self, start, ops: min(cap, safe_ops(self, start, ops))
         )
-        kernel = _QSDKernel([(lower_model(model), 0)], 23.0, 230, vec, 1)
+        kernel = _QSDKernel([(lower_model(model), 0)], 23.0, 230)
+        kernel.start(vec, 1)
         assert (kernel.span, kernel.block) == (6, 32)
         assert 0 < kernel.safe_ops(np.ones((2, 1, 1), complex), kernel.ops) == cap
     got = [int(not _chunk((model, [None], vec, 23.0, 0.1, [s]))[1][0, 0]) for s in seeds]
@@ -401,7 +402,8 @@ def test_qsd_overflow_screen_keeps_the_per_step_rule() -> None:
     # keep there although the state after it is fine; inf after the op.
     lowered = lower_model(dephasing_model(1.0, 0.1))
     vec = np.array([1.0, 0.0], dtype=complex)
-    kernel = _QSDKernel([(lowered, 0)], 2.0, 20, vec, 5)
+    kernel = _QSDKernel([(lowered, 0)], 2.0, 20)
+    kernel.start(vec, 5)
     # An op's (d, P, N) states before and after it, as the kernel holds them.
     pair = kernel.states
     pair[...] = 1.0
@@ -433,7 +435,8 @@ def test_qsd_screen_steps_inside_every_op() -> None:
     lower = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
     model = LindbladModel(Operator(np.zeros((2, 2))), (lower,), 4.0 / dt)
     vec = np.array([1.0, 0.0], dtype=complex)
-    kernel = _QSDKernel([(lower_model(model), 0)], 24 * dt, 24, vec, 3)
+    kernel = _QSDKernel([(lower_model(model), 0)], 24 * dt, 24)
+    kernel.start(vec, 3)
     assert (kernel.ops, kernel.span) == (4, 6)
     step = [np.array([[1.0, 2.0 * dw / math.sqrt(dt)], [0.0, -1.0]]) for dw in kernel.increments]
     spike = np.array([0.0, 5e99], dtype=complex)
@@ -479,7 +482,7 @@ def test_qsd_safe_ops_never_allow_an_overflow(
     rng = np.random.default_rng(seed)
     model = _random_model(dim, count, strength, rng)
     dt, steps, columns = 0.1, 600, 8
-    kernel = _QSDKernel([(lower_model(model), 0)], steps * dt, steps, _random_state(dim, rng), 8)
+    kernel = _QSDKernel([(lower_model(model), 0)], steps * dt, steps)
     start = rng.normal(size=(dim, 1, columns)) + 1j * rng.normal(size=(dim, 1, columns))
     start *= 10.0**scale / np.abs(start.view(float)).max()
     ops = kernel.safe_ops(start, kernel.ops)
@@ -579,12 +582,16 @@ def test_qsd_table_entry_is_the_product_of_its_steps(dim: int, count: int) -> No
         total = CELLS * CELL if case == "edge" else steps * 1e-2
         shifts = piecewise if case == "edge" else constant
         lowered = lower_model(model, shifts)
-        kernel = _QSDKernel([(lowered, 0)], total, steps, vec, 3)
+        kernel = _QSDKernel([(lowered, 0)], total, steps)
+        kernel.start(vec, 3)
         # The first step of the op holding step 0, step 49 or the last step.
         first = {"run": 0, "edge": 49}.get(case, steps - 1) // span * span
         piece = kernel.piece_starts.index(first // span)
         cells = lowered.grid.step_cells(total, steps).tolist()[first : first + span]
-        assert kernel.span == span and kernel.pieces[piece][0] == cells
+        # One point's rows are its cells; a step past the grid takes the
+        # identity, the last row.
+        rows = kernel.pieces[piece, :, 0].tolist()
+        assert kernel.span == span and rows == cells + [-1] * (span - len(cells))
         if case == "run":
             assert kernel.piece_starts == [0]
         else:
@@ -618,11 +625,11 @@ def test_qsd_op_span_depends_on_dim_and_channels_only(dim: int, count: int) -> N
     # arithmetic with the sweep it runs in and with the chunk size.
     rng = np.random.default_rng(90 + 10 * dim + count)
     model = _random_model(dim, count, 0.4, rng)
-    vec = _random_state(dim, rng)
-    for npoints, trajectories in itertools.product((1, 2, 5), (1, 7, 2048)):
+    # The kernel is planned before any chunk, so it cannot follow the chunk.
+    for npoints in (1, 2, 5):
         points = [(lower_model(model, ShiftSet.constants([0.1 * p] * count)), 0)
                   for p in range(npoints)]
-        assert _QSDKernel(points, 0.6, 60, vec, trajectories).span == SPANS[dim, count]
+        assert _QSDKernel(points, 0.6, 60).span == SPANS[dim, count]
 
 
 @pytest.mark.parametrize("count", [1, 2])
@@ -641,7 +648,7 @@ def test_qsd_op_across_a_cell_edge_keeps_points_apart(count: int) -> None:
     constant = ShiftSet.constants(list(rng.normal(size=count) + 1j * rng.normal(size=count)))
     vec = _random_state(2, rng)
     points = [(lower_model(model, piecewise), 0), (lower_model(model, constant), 0)]
-    kernel = _QSDKernel(points, 1.51, 151, vec, 24)
+    kernel = _QSDKernel(points, 1.51, 151)
     span = kernel.span
     assert span == 6 // count
     # The op holding each of the piecewise point's edge steps is a piece of
@@ -652,10 +659,12 @@ def test_qsd_op_across_a_cell_edge_keeps_points_apart(count: int) -> None:
     edges = [kernel.piece_starts.index(edge // span) for edge in (52, 104)]
     assert edges == [1, 3] and 52 % span and 104 % span
     assert [kernel.lengths[piece] for piece in (1, 3, 5)] == [1, 1, 1]
-    assert [len(set(piece[0])) for piece in kernel.pieces] == [1, 2, 1, 2, 1, 1]
-    assert [len(set(piece[1])) for piece in kernel.pieces] == [1] * 6
-    assert len(kernel.pieces[5][0]) == 151 % span
-    assert all(a != b for a, b in zip(kernel.pieces, kernel.pieces[1:]))
+    # Each point's rows, the identity past the grid's end (-1) left out.
+    cells = [[set(piece[:, p].tolist()) - {-1} for piece in kernel.pieces] for p in (0, 1)]
+    assert [len(c) for c in cells[0]] == [1, 2, 1, 2, 1, 1]
+    assert [len(c) for c in cells[1]] == [1] * 6
+    assert np.count_nonzero(kernel.pieces[5, :, 0] >= 0) == 151 % span
+    assert all(not np.array_equal(a, b) for a, b in zip(kernel.pieces, kernel.pieces[1:]))
     seeds = trajectory_seeds(80 + count, 24)
     _check_points_against_reference(model, [piecewise, constant], vec, 1.51, 1e-2, seeds)
 
@@ -692,7 +701,8 @@ def test_qsd_overflow_inside_a_ring_segment(dim: int, count: int, monkeypatch) -
     # Noise blocks of 32 ops, shorter than the run.
     monkeypatch.setattr(qsd, "BLOCK_BYTES", 1)
     lowered = lower_model(model)
-    kernel = _QSDKernel([(lowered, 0)], steps * delta_t, steps, vec, len(seeds))
+    kernel = _QSDKernel([(lowered, 0)], steps * delta_t, steps)
+    kernel.start(vec, len(seeds))
     assert kernel.block == 32 < kernel.ops
     # Some overflow falls strictly inside an op, where an op has several
     # steps, and some in a later block than the first.
@@ -704,10 +714,8 @@ def test_qsd_overflow_inside_a_ring_segment(dim: int, count: int, monkeypatch) -
     assert alive.tolist() == want_alive.tolist()
     assert _trajectory_gap(final, want) <= 1e-12
     _assert_budget_free((model, [None], *job[2:]), finals, masks, monkeypatch)
-    kernel = _QSDKernel([(lowered, 0)], steps * delta_t, steps, vec, len(seeds))
-    with np.errstate(over="ignore", invalid="ignore"):
-        kernel.run([np.random.PCG64(s) for s in seeds])
-    assert kernel.alive[0].tolist() == (blown_at < 0).tolist()
+    _, alive = _QSDKernel([(lowered, 0)], steps * delta_t, steps).chunk(vec, seeds)
+    assert alive[0].tolist() == (blown_at < 0).tolist()
 
 
 def test_qsd_point_overflow_stays_in_its_point(monkeypatch) -> None:
@@ -721,7 +729,8 @@ def test_qsd_point_overflow_stays_in_its_point(monkeypatch) -> None:
     monkeypatch.setattr(qsd, "BLOCK_BYTES", 1)
     shift_sets = [None, ShiftSet.constants([1.0]), ShiftSet.constants([0.1])]
     points = [(lower_model(model, shifts), 0) for shifts in shift_sets]
-    kernel = _QSDKernel(points, 23.3, 233, vec, 16)
+    kernel = _QSDKernel(points, 23.3, 233)
+    kernel.start(vec, 16)
     assert (kernel.block, kernel.span) == (32, 6)
     blown_at = _check_points_against_reference(
         model, shift_sets, vec, 23.3, 0.1, trajectory_seeds(0, 16)
@@ -794,6 +803,51 @@ def test_qsd_ensemble_is_byte_identical_across_chunk_sizes() -> None:
     assert excluding[1:] == excluding[:1] * 2
 
 
+def test_qsd_pass_plans_one_kernel(monkeypatch) -> None:
+    # Every chunk job carries the pass's one kernel, in the worker processes
+    # too, whatever the chunk size. Two plain points of one sweep around a
+    # piecewise one: the kernel reads them from the blocks of two sweeps.
+    built = []
+    init = _QSDKernel.__init__
+
+    def counted(self, *args) -> None:
+        built.append(len(args[0]))
+        init(self, *args)
+
+    monkeypatch.setattr(_QSDKernel, "__init__", counted)
+    rng = np.random.default_rng(17)
+    model = _random_model(2, 1, 0.4, rng)
+    vec = _random_state(2, rng)
+    shift_sets = [None, _random_shifts(1, rng), None]
+    config = QSDConfig(CELLS * CELL, 1e-2, 20, seed=6)
+    outs = set()
+    for threads, chunk in itertools.product(("1", "2"), (1, 7, 300)):
+        monkeypatch.setenv("TRAJPHASE_THREADS", threads)
+        built.clear()
+        results = averaged_geometric_phases(model, vec, config, shift_sets, chunk_size=chunk)
+        assert built == [3]
+        outs.add(np.array([dataclasses.astuple(r) for r in results], dtype=complex).tobytes())
+    assert len(outs) == 1
+
+
+def test_qsd_kernel_runs_chunks_in_turn_as_fresh_kernels() -> None:
+    # The first chunk ends holding the table of the last piece; the second,
+    # of another size, starts from the first piece, and takes nothing of the
+    # first chunk.
+    rng = np.random.default_rng(19)
+    model = _random_model(2, 1, 0.4, rng)
+    points = [(lower_model(model, _random_shifts(1, rng)), 0), (lower_model(model), 0)]
+    vec = _random_state(2, rng)
+    steps = grid_steps(CELLS * CELL, 1e-2)[0]
+    seeds = trajectory_seeds(9, 29)
+    kernel = _QSDKernel(points, CELLS * CELL, steps)
+    assert len(kernel.lengths) > 2
+    for part in (seeds[:24], seeds[24:]):
+        got = kernel.chunk(vec, part)
+        want = _QSDKernel(points, CELLS * CELL, steps).chunk(vec, part)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
 def _qsd_peak_bytes(total_time: float) -> int:
     model = dephasing_model(1.0, 0.1)
     config = QSDConfig(total_time, 1e-3, 256, seed=1)
@@ -806,30 +860,45 @@ def _qsd_peak_bytes(total_time: float) -> int:
 
 
 def test_qsd_working_memory_does_not_grow_with_total_time() -> None:
-    short = _qsd_peak_bytes(2.0)
-    long = _qsd_peak_bytes(8.0)
-    # Noise for the short run alone is 256 x 2000 x 16 B = 8 MB; the long
-    # run would need four times that if memory followed the step count.
+    # A block of 256 trajectories holds 4864 ops of 6 steps, 29184 steps;
+    # a shorter run takes a shorter block. Past one block, memory stays.
+    short = _qsd_peak_bytes(30.0)
+    long = _qsd_peak_bytes(60.0)
+    # Noise for the short run alone is 256 x 30000 x 16 B = 123 MB; the long
+    # run would need twice that if memory followed the step count.
     assert long <= 1.1 * short + 2**20
+
+
+def _chunk_peak_bytes(kernel, vec) -> int:
+    tracemalloc.start()
+    try:
+        kernel.chunk(vec, trajectory_seeds(3, 512))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("dim,count", [(2, 1), (3, 2)])
 def test_qsd_chunk_stays_within_its_block_budget(dim: int, count: int) -> None:
-    # Two points of 512 trajectories over 3000 steps: the pair of states,
+    # Two points of 512 trajectories. Over 15000 steps the pair of states,
     # the table and one block of raw words and their decoded symbols fill
-    # the budget.
+    # the budget. A run of 300 steps is shorter than a block: its buffers
+    # hold its ops rounded up to 32, no more.
     rng = np.random.default_rng(40 + dim)
     model = _random_model(dim, count, 0.4, rng)
     vec = _random_state(dim, rng)
-    job = (model, [None, ShiftSet.constants([0.5] * count)], vec, 3.0, 1e-3,
-           trajectory_seeds(3, 512))
-    tracemalloc.start()
-    try:
-        _chunk(job)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert qsd.BLOCK_BYTES // 2 < peak <= qsd.BLOCK_BYTES + 2**20
+    points = [(lower_model(model, s), 0) for s in (None, ShiftSet.constants([0.5] * count))]
+    long = _QSDKernel(points, 15.0, 15000)
+    assert qsd.BLOCK_BYTES // 2 < _chunk_peak_bytes(long, vec) <= qsd.BLOCK_BYTES + 2**20
+    short = _QSDKernel(points, 0.3, 300)
+    peak = _chunk_peak_bytes(short, vec)
+    ops = 32 * -(-short.ops // 32)
+    assert short.block == ops < long.block
+    # Per trajectory and 32 ops: the words, twice, the symbols and the bit
+    # fields (see qsd.BLOCK_BYTES).
+    blocks = 512 * ops // 32 * (16 * short.width + 256 * short.groups + 64)
+    held = short.states.nbytes + short.gathered.nbytes + short.table_bytes
+    assert peak <= held + blocks + 2**20 < qsd.BLOCK_BYTES // 2
 
 
 # --- jumps ------------------------------------------------------------------
@@ -876,7 +945,7 @@ def test_jump_chunk_matches_reference_loop(dim: int, count: int, pair_block) -> 
     seed = 400 + 10 * dim + count
     head = _model_job(dim, count, 0.4, seed)
     args = _jump_job(head, seed, 40)
-    x, jumps = _ensemble_chunk(args)
+    x, jumps = run_chunk(args)
     paths, events, message = _reference_jump_law(*head, _generators(seed, 40))
     assert message is None
     want = np.bincount([n for n, _, _ in events], minlength=40).astype(np.int64)
@@ -967,7 +1036,7 @@ def test_sampled_trajectory_forms_no_square_the_sampler_did_not(monkeypatch) -> 
 
 def _step_size_messages(head: tuple, seed: int, count: int) -> tuple[str, str]:
     with pytest.raises(StepSizeError) as got:
-        _ensemble_chunk(_jump_job(head, seed, count))
+        run_chunk(_jump_job(head, seed, count))
     _, _, want = _reference_jump_law(*head, _generators(seed, count))
     return str(got.value), want
 
@@ -1006,7 +1075,7 @@ def test_a_state_no_channel_acts_on_steps_on_without_a_jump() -> None:
     args = _jump_job(head, 3, 40)
     paths, events, message = _reference_jump_law(*head, _generators(3, 40))
     assert message is None
-    x, jumps = _ensemble_chunk(args)
+    x, jumps = run_chunk(args)
     assert np.array(_chunk_events(args)).tobytes() == np.array(events).tobytes()
     assert jumps.sum() == len(events)
     assert np.max(np.abs(x - paths[:, -1].T)) <= 1e-12
@@ -1026,7 +1095,7 @@ def test_jump_law_matches_the_master_equation(dim: int, count: int) -> None:
     assert np.all(np.abs(res.estimates[-1] - rhos[-1]) <= 5 * res.std_error[-1] + 1e-12)
     # E[jumps] = strength * integral of sum_m Tr[(L_m - f_m)^dag (L_m - f_m) rho] dt,
     # by the midpoint rule on each step of the fine grid.
-    weights = np.array([sum(squares) for squares in lowered.squares[0]])
+    weights = np.array([sum(l.conj().T @ l for l in chans) for chans in lowered.channels[0]])
     mids = 0.5 * (rhos[1:] + rhos[:-1])
     rates = np.einsum("kij,kji->k", weights[lowered.grid.step_cells(total, fine)], mids).real
     exact = model.strength * float(np.sum(rates)) * total / fine
@@ -1039,7 +1108,7 @@ def _jump_chunk_peak_bytes(total_time: float) -> int:
     args = _jump_job((model, None, _random_state(4, rng), total_time, 1e-3), 1, 256)
     tracemalloc.start()
     try:
-        _ensemble_chunk(args)
+        run_chunk(args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

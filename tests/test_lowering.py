@@ -65,15 +65,13 @@ class Terms(NamedTuple):
 
     h: np.ndarray
     channels: tuple
-    adjoints: tuple
-    squares: tuple
     k_tilde: np.ndarray
     k: np.ndarray
 
 
 def _rows(sweep, p: int) -> list[Terms]:
     """Point p of a lowered sweep, cell by cell: its rows of the stacks."""
-    stacks = (sweep.channels, sweep.adjoints, sweep.squares, sweep.k_tilde, sweep.k)
+    stacks = (sweep.channels, sweep.k_tilde, sweep.k)
     return [Terms(h, *(a[p, c] for a in stacks)) for c, h in enumerate(sweep.h)]
 
 
@@ -98,7 +96,7 @@ def _reference_lowering(model, shifts) -> tuple[tuple[Terms, ...], float | None]
         k_tilde = h
         for sq in squares:
             k_tilde = k_tilde - 0.5j * lam * sq
-        return Terms(h, tuple(chans), adjoints, squares, k_tilde, k)
+        return Terms(h, tuple(chans), k_tilde, k)
 
     return combine(build, model.hamiltonian, *model.lindblads, *(shifts or ShiftSet(())).shifts)
 

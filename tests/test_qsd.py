@@ -69,8 +69,11 @@ def test_config_validation() -> None:
 
 
 def _kernel(model, dt, count, shifts=None) -> _QSDKernel:
-    """The QSD kernel of one step of width dt for `count` trajectories."""
-    return _QSDKernel([(lower_model(model, shifts), 0)], dt, 1, EQUATOR.amplitudes, count)
+    """The QSD kernel of one step of width dt, set up for a chunk of `count`
+    trajectories."""
+    kernel = _QSDKernel([(lower_model(model, shifts), 0)], dt, 1)
+    kernel.start(EQUATOR.amplitudes, count)
+    return kernel
 
 
 def _two_point(words: np.ndarray, dt: float) -> np.ndarray:
@@ -142,12 +145,12 @@ def test_increments_are_the_bit_pairs_of_each_stream(
     span = OP_SPANS[dim, channels]
     dt, steps, count = 1e-2, 75 * span - span // 2, 5
     monkeypatch.setattr(qsd, "BLOCK_BYTES", 1)
-    kernel = _QSDKernel([(lower_model(model), 0)], steps * dt, steps, vec, count)
-    assert (kernel.span, kernel.ops, kernel.block) == (span, 75, 32)
+    kernel = _QSDKernel([(lower_model(model), 0)], steps * dt, steps)
     blocks = []
     monkeypatch.setattr(kernel, "advance", lambda symbols, first: blocks.append(symbols.copy()))
     streams = trajectory_seeds(4, count)
-    kernel.run([np.random.PCG64(s) for s in streams])
+    kernel.chunk(vec, streams)
+    assert (kernel.span, kernel.ops, kernel.block) == (span, 75, 32)
     got = np.concatenate(blocks)
     assert [len(b) for b in blocks] == [32, 32, 11]
     groups = -(-channels // 4)

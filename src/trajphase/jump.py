@@ -17,13 +17,13 @@ d) initial states, with no per-point set-up (`sweep_no_jump_phases`;
 `no_jump_geometric_phases` lowers its points first), and the jump sampler
 and the Kraus sets read the rows of one point. The tracker propagates the
 points of one lowered sweep as one stack, in windows of grid columns
-within STACK_BYTES, and forms each column's norm, overlap and
-integrand once. The integral is the
-composite Simpson rule, summed window by window from the rule's weights
-(`operators.simpson_weights`), so no array spans the grid. The discrete-time
-monitoring picture is exposed through Kraus sets F_0 = 1 - i K_tilde dt,
-F_m = sqrt(strength * dt) L_m and the connection matrix relating shifted and
-unshifted sets.
+within STACK_BYTES, in real arithmetic: a state is (Re psi, Im psi) and a
+map its `operators.real_form`. It forms each column's norm, overlap and
+integrand once; the integral is the composite Simpson rule, summed window
+by window from the rule's weights (`operators.simpson_weights`), so no
+array spans the grid. The discrete-time monitoring picture is exposed
+through Kraus sets F_0 = 1 - i K_tilde dt, F_m = sqrt(strength * dt) L_m
+and the connection matrix relating shifted and unshifted sets.
 
 Jump trajectories follow the waiting-time law on a uniform grid (Dalibard,
 Castin and Molmer, PRL 68, 580 (1992); Plenio and Knight, RMP 70, 101
@@ -75,6 +75,7 @@ from .operators import (
     matrix_exponential,
     normalized_state_vector,
     normalized_states,
+    real_form,
     run_states,
     simpson_weights,
     state_vector,
@@ -95,14 +96,13 @@ NORM_FLOOR = 1e-150
 MAX_GRID_DOUBLINGS = 7
 # Bytes of the window buffers the no-jump tracker holds for the points it
 # propagates together; nothing else it holds grows with the grid. On the
-# 63-point bench sweep (2-vCPU host, one BLAS thread), 640 KiB, 768 KiB and
-# 1 MiB ran equally fast within run-to-run noise (`wall_rel` medians 0.151,
-# 0.149 and 0.157, three runs each), and each step up raised the peak RSS
-# by about 0.3 MB.
+# 63-point bench sweep (2 vCPUs, one BLAS thread, three runs each), 640 KiB,
+# 768 KiB and 1 MiB gave `wall_rel` medians 0.091, 0.089 and 0.082, about
+# the runs' spread apart, and each step up added about 0.4 MB of peak RSS.
 STACK_BYTES = 5 * 2**17
-# Fewest grid columns a window may take before its stack is split. On the
-# 303-point fig1 sweep, floors of 128 and 256 columns ran about 1.8 times as
-# fast as one stack of 14-column windows; 32, 64 and 512 were slower.
+# Fewest grid columns a window may take before its stack is split: 128 and
+# 256 gave medians 0.091 and 0.092 there; on the 303-point fig1 sweep they
+# beat one stack of 14-column windows 1.8-fold, and 32, 64 and 512 lost.
 MIN_WINDOW = 128
 # (r, u) pairs a trajectory draws at a time; it takes one per jump, plus one.
 PAIR_BLOCK = 8
@@ -243,8 +243,7 @@ def propagate_no_jump(
     norm falls below NORM_FLOOR times the initial one. psi0 is propagated
     scaled by a power of two into [1/2, 1), so its norms cannot underflow.
     The record's states are the transpose of C-ordered (d, steps + 1)
-    columns, as `run_states` returns them. The phase tracker does not use
-    it: it keeps no states beyond a window.
+    columns, as `run_states` returns them; the phase tracker keeps none.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -295,9 +294,9 @@ class _Tracks(NamedTuple):
 
 def _window_column_bytes(dim: int) -> int:
     """Bytes of `_track_stack`'s window buffers per point and grid column:
-    two windows of dim complex state rows, one of dim + 1 readout rows,
+    two windows of 2 dim real state rows, one of 2 dim + 2 readout rows,
     four float rows and three flag rows."""
-    return 16 * (2 * dim + dim + 1) + 8 * 4 + 3
+    return 8 * (2 * 2 * dim + 2 * dim + 2 + 4) + 3
 
 
 def _window_parts(ranges, width: int):
@@ -324,18 +323,27 @@ def _flag_crossings(size, sq, limit, bound, out) -> np.ndarray:
     right side. The decisions are those of |z| / (|psi0| |psi|) <
     BRANCH_EPS, at zeros, NaNs and infinities too, up to rounding at the
     boundary itself, reached without abs, sqrt or a division."""
-    return np.less(size, np.multiply(sq, limit, out=bound), out=out)
+    return np.less(size, np.einsum("gk,gj->gk", sq, limit, out=bound), out=out)
 
 
-def _flag_calm_steps(turn, increments, sums, out) -> np.ndarray:
-    """Flag the steps that turn the overlap by at most pi/2 from the
-    products turn = z_k conj z_{k-1}, their arguments increments and the
-    sums of those along the last axis: Re(turn) >= 0 and the increment is
-    not NaN. The decisions are those of |increment| <= pi/2, but for an
-    argument just past pi/2 that rounds to pi/2, and a turn of (-0, +-0)
-    between overlaps of which one is zero, which is a flagged crossing."""
-    np.greater_equal(turn.real, 0.0, out=out)
-    # An increment is NaN where turn has a NaN part; then so is its sum.
+def _turns(re, im, real, imag, scratch) -> None:
+    """Into entries 1.. of the flat rows real and imag, the parts of the turns
+    z_k conj z_{k-1}, z_k = re[k] + i im[k], as NumPy's complex product rounds them."""
+    np.multiply(re[1:], re[:-1], out=real[1:])
+    real[1:] += np.multiply(im[1:], im[:-1], out=scratch[1:])
+    np.multiply(im[1:], re[:-1], out=imag[1:])
+    imag[1:] -= np.multiply(re[1:], im[:-1], out=scratch[1:])
+
+
+def _flag_calm_steps(real, increments, sums, out) -> np.ndarray:
+    """Flag the steps that turn the overlap by at most pi/2, from the Re
+    parts real of the turns z_k conj z_{k-1}, their arguments increments and
+    the sums of those that count: real >= 0 and the increment is not NaN.
+    The decisions are those of |increment| <= pi/2, but for an argument just
+    past pi/2 that rounds to pi/2, and a turn of (-0, +-0) between overlaps
+    of which one is zero, which is a flagged crossing."""
+    np.greater_equal(real, 0.0, out=out)
+    # An increment is NaN where its turn has a NaN part; then so is its sum.
     if np.isnan(sums).any():
         np.logical_and(out, ~np.isnan(increments), out=out)
     return out
@@ -350,20 +358,23 @@ def _track_stack(gens, herms, vecs, runs, point_runs, total_time: float, steps: 
     point's error, or None where a step away from a flagged crossing turned
     the overlap by more than pi/2.
 
-    The G points' states are the columns of (G, d, width + 1) windows over
-    the grid; column 0 of a window holds the grid column before it. The (G,
-    d, d) step maps of each cell have one `MapPowers`. Where a run began at
-    least a width back, the window is their power width times the previous
-    window; a run's first columns are their `MapPowers.fill` from the column
-    before them. One product per cell of K then reads each column: K psi and
-    the overlap <psi0|psi>. Each column's squared norm, overlap, crossing
-    flag, overlap increment and integrand value is formed once, and the
-    overlap and flag of a window's last column carry to the next. A window
-    adds its integrand values times their `simpson_weights` to each point's
-    running dynamical term, so nothing is kept for the whole grid. The
-    initial states are scaled by powers of two into [1/2, 1), like
-    `propagate_no_jump`'s, and so is the bra of the overlaps; every quantity
-    but the final norm is independent of that scale.
+    The arithmetic is real: a state psi is (Re psi, Im psi) and a matrix
+    acts as its `real_form`. The states are the columns of (G, 2d, width +
+    1) windows over the grid, column 0 of a window holding the grid column
+    before it. Where a run began at least a width back, a window is the
+    power width of the cell's step maps (one `MapPowers` per cell) times
+    the last one; a run's first columns are their `MapPowers.fill`. One
+    product per cell of K reads each column into (2d + 2, G, width + 1)
+    rows: K psi, then the Re and Im rows of z = <psi0|psi>. Each column's
+    squared norm, |z|^2, crossing flag, integrand value, turn z_k conj
+    z_{k-1} and its argument are formed once, by einsums or by ufuncs on
+    flat or contiguous rows, as NumPy copies a strided or broadcast 2-D
+    ufunc operand; the overlap and flag of a window's last column carry to
+    the next. Each window adds its integrand values times their
+    `simpson_weights` to the running dynamical terms. The initial states
+    are scaled by powers of two into [1/2, 1), like `propagate_no_jump`'s,
+    and so is the bra; every quantity but the final norm is independent of
+    that scale.
     """
     count, dim = vecs.shape
     dt = total_time / steps
@@ -371,51 +382,48 @@ def _track_stack(gens, herms, vecs, runs, point_runs, total_time: float, steps: 
     exponents = np.frexp(np.abs(vecs).max(axis=1))[1]
     x0 = binary_scaled(vecs, -exponents[:, np.newaxis])
     cells = [c for _, _, c in runs]
-    stacked = matrix_exponential(-1j * dt * gens[:, cells]).swapaxes(0, 1)
+    stacked = real_form(matrix_exponential(-1j * dt * gens[:, cells])).swapaxes(0, 1)
     powers = {c: MapPowers(maps) for c, maps in zip(cells, stacked)}
-    # readout[c] stacks the cell's K over the bra: rows K psi, then <psi0|psi>.
+    # readout[c] is the real form of the cell's K over that of the bra, whose
+    # rows (Re psi0, Im psi0) and (-Im psi0, Re psi0) read Re z and Im z.
     read_cells = sorted({c for _, _, c in point_runs})
-    stacked_reads = np.empty((count, len(read_cells), dim + 1, dim), complex)
-    stacked_reads[:, :, :dim] = herms[:, read_cells]
-    stacked_reads[:, :, dim] = x0.conj()[:, np.newaxis]
-    readout = dict(zip(read_cells, stacked_reads.swapaxes(0, 1)))
+    reads = np.empty((count, len(read_cells), 2 * dim + 2, 2 * dim))
+    reads[:, :, : 2 * dim] = real_form(herms[:, read_cells])
+    reads[:, :, 2 * dim :] = real_form(x0.conj()[:, np.newaxis, np.newaxis])
+    readout = dict(zip(read_cells, reads.swapaxes(0, 1)))
     width = max(1, min(cols, STACK_BYTES // (count * _window_column_bytes(dim))))
-    windows = -(-cols // width)
     # Run (a, b, cell) takes the states of columns a..b-1 to a+1..b.
     state_parts = _window_parts([(a + 1, b + 1, c, a) for a, b, c in runs], width)
     read_parts = _window_parts(point_runs, width)
 
     # across[c] is cell c's maps to the power width, formed on first use.
     across: dict[int, np.ndarray] = {}
-    buffers = [np.empty((count, dim, width + 1), complex) for _ in range(min(windows, 2))]
+    buffers = [np.empty((count, 2 * dim, width + 1)) for _ in range(1 + (width < cols))]
     x, last = buffers[0], buffers[-1]
-    y = np.empty((count, dim + 1, width + 1), complex)
-    z = y[:, dim]
-    # pairs holds the interleaved sums and squares; then den, its first
-    # half, the crossing bounds; then prod, all of it as complex, the
-    # products z_k conj z_{k-1}. mag holds the weighted integrand, then
-    # |z|^2, then the increments.
-    pairs = np.empty((count, 2 * width))
-    den, prod = pairs[:, :width], pairs.view(complex)
-    sq, mag = np.empty((count, width)), np.empty((count, width))
-    cross = np.empty((count, width + 1), bool)
-    flag, near = (np.empty((count, width), bool) for _ in range(2))
+    y = np.empty((2 * dim + 2, count, width + 1))
+    y_out, z = y.swapaxes(0, 1), y[2 * dim :]
+    # Flat (G, width + 1) rows: norms; integrand, |z|^2, then turns' Re parts;
+    # crossing bounds, then Im parts; increments. Flags: crossings; new ones,
+    # then calm steps; steps next to a crossing. Turn k is the step into k.
+    rows = np.empty((4, count * (width + 1)))
+    flags = np.empty((3, count * (width + 1)), bool)
+    cross = flags[0].reshape(count, width + 1)
     outcomes: list = [None] * count
     overlap_arg, dynamical = np.zeros(count), np.zeros(count)
     calm = np.ones(count, bool)
     crossings: list[list[int]] = [[] for _ in range(count)]
     # Decayed points ride along to the end; their zeros must not warn.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for w, state_plan, read_plan in zip(range(windows), state_parts, read_parts):
+        for w, (state_plan, read_plan) in enumerate(zip(state_parts, read_parts)):
             start = w * width
             span = min(width, cols - start)
             if w:
                 x, last = last, x
                 x[:, :, 0] = last[:, :, width]
-                z[:, 0] = z[:, width]
+                z[:, :, 0] = z[:, :, width]
                 cross[:, 0] = cross[:, width]
             else:
-                x[:, :, 1] = x0
+                x[:, :dim, 1], x[:, dim:, 1] = x0.real, x0.imag
             for lo, hi, cell, a in state_plan:
                 i, j = lo - start + 1, hi - start + 1
                 if lo - width >= a:
@@ -427,58 +435,52 @@ def _track_stack(gens, herms, vecs, runs, point_runs, total_time: float, steps: 
                     powers[cell].fill(x, i - 1, j - 1)
             for lo, hi, read_cell in read_plan:
                 i, j = lo - start + 1, hi - start + 1
-                np.matmul(readout[read_cell], x[:, :, i:j], out=y[:, :, i:j])
+                np.matmul(readout[read_cell], x[:, :, i:j], out=y_out[:, :, i:j])
 
             now = slice(1, span + 1)
-            sq_w, mag_w, den_w = sq[:, :span], mag[:, :span], den[:, :span]
-            evens, odds = pairs[:, 0 : 2 * span : 2], pairs[:, 1 : 2 * span : 2]
-            xs = x[:, :, now].view(float)
-            # Re and Im parts interleave along the last axis of the float views.
-            np.einsum("gdk,gdk->gk", xs, xs, out=pairs[:, : 2 * span])
-            np.add(evens, odds, out=sq_w)
-            np.einsum("gdk,gdk->gk", xs, y[:, :dim, now].view(float), out=pairs[:, : 2 * span])
-            np.add(evens, odds, out=mag_w)
-            np.divide(mag_w, sq_w, out=mag_w)
-            np.multiply(mag_w, simpson_weights(cols, dt, start, start + span), out=mag_w)
-            dynamical += mag_w.sum(axis=1)
+            sq, mag, den = (r[: count * span].reshape(count, span) for r in rows[:3])
+            xs = x[:, :, now]
+            np.einsum("gdk,gdk->gk", xs, xs, out=sq)
+            np.einsum("gdk,dgk->gk", xs, y[: 2 * dim, :, now], out=mag)
+            np.divide(mag, sq, out=mag)
+            dynamical += np.einsum("gk,k->g", mag, simpson_weights(cols, dt, start, start + span))
             if not w:
-                floor = NORM_FLOOR**2 * sq[:, :1]
+                floor = NORM_FLOOR**2 * sq[:, 0]
                 limit = BRANCH_EPS**2 * sq[:, :1]
 
-            decayed = np.less(sq_w, floor, out=flag[:, :span])
-            if decayed.any():
-                for g in np.flatnonzero(decayed.any(axis=1)).tolist():
-                    if outcomes[g] is None:
-                        outcomes[g] = _decay_error((start + int(np.argmax(decayed[g]))) * dt)
-                if None not in outcomes:
-                    return outcomes
+            # A point has decayed where a norm is below its floor; fmin skips NaNs.
+            decayed = np.flatnonzero(np.fmin.reduce(sq, axis=1) < floor).tolist()
+            for g in decayed:
+                if outcomes[g] is None:
+                    outcomes[g] = _decay_error((start + int(np.argmax(sq[g] < floor[g]))) * dt)
+            if decayed and None not in outcomes:
+                return outcomes
 
-            np.square(z[:, now].view(float), out=pairs[:, : 2 * span])
-            np.add(evens, odds, out=mag_w)
-            flagged = _flag_crossings(mag_w, sq_w, limit, den_w, cross[:, now])
+            np.einsum("cgk,cgk->gk", z[:, :, now], z[:, :, now], out=mag)
+            fresh = flags[1, : count * span].reshape(count, span)
+            cross[:, now] = flagged = _flag_crossings(mag, sq, limit, den, fresh)
             if flagged.any():
                 for g, k in zip(*(v.tolist() for v in np.nonzero(flagged))):
                     crossings[g].append(start + k)
 
-            # Increments arg(z_k conj z_{k-1}); the grid's column 0 has none.
+            # Turns into columns lo..span; the grid's column 0 has none.
             lo = 1 if w else 2
-            n = span + 1 - lo
-            turn, increments = prod[:, :n], mag[:, :n]
-            np.conjugate(z[:, lo - 1 : span], out=turn)
-            np.multiply(z[:, lo : span + 1], turn, out=turn)
-            np.arctan2(turn.imag, turn.real, out=increments)
-            sums = increments.sum(axis=1)
+            real, imag, args = rows[1:]
+            _turns(z[0].reshape(-1), z[1].reshape(-1), real, imag, args)
+            np.arctan2(imag, real, out=args)
+            sums = args.reshape(count, width + 1)[:, lo : span + 1].sum(axis=1)
             overlap_arg += sums
-            np.logical_or(cross[:, lo : span + 1], cross[:, lo - 1 : span], out=near[:, :n])
-            _flag_calm_steps(turn, increments, sums, flag[:, :n])
-            calm &= np.logical_or(flag[:, :n], near[:, :n], out=flag[:, :n]).all(axis=1)
+            near = np.logical_or(flags[0, 1:], flags[0, :-1], out=flags[2, 1:])
+            steps_ok = _flag_calm_steps(real[1:], args[1:], sums, flags[1, 1:])
+            np.logical_or(steps_ok, near, out=steps_ok)
+            calm &= flags[1].reshape(count, width + 1)[:, lo : span + 1].all(axis=1)
 
     for g in range(count):
         if outcomes[g] is not None or not calm[g]:
             continue
         # A state that is not finite makes every later one so, so the final
         # overlap is finite exactly when all are (short of |z| overflowing).
-        if cross[g, span] or not np.isfinite(z[g, span]):
+        if cross[g, span] or not np.isfinite(z[:, g, span]).all():
             outcomes[g] = BranchTrackingError(
                 "overlap with the initial state vanishes at the endpoint; "
                 "the geometric phase is undefined there"
@@ -574,10 +576,8 @@ def no_jump_geometric_phases(
     leaves the others untouched. Invalid input raises at once. The points
     are lowered by `lindblad.lower_points`, one `lower_sweep` for each
     group that shares a model's schedules and the kind and grid of its
-    shifts. The points of each group are propagated together, in windows
-    of grid columns within STACK_BYTES, and each window adds its part of
-    every dynamical term, so the tracker's memory does not grow with the
-    total time.
+    shifts, and the points of each group are tracked together, in memory
+    that does not grow with the total time.
     """
     points = list(points)
     vecs = [normalized_state_vector(psi0, model.dim, "psi0") for model, psi0, _ in points]

@@ -542,12 +542,27 @@ def key_runs(keys) -> list[tuple[int, int, int]]:
     return [(a, b, int(keys[a])) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+def real_form(a: np.ndarray) -> np.ndarray:
+    """[[Re A, -Im A], [Im A, Re A]] of each m x n matrix A of a (..., m, n)
+    stack, as float64 (..., 2m, 2n): A acting on v is this acting on the
+    real vector (Re v, Im v), and products of these are those of the
+    matrices, up to rounding."""
+    a = np.asarray(a, dtype=complex)
+    m, n = a.shape[-2:]
+    out = np.empty(a.shape[:-2] + (2 * m, 2 * n))
+    out[..., :m, :n] = out[..., m:, n:] = a.real
+    out[..., m:, :n] = a.imag
+    np.negative(a.imag, out=out[..., :m, n:])
+    return out
+
+
 class MapPowers:
     """The squares M^(2^i) of a d x d map M, or of each map of a (..., d, d)
-    stack, each formed from the last one on first use."""
+    stack, each formed from the last one on first use, in M's dtype: a
+    complex map, or the `real_form` of one."""
 
     def __init__(self, base) -> None:
-        self.squares = [np.asarray(base, dtype=complex)]
+        self.squares = [np.asarray(base)]
 
     def square(self, level: int) -> np.ndarray:
         """M^(2^level)."""

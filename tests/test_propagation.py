@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trajphase.jump
 from trajphase import (
@@ -44,12 +46,21 @@ from trajphase.lindblad import (
     _check_states,
     evolve_states,
     lower_model,
+    lower_sweep,
 )
-from trajphase.jump import BRANCH_EPS, MAX_GRID_DOUBLINGS, _flag_calm_steps, _flag_crossings
+from trajphase.jump import (
+    BRANCH_EPS,
+    MAX_GRID_DOUBLINGS,
+    _flag_calm_steps,
+    _flag_crossings,
+    _turns,
+    sweep_no_jump_phases,
+)
 from trajphase.operators import (
     MapPowers,
     ScalarSchedule,
     key_runs,
+    real_form,
     run_states,
     step_propagators,
     wrap_phase,
@@ -187,6 +198,27 @@ def test_map_powers_equal_explicit_products() -> None:
             assert np.max(np.abs(got - want)) <= PRODUCT_RTOL * np.max(np.abs(want))
 
 
+def test_map_powers_of_a_real_form_are_the_real_forms_of_the_powers() -> None:
+    # The squares, powers and fill of the float64 real form of a (G, d, d)
+    # stack stay float64 and equal the real forms of the complex ones.
+    rng = np.random.default_rng(61)
+    stack = np.stack([scipy.linalg.expm(-0.05j * _no_jump_like(rng, 3)) for _ in range(4)])
+    plain, real = MapPowers(stack), MapPowers(real_form(stack))
+    for n in range(1, 71):
+        got = real.power(n)
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - real_form(plain.power(n)))) <= 1e-13
+    assert all(square.dtype == np.float64 for square in real.squares)
+    starts = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    cols = np.zeros((4, 3, 70), dtype=complex)
+    cols[:, :, 2] = starts
+    plain.fill(cols, 2, 67)
+    rows = np.zeros((4, 6, 70))
+    rows[:, :3, 2], rows[:, 3:, 2] = starts.real, starts.imag
+    real.fill(rows, 2, 67)
+    assert np.max(np.abs(rows - np.concatenate([cols.real, cols.imag], axis=1))) <= 1e-13
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_propagate_no_jump_matches_step_loop(seed) -> None:
     rng = np.random.default_rng(100 + seed)
@@ -292,6 +324,31 @@ def test_tracked_phase_matches_step_loop_on_random_models(seed) -> None:
     want = _reference_tracked_phase(model, shifts, psi0, 2.0, 301)
     assert want["grid_steps"] == 301
     _assert_matches_reference(got, want)
+
+
+@st.composite
+def _drawn_shifted_models(draw):
+    """(model, shifts, psi0, steps): a random model of dim 2-4 with 1-3
+    channels and complex piecewise shifts of 2-5 cells on [0, 2], on a
+    prime step count, so every shift edge falls inside a step."""
+    dim, count, cells = draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    steps = draw(st.sampled_from([61, 97, 151, 211]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = _random_complex(rng, dim) / dim
+    chans = tuple(Operator(_random_complex(rng, dim) / dim) for _ in range(count))
+    model = LindbladModel(Operator(h + h.conj().T), chans, draw(st.floats(0.0, 0.5)))
+    values = 0.5 * (rng.normal(size=(count, cells)) + 1j * rng.normal(size=(count, cells)))
+    shifts = ShiftSet(tuple(ScalarSchedule.piecewise(v, 2.0 / cells) for v in values))
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return model, shifts, psi0 / np.linalg.norm(psi0), steps
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(_drawn_shifted_models())
+def test_tracked_phase_matches_step_loop_on_drawn_models(case) -> None:
+    model, shifts, psi0, steps = case
+    got = no_jump_geometric_phase(model, psi0, 2.0, steps=steps, shifts=shifts)
+    _assert_matches_reference(got, _reference_tracked_phase(model, shifts, psi0, 2.0, steps))
 
 
 def test_tracked_phase_matches_step_loop_after_grid_doublings() -> None:
@@ -428,14 +485,56 @@ def test_no_jump_phase_memory_is_flat_from_2_16_to_2_18_steps() -> None:
     assert _lone_point_peak(2**18) <= _lone_point_peak(2**16) + 250_000
 
 
+def test_no_jump_stack_stays_within_its_window_budget() -> None:
+    # The bench sweep's 63 qubit points as one lowered sweep on 4096 steps:
+    # the tracker's window buffers fill STACK_BYTES, and everything else it
+    # holds at once stays within 128 KiB. NumPy gives a ufunc a temporary
+    # of each 2-D operand that is strided or broadcast (up to 8192
+    # entries), so this fails if a row the tracker works on is one.
+    strengths = np.repeat([np.linspace(0.0, 1.0, 21)], 3, axis=0).reshape(-1)
+    shifts = np.repeat([0.0, 0.2, 2.0], 21).reshape(63, 1, 1).astype(complex)
+    sweep = lower_sweep(_dephasing(0.0), strengths, shifts)
+    states = np.tile(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0), (63, 1))
+    sweep_no_jump_phases(sweep, states, 2 * math.pi, 4096)
+    tracemalloc.start()
+    try:
+        results = sweep_no_jump_phases(sweep, states, 2 * math.pi, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.grid_steps == 4096 for r in results)
+    assert peak <= trajphase.jump.STACK_BYTES + 2**17
+
+
+def _tracker_rows(z):
+    """The (Re, Im) rows of the (N, 2) overlaps z as the tracker forms them:
+    |z|^2 of each, and the Re and Im parts and argument of each turn z[:, 1]
+    conj z[:, 0], as (N, 1) columns, from the pairs' rows taken flat."""
+    rows = np.stack([z.real, z.imag])
+    size = np.einsum("cgk,cgk->gk", rows, rows)
+    real, imag, scratch = np.empty((3, z.size))
+    _turns(rows[0].reshape(-1), rows[1].reshape(-1), real, imag, scratch)
+    real, imag = real[1::2, np.newaxis], imag[1::2, np.newaxis]
+    return size, real, imag, np.arctan2(imag, real)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal values, NaNs included, and equal signs of zeros."""
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(
+        np.signbit(a) | np.isnan(a), np.signbit(b) | np.isnan(b)
+    )
+
+
 def test_crossing_and_calm_tests_decide_as_abs_and_arctan2() -> None:
     # Every pair of overlaps (z_{k-1}, z_k) from zeros of both signs, NaN,
     # infinities, exact quarter turns and ordinary values, with squared
     # norms as a state of that overlap can have (NaN or inf where z is not
     # finite), gets the tracker's step decision, calm or next to a flagged
     # crossing, as the former |z| / (|psi0| |psi|) < BRANCH_EPS and
-    # |arg(z_k conj z_{k-1})| <= pi/2 gave. A state of squared norm 0 has
-    # decayed, so it is not one of them.
+    # |arg(z_k conj z_{k-1})| <= pi/2 gave, from the complex product. The
+    # tracker forms the turn from the overlaps' Re and Im rows; its parts
+    # equal the complex product's, signs of zeros included. A state of
+    # squared norm 0 has decayed, so it is not one of them.
     parts = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0, math.inf, -math.inf, math.nan]
     overlaps = [complex(a, b) for a in parts for b in parts]
 
@@ -455,14 +554,15 @@ def test_crossing_and_calm_tests_decide_as_abs_and_arctan2() -> None:
         with np.errstate(all="ignore"):
             old_cross = np.abs(z) / (math.sqrt(sq0) * np.sqrt(sq)) < BRANCH_EPS
             turn = z[:, 1:] * z[:, :1].conj()
-            increments = np.arctan2(turn.imag, turn.real)
-            old = (np.abs(increments) <= 0.5 * math.pi) | old_cross.any(axis=1, keepdims=True)
-            squares = np.square(z.view(float))
-            size = squares[:, 0::2] + squares[:, 1::2]
-            limit = np.array([[BRANCH_EPS**2 * sq0]])
+            old = (np.abs(np.arctan2(turn.imag, turn.real)) <= 0.5 * math.pi) | old_cross.any(
+                axis=1, keepdims=True
+            )
+            size, real, imag, increments = _tracker_rows(z)
+            limit = np.full((len(sq), 1), BRANCH_EPS**2 * sq0)
             cross = _flag_crossings(size, sq, limit, np.empty(sq.shape), np.empty(sq.shape, bool))
             sums = increments.sum(axis=1)
-            calm = _flag_calm_steps(turn, increments, sums, np.empty(turn.shape, bool))
+            calm = _flag_calm_steps(real, increments, sums, np.empty(real.shape, bool))
+        assert _same_bits(real, turn.real) and _same_bits(imag, turn.imag)
         assert np.array_equal(cross, old_cross)
         assert np.array_equal(calm | cross.any(axis=1, keepdims=True), old)
 
@@ -472,20 +572,19 @@ def test_crossing_and_calm_tests_decide_as_abs_and_arctan2() -> None:
         sizes = [edge * s for s in (1 - 2**-50, 1 - 2**-52, 1.0, 1 + 2**-52, 1 + 2**-50)]
         z = np.array([[complex(v, 0.0), complex(0.0, -v)] for v in sizes])
         sq = np.full(z.shape, sqk)
-        limit = np.array([[BRANCH_EPS**2 * sq0]])
+        limit = np.full((len(sq), 1), BRANCH_EPS**2 * sq0)
         old_cross = np.abs(z) / (math.sqrt(sq0) * np.sqrt(sq)) < BRANCH_EPS
-        squares = np.square(z.view(float))
-        size = squares[:, 0::2] + squares[:, 1::2]
+        size = _tracker_rows(z)[0]
         cross = _flag_crossings(size, sq, limit, np.empty(sq.shape), np.empty(sq.shape, bool))
         assert np.array_equal(cross, old_cross)
         assert old_cross[:2].all() and not old_cross[2:].any()
 
     # Where a turn just past pi/2 rounds to pi/2, the old test called it
     # calm; the sign of its real part does not.
-    turn = np.array([[complex(-1e-300, 1.0)]])
-    increments = np.arctan2(turn.imag, turn.real)
+    _, real, _, increments = _tracker_rows(np.array([[1.0, complex(-1e-300, 1.0)]]))
+    assert real[0, 0] == -1e-300
     assert np.abs(increments[0, 0]) <= 0.5 * math.pi
-    calm = _flag_calm_steps(turn, increments, increments.sum(axis=1), np.empty((1, 1), bool))
+    calm = _flag_calm_steps(real, increments, increments.sum(axis=1), np.empty((1, 1), bool))
     assert not calm[0, 0]
 
 

@@ -72,6 +72,7 @@ from .operators import (
     cell_maps,
     index_runs,
     key_runs,
+    keyed_runs,
     matrix_exponential,
     normalized_state_vector,
     normalized_states,
@@ -255,7 +256,7 @@ def propagate_no_jump(
     exponent = int(np.frexp(np.abs(vec).max())[1])
     gens = np.stack([op.entries for op in generator.values])
     maps, runs = step_propagators(generator, gens, total_time, steps)
-    states = run_states(maps, runs, binary_scaled(vec, -exponent))
+    states = run_states(MapPowers(maps), runs, binary_scaled(vec, -exponent))
 
     sq_norms = _squared_norms(states.T)
     decayed = sq_norms < NORM_FLOOR**2 * sq_norms[0]
@@ -349,11 +350,10 @@ def _flag_calm_steps(real, increments, sums, out) -> np.ndarray:
     return out
 
 
-def _track_stack(gens, herms, vecs, runs, point_runs, total_time: float, steps: int) -> list:
+def _track_stack(gens, herms, vecs, grid: Schedule, total_time: float, steps: int) -> list:
     """`_tracked_phases` on one grid of `steps` steps for G points that
-    share a dimension, the `step_runs` of their schedule grid and the runs
-    of its cells at the grid points (point_runs), from their (G, C, d, d)
-    stacks of generators gens and Hamiltonians herms and their (G, d)
+    share a dimension and a schedule grid, from their (G, C, d, d) stacks of
+    generators gens and Hamiltonians herms over its cells and their (G, d)
     initial states vecs. Each outcome is a GeometricPhaseResult, the
     point's error, or None where a step away from a flagged crossing turned
     the overlap by more than pi/2.
@@ -361,43 +361,47 @@ def _track_stack(gens, herms, vecs, runs, point_runs, total_time: float, steps: 
     The arithmetic is real: a state psi is (Re psi, Im psi) and a matrix
     acts as its `real_form`. The states are the columns of (G, 2d, width +
     1) windows over the grid, column 0 of a window holding the grid column
-    before it. Where a run began at least a width back, a window is the
-    power width of the cell's step maps (one `MapPowers` per cell) times
-    the last one; a run's first columns are their `MapPowers.fill`. One
-    product per cell of K reads each column into (2d + 2, G, width + 1)
-    rows: K psi, then the Re and Im rows of z = <psi0|psi>. Each column's
-    squared norm, |z|^2, crossing flag, integrand value, turn z_k conj
-    z_{k-1} and its argument are formed once, by einsums or by ufuncs on
-    flat or contiguous rows, as NumPy copies a strided or broadcast 2-D
-    ufunc operand; the overlap and flag of a window's last column carry to
-    the next. Each window adds its integrand values times their
-    `simpson_weights` to the running dynamical terms. The initial states
-    are scaled by powers of two into [1/2, 1), like `propagate_no_jump`'s,
-    and so is the bra; every quantity but the final norm is independent of
-    that scale.
+    before it. The cells' step maps are one `MapPowers`. Where a run began
+    at least a width back, a window is the power width of its cell's maps
+    (one `MapPowers.power` for all cells) times the last one; a run's first
+    columns are its cell's `MapPowers.fill`. One product per cell of K reads
+    each column into (2d + 2, G, width + 1) rows: K psi, then the Re and Im
+    rows of z = <psi0|psi>. Each column's squared norm, |z|^2, crossing
+    flag, integrand value, turn z_k conj z_{k-1} and its argument are formed
+    once, by einsums or by ufuncs on flat or contiguous rows, as NumPy
+    copies a strided or broadcast 2-D ufunc operand; the overlap and flag of
+    a window's last column carry to the next. Each window adds its integrand
+    values times their `simpson_weights`, formed once per start parity for
+    the windows inside the grid, to the running dynamical terms. The initial
+    states are scaled by powers of two into [1/2, 1), like
+    `propagate_no_jump`'s, and so is the bra; every quantity but the final
+    norm is independent of that scale.
     """
     count, dim = vecs.shape
     dt = total_time / steps
     cols = steps + 1
     exponents = np.frexp(np.abs(vecs).max(axis=1))[1]
     x0 = binary_scaled(vecs, -exponents[:, np.newaxis])
-    cells = [c for _, _, c in runs]
-    stacked = real_form(matrix_exponential(-1j * dt * gens[:, cells])).swapaxes(0, 1)
-    powers = {c: MapPowers(maps) for c, maps in zip(cells, stacked)}
-    # readout[c] is the real form of the cell's K over that of the bra, whose
+    # Runs over the steps and, for reading, over the grid columns.
+    cells, runs = keyed_runs(step_runs(grid, total_time, steps))
+    read_cells, point_runs = keyed_runs(index_runs(lambda k: grid.cells_at(k * dt), cols))
+    powers = MapPowers(real_form(matrix_exponential(-1j * dt * gens[:, cells])).swapaxes(0, 1))
+    # readout[key] is the real form of the cell's K over that of the bra, whose
     # rows (Re psi0, Im psi0) and (-Im psi0, Re psi0) read Re z and Im z.
-    read_cells = sorted({c for _, _, c in point_runs})
-    reads = np.empty((count, len(read_cells), 2 * dim + 2, 2 * dim))
-    reads[:, :, : 2 * dim] = real_form(herms[:, read_cells])
-    reads[:, :, 2 * dim :] = real_form(x0.conj()[:, np.newaxis, np.newaxis])
-    readout = dict(zip(read_cells, reads.swapaxes(0, 1)))
+    readout = np.empty((len(read_cells), count, 2 * dim + 2, 2 * dim))
+    readout[:, :, : 2 * dim] = real_form(herms[:, read_cells]).swapaxes(0, 1)
+    readout[:, :, 2 * dim :] = real_form(x0.conj()[:, np.newaxis])
     width = max(1, min(cols, STACK_BYTES // (count * _window_column_bytes(dim))))
-    # Run (a, b, cell) takes the states of columns a..b-1 to a+1..b.
-    state_parts = _window_parts([(a + 1, b + 1, c, a) for a, b, c in runs], width)
+    # Run (a, b, key) takes the states of columns a..b-1 to a+1..b.
+    state_parts = _window_parts([(a + 1, b + 1, key, a) for a, b, key in runs], width)
     read_parts = _window_parts(point_runs, width)
 
-    # across[c] is cell c's maps to the power width, formed on first use.
-    across: dict[int, np.ndarray] = {}
+    # Every cell's maps to the power width, formed on first use. The Simpson
+    # weights of a window inside the grid (0 < start <= inside) depend only
+    # on its start's parity; the windows at width and 2 width give both.
+    across, inside = None, cols - 3 - width
+    starts = [s for s in (width, 2 * width) if s <= inside]
+    inner = {s % 2: simpson_weights(cols, dt, s, s + width) for s in starts}
     buffers = [np.empty((count, 2 * dim, width + 1)) for _ in range(1 + (width < cols))]
     x, last = buffers[0], buffers[-1]
     y = np.empty((2 * dim + 2, count, width + 1))
@@ -424,18 +428,18 @@ def _track_stack(gens, herms, vecs, runs, point_runs, total_time: float, steps: 
                 cross[:, 0] = cross[:, width]
             else:
                 x[:, :dim, 1], x[:, dim:, 1] = x0.real, x0.imag
-            for lo, hi, cell, a in state_plan:
+            for lo, hi, key, a in state_plan:
                 i, j = lo - start + 1, hi - start + 1
                 if lo - width >= a:
                     # A full width into the run: one product with the last window.
-                    if cell not in across:
-                        across[cell] = powers[cell].power(width)
-                    np.matmul(across[cell], last[:, :, i:j], out=x[:, :, i:j])
+                    if across is None:
+                        across = powers.power(width)
+                    np.matmul(across[key], last[:, :, i:j], out=x[:, :, i:j])
                 else:
-                    powers[cell].fill(x, i - 1, j - 1)
-            for lo, hi, read_cell in read_plan:
+                    powers.fill(x, i - 1, j - 1, key)
+            for lo, hi, key in read_plan:
                 i, j = lo - start + 1, hi - start + 1
-                np.matmul(readout[read_cell], x[:, :, i:j], out=y_out[:, :, i:j])
+                np.matmul(readout[key], x[:, :, i:j], out=y_out[:, :, i:j])
 
             now = slice(1, span + 1)
             sq, mag, den = (r[: count * span].reshape(count, span) for r in rows[:3])
@@ -443,7 +447,9 @@ def _track_stack(gens, herms, vecs, runs, point_runs, total_time: float, steps: 
             np.einsum("gdk,gdk->gk", xs, xs, out=sq)
             np.einsum("gdk,dgk->gk", xs, y[: 2 * dim, :, now], out=mag)
             np.divide(mag, sq, out=mag)
-            dynamical += np.einsum("gk,k->g", mag, simpson_weights(cols, dt, start, start + span))
+            ends = not 0 < start <= inside
+            rule = simpson_weights(cols, dt, start, start + span) if ends else inner[start % 2]
+            dynamical += np.einsum("gk,k->g", mag, rule)
             if not w:
                 floor = NORM_FLOOR**2 * sq[:, 0]
                 limit = BRANCH_EPS**2 * sq[:, :1]
@@ -499,14 +505,6 @@ def _track_stack(gens, herms, vecs, runs, point_runs, total_time: float, steps: 
     return outcomes
 
 
-def _grid_runs(grid: Schedule, total_time: float, steps: int):
-    """The `step_runs` of grid and the runs of its cells at the grid
-    points, (start, stop, cell) over grid columns."""
-    dt = total_time / steps
-    runs = tuple(step_runs(grid, total_time, steps))
-    return runs, tuple(index_runs(lambda k: grid.cells_at(k * dt), steps + 1))
-
-
 def _tracked_phases(tracks: _Tracks, total_time: float, steps: int) -> list:
     """Branch-tracked no-jump phases of the points of tracks on a shared
     grid, in order, each a GeometricPhaseResult or the BranchTrackingError
@@ -528,7 +526,6 @@ def _tracked_phases(tracks: _Tracks, total_time: float, steps: int) -> list:
     for doubling in range(MAX_GRID_DOUBLINGS):
         if doubling:
             attempt *= 2
-        runs, point_runs = _grid_runs(tracks.grid, total_time, attempt)
         # One stack, split only where its windows would fall below MIN_WINDOW.
         narrowest = min(MIN_WINDOW, attempt + 1)
         most = max(1, STACK_BYTES // (narrowest * _window_column_bytes(tracks.vecs.shape[1])))
@@ -536,7 +533,7 @@ def _tracked_phases(tracks: _Tracks, total_time: float, steps: int) -> list:
         for lo in range(0, len(pending), size):
             part = pending[lo : lo + size]
             stacked = (getattr(tracks, name)[part] for name in ("gens", "herms", "vecs"))
-            found = _track_stack(*stacked, runs, point_runs, total_time, attempt)
+            found = _track_stack(*stacked, tracks.grid, total_time, attempt)
             for i, outcome in zip(part, found):
                 outcomes[i] = outcome
         pending = [i for i in pending if outcomes[i] is None]
@@ -667,13 +664,14 @@ class _JumpSampler:
     """The waiting-time law of this module for the columns of a (d, N)
     array, at point p of a lowered sweep.
 
-    Steps whose cells' K_tilde and channels are byte-equal share one key,
-    so equal-valued cells form one run. In round j of a run, every column left in it finds
-    its j-th jump there by greedy binary lifting over the powers U^(2^i) of
-    the run's no-jump map, each key's `MapPowers`: from the highest a run
-    of its length can take down, a column takes a power that stays in the
-    run and keeps ||psi~||^2 at or above r. The norm never grows, so this
-    finds the last grid point above r; no map is inverted.
+    Steps whose cells' K_tilde and channels are byte-equal share one key, a
+    row of the one `MapPowers` of the no-jump maps U and of the channels,
+    so equal-valued cells form one run. In round j of a run, every column
+    left in it finds its j-th jump there by greedy binary lifting over the
+    key's powers U^(2^i): from the highest a run of its length can take
+    down, a column takes a power that stays in the run and keeps ||psi~||^2
+    at or above r. The norm never grows, so this finds the last grid point
+    above r; no map is inverted.
 
     Column i draws its (r, u) pairs from row i of a `_streams.PCG64Rows`,
     PAIR_BLOCK pairs at a time, as `Generator.random` of its stream would
@@ -684,29 +682,26 @@ class _JumpSampler:
         cell_runs = step_runs(sweep.grid, total_time, steps)
         # The key of a cell is the first cell whose terms equal its own.
         first: dict[bytes, int] = {}
-        keys = []
-        for _, _, c in cell_runs:
-            data = b"".join(m.tobytes() for m in (k_tilde[c], *channels[c]))
-            keys.append(first.setdefault(data, c))
-        self.runs = [(cell_runs[i][0], cell_runs[j - 1][1], k) for i, j, k in key_runs(keys)]
-        self.maps = cell_maps(k_tilde, first.values(), total_time / steps)
-        # The channels of a key as one (C, d, d) array.
-        self.stacks = {c: channels[c] for c in first.values()}
+        data = [k_tilde[c].tobytes() + channels[c].tobytes() for _, _, c in cell_runs]
+        keys = [first.setdefault(terms, c) for terms, (_, _, c) in zip(data, cell_runs)]
+        runs = [(cell_runs[i][0], cell_runs[j - 1][1], k) for i, j, k in key_runs(keys)]
+        cells, self.runs = keyed_runs(runs)
+        self.powers = MapPowers(cell_maps(k_tilde, cells, total_time / steps))
+        self.channels = channels[cells]
         self.lam_dt = float(sweep.strengths[p]) * (total_time / steps)
-        self.powers = {key: MapPowers(m) for key, m in self.maps.items()}
 
     def _jump(self, psi, u, key) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """For columns psi~_k jumping in steps of key: the normalized states
         at k + 1, the channels chosen by u and the total jump probabilities.
         A state all channels annihilate takes the no-jump step (channel -1)."""
-        amps = self.stacks[key] @ psi
+        amps = self.channels[key] @ psi
         sq = _squared_norms(amps)
         rate = np.add.reduce(sq, axis=0)
         total = self.lam_dt * rate / _squared_norms(psi)
         chan = np.sum(np.cumsum(sq, axis=0) <= u * rate, axis=0)
         chan[rate <= 0] = -1
         fired = np.flatnonzero(rate > 0)
-        out = psi if fired.size == psi.shape[1] else self.maps[key] @ psi
+        out = psi if fired.size == psi.shape[1] else self.powers.square(0)[key] @ psi
         out[:, fired] = amps[chan[fired], :, fired].T
         out /= np.sqrt(_squared_norms(out))
         return out, chan, total
@@ -733,11 +728,11 @@ class _JumpSampler:
 
         r, u = draw(np.arange(x.shape[1]))
         for a, b, key in self.runs:
-            powers, refused, stop = self.powers[key], None, b
+            refused, stop = None, b
             while (live := np.flatnonzero(pos < stop)).size:
                 xs, ks, rs = x.take(live, axis=1), pos[live], r[live]
                 for i in range((b - a).bit_length() - 1, -1, -1):
-                    y = powers.square(i) @ xs
+                    y = self.powers.square(i)[key] @ xs
                     take = (ks + (1 << i) <= b) & (_squared_norms(y) >= rs)
                     np.copyto(xs, y, where=take)
                     ks[take] += 1 << i
@@ -791,7 +786,7 @@ def sample_jump_trajectory(
     trajectory i. rng is left advanced by the blocks drawn, as if by
     `rng.random`; a Generator on any other bit generator raises TypeError.
     The normalized grid states between jumps are filled from the sampler's
-    own powers of each run's no-jump map.
+    own ladder of the no-jump maps, so they form no power its run did not.
     """
     from ._streams import PCG64Rows
 
@@ -810,13 +805,12 @@ def sample_jump_trajectory(
     pending = iter(found)
     event = next(pending, None)
     for a, b, key in sampler.runs:
-        powers = sampler.powers[key]
         while event is not None and event[1] < b:
             _, k, m = event
-            powers.fill(cols, a, k)
-            cols[:, k + 1] = sampler.stacks[key][m] @ cols[:, k]
+            sampler.powers.fill(cols, a, k, key)
+            cols[:, k + 1] = sampler.channels[key, m] @ cols[:, k]
             a, event = k + 1, next(pending, None)
-        powers.fill(cols, a, b)
+        sampler.powers.fill(cols, a, b, key)
     cols /= np.sqrt(_squared_norms(cols))
     events = tuple(JumpEvent(time=k * dt, channel=m) for _, k, m in found)
     return TrajectoryRecord(np.arange(steps + 1) * dt, cols.T, events, float(not events))

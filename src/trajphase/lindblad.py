@@ -44,6 +44,7 @@ import numpy as np
 
 from .operators import (
     DEFAULT_SUBSTEPS,
+    MapPowers,
     Operator,
     OperatorSchedule,
     ScalarSchedule,
@@ -423,16 +424,16 @@ def evolve_states(
     A step of cell c is exp(dt S_c) on the row-major vec(rho), S_c being the
     cell's `_liouvillian`: one matrix exponential per cell used, from
     `operators.step_propagators` (a step takes the cell of its midpoint),
-    applied through `operators.run_states` as for the no-jump branch. On a
-    grid whose steps line up with the cells this is exact up to roundoff,
-    however coarse. All grid states are then re-symmetrized and checked at
-    once by `_check_states`: trace and finiteness, then positivity, screened
-    by one batched Cholesky factorization of rho + (POSITIVITY_TOL / 2) I
-    that succeeds only when no eigenvalue lies below -POSITIVITY_TOL. The
-    maps preserve trace and positivity, so a failed check is a broken
-    invariant, not a coarse grid: the first step that fails raises
-    IntegrationError, and eigenvalues below -POSITIVITY_TOL at earlier steps
-    warn.
+    applied through `operators.run_states` from one ladder of their powers,
+    as for the no-jump branch. On a grid whose steps line up with the cells
+    this is exact up to roundoff, however coarse. All grid states are then
+    re-symmetrized and checked at once by `_check_states`: trace and
+    finiteness, then positivity, screened by one batched Cholesky
+    factorization of rho + (POSITIVITY_TOL / 2) I that succeeds only when no
+    eigenvalue lies below -POSITIVITY_TOL. The maps preserve trace and
+    positivity, so a failed check is a broken invariant, not a coarse grid:
+    the first step that fails raises IntegrationError, and eigenvalues below
+    -POSITIVITY_TOL at earlier steps warn.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -441,7 +442,7 @@ def evolve_states(
     # exp(-i dt (i S_c)) = exp(dt S_c).
     maps, runs = step_propagators(sweep.grid, 1j * _liouvillian(sweep, p), total_time, steps)
     dim = rho0.dim
-    stack = run_states(maps, runs, rho0.entries.reshape(-1)).reshape(steps + 1, dim, dim)
+    stack = run_states(MapPowers(maps), runs, rho0.entries.reshape(-1)).reshape(-1, dim, dim)
     rhos = stack[1:]
     # Re-symmetrize to drop the skew part roundoff leaves behind.
     rhos[...] = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))

@@ -15,16 +15,16 @@ applies the rule to blocks of steps, so finding the runs takes no array of
 the grid's size.
 
 Consecutive steps in one cell apply the same linear map, so a run of them is
-propagated by powers of that cell's map rather than step by step.
-`MapPowers` is the one owner of those powers: it holds the squares
-M^(2^i) of a map, or of a stack of maps, forms M^n as a product of squares,
-and fills a run of length n with about log2(n) products (repeated
-squaring). These are plain matrix products, exact up to roundoff for any
-map, normal or not. `run_states` keeps the states as the columns of a
-C-ordered (d, n + 1) array, so each product is a d x d map times a
-contiguous block of columns and any reduction over the d entries of a state
-runs along rows; it returns the transpose, an (n + 1, d) view, whose `.T`
-gives the columns back.
+propagated by powers of that cell's map rather than step by step. The maps
+of a propagation's cells are one stack, keyed by row (`keyed_runs`), and
+`MapPowers` is its one power ladder: level i holds every key's M^(2^i),
+formed by one stacked product, and a run of length n is filled with about
+log2(n) products (repeated squaring). These are plain matrix products, exact
+up to roundoff for any map, normal or not. `run_states` keeps the states as
+the columns of a C-ordered (d, n + 1) array, so each product is a d x d map
+times a contiguous block of columns and any reduction over the d entries of
+a state runs along rows; it returns the transpose, an (n + 1, d) view, whose
+`.T` gives the columns back.
 """
 
 from __future__ import annotations
@@ -489,24 +489,18 @@ def _pade_exponential(a: np.ndarray, degree: int, squarings: int) -> np.ndarray:
 
 def step_propagators(
     grid: Schedule, generators: np.ndarray, total_time: float, steps: int
-) -> tuple[dict[int, np.ndarray], list[tuple[int, int, int]]]:
-    """Per-cell maps exp(-i dt G_c) of the (C, d, d) generators on the cells
-    of grid, and the `step_runs` of the uniform grid on [0, total_time]: the
-    steps of run (start, stop, cell) apply maps[cell]. One exponential per
-    cell used."""
-    runs = step_runs(grid, total_time, steps)
-    return cell_maps(generators, [c for _, _, c in runs], total_time / steps), runs
+) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """The `cell_maps` of the cells used by the uniform grid on [0,
+    total_time], and its `step_runs` keyed by their rows in that stack."""
+    cells, runs = keyed_runs(step_runs(grid, total_time, steps))
+    return cell_maps(generators, cells, total_time / steps), runs
 
 
-def cell_maps(generators: np.ndarray, cells, dt: float) -> dict[int, np.ndarray]:
-    """The step map exp(-i dt G_c) of each cell c in cells, G_c being row c
-    of the (C, d, d) generators, from one `matrix_exponential` of the
-    distinct cells' stack in order of first use; each map has the bits of
-    its cell's exponential alone."""
-    cells = list(dict.fromkeys(cells))
-    if not cells:
-        return {}
-    return dict(zip(cells, matrix_exponential(-1j * dt * generators[cells])))
+def cell_maps(generators: np.ndarray, cells, dt: float) -> np.ndarray:
+    """The stack of step maps exp(-i dt G_c) of the cells c in cells, G_c
+    being row c of the (C, ...) generators, from one `matrix_exponential`;
+    each map has the bits of its cell's exponential alone."""
+    return matrix_exponential(-1j * dt * generators[list(cells)])
 
 
 def step_runs(schedule: Schedule, total_time: float, steps: int) -> list[tuple[int, int, int]]:
@@ -542,6 +536,13 @@ def key_runs(keys) -> list[tuple[int, int, int]]:
     return [(a, b, int(keys[a])) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+def keyed_runs(runs) -> tuple[list, list[tuple[int, int, int]]]:
+    """The distinct keys of runs (start, stop, key), and the runs keyed by row."""
+    rows: dict = {}
+    keyed = [(a, b, rows.setdefault(key, len(rows))) for a, b, key in runs]
+    return list(rows), keyed
+
+
 def real_form(a: np.ndarray) -> np.ndarray:
     """[[Re A, -Im A], [Im A, Re A]] of each m x n matrix A of a (..., m, n)
     stack, as float64 (..., 2m, 2n): A acting on v is this acting on the
@@ -557,60 +558,57 @@ def real_form(a: np.ndarray) -> np.ndarray:
 
 
 class MapPowers:
-    """The squares M^(2^i) of a d x d map M, or of each map of a (..., d, d)
-    stack, each formed from the last one on first use, in M's dtype: a
-    complex map, or the `real_form` of one."""
+    """The levels M^(2^i) of every map of a (K, ..., d, d) stack, one map
+    per key, each level formed by one stacked product on first use, in the
+    maps' dtype: complex maps, or their `real_form`s."""
 
-    def __init__(self, base) -> None:
-        self.squares = [np.asarray(base)]
+    def __init__(self, maps) -> None:
+        self.squares = [np.asarray(maps)]
 
     def square(self, level: int) -> np.ndarray:
-        """M^(2^level)."""
+        """Every key's M^(2^level)."""
         while len(self.squares) <= level:
             self.squares.append(self.squares[-1] @ self.squares[-1])
         return self.squares[level]
 
     def power(self, n: int) -> np.ndarray:
-        """M^n for n >= 1: the product of the squares for the bits of n,
-        lowest bit first."""
+        """Every key's M^n for n >= 1: the product of the levels for the
+        bits of n, lowest bit first."""
         levels = [i for i in range(n.bit_length()) if n >> i & 1]
         out = self.square(levels[0])
         for i in levels[1:]:
             out = self.square(i) @ out
         return out
 
-    def fill(self, out: np.ndarray, a: int, b: int) -> None:
+    def fill(self, out: np.ndarray, a: int, b: int, key: int) -> None:
         """Fill columns a+1..b of out, a (..., d, n) array, from column a by
-        x_{k+1} = M x_k, doubling the known columns with each square:
-        out[..., a+m : a+2m] = M^m @ out[..., a : a+m], so b - a columns
-        cost about log2(b - a) products."""
+        x_{k+1} = M x_k with M the map of key, doubling the known columns
+        with each level: out[..., a+m : a+2m] = M^m @ out[..., a : a+m], so
+        b - a columns cost about log2(b - a) products."""
         m, level = 1, 0
         while True:
             count = min(m, b - a - m + 1)
             src = out[..., a : a + count]
-            np.matmul(self.square(level), src, out=out[..., a + m : a + m + count])
+            np.matmul(self.square(level)[key], src, out=out[..., a + m : a + m + count])
             if a + m + count > b:
                 return
             m, level = 2 * m, level + 1
 
 
-def run_states(maps, runs, x0) -> np.ndarray:
-    """States x_0..x_n of x_{k+1} = maps[key] @ x_k for the steps k of each
-    run (start, stop, key), as an (n + 1, d) array; the runs tile [0, n).
+def run_states(powers: MapPowers, runs, x0) -> np.ndarray:
+    """States x_0..x_n of x_{k+1} = M_key @ x_k for the steps k of each run
+    (start, stop, key), from the one ladder powers, as an (n + 1, d) array;
+    the runs tile [0, n).
 
     The states are filled as the columns of a C-ordered (d, n + 1) array,
-    and the view returned is its transpose. Each run is filled by
-    `MapPowers.fill`, from one table of squares per key, so a run of length
-    L costs about log2(L) products.
+    and the view returned is its transpose. Each run is a `MapPowers.fill`,
+    so a run of length L costs about log2(L) products.
     """
     x0 = np.asarray(x0, dtype=complex).reshape(-1)
     out = np.empty((x0.shape[0], runs[-1][1] + 1 if runs else 1), dtype=complex)
     out[:, 0] = x0
-    powers: dict = {}
     for a, b, key in runs:
-        if key not in powers:
-            powers[key] = MapPowers(maps[key])
-        powers[key].fill(out, a, b)
+        powers.fill(out, a, b, key)
     return out.T
 
 

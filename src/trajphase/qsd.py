@@ -64,7 +64,8 @@ from numpy.lib.stride_tricks import as_strided
 from ._ensemble import chunk_jobs, grid_steps, map_ordered, mean_and_error, run_chunk
 from ._ensemble import sampling_grid, trajectory_seeds
 from .lindblad import LindbladModel, LoweredSweep, ShiftSet, energy_integral, lower_points
-from .operators import normalized_state_vector, run_states, step_runs, unit_vector, wrap_phase
+from .operators import MapPowers, keyed_runs, normalized_state_vector, run_states, step_runs
+from .operators import unit_vector, wrap_phase
 
 # Unused here; bench/tracing.py wraps these names on this module.
 from .lindblad import apply_shift, evolve_density, shifted_hamiltonian  # noqa: F401
@@ -547,20 +548,22 @@ def _mean_path_arg(sweep, p: int, vec: np.ndarray, total_time: float, steps: int
 
     Positive scale factors keep every argument. Each drift map is divided by
     its spectral radius, so within a run of steps in one cell the path
-    neither decays nor grows geometrically, however non-normal the map. Runs
-    are taken in windows of steps whose states and path values, 16 (d + 4)
-    B a step, fit in half of BLOCK_BYTES, each window restarting from the
-    last state before it as a unit vector."""
+    neither decays nor grows geometrically, however non-normal the map; the
+    cells' maps are one `MapPowers`. Runs are taken in windows of steps
+    whose states and path values, 16 (d + 4) B a step, fit in half of
+    BLOCK_BYTES, each window restarting from the last state before it as a
+    unit vector."""
     dt = total_time / steps
     bra = vec.conj()
     start = vec
     total = 0.0
     window = BLOCK_BYTES // 2 // (16 * (len(vec) + 4))
-    for a, b, c in step_runs(sweep.grid, total_time, steps):
-        drift = np.eye(len(vec)) + dt * (-1j * sweep.k_tilde[p, c])
-        drift /= np.abs(np.linalg.eigvals(drift)).max()
+    cells, runs = keyed_runs(step_runs(sweep.grid, total_time, steps))
+    drifts = np.eye(len(vec)) + dt * (-1j * sweep.k_tilde[p, cells])
+    powers = MapPowers(drifts / np.abs(np.linalg.eigvals(drifts)).max(axis=-1)[:, None, None])
+    for a, b, key in runs:
         for lo in range(a, b, window):
-            cols = run_states({c: drift}, [(0, min(window, b - lo), c)], start).T
+            cols = run_states(powers, [(0, min(window, b - lo), key)], start).T
             path = bra @ cols
             total += float(np.sum(np.angle(path[1:] * path[:-1].conj())))
             start = unit_vector(cols[:, -1])

@@ -158,9 +158,10 @@ def _exact_overlap_moments(model, shifts, vec, total_time, delta_t) -> tuple:
 
 def _reference_step_terms(model, shifts, total_time, steps) -> list[tuple]:
     lowered = lower_model(model, shifts)
-    maps, _ = step_propagators(lowered.grid, lowered.k_tilde[0], total_time, steps)
+    maps, runs = step_propagators(lowered.grid, lowered.k_tilde[0], total_time, steps)
+    keys = [key for a, b, key in runs for _ in range(a, b)]
     cells = lowered.grid.step_cells(total_time, steps).tolist()
-    return [(maps[c], lowered.channels[0, c]) for c in cells]
+    return [(maps[k], lowered.channels[0, c]) for k, c in zip(keys, cells)]
 
 
 def _reference_jump_law(model, shifts, vec, total_time, delta_t, rngs) -> tuple:
@@ -1001,9 +1002,9 @@ def test_sampled_trajectories_are_the_ensemble_trajectories() -> None:
 
 def test_sampled_trajectory_forms_no_square_the_sampler_did_not(monkeypatch) -> None:
     # The grid states between jumps are filled from the sampler's own
-    # powers: a trajectory with many jumps (the dephasing qubit, 48 jumps)
-    # and one on three cells of a random model form exactly the squares
-    # the sampler's own run forms.
+    # ladder: a trajectory with many jumps (the dephasing qubit, 48 jumps)
+    # and one on three cells of a random model form exactly the levels the
+    # sampler's own run forms, each one stacked product over its keys.
     formed = []
     square = MapPowers.square
 
@@ -1146,13 +1147,14 @@ def test_jump_ensemble_invariant_to_threads_and_chunks(monkeypatch) -> None:
 
 
 def test_jump_ensemble_exponentiates_its_cells_once(monkeypatch) -> None:
-    # Three chunks of one sampler: its per-cell maps are formed once.
+    # Three chunks of one sampler: the stack of its keys' maps is formed
+    # once, from the one cell of the constant schedule.
     calls = []
     cell_maps = jump.cell_maps
-    monkeypatch.setattr(jump, "cell_maps", lambda *a: calls.append(1) or cell_maps(*a))
+    monkeypatch.setattr(jump, "cell_maps", lambda *a: calls.append(list(a[1])) or cell_maps(*a))
     model = dephasing_model(1.0, 0.5)
     res = average_jump_ensemble(model, EQUATOR, 0.5, 1e-2, 6000, seed=2, chunk_size=2048)
-    assert len(calls) == 1 and res.jump_counts.shape == (6000,)
+    assert calls == [[0]] and res.jump_counts.shape == (6000,)
 
 
 # --- both ensembles ---------------------------------------------------------

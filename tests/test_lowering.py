@@ -183,9 +183,8 @@ def test_propagators_read_a_point_as_its_rows(points) -> None:
             energy_integral(sweep, p, vec, total),
             _mean_path_arg(sweep, p, vec, total, steps),
             sampler.runs,
-            list(sampler.maps),
-            [sampler.maps[key] for key in sampler.maps],
-            [sampler.stacks[key] for key in sampler.maps],
+            sampler.powers.square(0),
+            sampler.channels,
             sampler.lam_dt,
         ]
 

@@ -13,6 +13,7 @@ import scipy.linalg
 import trajphase.operators
 from trajphase.operators import (
     BlochAngles,
+    MapPowers,
     Operator,
     OperatorSchedule,
     PureState,
@@ -29,8 +30,10 @@ from trajphase.operators import (
     index_runs,
     is_hermitian,
     key_runs,
+    keyed_runs,
     matrix_exponential,
     pauli,
+    real_form,
     run_states,
     simpson_weights,
     step_runs,
@@ -235,8 +238,8 @@ def test_matrix_exponential_of_a_stack_equals_each_alone() -> None:
 
 def test_cell_maps_equal_each_cells_exponential_byte_for_byte() -> None:
     # Cells whose step generators take every Pade degree and up to six
-    # squarings, asked for out of order and with repeats: one stacked
-    # exponential gives each map the bits of its cell's alone.
+    # squarings, asked for out of order: one stacked exponential gives each
+    # row the bits of its cell's alone.
     rng = np.random.default_rng(14)
     dt = 0.37
     norms = [1e-3, 0.2, 0.8, 2.0, 5.0, 30.0, 300.0]
@@ -245,17 +248,50 @@ def test_cell_maps_equal_each_cells_exponential_byte_for_byte() -> None:
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         values.append(Operator(g * norm / (dt * np.abs(g).sum(axis=0).max())))
     generators = np.stack([op.entries for op in values])
-    cells = [4, 0, 6, 4, 1, 3, 5, 2, 0]
+    cells = [4, 0, 6, 1, 3, 5, 2]
     maps = cell_maps(generators, cells, dt)
-    assert list(maps) == [4, 0, 6, 1, 3, 5, 2]
+    assert maps.shape == (7, 3, 3)
     choices = set()
-    for c, got in maps.items():
+    for c, got in zip(cells, maps):
         step = -1j * dt * values[c].entries
         choices.add(trajphase.operators._pade_choice(float(np.abs(step).sum(axis=0).max())))
         assert got.tobytes() == matrix_exponential(step).tobytes()
     assert {m for m, _ in choices} == {3, 5, 7, 9, 13}
     assert max(s for _, s in choices) >= 6
-    assert cell_maps(generators, [], dt) == {}
+    assert cell_maps(generators, [], dt).shape == (0, 3, 3)
+
+
+def test_keyed_runs_key_each_run_by_its_row_of_first_use() -> None:
+    runs = [(0, 2, 4), (2, 3, 0), (3, 5, 4), (5, 6, 6), (6, 9, 0)]
+    keys, keyed = keyed_runs(runs)
+    assert keys == [4, 0, 6]
+    assert keyed == [(0, 2, 0), (2, 3, 1), (3, 5, 0), (5, 6, 2), (6, 9, 1)]
+    assert keyed_runs([]) == ([], [])
+
+
+@pytest.mark.parametrize(
+    "shape", [(16, 4, 4), (16, 1, 4, 4), (16, 63, 4, 4), (3, 2, 2), (5, 8, 8), (2, 16, 16)]
+)
+@pytest.mark.parametrize("form", ["complex", "real"])
+def test_map_powers_levels_equal_each_keys_own_squares(shape, form) -> None:
+    # Every level of a keyed ladder, one stacked product each, has the bits
+    # of each key's 2-D map squared alone, as has every key's power. Each
+    # map has spectral radius 1, so its powers neither vanish nor overflow.
+    rng = np.random.default_rng(sum(shape))
+    maps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    maps /= np.abs(np.linalg.eigvals(maps)).max(axis=-1)[..., np.newaxis, np.newaxis]
+    if form == "real":
+        maps = real_form(maps)
+    powers = MapPowers(maps)
+    alone = maps.reshape(-1, *maps.shape[-2:])
+    for level in range(10):
+        assert np.array_equal(powers.square(level), alone.reshape(maps.shape))
+        assert np.isfinite(alone).all() and np.abs(alone).max() > 1e-3
+        alone = np.array([m @ m for m in alone])
+    for n in (3, 100, 1023):
+        whole = powers.power(n)
+        for key in range(len(maps)):
+            assert np.array_equal(whole[key], MapPowers(maps[key : key + 1]).power(n)[0])
 
 
 @pytest.mark.parametrize("dx", [1e-3, 0.1, 2 * math.pi / 4097, 1.0, 7.5])
@@ -364,7 +400,7 @@ def test_step_runs_equal_the_runs_of_the_step_cells(seed) -> None:
         step_runs(ScalarSchedule.piecewise([1.0], 1.0), 3.0, 10)
     # No runs propagate no step.
     x0 = np.array([1.0, 2.0j])
-    assert np.array_equal(run_states({}, [], x0), x0[np.newaxis, :])
+    assert np.array_equal(run_states(MapPowers(np.empty((0, 2, 2))), [], x0), x0[np.newaxis, :])
 
 
 def test_identity_helper() -> None:

@@ -1,8 +1,9 @@
 """Run-based propagation against step-by-step reference loops.
 
-`operators.MapPowers` forms the powers of a step map, or of a stack of
-them, by repeated squaring; `operators.run_states`, `jump.propagate_no_jump`
-and `lindblad.evolve_states` advance runs of steps in one cell with them.
+`operators.MapPowers` is the power ladder of a propagation: it forms the
+powers of a keyed stack of step maps by repeated squaring, all keys in one
+product per level; `operators.run_states`, `jump.propagate_no_jump` and
+`lindblad.evolve_states` advance runs of steps in one cell with it.
 These tests compare them with the plain per-step products they replace, on
 seeded random non-normal generators and on grids whose steps do not line up
 with the cells.
@@ -59,6 +60,7 @@ from trajphase.jump import (
 from trajphase.operators import (
     MapPowers,
     ScalarSchedule,
+    cell_maps,
     key_runs,
     real_form,
     run_states,
@@ -95,6 +97,12 @@ def _stack(sched):
     return np.stack([op.entries for op in sched.values])
 
 
+def _cell_step_maps(sched, total, steps):
+    """The step maps of every cell of sched, indexed by cell, with the bits
+    of `step_propagators`' maps."""
+    return cell_maps(_stack(sched), range(len(sched.values)), total / steps)
+
+
 def _loop_states(maps, keys, x0):
     states = [np.asarray(x0, dtype=complex)]
     for key in keys:
@@ -117,8 +125,9 @@ def test_run_states_matches_step_loop(seed) -> None:
     sched = _random_schedule(rng, dim, cells, total)
     maps, runs = step_propagators(sched, _stack(sched), total, steps)
     x0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    got = run_states(maps, runs, x0)
-    want = _loop_states(maps, sched.step_cells(total, steps).tolist(), x0)
+    got = run_states(MapPowers(maps), runs, x0)
+    cells = sched.step_cells(total, steps).tolist()
+    want = _loop_states(_cell_step_maps(sched, total, steps), cells, x0)
     assert got.shape == (steps + 1, dim)
     assert np.max(_relative_errors(got, want)) <= STATE_RTOL
 
@@ -129,14 +138,14 @@ def test_run_states_defective_map() -> None:
     rotation = scipy.linalg.expm(-0.1j * pauli("x").entries)
     keys = np.array([0] * 45 + [1] * 3 + [0] * 17)
     x0 = np.array([0.3, 1.0], dtype=complex)
-    got = run_states([jordan, rotation], key_runs(keys), x0)
+    got = run_states(MapPowers(np.stack([jordan, rotation])), key_runs(keys), x0)
     want = _loop_states([jordan, rotation], keys.tolist(), x0)
     assert np.max(_relative_errors(got, want)) <= STATE_RTOL
 
 
 def test_run_states_without_steps() -> None:
     x0 = np.array([1.0, 2.0j])
-    got = run_states({}, [], x0)
+    got = run_states(MapPowers(np.empty((0, 2, 2), dtype=complex)), [], x0)
     assert np.array_equal(got, x0[np.newaxis, :])
 
 
@@ -155,54 +164,72 @@ def test_run_states_at_run_length_edges(dim) -> None:
     patterns.append([k % 3 for k in range(40)])
     patterns += [[1] * 3 + [0] * n + [2] * n + [1] for n in RUN_LENGTHS]
     for keys in patterns:
-        got = run_states(maps, key_runs(keys), x0)
+        got = run_states(MapPowers(np.stack(maps)), key_runs(keys), x0)
         assert got.shape == (len(keys) + 1, dim)
         want = _loop_states(maps, keys, x0)
         assert np.max(_relative_errors(got, want)) <= STATE_RTOL
-    got = run_states(maps, [], x0)
+    got = run_states(MapPowers(np.stack(maps)), [], x0)
     assert got.shape == (1, dim)
     assert np.array_equal(got[0], x0)
 
-    # The same run lengths on a (G, d, d) stack of the maps, from column 3:
-    # each point against its 2-D fill and the step loop. Columns outside
-    # 3..3+n stay untouched.
+    # The same run lengths on a keyed (K, G, d, d) stack, from column 3:
+    # each key's fill of its G points against each point's own one-key
+    # fill, bit for bit, and the step loop. Columns outside 3..3+n stay
+    # untouched.
+    keyed = np.stack([np.stack(maps), np.stack(maps[::-1])])
     starts = np.stack([x0, x0.conj(), 2j * x0])
     for n in RUN_LENGTHS:
-        cols = np.full((len(maps), dim, n + 5), np.nan, dtype=complex)
-        cols[:, :, 3] = starts
-        MapPowers(np.stack(maps)).fill(cols, 3, 3 + n)
-        assert np.isnan(cols[:, :, :3]).all() and np.isnan(cols[:, :, 4 + n :]).all()
-        for g, point in enumerate(maps):
-            alone = np.empty((dim, n + 1), dtype=complex)
-            alone[:, 0] = starts[g]
-            MapPowers(point).fill(alone, 0, n)
-            got = cols[g, :, 3 : 4 + n].T
-            assert np.max(_relative_errors(got, alone.T)) <= STATE_RTOL
-            want = _loop_states(maps, [g] * n, starts[g])
-            assert np.max(_relative_errors(got, want)) <= STATE_RTOL
+        powers = MapPowers(keyed)
+        for key, points in enumerate(keyed):
+            cols = np.full((len(maps), dim, n + 5), np.nan, dtype=complex)
+            cols[:, :, 3] = starts
+            powers.fill(cols, 3, 3 + n, key)
+            assert np.isnan(cols[:, :, :3]).all() and np.isnan(cols[:, :, 4 + n :]).all()
+            for g, point in enumerate(points):
+                alone = np.empty((dim, n + 1), dtype=complex)
+                alone[:, 0] = starts[g]
+                MapPowers(point[np.newaxis]).fill(alone, 0, n, 0)
+                got = cols[g, :, 3 : 4 + n]
+                assert np.array_equal(got, alone)
+                want = _loop_states([point], [0] * n, starts[g])
+                assert np.max(_relative_errors(got.T, want)) <= STATE_RTOL
+
+
+def _keyed_stack(rng, keys: int, points: int, dim: int) -> np.ndarray:
+    """A (keys, points, dim, dim) stack of random non-normal step maps."""
+    return np.array(
+        [
+            [scipy.linalg.expm(-0.05j * _no_jump_like(rng, dim)) for _ in range(points)]
+            for _ in range(keys)
+        ]
+    )
 
 
 def test_map_powers_equal_explicit_products() -> None:
-    # A Jordan block, a random non-normal map and a (G, d, d) stack.
+    # Keyed stacks: a Jordan block beside a random map, a (K, d, d) stack
+    # and a (K, G, d, d) one. Each key's power is its repeated product.
     rng = np.random.default_rng(60)
     jordan = np.array([[0.99, 1.0], [0.0, 0.99]], dtype=complex)
-    general = scipy.linalg.expm(-0.05j * _no_jump_like(rng, 3))
-    stack = np.stack([scipy.linalg.expm(-0.05j * _no_jump_like(rng, 2)) for _ in range(4)])
-    for base in (jordan, general, stack):
+    rotation = scipy.linalg.expm(-0.1j * pauli("x").entries)
+    general = _keyed_stack(rng, 3, 1, 3)[:, 0]
+    for base in (np.stack([jordan, rotation]), general, _keyed_stack(rng, 3, 4, 2)):
         powers = MapPowers(base)
         want = np.broadcast_to(np.eye(base.shape[-1], dtype=complex), base.shape)
         for n in range(1, 71):
             want = base @ want
             got = powers.power(n)
             assert got.shape == base.shape
-            assert np.max(np.abs(got - want)) <= PRODUCT_RTOL * np.max(np.abs(want))
+            for key in range(len(base)):
+                gap = np.max(np.abs(got[key] - want[key]))
+                assert gap <= PRODUCT_RTOL * np.max(np.abs(want[key]))
 
 
 def test_map_powers_of_a_real_form_are_the_real_forms_of_the_powers() -> None:
-    # The squares, powers and fill of the float64 real form of a (G, d, d)
-    # stack stay float64 and equal the real forms of the complex ones.
+    # The levels, powers and fill of the float64 real form of a keyed (K,
+    # G, d, d) stack stay float64 and equal the real forms of the complex
+    # ones.
     rng = np.random.default_rng(61)
-    stack = np.stack([scipy.linalg.expm(-0.05j * _no_jump_like(rng, 3)) for _ in range(4)])
+    stack = _keyed_stack(rng, 2, 4, 3)
     plain, real = MapPowers(stack), MapPowers(real_form(stack))
     for n in range(1, 71):
         got = real.power(n)
@@ -210,13 +237,51 @@ def test_map_powers_of_a_real_form_are_the_real_forms_of_the_powers() -> None:
         assert np.max(np.abs(got - real_form(plain.power(n)))) <= 1e-13
     assert all(square.dtype == np.float64 for square in real.squares)
     starts = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-    cols = np.zeros((4, 3, 70), dtype=complex)
-    cols[:, :, 2] = starts
-    plain.fill(cols, 2, 67)
-    rows = np.zeros((4, 6, 70))
-    rows[:, :3, 2], rows[:, 3:, 2] = starts.real, starts.imag
-    real.fill(rows, 2, 67)
-    assert np.max(np.abs(rows - np.concatenate([cols.real, cols.imag], axis=1))) <= 1e-13
+    for key in range(2):
+        cols = np.zeros((4, 3, 70), dtype=complex)
+        cols[:, :, 2] = starts
+        plain.fill(cols, 2, 67, key)
+        rows = np.zeros((4, 6, 70))
+        rows[:, :3, 2], rows[:, 3:, 2] = starts.real, starts.imag
+        real.fill(rows, 2, 67, key)
+        assert np.max(np.abs(rows - np.concatenate([cols.real, cols.imag], axis=1))) <= 1e-13
+
+
+def test_a_propagation_squares_all_its_cells_together(monkeypatch) -> None:
+    # On 16 cells of 128 steps each, the master equation, the no-jump
+    # branch and the tracker each form one ladder whose levels are one
+    # stacked product each: at most bit_length(128) products per
+    # propagation, where a ladder per cell would form about 16 * 7.
+    products = []
+    square = MapPowers.square
+
+    def counted(self, level: int) -> np.ndarray:
+        before = len(self.squares)
+        out = square(self, level)
+        products.append(len(self.squares) - before)
+        return out
+
+    monkeypatch.setattr(MapPowers, "square", counted)
+    rng = np.random.default_rng(62)
+    total, steps = 2.0, 2048
+    chans = (_random_schedule(rng, 2, 16, total),)
+    hams = OperatorSchedule.piecewise(
+        [Operator(0.5 * (m + m.conj().T)) for m in (_random_complex(rng, 2) for _ in range(16))],
+        total / 16,
+    )
+    model = LindbladModel(hams, chans, 0.3)
+    psi0 = np.array([0.6, 0.8j])
+    bound = (steps // 16).bit_length()
+    propagations = [
+        lambda: propagate_no_jump(no_jump_hamiltonian(model), psi0, total, steps),
+        lambda: evolve_states(lower_model(model), 0, DensityMatrix.from_pure(psi0), total, steps),
+        lambda: no_jump_geometric_phase(model, psi0, total, steps),
+    ]
+    for propagate in propagations:
+        products.clear()
+        result = propagate()
+        assert 0 < sum(products) <= bound
+    assert result.grid_steps == steps
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -226,7 +291,7 @@ def test_propagate_no_jump_matches_step_loop(seed) -> None:
     sched = _random_schedule(rng, dim, int(rng.integers(1, 17)), 3.0)
     psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     record = propagate_no_jump(sched, psi0, 3.0, steps=1000)
-    maps, _ = step_propagators(sched, _stack(sched), 3.0, 1000)
+    maps = _cell_step_maps(sched, 3.0, 1000)
     want = _loop_states(maps, sched.step_cells(3.0, 1000).tolist(), psi0)
     assert np.max(_relative_errors(record.states, want)) <= STATE_RTOL
 
@@ -253,7 +318,7 @@ def test_propagate_no_jump_keeps_weak_damping() -> None:
 
 def _reference_tracked_phase(model, shifts, psi0, total, steps) -> dict:
     """The no-jump geometric phase by plain per-step loops: states from the
-    `step_propagators` maps in the cell `Schedule.step_cells` gives each
+    `cell_maps` of every cell, in the cell `Schedule.step_cells` gives each
     step, the overlap argument as a sum of per-step increments, and
     <psi|K|psi> / <psi|psi> integrated by SciPy's `simpson`. The grid
     doubles until no step away from a flagged crossing turns the overlap by
@@ -262,7 +327,7 @@ def _reference_tracked_phase(model, shifts, psi0, total, steps) -> dict:
     grid = lowered.grid
     attempt = steps
     for _ in range(MAX_GRID_DOUBLINGS):
-        maps, _ = step_propagators(grid, lowered.k_tilde[0], total, attempt)
+        maps = cell_maps(lowered.k_tilde[0], range(len(lowered.k_tilde[0])), total / attempt)
         states = _loop_states(maps, grid.step_cells(total, attempt).tolist(), psi0)
         overlaps = [complex(np.vdot(psi0, s)) for s in states]
         norms = [float(np.linalg.norm(s)) for s in states]

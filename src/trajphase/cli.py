@@ -23,6 +23,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import platform
 import sys
 import time
@@ -66,6 +67,8 @@ EXIT_NUMERIC = 1
 EXIT_CONFIG = 2
 
 SCHEMA_LINE = "# trajphase-schema: 1"
+# Thread settings the BLAS reads once, at load; the report records them.
+BLAS_THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 
 
 def _fmt(value) -> str:
@@ -392,6 +395,16 @@ def _config_digest(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _blas() -> Optional[dict]:
+    """Name and version of the BLAS NumPy was built with, or None where
+    NumPy does not say (`np.show_config` takes no mode before 1.25)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as stream:
         stream.write(text)
@@ -447,7 +460,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                 "python": platform.python_version(),
                 "numpy": np.__version__,
                 "trajphase": __version__,
+                "blas": _blas(),
             },
+            "blas_threads": {key: os.environ.get(key) for key in BLAS_THREAD_ENV},
             "wall_time_s": round(time.perf_counter() - started, 6),
             "warnings": messages,
             "warning_counts": dict(sorted(counts.items())),

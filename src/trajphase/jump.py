@@ -72,17 +72,21 @@ from .operators import (
     cell_maps,
     index_runs,
     key_runs,
+    key_view,
     keyed_runs,
     matrix_exponential,
     normalized_state_vector,
     normalized_states,
     real_form,
+    run_blocks,
     run_states,
+    run_view,
     simpson_weights,
     state_vector,
     step_propagators,
     step_runs,
     unit_vector,
+    window_parts,
 )
 
 # Unused here; bench/tracing.py wraps these names on this module.
@@ -256,7 +260,7 @@ def propagate_no_jump(
     exponent = int(np.frexp(np.abs(vec).max())[1])
     gens = np.stack([op.entries for op in generator.values])
     maps, runs = step_propagators(generator, gens, total_time, steps)
-    states = run_states(MapPowers(maps), runs, binary_scaled(vec, -exponent))
+    states = run_states(MapPowers(maps, steps), runs, binary_scaled(vec, -exponent))
 
     sq_norms = _squared_norms(states.T)
     decayed = sq_norms < NORM_FLOOR**2 * sq_norms[0]
@@ -298,23 +302,6 @@ def _window_column_bytes(dim: int) -> int:
     two windows of 2 dim real state rows, one of 2 dim + 2 readout rows,
     four float rows and three flag rows."""
     return 8 * (2 * 2 * dim + 2 * dim + 2 + 4) + 3
-
-
-def _window_parts(ranges, width: int):
-    """For each window of `width` grid columns in turn, the list of the
-    parts (lo, hi, *rest) of the column ranges [lo, hi) in ranges (lo, hi,
-    *rest) that fall in it; ranges tile the grid in order."""
-    i, start = 0, 0
-    while i < len(ranges):
-        stop, parts = start + width, []
-        while i < len(ranges) and ranges[i][0] < stop:
-            lo, hi, *rest = ranges[i]
-            parts.append((max(lo, start), min(hi, stop), *rest))
-            if hi > stop:
-                break
-            i += 1
-        yield parts
-        start = stop
 
 
 def _flag_crossings(size, sq, limit, bound, out) -> np.ndarray:
@@ -363,14 +350,16 @@ def _track_stack(gens, herms, vecs, grid: Schedule, total_time: float, steps: in
     1) windows over the grid, column 0 of a window holding the grid column
     before it. The cells' step maps are one `MapPowers`. Where a run began
     at least a width back, a window is the power width of its cell's maps
-    (one `MapPowers.power` for all cells) times the last one; a run's first
-    columns are its cell's `MapPowers.fill`. One product per cell of K reads
-    each column into (2d + 2, G, width + 1) rows: K psi, then the Re and Im
-    rows of z = <psi0|psi>. Each column's squared norm, |z|^2, crossing
-    flag, integrand value, turn z_k conj z_{k-1} and its argument are formed
-    once, by einsums or by ufuncs on flat or contiguous rows, as NumPy
-    copies a strided or broadcast 2-D ufunc operand; the overlap and flag of
-    a window's last column carry to the next. Each window adds its integrand
+    (one `MapPowers.power` for all cells) times the last one; the runs that
+    start inside a window, and a run's first columns, are one
+    `MapPowers.fill` of them all. One stacked product per `run_blocks`
+    block of the window's runs over the grid columns reads each column into
+    (2d + 2, G, width + 1) rows: K psi, then the Re and Im rows of z =
+    <psi0|psi>. Each column's squared norm, |z|^2, crossing flag, integrand
+    value, turn z_k conj z_{k-1} and its argument are formed once, by
+    einsums or by ufuncs on flat or contiguous rows, as NumPy copies a
+    strided or broadcast 2-D ufunc operand; the overlap and flag of a
+    window's last column carry to the next. Each window adds its integrand
     values times their `simpson_weights`, formed once per start parity for
     the windows inside the grid, to the running dynamical terms. The initial
     states are scaled by powers of two into [1/2, 1), like
@@ -385,7 +374,8 @@ def _track_stack(gens, herms, vecs, grid: Schedule, total_time: float, steps: in
     # Runs over the steps and, for reading, over the grid columns.
     cells, runs = keyed_runs(step_runs(grid, total_time, steps))
     read_cells, point_runs = keyed_runs(index_runs(lambda k: grid.cells_at(k * dt), cols))
-    powers = MapPowers(real_form(matrix_exponential(-1j * dt * gens[:, cells])).swapaxes(0, 1))
+    maps = real_form(matrix_exponential(-1j * dt * gens[:, cells])).swapaxes(0, 1)
+    powers = MapPowers(maps, steps)
     # readout[key] is the real form of the cell's K over that of the bra, whose
     # rows (Re psi0, Im psi0) and (-Im psi0, Re psi0) read Re z and Im z.
     readout = np.empty((len(read_cells), count, 2 * dim + 2, 2 * dim))
@@ -393,8 +383,8 @@ def _track_stack(gens, herms, vecs, grid: Schedule, total_time: float, steps: in
     readout[:, :, 2 * dim :] = real_form(x0.conj()[:, np.newaxis])
     width = max(1, min(cols, STACK_BYTES // (count * _window_column_bytes(dim))))
     # Run (a, b, key) takes the states of columns a..b-1 to a+1..b.
-    state_parts = _window_parts([(a + 1, b + 1, key, a) for a, b, key in runs], width)
-    read_parts = _window_parts(point_runs, width)
+    state_parts = window_parts([(a + 1, b + 1, key, a) for a, b, key in runs], width)
+    read_parts = window_parts(point_runs, width)
 
     # Every cell's maps to the power width, formed on first use. The Simpson
     # weights of a window inside the grid (0 < start <= inside) depend only
@@ -428,18 +418,23 @@ def _track_stack(gens, herms, vecs, grid: Schedule, total_time: float, steps: in
                 cross[:, 0] = cross[:, width]
             else:
                 x[:, :dim, 1], x[:, dim:, 1] = x0.real, x0.imag
-            for lo, hi, key, a in state_plan:
+            lo, hi, key, a = state_plan[0]
+            if lo - width >= a:
+                # A full width into the run: one product with the last window.
+                if across is None:
+                    across = powers.power(width)
                 i, j = lo - start + 1, hi - start + 1
-                if lo - width >= a:
-                    # A full width into the run: one product with the last window.
-                    if across is None:
-                        across = powers.power(width)
-                    np.matmul(across[key], last[:, :, i:j], out=x[:, :, i:j])
-                else:
-                    powers.fill(x, i - 1, j - 1, key)
-            for lo, hi, key in read_plan:
-                i, j = lo - start + 1, hi - start + 1
-                np.matmul(readout[key], x[:, :, i:j], out=y_out[:, :, i:j])
+                np.matmul(across[key], last[:, :, i:j], out=x[:, :, i:j])
+                state_plan = state_plan[1:]
+            if state_plan:
+                powers.fill(x, [(lo - start, hi - start, key) for lo, hi, key, _ in state_plan])
+            for lo, size, length, key, step in run_blocks(read_plan):
+                i = lo - start + 1
+                np.matmul(
+                    key_view(readout, key, step, size),
+                    run_view(x, i, size, length, length),
+                    out=run_view(y_out, i, size, length, length),
+                )
 
             now = slice(1, span + 1)
             sq, mag, den = (r[: count * span].reshape(count, span) for r in rows[:3])
@@ -686,7 +681,7 @@ class _JumpSampler:
         keys = [first.setdefault(terms, c) for terms, (_, _, c) in zip(data, cell_runs)]
         runs = [(cell_runs[i][0], cell_runs[j - 1][1], k) for i, j, k in key_runs(keys)]
         cells, self.runs = keyed_runs(runs)
-        self.powers = MapPowers(cell_maps(k_tilde, cells, total_time / steps))
+        self.powers = MapPowers(cell_maps(k_tilde, cells, total_time / steps), steps)
         self.channels = channels[cells]
         self.lam_dt = float(sweep.strengths[p]) * (total_time / steps)
 
@@ -786,7 +781,8 @@ def sample_jump_trajectory(
     trajectory i. rng is left advanced by the blocks drawn, as if by
     `rng.random`; a Generator on any other bit generator raises TypeError.
     The normalized grid states between jumps are filled from the sampler's
-    own ladder of the no-jump maps, so they form no power its run did not.
+    own ladder of the no-jump maps, one `MapPowers.fill` of the runs
+    between two jumps, so they form no power its run did not.
     """
     from ._streams import PCG64Rows
 
@@ -803,14 +799,15 @@ def sample_jump_trajectory(
     cols = np.empty((model.dim, steps + 1), dtype=complex)
     cols[:, 0] = vec
     pending = iter(found)
-    event = next(pending, None)
+    event, segment = next(pending, None), []
     for a, b, key in sampler.runs:
         while event is not None and event[1] < b:
             _, k, m = event
-            sampler.powers.fill(cols, a, k, key)
+            sampler.powers.fill(cols, [*segment, (a, k, key)])
             cols[:, k + 1] = sampler.channels[key, m] @ cols[:, k]
-            a, event = k + 1, next(pending, None)
-        sampler.powers.fill(cols, a, b, key)
+            a, event, segment = k + 1, next(pending, None), []
+        segment.append((a, b, key))
+    sampler.powers.fill(cols, segment)
     cols /= np.sqrt(_squared_norms(cols))
     events = tuple(JumpEvent(time=k * dt, channel=m) for _, k, m in found)
     return TrajectoryRecord(np.arange(steps + 1) * dt, cols.T, events, float(not events))

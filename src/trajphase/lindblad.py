@@ -442,10 +442,12 @@ def evolve_states(
     # exp(-i dt (i S_c)) = exp(dt S_c).
     maps, runs = step_propagators(sweep.grid, 1j * _liouvillian(sweep, p), total_time, steps)
     dim = rho0.dim
-    stack = run_states(MapPowers(maps), runs, rho0.entries.reshape(-1)).reshape(-1, dim, dim)
+    stack = run_states(MapPowers(maps, steps), runs, rho0.entries.reshape(-1)).reshape(-1, dim, dim)
     rhos = stack[1:]
     # Re-symmetrize to drop the skew part roundoff leaves behind.
-    rhos[...] = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
+    # In place: two fewer temporaries of the whole stack.
+    np.add(rhos, rhos.conj().transpose(0, 2, 1), out=rhos)
+    rhos *= 0.5
     stack.setflags(write=False)
     times = np.arange(steps + 1) * (total_time / steps)
     _check_states(rhos, times[1:])

@@ -18,13 +18,18 @@ Consecutive steps in one cell apply the same linear map, so a run of them is
 propagated by powers of that cell's map rather than step by step. The maps
 of a propagation's cells are one stack, keyed by row (`keyed_runs`), and
 `MapPowers` is its one power ladder: level i holds every key's M^(2^i),
-formed by one stacked product, and a run of length n is filled with about
-log2(n) products (repeated squaring). These are plain matrix products, exact
-up to roundoff for any map, normal or not. `run_states` keeps the states as
-the columns of a C-ordered (d, n + 1) array, so each product is a d x d map
-times a contiguous block of columns and any reduction over the d entries of
-a state runs along rows; it returns the transpose, an (n + 1, d) view, whose
-`.T` gives the columns back.
+formed by one stacked product, up to a depth set by the map size, the
+number of keys and the steps. `MapPowers.fill` fills all runs of a
+propagation at once, block by block (`run_blocks`: consecutive runs of one
+length whose keys step evenly). It carries the block's first state to the
+last column of each of its runs, then fills the block with one stacked
+product per doubling level, so R runs of L steps cost about log2(L)
+products and at most R carries. These are plain matrix products, exact
+up to roundoff for any map, normal or not. `run_states` keeps the states
+as the columns of a C-ordered (d, n + 1) array, so each product is a d x d
+map times a contiguous block of columns and any reduction over the d
+entries of a state runs along rows; it returns the transpose, an
+(n + 1, d) view, whose `.T` gives the columns back.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import math
 from typing import Callable, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 DEFAULT_SUBSTEPS = 4096
 
@@ -558,12 +564,24 @@ def real_form(a: np.ndarray) -> np.ndarray:
 
 
 class MapPowers:
-    """The levels M^(2^i) of every map of a (K, ..., d, d) stack, one map
+    """The levels M^(2^i) of every map of a (K, ..., D, D) stack, one map
     per key, each level formed by one stacked product on first use, in the
-    maps' dtype: complex maps, or their `real_form`s."""
+    maps' dtype: complex maps, or their `real_form`s.
 
-    def __init__(self, maps) -> None:
+    `fill` uses at most `depth` = max(1, steps // (K D)) levels for a
+    propagation of `steps` steps, so that its squarings, K D^3 each, never
+    cost more than the steps' column products, steps D^2; past its top
+    level a run is filled in blocks of the top power. At D = 4 with at most
+    16 keys and 2048 or more steps, the bench's shapes, the depth is above
+    the bit length of every run, so it changes nothing there. `square` and
+    `power` form whatever level they are asked for, so binary lifting keeps
+    every level it uses.
+    """
+
+    def __init__(self, maps, steps: int) -> None:
         self.squares = [np.asarray(maps)]
+        keys, dim = self.squares[0].shape[0], self.squares[0].shape[-1]
+        self.depth = max(1, steps // max(1, keys * dim))
 
     def square(self, level: int) -> np.ndarray:
         """Every key's M^(2^level)."""
@@ -580,19 +598,118 @@ class MapPowers:
             out = self.square(i) @ out
         return out
 
-    def fill(self, out: np.ndarray, a: int, b: int, key: int) -> None:
-        """Fill columns a+1..b of out, a (..., d, n) array, from column a by
-        x_{k+1} = M x_k with M the map of key, doubling the known columns
-        with each level: out[..., a+m : a+2m] = M^m @ out[..., a : a+m], so
-        b - a columns cost about log2(b - a) products."""
-        m, level = 1, 0
-        while True:
-            count = min(m, b - a - m + 1)
-            src = out[..., a : a + count]
-            np.matmul(self.square(level)[key], src, out=out[..., a + m : a + m + count])
-            if a + m + count > b:
-                return
-            m, level = 2 * m, level + 1
+    def _chain(self, column: int) -> list[int]:
+        """The levels of the steps that lead a run's column 0 to `column`,
+        first applied first: the bits of column, lowest first, below twice
+        the top power."""
+        levels = []
+        while column:
+            levels.append(min(column.bit_length() - 1, self.depth - 1))
+            column -= 1 << levels[-1]
+        return levels[::-1]
+
+    def fill(self, out: np.ndarray, runs) -> None:
+        """Fill columns a+1..b of out, a (..., D, N) array, for every run
+        (a, b, key) of runs, which tile their columns in order, from column
+        a of the first, by x_{k+1} = M x_k with M the map of key.
+
+        A run of L steps alone is filled by doubling: a step puts
+        M^m @ out[..., a : a+m] into out[..., a+m : a+2m], clipped at b, and
+        m doubles up to the top level and then stays, so L columns cost
+        about log2(L) products. All runs are filled at once, one `run_blocks`
+        block after another: consecutive runs of one length whose keys step
+        evenly. The carry first takes the block's first column through its
+        runs: the last column of every run but the very last is the product
+        of its `_chain` levels, popcount(L) products below the depth, lowest
+        bit first. Then every doubling step of the block is one stacked
+        product over strided (R, ..., D, L + 1) views of out. Every column a
+        run fills is the one a fill of that run alone from the same first
+        column gives, bit for bit, but the carried last columns; those are
+        too where L is a power of two within the depth, as the doubling then
+        forms column b by the same one product. NumPy cannot rule out that a
+        stacked product's strided source overlaps its output, so the steps
+        of R > 1 runs write through one buffer of half the block's columns,
+        and only a last step wider than one column, where L is not a power
+        of two, lets NumPy copy its source.
+        """
+        blocks = run_blocks([run for run in runs if run[1] > run[0]])
+        top = self.depth - 1
+        for i, (a, count, length, key, step) in enumerate(blocks):
+            # Runs of the block whose last column the carry holds.
+            carried = count - (i == len(blocks) - 1)
+            chain = [self.square(level) for level in self._chain(length)] if carried else []
+            for r in range(carried):
+                column = out[..., a + r * length : a + r * length + 1]
+                for maps in chain[:-1]:
+                    column = np.matmul(maps[key + r * step], column)
+                b = a + (r + 1) * length
+                np.matmul(chain[-1][key + r * step], column, out=out[..., b : b + 1])
+            view = run_view(out, a, count, length, length + 1)
+            # NumPy cannot prove the strided views of R > 1 runs disjoint and
+            # would copy the source of every product, one heap block per level;
+            # the products inside the runs go through this one buffer instead.
+            part = np.empty((*view.shape[:-1], (length + 1) // 2), out.dtype) if count > 1 else None
+            # Step by step, columns lo .. lo + width - 1 are M^shift times
+            # those shift before them; shift doubles up to the top level.
+            lo, level = 1, 0
+            while lo <= length:
+                shift = 1 << level
+                width = min(shift, length + 1 - lo)
+                maps = key_view(self.square(level), key, step, count)
+                src, dst = view[..., lo - shift : lo - shift + width], view[..., lo : lo + width]
+                if lo + width <= length:
+                    if part is None:
+                        np.matmul(maps, src, out=dst)
+                    else:
+                        np.matmul(maps, src, out=part[..., :width])
+                        dst[...] = part[..., :width]
+                elif width == 1:
+                    # The last column alone: only a run the carry left has it to form.
+                    if carried < count:
+                        np.matmul(maps[carried:], src[carried:], out=dst[carried:])
+                else:
+                    # NumPy reads a source that overlaps its output first,
+                    # so the next runs start from the carried columns.
+                    kept = view[:carried, ..., length].copy()
+                    np.matmul(maps, src, out=dst)
+                    view[:carried, ..., length] = kept
+                lo, level = lo + shift, min(level + 1, top)
+
+
+def run_blocks(runs) -> list[tuple[int, int, int, int, int]]:
+    """The runs (a, b, key), which tile their columns in order, as blocks
+    (a, count, length, key, key_step): each a longest stretch of
+    consecutive runs of one length whose keys step evenly, its run r being
+    (a + r length, a + (r + 1) length, key + r key_step)."""
+    blocks: list[tuple[int, int, int, int, int]] = []
+    for a, b, key in runs:
+        if blocks:
+            start, count, length, first, step = blocks[-1]
+            step = key - first if count == 1 else step
+            if b - a == length and key == first + count * step:
+                blocks[-1] = (start, count + 1, length, first, step)
+                continue
+        blocks.append((a, 1, b - a, key, 0))
+    return blocks
+
+
+def run_view(arr: np.ndarray, a: int, count: int, stride: int, width: int) -> np.ndarray:
+    """The (count, ..., width) view of the last axis of arr whose row r is
+    columns a + r stride .. a + r stride + width - 1; rows overlap where
+    width exceeds stride."""
+    if count == 1:
+        return arr[np.newaxis, ..., a : a + width]
+    shape, strides = (count, *arr.shape[:-1], width), (stride * arr.strides[-1], *arr.strides)
+    return as_strided(arr[..., a:], shape, strides)
+
+
+def key_view(stack: np.ndarray, key: int, step: int, count: int) -> np.ndarray:
+    """Rows key, key + step, ... of stack, count of them, as a view."""
+    if count == 1:
+        return stack[key : key + 1]
+    if step:
+        return stack[key::step][:count]
+    return np.broadcast_to(stack[key], (count, *stack.shape[1:]))
 
 
 def run_states(powers: MapPowers, runs, x0) -> np.ndarray:
@@ -601,15 +718,31 @@ def run_states(powers: MapPowers, runs, x0) -> np.ndarray:
     the runs tile [0, n).
 
     The states are filled as the columns of a C-ordered (d, n + 1) array,
-    and the view returned is its transpose. Each run is a `MapPowers.fill`,
-    so a run of length L costs about log2(L) products.
+    by one `MapPowers.fill` of all runs, and the view returned is its
+    transpose.
     """
     x0 = np.asarray(x0, dtype=complex).reshape(-1)
     out = np.empty((x0.shape[0], runs[-1][1] + 1 if runs else 1), dtype=complex)
     out[:, 0] = x0
-    for a, b, key in runs:
-        powers.fill(out, a, b, key)
+    powers.fill(out, runs)
     return out.T
+
+
+def window_parts(ranges, width: int):
+    """For each window of `width` grid columns in turn, the list of the
+    parts (lo, hi, *rest) of the column ranges [lo, hi) in ranges (lo, hi,
+    *rest) that fall in it; ranges tile the grid in order."""
+    i, start = 0, 0
+    while i < len(ranges):
+        stop, parts = start + width, []
+        while i < len(ranges) and ranges[i][0] < stop:
+            lo, hi, *rest = ranges[i]
+            parts.append((max(lo, start), min(hi, stop), *rest))
+            if hi > stop:
+                break
+            i += 1
+        yield parts
+        start = stop
 
 
 def simpson_weights(n: int, dx: float, lo: int = 0, hi: int | None = None) -> np.ndarray:

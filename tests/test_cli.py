@@ -164,9 +164,29 @@ def test_out_file_and_report(config_file, tmp_path, capsys) -> None:
     assert len(report["config_digest"]) == 64
     assert report["seed"] == 0
     assert report["outputs"] == [str(out)]
-    assert set(report["versions"]) == {"python", "numpy", "trajphase"}
+    assert set(report["versions"]) == {"python", "numpy", "trajphase", "blas"}
     assert report["wall_time_s"] >= 0
     assert report["warnings"] == []
+
+
+def test_report_records_the_blas_and_its_thread_settings(
+    config_file, tmp_path, monkeypatch
+) -> None:
+    # The BLAS NumPy was built with, where NumPy says (null before 1.25),
+    # and the thread settings as the environment holds them, unset as null.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    out = tmp_path / "rho.csv"
+    assert main(["evolve", "--config", config_file(BASE_YAML), "--out", str(out)]) == EXIT_OK
+    report = json.loads((tmp_path / "rho.csv.report.json").read_text())
+    assert report["blas_threads"] == {"OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "3"}
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        assert report["versions"]["blas"] is None
+    else:
+        want = {"name": blas["name"], "version": blas["version"]}
+        assert report["versions"]["blas"] == want
 
 
 def test_config_digest_is_the_sha256_of_canonical_json(config_file, tmp_path) -> None:

@@ -30,11 +30,14 @@ from trajphase.operators import (
     index_runs,
     is_hermitian,
     key_runs,
+    key_view,
     keyed_runs,
     matrix_exponential,
     pauli,
     real_form,
+    run_blocks,
     run_states,
+    run_view,
     simpson_weights,
     step_runs,
     wrap_phase,
@@ -269,6 +272,28 @@ def test_keyed_runs_key_each_run_by_its_row_of_first_use() -> None:
     assert keyed_runs([]) == ([], [])
 
 
+def test_run_blocks_group_equal_runs_whose_keys_step_evenly() -> None:
+    # Equal lengths with keys 0, 1, 2; a key that breaks the step; keys
+    # stepping by -2; a repeated key (step 0); a lone run of another length.
+    runs = [(0, 4, 0), (4, 8, 1), (8, 12, 2), (12, 16, 5), (16, 20, 3), (20, 24, 1)]
+    runs += [(24, 26, 1), (26, 28, 1), (28, 29, 1)]
+    assert run_blocks(runs) == [
+        (0, 3, 4, 0, 1),
+        (12, 3, 4, 5, -2),
+        (24, 2, 2, 1, 0),
+        (28, 1, 1, 1, 0),
+    ]
+    assert run_blocks([]) == []
+    # Views of the runs of a block, and of their keys' maps, without copies.
+    cols = np.arange(30.0)
+    view = run_view(cols, 12, 3, 4, 5)
+    assert np.shares_memory(view, cols)
+    assert view.tolist() == [list(range(a, a + 5)) for a in (12, 16, 20)]
+    stack = np.arange(6.0)[:, np.newaxis] * np.ones((6, 2))
+    assert key_view(stack, 5, -2, 3)[:, 0].tolist() == [5.0, 3.0, 1.0]
+    assert key_view(stack, 1, 0, 2)[:, 0].tolist() == [1.0, 1.0]
+
+
 @pytest.mark.parametrize(
     "shape", [(16, 4, 4), (16, 1, 4, 4), (16, 63, 4, 4), (3, 2, 2), (5, 8, 8), (2, 16, 16)]
 )
@@ -282,7 +307,7 @@ def test_map_powers_levels_equal_each_keys_own_squares(shape, form) -> None:
     maps /= np.abs(np.linalg.eigvals(maps)).max(axis=-1)[..., np.newaxis, np.newaxis]
     if form == "real":
         maps = real_form(maps)
-    powers = MapPowers(maps)
+    powers = MapPowers(maps, 1023)
     alone = maps.reshape(-1, *maps.shape[-2:])
     for level in range(10):
         assert np.array_equal(powers.square(level), alone.reshape(maps.shape))
@@ -291,7 +316,7 @@ def test_map_powers_levels_equal_each_keys_own_squares(shape, form) -> None:
     for n in (3, 100, 1023):
         whole = powers.power(n)
         for key in range(len(maps)):
-            assert np.array_equal(whole[key], MapPowers(maps[key : key + 1]).power(n)[0])
+            assert np.array_equal(whole[key], MapPowers(maps[key : key + 1], 1023).power(n)[0])
 
 
 @pytest.mark.parametrize("dx", [1e-3, 0.1, 2 * math.pi / 4097, 1.0, 7.5])
@@ -400,7 +425,7 @@ def test_step_runs_equal_the_runs_of_the_step_cells(seed) -> None:
         step_runs(ScalarSchedule.piecewise([1.0], 1.0), 3.0, 10)
     # No runs propagate no step.
     x0 = np.array([1.0, 2.0j])
-    assert np.array_equal(run_states(MapPowers(np.empty((0, 2, 2))), [], x0), x0[np.newaxis, :])
+    assert np.array_equal(run_states(MapPowers(np.empty((0, 2, 2)), 0), [], x0), x0[np.newaxis, :])
 
 
 def test_identity_helper() -> None:

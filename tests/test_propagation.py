@@ -2,9 +2,11 @@
 
 `operators.MapPowers` is the power ladder of a propagation: it forms the
 powers of a keyed stack of step maps by repeated squaring, all keys in one
-product per level; `operators.run_states`, `jump.propagate_no_jump` and
+product per level, and its `fill` advances all runs of a propagation at
+once; `operators.run_states`, `jump.propagate_no_jump` and
 `lindblad.evolve_states` advance runs of steps in one cell with it.
-These tests compare them with the plain per-step products they replace, on
+These tests compare them with the plain per-step products they replace,
+and the all-runs fill with the fill of each run alone, on
 seeded random non-normal generators and on grids whose steps do not line up
 with the cells.
 """
@@ -45,6 +47,7 @@ from trajphase.lindblad import (
     POSITIVITY_TOL,
     ShiftSet,
     _check_states,
+    _liouvillian,
     evolve_states,
     lower_model,
     lower_sweep,
@@ -60,11 +63,13 @@ from trajphase.jump import (
 from trajphase.operators import (
     MapPowers,
     ScalarSchedule,
+    annihilation,
     cell_maps,
     key_runs,
     real_form,
     run_states,
     step_propagators,
+    window_parts,
     wrap_phase,
 )
 
@@ -125,7 +130,7 @@ def test_run_states_matches_step_loop(seed) -> None:
     sched = _random_schedule(rng, dim, cells, total)
     maps, runs = step_propagators(sched, _stack(sched), total, steps)
     x0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    got = run_states(MapPowers(maps), runs, x0)
+    got = run_states(MapPowers(maps, steps), runs, x0)
     cells = sched.step_cells(total, steps).tolist()
     want = _loop_states(_cell_step_maps(sched, total, steps), cells, x0)
     assert got.shape == (steps + 1, dim)
@@ -138,14 +143,14 @@ def test_run_states_defective_map() -> None:
     rotation = scipy.linalg.expm(-0.1j * pauli("x").entries)
     keys = np.array([0] * 45 + [1] * 3 + [0] * 17)
     x0 = np.array([0.3, 1.0], dtype=complex)
-    got = run_states(MapPowers(np.stack([jordan, rotation])), key_runs(keys), x0)
+    got = run_states(MapPowers(np.stack([jordan, rotation]), len(keys)), key_runs(keys), x0)
     want = _loop_states([jordan, rotation], keys.tolist(), x0)
     assert np.max(_relative_errors(got, want)) <= STATE_RTOL
 
 
 def test_run_states_without_steps() -> None:
     x0 = np.array([1.0, 2.0j])
-    got = run_states(MapPowers(np.empty((0, 2, 2), dtype=complex)), [], x0)
+    got = run_states(MapPowers(np.empty((0, 2, 2), dtype=complex), 0), [], x0)
     assert np.array_equal(got, x0[np.newaxis, :])
 
 
@@ -164,31 +169,32 @@ def test_run_states_at_run_length_edges(dim) -> None:
     patterns.append([k % 3 for k in range(40)])
     patterns += [[1] * 3 + [0] * n + [2] * n + [1] for n in RUN_LENGTHS]
     for keys in patterns:
-        got = run_states(MapPowers(np.stack(maps)), key_runs(keys), x0)
+        got = run_states(MapPowers(np.stack(maps), len(keys)), key_runs(keys), x0)
         assert got.shape == (len(keys) + 1, dim)
         want = _loop_states(maps, keys, x0)
         assert np.max(_relative_errors(got, want)) <= STATE_RTOL
-    got = run_states(MapPowers(np.stack(maps)), [], x0)
+    got = run_states(MapPowers(np.stack(maps), 0), [], x0)
     assert got.shape == (1, dim)
     assert np.array_equal(got[0], x0)
 
     # The same run lengths on a keyed (K, G, d, d) stack, from column 3:
     # each key's fill of its G points against each point's own one-key
     # fill, bit for bit, and the step loop. Columns outside 3..3+n stay
-    # untouched.
+    # untouched. Both ladders are given n K d steps, so neither caps its
+    # depth below the run.
     keyed = np.stack([np.stack(maps), np.stack(maps[::-1])])
     starts = np.stack([x0, x0.conj(), 2j * x0])
     for n in RUN_LENGTHS:
-        powers = MapPowers(keyed)
+        powers = MapPowers(keyed, 2 * n * dim)
         for key, points in enumerate(keyed):
             cols = np.full((len(maps), dim, n + 5), np.nan, dtype=complex)
             cols[:, :, 3] = starts
-            powers.fill(cols, 3, 3 + n, key)
+            powers.fill(cols, [(3, 3 + n, key)])
             assert np.isnan(cols[:, :, :3]).all() and np.isnan(cols[:, :, 4 + n :]).all()
             for g, point in enumerate(points):
                 alone = np.empty((dim, n + 1), dtype=complex)
                 alone[:, 0] = starts[g]
-                MapPowers(point[np.newaxis]).fill(alone, 0, n, 0)
+                MapPowers(point[np.newaxis], n * dim).fill(alone, [(0, n, 0)])
                 got = cols[g, :, 3 : 4 + n]
                 assert np.array_equal(got, alone)
                 want = _loop_states([point], [0] * n, starts[g])
@@ -213,7 +219,7 @@ def test_map_powers_equal_explicit_products() -> None:
     rotation = scipy.linalg.expm(-0.1j * pauli("x").entries)
     general = _keyed_stack(rng, 3, 1, 3)[:, 0]
     for base in (np.stack([jordan, rotation]), general, _keyed_stack(rng, 3, 4, 2)):
-        powers = MapPowers(base)
+        powers = MapPowers(base, 70)
         want = np.broadcast_to(np.eye(base.shape[-1], dtype=complex), base.shape)
         for n in range(1, 71):
             want = base @ want
@@ -230,7 +236,7 @@ def test_map_powers_of_a_real_form_are_the_real_forms_of_the_powers() -> None:
     # ones.
     rng = np.random.default_rng(61)
     stack = _keyed_stack(rng, 2, 4, 3)
-    plain, real = MapPowers(stack), MapPowers(real_form(stack))
+    plain, real = MapPowers(stack, 70), MapPowers(real_form(stack), 70)
     for n in range(1, 71):
         got = real.power(n)
         assert got.dtype == np.float64
@@ -240,11 +246,184 @@ def test_map_powers_of_a_real_form_are_the_real_forms_of_the_powers() -> None:
     for key in range(2):
         cols = np.zeros((4, 3, 70), dtype=complex)
         cols[:, :, 2] = starts
-        plain.fill(cols, 2, 67, key)
+        plain.fill(cols, [(2, 67, key)])
         rows = np.zeros((4, 6, 70))
         rows[:, :3, 2], rows[:, 3:, 2] = starts.real, starts.imag
-        real.fill(rows, 2, 67, key)
+        real.fill(rows, [(2, 67, key)])
         assert np.max(np.abs(rows - np.concatenate([cols.real, cols.imag], axis=1))) <= 1e-13
+
+
+# Run lengths of the all-runs fill tests: unequal runs, among them blocks of
+# equal ones; one-step runs; empty runs at the start, inside and at the end.
+# Keys cycle through a pattern with even steps, repeats and jumps.
+FILL_CASES = {
+    "unequal": [5, 17, 17, 17, 3, 64, 64, 64, 1, 30, 8],
+    "one-step": [1] * 12,
+    "empty": [0, 4, 0, 9, 9, 0],
+}
+FILL_KEYS = [0, 1, 2, 3, 1, 1, 1, 3, 2, 0, 2, 3]
+
+
+def _fill_stack(form: str) -> tuple[np.ndarray, np.ndarray]:
+    """A keyed stack of four random non-normal maps and a start column:
+    complex (4, 3, 3), its `real_form` (4, 6, 6), or keyed (4, 3, 2, 2)
+    with three points."""
+    rng = np.random.default_rng(63)
+    points = 3 if form == "keyed" else 1
+    stack = _keyed_stack(rng, 4, points, 2 if form == "keyed" else 3)
+    x0 = rng.normal(size=stack.shape[1:-1]) + 1j * rng.normal(size=stack.shape[1:-1])
+    if form == "keyed":
+        return stack, x0
+    stack, x0 = stack[:, 0], x0[0]
+    if form == "real":
+        return real_form(stack), np.concatenate([x0.real, x0.imag])
+    return stack, x0
+
+
+def _tiled_runs(lengths) -> list[tuple[int, int, int]]:
+    bounds = np.concatenate([[0], np.cumsum(lengths)]).tolist()
+    pairs = enumerate(zip(bounds, bounds[1:]))
+    return [(a, b, FILL_KEYS[r % len(FILL_KEYS)]) for r, (a, b) in pairs]
+
+
+def _assert_fill_is_per_run_fill(powers, out, runs) -> None:
+    """Every run of a filled out against a fill of that run alone from the
+    same first column: bit for bit but at the carried last column of a run
+    before the last non-empty one, which is bit for bit where the length is
+    a power of two and within 1e-13 elsewhere."""
+    runs = [run for run in runs if run[1] > run[0]]
+    for r, (a, b, key) in enumerate(runs):
+        alone = np.empty(out.shape[:-1] + (b - a + 1,), dtype=out.dtype)
+        alone[..., 0] = out[..., a]
+        powers.fill(alone, [(0, b - a, key)])
+        assert np.array_equal(out[..., a + 1 : b], alone[..., 1:-1])
+        if r == len(runs) - 1 or (b - a) & (b - a - 1) == 0:
+            assert np.array_equal(out[..., b], alone[..., -1])
+        else:
+            gap = np.abs(out[..., b] - alone[..., -1]).max()
+            assert gap <= 1e-13 * np.abs(alone[..., -1]).max()
+
+
+def _assert_fill_is_step_loop(stack, out, runs, a0: int = 0) -> None:
+    """out from column a0 on against x_{k+1} = M_key x_k, within 1e-13."""
+    want = out[..., a0]
+    for a, b, key in runs:
+        for k in range(a, b):
+            want = np.einsum("...ij,...j->...i", stack[key], want)
+            got = out[..., k + 1]
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("form", ["complex", "real", "keyed"])
+@pytest.mark.parametrize("case", sorted(FILL_CASES))
+def test_fill_of_all_runs_is_the_per_run_fill(case, form) -> None:
+    # One fill of all runs against each run filled alone from the column
+    # the carry gave it, and against the step loop; columns before the
+    # first run's start stay untouched. Runs of power-of-two length carry
+    # the bits of the doubling, so the whole fill is then the parent's
+    # per-run fill, one run after another, bit for bit.
+    stack, x0 = _fill_stack(form)
+    runs = [(a + 2, b + 2, key) for a, b, key in _tiled_runs(FILL_CASES[case])]
+    n = runs[-1][1]
+    powers = MapPowers(stack, 2**20)
+    out = np.full(x0.shape + (n + 1,), np.nan, dtype=stack.dtype)
+    out[..., 2] = x0
+    powers.fill(out, runs)
+    assert np.isnan(out[..., :2]).all() and not np.isnan(out[..., 2:]).any()
+    _assert_fill_is_per_run_fill(powers, out, runs)
+    _assert_fill_is_step_loop(stack, out, runs, 2)
+
+    one_by_one = out.copy()
+    one_by_one[..., 3:] = np.nan
+    for run in runs:
+        powers.fill(one_by_one, [run])
+    _assert_fill_is_step_loop(stack, one_by_one, runs, 2)
+    if all((b - a) & (b - a - 1) == 0 for a, b, _ in runs):
+        assert np.array_equal(one_by_one, out, equal_nan=True)
+
+
+def test_fill_of_all_runs_across_windows_narrower_than_a_run() -> None:
+    # As the no-jump tracker fills a (G, 2d, width + 1) window: the parts of
+    # the runs in each window of 13 steps, from column 0, which holds the
+    # last column of the window before. Runs of 40 steps span four windows.
+    stack, x0 = _fill_stack("keyed")
+    stack = real_form(stack)
+    x0 = np.concatenate([x0.real, x0.imag], axis=-1)
+    runs = _tiled_runs([40, 40, 40, 25, 40, 1, 7])
+    powers, width = MapPowers(stack, 2**20), 13
+    grid = np.empty(x0.shape + (runs[-1][1] + 1,))
+    grid[..., 0] = x0
+    for w, parts in enumerate(window_parts(runs, width)):
+        start = w * width
+        window = np.empty(x0.shape + (width + 1,))
+        window[..., 0] = grid[..., start]
+        local = [(a - start, b - start, key) for a, b, key in parts]
+        powers.fill(window, local)
+        span = parts[-1][1] - start
+        grid[..., start + 1 : start + span + 1] = window[..., 1 : span + 1]
+        _assert_fill_is_per_run_fill(powers, window[..., : span + 1], local)
+    _assert_fill_is_step_loop(stack, grid, runs)
+
+
+def test_fill_of_16_runs_makes_one_stacked_product_per_level(monkeypatch) -> None:
+    # 16 keys of 128 steps each: one carry per run but the last and one
+    # stacked product per doubling level, at most bit_length(128) + 16
+    # products, where a fill per run makes 16 * 8. The runs' length is a
+    # power of two, so this is the per-run fill bit for bit.
+    calls = []
+    matmul = np.matmul
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return matmul(*args, **kwargs)
+
+    rng = np.random.default_rng(64)
+    stack = _keyed_stack(rng, 16, 1, 2)[:, 0]
+    runs = [(128 * k, 128 * (k + 1), k) for k in range(16)]
+    x0 = np.array([0.6, 0.8j])
+    powers = MapPowers(stack, 2048)
+    for level in range(8):
+        powers.square(level)
+    monkeypatch.setattr(np, "matmul", counted)
+    got = run_states(powers, runs, x0)
+    monkeypatch.undo()
+    assert len(calls) <= (128).bit_length() + 16
+    assert sum(shape == (16, 2, 2) for shape in calls) == 7
+    one_by_one = np.empty((2, 2049), dtype=complex)
+    one_by_one[:, 0] = x0
+    for run in runs:
+        powers.fill(one_by_one, [run])
+    assert np.array_equal(got, one_by_one.T)
+    _assert_fill_is_step_loop(stack, got.T, runs)
+
+
+def test_fill_depth_is_capped_by_the_map_size(monkeypatch) -> None:
+    # One d = 16 Liouvillian cell (D = 256) over 1024 steps: the ladder
+    # forms at most max(1, 1024 // 256) = 4 levels, past which the run is
+    # filled in blocks of M^8, and still matches the step loop to 1e-12.
+    # At the bench's shapes, D = 4 with 16 keys and 2048 steps, the depth
+    # is above the bit length of every run.
+    formed = []
+    square = MapPowers.square
+
+    def counted(self, level: int) -> np.ndarray:
+        out = square(self, level)
+        formed.append(len(self.squares))
+        return out
+
+    monkeypatch.setattr(MapPowers, "square", counted)
+    a = annihilation(16)
+    model = LindbladModel(a.adjoint() @ a, (a,), 0.05)
+    psi = np.zeros(16, dtype=complex)
+    psi[1] = 1.0
+    sweep, total, steps = lower_model(model), 1.0, 1024
+    _, stack = evolve_states(sweep, 0, DensityMatrix.from_pure(psi), total, steps)
+    assert 0 < max(formed) <= 4
+    maps, runs = step_propagators(sweep.grid, 1j * _liouvillian(sweep, 0), total, steps)
+    assert runs == [(0, steps, 0)]
+    want = _loop_states(maps, [0] * steps, np.outer(psi, psi.conj()).reshape(-1))
+    assert np.max(_relative_errors(stack.reshape(steps + 1, -1), want)) <= 1e-12
+    assert MapPowers(np.empty((16, 4, 4)), 2048).depth > (2048).bit_length()
 
 
 def test_a_propagation_squares_all_its_cells_together(monkeypatch) -> None:

@@ -47,19 +47,18 @@ from .lindblad import (
     DensityMatrix,
     LindbladModel,
     ShiftSet,
-    apply_shift,
-    evolve_density,
     evolve_states,
-    lower_points,
+    lower_model,
     lower_sweep,
     shift_is_hidden,
+    stack_shifts,
 )
 from .operators import wrap_phase
 from .qsd import QSDConfig, sweep_averaged_phases
 
 # Unused here; bench/tracing.py wraps these names on this module.
 from .jump import no_jump_geometric_phase  # noqa: F401
-from .lindblad import shifted_hamiltonian  # noqa: F401
+from .lindblad import apply_shift, evolve_density, shifted_hamiltonian  # noqa: F401
 from .qsd import averaged_geometric_phase  # noqa: F401
 
 EXIT_OK = 0
@@ -109,13 +108,12 @@ def _density_values(entries: np.ndarray, dim: int) -> list[float]:
 
 def _cmd_evolve(cfg: ScenarioConfig) -> str:
     total = cfg.run.require("total_time", "evolve")
-    model = cfg.model if cfg.shifts is None else apply_shift(cfg.model, cfg.shifts)
     rho0 = DensityMatrix.from_pure(cfg.initial_state)
-    samples = evolve_density(model, rho0, total, steps=cfg.run.steps)
+    times, (rhos,) = evolve_states(lower_model(cfg.model, cfg.shifts), rho0, total, cfg.run.steps)
     dim = cfg.model.dim
     lines = [SCHEMA_LINE, ",".join(["t"] + _density_columns(dim))]
-    for t, rho in samples:
-        lines.append(_row([t] + _density_values(rho.entries, dim)))
+    for t, rho in zip(times.tolist(), rhos):
+        lines.append(_row([t] + _density_values(rho, dim)))
     return "\n".join(lines) + "\n"
 
 
@@ -275,26 +273,23 @@ def _cmd_symmetry_check(cfg: ScenarioConfig) -> str:
     ]
     hidden = all(per_channel)
 
-    # The plain and the shifted model, each lowered once for the density
-    # evolution, the no-jump phase and the generator shift.
-    plain, shifted = (sweep for sweep, _ in lower_points([(model, None), (model, cfg.shifts)]))
+    # The plain model is the zero shift, point 0 of one sweep on the shift's grid:
+    # one lowering serves the density evolution, no-jump phase and generator shift.
+    sweep = lower_sweep(model, [model.strength] * 2, *stack_shifts([None, cfg.shifts]))
     rho0 = DensityMatrix.from_pure(cfg.initial_state)
-    _, base = evolve_states(plain, 0, rho0, total, cfg.run.steps)
-    _, moved = evolve_states(shifted, 0, rho0, total, cfg.run.steps)
+    _, (base, moved) = evolve_states(sweep, rho0, total, cfg.run.steps)
     diffs = np.abs(base - moved).max(axis=(1, 2))
     residual = float(diffs.max())
 
+    states = np.broadcast_to(cfg.initial_state.amplitudes, (2, model.dim))
     phases = []
-    for lowered in (plain, shifted):
-        (res,) = sweep_no_jump_phases(
-            lowered, cfg.initial_state.amplitudes[np.newaxis], total, steps=cfg.run.steps
-        )
+    for res in sweep_no_jump_phases(sweep, states, total, steps=cfg.run.steps):
         if isinstance(res, Exception):
             raise res
         phases.append(res.phase)
     phase_difference = wrap_phase(phases[1] - phases[0])
 
-    generator_shift = float(np.max(np.abs(shifted.k - shifted.h)))
+    generator_shift = float(np.max(np.abs(sweep.k[1] - sweep.h)))
 
     if hidden:
         verdict = (

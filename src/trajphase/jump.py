@@ -561,15 +561,15 @@ def no_jump_geometric_phases(
     steps: int = DEFAULT_SUBSTEPS,
 ) -> list[Union[GeometricPhaseResult, BranchTrackingError, TotalDecayError]]:
     """`no_jump_geometric_phase` of each (model, psi0, shifts) point, shifts
-    None for the plain model, on one starting grid.
+    None for none, on one starting grid.
 
     A point's entry is its result, or the BranchTrackingError or
     TotalDecayError the one-point call would raise; that point's failure
     leaves the others untouched. Invalid input raises at once. The points
     are lowered by `lindblad.lower_points`, one `lower_sweep` for each
-    group that shares a model's schedules and the kind and grid of its
-    shifts, and the points of each group are tracked together, in memory
-    that does not grow with the total time.
+    group that shares a model's schedules and the grid of its shifts, and
+    the points of each group are tracked together, in memory that does not
+    grow with the total time.
     """
     points = list(points)
     vecs = [normalized_state_vector(psi0, model.dim, "psi0") for model, psi0, _ in points]

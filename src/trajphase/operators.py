@@ -714,18 +714,18 @@ def key_view(stack: np.ndarray, key: int, step: int, count: int) -> np.ndarray:
 
 def run_states(powers: MapPowers, runs, x0) -> np.ndarray:
     """States x_0..x_n of x_{k+1} = M_key @ x_k for the steps k of each run
-    (start, stop, key), from the one ladder powers, as an (n + 1, d) array;
-    the runs tile [0, n).
+    (start, stop, key), from the one ladder powers of (K, ..., d, d) maps,
+    as an (..., n + 1, d) array from (..., d) x0; the runs tile [0, n).
 
-    The states are filled as the columns of a C-ordered (d, n + 1) array,
-    by one `MapPowers.fill` of all runs, and the view returned is its
-    transpose.
+    The states are filled as the columns of a C-ordered (..., d, n + 1)
+    array, by one `MapPowers.fill` of all runs, and the view returned is
+    its transpose.
     """
-    x0 = np.asarray(x0, dtype=complex).reshape(-1)
-    out = np.empty((x0.shape[0], runs[-1][1] + 1 if runs else 1), dtype=complex)
-    out[:, 0] = x0
+    x0 = np.asarray(x0, dtype=complex)
+    out = np.empty((*x0.shape, runs[-1][1] + 1 if runs else 1), dtype=complex)
+    out[..., 0] = x0
     powers.fill(out, runs)
-    return out.T
+    return out.swapaxes(-1, -2)
 
 
 def window_parts(ranges, width: int):

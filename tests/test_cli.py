@@ -21,8 +21,8 @@ import trajphase.cli as cli
 from trajphase.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, SCHEMA_LINE, main
 from trajphase.config import _pairs, load_config
 from trajphase.dephasing import DephasingParams, closed_form_no_jump_phase
-from trajphase.lindblad import DensityMatrix, apply_shift, evolve_density
-from trajphase.operators import wrap_phase
+from trajphase.lindblad import DensityMatrix, ShiftSet, apply_shift, evolve_density
+from trajphase.operators import ScalarSchedule, wrap_phase
 
 BASE_YAML = """\
 model:
@@ -510,9 +510,10 @@ def _random_piecewise_shift_yaml(seed: int) -> str:
 
 @pytest.mark.parametrize("seed", range(4))
 def test_symmetry_check_residual_equals_density_lists(seed, config_file, capsys) -> None:
-    # The command takes its residual from evolve_states stacks of the plain
-    # and the shifted lowering; rebuilt from evolve_density lists of the
-    # plain model and apply_shift's model, the report is byte-identical.
+    # The command takes its residual from one evolve_states stack of the
+    # zero and the given shift on the shift's grid; rebuilt from
+    # evolve_density lists of apply_shift's models for the zero shift on
+    # that grid and for the given shift, the report is byte-identical.
     path = config_file(_random_piecewise_shift_yaml(seed))
     assert main(["symmetry-check", "--config", path]) == EXIT_OK
     text = capsys.readouterr().out
@@ -526,7 +527,11 @@ def test_symmetry_check_residual_equals_density_lists(seed, config_file, capsys)
         grid = evolve_density(model, rho0, cfg.run.total_time, steps=cfg.run.steps)
         return np.stack([rho.entries for _, rho in grid])
 
-    diffs = np.abs(stacked(cfg.model) - stacked(apply_shift(cfg.model, cfg.shifts)))
+    zero = ShiftSet(
+        tuple(ScalarSchedule.piecewise([0.0] * len(s.values), s.cell) for s in cfg.shifts.shifts)
+    )
+    plain = apply_shift(cfg.model, zero)
+    diffs = np.abs(stacked(plain) - stacked(apply_shift(cfg.model, cfg.shifts)))
     diffs = diffs.max(axis=(1, 2))
     residual = float(diffs.max())
     if doc["hidden"]:
@@ -543,6 +548,29 @@ def test_symmetry_check_residual_equals_density_lists(seed, config_file, capsys)
         doc, rho_residual_final=float(diffs[-1]), rho_residual_max=residual, verdict=verdict
     )
     assert json.dumps(want, indent=2, sort_keys=True) + "\n" == text
+
+
+@pytest.mark.parametrize(
+    "shifts",
+    ["[0.2]", "[{cell: 0.25, values: [0.3, [0.1, 0.5], 0.2, 0.0]}]"],
+    ids=["constant", "piecewise"],
+)
+def test_symmetry_check_is_one_two_point_sweep(shifts, config_file, monkeypatch, capsys) -> None:
+    # The plain model is the zero shift: both models are lowered, propagated
+    # and tracked as the two points of one sweep.
+    calls: collections.Counter = collections.Counter()
+    for name in ("lower_sweep", "evolve_states", "sweep_no_jump_phases"):
+        original = getattr(cli, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    text = BASE_YAML.replace("shifts: [0.2]", f"shifts: {shifts}")
+    assert main(["symmetry-check", "--config", config_file(text)]) == EXIT_OK
+    assert calls == {"lower_sweep": 1, "evolve_states": 1, "sweep_no_jump_phases": 1}
+    json.loads(capsys.readouterr().out)
 
 
 def test_symmetry_check_needs_shifts(config_file, capsys) -> None:

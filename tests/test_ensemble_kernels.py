@@ -1092,7 +1092,7 @@ def test_jump_law_matches_the_master_equation(dim: int, count: int) -> None:
     total, steps, fine = CELLS * CELL, 1400, 2**14
     res = average_jump_ensemble(model, vec, total, total / steps, 2000, dim + 10 * count, shifts)
     lowered = lower_model(model, shifts)
-    _, rhos = evolve_states(lowered, 0, DensityMatrix.from_pure(vec), total, fine)
+    _, (rhos,) = evolve_states(lowered, DensityMatrix.from_pure(vec), total, fine)
     assert np.all(np.abs(res.estimates[-1] - rhos[-1]) <= 5 * res.std_error[-1] + 1e-12)
     # E[jumps] = strength * integral of sum_m Tr[(L_m - f_m)^dag (L_m - f_m) rho] dt,
     # by the midpoint rule on each step of the fine grid.

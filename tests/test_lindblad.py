@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -220,12 +219,13 @@ def test_liouvillian_equals_its_kron_form(dim, count) -> None:
         want = np.kron(g, one) + np.kron(one, g.conj())
         for l in sweep.channels[0, 0]:
             want = want + 0.7 * np.kron(l, l.conj())
-        assert _liouvillian(sweep, 0).tobytes() == want[np.newaxis].tobytes()
+        got = _liouvillian(sweep.k_tilde[0], sweep.channels[0], sweep.strengths[0])
+        assert got.tobytes() == want[np.newaxis].tobytes()
     l = np.full((dim, dim), np.inf + 0j)
     with np.errstate(invalid="ignore"):
         want = np.kron(g, one) + np.kron(one, g.conj()) + 0.7 * np.kron(l, l.conj())
-        inf_channel = dataclasses.replace(sweep, channels=np.broadcast_to(l, (1, 1, 1, dim, dim)))
-        assert _liouvillian(inf_channel, 0).tobytes() == want[np.newaxis].tobytes()
+        got = _liouvillian(sweep.k_tilde[0], np.broadcast_to(l, (1, 1, dim, dim)), 0.7)
+        assert got.tobytes() == want[np.newaxis].tobytes()
 
 
 def test_apply_shift_moves_channels_not_hamiltonian() -> None:

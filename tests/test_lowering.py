@@ -170,7 +170,9 @@ def test_stacked_lowering_equals_one_point_lowering(points) -> None:
 @given(sweep_points())
 def test_propagators_read_a_point_as_its_rows(points) -> None:
     # Point p of a multi-point lowering gives every propagator the bytes
-    # that the same point lowered alone gives.
+    # that the same point lowered alone gives; point p of the master
+    # equation propagated for every point at once has the bytes of its
+    # one-point sweep.
     total, steps = 1.0, 7
     dim = points[0][0].dim
     vec = (np.arange(1.0, dim + 1) + 1j) / np.linalg.norm(np.arange(1.0, dim + 1) + 1j)
@@ -179,7 +181,7 @@ def test_propagators_read_a_point_as_its_rows(points) -> None:
     def outputs(sweep, p: int) -> list:
         sampler = _JumpSampler(sweep, p, total, steps)
         return [
-            evolve_states(sweep, p, rho0, total, steps)[1],
+            evolve_states(sweep, rho0, total, steps)[1][p],
             energy_integral(sweep, p, vec, total),
             _mean_path_arg(sweep, p, vec, total, steps),
             sampler.runs,
@@ -193,6 +195,32 @@ def test_propagators_read_a_point_as_its_rows(points) -> None:
             got, want = outputs(sweep, row), outputs(lower_model(*points[i]), 0)
             for a, b in zip(got, want):
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_unshifted_lowering_keeps_signed_zeros(sign) -> None:
+    # -sigma_y has a -0 real part: the zero shift through the shifted path
+    # leaves H's bits in K, as the plain reference does, and so does an
+    # explicit zero shift.
+    for h, l in itertools.product("xyz", repeat=2):
+        ham, chan = (Operator(sign * pauli(a).entries) for a in (h, l))
+        for strength in (0.0, 0.5):
+            model = LindbladModel(ham, (chan, chan), strength)
+            want = _reference_lowering(model, None)[0]
+            _assert_same_terms(_rows(lower_model(model), 0), want)
+            zero = ShiftSet.constants([0.0, 0.0])
+            _assert_same_terms(_rows(lower_model(model, zero), 0), want)
+
+
+def test_stack_shifts_takes_none_as_zeros() -> None:
+    piecewise = ShiftSet((ScalarSchedule.piecewise([0.3, 1j], CELL), ScalarSchedule.constant(2.0)))
+    values, cell = stack_shifts([None, piecewise])
+    assert cell == CELL
+    assert values.tolist() == [[[0, 0], [0, 0]], [[0.3, 1j], [2.0, 2.0]]]
+    values, cell = stack_shifts([None, None])
+    assert values.shape == (2, 0, 1) and cell is None
+    with pytest.raises(ValueError, match="0 shifts supplied for 1 channels"):
+        lower_sweep(dephasing_model(1.0, 0.5), [0.5, 0.5], values, cell)
 
 
 def test_stacked_lowering_refuses_as_one_point_lowering() -> None:

@@ -417,9 +417,10 @@ def test_fill_depth_is_capped_by_the_map_size(monkeypatch) -> None:
     psi = np.zeros(16, dtype=complex)
     psi[1] = 1.0
     sweep, total, steps = lower_model(model), 1.0, 1024
-    _, stack = evolve_states(sweep, 0, DensityMatrix.from_pure(psi), total, steps)
+    _, (stack,) = evolve_states(sweep, DensityMatrix.from_pure(psi), total, steps)
     assert 0 < max(formed) <= 4
-    maps, runs = step_propagators(sweep.grid, 1j * _liouvillian(sweep, 0), total, steps)
+    liouvillians = _liouvillian(sweep.k_tilde[0], sweep.channels[0], sweep.strengths[0])
+    maps, runs = step_propagators(sweep.grid, 1j * liouvillians, total, steps)
     assert runs == [(0, steps, 0)]
     want = _loop_states(maps, [0] * steps, np.outer(psi, psi.conj()).reshape(-1))
     assert np.max(_relative_errors(stack.reshape(steps + 1, -1), want)) <= 1e-12
@@ -453,7 +454,7 @@ def test_a_propagation_squares_all_its_cells_together(monkeypatch) -> None:
     bound = (steps // 16).bit_length()
     propagations = [
         lambda: propagate_no_jump(no_jump_hamiltonian(model), psi0, total, steps),
-        lambda: evolve_states(lower_model(model), 0, DensityMatrix.from_pure(psi0), total, steps),
+        lambda: evolve_states(lower_model(model), DensityMatrix.from_pure(psi0), total, steps),
         lambda: no_jump_geometric_phase(model, psi0, total, steps),
     ]
     for propagate in propagations:
@@ -917,8 +918,8 @@ def _quietly(run):
 def test_coarse_grid_keeps_the_closed_form_coherence() -> None:
     # lambda dt = 20: each step is still the exact map of its cell.
     lam = 40.0
-    (times, rhos), caught = _quietly(
-        lambda: evolve_states(lower_model(_dephasing(lam)), 0, EQUATOR, 2.0, 4)
+    (times, (rhos,)), caught = _quietly(
+        lambda: evolve_states(lower_model(_dephasing(lam)), EQUATOR, 2.0, 4)
     )
     assert caught == []
     want = 0.5 * np.exp(-(2 * lam + 1j) * times)

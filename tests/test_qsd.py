@@ -424,7 +424,7 @@ def _per_cell_simpson(lowered, vec, total: float, cell: float) -> float:
     of [0, total] separately, PER_CELL steps to a whole cell, rho from
     `evolve_states` on a grid whose nodes include every cell edge."""
     steps = round(total / cell * PER_CELL)
-    _, rhos = evolve_states(lowered, 0, DensityMatrix.from_pure(vec), total, steps)
+    _, (rhos,) = evolve_states(lowered, DensityMatrix.from_pure(vec), total, steps)
     dt = total / steps
     out = 0.0
     for a in range(0, steps, PER_CELL):
@@ -436,7 +436,7 @@ def _per_cell_simpson(lowered, vec, total: float, cell: float) -> float:
 
 def _grid_simpson(lowered, vec, total: float, steps: int = 2048) -> float:
     """Simpson's rule of Tr[rho K] straight across [0, total] on `steps` steps."""
-    times, rhos = evolve_states(lowered, 0, DensityMatrix.from_pure(vec), total, steps)
+    times, (rhos,) = evolve_states(lowered, DensityMatrix.from_pure(vec), total, steps)
     ks = lowered.k[0][lowered.grid.cells_at(times)]
     return scipy.integrate.simpson(np.einsum("nij,nji->n", rhos, ks).real, dx=total / steps)
 

@@ -286,17 +286,6 @@ def no_jump_probability(record: TrajectoryRecord) -> float:
     return record.survival
 
 
-class _Tracks(NamedTuple):
-    """Points on one schedule grid: (P, C, d, d) stacks of the no-jump
-    generator K_tilde and the Hermitian K of the dynamical term over the
-    grid's C cells, and the (P, d) initial states."""
-
-    grid: Schedule
-    gens: np.ndarray
-    herms: np.ndarray
-    vecs: np.ndarray
-
-
 def _window_column_bytes(dim: int) -> int:
     """Bytes of `_track_stack`'s window buffers per point and grid column:
     two windows of 2 dim real state rows, one of 2 dim + 2 readout rows,
@@ -500,10 +489,12 @@ def _track_stack(gens, herms, vecs, grid: Schedule, total_time: float, steps: in
     return outcomes
 
 
-def _tracked_phases(tracks: _Tracks, total_time: float, steps: int) -> list:
-    """Branch-tracked no-jump phases of the points of tracks on a shared
-    grid, in order, each a GeometricPhaseResult or the BranchTrackingError
-    or TotalDecayError of its point.
+def _tracked_phases(grid: Schedule, gens, herms, vecs, total_time: float, steps: int) -> list:
+    """Branch-tracked no-jump phases of points on one schedule grid, from
+    their (P, C, d, d) stacks of the no-jump generator K_tilde and the
+    Hermitian K of the dynamical term over the grid's C cells and their
+    (P, d) initial states, in order, each a GeometricPhaseResult or the
+    BranchTrackingError or TotalDecayError of its point.
 
     A point's grid doubles, up to MAX_GRID_DOUBLINGS - 1 times, until no
     step away from a flagged crossing turns its overlap by more than pi/2.
@@ -515,7 +506,7 @@ def _tracked_phases(tracks: _Tracks, total_time: float, steps: int) -> list:
     """
     if total_time < 0:
         raise ValueError("total_time must be >= 0")
-    outcomes: list = [None] * len(tracks.vecs)
+    outcomes: list = [None] * len(vecs)
     pending = list(range(len(outcomes)))
     attempt = max(1, steps)
     for doubling in range(MAX_GRID_DOUBLINGS):
@@ -523,12 +514,11 @@ def _tracked_phases(tracks: _Tracks, total_time: float, steps: int) -> list:
             attempt *= 2
         # One stack, split only where its windows would fall below MIN_WINDOW.
         narrowest = min(MIN_WINDOW, attempt + 1)
-        most = max(1, STACK_BYTES // (narrowest * _window_column_bytes(tracks.vecs.shape[1])))
+        most = max(1, STACK_BYTES // (narrowest * _window_column_bytes(vecs.shape[1])))
         size = -(-len(pending) // -(-len(pending) // most))
         for lo in range(0, len(pending), size):
             part = pending[lo : lo + size]
-            stacked = (getattr(tracks, name)[part] for name in ("gens", "herms", "vecs"))
-            found = _track_stack(*stacked, tracks.grid, total_time, attempt)
+            found = _track_stack(gens[part], herms[part], vecs[part], grid, total_time, attempt)
             for i, outcome in zip(part, found):
                 outcomes[i] = outcome
         pending = [i for i in pending if outcomes[i] is None]
@@ -552,7 +542,7 @@ def sweep_no_jump_phases(
     vecs = normalized_states(states, sweep.model.dim, "psi0")
     if len(vecs) != len(sweep):
         raise ValueError(f"{len(vecs)} initial states for {len(sweep)} points")
-    return _tracked_phases(_Tracks(sweep.grid, sweep.k_tilde, sweep.k, vecs), total_time, steps)
+    return _tracked_phases(sweep.grid, sweep.k_tilde, sweep.k, vecs, total_time, steps)
 
 
 def no_jump_geometric_phases(
@@ -568,8 +558,8 @@ def no_jump_geometric_phases(
     leaves the others untouched. Invalid input raises at once. The points
     are lowered by `lindblad.lower_points`, one `lower_sweep` for each
     group that shares a model's schedules and the grid of its shifts, and
-    the points of each group are tracked together, in memory that does not
-    grow with the total time.
+    the points of each group are tracked together by `sweep_no_jump_phases`,
+    in memory that does not grow with the total time.
     """
     points = list(points)
     vecs = [normalized_state_vector(psi0, model.dim, "psi0") for model, psi0, _ in points]
@@ -579,8 +569,8 @@ def no_jump_geometric_phases(
         raise ValueError("total_time must be >= 0")
     outcomes: list = [None] * len(points)
     for sweep, members in lowered:
-        tracks = _Tracks(sweep.grid, sweep.k_tilde, sweep.k, np.array([vecs[i] for i in members]))
-        for i, outcome in zip(members, _tracked_phases(tracks, total_time, steps)):
+        states = [vecs[i] for i in members]
+        for i, outcome in zip(members, sweep_no_jump_phases(sweep, states, total_time, steps)):
             outcomes[i] = outcome
     return outcomes
 
@@ -638,8 +628,9 @@ def gauge_transform_check(
     eye = np.eye(model.dim)
     gens = np.concatenate([sweep.k_tilde, sweep.k_tilde + 1j * complex(log_rate) * eye])
     herms = np.concatenate([sweep.k, sweep.k - complex(log_rate).imag * eye])
-    tracks = _Tracks(sweep.grid, gens, herms, np.array([vec, complex(scale) * vec]))
-    base, transformed = (_result(o) for o in _tracked_phases(tracks, total_time, steps))
+    vecs = np.array([vec, complex(scale) * vec])
+    outcomes = _tracked_phases(sweep.grid, gens, herms, vecs, total_time, steps)
+    base, transformed = map(_result, outcomes)
     return base.phase, transformed.phase
 
 

@@ -22,10 +22,11 @@ no-jump generator K_tilde and the Hermitian K), each entry's arithmetic
 that of a single point and cell, so a point of a sweep has the bits it
 would have alone. `lower_model` is the one-point sweep, and `lower_points`
 lowers (model, shifts) points with one call per group that shares a
-model's schedules and its shifts' grid. `evolve_states` propagates every
-point of a sweep at once; the other propagators take a point as (sweep,
-p) and read row p of the stacks, as `apply_shift` and
-`shifted_hamiltonian` do to build their schedules.
+model's schedules and its shifts' grid. `evolve_states` and
+`energy_integral` take every point of a sweep at once; the propagators of
+one point, the jump sampler and the QSD mean path, take it as (sweep, p)
+and read row p of the stacks, as `apply_shift` and `shifted_hamiltonian`
+do to build their schedules.
 
 The master equation is linear in rho with a piecewise-constant generator,
 so `evolve_states` solves it exactly: each point's Liouvillian S_c in
@@ -33,7 +34,7 @@ cell c, a d^2 x d^2 matrix on vec(rho), is exponentiated once, exp(dt
 S_c), and runs of steps in one cell are propagated by powers of these
 maps, with the same step-to-cell rule and run kernel as the no-jump
 branch. `energy_integral` integrates Tr[rho(t) K(t)] exactly, one
-augmented exponential per cell, with no grid.
+augmented exponential per cell and point, with no grid.
 """
 
 from __future__ import annotations
@@ -343,34 +344,38 @@ def _liouvillian(k_tilde: np.ndarray, channels: np.ndarray, strengths) -> np.nda
     return out
 
 
-def energy_integral(sweep: LoweredSweep, p: int, vec: np.ndarray, total_time: float) -> float:
-    """Integral of Tr[rho(t) K(t)] over [0, total_time], rho(t) being the
-    master-equation solution at point p of sweep from the pure state vec,
-    exact per cell.
+def energy_integral(sweep: LoweredSweep, vec: np.ndarray, total_time: float) -> np.ndarray:
+    """Integral of Tr[rho(t) K(t)] over [0, total_time] at every point of
+    sweep, as (P,), rho(t) being the master-equation solution from the pure
+    state vec, exact per cell; each point with the bits of its one-point
+    sweep.
 
     On the row-major vec, Tr[K rho] = vec(K^T) . vec(rho). Over a cell's span
     s, the exponential of the augmented generator [[S_c, 0], [vec(K_c^T)^T, 0]]
     has the last row [vec(K_c^T)^T integral of exp(t S_c) over [0, s], 1]
     (C. F. Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)); applied to
     (vec(rho), acc), it carries rho to the next cell and adds the cell's
-    integral to acc. A total_time past the schedule raises ScheduleRangeError.
+    integral to acc. One stack of `_liouvillian`s and one augmented
+    exponential per cell and point, as in `evolve_states`. A total_time past
+    the schedule raises ScheduleRangeError.
     """
     if total_time < 0:
         raise ValueError("total_time must be >= 0")
     cell = sweep.grid.cell
-    last = int(sweep.grid.cells_at(total_time))
+    cells = int(sweep.grid.cells_at(total_time)) + 1
     size = vec.shape[0] ** 2
-    state = np.zeros(size + 1, dtype=complex)
-    state[:size] = np.outer(vec, vec.conj()).reshape(-1)
-    aug = np.zeros((size + 1, size + 1), dtype=complex)
-    rows = (sweep.k_tilde[p, : last + 1], sweep.channels[p, : last + 1], sweep.strengths[p])
-    for c, liouvillian in enumerate(_liouvillian(*rows)):
-        aug[:size, :size] = liouvillian
-        aug[size, :size] = sweep.k[p, c].T.reshape(-1)
-        start = c * (cell or 0.0)
-        end = total_time if c == last else (c + 1) * cell
-        state = matrix_exponential((end - start) * aug) @ state
-    return float(state[size].real)
+    state = np.zeros((len(sweep), size + 1, 1), dtype=complex)
+    state[:, :size, 0] = np.outer(vec, vec.conj()).reshape(-1)
+    aug = np.zeros((len(sweep), cells, size + 1, size + 1), dtype=complex)
+    rows = (sweep.k_tilde[:, :cells], sweep.channels[:, :cells], sweep.strengths)
+    aug[..., :size, :size] = _liouvillian(*rows)
+    aug[..., size, :size] = sweep.k[:, :cells].swapaxes(-1, -2).reshape(len(sweep), cells, -1)
+    ends = [total_time if c == cells - 1 else (c + 1) * cell for c in range(cells)]
+    spans = [end - c * (cell or 0.0) for c, end in enumerate(ends)]
+    maps = matrix_exponential(np.array(spans)[:, np.newaxis, np.newaxis] * aug)
+    for c in range(cells):
+        state = maps[:, c] @ state
+    return state[:, size, 0].real
 
 
 def _checked_density(entries: np.ndarray) -> DensityMatrix:

@@ -25,11 +25,12 @@ final overlaps, which `_ensemble.mean_and_error` reduces. With shifts,
 channels become L_m - f_m while the Hamiltonian field is untouched (the
 regrouped Hermitian K enters only the dynamical term); both are rows of
 the one lowered form, a `lindblad.LoweredSweep`, made once per call before
-the pass. Several points of one model run as one ensemble pass, each
-point a (sweep, p) pair that the kernel, the mean path and the dynamical
-term read (`averaged_geometric_phases`, which lowers its shift sets, or
-`sweep_averaged_phases` on a lowered sweep); trajectory i draws the same
-noise at every point.
+the pass. One ensemble pass runs every point of one lowered sweep
+(`sweep_averaged_phases`), and trajectory i draws the same noise at every
+point; the kernel and the dynamical term take the whole sweep, the mean
+path one point at a time. `averaged_geometric_phases` lowers its shift
+sets into one sweep per grid (`lindblad.lower_points`) and runs one pass
+per sweep.
 
 A pass plans one `_QSDKernel` of arrays, which every chunk job carries
 and runs on its own trajectories (`_QSDKernel.chunk`). A chunk takes k
@@ -173,37 +174,34 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pieces(points, bases, total_time: float, steps: int, span: int):
+def _pieces(grid, total_time: float, steps: int, span: int):
     """The grid's ops of span steps from a multiple of span, the last one
     possibly shorter, in pieces of ops with one table: the first op of each
-    piece, its number of ops, and the (piece, step, point) rows of the
-    kernel's flat one-step arrays that the steps of the piece's first op
-    take. Point j's row of cell c is bases[j] + c; a step past the grid's
-    end takes the last row, -1, the identity."""
+    piece, its number of ops, and the (piece, step) cells of the steps of
+    the piece's first op, on the sweep's schedule grid; a step past the
+    grid's end takes cell -1, the identity."""
     ops = -(-steps // span)
-    # Each point's cell only grows with the step, so the combination of
-    # cells changes exactly where some point's run starts. A piece starts at
-    # op 0, at the op holding such a step and at the op after it, and at a
-    # shorter last op.
-    runs = {id(sweep): np.array(step_runs(sweep.grid, total_time, steps)) for sweep, _ in points}
-    starts = {a for run in runs.values() for a in run[:, 0].tolist()}
+    # The cell only grows with the step, so it changes exactly where a run
+    # starts. A piece starts at op 0, at the op holding such a step and at
+    # the op after it, and at a shorter last op.
+    runs = np.array(step_runs(grid, total_time, steps))
+    starts = runs[:, 0].tolist()
     edges = {0, ops, *(a // span for a in starts), *(-(-a // span) for a in starts)}
     if steps % span:
         edges.add(ops - 1)
     edges = sorted(edges)
     first = np.array(edges[:-1])[:, np.newaxis] * span + np.arange(span)
-    # Each sweep's cell at each of those steps, from the run holding it.
-    cells = {key: run[np.searchsorted(run[:, 0], first, "right") - 1, 2] for key, run in runs.items()}
-    rows = np.stack([cells[id(sweep)] for sweep, _ in points], axis=-1) + bases
-    rows[first >= steps] = -1
-    return edges[:-1], np.diff(edges).tolist(), rows
+    # The cell at each of those steps, from the run holding it.
+    cells = runs[np.searchsorted(runs[:, 0], first, "right") - 1, 2]
+    cells[first >= steps] = -1
+    return edges[:-1], np.diff(edges).tolist(), cells
 
 
 class _QSDKernel:
     """The plan of one ensemble pass, run on each chunk of N trajectories
-    by `chunk`: Euler-Maruyama steps of P lowered points, each a (sweep, p)
-    pair, k steps at a time (`_op_span`: 6 for a qubit on one channel).
-    Trajectory i of every point sees the same noise.
+    by `chunk`: Euler-Maruyama steps of the P points of a lowered sweep, k
+    steps at a time (`_op_span`: 6 for a qubit on one channel). Trajectory
+    i of every point sees the same noise.
 
     The k steps from a multiple of k form an op, and its kC increments are
     kC bit pairs of the trajectory's words: one symbol of 2kC <= 12 bits
@@ -211,14 +209,13 @@ class _QSDKernel:
     comes from a table per point: the products M_{k-1} ... M_0 of its steps'
     one-step matrices M = I - i dt K_tilde + sum_m dw_m sqrt(lam) L_m, lam
     the point's own strength, each step's M of its own cell. `one_step`
-    holds them for every row and cell of each sweep, the sweeps' blocks in
-    order, as one flat (rows + 1, 4^c, d, d) array per group of c <= 4
-    channels; its last row is the identity, which steps past the grid's end
-    take. The ops of one combination of the points' cells at each step of
-    an op, a piece, share one table: a run of ops inside one cell of every
-    point, a single op across a cell edge of some point, or the shorter
-    last op. `pieces` holds the row of each (piece, step of its first op,
-    point). A piece's table is built when its first op runs, as one outer
+    holds them for every point and cell of the sweep's C cells as one
+    (P, C + 1, 4^c, d, d) array per group of c <= 4 channels; its cell C
+    is the identity, which steps past the grid's end take. The ops of one
+    cell at each step of an op, a piece, share one table: a run of ops
+    inside one cell, a single op across a cell edge, or the shorter last
+    op. `pieces` holds the cell of each (piece, step of its first op). A
+    piece's table is built when its first op runs, as one outer
     product of the products of its first k // 2 steps and of the rest, and
     held in one buffer while its ops run; the next piece's table
     overwrites it. For C > 4 an op is one step, and its matrix is the sum
@@ -241,11 +238,11 @@ class _QSDKernel:
     read per trajectory in longer blocks of ops (`chunk`).
     """
 
-    def __init__(self, points, total_time: float, steps: int):
+    def __init__(self, sweep: LoweredSweep, total_time: float, steps: int):
         dt = total_time / steps
-        self.dim = dim = points[0][0].h.shape[-1]
-        self.npoints = len(points)
-        self.channels = channels = points[0][0].channels.shape[2]
+        self.dim = dim = sweep.h.shape[-1]
+        self.npoints = len(sweep)
+        self.channels = channels = sweep.channels.shape[2]
         self.span = span = _op_span(dim, channels)
         # Increments per op, and tables (groups of at most 4 channels) per op.
         self.width = width = span * channels
@@ -254,23 +251,14 @@ class _QSDKernel:
         # Bit pair value b_0 + 2 b_1 decodes to sqrt(dt/2) (xi_1 + i xi_2),
         # with xi_1 = 1 - 2 b_0 and xi_2 = 1 - 2 b_1.
         self.increments = np.sqrt(dt / 2.0) * np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j])
-        sweeps = list({id(sweep): sweep for sweep, _ in points}.values())
-        self.one_step = [
-            np.concatenate([*blocks, np.broadcast_to(np.eye(dim), (1, *blocks[0].shape[1:]))])
-            for blocks in zip(*(self._one_step(sweep, dt) for sweep in sweeps))
-        ]
-        # Each point's row of its first cell: a sweep's rows follow those of
-        # the sweeps before it, and its row p follows p rows of cells.
-        sizes = [sweep.k_tilde.shape[0] * sweep.k_tilde.shape[1] for sweep in sweeps]
-        offsets = dict(zip(map(id, sweeps), np.cumsum([0, *sizes]).tolist()))
-        bases = [offsets[id(sweep)] + p * sweep.k_tilde.shape[1] for sweep, p in points]
-        self.piece_starts, self.lengths, self.pieces = _pieces(points, bases, total_time, steps, span)
+        self.one_step = self._one_step(sweep, dt)
+        self.piece_starts, self.lengths, self.pieces = _pieces(sweep.grid, total_time, steps, span)
         self.period, self.fields = self._fields()
         # g, a bound on the spectral norm of every one-step matrix and at
         # least 1: the largest entry's of the first group plus the largest
         # entry's of each other group. Raised by 2^-30 relative, far more
         # than the roundoff of a step can add to a norm; NaN if a matrix is.
-        norms = [np.linalg.norm(group[:-1], 2, axis=(-2, -1)).max() for group in self.one_step]
+        norms = [np.linalg.norm(g[:, :-1], 2, axis=(-2, -1)).max() for g in self.one_step]
         growth = np.maximum(sum(norms) * (1.0 + 2.0**-30), 1.0)
         self.log_growth = float(np.log(growth))
         # A norm at or above NORM_OVERFLOW needs a real or imaginary part of
@@ -284,11 +272,11 @@ class _QSDKernel:
         self.table_bytes = 2 * 16 * dim * dim * self.npoints * entries
 
     def _one_step(self, sweep, dt: float) -> list[np.ndarray]:
-        """The one-step tables of every row p and cell c of sweep, one
-        (P C, 4^c, d, d) array per group of c <= 4 channels, row p C + c;
-        entry q of a group takes increment (q >> 2 t) & 3 for its channel t,
-        and the first group adds the drift I - i dt K_tilde. Each entry is
-        the arithmetic of its own row and cell."""
+        """The one-step tables of every point p and cell c of sweep, one
+        (P, C + 1, 4^c, d, d) array per group of c <= 4 channels, its cell
+        C the identity; entry q of a group takes increment (q >> 2 t) & 3
+        for its channel t, and the first group adds the drift I - i dt
+        K_tilde. Each entry is the arithmetic of its own point and cell."""
         rows, cells, dim = sweep.k_tilde.shape[:3]
         root = np.sqrt(sweep.strengths)[:, np.newaxis, np.newaxis, np.newaxis, np.newaxis]
         drift = np.eye(dim) + dt * (-1j * sweep.k_tilde)
@@ -301,7 +289,8 @@ class _QSDKernel:
             for t in range(group.shape[2]):
                 dws = self.increments[(q >> 2 * t) & 3]
                 table = table + dws[:, np.newaxis, np.newaxis] * (root * group[:, :, t, np.newaxis])
-            tables.append(np.ascontiguousarray(table).reshape(rows * cells, len(q), dim, dim))
+            eye = np.broadcast_to(np.eye(dim), (rows, 1, *shape[2:]))
+            tables.append(np.concatenate([table, eye], axis=1))
         return tables
 
     def _fields(self) -> tuple[tuple[int, int], list[tuple]]:
@@ -339,11 +328,11 @@ class _QSDKernel:
         reuses."""
         if self.groups > 1 or self.span == 1:
             # (P, V, d_i, d_j) matrices as (d_j, d_i, P, V) tables.
-            stacks = (group[self.pieces[i, 0]].transpose(3, 2, 0, 1) for group in self.one_step)
+            stacks = (group[:, self.pieces[i, 0]].transpose(3, 2, 0, 1) for group in self.one_step)
             first, *extra = map(np.ascontiguousarray, stacks)
             return first, tuple(extra)
         # (k, P, V, d, d): each step's one-step matrices at every point.
-        steps = self.one_step[0][self.pieces[i]]
+        steps = self.one_step[0][:, self.pieces[i]].swapaxes(0, 1)
         npoints, _, dim = steps.shape[1:4]
         halves = []
         for half in np.split(steps, [self.span // 2]):
@@ -531,12 +520,12 @@ class _QSDKernel:
         """Whether every state inside op `op` stays below NORM_OVERFLOW, per
         column, taking the op again one step at a time from the (d, S)
         states before it with the (S,) symbols at the given point."""
-        rows = self.pieces[bisect.bisect_right(self.piece_starts, op) - 1, :, point]
+        cells = self.pieces[bisect.bisect_right(self.piece_starts, op) - 1]
         x = start.T
         kept = np.ones(len(x), dtype=bool)
         for t in range(self.span - 1):
             q = (symbols >> 2 * self.channels * t) & (4**self.channels - 1)
-            x = np.add.reduce(self.one_step[0][rows[t], q] * x[:, np.newaxis], axis=-1)
+            x = np.add.reduce(self.one_step[0][point, cells[t], q] * x[:, np.newaxis], axis=-1)
             kept &= np.linalg.norm(x, axis=-1) < NORM_OVERFLOW
         return kept
 
@@ -572,10 +561,11 @@ def _mean_path_arg(sweep, p: int, vec: np.ndarray, total_time: float, steps: int
 
 
 def _point_result(
-    sweep, p: int, vec: np.ndarray, config: QSDConfig, overlaps: np.ndarray
+    config: QSDConfig, overlaps: np.ndarray, branch: float, dynamical: float
 ) -> QSDEnsembleResult:
-    """Point p's estimates from its surviving trajectories' final overlaps,
-    in trajectory order, and its dynamical term; NaN if none survived."""
+    """A point's estimates from its surviving trajectories' final overlaps,
+    in trajectory order, the unwrapped argument of its exact mean path and
+    its dynamical term; NaN if none survived."""
     used, excluded = overlaps.size, config.n_trajectories - overlaps.size
     if excluded:
         warnings.warn(
@@ -589,10 +579,7 @@ def _point_result(
 
     mean, error = mean_and_error(overlaps)
     mean_overlap, std_error = complex(mean), float(error)
-    steps, _ = grid_steps(config.total_time, config.delta_t)
-    branch = _mean_path_arg(sweep, p, vec, config.total_time, steps)
     overlap_arg = branch + wrap_phase(float(np.angle(mean_overlap)) - branch)
-    dynamical = energy_integral(sweep, p, vec, config.total_time)
     return QSDEnsembleResult(
         mean_overlap=mean_overlap,
         std_error=std_error,
@@ -612,26 +599,26 @@ def averaged_geometric_phases(
     chunk_size: int = DEFAULT_CHUNK,
 ) -> list[QSDEnsembleResult]:
     """Averaged geometric phase of the diffusive unraveling at each shift
-    set, in order, from one ensemble pass.
+    set, in order: one `sweep_averaged_phases` pass per group of shift sets
+    on one grid, which `lindblad.lower_points` lowers as one sweep.
 
-    Trajectory i draws the same noise at every point, so the points share
-    its draws and every step's kernel calls. The overlap argument is arg of
-    the sample mean overlap at T, on the branch nearest the unwrapped
-    argument of the exact mean overlap along the same grid. The dynamical
-    term is the exact integral of Tr[rho(t) K(t)], cell by cell of the
-    schedule, along the master-equation solution of the model actually
-    simulated (`lindblad.energy_integral`). A point where every trajectory
-    overflowed has n_used 0 and NaN estimates, its dynamical term included.
-    The shift sets are lowered once, by `lindblad.lower_points`, before the
-    pass.
+    Trajectory i draws the same noise at every point, so the points of a
+    group share its draws and every step's kernel calls. The overlap
+    argument is arg of the sample mean overlap at T, on the branch nearest
+    the unwrapped argument of the exact mean overlap along the same grid.
+    The dynamical term is the exact integral of Tr[rho(t) K(t)], cell by
+    cell of the schedule, along the master-equation solution of the model
+    actually simulated (`lindblad.energy_integral`). A point where every
+    trajectory overflowed has n_used 0 and NaN estimates, its dynamical term
+    included.
     """
     vec = normalized_state_vector(phi0, model.dim, "phi0")
-    shift_sets = list(shift_sets)
-    points: list = [None] * len(shift_sets)
-    for sweep, members in lower_points([(model, shifts) for shifts in shift_sets]):
-        for row, i in enumerate(members):
-            points[i] = (sweep, row)
-    return _averaged_phases(model, points, vec, config, chunk_size)
+    points = [(model, shifts) for shifts in shift_sets]
+    results: list = [None] * len(points)
+    for sweep, members in lower_points(points):
+        for i, res in zip(members, sweep_averaged_phases(sweep, vec, config, chunk_size)):
+            results[i] = res
+    return results
 
 
 def sweep_averaged_phases(
@@ -641,25 +628,20 @@ def sweep_averaged_phases(
     chunk_size: int = DEFAULT_CHUNK,
 ) -> list[QSDEnsembleResult]:
     """`averaged_geometric_phases` at every point of a lowered sweep, from
-    one ensemble pass."""
+    one ensemble pass: one `_QSDKernel`, which every chunk job carries."""
     vec = normalized_state_vector(phi0, sweep.model.dim, "phi0")
-    points = [(sweep, p) for p in range(len(sweep))]
-    return _averaged_phases(sweep.model, points, vec, config, chunk_size)
-
-
-def _averaged_phases(model, points, vec, config: QSDConfig, chunk_size: int):
-    """The ensemble pass of `averaged_geometric_phases` over the model's
-    lowered (sweep, p) points, and each point's result."""
-    if not points:
+    if not len(sweep):
         return []
+    total = config.total_time
     seeds = trajectory_seeds(config.seed, config.n_trajectories)
-    steps, _ = grid_steps(config.total_time, config.delta_t)
-    kernel = _QSDKernel(points, config.total_time, steps)
-    jobs = chunk_jobs(model, kernel, vec, config.total_time, config.delta_t, seeds, chunk_size)
+    steps, _ = grid_steps(total, config.delta_t)
+    kernel = _QSDKernel(sweep, total, steps)
+    jobs = chunk_jobs(sweep.model, kernel, vec, total, config.delta_t, seeds, chunk_size)
     finals, alive = (np.concatenate(c, axis=-1) for c in zip(*map_ordered(run_chunk, jobs)))
+    dynamical = energy_integral(sweep, vec, total).tolist()
     return [
-        _point_result(sweep, p, vec, config, final[kept])
-        for (sweep, p), final, kept in zip(points, finals, alive)
+        _point_result(config, final[kept], _mean_path_arg(sweep, p, vec, total, steps), term)
+        for p, (final, kept, term) in enumerate(zip(finals, alive, dynamical))
     ]
 
 

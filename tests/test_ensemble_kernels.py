@@ -31,6 +31,7 @@ from trajphase.jump import (
     sample_jump_trajectory,
 )
 from trajphase.lindblad import DensityMatrix, LindbladModel, ShiftSet, evolve_states, lower_model
+from trajphase.lindblad import lower_sweep, stack_shifts
 from trajphase.operators import (
     BlochAngles,
     MapPowers,
@@ -81,12 +82,19 @@ def _two_point(words: np.ndarray, dt: float) -> np.ndarray:
     return math.sqrt(dt / 2.0) * (1 - 2 * (pairs & 1) + 1j * (1 - (pairs & 2)))
 
 
+def _sweep(model, shift_sets):
+    """The model at each shift set, None for none, lowered as one sweep at
+    the model's strength."""
+    zero = ShiftSet.constants([0.0] * len(model.lindblads))
+    sets = [zero if s is None else s for s in shift_sets]
+    return lower_sweep(model, [model.strength] * len(sets), *stack_shifts(sets))
+
+
 def _chunk(job) -> tuple[np.ndarray, np.ndarray]:
     """`_QSDKernel.chunk` of a (model, shift sets, ...) job: the kernel takes
-    each shift set's lowering as the point (sweep, 0)."""
+    the shift sets as the points of one sweep (`_sweep`)."""
     model, shift_sets, vec, total_time, delta_t, streams = job
-    points = [(lower_model(model, s), 0) for s in shift_sets]
-    kernel = _QSDKernel(points, total_time, grid_steps(total_time, delta_t)[0])
+    kernel = _QSDKernel(_sweep(model, shift_sets), total_time, grid_steps(total_time, delta_t)[0])
     return kernel.chunk(vec, streams)
 
 
@@ -380,7 +388,7 @@ def test_qsd_excludes_the_same_trajectories(cap, monkeypatch) -> None:
         monkeypatch.setattr(
             _QSDKernel, "safe_ops", lambda self, start, ops: min(cap, safe_ops(self, start, ops))
         )
-        kernel = _QSDKernel([(lower_model(model), 0)], 23.0, 230)
+        kernel = _QSDKernel(lower_model(model), 23.0, 230)
         kernel.start(vec, 1)
         assert (kernel.span, kernel.block) == (6, 32)
         assert 0 < kernel.safe_ops(np.ones((2, 1, 1), complex), kernel.ops) == cap
@@ -403,7 +411,7 @@ def test_qsd_overflow_screen_keeps_the_per_step_rule() -> None:
     # keep there although the state after it is fine; inf after the op.
     lowered = lower_model(dephasing_model(1.0, 0.1))
     vec = np.array([1.0, 0.0], dtype=complex)
-    kernel = _QSDKernel([(lowered, 0)], 2.0, 20)
+    kernel = _QSDKernel(lowered, 2.0, 20)
     kernel.start(vec, 5)
     # An op's (d, P, N) states before and after it, as the kernel holds them.
     pair = kernel.states
@@ -436,7 +444,7 @@ def test_qsd_screen_steps_inside_every_op() -> None:
     lower = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
     model = LindbladModel(Operator(np.zeros((2, 2))), (lower,), 4.0 / dt)
     vec = np.array([1.0, 0.0], dtype=complex)
-    kernel = _QSDKernel([(lower_model(model), 0)], 24 * dt, 24)
+    kernel = _QSDKernel(lower_model(model), 24 * dt, 24)
     kernel.start(vec, 3)
     assert (kernel.ops, kernel.span) == (4, 6)
     step = [np.array([[1.0, 2.0 * dw / math.sqrt(dt)], [0.0, -1.0]]) for dw in kernel.increments]
@@ -483,7 +491,7 @@ def test_qsd_safe_ops_never_allow_an_overflow(
     rng = np.random.default_rng(seed)
     model = _random_model(dim, count, strength, rng)
     dt, steps, columns = 0.1, 600, 8
-    kernel = _QSDKernel([(lower_model(model), 0)], steps * dt, steps)
+    kernel = _QSDKernel(lower_model(model), steps * dt, steps)
     start = rng.normal(size=(dim, 1, columns)) + 1j * rng.normal(size=(dim, 1, columns))
     start *= 10.0**scale / np.abs(start.view(float)).max()
     ops = kernel.safe_ops(start, kernel.ops)
@@ -583,16 +591,16 @@ def test_qsd_table_entry_is_the_product_of_its_steps(dim: int, count: int) -> No
         total = CELLS * CELL if case == "edge" else steps * 1e-2
         shifts = piecewise if case == "edge" else constant
         lowered = lower_model(model, shifts)
-        kernel = _QSDKernel([(lowered, 0)], total, steps)
+        kernel = _QSDKernel(lowered, total, steps)
         kernel.start(vec, 3)
         # The first step of the op holding step 0, step 49 or the last step.
         first = {"run": 0, "edge": 49}.get(case, steps - 1) // span * span
         piece = kernel.piece_starts.index(first // span)
         cells = lowered.grid.step_cells(total, steps).tolist()[first : first + span]
-        # One point's rows are its cells; a step past the grid takes the
-        # identity, the last row.
-        rows = kernel.pieces[piece, :, 0].tolist()
-        assert kernel.span == span and rows == cells + [-1] * (span - len(cells))
+        # The piece's cells are its first op's steps' cells; a step past the
+        # grid takes the identity, cell -1.
+        got_cells = kernel.pieces[piece].tolist()
+        assert kernel.span == span and got_cells == cells + [-1] * (span - len(cells))
         if case == "run":
             assert kernel.piece_starts == [0]
         else:
@@ -628,16 +636,17 @@ def test_qsd_op_span_depends_on_dim_and_channels_only(dim: int, count: int) -> N
     model = _random_model(dim, count, 0.4, rng)
     # The kernel is planned before any chunk, so it cannot follow the chunk.
     for npoints in (1, 2, 5):
-        points = [(lower_model(model, ShiftSet.constants([0.1 * p] * count)), 0)
-                  for p in range(npoints)]
-        assert _QSDKernel(points, 0.6, 60).span == SPANS[dim, count]
+        sweep = _sweep(model, [ShiftSet.constants([0.1 * p] * count) for p in range(npoints)])
+        assert _QSDKernel(sweep, 0.6, 60).span == SPANS[dim, count]
 
 
 @pytest.mark.parametrize("count", [1, 2])
 def test_qsd_op_across_a_cell_edge_keeps_points_apart(count: int) -> None:
     # Cells of 0.52 on a grid of 1e-2: the piecewise point's runs start at
     # steps 52 and 104, inside ops of 6 steps (one channel) and of 3 (two
-    # channels); the last op of 151 steps has 1.
+    # channels); the last op of 151 steps has 1. Both points run in one
+    # sweep, the constant one on the piecewise grid, and each keeps the bytes
+    # of its one-point kernel.
     rng = np.random.default_rng(60 + count)
     model = _random_model(2, count, 0.4, rng)
     piecewise = ShiftSet(
@@ -648,23 +657,20 @@ def test_qsd_op_across_a_cell_edge_keeps_points_apart(count: int) -> None:
     )
     constant = ShiftSet.constants(list(rng.normal(size=count) + 1j * rng.normal(size=count)))
     vec = _random_state(2, rng)
-    points = [(lower_model(model, piecewise), 0), (lower_model(model, constant), 0)]
-    kernel = _QSDKernel(points, 1.51, 151)
+    kernel = _QSDKernel(_sweep(model, [piecewise, constant]), 1.51, 151)
     span = kernel.span
     assert span == 6 // count
-    # The op holding each of the piecewise point's edge steps is a piece of
-    # one op, its steps in two of that point's cells, and so is the short
-    # last op; the runs between them share a table. Each piece differs in
-    # some point's cell at some step from the pieces beside it, so it takes
-    # a table of its own.
+    # The op holding each edge step is a piece of one op, its steps in two
+    # cells, and so is the short last op; the runs between them share a
+    # table. Each piece differs in the cell at some step from the pieces
+    # beside it, so it takes a table of its own.
     edges = [kernel.piece_starts.index(edge // span) for edge in (52, 104)]
     assert edges == [1, 3] and 52 % span and 104 % span
     assert [kernel.lengths[piece] for piece in (1, 3, 5)] == [1, 1, 1]
-    # Each point's rows, the identity past the grid's end (-1) left out.
-    cells = [[set(piece[:, p].tolist()) - {-1} for piece in kernel.pieces] for p in (0, 1)]
-    assert [len(c) for c in cells[0]] == [1, 2, 1, 2, 1, 1]
-    assert [len(c) for c in cells[1]] == [1] * 6
-    assert np.count_nonzero(kernel.pieces[5, :, 0] >= 0) == 151 % span
+    # Each piece's cells, the identity past the grid's end (-1) left out.
+    cells = [set(piece.tolist()) - {-1} for piece in kernel.pieces]
+    assert [len(c) for c in cells] == [1, 2, 1, 2, 1, 1]
+    assert np.count_nonzero(kernel.pieces[5] >= 0) == 151 % span
     assert all(not np.array_equal(a, b) for a, b in zip(kernel.pieces, kernel.pieces[1:]))
     seeds = trajectory_seeds(80 + count, 24)
     _check_points_against_reference(model, [piecewise, constant], vec, 1.51, 1e-2, seeds)
@@ -702,7 +708,7 @@ def test_qsd_overflow_inside_a_ring_segment(dim: int, count: int, monkeypatch) -
     # Noise blocks of 32 ops, shorter than the run.
     monkeypatch.setattr(qsd, "BLOCK_BYTES", 1)
     lowered = lower_model(model)
-    kernel = _QSDKernel([(lowered, 0)], steps * delta_t, steps)
+    kernel = _QSDKernel(lowered, steps * delta_t, steps)
     kernel.start(vec, len(seeds))
     assert kernel.block == 32 < kernel.ops
     # Some overflow falls strictly inside an op, where an op has several
@@ -715,7 +721,7 @@ def test_qsd_overflow_inside_a_ring_segment(dim: int, count: int, monkeypatch) -
     assert alive.tolist() == want_alive.tolist()
     assert _trajectory_gap(final, want) <= 1e-12
     _assert_budget_free((model, [None], *job[2:]), finals, masks, monkeypatch)
-    _, alive = _QSDKernel([(lowered, 0)], steps * delta_t, steps).chunk(vec, seeds)
+    _, alive = _QSDKernel(lowered, steps * delta_t, steps).chunk(vec, seeds)
     assert alive[0].tolist() == (blown_at < 0).tolist()
 
 
@@ -729,8 +735,7 @@ def test_qsd_point_overflow_stays_in_its_point(monkeypatch) -> None:
     vec = np.asarray(EQUATOR.amplitudes)
     monkeypatch.setattr(qsd, "BLOCK_BYTES", 1)
     shift_sets = [None, ShiftSet.constants([1.0]), ShiftSet.constants([0.1])]
-    points = [(lower_model(model, shifts), 0) for shifts in shift_sets]
-    kernel = _QSDKernel(points, 23.3, 233)
+    kernel = _QSDKernel(_sweep(model, shift_sets), 23.3, 233)
     kernel.start(vec, 16)
     assert (kernel.block, kernel.span) == (32, 6)
     blown_at = _check_points_against_reference(
@@ -805,9 +810,11 @@ def test_qsd_ensemble_is_byte_identical_across_chunk_sizes() -> None:
 
 
 def test_qsd_pass_plans_one_kernel(monkeypatch) -> None:
-    # Every chunk job carries the pass's one kernel, in the worker processes
-    # too, whatever the chunk size. Two plain points of one sweep around a
-    # piecewise one: the kernel reads them from the blocks of two sweeps.
+    # A pass runs one lowered sweep, and every chunk job carries its one
+    # kernel, in the worker processes too, whatever the chunk size. Two
+    # plain points around a piecewise one are two groups of
+    # `lindblad.lower_points`, so two passes: one kernel of the two plain
+    # points, then one of the piecewise point.
     built = []
     init = _QSDKernel.__init__
 
@@ -826,7 +833,7 @@ def test_qsd_pass_plans_one_kernel(monkeypatch) -> None:
         monkeypatch.setenv("TRAJPHASE_THREADS", threads)
         built.clear()
         results = averaged_geometric_phases(model, vec, config, shift_sets, chunk_size=chunk)
-        assert built == [3]
+        assert built == [2, 1]
         outs.add(np.array([dataclasses.astuple(r) for r in results], dtype=complex).tobytes())
     assert len(outs) == 1
 
@@ -837,15 +844,15 @@ def test_qsd_kernel_runs_chunks_in_turn_as_fresh_kernels() -> None:
     # first chunk.
     rng = np.random.default_rng(19)
     model = _random_model(2, 1, 0.4, rng)
-    points = [(lower_model(model, _random_shifts(1, rng)), 0), (lower_model(model), 0)]
+    sweep = _sweep(model, [_random_shifts(1, rng), None])
     vec = _random_state(2, rng)
     steps = grid_steps(CELLS * CELL, 1e-2)[0]
     seeds = trajectory_seeds(9, 29)
-    kernel = _QSDKernel(points, CELLS * CELL, steps)
+    kernel = _QSDKernel(sweep, CELLS * CELL, steps)
     assert len(kernel.lengths) > 2
     for part in (seeds[:24], seeds[24:]):
         got = kernel.chunk(vec, part)
-        want = _QSDKernel(points, CELLS * CELL, steps).chunk(vec, part)
+        want = _QSDKernel(sweep, CELLS * CELL, steps).chunk(vec, part)
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
 
@@ -888,10 +895,10 @@ def test_qsd_chunk_stays_within_its_block_budget(dim: int, count: int) -> None:
     rng = np.random.default_rng(40 + dim)
     model = _random_model(dim, count, 0.4, rng)
     vec = _random_state(dim, rng)
-    points = [(lower_model(model, s), 0) for s in (None, ShiftSet.constants([0.5] * count))]
-    long = _QSDKernel(points, 15.0, 15000)
+    sweep = _sweep(model, [None, ShiftSet.constants([0.5] * count)])
+    long = _QSDKernel(sweep, 15.0, 15000)
     assert qsd.BLOCK_BYTES // 2 < _chunk_peak_bytes(long, vec) <= qsd.BLOCK_BYTES + 2**20
-    short = _QSDKernel(points, 0.3, 300)
+    short = _QSDKernel(sweep, 0.3, 300)
     peak = _chunk_peak_bytes(short, vec)
     ops = 32 * -(-short.ops // 32)
     assert short.block == ops < long.block

@@ -171,8 +171,8 @@ def test_stacked_lowering_equals_one_point_lowering(points) -> None:
 def test_propagators_read_a_point_as_its_rows(points) -> None:
     # Point p of a multi-point lowering gives every propagator the bytes
     # that the same point lowered alone gives; point p of the master
-    # equation propagated for every point at once has the bytes of its
-    # one-point sweep.
+    # equation propagated, and of its energy integral taken, for every
+    # point at once has the bytes of its one-point sweep.
     total, steps = 1.0, 7
     dim = points[0][0].dim
     vec = (np.arange(1.0, dim + 1) + 1j) / np.linalg.norm(np.arange(1.0, dim + 1) + 1j)
@@ -182,7 +182,7 @@ def test_propagators_read_a_point_as_its_rows(points) -> None:
         sampler = _JumpSampler(sweep, p, total, steps)
         return [
             evolve_states(sweep, rho0, total, steps)[1][p],
-            energy_integral(sweep, p, vec, total),
+            energy_integral(sweep, vec, total)[p],
             _mean_path_arg(sweep, p, vec, total, steps),
             sampler.runs,
             sampler.powers.square(0),

@@ -28,6 +28,8 @@ _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 THREADS_ENV = "TRAJPHASE_THREADS"
+# Trajectories per worker batch.
+DEFAULT_CHUNK = 2048
 
 
 def trajectory_seeds(seed: int, count: int) -> list[TrajectoryStream]:

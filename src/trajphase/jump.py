@@ -49,8 +49,8 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from ._ensemble import chunk_jobs, map_ordered, mean_and_error, run_chunk, sampling_grid
-from ._ensemble import trajectory_words
+from ._ensemble import DEFAULT_CHUNK, chunk_jobs, map_ordered, mean_and_error, run_chunk
+from ._ensemble import sampling_grid, trajectory_words
 from .lindblad import (
     DensityMatrix,
     LindbladModel,
@@ -79,8 +79,8 @@ from .operators import (
     normalized_states,
     real_form,
     run_blocks,
-    run_states,
     run_view,
+    run_windows,
     simpson_weights,
     state_vector,
     step_propagators,
@@ -211,14 +211,6 @@ class JumpEnsembleResult:
     # Jump count per trajectory, in trajectory index order.
     jump_counts: np.ndarray = dataclasses.field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
-    @property
-    def samples(self) -> list[tuple[float, DensityMatrix]]:
-        return [(float(t), DensityMatrix(rho)) for t, rho in zip(self.times, self.estimates)]
-
-    @property
-    def final_estimate(self) -> DensityMatrix:
-        return DensityMatrix(self.estimates[-1])
-
 
 def no_jump_hamiltonian(model: LindbladModel) -> OperatorSchedule:
     """K_tilde(t) = H(t) - (i * strength / 2) * sum_m L_m(t)^dag L_m(t)."""
@@ -242,13 +234,14 @@ def propagate_no_jump(
     """Deterministic propagation under the no-jump generator.
 
     Uses the exponential midpoint rule per substep; a run of substeps in one
-    cell is propagated by powers of that cell's exponential
-    (`operators.run_states`). survival is the final squared norm relative to
-    the initial one, clamped to [0, 1]; TotalDecayError is raised once the
-    norm falls below NORM_FLOOR times the initial one. psi0 is propagated
-    scaled by a power of two into [1/2, 1), so its norms cannot underflow.
-    The record's states are the transpose of C-ordered (d, steps + 1)
-    columns, as `run_states` returns them; the phase tracker keeps none.
+    cell is propagated by powers of that cell's exponential, in the one
+    window of `operators.run_windows` that spans the grid. survival is the
+    final squared norm relative to the initial one, clamped to [0, 1];
+    TotalDecayError is raised once the norm falls below NORM_FLOOR times
+    the initial one. psi0 is propagated scaled by a power of two into
+    [1/2, 1), so its norms cannot underflow. The record's states are the
+    transpose of columns 1.. of that C-ordered (d, steps + 2) window; the
+    phase tracker keeps none.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -260,9 +253,11 @@ def propagate_no_jump(
     exponent = int(np.frexp(np.abs(vec).max())[1])
     gens = np.stack([op.entries for op in generator.values])
     maps, runs = step_propagators(generator, gens, total_time, steps)
-    states = run_states(MapPowers(maps, steps), runs, binary_scaled(vec, -exponent))
+    x0 = binary_scaled(vec, -exponent)
+    [(_, out)] = run_windows(MapPowers(maps, steps), runs, x0, steps + 1)
+    states = out[:, 1:].T
 
-    sq_norms = _squared_norms(states.T)
+    sq_norms = _squared_norms(out[:, 1:])
     decayed = sq_norms < NORM_FLOOR**2 * sq_norms[0]
     if decayed.any():
         raise _decay_error(int(np.argmax(decayed)) * dt)
@@ -335,13 +330,10 @@ def _track_stack(gens, herms, vecs, grid: Schedule, total_time: float, steps: in
     the overlap by more than pi/2.
 
     The arithmetic is real: a state psi is (Re psi, Im psi) and a matrix
-    acts as its `real_form`. The states are the columns of (G, 2d, width +
-    1) windows over the grid, column 0 of a window holding the grid column
-    before it. The cells' step maps are one `MapPowers`. Where a run began
-    at least a width back, a window is the power width of its cell's maps
-    (one `MapPowers.power` for all cells) times the last one; the runs that
-    start inside a window, and a run's first columns, are one
-    `MapPowers.fill` of them all. One stacked product per `run_blocks`
+    acts as its `real_form`. The states are the columns of the (G, 2d,
+    width + 1) windows of `operators.run_windows` over the grid, column 0
+    of a window holding the grid column before it, from one `MapPowers`
+    of the cells' step maps. One stacked product per `run_blocks`
     block of the window's runs over the grid columns reads each column into
     (2d + 2, G, width + 1) rows: K psi, then the Re and Im rows of z =
     <psi0|psi>. Each column's squared norm, |z|^2, crossing flag, integrand
@@ -371,18 +363,15 @@ def _track_stack(gens, herms, vecs, grid: Schedule, total_time: float, steps: in
     readout[:, :, : 2 * dim] = real_form(herms[:, read_cells]).swapaxes(0, 1)
     readout[:, :, 2 * dim :] = real_form(x0.conj()[:, np.newaxis])
     width = max(1, min(cols, STACK_BYTES // (count * _window_column_bytes(dim))))
-    # Run (a, b, key) takes the states of columns a..b-1 to a+1..b.
-    state_parts = window_parts([(a + 1, b + 1, key, a) for a, b, key in runs], width)
+    windows = run_windows(powers, runs, np.concatenate([x0.real, x0.imag], axis=1), width)
     read_parts = window_parts(point_runs, width)
 
-    # Every cell's maps to the power width, formed on first use. The Simpson
-    # weights of a window inside the grid (0 < start <= inside) depend only
-    # on its start's parity; the windows at width and 2 width give both.
-    across, inside = None, cols - 3 - width
+    # The Simpson weights of a window inside the grid (0 < start <= inside)
+    # depend only on its start's parity; the windows at width and 2 width
+    # give both.
+    inside = cols - 3 - width
     starts = [s for s in (width, 2 * width) if s <= inside]
     inner = {s % 2: simpson_weights(cols, dt, s, s + width) for s in starts}
-    buffers = [np.empty((count, 2 * dim, width + 1)) for _ in range(1 + (width < cols))]
-    x, last = buffers[0], buffers[-1]
     y = np.empty((2 * dim + 2, count, width + 1))
     y_out, z = y.swapaxes(0, 1), y[2 * dim :]
     # Flat (G, width + 1) rows: norms; integrand, |z|^2, then turns' Re parts;
@@ -397,26 +386,11 @@ def _track_stack(gens, herms, vecs, grid: Schedule, total_time: float, steps: in
     crossings: list[list[int]] = [[] for _ in range(count)]
     # Decayed points ride along to the end; their zeros must not warn.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for w, (state_plan, read_plan) in enumerate(zip(state_parts, read_parts)):
-            start = w * width
+        for (start, x), read_plan in zip(windows, read_parts):
             span = min(width, cols - start)
-            if w:
-                x, last = last, x
-                x[:, :, 0] = last[:, :, width]
+            if start:
                 z[:, :, 0] = z[:, :, width]
                 cross[:, 0] = cross[:, width]
-            else:
-                x[:, :dim, 1], x[:, dim:, 1] = x0.real, x0.imag
-            lo, hi, key, a = state_plan[0]
-            if lo - width >= a:
-                # A full width into the run: one product with the last window.
-                if across is None:
-                    across = powers.power(width)
-                i, j = lo - start + 1, hi - start + 1
-                np.matmul(across[key], last[:, :, i:j], out=x[:, :, i:j])
-                state_plan = state_plan[1:]
-            if state_plan:
-                powers.fill(x, [(lo - start, hi - start, key) for lo, hi, key, _ in state_plan])
             for lo, size, length, key, step in run_blocks(read_plan):
                 i = lo - start + 1
                 np.matmul(
@@ -434,7 +408,7 @@ def _track_stack(gens, herms, vecs, grid: Schedule, total_time: float, steps: in
             ends = not 0 < start <= inside
             rule = simpson_weights(cols, dt, start, start + span) if ends else inner[start % 2]
             dynamical += np.einsum("gk,k->g", mag, rule)
-            if not w:
+            if not start:
                 floor = NORM_FLOOR**2 * sq[:, 0]
                 limit = BRANCH_EPS**2 * sq[:, :1]
 
@@ -454,7 +428,7 @@ def _track_stack(gens, herms, vecs, grid: Schedule, total_time: float, steps: in
                     crossings[g].append(start + k)
 
             # Turns into columns lo..span; the grid's column 0 has none.
-            lo = 1 if w else 2
+            lo = 1 if start else 2
             real, imag, args = rows[1:]
             _turns(z[0].reshape(-1), z[1].reshape(-1), real, imag, args)
             np.arctan2(imag, real, out=args)
@@ -812,7 +786,7 @@ def average_jump_ensemble(
     n_trajectories: int,
     seed: int,
     shifts: Optional[ShiftSet] = None,
-    chunk_size: int = 2048,
+    chunk_size: int = DEFAULT_CHUNK,
 ) -> JumpEnsembleResult:
     """Monte Carlo estimate of rho(T) from the jump unraveling, by the
     waiting-time law of this module; projector moments are taken at T only.

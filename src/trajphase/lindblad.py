@@ -58,7 +58,7 @@ from .operators import (
     identity,
     is_hermitian,
     matrix_exponential,
-    run_states,
+    run_windows,
     step_propagators,
     unit_vector,
 )
@@ -428,8 +428,9 @@ def evolve_states(
     A step of cell c is exp(dt S_c) on the row-major vec(rho), S_c being the
     point's `_liouvillian` in that cell: one matrix exponential per cell
     used and point, from `operators.step_propagators` (a step takes the cell
-    of its midpoint), applied to all points through `operators.run_states`
-    from one ladder of their maps' powers, as for the no-jump branch. On a
+    of its midpoint), applied to all points in the one window of
+    `operators.run_windows` that spans the grid, from one ladder of their
+    maps' powers, as for the no-jump branch. On a
     grid whose steps line up with the cells this is exact up to roundoff,
     however coarse. Each point's grid states are then re-symmetrized in
     place and checked at once by `_check_states`. The maps preserve trace and
@@ -443,8 +444,8 @@ def evolve_states(
     generators = 1j * _liouvillian(sweep.k_tilde, sweep.channels, sweep.strengths).swapaxes(0, 1)
     maps, runs = step_propagators(sweep.grid, generators, total_time, steps)
     x0 = np.broadcast_to(rho0.entries.reshape(-1), (len(sweep), rho0.entries.size))
-    stack = run_states(MapPowers(maps, steps), runs, x0)
-    stack = stack.reshape(len(sweep), -1, *rho0.entries.shape)
+    [(_, out)] = run_windows(MapPowers(maps, steps), runs, x0, steps + 1)
+    stack = out[..., 1:].swapaxes(-1, -2).reshape(len(sweep), -1, *rho0.entries.shape)
     times = np.arange(steps + 1) * (total_time / steps)
     for rhos in stack[:, 1:]:
         # Re-symmetrize to drop the skew part roundoff leaves behind, in place

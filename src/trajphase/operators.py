@@ -25,11 +25,12 @@ length whose keys step evenly). It carries the block's first state to the
 last column of each of its runs, then fills the block with one stacked
 product per doubling level, so R runs of L steps cost about log2(L)
 products and at most R carries. These are plain matrix products, exact
-up to roundoff for any map, normal or not. `run_states` keeps the states
-as the columns of a C-ordered (d, n + 1) array, so each product is a d x d
-map times a contiguous block of columns and any reduction over the d
-entries of a state runs along rows; it returns the transpose, an
-(n + 1, d) view, whose `.T` gives the columns back.
+up to roundoff for any map, normal or not. Every deterministic
+propagation takes its states from `run_windows`, in windows of grid
+columns, as the columns of C-ordered (..., d, width + 1) arrays, so each
+product is a d x d map times a contiguous block of columns and any
+reduction over the d entries of a state runs along rows. A window a full
+width into a run is one product with the window before it.
 """
 
 from __future__ import annotations
@@ -321,9 +322,6 @@ class OperatorSchedule(Schedule):
     @property
     def dim(self) -> int:
         return self.values[0].dim
-
-    def map(self, fn: Callable[[Operator], Operator]) -> "OperatorSchedule":
-        return OperatorSchedule(tuple(fn(v) for v in self.values), self.cell)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -712,20 +710,45 @@ def key_view(stack: np.ndarray, key: int, step: int, count: int) -> np.ndarray:
     return np.broadcast_to(stack[key], (count, *stack.shape[1:]))
 
 
-def run_states(powers: MapPowers, runs, x0) -> np.ndarray:
-    """States x_0..x_n of x_{k+1} = M_key @ x_k for the steps k of each run
-    (start, stop, key), from the one ladder powers of (K, ..., d, d) maps,
-    as an (..., n + 1, d) array from (..., d) x0; the runs tile [0, n).
+def run_windows(powers: MapPowers, runs, x0, width: int):
+    """Yield (start, x) for each window of `width` grid columns, in order,
+    of the states x_0..x_n of x_{k+1} = M_key @ x_k for the steps k of each
+    run (start, stop, key), from the one ladder powers of (K, ..., D, D)
+    maps and (..., D) x0; the runs tile [0, n).
 
-    The states are filled as the columns of a C-ordered (..., d, n + 1)
-    array, by one `MapPowers.fill` of all runs, and the view returned is
-    its transpose.
+    x is an (..., D, width + 1) array of x0's dtype: column j + 1 holds
+    grid column start + j, and column 0 the grid column before it. A second
+    buffer is held only when width is less than the n + 1 grid columns.
+    Where a run began at least a width back, a window's columns in it are
+    one product of the previous window's with every key's map to the power
+    width (one `MapPowers.power`, formed on first use); the runs that start
+    inside a window, and a run's first columns, are one `MapPowers.fill`
+    of them all. The next window continues from columns 1.. of the one
+    yielded, so a caller may rescale those in place.
     """
-    x0 = np.asarray(x0, dtype=complex)
-    out = np.empty((*x0.shape, runs[-1][1] + 1 if runs else 1), dtype=complex)
-    out[..., 0] = x0
-    powers.fill(out, runs)
-    return out.swapaxes(-1, -2)
+    x0 = np.asarray(x0)
+    cols = (runs[-1][1] if runs else 0) + 1
+    buffers = [np.empty((*x0.shape, width + 1), x0.dtype) for _ in range(1 + (width < cols))]
+    x, last = buffers[0], buffers[-1]
+    x[..., 1] = x0
+    across = None
+    # Run (a, b, key) takes the states of columns a..b-1 to a+1..b.
+    plans = window_parts([(a + 1, b + 1, key, a) for a, b, key in runs], width)
+    for start in range(0, cols, width):
+        plan = next(plans, [])
+        if start:
+            x, last = last, x
+            x[..., 0] = last[..., width]
+        if plan and plan[0][0] - width >= plan[0][3]:
+            # A full width into the run: one product with the last window.
+            lo, hi, key, _ = plan.pop(0)
+            if across is None:
+                across = powers.power(width)
+            i, j = lo - start + 1, hi - start + 1
+            np.matmul(across[key], last[..., i:j], out=x[..., i:j])
+        if plan:
+            powers.fill(x, [(lo - start, hi - start, key) for lo, hi, key, _ in plan])
+        yield start, x
 
 
 def window_parts(ranges, width: int):

@@ -52,9 +52,7 @@ at a time, each screened.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
-import itertools
 import math
 import warnings
 from typing import Optional, Sequence
@@ -62,18 +60,16 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ._ensemble import chunk_jobs, grid_steps, map_ordered, mean_and_error, run_chunk
-from ._ensemble import sampling_grid, trajectory_seeds
+from ._ensemble import DEFAULT_CHUNK, chunk_jobs, grid_steps, map_ordered, mean_and_error
+from ._ensemble import run_chunk, sampling_grid, trajectory_seeds
 from .lindblad import LindbladModel, LoweredSweep, ShiftSet, energy_integral, lower_points
-from .operators import MapPowers, keyed_runs, normalized_state_vector, run_states, step_runs
-from .operators import unit_vector, window_parts, wrap_phase
+from .operators import MapPowers, keyed_runs, normalized_state_vector, run_windows, step_runs
+from .operators import wrap_phase
 
 # Unused here; bench/tracing.py wraps these names on this module.
 from .lindblad import apply_shift, evolve_density, shifted_hamiltonian  # noqa: F401
 
 NORM_OVERFLOW = 1e100
-# Trajectories per worker batch.
-DEFAULT_CHUNK = 2048
 # Largest table of one op's matrices per point: an op takes the most steps
 # k whose 4^(kC) entries of d x d complex, 4^(kC) d^2 16 B, fit, and never
 # fewer than 4 // C (C channels). At 256 KiB a qubit's op takes 6 steps on
@@ -440,43 +436,39 @@ class _QSDKernel:
     def advance(self, symbols: np.ndarray, first: int) -> None:
         """Take the len(symbols) ops from op first, an even op, each with its
         (groups, N) symbols: op o from states[o % 2] into states[1 - o % 2].
-        The ops that `safe_ops` counts run unscreened; where it counts none,
-        one op runs and is screened."""
+        The ops walk the pieces they cross; a piece's table is built when
+        its first op is reached and held until the next piece's is. The ops
+        that `safe_ops` counts run unscreened; where it counts none, one op
+        runs and is screened."""
         gathered, extra_buf = self.gathered[0], self.gathered[-1]
-        safe = 0
-        # symbols first, so zip stops without taking a table too many.
-        for op, (sym, (table, extra)) in enumerate(zip(symbols, self.tables_from(first)), first):
-            pair = self.states[::-1] if op % 2 else self.states
-            if not safe:
-                safe = self.safe_ops(pair[0], first + len(symbols) - op)
-            # "clip" never clips a symbol; it lets take write into its out directly.
-            table.take(sym[0], -1, gathered, "clip")
-            for tab, s in zip(extra, sym[1:]):
-                gathered += tab.take(s, -1, extra_buf, "clip")
-            np.multiply(gathered, pair[0][:, np.newaxis], out=gathered)
-            np.add.reduce(gathered, axis=0, out=pair[1])
-            if safe:
-                safe -= 1
-            else:
-                self.screen(pair, sym, op)
-
-    def tables_from(self, first: int):
-        """The (table, extra) of each op from op first on: the op's table
-        and those of the other groups. A run's table is built when its
-        first op is reached."""
-        i = bisect.bisect_right(self.piece_starts, first) - 1
-        for i in range(i, len(self.lengths)):
-            left = self.piece_starts[i] + self.lengths[i] - max(first, self.piece_starts[i])
-            yield from itertools.repeat(self.piece_tables(i), left)
-
-    def piece_tables(self, i: int):
-        """Piece i's (table, extra), building its table unless it is the
-        one held; no two pieces have the same cells at every step."""
-        if self.held is None or self.held[0] != i:
-            # Let go of the old tables before the new ones are built.
-            self.held = None
-            self.held = (i, self._table(i))
-        return self.held[1]
+        safe, op, stop = 0, first, first + len(symbols)
+        i = self.held[0] if self.held else 0
+        while op < stop:
+            while self.piece_starts[i] + self.lengths[i] <= op:
+                i += 1
+            if not self.held or self.held[0] != i:
+                # Let go of the old tables before the new ones are built; no
+                # two pieces have the same cells at every step.
+                self.held = None
+                self.held = (i, self._table(i))
+            table, extra = self.held[1]
+            end = min(stop, self.piece_starts[i] + self.lengths[i])
+            for op in range(op, end):
+                sym = symbols[op - first]
+                pair = self.states[::-1] if op % 2 else self.states
+                if not safe:
+                    safe = self.safe_ops(pair[0], stop - op)
+                # "clip" never clips a symbol; it lets take write into its out directly.
+                table.take(sym[0], -1, gathered, "clip")
+                for tab, s in zip(extra, sym[1:]):
+                    gathered += tab.take(s, -1, extra_buf, "clip")
+                np.multiply(gathered, pair[0][:, np.newaxis], out=gathered)
+                np.add.reduce(gathered, axis=0, out=pair[1])
+                if safe:
+                    safe -= 1
+                else:
+                    self.screen(pair, sym, self.pieces[i])
+            op = end
 
     def safe_ops(self, start: np.ndarray, ops: int) -> int:
         """The most ops, up to ops, that the (d, P, N) states start can take
@@ -494,10 +486,11 @@ class _QSDKernel:
             return 0
         return ops if rate == 0 else max(0, min(ops, math.ceil(room / rate) - 1))
 
-    def screen(self, pair: np.ndarray, symbols: np.ndarray, op: int) -> None:
+    def screen(self, pair: np.ndarray, symbols: np.ndarray, cells: np.ndarray) -> None:
         """Exclude the trajectories of each point whose norm overflowed at any
-        step of op `op`, with the (groups, N) symbols, given the (2, d, P, N)
-        states before and after it, and zero them in the after state."""
+        step of an op of the piece of the given cells, with the (groups, N)
+        symbols, given the (2, d, P, N) states before and after it, and zero
+        them in the after state."""
         # Columns whose parts all stay below screen_level have not overflowed,
         # after the op nor inside it; the others (nan included) get the exact
         # test at every step, inside the op by taking it again step by step.
@@ -511,16 +504,16 @@ class _QSDKernel:
                 before, after = pair[:, :, p][:, :, suspect]
                 kept = np.linalg.norm(after, axis=0) < NORM_OVERFLOW
                 if self.span > 1:
-                    kept &= self.inside_ops_kept(before, symbols[0, suspect], op, p)
+                    kept &= self.inside_ops_kept(before, symbols[0, suspect], cells, p)
                 blown = suspect[alive[suspect] & ~kept]
                 alive[blown] = False
                 pair[1, :, p][:, blown] = 0.0
 
-    def inside_ops_kept(self, start, symbols, op: int, point: int) -> np.ndarray:
-        """Whether every state inside op `op` stays below NORM_OVERFLOW, per
-        column, taking the op again one step at a time from the (d, S)
-        states before it with the (S,) symbols at the given point."""
-        cells = self.pieces[bisect.bisect_right(self.piece_starts, op) - 1]
+    def inside_ops_kept(self, start, symbols, cells: np.ndarray, point: int) -> np.ndarray:
+        """Whether every state inside an op of the piece of the given cells
+        stays below NORM_OVERFLOW, per column, taking the op again one step
+        at a time from the (d, S) states before it with the (S,) symbols at
+        the given point."""
         x = start.T
         kept = np.ones(len(x), dtype=bool)
         for t in range(self.span - 1):
@@ -538,25 +531,26 @@ def _mean_path_arg(sweep, p: int, vec: np.ndarray, total_time: float, steps: int
     Positive scale factors keep every argument. Each drift map is divided by
     its spectral radius, so within a run of steps in one cell the path
     neither decays nor grows geometrically, however non-normal the map; the
-    cells' maps are one `MapPowers`. The grid is taken in windows of steps
-    whose states and path values, 16 (d + 4) B a step, fit in half of
-    BLOCK_BYTES: each window is one `run_states` over the runs in it, from
-    the last state before it as a unit vector."""
+    cells' maps are one `MapPowers`. The states come from
+    `operators.run_windows`, in windows of grid columns whose two state
+    windows and path values, 16 (2d + 4) B a column, fit in half of
+    BLOCK_BYTES. Each window's states are rescaled in place by the power of
+    two that takes their largest part into [1/2, 1), which is exact, and
+    the next window continues from them."""
     dt = total_time / steps
     bra = vec.conj()
-    start = vec
     total = 0.0
-    window = BLOCK_BYTES // 2 // (16 * (len(vec) + 4))
+    width = max(1, min(steps + 1, BLOCK_BYTES // 2 // (16 * (2 * len(vec) + 4))))
     cells, runs = keyed_runs(step_runs(sweep.grid, total_time, steps))
     drifts = np.eye(len(vec)) + dt * (-1j * sweep.k_tilde[p, cells])
     radii = np.abs(np.linalg.eigvals(drifts)).max(axis=-1)
     powers = MapPowers(drifts / radii[:, None, None], steps)
-    for parts in window_parts(runs, window):
-        lo = parts[0][0]
-        cols = run_states(powers, [(a - lo, b - lo, key) for a, b, key in parts], start).T
-        path = bra @ cols
+    for start, x in run_windows(powers, runs, vec, width):
+        span = min(width, steps + 1 - start)
+        path = bra @ x[:, (0 if start else 1) : span + 1]
         total += float(np.sum(np.angle(path[1:] * path[:-1].conj())))
-        start = unit_vector(cols[:, -1])
+        parts = x[:, 1 : span + 1].view(float)
+        np.ldexp(parts, -np.frexp(np.abs(parts).max())[1], out=parts)
     return total
 
 

@@ -422,7 +422,7 @@ def test_qsd_overflow_screen_keeps_the_per_step_rule() -> None:
     pair[1, 0, 0, 4] = np.inf
     assert np.linalg.norm(pair[1, :, 0, 2]) >= NORM_OVERFLOW
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel.screen(pair, np.zeros((1, 5), dtype=np.intp), 0)
+        kernel.screen(pair, np.zeros((1, 5), dtype=np.intp), kernel.pieces[0])
     assert kernel.alive[0].tolist() == [True, False, False, False, False]
     # Excluded trajectories restart from zero at the next op.
     assert np.all(pair[1, :, 0, 1:] == 0.0)
@@ -608,7 +608,7 @@ def test_qsd_table_entry_is_the_product_of_its_steps(dim: int, count: int) -> No
             assert span == 1 or kernel.lengths[piece] == 1
             assert len(set(cells)) == 1 + (case == "edge" and span > 1)
             assert len(cells) == {"short": 2, "one-step": 1}.get(case, span)
-        table, extra = kernel.piece_tables(piece)
+        table, extra = kernel._table(piece)
         entries = 4 ** (span * count)
         assert extra == () and table.shape == (dim, dim, 1, entries)
         assert entries * dim * dim * 16 <= qsd.TABLE_BYTES < 4**count * table.nbytes

@@ -36,8 +36,8 @@ from trajphase.operators import (
     pauli,
     real_form,
     run_blocks,
-    run_states,
     run_view,
+    run_windows,
     simpson_weights,
     step_runs,
     wrap_phase,
@@ -425,7 +425,8 @@ def test_step_runs_equal_the_runs_of_the_step_cells(seed) -> None:
         step_runs(ScalarSchedule.piecewise([1.0], 1.0), 3.0, 10)
     # No runs propagate no step.
     x0 = np.array([1.0, 2.0j])
-    assert np.array_equal(run_states(MapPowers(np.empty((0, 2, 2)), 0), [], x0), x0[np.newaxis, :])
+    [(start, out)] = run_windows(MapPowers(np.empty((0, 2, 2)), 0), [], x0, 1)
+    assert start == 0 and np.array_equal(out[:, 1:], x0[:, np.newaxis])
 
 
 def test_identity_helper() -> None:

@@ -3,7 +3,7 @@
 `operators.MapPowers` is the power ladder of a propagation: it forms the
 powers of a keyed stack of step maps by repeated squaring, all keys in one
 product per level, and its `fill` advances all runs of a propagation at
-once; `operators.run_states`, `jump.propagate_no_jump` and
+once; `operators.run_windows`, `jump.propagate_no_jump` and
 `lindblad.evolve_states` advance runs of steps in one cell with it.
 These tests compare them with the plain per-step products they replace,
 and the all-runs fill with the fill of each run alone, on
@@ -14,7 +14,10 @@ with the cells.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import io
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -26,6 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trajphase.jump
+from trajphase._ensemble import THREADS_ENV, map_ordered
+from trajphase.cli import EXIT_CONFIG, main
 from trajphase import (
     BranchTrackingError,
     DensityMatrix,
@@ -35,6 +40,7 @@ from trajphase import (
     OperatorSchedule,
     TotalDecayError,
     evolve_density,
+    kraus_connection_matrix,
     lindblad_rhs,
     no_jump_geometric_phase,
     no_jump_geometric_phases,
@@ -48,6 +54,7 @@ from trajphase.lindblad import (
     ShiftSet,
     _check_states,
     _liouvillian,
+    energy_integral,
     evolve_states,
     lower_model,
     lower_sweep,
@@ -67,7 +74,7 @@ from trajphase.operators import (
     cell_maps,
     key_runs,
     real_form,
-    run_states,
+    run_windows,
     step_propagators,
     window_parts,
     wrap_phase,
@@ -115,6 +122,14 @@ def _loop_states(maps, keys, x0):
     return np.array(states)
 
 
+def _run_states(powers, runs, x0):
+    """The (..., n + 1, d) states of the one window of `run_windows` that
+    spans the grid of runs."""
+    x0 = np.asarray(x0, dtype=complex)
+    [(_, out)] = run_windows(powers, runs, x0, (runs[-1][1] if runs else 0) + 1)
+    return out[..., 1:].swapaxes(-1, -2)
+
+
 def _relative_errors(got, want):
     return np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
 
@@ -130,7 +145,7 @@ def test_run_states_matches_step_loop(seed) -> None:
     sched = _random_schedule(rng, dim, cells, total)
     maps, runs = step_propagators(sched, _stack(sched), total, steps)
     x0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    got = run_states(MapPowers(maps, steps), runs, x0)
+    got = _run_states(MapPowers(maps, steps), runs, x0)
     cells = sched.step_cells(total, steps).tolist()
     want = _loop_states(_cell_step_maps(sched, total, steps), cells, x0)
     assert got.shape == (steps + 1, dim)
@@ -143,14 +158,14 @@ def test_run_states_defective_map() -> None:
     rotation = scipy.linalg.expm(-0.1j * pauli("x").entries)
     keys = np.array([0] * 45 + [1] * 3 + [0] * 17)
     x0 = np.array([0.3, 1.0], dtype=complex)
-    got = run_states(MapPowers(np.stack([jordan, rotation]), len(keys)), key_runs(keys), x0)
+    got = _run_states(MapPowers(np.stack([jordan, rotation]), len(keys)), key_runs(keys), x0)
     want = _loop_states([jordan, rotation], keys.tolist(), x0)
     assert np.max(_relative_errors(got, want)) <= STATE_RTOL
 
 
 def test_run_states_without_steps() -> None:
     x0 = np.array([1.0, 2.0j])
-    got = run_states(MapPowers(np.empty((0, 2, 2), dtype=complex), 0), [], x0)
+    got = _run_states(MapPowers(np.empty((0, 2, 2), dtype=complex), 0), [], x0)
     assert np.array_equal(got, x0[np.newaxis, :])
 
 
@@ -169,11 +184,11 @@ def test_run_states_at_run_length_edges(dim) -> None:
     patterns.append([k % 3 for k in range(40)])
     patterns += [[1] * 3 + [0] * n + [2] * n + [1] for n in RUN_LENGTHS]
     for keys in patterns:
-        got = run_states(MapPowers(np.stack(maps), len(keys)), key_runs(keys), x0)
+        got = _run_states(MapPowers(np.stack(maps), len(keys)), key_runs(keys), x0)
         assert got.shape == (len(keys) + 1, dim)
         want = _loop_states(maps, keys, x0)
         assert np.max(_relative_errors(got, want)) <= STATE_RTOL
-    got = run_states(MapPowers(np.stack(maps), 0), [], x0)
+    got = _run_states(MapPowers(np.stack(maps), 0), [], x0)
     assert got.shape == (1, dim)
     assert np.array_equal(got[0], x0)
 
@@ -365,6 +380,31 @@ def test_fill_of_all_runs_across_windows_narrower_than_a_run() -> None:
     _assert_fill_is_step_loop(stack, grid, runs)
 
 
+@pytest.mark.parametrize("width", [1, 2, 13, 40, 64, 233, 300])
+def test_run_windows_continue_from_each_window(width) -> None:
+    # Windows narrower than, as wide as and wider than runs of 40 steps,
+    # and one window over all 233 grid columns: their columns 1.. tile the
+    # grid and follow the step loop, and a window a full width into a run
+    # is one product with the window before it. A caller's rescaling by a
+    # power of two carries to every later window, exactly.
+    stack, x0 = _fill_stack("keyed")
+    runs = _tiled_runs([40, 40, 40, 25, 40, 1, 7, 39])
+    cols = runs[-1][1] + 1
+    grid = np.empty(x0.shape + (cols,), dtype=complex)
+    scaled = np.empty_like(grid)
+    for plain in (True, False):
+        for w, (start, x) in enumerate(run_windows(MapPowers(stack, 2**20), runs, x0, width)):
+            assert start == w * width and x.shape == x0.shape + (width + 1,)
+            span = min(width, cols - start)
+            if plain:
+                grid[..., start : start + span] = x[..., 1 : span + 1]
+            else:
+                assert np.array_equal(x[..., 1 : span + 1], grid[..., start : start + span] / 2.0**w)
+                x[..., 1:] /= 2.0
+        assert start + span == cols
+    _assert_fill_is_step_loop(stack, grid, runs)
+
+
 def test_fill_of_16_runs_makes_one_stacked_product_per_level(monkeypatch) -> None:
     # 16 keys of 128 steps each: one carry per run but the last and one
     # stacked product per doubling level, at most bit_length(128) + 16
@@ -385,7 +425,7 @@ def test_fill_of_16_runs_makes_one_stacked_product_per_level(monkeypatch) -> Non
     for level in range(8):
         powers.square(level)
     monkeypatch.setattr(np, "matmul", counted)
-    got = run_states(powers, runs, x0)
+    got = _run_states(powers, runs, x0)
     monkeypatch.undo()
     assert len(calls) <= (128).bit_length() + 16
     assert sum(shape == (16, 2, 2) for shape in calls) == 7
@@ -1022,3 +1062,85 @@ def test_positivity_check_raises_below_the_hard_limit(monkeypatch) -> None:
     with pytest.raises(IntegrationError) as info:
         _checked(rhos, monkeypatch)
     assert str(info.value) == f"step 3 (t = 0.75): eigenvalue {low} below -{POSITIVITY_HARD_TOL}"
+
+
+PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+
+
+def _exit_code(argv):
+    """`cli.main` on argv, its exit code and what it wrote to stderr raised
+    as SystemExit."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    raise SystemExit(f"{code} {err.getvalue().strip()}")
+
+
+def _jobs_in_this_process(monkeypatch):
+    """With TRAJPHASE_THREADS not an integer, the jobs run in one worker,
+    this process."""
+    monkeypatch.setenv(THREADS_ENV, "two")
+    assert map_ordered(lambda job: (job, os.getpid()), [0, 1]) == [(0, os.getpid()), (1, os.getpid())]
+
+
+def _sweep():
+    return lower_model(_dephasing(0.5))
+
+
+# Refusals no other test reaches, each with the outcome it must give: an
+# error, an exit code (SystemExit) or a warning.
+REFUSALS = {
+    "tracked-negative-time": (
+        lambda tmp, mp: sweep_no_jump_phases(_sweep(), [PLUS], -1.0),
+        ValueError,
+        "total_time must be >= 0",
+    ),
+    "no-points-negative-time": (
+        lambda tmp, mp: no_jump_geometric_phases([], -1.0),
+        ValueError,
+        "total_time must be >= 0",
+    ),
+    "sweep-state-count": (
+        lambda tmp, mp: sweep_no_jump_phases(_sweep(), [PLUS, PLUS], 1.0),
+        ValueError,
+        "2 initial states for 1 points",
+    ),
+    "energy-negative-time": (
+        lambda tmp, mp: energy_integral(_sweep(), PLUS, -1.0),
+        ValueError,
+        "total_time must be >= 0",
+    ),
+    "evolve-negative-time": (
+        lambda tmp, mp: evolve_states(_sweep(), EQUATOR, -1.0),
+        ValueError,
+        "total_time must be >= 0",
+    ),
+    "evolve-no-steps": (
+        lambda tmp, mp: evolve_states(_sweep(), EQUATOR, 1.0, 0),
+        ValueError,
+        "steps must be >= 1",
+    ),
+    "kraus-step": (
+        lambda tmp, mp: kraus_connection_matrix(ShiftSet.constants([0.3]), 0.5, 0.0),
+        ValueError,
+        "delta_t must be positive",
+    ),
+    "out-is-a-directory": (
+        lambda tmp, mp: _exit_code(["evolve", "--config", "fig1", "--steps", "16", "--out", str(tmp)]),
+        SystemExit,
+        f"^{EXIT_CONFIG} trajphase: cannot write output: .*Is a directory",
+    ),
+    "threads-not-an-integer": (
+        lambda tmp, mp: _jobs_in_this_process(mp),
+        RuntimeWarning,
+        f"ignoring non-integer {THREADS_ENV}='two'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals_no_other_test_reaches(case, tmp_path, monkeypatch) -> None:
+    call, outcome, match = REFUSALS[case]
+    expect = pytest.warns if issubclass(outcome, Warning) else pytest.raises
+    with expect(outcome, match=match):
+        call(tmp_path, monkeypatch)

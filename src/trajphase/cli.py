@@ -28,7 +28,6 @@ import platform
 import sys
 import time
 import warnings
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np

@@ -26,6 +26,7 @@ import yaml
 from .dephasing import DephasingParams
 from .lindblad import LindbladModel, ShiftSet, stack_shifts
 from .operators import (
+    DEFAULT_SUBSTEPS,
     BlochAngles,
     Operator,
     OperatorSchedule,
@@ -125,7 +126,7 @@ class RunSettings:
     checks for the ones it needs."""
 
     total_time: Optional[float] = None
-    steps: int = 4096
+    steps: int = DEFAULT_SUBSTEPS
     delta_t: Optional[float] = None
     n_trajectories: Optional[int] = None
     seed: int = 0

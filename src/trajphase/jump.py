@@ -19,11 +19,13 @@ and the Kraus sets read the rows of one point. The tracker propagates the
 points of one lowered sweep as one stack, in windows of grid columns
 within STACK_BYTES, in real arithmetic: a state is (Re psi, Im psi) and a
 map its `operators.real_form`. It forms each column's norm, overlap and
-integrand once; the integral is the composite Simpson rule, summed window
-by window from the rule's weights (`operators.simpson_weights`), so no
-array spans the grid. The discrete-time monitoring picture is exposed
-through Kraus sets F_0 = 1 - i K_tilde dt, F_m = sqrt(strength * dt) L_m
-and the connection matrix relating shifted and unshifted sets.
+integrand once, and takes a window's decay, crossing and calm decisions
+from one reduction of a row each wherever that settles them; the integral
+is the composite Simpson rule, summed window by window from the rule's
+weights (`operators.simpson_weights`), so no array spans the grid. The
+discrete-time monitoring picture is exposed through Kraus sets F_0 = 1 -
+i K_tilde dt, F_m = sqrt(strength * dt) L_m and the connection matrix
+relating shifted and unshifted sets.
 
 Jump trajectories follow the waiting-time law on a uniform grid (Dalibard,
 Castin and Molmer, PRL 68, 580 (1992); Plenio and Knight, RMP 70, 101
@@ -100,14 +102,23 @@ BRANCH_EPS = 1e-10
 NORM_FLOOR = 1e-150
 MAX_GRID_DOUBLINGS = 7
 # Bytes of the window buffers the no-jump tracker holds for the points it
-# propagates together; nothing else it holds grows with the grid. On the
-# 63-point bench sweep (2 vCPUs, one BLAS thread, three runs each), 640 KiB,
-# 768 KiB and 1 MiB gave `wall_rel` medians 0.091, 0.089 and 0.082, about
-# the runs' spread apart, and each step up added about 0.4 MB of peak RSS.
-STACK_BYTES = 5 * 2**17
-# Fewest grid columns a window may take before its stack is split: 128 and
-# 256 gave medians 0.091 and 0.092 there; on the 303-point fig1 sweep they
-# beat one stack of 14-column windows 1.8-fold, and 32, 64 and 512 lost.
+# propagates together, a window's width + 1 columns each; nothing else it
+# holds grows with the grid. 1.25 MiB sits within a core's 2 MiB L2 and
+# tracks the 63-point bench sweep as one stack of 27 windows of 157
+# columns, where 640 KiB split it into two stacks of 30 windows. On that
+# sweep (2 vCPUs, one BLAS thread, interleaved in-process calls) this
+# budget alone took the tracker from 9.3 to 7.9 ms, about 45 us per window
+# saved, and 1 MiB, 1.5 MiB and 2 MiB took 7%, 3% and 9% longer than 1.25
+# MiB. With the window loop's whole-row decisions, `wall_rel` went from
+# 0.0951 to 0.0753 (medians of 10 alternating 24 s pairs, 10 of 10 lower)
+# and peak RSS from 40.1 to 41.1 MB.
+STACK_BYTES = 5 * 2**18
+# Fewest grid columns a window may take before its stack is split. At 1.25
+# MiB, 64 and 128 tracked the 303-point fig1 sweep in the same time (two
+# stacks of 152 points in 64-column windows, or four of 76 in 130-column
+# ones), 27% faster in process than 640 KiB's nine stacks of 34; 256 took
+# 12% longer there, and on the bench sweep it split the stack and took 14%
+# longer.
 MIN_WINDOW = 128
 # (r, u) pairs a trajectory draws at a time; it takes one per jump, plus one.
 PAIR_BLOCK = 8
@@ -284,8 +295,8 @@ def no_jump_probability(record: TrajectoryRecord) -> float:
 def _window_column_bytes(dim: int) -> int:
     """Bytes of `_track_stack`'s window buffers per point and grid column:
     two windows of 2 dim real state rows, one of 2 dim + 2 readout rows,
-    four float rows and three flag rows."""
-    return 8 * (2 * 2 * dim + 2 * dim + 2 + 4) + 3
+    two float rows and three flag rows."""
+    return 8 * (2 * 2 * dim + 2 * dim + 2 + 2) + 3
 
 
 def _flag_crossings(size, sq, limit, bound, out) -> np.ndarray:
@@ -336,13 +347,20 @@ def _track_stack(gens, herms, vecs, grid: Schedule, total_time: float, steps: in
     of the cells' step maps. One stacked product per `run_blocks`
     block of the window's runs over the grid columns reads each column into
     (2d + 2, G, width + 1) rows: K psi, then the Re and Im rows of z =
-    <psi0|psi>. Each column's squared norm, |z|^2, crossing flag, integrand
-    value, turn z_k conj z_{k-1} and its argument are formed once, by
-    einsums or by ufuncs on flat or contiguous rows, as NumPy copies a
-    strided or broadcast 2-D ufunc operand; the overlap and flag of a
-    window's last column carry to the next. Each window adds its integrand
-    values times their `simpson_weights`, formed once per start parity for
-    the windows inside the grid, to the running dynamical terms. The initial
+    <psi0|psi>. Each column's squared norm, |z|^2, integrand value, turn
+    z_k conj z_{k-1} and its argument are formed once, by einsums or by
+    ufuncs on flat or contiguous rows, as NumPy copies a strided or
+    broadcast 2-D ufunc operand; the overlap and crossing flag of a
+    window's last column carry to the next. A window's decisions read
+    whole rows first: no point has decayed where its least norm is at least
+    the highest floor, no overlap is a crossing where its least |z|^2 is at
+    least the largest limit times its largest norm, and every step is calm
+    where its least turn Re part is >= 0 and no increment is NaN. Only a
+    window that one of these tests does not settle takes that decision
+    point by point or column by column, by the rules of `_flag_crossings`
+    and `_flag_calm_steps`. Each window adds its integrand values times
+    their `simpson_weights`, formed once per start parity for the windows
+    inside the grid, to the running dynamical terms. The initial
     states are scaled by powers of two into [1/2, 1), like
     `propagate_no_jump`'s, and so is the bra; every quantity but the final
     norm is independent of that scale.
@@ -362,7 +380,8 @@ def _track_stack(gens, herms, vecs, grid: Schedule, total_time: float, steps: in
     readout = np.empty((len(read_cells), count, 2 * dim + 2, 2 * dim))
     readout[:, :, : 2 * dim] = real_form(herms[:, read_cells]).swapaxes(0, 1)
     readout[:, :, 2 * dim :] = real_form(x0.conj()[:, np.newaxis])
-    width = max(1, min(cols, STACK_BYTES // (count * _window_column_bytes(dim))))
+    # The buffers hold a window's width + 1 columns.
+    width = max(1, min(cols, STACK_BYTES // (count * _window_column_bytes(dim)) - 1))
     windows = run_windows(powers, runs, np.concatenate([x0.real, x0.imag], axis=1), width)
     read_parts = window_parts(point_runs, width)
 
@@ -374,16 +393,21 @@ def _track_stack(gens, herms, vecs, grid: Schedule, total_time: float, steps: in
     inner = {s % 2: simpson_weights(cols, dt, s, s + width) for s in starts}
     y = np.empty((2 * dim + 2, count, width + 1))
     y_out, z = y.swapaxes(0, 1), y[2 * dim :]
-    # Flat (G, width + 1) rows: norms; integrand, |z|^2, then turns' Re parts;
-    # crossing bounds, then Im parts; increments. Flags: crossings; new ones,
-    # then calm steps; steps next to a crossing. Turn k is the step into k.
-    rows = np.empty((4, count * (width + 1)))
-    flags = np.empty((3, count * (width + 1)), bool)
+    # Flat (G, width + 1) rows: norms, then scratch; integrand, |z|^2, then
+    # turns' Re parts. Once the integrand is formed, the K psi rows of y take
+    # the crossing bounds, then the turns' Im parts and increments. Flags:
+    # crossings; calm steps; steps next to a crossing. Turn k is the step
+    # into k.
+    rows = np.empty((2, count * (width + 1)))
+    free = y[:2].reshape(2, -1)
+    real, imag = rows[1], free[1]
+    flags = np.zeros((3, count * (width + 1)), bool)
     cross = flags[0].reshape(count, width + 1)
     outcomes: list = [None] * count
     overlap_arg, dynamical = np.zeros(count), np.zeros(count)
     calm = np.ones(count, bool)
     crossings: list[list[int]] = [[] for _ in range(count)]
+    viewed_span = 0
     # Decayed points ride along to the end; their zeros must not warn.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for (start, x), read_plan in zip(windows, read_parts):
@@ -400,7 +424,9 @@ def _track_stack(gens, herms, vecs, grid: Schedule, total_time: float, steps: in
                 )
 
             now = slice(1, span + 1)
-            sq, mag, den = (r[: count * span].reshape(count, span) for r in rows[:3])
+            if span != viewed_span:
+                sq, mag, den = (r[: count * span].reshape(count, span) for r in (*rows, free[0]))
+                viewed_span = span
             xs = x[:, :, now]
             np.einsum("gdk,gdk->gk", xs, xs, out=sq)
             np.einsum("gdk,dgk->gk", xs, y[: 2 * dim, :, now], out=mag)
@@ -411,52 +437,71 @@ def _track_stack(gens, herms, vecs, grid: Schedule, total_time: float, steps: in
             if not start:
                 floor = NORM_FLOOR**2 * sq[:, 0]
                 limit = BRANCH_EPS**2 * sq[:, :1]
+                highest, widest = floor.max(), limit.max()
 
-            # A point has decayed where a norm is below its floor; fmin skips NaNs.
-            decayed = np.flatnonzero(np.fmin.reduce(sq, axis=1) < floor).tolist()
-            for g in decayed:
-                if outcomes[g] is None:
-                    outcomes[g] = _decay_error((start + int(np.argmax(sq[g] < floor[g]))) * dt)
-            if decayed and None not in outcomes:
-                return outcomes
+            # A point has decayed where a norm is below its floor; fmin skips
+            # NaNs. Only a window with a norm below the highest floor, or a
+            # NaN, can hold one.
+            if not sq.min() >= highest:
+                decayed = np.flatnonzero(np.fmin.reduce(sq, axis=1) < floor).tolist()
+                for g in decayed:
+                    if outcomes[g] is None:
+                        outcomes[g] = _decay_error((start + int(np.argmax(sq[g] < floor[g]))) * dt)
+                if decayed and None not in outcomes:
+                    return outcomes
 
             np.einsum("cgk,cgk->gk", z[:, :, now], z[:, :, now], out=mag)
-            fresh = flags[1, : count * span].reshape(count, span)
-            cross[:, now] = flagged = _flag_crossings(mag, sq, limit, den, fresh)
-            if flagged.any():
-                for g, k in zip(*(v.tolist() for v in np.nonzero(flagged))):
-                    crossings[g].append(start + k)
+            # No |z|^2 is below its bound where the least is at least the
+            # largest limit times the largest norm; a NaN fails that test.
+            if mag.min() >= widest * sq.max():
+                cross[:, now] = False
+            else:
+                _flag_crossings(mag, sq, limit, den, cross[:, now])
+                # Column 0 holds the last window's flags; a flag there finds none here.
+                if flags[0].any():
+                    for g, k in zip(*(v.tolist() for v in np.nonzero(cross[:, now]))):
+                        crossings[g].append(start + k)
+            if start + span == cols:
+                final = sq[:, span - 1].tolist()
 
-            # Turns into columns lo..span; the grid's column 0 has none.
+            # Turns into columns lo..span; the grid's column 0 has none. The
+            # norms' row is free now. A turn that does not count gets Re part
+            # 1, so that the flat row's least Re part is that of those that do.
             lo = 1 if start else 2
-            real, imag, args = rows[1:]
-            _turns(z[0].reshape(-1), z[1].reshape(-1), real, imag, args)
-            np.arctan2(imag, real, out=args)
+            _turns(z[0].reshape(-1), z[1].reshape(-1), real, imag, rows[0])
+            turns = real.reshape(count, width + 1)
+            turns[:, :lo] = 1.0
+            if span < width:
+                turns[:, span + 1 :] = 1.0
+            args = np.arctan2(imag, real, out=imag)
             sums = args.reshape(count, width + 1)[:, lo : span + 1].sum(axis=1)
             overlap_arg += sums
-            near = np.logical_or(flags[0, 1:], flags[0, :-1], out=flags[2, 1:])
-            steps_ok = _flag_calm_steps(real[1:], args[1:], sums, flags[1, 1:])
-            np.logical_or(steps_ok, near, out=steps_ok)
-            calm &= flags[1].reshape(count, width + 1)[:, lo : span + 1].all(axis=1)
+            # Where every turn has Re part >= 0 and no increment is NaN, every
+            # step is calm, next to a crossing or not.
+            if not real.min() >= 0.0 or np.isnan(sums).any():
+                near = np.logical_or(flags[0, 1:], flags[0, :-1], out=flags[2, 1:])
+                steps_ok = _flag_calm_steps(real[1:], args[1:], sums, flags[1, 1:])
+                np.logical_or(steps_ok, near, out=steps_ok)
+                calm &= flags[1].reshape(count, width + 1)[:, lo : span + 1].all(axis=1)
 
-    for g in range(count):
-        if outcomes[g] is not None or not calm[g]:
+    # A state that is not finite makes every later one so, so the final
+    # overlap is finite exactly when all are (short of |z| overflowing).
+    ends_ok = (~cross[:, span] & np.isfinite(z[:, :, span]).all(axis=0)).tolist()
+    terms = dynamical.tolist() if total_time > 0 else [0.0] * count
+    for g, (arg, term, ok) in enumerate(zip(overlap_arg.tolist(), terms, calm.tolist())):
+        if outcomes[g] is not None or not ok:
             continue
-        # A state that is not finite makes every later one so, so the final
-        # overlap is finite exactly when all are (short of |z| overflowing).
-        if cross[g, span] or not np.isfinite(z[:, g, span]).all():
+        if not ends_ok[g]:
             outcomes[g] = BranchTrackingError(
                 "overlap with the initial state vanishes at the endpoint; "
                 "the geometric phase is undefined there"
             )
             continue
-        term = float(dynamical[g]) if total_time > 0 else 0.0
-        arg = float(overlap_arg[g])
         outcomes[g] = GeometricPhaseResult(
             phase=arg + term,
             overlap_arg=arg,
             dynamical_term=term,
-            final_norm=math.ldexp(math.sqrt(sq[g, span - 1]), int(exponents[g])),
+            final_norm=math.ldexp(math.sqrt(final[g]), int(exponents[g])),
             grid_steps=steps,
             branch_crossings=tuple(k * dt for k in crossings[g]),
         )
@@ -488,7 +533,7 @@ def _tracked_phases(grid: Schedule, gens, herms, vecs, total_time: float, steps:
             attempt *= 2
         # One stack, split only where its windows would fall below MIN_WINDOW.
         narrowest = min(MIN_WINDOW, attempt + 1)
-        most = max(1, STACK_BYTES // (narrowest * _window_column_bytes(vecs.shape[1])))
+        most = max(1, STACK_BYTES // ((narrowest + 1) * _window_column_bytes(vecs.shape[1])))
         size = -(-len(pending) // -(-len(pending) // most))
         for lo in range(0, len(pending), size):
             part = pending[lo : lo + size]

@@ -220,9 +220,9 @@ class _QSDKernel:
     every point by the same elementwise arithmetic, so a point's
     arithmetic never depends on the others.
 
-    An op is three calls: a gather of each trajectory's table entry into
-    the (d_j, d_i, P, N) buffer `gathered`, a multiply by the broadcast
-    state, and a sum over the column index j. The ops alternate between the
+    An op is a gather of each trajectory's table entry into the (d_j,
+    d_i, P, N) buffer `gathered`, a multiply by the broadcast state, and a
+    sum over the column index j, one add per row. The ops alternate between the
     two (d, P, N) states of `states`: op o takes states[o % 2] to
     states[1 - o % 2]. Every call is elementwise over the trajectories, so
     a trajectory's arithmetic does not depend on the chunk either.
@@ -441,6 +441,11 @@ class _QSDKernel:
         that `safe_ops` counts run unscreened; where it counts none, one op
         runs and is screened."""
         gathered, extra_buf = self.gathered[0], self.gathered[-1]
+        # The sum over j adds the rows in order, one pass per row after the
+        # first. These are the bits of np.add.reduce over axis 0, which
+        # starts from +0, but where every row is -0: -0 here, +0 there.
+        head = gathered[0], gathered[1] if len(gathered) > 1 else 0.0
+        tail = list(gathered[2:])
         safe, op, stop = 0, first, first + len(symbols)
         i = self.held[0] if self.held else 0
         while op < stop:
@@ -463,7 +468,9 @@ class _QSDKernel:
                 for tab, s in zip(extra, sym[1:]):
                     gathered += tab.take(s, -1, extra_buf, "clip")
                 np.multiply(gathered, pair[0][:, np.newaxis], out=gathered)
-                np.add.reduce(gathered, axis=0, out=pair[1])
+                np.add(*head, out=pair[1])
+                for row in tail:
+                    pair[1] += row
                 if safe:
                     safe -= 1
                 else:

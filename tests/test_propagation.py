@@ -770,16 +770,22 @@ def test_no_jump_phase_memory_is_flat_from_2_16_to_2_18_steps() -> None:
     assert _lone_point_peak(2**18) <= _lone_point_peak(2**16) + 250_000
 
 
-def test_no_jump_stack_stays_within_its_window_budget() -> None:
-    # The bench sweep's 63 qubit points as one lowered sweep on 4096 steps:
-    # the tracker's window buffers fill STACK_BYTES, and everything else it
-    # holds at once stays within 128 KiB. NumPy gives a ufunc a temporary
-    # of each 2-D operand that is strided or broadcast (up to 8192
-    # entries), so this fails if a row the tracker works on is one.
+def _bench_sweep():
+    """The bench sweep's 63 qubit points as one lowered sweep, and their
+    (63, 2) initial states."""
     strengths = np.repeat([np.linspace(0.0, 1.0, 21)], 3, axis=0).reshape(-1)
     shifts = np.repeat([0.0, 0.2, 2.0], 21).reshape(63, 1, 1).astype(complex)
     sweep = lower_sweep(_dephasing(0.0), strengths, shifts)
-    states = np.tile(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0), (63, 1))
+    return sweep, np.tile(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0), (63, 1))
+
+
+def test_no_jump_stack_stays_within_its_window_budget() -> None:
+    # The bench sweep on 4096 steps: the tracker's window buffers fill
+    # STACK_BYTES, and everything else it holds at once stays within 128
+    # KiB. NumPy gives a ufunc a temporary of each 2-D operand that is
+    # strided or broadcast (up to 8192 entries), so this fails if a row the
+    # tracker works on is one.
+    sweep, states = _bench_sweep()
     sweep_no_jump_phases(sweep, states, 2 * math.pi, 4096)
     tracemalloc.start()
     try:
@@ -789,6 +795,24 @@ def test_no_jump_stack_stays_within_its_window_budget() -> None:
         tracemalloc.stop()
     assert all(r.grid_steps == 4096 for r in results)
     assert peak <= trajphase.jump.STACK_BYTES + 2**17
+
+
+def test_bench_sweep_is_tracked_as_one_stack(monkeypatch) -> None:
+    # The bench sweep on 4096 steps is one stack, in windows that fill
+    # STACK_BYTES: a budget or split that tracked it in two stacks, of twice
+    # the windows, fails here.
+    sweep, states = _bench_sweep()
+    stacks = []
+    track = trajphase.jump._track_stack
+
+    def counted(gens, *args):
+        stacks.append(len(gens))
+        return track(gens, *args)
+
+    monkeypatch.setattr(trajphase.jump, "_track_stack", counted)
+    results = sweep_no_jump_phases(sweep, states, 2 * math.pi, 4096)
+    assert stacks == [63]
+    assert all(r.grid_steps == 4096 for r in results)
 
 
 def _tracker_rows(z):

@@ -34,7 +34,6 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ScenarioConfig, load_config
-from .config import _constant_real_shift
 from .dephasing import closed_form_dynamical_phase, closed_form_overlap_phase
 from .jump import (
     BranchTrackingError,
@@ -221,7 +220,7 @@ def _cmd_qsd_phase(cfg: ScenarioConfig) -> str:
     ]
     lowered = lower_sweep(cfg.model, grid.strengths, grid.shifts, grid.shift_cell)
     results = sweep_averaged_phases(lowered, cfg.initial_state, configs[0])
-    shift = _constant_real_shift(cfg.shift_values)
+    shift = cfg.real_shift()
     for point, res in zip(grid.assignments, results):
         params = cfg.dephasing_params(point)
         if params is not None:

@@ -107,15 +107,6 @@ def _matrix(node, path: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _constant_real_shift(shift_values: tuple) -> Optional[float]:
-    """The one shift of shift_values when it is a constant whose imaginary
-    part is at most 1e-15, as a real number; else None."""
-    if len(shift_values) != 1 or not isinstance(shift_values[0], complex):
-        return None
-    value = shift_values[0]
-    return value.real if abs(value.imag) <= 1e-15 else None
-
-
 def _pairs(matrix: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in matrix]
 
@@ -247,6 +238,17 @@ class ScenarioConfig:
         for p, point in enumerate(grid.assignments):
             yield point, self._pinned(grid, p)
 
+    def real_shift(self, point: Optional[dict] = None) -> Optional[float]:
+        """The one channel shift, at the sweep point whose assignment dict
+        is point if given, as a real number when it is a constant whose
+        imaginary part is at most 1e-15: point's f if it assigns one, else
+        the scenario's shift. None for any other shift, and when the
+        scenario has none."""
+        values = (complex(point["f"]),) if point and "f" in point else self.shift_values
+        if len(values) != 1 or not isinstance(values[0], complex):
+            return None
+        return values[0].real if abs(values[0].imag) <= 1e-15 else None
+
     def dephasing_params(self, point: Optional[dict] = None) -> Optional[DephasingParams]:
         """The scenario, at the sweep point whose assignment dict is point
         if given, as closed-form dephasing parameters, when it is one:
@@ -257,10 +259,7 @@ class ScenarioConfig:
         if self.channel_kinds != ("sigma_z",) or self.initial_angles is None:
             return None
         point = point or {}
-        if "f" in point:
-            f = _constant_real_shift((complex(point["f"]),))
-        else:
-            f = 0.0 if self.shifts is None else _constant_real_shift(self.shift_values)
+        f = 0.0 if self.shifts is None and "f" not in point else self.real_shift(point)
         if f is None:
             return None
         theta = self.initial_angles.theta

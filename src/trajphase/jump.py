@@ -15,10 +15,13 @@ here reads the one lowered form, a `lindblad.LoweredSweep`: the tracker
 takes the (P, cells, d, d) stacks of K_tilde and K of a sweep and the (P,
 d) initial states, with no per-point set-up (`sweep_no_jump_phases`;
 `no_jump_geometric_phases` lowers its points first), and the jump sampler
-and the Kraus sets read the rows of one point. The tracker propagates the
-points of one lowered sweep as one stack, in windows of grid columns
-within STACK_BYTES, in real arithmetic: a state is (Re psi, Im psi) and a
-map its `operators.real_form`. It forms each column's norm, overlap and
+and the Kraus sets read the rows of one point. The no-jump branch, the
+tracker and the jump sampler take the cells their steps use, those cells'
+step maps and the keyed runs from `operators.step_propagators`, the plan
+the master equation takes too. The tracker propagates the points of one
+lowered sweep as one stack, in windows of grid columns within
+STACK_BYTES, in real arithmetic: a state is (Re psi, Im psi) and a map
+its `operators.real_form`. It forms each column's norm, overlap and
 integrand once, and takes a window's decay, crossing and calm decisions
 from one reduction of a row each wherever that settles them; the integral
 is the composite Simpson rule, summed window by window from the rule's
@@ -58,7 +61,6 @@ from .lindblad import (
     LindbladModel,
     LoweredSweep,
     ShiftSet,
-    _schedule,
     lower_model,
     lower_points,
     shift_is_hidden,
@@ -71,12 +73,9 @@ from .operators import (
     PureState,
     Schedule,
     binary_scaled,
-    cell_maps,
     index_runs,
-    key_runs,
     key_view,
     keyed_runs,
-    matrix_exponential,
     normalized_state_vector,
     normalized_states,
     real_form,
@@ -86,7 +85,6 @@ from .operators import (
     simpson_weights,
     state_vector,
     step_propagators,
-    step_runs,
     unit_vector,
     window_parts,
 )
@@ -94,7 +92,7 @@ from .operators import (
 # Unused here; bench/tracing.py wraps these names on this module.
 from ._ensemble import trajectory_seeds  # noqa: F401
 from .lindblad import apply_shift, shifted_hamiltonian  # noqa: F401
-from .operators import combine_schedules  # noqa: F401
+from .operators import combine_schedules, matrix_exponential  # noqa: F401
 
 # Overlap magnitudes below this fraction of the norm product are treated as
 # equator crossings where the accumulated argument has no stable branch.
@@ -102,8 +100,13 @@ BRANCH_EPS = 1e-10
 NORM_FLOOR = 1e-150
 MAX_GRID_DOUBLINGS = 7
 # Bytes of the window buffers the no-jump tracker holds for the points it
-# propagates together, a window's width + 1 columns each; nothing else it
-# holds grows with the grid. 1.25 MiB sits within a core's 2 MiB L2 and
+# propagates together, a window's width + 1 columns each. What else it holds
+# lies outside this budget and grows with the points times the cells: its
+# step maps, its readout and its `MapPowers` ladder, one (K, G, 2d, 2d)
+# level per doubling of a run. tracemalloc peaks of `sweep_no_jump_phases`
+# on the dephasing qubit at 4096 steps are 1,396 KiB at 63 points of one
+# cell, 2,878 KiB at 63 points of 16 cells and 7,173 KiB at 77 points of
+# 64 cells. 1.25 MiB sits within a core's 2 MiB L2 and
 # tracks the 63-point bench sweep as one stack of 27 windows of 157
 # columns, where 640 KiB split it into two stacks of 30 windows. On that
 # sweep (2 vCPUs, one BLAS thread, interleaved in-process calls) this
@@ -226,14 +229,14 @@ class JumpEnsembleResult:
 def no_jump_hamiltonian(model: LindbladModel) -> OperatorSchedule:
     """K_tilde(t) = H(t) - (i * strength / 2) * sum_m L_m(t)^dag L_m(t)."""
     sweep = lower_model(model)
-    return _schedule(sweep.grid, sweep.k_tilde[0])
+    return sweep.schedule(sweep.k_tilde[0])
 
 
 def shifted_no_jump_hamiltonian(model: LindbladModel, shifts: ShiftSet) -> OperatorSchedule:
     """No-jump generator of the shifted model,
     H - (i * strength / 2) * sum (L - f)^dag (L - f)."""
     sweep = lower_model(model, shifts)
-    return _schedule(sweep.grid, sweep.k_tilde[0])
+    return sweep.schedule(sweep.k_tilde[0])
 
 
 def propagate_no_jump(
@@ -252,18 +255,14 @@ def propagate_no_jump(
     the initial one. psi0 is propagated scaled by a power of two into
     [1/2, 1), so its norms cannot underflow. The record's states are the
     transpose of columns 1.. of that C-ordered (d, steps + 2) window; the
-    phase tracker keeps none.
+    phase tracker keeps none. The maps and runs are those of
+    `operators.step_propagators`, which refuses steps < 1 and total_time < 0.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if total_time < 0:
-        raise ValueError("total_time must be >= 0")
     vec = state_vector(psi0, generator.dim)
-
+    gens = np.stack([op.entries for op in generator.values])
+    _, maps, runs = step_propagators(generator, gens, total_time, steps)
     dt = total_time / steps
     exponent = int(np.frexp(np.abs(vec).max())[1])
-    gens = np.stack([op.entries for op in generator.values])
-    maps, runs = step_propagators(generator, gens, total_time, steps)
     x0 = binary_scaled(vec, -exponent)
     [(_, out)] = run_windows(MapPowers(maps, steps), runs, x0, steps + 1)
     states = out[:, 1:].T
@@ -344,7 +343,9 @@ def _track_stack(gens, herms, vecs, grid: Schedule, total_time: float, steps: in
     acts as its `real_form`. The states are the columns of the (G, 2d,
     width + 1) windows of `operators.run_windows` over the grid, column 0
     of a window holding the grid column before it, from one `MapPowers`
-    of the cells' step maps. One stacked product per `run_blocks`
+    of the `real_form`s of the (K, G, d, d) step maps, with the runs, that
+    `operators.step_propagators` plans for gens.swapaxes(0, 1); it refuses
+    steps < 1 and total_time < 0. One stacked product per `run_blocks`
     block of the window's runs over the grid columns reads each column into
     (2d + 2, G, width + 1) rows: K psi, then the Re and Im rows of z =
     <psi0|psi>. Each column's squared norm, |z|^2, integrand value, turn
@@ -365,15 +366,17 @@ def _track_stack(gens, herms, vecs, grid: Schedule, total_time: float, steps: in
     `propagate_no_jump`'s, and so is the bra; every quantity but the final
     norm is independent of that scale.
     """
+    # The real forms of the (K, G, d, d) maps of the cells the steps use (the
+    # complex maps are let go, or they would add to the peak memory) and the
+    # runs over the steps; for reading, the runs over the grid columns.
+    _, maps, runs = step_propagators(grid, gens.swapaxes(0, 1), total_time, steps)
+    maps = real_form(maps)
     count, dim = vecs.shape
     dt = total_time / steps
     cols = steps + 1
     exponents = np.frexp(np.abs(vecs).max(axis=1))[1]
     x0 = binary_scaled(vecs, -exponents[:, np.newaxis])
-    # Runs over the steps and, for reading, over the grid columns.
-    cells, runs = keyed_runs(step_runs(grid, total_time, steps))
     read_cells, point_runs = keyed_runs(index_runs(lambda k: grid.cells_at(k * dt), cols))
-    maps = real_form(matrix_exponential(-1j * dt * gens[:, cells])).swapaxes(0, 1)
     powers = MapPowers(maps, steps)
     # readout[key] is the real form of the cell's K over that of the bra, whose
     # rows (Re psi0, Im psi0) and (-Im psi0, Re psi0) read Re z and Im z.
@@ -516,18 +519,19 @@ def _tracked_phases(grid: Schedule, gens, herms, vecs, total_time: float, steps:
     BranchTrackingError or TotalDecayError of its point.
 
     A point's grid doubles, up to MAX_GRID_DOUBLINGS - 1 times, until no
-    step away from a flagged crossing turns its overlap by more than pi/2.
-    On each grid the points still pending are tracked together by
-    `_track_stack` as one stack, whose windows take STACK_BYTES. Only where
-    those windows would be narrower than MIN_WINDOW grid columns (or the
-    grid) is the stack split, into even parts, each at most as many points
-    as fill STACK_BYTES with windows of that width.
+    step away from a flagged crossing turns its overlap by more than pi/2;
+    steps < 1 and total_time < 0 are refused, as by `evolve_states`. On
+    each grid the points still pending are tracked together by
+    `_track_stack` as one stack, whose window buffers take STACK_BYTES;
+    its step maps, readout and power ladder come on top and grow with the
+    points times the cells. Only where those windows would be narrower
+    than MIN_WINDOW grid columns (or the grid) is the stack split, into
+    even parts, each at most as many points as fill STACK_BYTES with
+    windows of that width.
     """
-    if total_time < 0:
-        raise ValueError("total_time must be >= 0")
     outcomes: list = [None] * len(vecs)
     pending = list(range(len(outcomes)))
-    attempt = max(1, steps)
+    attempt = steps
     for doubling in range(MAX_GRID_DOUBLINGS):
         if doubling:
             attempt *= 2
@@ -584,7 +588,8 @@ def no_jump_geometric_phases(
     vecs = [normalized_state_vector(psi0, model.dim, "psi0") for model, psi0, _ in points]
     lowered = lower_points([(model, shifts) for model, _, shifts in points])
     if total_time < 0:
-        # As `_tracked_phases` does, which no group calls when there are no points.
+        # As `operators.step_propagators` does, which no group reaches when
+        # there are no points.
         raise ValueError("total_time must be >= 0")
     outcomes: list = [None] * len(points)
     for sweep, members in lowered:
@@ -669,30 +674,24 @@ class _JumpSampler:
     """The waiting-time law of this module for the columns of a (d, N)
     array, at point p of a lowered sweep.
 
-    Steps whose cells' K_tilde and channels are byte-equal share one key, a
-    row of the one `MapPowers` of the no-jump maps U and of the channels,
-    so equal-valued cells form one run. In round j of a run, every column
-    left in it finds its j-th jump there by greedy binary lifting over the
-    key's powers U^(2^i): from the highest a run of its length can take
-    down, a column takes a power that stays in the run and keeps ||psi~||^2
-    at or above r. The norm never grows, so this finds the last grid point
-    above r; no map is inverted.
+    The cells the steps use, their no-jump maps U and the keyed runs are
+    those of `operators.step_propagators`: a run of steps in one cell has
+    that cell's key, a row of the one `MapPowers` of the maps U and of the
+    cells' channels. In round j of a run, every column left in it finds its
+    j-th jump there by greedy binary lifting over the key's powers U^(2^i):
+    from the highest a run of its length can take down, a column takes a
+    power that stays in the run and keeps ||psi~||^2 at or above r. The
+    norm never grows, so this finds the last grid point above r; no map is
+    inverted.
 
     Column i draws its (r, u) pairs from row i of a `_streams.PCG64Rows`,
     PAIR_BLOCK pairs at a time, as `Generator.random` of its stream would
     give them; only exhausted columns are refilled, all in one draw."""
 
     def __init__(self, sweep: LoweredSweep, p: int, total_time: float, steps: int):
-        k_tilde, channels = sweep.k_tilde[p], sweep.channels[p]
-        cell_runs = step_runs(sweep.grid, total_time, steps)
-        # The key of a cell is the first cell whose terms equal its own.
-        first: dict[bytes, int] = {}
-        data = [k_tilde[c].tobytes() + channels[c].tobytes() for _, _, c in cell_runs]
-        keys = [first.setdefault(terms, c) for terms, (_, _, c) in zip(data, cell_runs)]
-        runs = [(cell_runs[i][0], cell_runs[j - 1][1], k) for i, j, k in key_runs(keys)]
-        cells, self.runs = keyed_runs(runs)
-        self.powers = MapPowers(cell_maps(k_tilde, cells, total_time / steps), steps)
-        self.channels = channels[cells]
+        cells, maps, self.runs = step_propagators(sweep.grid, sweep.k_tilde[p], total_time, steps)
+        self.powers = MapPowers(maps, steps)
+        self.channels = sweep.channels[p, cells]
         self.lam_dt = float(sweep.strengths[p]) * (total_time / steps)
 
     def _jump(self, psi, u, key) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

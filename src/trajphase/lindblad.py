@@ -210,6 +210,11 @@ class LoweredSweep:
     def __len__(self) -> int:
         return len(self.strengths)
 
+    def schedule(self, rows) -> OperatorSchedule:
+        """The (C, d, d) rows of one of its stacks, at one point, as an
+        operator schedule on its grid."""
+        return OperatorSchedule(tuple(Operator(row) for row in rows), self.grid.cell)
+
 
 def lower_sweep(
     model: LindbladModel,
@@ -311,12 +316,6 @@ def lower_model(model: LindbladModel, shifts: Optional[ShiftSet] = None) -> Lowe
     of `lower_sweep`."""
     ((lowered, _),) = lower_points([(model, shifts)])
     return lowered
-
-
-def _schedule(grid: Schedule, rows) -> OperatorSchedule:
-    """The (C, d, d) rows of a lowering's stack as an operator schedule on
-    its grid."""
-    return OperatorSchedule(tuple(Operator(row) for row in rows), grid.cell)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -428,21 +427,18 @@ def evolve_states(
     A step of cell c is exp(dt S_c) on the row-major vec(rho), S_c being the
     point's `_liouvillian` in that cell: one matrix exponential per cell
     used and point, from `operators.step_propagators` (a step takes the cell
-    of its midpoint), applied to all points in the one window of
-    `operators.run_windows` that spans the grid, from one ladder of their
-    maps' powers, as for the no-jump branch. On a
-    grid whose steps line up with the cells this is exact up to roundoff,
-    however coarse. Each point's grid states are then re-symmetrized in
-    place and checked at once by `_check_states`. The maps preserve trace and
-    positivity, so a failed check is a broken invariant, not a coarse grid.
+    of its midpoint), which refuses steps < 1 and total_time < 0, applied
+    to all points in the one window of `operators.run_windows` that spans
+    the grid, from one ladder of their maps' powers, as for the no-jump
+    branch. On a grid whose steps line up with the cells this is exact up
+    to roundoff, however coarse. Each point's grid states are then
+    re-symmetrized in place and checked at once by `_check_states`. The
+    maps preserve trace and positivity, so a failed check is a broken
+    invariant, not a coarse grid.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if total_time < 0:
-        raise ValueError("total_time must be >= 0")
     # (C, P, d^2, d^2); exp(-i dt (i S_c)) = exp(dt S_c).
     generators = 1j * _liouvillian(sweep.k_tilde, sweep.channels, sweep.strengths).swapaxes(0, 1)
-    maps, runs = step_propagators(sweep.grid, generators, total_time, steps)
+    _, maps, runs = step_propagators(sweep.grid, generators, total_time, steps)
     x0 = np.broadcast_to(rho0.entries.reshape(-1), (len(sweep), rho0.entries.size))
     [(_, out)] = run_windows(MapPowers(maps, steps), runs, x0, steps + 1)
     stack = out[..., 1:].swapaxes(-1, -2).reshape(len(sweep), -1, *rho0.entries.shape)
@@ -512,7 +508,7 @@ def apply_shift(model: LindbladModel, shifts: ShiftSet) -> LindbladModel:
     with the original dissipator, so storing K as well would double-count.
     """
     sweep = lower_model(model, shifts)
-    channels = tuple(_schedule(sweep.grid, sweep.channels[0, :, m]) for m in range(len(shifts)))
+    channels = tuple(sweep.schedule(sweep.channels[0, :, m]) for m in range(len(shifts)))
     return LindbladModel(model.hamiltonian, channels, model.strength)
 
 
@@ -522,7 +518,7 @@ def shifted_hamiltonian(model: LindbladModel, shifts: ShiftSet) -> OperatorSched
         K(t) = H(t) - (i * strength / 2) * sum_m (conj(f_m) L_m - f_m L_m^dag)
     """
     sweep = lower_model(model, shifts)
-    return _schedule(sweep.grid, sweep.k[0])
+    return sweep.schedule(sweep.k[0])
 
 
 def shift_is_hidden(model: LindbladModel, shifts: ShiftSet, tol: float = 1e-12) -> bool:

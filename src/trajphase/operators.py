@@ -16,21 +16,25 @@ the grid's size.
 
 Consecutive steps in one cell apply the same linear map, so a run of them is
 propagated by powers of that cell's map rather than step by step. The maps
-of a propagation's cells are one stack, keyed by row (`keyed_runs`), and
-`MapPowers` is its one power ladder: level i holds every key's M^(2^i),
-formed by one stacked product, up to a depth set by the map size, the
-number of keys and the steps. `MapPowers.fill` fills all runs of a
-propagation at once, block by block (`run_blocks`: consecutive runs of one
-length whose keys step evenly). It carries the block's first state to the
-last column of each of its runs, then fills the block with one stacked
-product per doubling level, so R runs of L steps cost about log2(L)
-products and at most R carries. These are plain matrix products, exact
-up to roundoff for any map, normal or not. Every deterministic
-propagation takes its states from `run_windows`, in windows of grid
-columns, as the columns of C-ordered (..., d, width + 1) arrays, so each
-product is a d x d map times a contiguous block of columns and any
-reduction over the d entries of a state runs along rows. A window a full
-width into a run is one product with the window before it.
+of a propagation's cells are one stack, keyed by row (`keyed_runs`).
+`step_propagators` is the one plan of every exact propagation: the master
+equation, the no-jump branch, the no-jump phase tracker and the jump
+sampler take from it the cells their steps use, those cells' step maps and
+the keyed runs; only the QSD estimator, which follows its Euler grid, reads
+`step_runs` itself. `MapPowers` is the stack's one power ladder: level i
+holds every key's M^(2^i), formed by one stacked product, up to a depth
+set by the map size, the number of keys and the steps. `MapPowers.fill`
+fills all runs of a propagation at once, block by block (`run_blocks`:
+consecutive runs of one length whose keys step evenly). It carries the
+block's first state to the last column of each of its runs, then fills
+the block with one stacked product per doubling level, so R runs of L
+steps cost about log2(L) products and at most R carries. These are plain
+matrix products, exact up to roundoff for any map, normal or not. Every
+deterministic propagation takes its states from `run_windows`, in windows
+of grid columns, as the columns of C-ordered (..., d, width + 1) arrays,
+so each product is a d x d map times a contiguous block of columns and
+any reduction over the d entries of a state runs along rows. A window a
+full width into a run is one product with the window before it.
 """
 
 from __future__ import annotations
@@ -493,18 +497,20 @@ def _pade_exponential(a: np.ndarray, degree: int, squarings: int) -> np.ndarray:
 
 def step_propagators(
     grid: Schedule, generators: np.ndarray, total_time: float, steps: int
-) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
-    """The `cell_maps` of the cells used by the uniform grid on [0,
-    total_time], and its `step_runs` keyed by their rows in that stack."""
+) -> tuple[list, np.ndarray, list[tuple[int, int, int]]]:
+    """The plan of an exact propagation over the uniform grid of `steps`
+    steps of width dt on [0, total_time]: the cells its steps use, in order
+    of first use; their stack of step maps exp(-i dt G_c), G_c being row c
+    of the (C, ...) generators, from one `matrix_exponential`, each map with
+    the bits of its cell's exponential alone; and the grid's `step_runs`
+    keyed by their rows in that stack. steps < 1 and total_time < 0 are
+    refused."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if total_time < 0:
+        raise ValueError("total_time must be >= 0")
     cells, runs = keyed_runs(step_runs(grid, total_time, steps))
-    return cell_maps(generators, cells, total_time / steps), runs
-
-
-def cell_maps(generators: np.ndarray, cells, dt: float) -> np.ndarray:
-    """The stack of step maps exp(-i dt G_c) of the cells c in cells, G_c
-    being row c of the (C, ...) generators, from one `matrix_exponential`;
-    each map has the bits of its cell's exponential alone."""
-    return matrix_exponential(-1j * dt * generators[list(cells)])
+    return cells, matrix_exponential(-1j * (total_time / steps) * generators[cells]), runs
 
 
 def step_runs(schedule: Schedule, total_time: float, steps: int) -> list[tuple[int, int, int]]:

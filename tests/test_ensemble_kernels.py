@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trajphase.jump as jump
+import trajphase.operators as operators
 import trajphase.qsd as qsd
 from trajphase._ensemble import grid_steps, mean_and_error, run_chunk, trajectory_seeds
 from trajphase._ensemble import trajectory_words
@@ -166,7 +167,7 @@ def _exact_overlap_moments(model, shifts, vec, total_time, delta_t) -> tuple:
 
 def _reference_step_terms(model, shifts, total_time, steps) -> list[tuple]:
     lowered = lower_model(model, shifts)
-    maps, runs = step_propagators(lowered.grid, lowered.k_tilde[0], total_time, steps)
+    _, maps, runs = step_propagators(lowered.grid, lowered.k_tilde[0], total_time, steps)
     keys = [key for a, b, key in runs for _ in range(a, b)]
     cells = lowered.grid.step_cells(total_time, steps).tolist()
     return [(maps[k], lowered.channels[0, c]) for k, c in zip(keys, cells)]
@@ -1155,13 +1156,16 @@ def test_jump_ensemble_invariant_to_threads_and_chunks(monkeypatch) -> None:
 
 def test_jump_ensemble_exponentiates_its_cells_once(monkeypatch) -> None:
     # Three chunks of one sampler: the stack of its keys' maps is formed
-    # once, from the one cell of the constant schedule.
+    # once, by the exponential `step_propagators` calls, from the one cell
+    # of the constant schedule.
     calls = []
-    cell_maps = jump.cell_maps
-    monkeypatch.setattr(jump, "cell_maps", lambda *a: calls.append(list(a[1])) or cell_maps(*a))
+    exponential = operators.matrix_exponential
+    monkeypatch.setattr(
+        operators, "matrix_exponential", lambda a: calls.append(len(a)) or exponential(a)
+    )
     model = dephasing_model(1.0, 0.5)
     res = average_jump_ensemble(model, EQUATOR, 0.5, 1e-2, 6000, seed=2, chunk_size=2048)
-    assert calls == [[0]] and res.jump_counts.shape == (6000,)
+    assert calls == [1] and res.jump_counts.shape == (6000,)
 
 
 # --- both ensembles ---------------------------------------------------------

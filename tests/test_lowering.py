@@ -19,7 +19,6 @@ from trajphase.dephasing import dephasing_model
 from trajphase.jump import (
     StepSizeError,
     _JumpSampler,
-    average_jump_ensemble,
     sample_jump_trajectory,
 )
 from trajphase.lindblad import (
@@ -248,18 +247,13 @@ def test_jump_sampler_reads_channels_in_the_midpoint_cell() -> None:
         sample_jump_trajectory(model, EQUATOR, 2.0, 0.5, np.random.default_rng(0))
 
 
-def _jump_result(model, shifts):
-    res = average_jump_ensemble(model, EQUATOR, 0.5, 1e-2, 64, seed=3, shifts=shifts)
-    return res.estimates, res.std_error, res.jump_counts
-
-
 def _qsd_result(model, shifts):
     config = QSDConfig(total_time=0.5, delta_t=1e-2, n_trajectories=64, seed=3)
     res = averaged_geometric_phase(model, EQUATOR, config, shifts=shifts)
     return res.mean_overlap, res.std_error, res.overlap_arg, res.dynamical_term
 
 
-@pytest.mark.parametrize("run", [_jump_result, _qsd_result], ids=["jump", "qsd"])
+@pytest.mark.parametrize("run", [_qsd_result], ids=["qsd"])
 def test_piecewise_shift_of_equal_cells_matches_constant_shift(run) -> None:
     model = dephasing_model(1.0, 0.5)
     piecewise = ShiftSet((ScalarSchedule.piecewise([0.3] * 4, 0.125),))

@@ -18,12 +18,12 @@ from trajphase.operators import (
     OperatorSchedule,
     PureState,
     ScalarSchedule,
+    Schedule,
     ScheduleRangeError,
     annihilation,
     bloch_angles,
     bloch_path,
     bloch_state,
-    cell_maps,
     combine_schedules,
     commutator,
     identity,
@@ -39,6 +39,7 @@ from trajphase.operators import (
     run_view,
     run_windows,
     simpson_weights,
+    step_propagators,
     step_runs,
     wrap_phase,
 )
@@ -240,28 +241,31 @@ def test_matrix_exponential_of_a_stack_equals_each_alone() -> None:
 
 
 def test_cell_maps_equal_each_cells_exponential_byte_for_byte() -> None:
-    # Cells whose step generators take every Pade degree and up to six
-    # squarings, asked for out of order: one stacked exponential gives each
-    # row the bits of its cell's alone.
+    # The step maps of `step_propagators`, on cells whose step generators
+    # take every Pade degree and up to six squarings, out of order: one
+    # stacked exponential gives each row the bits of its cell's alone.
     rng = np.random.default_rng(14)
-    dt = 0.37
+    dt = 0.5
     norms = [1e-3, 0.2, 0.8, 2.0, 5.0, 30.0, 300.0]
     values = []
     for norm in norms:
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         values.append(Operator(g * norm / (dt * np.abs(g).sum(axis=0).max())))
-    generators = np.stack([op.entries for op in values])
-    cells = [4, 0, 6, 1, 3, 5, 2]
-    maps = cell_maps(generators, cells, dt)
+    generators = np.stack([values[c].entries for c in [4, 0, 6, 1, 3, 5, 2]])
+    grid = Schedule(tuple(range(7)), dt)
+    cells, maps, runs = step_propagators(grid, generators, 7 * dt, 7)
     assert maps.shape == (7, 3, 3)
+    assert cells == list(range(7)) and runs == [(c, c + 1, c) for c in range(7)]
     choices = set()
     for c, got in zip(cells, maps):
-        step = -1j * dt * values[c].entries
+        step = -1j * dt * generators[c]
         choices.add(trajphase.operators._pade_choice(float(np.abs(step).sum(axis=0).max())))
         assert got.tobytes() == matrix_exponential(step).tobytes()
     assert {m for m, _ in choices} == {3, 5, 7, 9, 13}
     assert max(s for _, s in choices) >= 6
-    assert cell_maps(generators, [], dt).shape == (0, 3, 3)
+    # A grid that ends inside the schedule uses only its first cells.
+    cells, maps, runs = step_propagators(grid, generators, 3 * dt, 6)
+    assert cells == [0, 1, 2] and maps.shape == (3, 3, 3)
 
 
 def test_keyed_runs_key_each_run_by_its_row_of_first_use() -> None:

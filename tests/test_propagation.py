@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trajphase.jump
+import trajphase.lindblad
 from trajphase._ensemble import THREADS_ENV, map_ordered
 from trajphase.cli import EXIT_CONFIG, main
 from trajphase import (
@@ -39,7 +40,9 @@ from trajphase import (
     Operator,
     OperatorSchedule,
     TotalDecayError,
+    average_jump_ensemble,
     evolve_density,
+    gauge_transform_check,
     kraus_connection_matrix,
     lindblad_rhs,
     no_jump_geometric_phase,
@@ -47,6 +50,7 @@ from trajphase import (
     no_jump_hamiltonian,
     pauli,
     propagate_no_jump,
+    sample_jump_trajectory,
 )
 from trajphase.lindblad import (
     POSITIVITY_HARD_TOL,
@@ -71,8 +75,8 @@ from trajphase.operators import (
     MapPowers,
     ScalarSchedule,
     annihilation,
-    cell_maps,
     key_runs,
+    matrix_exponential,
     real_form,
     run_windows,
     step_propagators,
@@ -109,10 +113,10 @@ def _stack(sched):
     return np.stack([op.entries for op in sched.values])
 
 
-def _cell_step_maps(sched, total, steps):
-    """The step maps of every cell of sched, indexed by cell, with the bits
-    of `step_propagators`' maps."""
-    return cell_maps(_stack(sched), range(len(sched.values)), total / steps)
+def _cell_step_maps(generators, total, steps):
+    """The step maps of every cell of the (C, d, d) generators, indexed by
+    cell, with the bits of `step_propagators`' maps."""
+    return matrix_exponential(-1j * (total / steps) * generators)
 
 
 def _loop_states(maps, keys, x0):
@@ -143,11 +147,11 @@ def test_run_states_matches_step_loop(seed) -> None:
     # A prime step count never lines up with the cells.
     steps = int(rng.choice([97, 211, 331]))
     sched = _random_schedule(rng, dim, cells, total)
-    maps, runs = step_propagators(sched, _stack(sched), total, steps)
+    _, maps, runs = step_propagators(sched, _stack(sched), total, steps)
     x0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     got = _run_states(MapPowers(maps, steps), runs, x0)
     cells = sched.step_cells(total, steps).tolist()
-    want = _loop_states(_cell_step_maps(sched, total, steps), cells, x0)
+    want = _loop_states(_cell_step_maps(_stack(sched), total, steps), cells, x0)
     assert got.shape == (steps + 1, dim)
     assert np.max(_relative_errors(got, want)) <= STATE_RTOL
 
@@ -460,11 +464,62 @@ def test_fill_depth_is_capped_by_the_map_size(monkeypatch) -> None:
     _, (stack,) = evolve_states(sweep, DensityMatrix.from_pure(psi), total, steps)
     assert 0 < max(formed) <= 4
     liouvillians = _liouvillian(sweep.k_tilde[0], sweep.channels[0], sweep.strengths[0])
-    maps, runs = step_propagators(sweep.grid, 1j * liouvillians, total, steps)
+    _, maps, runs = step_propagators(sweep.grid, 1j * liouvillians, total, steps)
     assert runs == [(0, steps, 0)]
     want = _loop_states(maps, [0] * steps, np.outer(psi, psi.conj()).reshape(-1))
     assert np.max(_relative_errors(stack.reshape(steps + 1, -1), want)) <= 1e-12
     assert MapPowers(np.empty((16, 4, 4)), 2048).depth > (2048).bit_length()
+
+
+def test_every_exact_propagation_takes_its_plan_from_step_propagators(monkeypatch) -> None:
+    # The master equation, the no-jump branch, the no-jump tracker and the
+    # jump sampler take their cells' step maps and keyed runs from one
+    # `step_propagators` call per grid they propagate, the tracker one per
+    # doubling of its grid, and none exponentiates a map of its own.
+    plans, exponentials = [], []
+
+    def counted(grid, generators, total_time, steps):
+        plans.append(steps)
+        return step_propagators(grid, generators, total_time, steps)
+
+    for module in (trajphase.jump, trajphase.lindblad):
+        monkeypatch.setattr(module, "step_propagators", counted)
+    monkeypatch.setattr(trajphase.jump, "matrix_exponential", exponentials.append)
+    rng = np.random.default_rng(38)
+    total, steps, delta_t = 1.5, 3, 0.05
+    # On the first grids the overlap turns by more than pi/2 in a step, so
+    # the tracker doubles them, to 12 steps.
+    hams = [m + m.conj().T for m in (_random_complex(rng, 2) for _ in range(3))]
+    model = LindbladModel(
+        OperatorSchedule.piecewise([Operator(h) for h in hams], total / 3),
+        (_random_schedule(rng, 2, 3, total),),
+        0.3,
+    )
+    psi0 = np.array([0.6, 0.8j])
+    rho0 = DensityMatrix.from_pure(psi0)
+    jump_steps = round(total / delta_t)
+    propagations = [
+        (lambda: evolve_states(lower_model(model), rho0, total, steps), [steps]),
+        (lambda: propagate_no_jump(no_jump_hamiltonian(model), psi0, total, steps), [steps]),
+        (
+            lambda: average_jump_ensemble(model, psi0, total, delta_t, 16, seed=1),
+            [jump_steps],
+        ),
+        (
+            lambda: sample_jump_trajectory(model, psi0, total, delta_t, np.random.default_rng(1)),
+            [jump_steps],
+        ),
+    ]
+    for propagate, grids in propagations:
+        plans.clear()
+        propagate()
+        assert plans == grids
+    plans.clear()
+    tracked = no_jump_geometric_phase(model, psi0, total, steps)
+    assert tracked.grid_steps > steps
+    doublings = (tracked.grid_steps // steps).bit_length()
+    assert plans == [steps << i for i in range(doublings)]
+    assert exponentials == []
 
 
 def test_a_propagation_squares_all_its_cells_together(monkeypatch) -> None:
@@ -511,7 +566,7 @@ def test_propagate_no_jump_matches_step_loop(seed) -> None:
     sched = _random_schedule(rng, dim, int(rng.integers(1, 17)), 3.0)
     psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     record = propagate_no_jump(sched, psi0, 3.0, steps=1000)
-    maps = _cell_step_maps(sched, 3.0, 1000)
+    maps = _cell_step_maps(_stack(sched), 3.0, 1000)
     want = _loop_states(maps, sched.step_cells(3.0, 1000).tolist(), psi0)
     assert np.max(_relative_errors(record.states, want)) <= STATE_RTOL
 
@@ -538,7 +593,7 @@ def test_propagate_no_jump_keeps_weak_damping() -> None:
 
 def _reference_tracked_phase(model, shifts, psi0, total, steps) -> dict:
     """The no-jump geometric phase by plain per-step loops: states from the
-    `cell_maps` of every cell, in the cell `Schedule.step_cells` gives each
+    step maps of every cell, in the cell `Schedule.step_cells` gives each
     step, the overlap argument as a sum of per-step increments, and
     <psi|K|psi> / <psi|psi> integrated by SciPy's `simpson`. The grid
     doubles until no step away from a flagged crossing turns the overlap by
@@ -547,7 +602,7 @@ def _reference_tracked_phase(model, shifts, psi0, total, steps) -> dict:
     grid = lowered.grid
     attempt = steps
     for _ in range(MAX_GRID_DOUBLINGS):
-        maps = cell_maps(lowered.k_tilde[0], range(len(lowered.k_tilde[0])), total / attempt)
+        maps = _cell_step_maps(lowered.k_tilde[0], total, attempt)
         states = _loop_states(maps, grid.step_cells(total, attempt).tolist(), psi0)
         overlaps = [complex(np.vdot(psi0, s)) for s in states]
         norms = [float(np.linalg.norm(s)) for s in states]
@@ -1141,6 +1196,26 @@ REFUSALS = {
     ),
     "evolve-no-steps": (
         lambda tmp, mp: evolve_states(_sweep(), EQUATOR, 1.0, 0),
+        ValueError,
+        "steps must be >= 1",
+    ),
+    "tracker-no-steps": (
+        lambda tmp, mp: no_jump_geometric_phase(_dephasing(0.5), PLUS, 1.0, steps=0),
+        ValueError,
+        "steps must be >= 1",
+    ),
+    "tracker-negative-steps": (
+        lambda tmp, mp: no_jump_geometric_phase(_dephasing(0.5), PLUS, 1.0, steps=-5),
+        ValueError,
+        "steps must be >= 1",
+    ),
+    "gauge-no-steps": (
+        lambda tmp, mp: gauge_transform_check(_dephasing(0.5), PLUS, 1.0, steps=0),
+        ValueError,
+        "steps must be >= 1",
+    ),
+    "sweep-negative-steps": (
+        lambda tmp, mp: sweep_no_jump_phases(_sweep(), [PLUS], 1.0, steps=-3),
         ValueError,
         "steps must be >= 1",
     ),

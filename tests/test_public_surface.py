@@ -1,12 +1,20 @@
-"""The public surface: `trajphase.__all__` as a reviewed literal.
+"""The public surface: `trajphase.__all__` as a reviewed literal, and the
+surfaces between the package's modules.
 
 Adding, removing or renaming an export fails this test until the list below
-is edited with it, so every change to the surface shows up in review.
+is edited with it, so every change to the surface shows up in review. A
+module's underscore names are its own: no other module of the package
+imports one.
 """
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import trajphase
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "trajphase"
 
 EXPORTS = [
     "AllOverflowError",
@@ -91,3 +99,21 @@ def test_exports_are_the_reviewed_list() -> None:
 def test_every_export_resolves() -> None:
     missing = [name for name in trajphase.__all__ if not hasattr(trajphase, name)]
     assert missing == []
+
+
+def test_no_module_imports_a_private_name_of_another() -> None:
+    # A decision that two modules share belongs to one of them, under a
+    # public name or as a method of the type it decides for.
+    private = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if not node.level and not (node.module or "").startswith("trajphase"):
+                continue
+            private += [
+                f"{path.name}: {alias.name} from {'.' * node.level}{node.module or ''}"
+                for alias in node.names
+                if alias.name.startswith("_") and not alias.name.endswith("__")
+            ]
+    assert private == []

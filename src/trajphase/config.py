@@ -6,9 +6,12 @@ accepted on input and mean a real entry. Channel presets: sigma_x, sigma_y,
 sigma_z, sigma_minus (sigma_x - i sigma_y), annihilation (uses the model
 dimension). The only Hamiltonian preset is precession: (omega/2) sigma_z.
 
-`serialize_config` emits a canonical form (presets kept by name, literals
-normalized to [re, im] pairs, sweeps expanded to explicit value lists) whose
-re-parse is identical.
+The canonical form of a scenario is decided by the parser alone: each
+`_parse_*` helper returns its piece's canonical node next to its object
+(presets kept by name, literals normalized to [re, im] pairs), and the
+config keeps those nodes. `serialize_config` emits them with the run
+settings and the sweep, expanded to explicit value lists; its re-parse is
+identical.
 """
 
 from __future__ import annotations
@@ -16,9 +19,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from collections.abc import Mapping
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Union
+from types import MappingProxyType
+from typing import Any, Optional, Union
 
 import numpy as np
 import yaml
@@ -93,7 +98,9 @@ def _complex_scalar(node, path: str) -> complex:
     raise ConfigError(path, f"expected a number or [re, im] pair, got {node!r}")
 
 
-def _matrix(node, path: str) -> np.ndarray:
+def _matrix(node, dim: int, path: str) -> tuple[OperatorSchedule, dict]:
+    """The constant schedule of a dim x dim matrix literal, and its
+    canonical node."""
     if not isinstance(node, list) or not node:
         raise ConfigError(path, "expected a non-empty list of rows")
     rows = []
@@ -104,11 +111,29 @@ def _matrix(node, path: str) -> np.ndarray:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ConfigError(path, "rows have unequal lengths")
-    return np.array(rows, dtype=complex)
+    mat = np.array(rows, dtype=complex)
+    if mat.shape != (dim, dim):
+        raise ConfigError(path, f"expected {dim}x{dim}")
+    return OperatorSchedule.constant(Operator(mat)), {"matrix": _pairs(mat)}
+
+
+def _pair(value: complex) -> list:
+    return [float(value.real), float(value.imag)]
 
 
 def _pairs(matrix: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in matrix]
+    return [[_pair(v) for v in row] for row in matrix]
+
+
+def _copied(node, mapping=dict, sequence=list):
+    """A copy of a canonical node, none of its containers shared: each
+    mapping rebuilt as mapping and each list or tuple as sequence, so
+    _copied(node, MappingProxyType, tuple) is its read-only form."""
+    if type(node) in (list, tuple):
+        return sequence([_copied(value, mapping, sequence) for value in node])
+    if type(node) in (dict, MappingProxyType):
+        return mapping({key: _copied(value, mapping, sequence) for key, value in node.items()})
+    return node
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,17 +178,25 @@ class SweepGrid:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ScenarioConfig:
+    """A parsed scenario: its model, channel shifts (None for none),
+    initial state, run settings and sweep axes, and in canonical the
+    canonical nodes of the model, the shifts (absent for none) and the
+    initial state, as the parser made them.
+
+    canonical is read-only, its mappings read-only views and its lists
+    tuples; `to_mapping` returns fresh plain copies of its nodes, which
+    the caller may change. A config pinned at a sweep point (`at_point`,
+    `sweep_points`) replaces the nodes it pins and keeps the Hamiltonian
+    and channel schedule objects of this one, so that
+    `lindblad.lower_points` lowers the points of one scenario as one group.
+    """
+
     model: LindbladModel
     shifts: Optional[ShiftSet]
     initial_state: PureState
     run: RunSettings
     sweep: tuple[SweepAxis, ...]
-    # How each piece was given, for serialization and closed-form detection.
-    hamiltonian_kind: str = "matrix"
-    omega: Optional[float] = None
-    channel_kinds: tuple[str, ...] = ()
-    initial_angles: Optional[BlochAngles] = None
-    shift_values: tuple = ()
+    canonical: Mapping[str, Any]
 
     def sweep_grid(self) -> SweepGrid:
         """The sweep's points, or the one point of an unswept scenario, as
@@ -190,11 +223,12 @@ class ScenarioConfig:
                 shape = (count, len(self.model.lindblads), 1)
                 shifts, cell = np.broadcast_to(values[:, np.newaxis, np.newaxis], shape), None
             elif axis.name == "theta0":
-                if self.initial_angles is None:
+                initial = self.canonical["initial_state"]
+                if "theta" not in initial:
                     raise ConfigError(
                         "sweep.theta0", "needs an initial_state of theta and phi, not amplitudes"
                     )
-                phi = self.initial_angles.phi
+                phi = initial["phi"]
                 rows = [bloch_state(BlochAngles(float(v), phi)).amplitudes for v in axis.values]
                 states = np.array(rows)[picked]
             else:
@@ -207,23 +241,23 @@ class ScenarioConfig:
     def _pinned(self, grid: SweepGrid, p: int) -> "ScenarioConfig":
         """The config of point p of grid: its swept scalars pinned."""
         point = grid.assignments[p]
-        cfg = self
+        pinned, nodes = {}, dict(self.canonical)
         if "lambda" in point:
             model = LindbladModel(
                 self.model.hamiltonian, self.model.lindblads, float(grid.strengths[p])
             )
-            cfg = dataclasses.replace(cfg, model=model)
+            pinned["model"] = model
+            nodes["model"] = {**nodes["model"], "lambda": model.strength}
         if "f" in point:
-            values = tuple(complex(v) for v in grid.shifts[p, :, 0])
-            cfg = dataclasses.replace(
-                cfg, shifts=ShiftSet.constants(values), shift_values=values
-            )
+            values = [complex(v) for v in grid.shifts[p, :, 0]]
+            pinned["shifts"] = ShiftSet.constants(values)
+            nodes["shifts"] = [_pair(v) for v in values]
         if "theta0" in point:
-            angles = BlochAngles(float(point["theta0"]), self.initial_angles.phi)
-            cfg = dataclasses.replace(
-                cfg, initial_state=PureState(grid.states[p]), initial_angles=angles
-            )
-        return cfg
+            angles = BlochAngles(float(point["theta0"]), nodes["initial_state"]["phi"])
+            pinned["initial_state"] = PureState(grid.states[p])
+            nodes["initial_state"] = {"theta": angles.theta, "phi": angles.phi}
+        canonical = _copied(nodes, MappingProxyType, tuple)
+        return dataclasses.replace(self, canonical=canonical, **pinned)
 
     def at_point(self, **assignments) -> "ScenarioConfig":
         """New config with swept scalars pinned to concrete values: the one
@@ -244,74 +278,42 @@ class ScenarioConfig:
         imaginary part is at most 1e-15: point's f if it assigns one, else
         the scenario's shift. None for any other shift, and when the
         scenario has none."""
-        values = (complex(point["f"]),) if point and "f" in point else self.shift_values
-        if len(values) != 1 or not isinstance(values[0], complex):
+        f = point.get("f") if point else None
+        nodes = self.canonical.get("shifts", ()) if f is None else [_pair(complex(f))]
+        if len(nodes) != 1 or isinstance(nodes[0], Mapping):
             return None
-        return values[0].real if abs(values[0].imag) <= 1e-15 else None
+        real, imag = nodes[0]
+        return real if abs(imag) <= 1e-15 else None
 
     def dephasing_params(self, point: Optional[dict] = None) -> Optional[DephasingParams]:
         """The scenario, at the sweep point whose assignment dict is point
         if given, as closed-form dephasing parameters, when it is one:
         precession Hamiltonian, single sigma_z channel, Bloch-angle initial
         state, and at most one real constant shift."""
-        if self.hamiltonian_kind != "precession" or self.omega is None:
+        model, initial = self.canonical["model"], self.canonical["initial_state"]
+        if model["hamiltonian"].get("preset") != "precession":
             return None
-        if self.channel_kinds != ("sigma_z",) or self.initial_angles is None:
+        if model["lindblads"] != ("sigma_z",) or "theta" not in initial:
             return None
         point = point or {}
         f = 0.0 if self.shifts is None and "f" not in point else self.real_shift(point)
         if f is None:
             return None
-        theta = self.initial_angles.theta
+        theta = initial["theta"]
         if "theta0" in point:
-            theta = BlochAngles(float(point["theta0"]), self.initial_angles.phi).theta
+            theta = BlochAngles(float(point["theta0"]), initial["phi"]).theta
         return DephasingParams(
-            omega=self.omega,
+            omega=model["hamiltonian"]["omega"],
             strength=float(point.get("lambda", self.model.strength)),
             shift=f,
             theta0=theta,
-            phi0=self.initial_angles.phi,
+            phi0=initial["phi"],
         )
 
     def to_mapping(self) -> dict:
-        model: dict = {"dim": self.model.dim}
-        if self.hamiltonian_kind == "precession":
-            model["hamiltonian"] = {"preset": "precession", "omega": self.omega}
-        else:
-            model["hamiltonian"] = {
-                "matrix": _pairs(self.model.hamiltonian.values[0].entries)
-            }
-        chans = []
-        for kind, sched in zip(self.channel_kinds, self.model.lindblads):
-            if kind == "matrix":
-                chans.append({"matrix": _pairs(sched.values[0].entries)})
-            else:
-                chans.append(kind)
-        model["lindblads"] = chans
-        model["lambda"] = self.model.strength
-        out: dict = {"model": model}
-        if self.shifts is not None:
-            serialized = []
-            for value in self.shift_values:
-                if isinstance(value, complex):
-                    serialized.append([value.real, value.imag])
-                else:
-                    cell, values = value
-                    serialized.append(
-                        {"cell": cell, "values": [[v.real, v.imag] for v in values]}
-                    )
-            out["shifts"] = serialized
-        if self.initial_angles is not None:
-            out["initial_state"] = {
-                "theta": self.initial_angles.theta,
-                "phi": self.initial_angles.phi,
-            }
-        else:
-            out["initial_state"] = {
-                "amplitudes": [
-                    [float(a.real), float(a.imag)] for a in self.initial_state.amplitudes
-                ]
-            }
+        """The canonical document: fresh copies of the parsed nodes, with
+        the run settings and the sweep."""
+        out = _copied(self.canonical)
         run: dict = {"steps": self.run.steps, "seed": self.run.seed}
         if self.run.total_time is not None:
             run["T"] = self.run.total_time
@@ -325,7 +327,7 @@ class ScenarioConfig:
         return out
 
 
-def _parse_hamiltonian(node, dim: int) -> tuple[OperatorSchedule, str, Optional[float]]:
+def _parse_hamiltonian(node, dim: int) -> tuple[OperatorSchedule, dict]:
     section = _need_mapping(node, "model.hamiltonian")
     if "preset" in section:
         name = section["preset"]
@@ -335,16 +337,13 @@ def _parse_hamiltonian(node, dim: int) -> tuple[OperatorSchedule, str, Optional[
             raise ConfigError("model.hamiltonian", "precession preset needs dim = 2")
         omega = _need_number(section.get("omega"), "model.hamiltonian.omega")
         ham = Operator(np.array([[0.5 * omega, 0], [0, -0.5 * omega]], dtype=complex))
-        return OperatorSchedule.constant(ham), "precession", omega
+        return OperatorSchedule.constant(ham), {"preset": "precession", "omega": omega}
     if "matrix" in section:
-        mat = _matrix(section["matrix"], "model.hamiltonian.matrix")
-        if mat.shape != (dim, dim):
-            raise ConfigError("model.hamiltonian.matrix", f"expected {dim}x{dim}")
-        return OperatorSchedule.constant(Operator(mat)), "matrix", None
+        return _matrix(section["matrix"], dim, "model.hamiltonian.matrix")
     raise ConfigError("model.hamiltonian", "needs either 'preset' or 'matrix'")
 
 
-def _parse_channel(node, dim: int, path: str) -> tuple[OperatorSchedule, str]:
+def _parse_channel(node, dim: int, path: str) -> tuple[OperatorSchedule, Union[str, dict]]:
     if isinstance(node, str):
         node = {"preset": node}
     section = _need_mapping(node, path)
@@ -359,16 +358,11 @@ def _parse_channel(node, dim: int, path: str) -> tuple[OperatorSchedule, str]:
             raise ConfigError(path, f"preset {name!r} has dimension {op.dim}, model has {dim}")
         return OperatorSchedule.constant(op), name
     if "matrix" in section:
-        mat = _matrix(section["matrix"], f"{path}.matrix")
-        if mat.shape != (dim, dim):
-            raise ConfigError(f"{path}.matrix", f"expected {dim}x{dim}")
-        return OperatorSchedule.constant(Operator(mat)), "matrix"
+        return _matrix(section["matrix"], dim, f"{path}.matrix")
     raise ConfigError(path, "needs a preset name or a 'matrix' literal")
 
 
-def _parse_shift(node, path: str):
-    """Returns (ScalarSchedule, canonical value) where canonical is a complex
-    constant or a (cell, values tuple) pair."""
+def _parse_shift(node, path: str) -> tuple[ScalarSchedule, Union[list, dict]]:
     if isinstance(node, dict):
         cell = _need_number(node.get("cell"), f"{path}.cell")
         if cell <= 0:
@@ -376,15 +370,14 @@ def _parse_shift(node, path: str):
         raw = node.get("values")
         if not isinstance(raw, list) or not raw:
             raise ConfigError(f"{path}.values", "expected a non-empty list")
-        values = tuple(
-            _complex_scalar(v, f"{path}.values[{i}]") for i, v in enumerate(raw)
-        )
-        return ScalarSchedule.piecewise(values, cell), (cell, values)
+        values = [_complex_scalar(v, f"{path}.values[{i}]") for i, v in enumerate(raw)]
+        canonical = {"cell": cell, "values": [_pair(v) for v in values]}
+        return ScalarSchedule.piecewise(values, cell), canonical
     value = _complex_scalar(node, path)
-    return ScalarSchedule.constant(value), value
+    return ScalarSchedule.constant(value), _pair(value)
 
 
-def _parse_initial(node) -> tuple[PureState, Optional[BlochAngles]]:
+def _parse_initial(node) -> tuple[PureState, dict]:
     section = _need_mapping(node, "initial_state")
     if "amplitudes" in section:
         raw = section["amplitudes"]
@@ -398,7 +391,8 @@ def _parse_initial(node) -> tuple[PureState, Optional[BlochAngles]]:
         # Keep already-normalized input bit-exact so serialization round-trips.
         if abs(np.linalg.norm(amps) - 1.0) > 1e-12:
             amps = unit_vector(amps)
-        return PureState(amps), None
+        state = PureState(amps)
+        return state, {"amplitudes": [_pair(a) for a in state.amplitudes]}
     if "theta" in section:
         theta = _need_number(section["theta"], "initial_state.theta")
         phi = _need_number(section.get("phi", 0.0), "initial_state.phi")
@@ -406,7 +400,7 @@ def _parse_initial(node) -> tuple[PureState, Optional[BlochAngles]]:
             angles = BlochAngles(theta, phi)
         except ValueError as exc:
             raise ConfigError("initial_state.theta", str(exc)) from None
-        return bloch_state(angles), angles
+        return bloch_state(angles), {"theta": angles.theta, "phi": angles.phi}
     raise ConfigError("initial_state", "needs 'theta'/'phi' or 'amplitudes'")
 
 
@@ -484,26 +478,28 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     dim = _need_int(model_node.get("dim"), "model.dim")
     if dim < 2:
         raise ConfigError("model.dim", "must be >= 2")
-    ham, ham_kind, omega = _parse_hamiltonian(model_node.get("hamiltonian"), dim)
+    ham, ham_node = _parse_hamiltonian(model_node.get("hamiltonian"), dim)
     raw_chans = model_node.get("lindblads")
     if not isinstance(raw_chans, list):
         raise ConfigError("model.lindblads", "expected a list of channels")
-    chans = []
-    kinds = []
-    for i, entry in enumerate(raw_chans):
-        sched, kind = _parse_channel(entry, dim, f"model.lindblads[{i}]")
-        chans.append(sched)
-        kinds.append(kind)
+    chans = [_parse_channel(c, dim, f"model.lindblads[{i}]") for i, c in enumerate(raw_chans)]
     strength = _need_number(model_node.get("lambda"), "model.lambda")
     if strength < 0:
         raise ConfigError("model.lambda", "must be >= 0")
     try:
-        model = LindbladModel(ham, tuple(chans), strength)
+        model = LindbladModel(ham, tuple(sched for sched, _ in chans), strength)
     except ValueError as exc:
         raise ConfigError("model", str(exc)) from None
+    canonical: dict = {
+        "model": {
+            "dim": dim,
+            "hamiltonian": ham_node,
+            "lindblads": [node for _, node in chans],
+            "lambda": model.strength,
+        }
+    }
 
     shifts = None
-    shift_values: tuple = ()
     if doc.get("shifts") is not None:
         raw_shifts = doc["shifts"]
         if not isinstance(raw_shifts, list):
@@ -514,9 +510,9 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
             )
         parsed = [_parse_shift(v, f"shifts[{i}]") for i, v in enumerate(raw_shifts)]
         shifts = ShiftSet(tuple(s for s, _ in parsed))
-        shift_values = tuple(v for _, v in parsed)
+        canonical["shifts"] = [node for _, node in parsed]
 
-    state, angles = _parse_initial(doc.get("initial_state"))
+    state, canonical["initial_state"] = _parse_initial(doc.get("initial_state"))
     if state.dim != dim:
         raise ConfigError("initial_state", f"dimension {state.dim} does not match model")
     run = _parse_run(doc.get("run"))
@@ -524,18 +520,8 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     if not chans and any(axis.name == "f" for axis in sweep):
         # Every point would be the same unshifted model.
         raise ConfigError("sweep.f", "the model has no channel to shift")
-    return ScenarioConfig(
-        model=model,
-        shifts=shifts,
-        initial_state=state,
-        run=run,
-        sweep=sweep,
-        hamiltonian_kind=ham_kind,
-        omega=omega,
-        channel_kinds=tuple(kinds),
-        initial_angles=angles,
-        shift_values=shift_values,
-    )
+    canonical = _copied(canonical, MappingProxyType, tuple)
+    return ScenarioConfig(model, shifts, state, run, sweep, canonical)
 
 
 def serialize_config(config: ScenarioConfig) -> str:

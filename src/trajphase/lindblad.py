@@ -234,10 +234,13 @@ def lower_sweep(
     (i lambda / 2) sum_m (conj(f_m) L_m - f_m L_m^dag), summed channel by
     channel in order. A zero shift keeps L_m and H, signed zeros included,
     as an unshifted model's channels and K. The Hamiltonian, channels and
-    shifts must share one grid (constants broadcast). Only the strengths
-    and the shift count are checked here: the model already is.
+    shifts must share one grid (constants broadcast). Only the strengths,
+    at least one, and the shift count are checked here: the model already
+    is.
     """
     lam = np.asarray(strengths, dtype=float)
+    if not lam.size:
+        raise ValueError("a sweep needs at least one point")
     if (lam < 0).any():
         raise ValueError("coupling strength must be nonnegative")
     count = len(model.lindblads)

@@ -170,17 +170,18 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pieces(grid, total_time: float, steps: int, span: int):
+def _pieces(cells: list, runs: list, steps: int, span: int):
     """The grid's ops of span steps from a multiple of span, the last one
     possibly shorter, in pieces of ops with one table: the first op of each
     piece, its number of ops, and the (piece, step) cells of the steps of
     the piece's first op, on the sweep's schedule grid; a step past the
-    grid's end takes cell -1, the identity."""
+    grid's end takes cell -1, the identity. runs are the grid's step runs
+    keyed by their rows in cells."""
     ops = -(-steps // span)
     # The cell only grows with the step, so it changes exactly where a run
     # starts. A piece starts at op 0, at the op holding such a step and at
     # the op after it, and at a shorter last op.
-    runs = np.array(step_runs(grid, total_time, steps))
+    runs = np.array(runs)
     starts = runs[:, 0].tolist()
     edges = {0, ops, *(a // span for a in starts), *(-(-a // span) for a in starts)}
     if steps % span:
@@ -188,7 +189,7 @@ def _pieces(grid, total_time: float, steps: int, span: int):
     edges = sorted(edges)
     first = np.array(edges[:-1])[:, np.newaxis] * span + np.arange(span)
     # The cell at each of those steps, from the run holding it.
-    cells = runs[np.searchsorted(runs[:, 0], first, "right") - 1, 2]
+    cells = np.array(cells)[runs[np.searchsorted(runs[:, 0], first, "right") - 1, 2]]
     cells[first >= steps] = -1
     return edges[:-1], np.diff(edges).tolist(), cells
 
@@ -236,6 +237,7 @@ class _QSDKernel:
 
     def __init__(self, sweep: LoweredSweep, total_time: float, steps: int):
         dt = total_time / steps
+        self.steps = steps
         self.dim = dim = sweep.h.shape[-1]
         self.npoints = len(sweep)
         self.channels = channels = sweep.channels.shape[2]
@@ -247,8 +249,13 @@ class _QSDKernel:
         # Bit pair value b_0 + 2 b_1 decodes to sqrt(dt/2) (xi_1 + i xi_2),
         # with xi_1 = 1 - 2 b_0 and xi_2 = 1 - 2 b_1.
         self.increments = np.sqrt(dt / 2.0) * np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j])
-        self.one_step = self._one_step(sweep, dt)
-        self.piece_starts, self.lengths, self.pieces = _pieces(sweep.grid, total_time, steps, span)
+        # The Euler grid's plan, which the mean path also reads: the cells
+        # its steps use, its step runs keyed by their rows in cells, and the
+        # (P, C, d, d) drift I - i dt K_tilde of every point and cell.
+        self.cells, self.runs = keyed_runs(step_runs(sweep.grid, total_time, steps))
+        self.drift = np.eye(dim) + dt * (-1j * sweep.k_tilde)
+        self.one_step = self._one_step(sweep)
+        self.piece_starts, self.lengths, self.pieces = _pieces(self.cells, self.runs, steps, span)
         self.period, self.fields = self._fields()
         # g, a bound on the spectral norm of every one-step matrix and at
         # least 1: the largest entry's of the first group plus the largest
@@ -267,7 +274,7 @@ class _QSDKernel:
         entries = 4**width if groups == 1 else 256 * groups
         self.table_bytes = 2 * 16 * dim * dim * self.npoints * entries
 
-    def _one_step(self, sweep, dt: float) -> list[np.ndarray]:
+    def _one_step(self, sweep) -> list[np.ndarray]:
         """The one-step tables of every point p and cell c of sweep, one
         (P, C + 1, 4^c, d, d) array per group of c <= 4 channels, its cell
         C the identity; entry q of a group takes increment (q >> 2 t) & 3
@@ -275,13 +282,12 @@ class _QSDKernel:
         K_tilde. Each entry is the arithmetic of its own point and cell."""
         rows, cells, dim = sweep.k_tilde.shape[:3]
         root = np.sqrt(sweep.strengths)[:, np.newaxis, np.newaxis, np.newaxis, np.newaxis]
-        drift = np.eye(dim) + dt * (-1j * sweep.k_tilde)
         tables = []
         for lo in range(0, max(self.channels, 1), 4):
             group = sweep.channels[:, :, lo : lo + 4]
             q = np.arange(4 ** group.shape[2])
             shape = (rows, cells, len(q), dim, dim)
-            table = np.broadcast_to(drift[:, :, np.newaxis] if lo == 0 else 0j, shape)
+            table = np.broadcast_to(self.drift[:, :, np.newaxis] if lo == 0 else 0j, shape)
             for t in range(group.shape[2]):
                 dws = self.increments[(q >> 2 * t) & 3]
                 table = table + dws[:, np.newaxis, np.newaxis] * (root * group[:, :, t, np.newaxis])
@@ -530,10 +536,11 @@ class _QSDKernel:
         return kept
 
 
-def _mean_path_arg(sweep, p: int, vec: np.ndarray, total_time: float, steps: int) -> float:
+def _mean_path_arg(kernel: _QSDKernel, p: int, vec: np.ndarray) -> float:
     """Unwrapped argument of the exact mean overlap <phi_0|E phi_k> at point
-    p of sweep on the estimator's grid. The noise has mean zero and is independent of phi_k,
-    so E[phi_k] follows the drift maps I - i dt K_tilde alone.
+    p of a pass's kernel on its Euler grid. The noise has mean zero and is
+    independent of phi_k, so E[phi_k] follows the kernel's drift maps I - i
+    dt K_tilde alone, on its step runs.
 
     Positive scale factors keep every argument. Each drift map is divided by
     its spectral radius, so within a run of steps in one cell the path
@@ -544,15 +551,14 @@ def _mean_path_arg(sweep, p: int, vec: np.ndarray, total_time: float, steps: int
     BLOCK_BYTES. Each window's states are rescaled in place by the power of
     two that takes their largest part into [1/2, 1), which is exact, and
     the next window continues from them."""
-    dt = total_time / steps
+    steps = kernel.steps
     bra = vec.conj()
     total = 0.0
     width = max(1, min(steps + 1, BLOCK_BYTES // 2 // (16 * (2 * len(vec) + 4))))
-    cells, runs = keyed_runs(step_runs(sweep.grid, total_time, steps))
-    drifts = np.eye(len(vec)) + dt * (-1j * sweep.k_tilde[p, cells])
+    drifts = kernel.drift[p, kernel.cells]
     radii = np.abs(np.linalg.eigvals(drifts)).max(axis=-1)
     powers = MapPowers(drifts / radii[:, None, None], steps)
-    for start, x in run_windows(powers, runs, vec, width):
+    for start, x in run_windows(powers, kernel.runs, vec, width):
         span = min(width, steps + 1 - start)
         path = bra @ x[:, (0 if start else 1) : span + 1]
         total += float(np.sum(np.angle(path[1:] * path[:-1].conj())))
@@ -631,8 +637,6 @@ def sweep_averaged_phases(
     """`averaged_geometric_phases` at every point of a lowered sweep, from
     one ensemble pass: one `_QSDKernel`, which every chunk job carries."""
     vec = normalized_state_vector(phi0, sweep.model.dim, "phi0")
-    if not len(sweep):
-        return []
     total = config.total_time
     seeds = trajectory_seeds(config.seed, config.n_trajectories)
     steps, _ = grid_steps(total, config.delta_t)
@@ -641,7 +645,7 @@ def sweep_averaged_phases(
     finals, alive = (np.concatenate(c, axis=-1) for c in zip(*map_ordered(run_chunk, jobs)))
     dynamical = energy_integral(sweep, vec, total).tolist()
     return [
-        _point_result(config, final[kept], _mean_path_arg(sweep, p, vec, total, steps), term)
+        _point_result(config, final[kept], _mean_path_arg(kernel, p, vec), term)
         for p, (final, kept, term) in enumerate(zip(finals, alive, dynamical))
     ]
 

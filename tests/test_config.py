@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import textwrap
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 from trajphase import config
-from trajphase.cli import EXIT_CONFIG, main
+from trajphase.cli import EXIT_CONFIG, _config_digest, main
 from trajphase.config import (
     ConfigError,
     RunSettings,
@@ -20,6 +22,7 @@ from trajphase.config import (
     preset_names,
     serialize_config,
 )
+from trajphase.lindblad import lower_points
 from trajphase.operators import pauli
 
 DEPHASING_YAML = textwrap.dedent(
@@ -47,12 +50,12 @@ def test_parse_dephasing_scenario() -> None:
     assert np.allclose(
         cfg.model.hamiltonian.value_at(0.0).entries, 0.5 * pauli("z").entries
     )
-    assert cfg.hamiltonian_kind == "precession"
-    assert cfg.omega == 1.0
-    assert cfg.channel_kinds == ("sigma_z",)
+    canonical = cfg.to_mapping()
+    assert canonical["model"]["hamiltonian"] == {"preset": "precession", "omega": 1.0}
+    assert canonical["model"]["lindblads"] == ["sigma_z"]
     assert cfg.shifts is not None
     assert complex(cfg.shifts.shifts[0].value_at(0.0)) == 0.2 + 0j
-    assert cfg.initial_angles.theta == pytest.approx(math.pi / 2)
+    assert canonical["initial_state"]["theta"] == pytest.approx(math.pi / 2)
     assert cfg.run.total_time == pytest.approx(2 * math.pi)
     assert cfg.run.steps == 4096
     assert cfg.run.seed == 3
@@ -132,13 +135,14 @@ def test_matrix_forms() -> None:
         initial_state: {amplitudes: [[1.0, 0.0], [1.0, 0.0]]}
         """
     )
-    assert cfg.hamiltonian_kind == "matrix"
-    assert cfg.channel_kinds == ("matrix",)
+    canonical = cfg.to_mapping()
+    assert list(canonical["model"]["hamiltonian"]) == ["matrix"]
+    assert [list(chan) for chan in canonical["model"]["lindblads"]] == [["matrix"]]
     chan = cfg.model.lindblads[0].value_at(0.0).entries
     assert chan[0, 1] == 1.0 - 1.0j
     # Amplitudes are normalized on input.
     assert cfg.initial_state.norm == pytest.approx(1.0)
-    assert cfg.initial_angles is None
+    assert list(canonical["initial_state"]) == ["amplitudes"]
     with pytest.raises(ConfigError, match="expected 2x2"):
         _parse(
             """
@@ -304,15 +308,104 @@ def test_sweep_grid_arrays_match_the_pinned_points() -> None:
         assert cfg.dephasing_params(point) == pinned.dephasing_params()
 
 
+PIECEWISE_SWEEP_YAML = textwrap.dedent(
+    """
+    model:
+      dim: 2
+      hamiltonian: {preset: precession, omega: 1.0}
+      lindblads: [sigma_z, sigma_x]
+      lambda: 0.5
+    shifts:
+      - {cell: 0.5, values: [0.1, [0.2, 0.3]]}
+      - 0.4
+    initial_state: {theta: 1.0, phi: 0.25}
+    run: {T: 1.0, steps: 64, seed: 2}
+    """
+)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    ["{lambda: [0.0, 0.3, 1.0], f: [0.0, -1.5]}", "{theta0: [0.5, 3.0], lambda: [0.2, 0.7]}"],
+    ids=["lambda-f-piecewise", "theta0-lambda"],
+)
+def test_pinned_points_equal_the_parsed_scenario_at_that_point(sweep: str) -> None:
+    # Each point written into the YAML by hand and parsed: its canonical
+    # document, state and closed form are those of the pinned config.
+    cfg = parse_config(PIECEWISE_SWEEP_YAML + f"sweep: {sweep}\n")
+    points = list(cfg.sweep_points())
+    assert len(points) == math.prod(len(axis.values) for axis in cfg.sweep)
+    for point, pinned in points:
+        doc = yaml.safe_load(PIECEWISE_SWEEP_YAML + f"sweep: {sweep}\n")
+        doc["model"]["lambda"] = point["lambda"]
+        if "f" in point:
+            doc["shifts"] = [point["f"]] * len(doc["model"]["lindblads"])
+        if "theta0" in point:
+            doc["initial_state"]["theta"] = point["theta0"]
+        parsed = parse_config(yaml.safe_dump(doc))
+        assert pinned.to_mapping() == parsed.to_mapping()
+        assert serialize_config(pinned) == serialize_config(parsed)
+        assert pinned.model.strength == parsed.model.strength
+        state = parsed.initial_state.amplitudes
+        assert pinned.initial_state.amplitudes.tobytes() == state.tobytes()
+        assert cfg.dephasing_params(point) == parsed.dephasing_params()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        PIECEWISE_SWEEP_YAML + "sweep: {lambda: [0.0, 0.3, 1.0]}\n",
+        PIECEWISE_SWEEP_YAML + "sweep: {lambda: [0.0, 0.3, 1.0], f: [0.0, -1.5]}\n",
+        PIECEWISE_SWEEP_YAML + "sweep: {theta0: [0.5, 3.0], lambda: [0.2, 0.7]}\n",
+        resources.files("trajphase").joinpath("presets", "fig1.yaml").read_text(),
+    ],
+    ids=["lambda-piecewise", "lambda-f-piecewise", "theta0-lambda", "fig1"],
+)
+def test_pinned_points_of_a_scenario_lower_as_one_group(text: str) -> None:
+    # The pinned models keep the scenario's Hamiltonian and channel
+    # schedules, so one lowering takes every point.
+    points = [(pinned.model, pinned.shifts) for _, pinned in parse_config(text).sweep_points()]
+    ((_, members),) = lower_points(points)
+    assert members == list(range(len(points)))
+
+
+def test_canonical_is_read_only_and_to_mapping_copies_it() -> None:
+    # A pin of f on two channels gives two equal shift nodes; each is its
+    # own container, so the YAML text has no anchors.
+    pinned = parse_config(PIECEWISE_SWEEP_YAML).at_point(f=-1.5)
+    with pytest.raises(TypeError):
+        pinned.canonical["model"]["lambda"] = 2.0
+    with pytest.raises(AttributeError):
+        pinned.canonical["model"]["lindblads"].append("sigma_y")
+    before = pinned.to_mapping()
+    changed = pinned.to_mapping()
+    changed["model"]["lindblads"].append("sigma_y")
+    changed["shifts"][0][0] = 9.0
+    assert pinned.to_mapping() == before
+    assert before["shifts"] == [[-1.5, 0.0], [-1.5, 0.0]]
+
+    def containers(node) -> list:
+        children = node.values() if isinstance(node, dict) else node
+        found = [node]
+        for child in children:
+            if isinstance(child, (dict, list)):
+                found += containers(child)
+        return found
+
+    ids = [id(node) for node in containers(before)]
+    assert len(ids) == len(set(ids))
+    assert "&id" not in serialize_config(pinned)
+
+
 def test_at_point_assignments() -> None:
     cfg = _parse(DEPHASING_YAML)
     moved = cfg.at_point(**{"lambda": 0.9, "f": -1.0, "theta0": 0.7})
     assert moved.model.strength == 0.9
     assert complex(moved.shifts.shifts[0].value_at(0.0)) == -1.0 + 0j
-    assert moved.initial_angles.theta == pytest.approx(0.7)
+    assert moved.to_mapping()["initial_state"]["theta"] == pytest.approx(0.7)
     # The original is untouched and the phi angle survives.
     assert cfg.model.strength == 0.5
-    assert moved.initial_angles.phi == cfg.initial_angles.phi
+    assert moved.to_mapping()["initial_state"]["phi"] == cfg.to_mapping()["initial_state"]["phi"]
     with pytest.raises(ConfigError, match="unknown swept"):
         cfg.at_point(omega=2.0)
 
@@ -377,7 +470,7 @@ def test_round_trip_of_matrix_scenario() -> None:
 def test_load_config_presets(tmp_path) -> None:
     assert "fig1" in preset_names()
     preset = load_config("fig1")
-    assert preset.omega == 1.0
+    assert preset.to_mapping()["model"]["hamiltonian"]["omega"] == 1.0
     assert [axis.name for axis in preset.sweep] == ["f", "lambda"]
     assert len(preset.sweep[1].values) == 101
     # A real file wins over preset lookup.
@@ -387,6 +480,57 @@ def test_load_config_presets(tmp_path) -> None:
     assert from_file.run.seed == 3
     with pytest.raises(ConfigError, match="fig1"):
         load_config("no-such-scenario")
+
+
+# sha256 of the serialize_config text and the report's config_digest of
+# each scenario. A change here changes the config_digest of every report
+# on that scenario, so the table is not to be rewritten to pass.
+GOLDEN_DIGESTS = {
+    "fig1": (
+        "c7ef05d8d06a0ffdb7bc1c215ae2989eeb4fbc359a6872619a24ad928639c359",
+        "b7cd04f4dcbf3e16a6dc63999a82374f1bef3967411cbaec1598d2504c5bc49f",
+    ),
+    "fig1-at-point": (
+        "c46418cb1fc93ea2f69d8850244c5a428ed39135fdc7ad7cd8c02d40d2df7c24",
+        "8349d24c56a7a9d229eb245b59baa323f5d8781dc5bede80a7c342a432ada66b",
+    ),
+    "hidden-shift": (
+        "83d737e6bab061675eb0a5f0ab701a802a56bb2d5b5ed3d45a69a765cee0b6ce",
+        "f56c797c3cd41f0f392293a7e589c0b39b6305b9cf4b819afaf4ed652db3955e",
+    ),
+    "jump-sample": (
+        "a6e401532aeecbed5d8472e659502ae78b32b34f53bea2d21dd5d29c7d2bec2e",
+        "809d05e71f8394a19997f4d6227c37d32dbdae737c8c8c8455af621914af8634",
+    ),
+    "long-qsd": (
+        "236e3cd534011e83655ccfdd594b7ef57d81195722fa6567d7106ee3b6e4cc99",
+        "bf42971e917b606c1faf6309cf964dbc498f5b78e591c67db336141af97c019e",
+    ),
+    "nojump-sweep": (
+        "461012b6ab9242acad0c4c2c3950e9c41a37e50350fe04f72d91491c6ef00a9a",
+        "4b058b0529bce4536e34406cf64ef2aa729270d4557d2ffc61cd457c7c93ccc2",
+    ),
+    "qsd-phase": (
+        "6ea0abc77186072255ea3edf1c581635ce93865d806456ceebdfba783fdf0e90",
+        "f5fca0aec52ae7a5ff69e78e757a3a26a2602b12cacf4dde60d7d4e8cb51e09c",
+    ),
+    "visible-shift": (
+        "87a985ecd330a6f3d3b13f9b01a51d18487ba552a9c2273eee3657f40f57274b",
+        "470c3346e8871d7d8f6cf1c16857671ae89a07ff332067bddea5c24f6404f62d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_config_digests_are_stable(name: str) -> None:
+    if name == "fig1":
+        cfg = load_config("fig1")
+    elif name == "fig1-at-point":
+        cfg = load_config("fig1").at_point(f=0.2, theta0=1.0, **{"lambda": 0.25})
+    else:
+        cfg = load_config(Path(__file__).parent / "contract" / f"{name}.yaml")
+    text_digest = hashlib.sha256(serialize_config(cfg).encode("utf-8")).hexdigest()
+    assert (text_digest, _config_digest(cfg)) == GOLDEN_DIGESTS[name]
 
 
 def test_parse_rejects_non_yaml() -> None:

@@ -319,7 +319,7 @@ def test_qsd_branch_follows_the_exact_mean_path(dim: int, count: int) -> None:
     assert abs(res.std_error / exact_se - 1.0) <= 0.25
     steps, _ = grid_steps(total_time, delta_t)
     exact_arg = float(np.sum(np.angle(means[1:] * means[:-1].conj())))
-    got_arg = _mean_path_arg(lower_model(model, shifts), 0, vec, total_time, steps)
+    got_arg = _mean_path_arg(_QSDKernel(lower_model(model, shifts), total_time, steps), 0, vec)
     assert abs(got_arg - exact_arg) <= 1e-9
     # The branch of arg mean_overlap nearest the exact path's argument.
     assert abs(wrap_phase(res.overlap_arg - np.angle(res.mean_overlap))) <= 1e-12
@@ -333,7 +333,7 @@ def test_mean_path_memory_does_not_grow_with_steps() -> None:
     vec = _random_state(2, np.random.default_rng(2))
     tracemalloc.start()
     try:
-        _mean_path_arg(lowered, 0, vec, 1e3, 10**6)
+        _mean_path_arg(_QSDKernel(lowered, 1e3, 10**6), 0, vec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -368,7 +368,7 @@ def test_mean_path_of_a_non_normal_drift_stays_finite() -> None:
     dt, steps = 1e-2, 320_000
     drift = np.eye(2) - 1j * dt * lowered.k_tilde[0, 0]
     assert np.abs(np.linalg.eigvals(drift)).max() < 0.998 * np.linalg.norm(drift, 2)
-    got = _mean_path_arg(lowered, 0, vec, steps * dt, steps)
+    got = _mean_path_arg(_QSDKernel(lowered, steps * dt, steps), 0, vec)
     assert abs(got - _renormalized_path_arg(drift, vec, steps)) <= 1e-9
 
 

@@ -49,6 +49,7 @@ from trajphase.operators import (
 from trajphase.qsd import (
     QSDConfig,
     _mean_path_arg,
+    _QSDKernel,
     averaged_geometric_phase,
     sweep_averaged_phases,
 )
@@ -182,7 +183,7 @@ def test_propagators_read_a_point_as_its_rows(points) -> None:
         return [
             evolve_states(sweep, rho0, total, steps)[1][p],
             energy_integral(sweep, vec, total)[p],
-            _mean_path_arg(sweep, p, vec, total, steps),
+            _mean_path_arg(_QSDKernel(sweep, total, steps), p, vec),
             sampler.runs,
             sampler.powers.square(0),
             sampler.channels,

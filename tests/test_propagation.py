@@ -1174,6 +1174,11 @@ REFUSALS = {
         ValueError,
         "total_time must be >= 0",
     ),
+    "empty-sweep": (
+        lambda tmp, mp: lower_sweep(_dephasing(0.5), []),
+        ValueError,
+        "a sweep needs at least one point",
+    ),
     "no-points-negative-time": (
         lambda tmp, mp: no_jump_geometric_phases([], -1.0),
         ValueError,

@@ -24,6 +24,8 @@ from trajphase.lindblad import (
     energy_integral,
     evolve_states,
     lower_model,
+    lower_sweep,
+    stack_shifts,
 )
 from trajphase.operators import (
     BlochAngles,
@@ -33,6 +35,7 @@ from trajphase.operators import (
     ScheduleRangeError,
     bloch_state,
     pauli,
+    step_runs,
     wrap_phase,
 )
 from trajphase.qsd import (
@@ -43,6 +46,7 @@ from trajphase.qsd import (
     averaged_geometric_phase,
     averaged_geometric_phases,
     averaged_overlap,
+    sweep_averaged_phases,
 )
 
 EQUATOR = bloch_state(BlochAngles(math.pi / 2, 0.0))
@@ -271,8 +275,27 @@ def test_mean_path_argument_does_not_underflow() -> None:
     # argument stops near -185.30.
     p = DephasingParams(1.0, 4.0, 0.0, math.pi / 3)
     vec = np.asarray(bloch_state(p.initial_state()).amplitudes)
-    got = _mean_path_arg(lower_model(p.as_model()), 0, vec, 400.0, 40_000)
+    got = _mean_path_arg(_QSDKernel(lower_model(p.as_model()), 400.0, 40_000), 0, vec)
     assert got == pytest.approx(-204.1414548973610, abs=1e-9)
+
+
+def test_a_pass_plans_its_euler_grid_once(monkeypatch) -> None:
+    # The kernel forms the step runs and the drift once; the mean path of
+    # every point reads them.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return step_runs(*args)
+
+    monkeypatch.setattr(qsd, "step_runs", counted)
+    shifts = [
+        ShiftSet((ScalarSchedule.piecewise([0.3, f, -0.2], 1.0 / 3.0),)) for f in (0.0, 0.5, 1.0)
+    ]
+    sweep = lower_sweep(dephasing_model(1.0, 0.5), [0.5] * 3, *stack_shifts(shifts))
+    results = sweep_averaged_phases(sweep, EQUATOR, QSDConfig(1.0, 0.01, 16, seed=0))
+    assert len(results) == 3
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("seed", [0, 7])
